@@ -76,6 +76,7 @@ from repro.graph.batching import (
 from repro.runtime.kernels import profiling_active, record_kernel
 from repro.runtime.memory import record_tape_alloc, record_tape_free
 from repro.tensor.engine import Tensor, no_grad, pop_tracer, push_tracer
+from repro.tensor.ops_linalg import _linear_np, _matmul_np
 
 
 class TraceUnsupported(RuntimeError):
@@ -89,30 +90,6 @@ _ALIAS_OPS = frozenset({"reshape", "transpose", "broadcast_to", "slice"})
 
 
 # ------------------------------------------------------------- out= kernels
-def _matmul_out(out, a, b):
-    # Mirrors the eager row-stable routing (ops_linalg._matmul_np): narrow
-    # products via the column loop, wide ones on contiguous operands, the
-    # single-row case through a two-row operand.
-    from repro.tensor.ops_linalg import _ROW_STABLE_MAX_N, matmul_rowstable
-
-    if a.ndim == 2 and b.ndim == 2:
-        if b.shape[1] < _ROW_STABLE_MAX_N:
-            return matmul_rowstable(a, b, out)
-        a2 = np.ascontiguousarray(a)
-        b2 = np.ascontiguousarray(b)
-        if a2.shape[0] == 1:
-            np.copyto(out, np.matmul(np.concatenate([a2, a2], axis=0), b2)[0:1])
-            return out
-        return np.matmul(a2, b2, out=out)
-    return np.matmul(a, b, out=out)
-
-
-def _linear_out(out, x, w, b):
-    _matmul_out(out, x, w)
-    np.add(out, b, out=out)
-    return out
-
-
 def _scale_shift_out(out, x, scale, shift):
     np.multiply(x, scale, out=out)
     np.add(out, shift, out=out)
@@ -224,8 +201,8 @@ _OUT_IMPLS: dict[str, Callable] = {
     "power": lambda out, a, p: np.power(a, p, out=out),
     "clip": lambda out, a, lo, hi: np.clip(a, lo, hi, out=out),
     "le_mask_c": lambda out, a, threshold: np.less_equal(a, threshold, out=out),
-    "matmul": _matmul_out,
-    "linear": _linear_out,
+    "matmul": lambda out, a, b: _matmul_np(a, b, out),
+    "linear": lambda out, x, w, b: _linear_np(x, w, b, out),
     "fused_scale_shift": _scale_shift_out,
     # np.sum delegates to np.add.reduce (same pairwise C path, bit-identical);
     # calling it directly skips two Python wrapper layers per launch.

@@ -17,57 +17,55 @@ from repro.tensor.ops_math import _unbroadcast, astensor, sum as tsum
 from repro.tensor.ops_shape import builtin_slice
 
 
-# Narrow-output threshold for the row-stable matmul evaluation: measured on
-# this substrate, BLAS gemm row results are prefix-stable for output widths
-# >= 16 (any row count > 1) and unstable below — the kernel chosen (and with
-# it the accumulation order over k) depends on the row count m, so the same
-# row can produce different low bits inside a tall operand than alone.
+# Column quantum of the row-stable product: output widths are zero-padded up
+# to a multiple of this before they reach BLAS.  Why 16, and what the
+# primitive below guarantees, is written down once in docs/architecture.md
+# ("Row-stable kernels"); tests/test_row_stable.py re-derives it.
 _ROW_STABLE_MAX_N = 16
 
 
 def matmul_rowstable(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a @ b`` column by column: bitwise row-stable for any row count.
+    """2-D ``a @ b`` into ``out``; a row's bits never depend on the row count.
 
-    Each output column is a broadcasted multiply + per-row pairwise
-    reduction; rows never influence each other, so the result for a given
-    row is independent of how many rows are batched around it.
+    One gemm on contiguous operands, the right-hand side zero-padded to a
+    multiple of ``_ROW_STABLE_MAX_N`` columns and a single row evaluated as
+    two.  The contraction behind ``matmul`` and ``linear``, eager and
+    compiled alike (docs/architecture.md, "Row-stable kernels").
     """
-    for j in range(b.shape[1]):
-        np.add.reduce(a * b[:, j], axis=1, out=out[:, j])
-    return out
+    m, n = out.shape
+    pad = -n % _ROW_STABLE_MAX_N
+    a = np.ascontiguousarray(a)
+    if pad:
+        w = np.zeros((b.shape[0], n + pad), dtype=b.dtype)
+        w[:, :n] = b
+    else:
+        w = np.ascontiguousarray(b)
+    if m == 1:
+        a = np.concatenate([a, a])
+    if pad or m == 1:
+        np.copyto(out, np.matmul(a, w)[:m, :n])
+        return out
+    return np.matmul(a, w, out=out)
 
 
-def _matmul_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product whose row results do not depend on the row count.
+def _matmul_np(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b``: 2-D products row-stable, batched ones straight to NumPy.
 
-    Three measures make 2-D products bitwise **row-stable** — the same row
-    yields the same bits whether evaluated alone or inside a tall batched
-    operand (:mod:`repro.serve` rests on this):
-
-    * narrow products (output width < ``_ROW_STABLE_MAX_N``: head
-      projections, ``(n, 3) @ (3, 3)`` geometry transforms, radial-basis
-      projections) go through :func:`matmul_rowstable`;
-    * wide products run on *contiguous* operands (transposed VJP views are
-      copied), pinning BLAS to its NN kernel, which is measured
-      prefix-stable for every row count >= 2 at these widths;
-    * single-row wide products evaluate through a two-row operand and keep
-      row 0 — prefix stability then guarantees the exact bits the same row
-      would get inside any taller batch.
-
-    The routing never depends on the row count except through the
-    result-preserving single-row path, so eager per-request and batched
-    inference always produce identical rows.
+    Forward of ``matmul`` and, with ``out``, its compiled kernel.
     """
     if a.ndim == 2 and b.ndim == 2:
-        if b.shape[1] < _ROW_STABLE_MAX_N:
+        if out is None:
             out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-            return matmul_rowstable(a, b, out)
-        a2 = np.ascontiguousarray(a)
-        b2 = np.ascontiguousarray(b)
-        if a2.shape[0] == 1:
-            return np.matmul(np.concatenate([a2, a2], axis=0), b2)[0:1].copy()
-        return np.matmul(a2, b2)
-    return np.matmul(a, b)
+        return matmul_rowstable(a, b, out)
+    return np.matmul(a, b, out=out)
+
+
+def _linear_np(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``x @ w + b`` (bias added in place); forward and compiled kernel of ``linear``."""
+    out = _matmul_np(x, w, out)
+    return np.add(out, b, out=out)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -99,10 +97,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is None:
         return matmul(x, w)
 
-    def fwd(x, w, b):
-        return _matmul_np(x, w) + b
-
-    return apply_op("linear", fwd, _linear_vjp, (x, w, b))
+    return apply_op("linear", _linear_np, _linear_vjp, (x, w, b))
 
 
 def _linear_vjp(g, out, inputs, needs):
