@@ -76,6 +76,7 @@ from repro.graph.batching import (
 from repro.runtime.kernels import profiling_active, record_kernel
 from repro.runtime.memory import record_tape_alloc, record_tape_free
 from repro.tensor.engine import Tensor, no_grad, pop_tracer, push_tracer
+from repro.tensor.ops_fused import _envelope_coeffs, _envelope_np, _layernorm_np
 from repro.tensor.ops_linalg import _linear_np, _matmul_np
 
 
@@ -116,8 +117,6 @@ def _scatter_slice_out(out, x, shape, index):
 
 
 def _fused_srbf_out(out, r, freqs, rcut, p):
-    from repro.tensor.ops_fused import _envelope_np
-
     # Same expressions as the eager forward (np.outer == the column-times-row
     # broadcast below for 1-D operands), so the result is bit-identical.
     np.multiply(r.reshape(-1, 1), freqs, out=out)
@@ -142,8 +141,6 @@ def _fused_fourier_out(out, theta, order):
 
 
 def _fused_envelope_out(out, xi, p):
-    from repro.tensor.ops_fused import _envelope_coeffs
-
     # Horner ladder of _envelope_np evaluated in place: out carries
     # (a - xi*(b - c*xi)), then 1 - xi**p * out — identical expressions,
     # bit-identical result.
@@ -154,16 +151,6 @@ def _fused_envelope_out(out, xi, p):
     np.subtract(a, out, out=out)
     np.multiply(xi**p, out, out=out)
     np.subtract(1.0, out, out=out)
-    return out
-
-
-def _fused_layernorm_out(out, x, gamma, beta, eps):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = np.subtract(x, mu, out=out)
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    np.divide(xc, np.sqrt(var + eps), out=out)
-    np.multiply(gamma, out, out=out)
-    np.add(out, beta, out=out)
     return out
 
 
@@ -216,7 +203,7 @@ _OUT_IMPLS: dict[str, Callable] = {
     "scatter_slice": _scatter_slice_out,
     "fused_srbf": _fused_srbf_out,
     "fused_fourier": _fused_fourier_out,
-    "fused_layernorm": _fused_layernorm_out,
+    "fused_layernorm": lambda out, x, gamma, beta, eps: _layernorm_np(x, gamma, beta, eps, out),
     # Reads xi several times, so it must never consume a chain carry: kept
     # out of _ELEMENTWISE deliberately (arena-backed standalone launch only).
     "fused_envelope": _fused_envelope_out,

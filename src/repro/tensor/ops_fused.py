@@ -159,20 +159,41 @@ def _fused_fourier_vjp(g, out, inputs, needs, order):
     return (gt,)
 
 
+def _layernorm_np(
+    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Layernorm over the last axis; forward and (with ``out``) compiled kernel.
+
+    Mean and variance are contractions of the short last axis: one einsum
+    inner loop per row over contiguous data, so a row's moments — like the
+    elementwise passes after them — cannot depend on the rows batched
+    around it, and no ``(x - mu)**2`` temporary is materialized
+    (docs/architecture.md, "Row-stable kernels").
+    """
+    x = np.ascontiguousarray(x)
+    if out is None:
+        out = np.empty(x.shape, dtype=np.result_type(x, gamma, beta))
+    mom = np.einsum("...d->...", x)[..., None]
+    mom /= x.shape[-1]
+    xc = np.subtract(x, mom, out=out)
+    mom = np.einsum("...d,...d->...", xc, xc)[..., None]
+    mom /= x.shape[-1]
+    mom += eps
+    np.sqrt(mom, out=mom)
+    np.divide(xc, mom, out=out)
+    np.multiply(gamma, out, out=out)
+    return np.add(out, beta, out=out)
+
+
 def fused_layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis in one kernel.
 
     The reference GatedMLP runs two separate ~9-kernel LN compositions per
     gate; FastCHGNet batches both branches through this fused kernel.
     """
-
-    def fwd(x, gamma, beta, eps):
-        mu = x.mean(axis=-1, keepdims=True)
-        xc = x - mu
-        var = np.mean(xc * xc, axis=-1, keepdims=True)
-        return gamma * (xc / np.sqrt(var + eps)) + beta
-
-    return apply_op("fused_layernorm", fwd, _fused_layernorm_vjp, (x, gamma, beta), {"eps": float(eps)})
+    return apply_op(
+        "fused_layernorm", _layernorm_np, _fused_layernorm_vjp, (x, gamma, beta), {"eps": float(eps)}
+    )
 
 
 def _fused_layernorm_vjp(g, out, inputs, needs, eps):
