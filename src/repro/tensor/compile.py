@@ -61,7 +61,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 import numpy as np
-from scipy.special import expit
 
 from repro.graph.batching import (
     GraphBatch,
@@ -78,6 +77,7 @@ from repro.runtime.memory import record_tape_alloc, record_tape_free
 from repro.tensor.engine import Tensor, no_grad, pop_tracer, push_tracer
 from repro.tensor.ops_fused import _envelope_coeffs, _envelope_np, _layernorm_np
 from repro.tensor.ops_linalg import _linear_np, _matmul_np
+from repro.tensor.ops_math import _sigmoid_np, _silu_np
 
 
 class TraceUnsupported(RuntimeError):
@@ -94,12 +94,6 @@ _ALIAS_OPS = frozenset({"reshape", "transpose", "broadcast_to", "slice"})
 def _scale_shift_out(out, x, scale, shift):
     np.multiply(x, scale, out=out)
     np.add(out, shift, out=out)
-    return out
-
-
-def _silu_out(out, x):
-    expit(x, out=out)
-    np.multiply(out, x, out=out)
     return out
 
 
@@ -183,8 +177,8 @@ _OUT_IMPLS: dict[str, Callable] = {
     "tanh": _ufunc1(np.tanh),
     "abs": _ufunc1(np.abs),
     "sign": _ufunc1(np.sign),
-    "sigmoid": _ufunc1(expit),
-    "silu": _silu_out,
+    "sigmoid": lambda out, a: _sigmoid_np(a, out),
+    "silu": lambda out, a: _silu_np(a, out),
     "power": lambda out, a, p: np.power(a, p, out=out),
     "clip": lambda out, a, lo, hi: np.clip(a, lo, hi, out=out),
     "le_mask_c": lambda out, a, threshold: np.less_equal(a, threshold, out=out),
