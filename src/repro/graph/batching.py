@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.graph.crystal_graph import CrystalGraph
 from repro.segments import offsets as _offsets
+from repro.tensor.ops_shape import segment_plan
 
 
 @dataclass
@@ -261,6 +262,15 @@ def _pad_count(batch: GraphBatch, which: str) -> np.ndarray:
     return np.array(float(counts[which]))
 
 
+def _segment_plan(batch: GraphBatch, field: str) -> np.ndarray:
+    # Boxed in a 0-d object array for the same reason _pad_count returns a
+    # 0-d array: the tape rebinds ndarray kwargs by identity, and the box's
+    # shape/dtype are the same on every batch (a plan's lengths are not).
+    box = np.empty((), dtype=object)
+    box[()] = segment_plan(getattr(batch, field))
+    return box
+
+
 def _sample_range(batch: GraphBatch, table: np.ndarray, s: int) -> tuple[int, int]:
     return int(table[s]), int(table[s + 1])
 
@@ -288,6 +298,8 @@ _AUX_BUILDERS: dict[str, Callable] = {
     - b.short_offsets[s],
     "ae2": lambda b, s: b.angle_e2[slice(*_sample_range(b, b.angle_offsets, s))]
     - b.short_offsets[s],
+    # sort-once plan of an index field, for every segment_sum by that field
+    "segment_plan": _segment_plan,
     # padding masks and real-element counts (masked losses)
     "pad_mask": _pad_mask,
     "pad_count": _pad_count,

@@ -30,7 +30,9 @@ class AtomConv(Module):
     def forward(self, v: Tensor, e: Tensor, ea: Tensor, batch: GraphBatch) -> Tensor:
         fv = concat([gather_rows(v, batch.edge_src), gather_rows(v, batch.edge_dst), e], axis=1)
         msg = mul(self.gmlp(fv), ea)
-        agg = segment_sum(msg, batch.edge_src, batch.num_atoms)
+        agg = segment_sum(
+            msg, batch.edge_src, batch.num_atoms, batch.aux(("segment_plan", "edge_src"))
+        )
         return add(v, self.proj(agg))
 
 
@@ -64,7 +66,9 @@ class BondConv(Module):
         """Weight, aggregate and project precomputed GatedMLP output ``phi``."""
         weight = mul(gather_rows(ebw, batch.angle_e1), gather_rows(ebw, batch.angle_e2))
         msg = mul(phi, weight)
-        agg = segment_sum(msg, batch.angle_e1, batch.num_short_edges)
+        agg = segment_sum(
+            msg, batch.angle_e1, batch.num_short_edges, batch.aux(("segment_plan", "angle_e1"))
+        )
         return self.proj(agg)  # residual added by the caller
 
     def forward(
@@ -157,5 +161,8 @@ class InteractionBlock(Module):
             else:
                 a_new = a
         delta_short = e_short_new - e_short_stale
-        e_new = add(e, segment_sum(delta_short, batch.short_idx, batch.num_edges))
+        scattered = segment_sum(
+            delta_short, batch.short_idx, batch.num_edges, batch.aux(("segment_plan", "short_idx"))
+        )
+        e_new = add(e, scattered)
         return v_new, e_new, e_short_new, a_new

@@ -28,7 +28,9 @@ class EnergyHead(Module):
 
     def forward(self, v: Tensor, batch: GraphBatch) -> tuple[Tensor, Tensor]:
         site = reshape(self.mlp(v), (batch.num_atoms,))
-        per_struct = segment_sum(site, batch.atom_sample, batch.num_structs)
+        per_struct = segment_sum(
+            site, batch.atom_sample, batch.num_structs, batch.aux(("segment_plan", "atom_sample"))
+        )
         counts = Tensor(batch.aux(("atom_counts",)))
         return site, div(per_struct, counts)
 
@@ -56,7 +58,9 @@ class ForceHead(Module):
     def forward(self, e: Tensor, d6: Tensor, vec6: Tensor, batch: GraphBatch) -> Tensor:
         unit = div(vec6, reshape(d6, (batch.num_edges, 1)))
         n_ij = self.mlp(e)  # (nb, 1) force magnitudes
-        return segment_sum(mul(n_ij, unit), batch.edge_src, batch.num_atoms)
+        return segment_sum(
+            mul(n_ij, unit), batch.edge_src, batch.num_atoms, batch.aux(("segment_plan", "edge_src"))
+        )
 
 
 class StressHead(Module):
@@ -85,7 +89,9 @@ class StressHead(Module):
 
     def forward(self, v: Tensor, batch: GraphBatch) -> Tensor:
         contrib = self.mlp(v)  # (n, 9)
-        summed = segment_sum(contrib, batch.atom_sample, batch.num_structs)
+        summed = segment_sum(
+            contrib, batch.atom_sample, batch.num_structs, batch.aux(("segment_plan", "atom_sample"))
+        )
         dyad = Tensor(batch.aux(("lattice_dyad",)))
         sigma = mul(mul(summed, self.scale), dyad)
         return reshape(sigma, (batch.num_structs, 3, 3))

@@ -78,6 +78,7 @@ from repro.tensor.engine import Tensor, no_grad, pop_tracer, push_tracer
 from repro.tensor.ops_fused import _envelope_coeffs, _envelope_np, _layernorm_np
 from repro.tensor.ops_linalg import _linear_np, _matmul_np
 from repro.tensor.ops_math import _sigmoid_np, _silu_np
+from repro.tensor.ops_shape import _segment_sum_np
 
 
 class TraceUnsupported(RuntimeError):
@@ -95,13 +96,6 @@ def _scale_shift_out(out, x, scale, shift):
     np.multiply(x, scale, out=out)
     np.add(out, shift, out=out)
     return out
-
-
-def _segment_sum_out(out, x, idx, num_segments):
-    from repro.tensor.ops_shape import sorted_segment_reduce
-
-    out.fill(0)
-    return sorted_segment_reduce(x, idx, out)
 
 
 def _scatter_slice_out(out, x, shape, index):
@@ -193,7 +187,9 @@ _OUT_IMPLS: dict[str, Callable] = {
     "concat": lambda out, *xs, axis=0: np.concatenate(xs, axis=axis, out=out),
     "stack": lambda out, *xs, axis=0: np.stack(xs, axis=axis, out=out),
     "gather": lambda out, x, idx: np.take(x, idx, axis=0, out=out),
-    "segment_sum": _segment_sum_out,
+    "segment_sum": lambda out, x, idx, num_segments, plan: _segment_sum_np(
+        x, idx, num_segments, plan, out
+    ),
     "scatter_slice": _scatter_slice_out,
     "fused_srbf": _fused_srbf_out,
     "fused_fourier": _fused_fourier_out,

@@ -8,7 +8,7 @@ so arbitrarily deep derivative nesting works.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -170,48 +170,86 @@ def _gather_vjp(g, out, inputs, needs, idx):
     return (segment_sum(g, idx, a.shape[0]),)
 
 
-def sorted_segment_reduce(x: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Accumulate rows of ``x`` into the zeroed ``out`` by segment id.
+class SegmentPlan(NamedTuple):
+    """Everything about a segment-id array that a reduction by it needs."""
 
-    Sort-based reduction: argsort + add.reduceat run in C and are far
-    faster than np.add.at for the (n_edges, 64) feature blocks of a batch.
-    Shared by the eager forward below and the compiled-step out= kernel
-    (:mod:`repro.tensor.compile`), so the two paths cannot drift from the
-    bit-identity contract.
+    order: np.ndarray | None  # stable sort of the ids; None: already sorted
+    starts: np.ndarray  # first sorted position of each non-empty segment
+    rows: np.ndarray  # id (= output row) of each non-empty segment
+
+
+def segment_plan(idx: np.ndarray) -> SegmentPlan:
+    """Sort ``idx`` once; every reduction by it is then take + reduceat.
+
+    A batch caches one plan per index field (``GraphBatch.aux(("segment_plan",
+    field))``), so the segment sums of a step that share an index array sort
+    it once, not once each.
     """
     if idx.size == 0:
-        return out
-    order = np.argsort(idx, kind="stable")
-    sx = x[order]
-    sidx = idx[order]
-    boundaries = np.flatnonzero(np.r_[True, sidx[1:] != sidx[:-1]])
-    out[sidx[boundaries]] = np.add.reduceat(sx, boundaries, axis=0)
+        return SegmentPlan(None, idx, idx)
+    if np.all(idx[1:] >= idx[:-1]):
+        order, sidx = None, idx
+    else:
+        order = np.argsort(idx, kind="stable")
+        sidx = idx[order]
+    starts = np.flatnonzero(np.r_[True, sidx[1:] != sidx[:-1]])
+    return SegmentPlan(order, starts, sidx[starts])
+
+
+def sorted_segment_reduce(x: np.ndarray, plan: SegmentPlan, out: np.ndarray) -> np.ndarray:
+    """Accumulate rows of ``x`` into the zeroed ``out`` following ``plan``.
+
+    take + add.reduceat run in C and are far faster than np.add.at for the
+    (n_edges, 64) feature blocks of a batch.
+    """
+    order, starts, rows = plan
+    if starts.size:
+        sx = x if order is None else np.take(x, order, axis=0)
+        out[rows] = np.add.reduceat(sx, starts, axis=0)
     return out
 
 
-def _segment_sum_fwd(x: np.ndarray, idx: np.ndarray, num_segments: int) -> np.ndarray:
-    out = np.zeros((num_segments,) + x.shape[1:], dtype=x.dtype)
-    return sorted_segment_reduce(x, idx, out)
+def _segment_sum_np(
+    x: np.ndarray,
+    idx: np.ndarray,
+    num_segments: int,
+    plan: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Forward and (with ``out``) compiled kernel of ``segment_sum``.
+
+    ``plan`` is the batch's cached 0-d object array holding the
+    :class:`SegmentPlan` of ``idx``; without one the plan is built here.
+    """
+    if out is None:
+        out = np.zeros((num_segments,) + x.shape[1:], dtype=x.dtype)
+    else:
+        out.fill(0)
+    return sorted_segment_reduce(x, segment_plan(idx) if plan is None else plan[()], out)
 
 
-def segment_sum(x: Tensor, idx: np.ndarray, num_segments: int) -> Tensor:
+def segment_sum(
+    x: Tensor, idx: np.ndarray, num_segments: int, plan: np.ndarray | None = None
+) -> Tensor:
     """Sum rows of ``x`` into ``num_segments`` buckets given by ``idx``.
 
     The GNN aggregation kernel: ``out[s] = sum_{i: idx[i]==s} x[i]``.
+    ``plan`` (optional) is ``batch.aux(("segment_plan", field))`` for the
+    batch field ``idx`` is; it saves re-sorting ``idx`` on every call.
     """
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= num_segments):
         raise ValueError("segment ids out of range")
     return apply_op(
         "segment_sum",
-        _segment_sum_fwd,
+        _segment_sum_np,
         _segment_sum_vjp,
         (x,),
-        {"idx": idx, "num_segments": int(num_segments)},
+        {"idx": idx, "num_segments": int(num_segments), "plan": plan},
     )
 
 
-def _segment_sum_vjp(g, out, inputs, needs, idx, num_segments):
+def _segment_sum_vjp(g, out, inputs, needs, idx, num_segments, plan):
     if not needs[0]:
         return (None,)
     return (gather_rows(g, idx),)
