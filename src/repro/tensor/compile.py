@@ -142,6 +142,12 @@ def _fused_envelope_out(out, xi, p):
     return out
 
 
+def _shared(fwd):
+    # The eager forward takes out= and *is* the compiled kernel: one body, so
+    # replay cannot drift from eager (docs/architecture.md, "Row-stable kernels").
+    return lambda out, *args, **kwargs: fwd(*args, out=out, **kwargs)
+
+
 def _ufunc1(u):
     return lambda out, a: u(a, out=out)
 
@@ -171,13 +177,13 @@ _OUT_IMPLS: dict[str, Callable] = {
     "tanh": _ufunc1(np.tanh),
     "abs": _ufunc1(np.abs),
     "sign": _ufunc1(np.sign),
-    "sigmoid": lambda out, a: _sigmoid_np(a, out),
-    "silu": lambda out, a: _silu_np(a, out),
+    "sigmoid": _shared(_sigmoid_np),
+    "silu": _shared(_silu_np),
     "power": lambda out, a, p: np.power(a, p, out=out),
     "clip": lambda out, a, lo, hi: np.clip(a, lo, hi, out=out),
     "le_mask_c": lambda out, a, threshold: np.less_equal(a, threshold, out=out),
-    "matmul": lambda out, a, b: _matmul_np(a, b, out),
-    "linear": lambda out, x, w, b: _linear_np(x, w, b, out),
+    "matmul": _shared(_matmul_np),
+    "linear": _shared(_linear_np),
     "fused_scale_shift": _scale_shift_out,
     # np.sum delegates to np.add.reduce (same pairwise C path, bit-identical);
     # calling it directly skips two Python wrapper layers per launch.
@@ -187,13 +193,11 @@ _OUT_IMPLS: dict[str, Callable] = {
     "concat": lambda out, *xs, axis=0: np.concatenate(xs, axis=axis, out=out),
     "stack": lambda out, *xs, axis=0: np.stack(xs, axis=axis, out=out),
     "gather": lambda out, x, idx: np.take(x, idx, axis=0, out=out),
-    "segment_sum": lambda out, x, idx, num_segments, plan: _segment_sum_np(
-        x, idx, num_segments, plan, out
-    ),
+    "segment_sum": _shared(_segment_sum_np),
     "scatter_slice": _scatter_slice_out,
     "fused_srbf": _fused_srbf_out,
     "fused_fourier": _fused_fourier_out,
-    "fused_layernorm": lambda out, x, gamma, beta, eps: _layernorm_np(x, gamma, beta, eps, out),
+    "fused_layernorm": _shared(_layernorm_np),
     # Reads xi several times, so it must never consume a chain carry: kept
     # out of _ELEMENTWISE deliberately (arena-backed standalone launch only).
     "fused_envelope": _fused_envelope_out,
