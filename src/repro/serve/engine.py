@@ -114,11 +114,8 @@ Bit-identity
     per-request inference.  Replay-vs-eager equality is the compile
     module's existing contract; batching and padding preserve per-structure
     bits because every kernel in the inference path (including the
-    derivative-force backward) is **row-stable** — BLAS products, whose
-    kernel choice normally varies with the row count, are routed through
-    the row-stable evaluation in ``ops_linalg._matmul_np`` (narrow
-    products as per-row pairwise reductions, wide ones pinned to the
-    prefix-stable contiguous kernel).  The same property makes predictions
+    derivative-force backward) is **row-stable** (docs/architecture.md,
+    "Row-stable kernels").  The same property makes predictions
     independent of *grouping*, which is what licenses adaptive tier merging
     and version-interleaved batches.  Tests and
     ``benchmarks/bench_serve.py`` / ``benchmarks/bench_serve_live.py``
@@ -667,7 +664,7 @@ class InferenceEngine:
     def _prune_versions(self) -> None:
         if len(self._versions) <= self.max_versions:
             return
-        pinned = {p.version for queue in self._queues.values() for p in queue}
+        pinned = {version for version, _tier in self._queues}
         pinned.add(self.current_version)
         pinned.update(v for v in self._worker_version if v >= 0)
         for v in list(self._versions):
@@ -788,6 +785,21 @@ class InferenceEngine:
         structures with non-finite coordinates (one poisoned request
         fails without touching anything already queued).
         """
+        admitted = self._admit(now, version, deadline, tenant, request_class)
+        return self._enqueue(self._graph_of(item), *admitted)
+
+    def _admit(
+        self,
+        now: float | None = None,
+        version: int | None = None,
+        deadline: float | None = None,
+        tenant: str | None = None,
+        request_class: str | None = None,
+    ) -> tuple[float, int, float | None, TenantPolicy, ClassPolicy]:
+        """Admission half of :meth:`submit`: everything decided before the
+        structure itself is looked at.  Raises as :meth:`submit` documents;
+        returns the resolved ``(now, version, deadline, tenant, class)``.
+        """
         if self._closed:
             raise EngineClosed("engine is shut down; submit rejected")
         policy = self._resolve_tenant(tenant)
@@ -816,7 +828,22 @@ class InferenceEngine:
             version = self.current_version
         elif version not in self._versions:
             raise ValueError(f"version {version!r} is not published")
-        graph = self._graph_of(item)
+        return now, version, deadline, policy, cls
+
+    def _enqueue(
+        self,
+        graph: CrystalGraph,
+        now: float,
+        version: int,
+        deadline: float | None,
+        policy: TenantPolicy,
+        cls: ClassPolicy,
+    ) -> int:
+        """Queue an admitted, already validated and resolved graph; returns its id.
+
+        The entry :meth:`predict_many` uses for graphs it resolved itself,
+        so no item is validated or built twice.
+        """
         dims = (
             graph.num_atoms,
             graph.num_edges,
@@ -826,8 +853,8 @@ class InferenceEngine:
         request_id = self._next_id
         self._next_id += 1
         self.stats.requests += 1
-        tenant_stats.submitted += 1
-        self._tenant_pending[policy.name] = tenant_pending + 1
+        self.stats.tenant(policy.name).submitted += 1
+        self._tenant_pending[policy.name] = self._tenant_pending.get(policy.name, 0) + 1
         cost = workload_cost(*dims)
         if self.fair:
             tag, seq = self.scheduler.tag(policy.name, cost)
@@ -895,7 +922,7 @@ class InferenceEngine:
         merge = self.merge_tiers if merge is None else merge
         if self.paced:
             for key in list(self._queues):
-                self._queues[key] = self._shed_expired(self._queues[key], now)
+                self._set_queue(key, self._shed_expired(self._queues[key], now))
             n = 0
             while self._dispatch_next(now, merge, force=True):
                 n += 1
@@ -946,7 +973,7 @@ class InferenceEngine:
             self.autoscaler.scan(self, now)
         if self.paced:
             for key in list(self._queues):
-                self._queues[key] = self._shed_expired(self._queues[key], now)
+                self._set_queue(key, self._shed_expired(self._queues[key], now))
             while self._idle_worker(now) and self._dispatch_next(
                 now, self.merge_tiers, force=False
             ):
@@ -969,22 +996,35 @@ class InferenceEngine:
         Returns the number of batches dispatched.
         """
         queue = self._queues.get(key)
-        if not queue:
+        if queue is None:
             return 0
-        queue = self._queues[key] = self._shed_expired(queue, now)
+        queue = self._set_queue(key, self._shed_expired(queue, now))
         n = 0
         while len(queue) >= self.max_batch_structs:
             group = queue[: self.max_batch_structs]
-            self._queues[key] = queue = queue[self.max_batch_structs :]
+            queue = self._set_queue(key, queue[self.max_batch_structs :])
             self._dispatch(group, now)
             n += 1
         if queue and tail(queue):
-            self._queues[key] = []
+            self._set_queue(key, [])
             if merge:
                 queue = self._merge_partial(key, queue, now)
             self._dispatch(queue, now)
             n += 1
         return n
+
+    def _set_queue(self, key: tuple[int, int], queue: list[_Pending]) -> list[_Pending]:
+        """Store ``key``'s queue, reclaiming the key once it is empty.
+
+        ``_queues`` holds live (non-empty) queues only, so every scan over
+        it — each submit and poll runs one — costs O(queued keys), not
+        O(every ``(version, tier)`` ever seen).  Returns ``queue``.
+        """
+        if queue:
+            self._queues[key] = queue
+        else:
+            self._queues.pop(key, None)
+        return queue
 
     def _shed_expired(self, queue: list[_Pending], now: float) -> list[_Pending]:
         """Drop queued requests whose deadline has passed; returns survivors.
@@ -1032,8 +1072,6 @@ class InferenceEngine:
         best_key = None
         best_rank = None
         for key, queue in self._queues.items():
-            if not queue:
-                continue
             if not (
                 force
                 or len(queue) >= self.max_batch_structs
@@ -1047,7 +1085,7 @@ class InferenceEngine:
             return False
         queue = self._queues[best_key]
         group = queue[: self.max_batch_structs]
-        self._queues[best_key] = queue[self.max_batch_structs :]
+        self._set_queue(best_key, queue[self.max_batch_structs :])
         if merge and len(group) < self.max_batch_structs:
             group = self._merge_partial(best_key, group, now)
         self._dispatch(group, now)
@@ -1090,11 +1128,11 @@ class InferenceEngine:
         version, tier = key
         dims_list = [p.dims for p in group]
         candidates = sorted(
-            (k for k in self._queues if k[0] == version and k != key and self._queues[k]),
+            (k for k in self._queues if k[0] == version and k != key),
             key=lambda k: (abs(k[1] - tier), k[1]),
         )
         for k in candidates:
-            queue = self._queues[k] = self._shed_expired(self._queues[k], now)
+            queue = self._shed_expired(self._queues[k], now)
             while queue and len(group) < self.max_batch_structs:
                 cand = queue[0]
                 if self._group_overhead(dims_list + [cand.dims]) > self.merge_overhead_cap:
@@ -1102,6 +1140,7 @@ class InferenceEngine:
                 group.append(queue.pop(0))
                 dims_list.append(cand.dims)
                 self.stats.merges += 1
+            self._set_queue(k, queue)
             if len(group) >= self.max_batch_structs:
                 break
         return group
@@ -1126,7 +1165,7 @@ class InferenceEngine:
         # A synchronous wave arrives after all previously dispatched work
         # finished; rebasing the clock keeps its latencies self-contained.
         self._now = max(self._now, self.makespan())
-        ids = [self.submit(g) for g in graphs]
+        ids = [self._enqueue(g, *self._admit()) for g in graphs]
         self.flush(merge=False)
         predictions = []
         for request_id in ids:
