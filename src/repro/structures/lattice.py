@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -58,15 +60,17 @@ class Lattice:
         ``d_i = V / |a_j x a_k|`` — the quantity that determines how many
         periodic images a cutoff sphere can reach along each axis.
         """
-        m = self.matrix
-        cross = np.stack(
-            [
-                np.cross(m[1], m[2]),
-                np.cross(m[2], m[0]),
-                np.cross(m[0], m[1]),
-            ]
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = self.matrix.tolist()
+        # The three face normals b x c, c x a, a x b and the triple product
+        # a . (b x c), written out: nine scalars need no array machinery.
+        normals = (
+            (by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx),
+            (cy * az - cz * ay, cz * ax - cx * az, cx * ay - cy * ax),
+            (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx),
         )
-        return self.volume / np.linalg.norm(cross, axis=1)
+        nx, ny, nz = normals[0]
+        volume = abs(ax * nx + ay * ny + az * nz)
+        return np.array([volume / math.sqrt(x * x + y * y + z * z) for x, y, z in normals])
 
     # -------------------------------------------------------------- transforms
     def frac_to_cart(self, frac: np.ndarray) -> np.ndarray:

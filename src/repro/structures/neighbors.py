@@ -82,13 +82,18 @@ def _empty_pairs() -> tuple[np.ndarray, ...]:
     )
 
 
-def _dense_search(crystal: Crystal, cutoff: float) -> tuple[np.ndarray, ...]:
-    """All-pairs scan over the reachable image block (unsorted)."""
+def _dense_search(
+    crystal: Crystal, cutoff: float, spacings: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """All-pairs scan over the reachable image block (unsorted).
+
+    ``spacings`` are the cell's plane spacings, evaluated once per search
+    by :func:`neighbor_list`.
+    """
     n = crystal.num_atoms
     cart = crystal.cart_coords
     lat = crystal.lattice.matrix
 
-    spacings = crystal.lattice.plane_spacings()
     reps = np.ceil(cutoff / spacings).astype(int)
     ranges = [np.arange(-r, r + 1) for r in reps]
     images = np.array(np.meshgrid(*ranges, indexing="ij"), dtype=np.int64).reshape(3, -1).T
@@ -125,7 +130,9 @@ def _dense_search(crystal: Crystal, cutoff: float) -> tuple[np.ndarray, ...]:
     )
 
 
-def _cell_list_search(crystal: Crystal, cutoff: float) -> tuple[np.ndarray, ...]:
+def _cell_list_search(
+    crystal: Crystal, cutoff: float, spacings: np.ndarray
+) -> tuple[np.ndarray, ...]:
     """Linked-cell (binned) pair search (unsorted).
 
     Atoms are binned on fractional coordinates into a grid of
@@ -143,7 +150,6 @@ def _cell_list_search(crystal: Crystal, cutoff: float) -> tuple[np.ndarray, ...]
     frac = crystal.frac_coords  # wrapped into [0, 1) by Crystal
     cart = crystal.cart_coords
     lat = crystal.lattice.matrix
-    spacings = crystal.lattice.plane_spacings()
 
     nbins = np.maximum((_BIN_REFINE * spacings / cutoff).astype(np.int64), 1)  # (3,)
     width = spacings / nbins
@@ -215,11 +221,12 @@ def neighbor_list(crystal: Crystal, cutoff: float, algorithm: str = "auto") -> N
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     if algorithm not in ("auto", "cell", "dense"):
         raise ValueError(f"unknown neighbor-list algorithm {algorithm!r}")
+    spacings = crystal.lattice.plane_spacings()
     if algorithm == "auto":
-        big_cell = bool(np.all(crystal.lattice.plane_spacings() >= cutoff))
-        algorithm = "cell" if big_cell and crystal.num_atoms >= CELL_LIST_MIN_ATOMS else "dense"
+        big_cell = crystal.num_atoms >= CELL_LIST_MIN_ATOMS and bool(np.all(spacings >= cutoff))
+        algorithm = "cell" if big_cell else "dense"
     search = _cell_list_search if algorithm == "cell" else _dense_search
-    return _canonical(search(crystal, cutoff))
+    return _canonical(search(crystal, cutoff, spacings))
 
 
 class NeighborCache:
