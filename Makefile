@@ -4,13 +4,24 @@
 # acceptance gate run.  `make quicktest` skips tests marked `slow`
 # (bench smoke runs and hypothesis-heavy property suites; see
 # pytest.ini) for a fast inner-loop signal.
+#
+# `make perf` runs the perf ledger (benchmarks/perf/) at smoke scale;
+# `make perf-compare A=old.json B=new.json` prints the per-workload,
+# per-metric verdict table for two ledger result files (base A).
 
 PYTEST = PYTHONPATH=src python -m pytest -x -q
+LEDGER = python3 benchmarks/perf/run.py
 
-.PHONY: test quicktest
+.PHONY: test quicktest perf perf-compare
 
 test:
 	$(PYTEST)
 
 quicktest:
 	$(PYTEST) -m "not slow"
+
+perf:
+	$(LEDGER) --smoke
+
+perf-compare:
+	$(LEDGER) compare $(A) $(B)
