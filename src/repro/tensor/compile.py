@@ -54,7 +54,6 @@ Managers
 
 from __future__ import annotations
 
-import heapq
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -236,6 +235,57 @@ _ELEMENTWISE = frozenset(
 
 _CARRY = -1  # chain-step argument sentinel: the chain buffer itself
 
+#: Byte alignment of every arena offset (one cache line; also satisfies any
+#: dtype's alignment when the slab base is aligned to it).
+_ALIGN = 64
+
+
+def _plan_offsets(
+    live: list[tuple[int, int]], sizes: list[int]
+) -> tuple[list[int], int]:
+    """Byte offsets for buffers live over ``live[i]``: ``(offsets, total)``.
+
+    Greedy by size: buffers are placed largest first, each at the lowest
+    offset where it overlaps no already placed buffer whose live range
+    intersects its own.  The whole step is known at plan time, so this
+    packs tighter than walking a free list in program order (measured
+    1.06-1.13x the peak of simultaneously live bytes on the inference
+    programs against 1.30-1.44x) and needs no tuning constant.
+    """
+    n = len(sizes)
+    first = np.array([t for t, _ in live], dtype=np.int64)
+    last = np.array([t for _, t in live], dtype=np.int64)
+    size = np.array(sizes, dtype=np.int64)
+    offset = np.zeros(n, dtype=np.int64)
+    placed = np.zeros(n, dtype=bool)
+    total = 0
+    for i in sorted(range(n), key=lambda i: (-sizes[i], live[i][0])):
+        if not sizes[i]:
+            continue
+        busy = np.flatnonzero(placed & (first <= last[i]) & (last >= first[i]))
+        busy = busy[np.argsort(offset[busy], kind="stable")]
+        at = 0
+        for lo, hi in zip(offset[busy].tolist(), (offset[busy] + size[busy]).tolist()):
+            if at + sizes[i] <= lo:
+                break
+            at = max(at, hi)
+        offset[i] = at
+        placed[i] = True
+        total = max(total, at + sizes[i])
+    return offset.tolist(), total
+
+
+def _new_slab(nbytes: int) -> np.ndarray:
+    """An ``_ALIGN``-aligned, page-touched byte slab of ``nbytes``."""
+    raw = np.empty(nbytes + _ALIGN - 1, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    slab = raw[start : start + nbytes]
+    # Touch every page now: np.empty defers physical allocation, which would
+    # otherwise surface as a slow first *replay* (page faults inside the hot
+    # kernels).
+    slab[::4096] = 0
+    return slab
+
 
 class Instr:
     """One replayable kernel call: inputs/output as slot indices."""
@@ -395,16 +445,24 @@ class CompiledStep:
         written = {pid for pid, _ in trace.grad_writes}
         self.nograd_params = [i for i in range(n_params) if i not in written]
         self._slots: list = [None] * self.n_slots
+        #: arena plan: ``(byte offset, nbytes, shape, dtype)`` per buffer id
+        self._specs: list[tuple[int, int, tuple, np.dtype]] = []
+        #: plan-time ``(first, last)`` instruction index each buffer is live
+        self._live: list[tuple[int, int]] = []
+        #: views of the attached slab, one per spec (see :meth:`attach`)
         self.buffers: list[np.ndarray] = []
         self.arena_bytes = 0
         self.n_instrs_captured = len(self.instrs)
         self._eliminate_dead()
         self._fuse_elementwise_chains()
         self._assign_arena()
+        self._static: list[Instr] = []  # slab-dependent slots, program order
         self._removed_alias: dict[int, int] = {}  # prefilled view -> base slot
-        self._prefill_static_slots()
+        self._split_static()
         self.n_instrs = len(self.instrs)
         self._slot_instr = {ins.out_slot: t for t, ins in enumerate(self.instrs)}
+        self._kw_instrs = [ins for ins in self.instrs if ins.kw_ext]
+        self.attach(_new_slab(self.arena_bytes))
         record_tape_alloc(self.arena_bytes)
         self._released = False
 
@@ -502,11 +560,16 @@ class CompiledStep:
         self.instrs = fused
 
     def _assign_arena(self) -> None:
-        """Liveness-based buffer reuse for out=-capable kernels.
+        """Plan a byte offset for the result of every out=-capable kernel.
 
-        View-producing (alias) ops extend the lifetime of their base buffer;
-        pinned slots (program outputs, gradient sources) get dedicated
-        buffers that are never pooled.
+        Each result lives from its producing instruction to the last read of
+        its alias group — view-producing (alias) ops extend the lifetime of
+        their base, pinned slots (program outputs, gradient sources) live to
+        the end of the program.  :func:`_plan_offsets` packs those intervals
+        into byte offsets, so bytes are reused regardless of shape or dtype.
+        Nothing is allocated here: the plan is ``_specs`` + ``arena_bytes``,
+        turned into views of a backing slab by :meth:`attach`
+        (docs/architecture.md, "Arena").
         """
         last, _ = self._slot_uses()
         pinned = self._pinned_slots()
@@ -530,13 +593,8 @@ class CompiledStep:
         for s in pinned:
             group_pinned.add(find(s))
 
-        free_pool: dict[tuple, list[int]] = {}
-        dead: list[tuple[int, int]] = []  # (last_use, buffer id) min-heap
+        planned: list[Instr] = []
         for t, ins in enumerate(self.instrs):
-            while dead and dead[0][0] < t:
-                _, buf = heapq.heappop(dead)
-                arr = self.buffers[buf]
-                free_pool.setdefault((arr.shape, arr.dtype), []).append(buf)
             if ins.alias:
                 continue
             impl = _OUT_IMPLS.get(ins.name) if ins.chain is None else True
@@ -544,52 +602,64 @@ class CompiledStep:
                 continue
             if ins.chain is None:
                 ins.out_impl = impl
-            key = (ins.shape, ins.dtype)
-            pool = free_pool.get(key)
-            if pool:
-                ins.buf = pool.pop()
-            else:
-                buf_arr = np.empty(ins.shape, dtype=ins.dtype)
-                if buf_arr.nbytes:
-                    # Touch every page now: np.empty defers physical
-                    # allocation, which would otherwise surface as a slow
-                    # first *replay* (page faults inside the hot kernels).
-                    buf_arr.reshape(-1)[:: 512] = 0.0
-                self.buffers.append(buf_arr)
-                self.arena_bytes += buf_arr.nbytes
-                ins.buf = len(self.buffers) - 1
             root = find(ins.out_slot)
-            if root not in group_pinned:
-                heapq.heappush(dead, (group_last.get(root, t), ins.buf))
+            until = len(self.instrs) if root in group_pinned else group_last.get(root, t)
+            ins.buf = len(planned)
+            planned.append(ins)
+            self._live.append((t, until))
+        offsets, self.arena_bytes = _plan_offsets(
+            self._live, [-(-ins.nbytes // _ALIGN) * _ALIGN for ins in planned]
+        )
+        self._specs = [
+            (off, ins.nbytes, ins.shape, ins.dtype) for off, ins in zip(offsets, planned)
+        ]
 
-    def _prefill_static_slots(self) -> None:
-        """Materialize replay-invariant slots once, at program-build time.
+    def _split_static(self) -> None:
+        """Take replay-invariant view instructions out of the replay list.
 
-        Arena-backed outputs always live in the same persistent buffer, so
-        their slot entry never changes; views (reshape/transpose/...) whose
-        transitive base is an arena buffer or a frozen constant are likewise
-        permanent objects — they are computed here once and removed from the
-        replay list entirely.
+        Arena-backed outputs always live at the same slab offset, so their
+        slot entry only changes when the slab does; views
+        (reshape/transpose/...) whose transitive base is an arena buffer or
+        a frozen constant are likewise fixed per slab.  Both kinds are
+        listed in ``_static`` for :meth:`attach` to materialize; the views
+        leave the replay list entirely.
         """
-        slots = self._slots
         static: set[int] = set()
         for slot, kind, ref, _shape, _dtype in self.externals:
             if kind == "const":
-                slots[slot] = ref
+                self._slots[slot] = ref
                 static.add(slot)
         kept: list[Instr] = []
         for ins in self.instrs:
             if ins.buf >= 0:
-                slots[ins.out_slot] = self.buffers[ins.buf]
                 static.add(ins.out_slot)
+                self._static.append(ins)
                 kept.append(ins)
             elif ins.alias and ins.in_slots[0] in static:
-                slots[ins.out_slot] = ins.fn(slots[ins.in_slots[0]], **ins.kwargs)
                 static.add(ins.out_slot)
+                self._static.append(ins)
                 self._removed_alias[ins.out_slot] = ins.in_slots[0]
             else:
                 kept.append(ins)
         self.instrs = kept
+
+    def attach(self, slab: np.ndarray) -> None:
+        """Point the program at ``slab``: rebuild ``buffers`` and static slots.
+
+        ``slab`` is an ``_ALIGN``-aligned ``uint8`` array of at least
+        ``arena_bytes``.  Bound externals are untouched, so a program may be
+        re-attached (to a larger slab) between replays.
+        """
+        self.buffers = [
+            np.ndarray(shape, dtype, buffer=slab, offset=off)
+            for off, _nbytes, shape, dtype in self._specs
+        ]
+        slots = self._slots
+        for ins in self._static:
+            if ins.buf >= 0:
+                slots[ins.out_slot] = self.buffers[ins.buf]
+            else:
+                slots[ins.out_slot] = ins.fn(slots[ins.in_slots[0]], **ins.kwargs)
 
     # ------------------------------------------------------------------ bind
     def bind(self, batch: GraphBatch, params: list) -> str | None:
@@ -620,11 +690,10 @@ class CompiledStep:
                     f"({arr.shape}/{arr.dtype} vs {shape}/{dtype})"
                 )
             slots[slot] = arr
-        for ins in self.instrs:
-            if ins.kw_ext:
-                ins.rkwargs = dict(ins.kwargs)
-                for key, slot in ins.kw_ext:
-                    ins.rkwargs[key] = slots[slot]
+        for ins in self._kw_instrs:
+            ins.rkwargs = dict(ins.kwargs)
+            for key, slot in ins.kw_ext:
+                ins.rkwargs[key] = slots[slot]
         return None
 
     # ---------------------------------------------------------------- replay
@@ -686,7 +755,7 @@ class CompiledStep:
         completion times instead of byte-share estimates.
         """
         slots = self._slots
-        times = np.empty(len(self.instrs))
+        times = np.zeros(len(self.instrs))
         t0 = time.perf_counter()
         for t, ins in enumerate(self.instrs):
             slots[ins.out_slot] = self._run_instr(ins, slots)
