@@ -23,11 +23,14 @@ Replay
     arrays and live parameter values.  Elementwise chains whose intermediate
     has a single consumer are fused into one in-place kernel (the compiled
     analogue of :mod:`repro.tensor.ops_fused`); all other out-capable kernels
-    write into **arena buffers** assigned by liveness analysis, so steady-
-    state replays allocate (almost) nothing; final parameter gradients are
-    accumulated in place into persistent ``.grad`` arrays.  Replayed kernel
-    launches are reported to the runtime profiler exactly like eager ones,
-    and the arena is accounted as retained tape memory.  Replay executes the
+    write into the **arena** — byte offsets planned from liveness analysis
+    into one slab that every program of a :class:`SharedProgramCache`
+    shares (docs/architecture.md, "Arena", has the plan, the ownership and
+    the validity contract) — so steady-state replays allocate (almost)
+    nothing; final parameter gradients are accumulated in place into
+    persistent ``.grad`` arrays.  Replayed kernel launches are reported to
+    the runtime profiler exactly like eager ones, and the slab is accounted
+    as retained tape memory.  Replay executes the
     same NumPy kernels in the same order on the same dtypes as eager, so
     losses, gradients and MD forces are **bit-identical** to the eager tape.
 
@@ -429,7 +432,12 @@ class _traced:
 
 
 class CompiledStep:
-    """A captured tape: flat kernel program + arena + gradient writes."""
+    """A captured tape: flat kernel program + arena plan + gradient writes.
+
+    Building a program allocates nothing: it cannot replay until the
+    :class:`SharedProgramCache` it is stored in has :meth:`attach`-ed it to
+    the cache's slab.
+    """
 
     def __init__(
         self,
@@ -462,15 +470,6 @@ class CompiledStep:
         self.n_instrs = len(self.instrs)
         self._slot_instr = {ins.out_slot: t for t, ins in enumerate(self.instrs)}
         self._kw_instrs = [ins for ins in self.instrs if ins.kw_ext]
-        self.attach(_new_slab(self.arena_bytes))
-        record_tape_alloc(self.arena_bytes)
-        self._released = False
-
-    def release(self) -> None:
-        """Return the arena bytes to the memory tracker."""
-        if not self._released:
-            self._released = True
-            record_tape_free(self.arena_bytes)
 
     # ----------------------------------------------------------- compilation
     def _slot_uses(self) -> tuple[dict[int, int], dict[int, int]]:
@@ -784,7 +783,8 @@ class CompiledStep:
                 np.copyto(p.grad.data, g)
 
     def output_arrays(self) -> dict[str, np.ndarray]:
-        """The marked outputs; views valid until the next replay."""
+        """The marked outputs: views valid until the next replay on the same
+        cache (docs/architecture.md, "Arena")."""
         return {name: self._slots[slot] for name, slot in self.outputs.items()}
 
 
@@ -849,6 +849,13 @@ class SharedProgramCache:
     replica.  Sharers must wrap models of identical configuration — the
     compilers' guards enforce this by dropping the cache on any mismatch.
 
+    The cache also owns the **arena slab**: one byte buffer, sized to the
+    largest cached program's plan, that every program's buffers are views
+    of.  Sharers therefore must not replay concurrently and must copy
+    results out before the next replay on the cache (docs/architecture.md,
+    "Arena").  :meth:`store` grows the slab and re-attaches every program;
+    eviction never shrinks it; :meth:`release` drops it.
+
     A compiler constructed without an explicit cache owns a private instance,
     which reproduces the old per-instance behavior exactly.
     """
@@ -866,6 +873,11 @@ class SharedProgramCache:
         self.canonical: dict[tuple, tuple] = {}
         self.hits = 0
         self.misses = 0
+        # One byte slab backs every cached program (docs/architecture.md,
+        # "Arena"): sized to the largest, valid because programs of one
+        # cache never replay concurrently and consumers copy results out
+        # before the next replay.
+        self._slab = _new_slab(0)
 
     def lookup(self, sig: tuple) -> CompiledStep | None:
         """The cached program for ``sig`` (LRU-touched), counting hit/miss."""
@@ -878,24 +890,34 @@ class SharedProgramCache:
         return prog
 
     def store(self, sig: tuple, prog: CompiledStep) -> None:
-        """Insert a program under ``sig``, LRU-evicting beyond ``max_programs``."""
+        """Insert a program under ``sig`` and attach it to the shared slab.
+
+        A program larger than the slab grows it (one new allocation, the old
+        one dropped) and every cached program is re-attached; LRU eviction
+        beyond ``max_programs`` drops programs but never shrinks the slab.
+        """
         self.programs[sig] = prog
         if len(self.programs) > self.max_programs:
-            _, evicted = self.programs.popitem(last=False)
-            evicted.release()
+            self.programs.popitem(last=False)
+        if prog.arena_bytes > self._slab.nbytes:
+            record_tape_free(self._slab.nbytes)
+            self._slab = _new_slab(prog.arena_bytes)
+            record_tape_alloc(self._slab.nbytes)
+            for cached in self.programs.values():
+                cached.attach(self._slab)
+        else:
+            prog.attach(self._slab)
 
     def evict(self, sig: tuple) -> None:
-        """Drop the program for ``sig`` (if cached), returning its arena bytes."""
-        prog = self.programs.pop(sig, None)
-        if prog is not None:
-            prog.release()
+        """Drop the program for ``sig`` (if cached); the slab keeps its size."""
+        self.programs.pop(sig, None)
 
     def release(self) -> None:
-        """Drop every cached program (returning arena bytes) and tier shapes."""
-        for prog in self.programs.values():
-            prog.release()
+        """Drop every cached program, the slab and the tier shapes."""
         self.programs.clear()
         self.canonical.clear()
+        record_tape_free(self._slab.nbytes)
+        self._slab = _new_slab(0)
 
     @property
     def hit_rate(self) -> float:
@@ -905,8 +927,8 @@ class SharedProgramCache:
 
     @property
     def arena_bytes(self) -> int:
-        """Total arena bytes retained by the cached programs."""
-        return sum(p.arena_bytes for p in self.programs.values())
+        """Arena bytes retained: the size of the slab the programs share."""
+        return self._slab.nbytes
 
 
 class _CompilerBase:
@@ -1212,7 +1234,8 @@ class InferenceCompiler(_CompilerBase):
     """Compile-once manager for single-point (MD) model evaluations.
 
     ``run(batch)`` returns the four predicted property arrays restricted to
-    the real (un-padded) rows; the views are valid until the next call.
+    the real (un-padded) rows; the views are valid until the next replay on
+    the same cache.
     """
 
     _mode = "infer"
@@ -1236,8 +1259,10 @@ class InferenceCompiler(_CompilerBase):
         """One single-point evaluation of ``batch`` (replay when cached).
 
         Returns ``{"energy", "forces", "stress", "magmom"}`` arrays
-        restricted to the real (un-padded) rows; the views are valid until
-        the next call on this compiler.
+        restricted to the real (un-padded) rows.  They are views into the
+        cache's slab, valid until the next replay on the same cache — by
+        this compiler or any other sharing it (docs/architecture.md,
+        "Arena") — so copy what must outlive that.
         """
         return self._execute(batch)
 
