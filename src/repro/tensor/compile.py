@@ -931,6 +931,16 @@ class SharedProgramCache:
         return self._slab.nbytes
 
 
+def _prediction_arrays(output) -> dict[str, np.ndarray]:
+    """The four predicted property arrays of a model output, by name."""
+    return {
+        "energy": output.energy_per_atom.data,
+        "forces": output.forces.data,
+        "stress": output.stress.data,
+        "magmom": output.magmom.data,
+    }
+
+
 class _CompilerBase:
     """Program cache + guards shared by the train/inference compilers.
 
@@ -1107,9 +1117,26 @@ class _CompilerBase:
     def _replay(self, prog: CompiledStep, batch: GraphBatch):
         raise NotImplementedError
 
-    def _store(self, sig: tuple, prog: CompiledStep) -> None:
+    def _trace(self, sig: tuple, batch: GraphBatch, eager: Callable[[], tuple]):
+        """Capture ``eager()`` as the program for ``sig``; returns its result.
+
+        ``eager`` runs one eager step and returns ``(result, outputs)`` with
+        ``outputs`` the named arrays to mark as program outputs.  The trace
+        keeps every intermediate of that step alive, so it is dropped once
+        the program is built (planning only, no allocation) and *before*
+        :meth:`SharedProgramCache.store` attaches — and possibly grows —
+        the slab: the high-water mark is tape or arena, not tape plus arena.
+        """
+        trace = TapeTrace(batch, self.params)
+        with _traced(trace):
+            result, outputs = eager()
+        slots = {name: trace.slot_of(arr) for name, arr in outputs.items()}
+        prog = CompiledStep(trace, slots, len(self.params))
+        del trace, outputs
         self.cache.store(sig, prog)
         self.last_program = prog
+        self.stats.captures += 1
+        return result
 
     def release(self) -> None:
         """Drop every cached program (returning arena bytes)."""
@@ -1171,19 +1198,11 @@ class StepCompiler(_CompilerBase):
         return self._eager(batch)[0]
 
     def _capture(self, sig: tuple, batch: GraphBatch):
-        trace = TapeTrace(batch, self.params)
-        with _traced(trace):
+        def eager():
             breakdown, output = self._eager(batch)
-        outputs = {
-            "loss": trace.slot_of(breakdown.loss.data),
-            "energy": trace.slot_of(output.energy_per_atom.data),
-            "forces": trace.slot_of(output.forces.data),
-            "stress": trace.slot_of(output.stress.data),
-            "magmom": trace.slot_of(output.magmom.data),
-        }
-        self._store(sig, CompiledStep(trace, outputs, len(self.params)))
-        self.stats.captures += 1
-        return breakdown
+            return breakdown, {"loss": breakdown.loss.data, **_prediction_arrays(output)}
+
+        return self._trace(sig, batch, eager)
 
     def _replay(self, prog: CompiledStep, batch: GraphBatch):
         from repro.train.loss import LossBreakdown, batch_metrics
@@ -1212,12 +1231,7 @@ class StepCompiler(_CompilerBase):
         breakdown, output = self._eager(batch)
         if not np.array_equal(replay_loss, breakdown.loss.data):
             raise RuntimeError("compiled replay loss diverged from eager")
-        eager_preds = {
-            "energy": output.energy_per_atom.data,
-            "forces": output.forces.data,
-            "stress": output.stress.data,
-            "magmom": output.magmom.data,
-        }
+        eager_preds = _prediction_arrays(output)
         for key, arr in replay_preds.items():
             if not np.array_equal(arr, eager_preds[key]):
                 raise RuntimeError(f"compiled replay {key} diverged from eager")
@@ -1267,35 +1281,19 @@ class InferenceCompiler(_CompilerBase):
         return self._execute(batch)
 
     def _fallback(self, batch: GraphBatch):
-        return self._slice_real(self._output_arrays(self._forward(batch)), batch)
+        return self._slice_real(_prediction_arrays(self._forward(batch)), batch)
 
     def _capture(self, sig: tuple, batch: GraphBatch):
-        trace = TapeTrace(batch, self.params)
-        with _traced(trace):
-            output = self._forward(batch)
-        outputs = {
-            "energy": trace.slot_of(output.energy_per_atom.data),
-            "forces": trace.slot_of(output.forces.data),
-            "stress": trace.slot_of(output.stress.data),
-            "magmom": trace.slot_of(output.magmom.data),
-        }
-        self._store(sig, CompiledStep(trace, outputs, len(self.params)))
-        self.stats.captures += 1
-        return self._slice_real(self._output_arrays(output), batch)
+        def eager():
+            arrays = _prediction_arrays(self._forward(batch))
+            return self._slice_real(arrays, batch), arrays
+
+        return self._trace(sig, batch, eager)
 
     def _replay(self, prog: CompiledStep, batch: GraphBatch):
         prog.replay()
         self.stats.replays += 1
         return self._slice_real(prog.output_arrays(), batch)
-
-    @staticmethod
-    def _output_arrays(output) -> dict[str, np.ndarray]:
-        return {
-            "energy": output.energy_per_atom.data,
-            "forces": output.forces.data,
-            "stress": output.stress.data,
-            "magmom": output.magmom.data,
-        }
 
     @staticmethod
     def _slice_real(arrs: dict[str, np.ndarray], batch: GraphBatch) -> dict[str, np.ndarray]:
