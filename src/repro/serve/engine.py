@@ -141,7 +141,7 @@ from repro.graph.batching import (
 from repro.graph.crystal_graph import CrystalGraph, build_graph
 from repro.model.chgnet import CHGNetModel
 from repro.serve.faults import DeadlineExceeded, WorkerFailure, WorkerFaultPlan
-from repro.serve.scheduler import Autoscaler, AutoscaleConfig, FairScheduler
+from repro.serve.scheduler import Autoscaler, AutoscaleConfig, FairScheduler, plan_groups
 from repro.serve.tenants import (
     DEFAULT_CLASS,
     DEFAULT_TENANT,
@@ -927,10 +927,7 @@ class InferenceEngine:
             while self._dispatch_next(now, merge, force=True):
                 n += 1
             return n
-        return sum(
-            self._drain(key, now, merge, lambda queue: True)
-            for key in sorted(self._queues)
-        )
+        return self._drain(now, merge)
 
     def shutdown(self, flush: bool = True) -> int:
         """Stop accepting work; idempotent.  Returns batches dispatched.
@@ -979,39 +976,54 @@ class InferenceEngine:
             ):
                 pass
             return
-        for key in sorted(self._queues):
-            self._drain(
-                key,
-                now,
-                self.merge_tiers,
-                lambda queue: any(now - p.submitted >= p.wait for p in queue),
-            )
+        self._drain(
+            now,
+            self.merge_tiers,
+            lambda queue: any(now - p.submitted >= p.wait for p in queue),
+        )
 
-    def _drain(self, key: tuple[int, int], now: float, merge: bool, tail) -> int:
-        """Dispatch ``key``'s full groups, then its remainder if ``tail`` says so.
+    def _drain(self, now: float, merge: bool, tail=None) -> int:
+        """Dispatch every group the planner forms over the live queues.
 
-        ``tail(queue)`` decides whether a leftover partial group goes out
-        (deadline expiry for the ready scan, unconditionally for a flush);
-        a dispatched partial absorbs adjacent tiers when ``merge``.
-        Returns the number of batches dispatched.
+        Per pinned version, tiers ascending: full groups, then each tier's
+        leftover partial if ``tail(leftover)`` says so (deadline expiry for
+        the ready scan, unconditionally for a flush); a dispatched partial
+        absorbs adjacent tiers when ``merge``
+        (:func:`~repro.serve.scheduler.plan_groups`).  Groups are dispatched
+        as they are planned, so each is priced against the canonical shapes
+        the previous dispatch left.  Returns the number of batches.
         """
-        queue = self._queues.get(key)
-        if queue is None:
-            return 0
-        queue = self._set_queue(key, self._shed_expired(queue, now))
+        versions: dict[int, dict[int, list[_Pending]]] = {}
+        for key in sorted(self._queues):
+            queue = self._set_queue(key, self._shed_expired(self._queues[key], now))
+            if queue:
+                versions.setdefault(key[0], {})[key[1]] = queue
         n = 0
-        while len(queue) >= self.max_batch_structs:
-            group = queue[: self.max_batch_structs]
-            queue = self._set_queue(key, queue[self.max_batch_structs :])
-            self._dispatch(group, now)
-            n += 1
-        if queue and tail(queue):
-            self._set_queue(key, [])
-            if merge:
-                queue = self._merge_partial(key, queue, now)
-            self._dispatch(queue, now)
-            n += 1
+        for version, tiers in versions.items():
+            for group in plan_groups(
+                tiers, self.max_batch_structs, self._fits if merge else None, tail=tail
+            ):
+                self._dispatch(self._take(version, group), now)
+                n += 1
         return n
+
+    def _take(
+        self, version: int, group: list[tuple[int, _Pending]]
+    ) -> list[_Pending]:
+        """Remove a planned group from the live queues; returns its requests.
+
+        The planner consumes every tier from the front, so a group's
+        members are the heads of their queues.  Members from another tier
+        than the group's home (first) tier are counted as merges.
+        """
+        counts: dict[int, int] = {}
+        for tier, _ in group:
+            counts[tier] = counts.get(tier, 0) + 1
+        for tier, n in counts.items():
+            key = (version, tier)
+            self._set_queue(key, self._queues[key][n:])
+        self.stats.merges += len(group) - counts[group[0][0]]
+        return [pending for _, pending in group]
 
     def _set_queue(self, key: tuple[int, int], queue: list[_Pending]) -> list[_Pending]:
         """Store ``key``'s queue, reclaiming the key once it is empty.
@@ -1083,12 +1095,15 @@ class InferenceEngine:
                 best_key, best_rank = key, rank
         if best_key is None:
             return False
+        version, tier = best_key
         queue = self._queues[best_key]
-        group = queue[: self.max_batch_structs]
-        self._set_queue(best_key, queue[self.max_batch_structs :])
-        if merge and len(group) < self.max_batch_structs:
-            group = self._merge_partial(best_key, group, now)
-        self._dispatch(group, now)
+        if merge and len(queue) < self.max_batch_structs:
+            tiers = {k[1]: q for k, q in self._queues.items() if k[0] == version}
+            fits = self._fits
+        else:
+            tiers, fits = {tier: queue}, None
+        group = next(plan_groups(tiers, self.max_batch_structs, fits, order=(tier,)))
+        self._dispatch(self._take(version, group), now)
         return True
 
     # ------------------------------------------------------- adaptive merging
@@ -1115,35 +1130,13 @@ class InferenceEngine:
             return 0.0  # eager batches are never padded
         return padding_overhead(dims_list, seeds=self._canonical_seeds(dims_list))
 
-    def _merge_partial(
-        self, key: tuple[int, int], group: list[_Pending], now: float
-    ) -> list[_Pending]:
-        """Absorb adjacent-tier same-version requests into a partial group.
+    def _affordable(self, dims_list: list[tuple]) -> bool:
+        """The planner's price test: padding overhead within ``merge_overhead_cap``."""
+        return self._group_overhead(dims_list) <= self.merge_overhead_cap
 
-        Nearest tiers first, FIFO within a tier; absorption from a tier
-        stops at the first request whose addition would price the merged
-        group's padding overhead above ``merge_overhead_cap``.  Requests
-        whose deadline already passed are shed, not absorbed.
-        """
-        version, tier = key
-        dims_list = [p.dims for p in group]
-        candidates = sorted(
-            (k for k in self._queues if k[0] == version and k != key),
-            key=lambda k: (abs(k[1] - tier), k[1]),
-        )
-        for k in candidates:
-            queue = self._shed_expired(self._queues[k], now)
-            while queue and len(group) < self.max_batch_structs:
-                cand = queue[0]
-                if self._group_overhead(dims_list + [cand.dims]) > self.merge_overhead_cap:
-                    break
-                group.append(queue.pop(0))
-                dims_list.append(cand.dims)
-                self.stats.merges += 1
-            self._set_queue(k, queue)
-            if len(group) >= self.max_batch_structs:
-                break
-        return group
+    def _fits(self, members: list[_Pending]) -> bool:
+        """:meth:`_affordable` on live requests."""
+        return self._affordable([p.dims for p in members])
 
     # ------------------------------------------------------------ synchronous
     def predict_many(
@@ -1225,8 +1218,15 @@ class InferenceEngine:
             for g in graphs
         ]
         seeded = 0
+        tiers: dict[int, list[tuple[int, int, int, int]]] = {}
+        for dims in dims_list:
+            tiers.setdefault(workload_tier(dims), []).append(dims)
+        fits = self._affordable if merge else None
         for _ in range(4):
-            entries = [self._group_entry(g) for g in self._plan_groups(dims_list, merge)]
+            entries = [
+                self._group_entry([dims for _, dims in group])
+                for group in plan_groups(tiers, self.max_batch_structs, fits)
+            ]
             before = dict(self.cache.canonical)
             # The canonical dict is shared through the cache: seeding one
             # compiler seeds them all.
@@ -1234,49 +1234,6 @@ class InferenceEngine:
             if not merge or dict(self.cache.canonical) == before:
                 break
         return seeded
-
-    def _plan_groups(
-        self, dims_list: list[tuple[int, int, int, int]], merge: bool
-    ) -> list[list[tuple[int, int, int, int]]]:
-        """Simulate the groups a single-version flush of this stream makes.
-
-        Mirrors :meth:`_drain` over tiers in sorted order: full chunks of
-        ``max_batch_structs`` first, then the tier's tail — which, with
-        ``merge``, absorbs from the *remaining* queues nearest-tier-first
-        (FIFO within a tier, priced against ``merge_overhead_cap``),
-        exactly like :meth:`_merge_partial` at flush time.
-        """
-        queues: dict[int, list[tuple[int, int, int, int]]] = {}
-        for dims in dims_list:
-            queues.setdefault(workload_tier(dims), []).append(dims)
-        groups: list[list[tuple[int, int, int, int]]] = []
-        for tier in sorted(queues):
-            queue = queues[tier]
-            while len(queue) >= self.max_batch_structs:
-                groups.append(queue[: self.max_batch_structs])
-                del queue[: self.max_batch_structs]
-            if not queue:
-                continue
-            group = list(queue)
-            queue.clear()
-            if merge:
-                candidates = sorted(
-                    (k for k in queues if k != tier and queues[k]),
-                    key=lambda k: (abs(k - tier), k),
-                )
-                for k in candidates:
-                    other = queues[k]
-                    while other and len(group) < self.max_batch_structs:
-                        if (
-                            self._group_overhead(group + [other[0]])
-                            > self.merge_overhead_cap
-                        ):
-                            break
-                        group.append(other.pop(0))
-                    if len(group) >= self.max_batch_structs:
-                        break
-            groups.append(group)
-        return groups
 
     @staticmethod
     def _group_entry(
@@ -1352,7 +1309,7 @@ class InferenceEngine:
     def _replace_worker(self, worker: int, now: float) -> None:
         """Swap a dead worker for a fresh replica on the shared cache.
 
-        Mirrors :func:`repro.train.run_elastic`'s replace-recovery: the
+        Like :func:`repro.train.run_elastic`'s replace-recovery, the
         replacement joins the rotation immediately with nothing installed
         (version sentinel ``-1``), so its first batch installs whatever
         version that batch is pinned to — not merely the current one.

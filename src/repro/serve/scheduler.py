@@ -33,12 +33,79 @@ Load-driven elasticity (:class:`Autoscaler`)
     ``idle_scans`` scans, the highest-index worker is drained and
     retired.  Retired slots are reactivated before new replicas are
     built, so repeated load swings don't grow the fleet without bound.
+
+Grouping (:func:`plan_groups`)
+    Which queued requests share a micro-batch: per-tier chunks of
+    ``max_batch_structs`` plus priced cross-tier absorption for partial
+    tails.  One pure generator that every dispatch path of the engine and
+    its ``warm_start`` simulation iterate (docs/serving.md, "Grouping").
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from typing import TypeVar
+
+T = TypeVar("T")
+
+
+def plan_groups(
+    queues: Mapping[int, Sequence[T]],
+    cap: int,
+    fits: Callable[[list[T]], bool] | None = None,
+    order: Iterable[int] | None = None,
+    tail: Callable[[Sequence[T]], bool] | None = None,
+) -> Iterator[list[tuple[int, T]]]:
+    """Group queued work into micro-batches of at most ``cap``; the one
+    grouping policy of the engine (live queues, ``warm_start`` simulation
+    and the synchronous paths all iterate it).
+
+    ``queues`` maps a workload tier to its FIFO of items and is never
+    mutated; every tier is consumed strictly from the front.  Tiers are
+    drained in ``order`` (default: ascending): full groups of ``cap`` first,
+    then the leftover partial — if ``tail(leftover)`` says it may go
+    (default: always).  With ``fits`` a partial **absorbs** from the other
+    tiers that still hold items, nearest tier first (ties to the lower
+    tier), FIFO within a tier, until it is full; absorption from a tier
+    stops at the first item for which ``fits(members + [item])`` is false.
+    ``fits=None`` disables absorption, which is exact per-tier chunking.
+
+    Yields each group as ``[(tier, item), ...]``, home tier first, *lazily*:
+    the next group is only planned when asked for, so a caller may dispatch
+    between groups and ``fits`` may price against what the dispatch changed.
+    Apart from calling ``fits``/``tail`` the function is pure — the same
+    queues and answers give the same plan.
+    """
+    taken = dict.fromkeys(queues, 0)
+    for tier in sorted(queues) if order is None else order:
+        queue = queues[tier]
+        while len(queue) - taken[tier] >= cap:
+            start = taken[tier]
+            taken[tier] = start + cap
+            yield [(tier, item) for item in queue[start : start + cap]]
+        members = list(queue[taken[tier] :])
+        if not members or (tail is not None and not tail(members)):
+            continue
+        taken[tier] = len(queue)
+        group = [(tier, item) for item in members]
+        if fits is not None:
+            for other in sorted(
+                (k for k in queues if k != tier and taken[k] < len(queues[k])),
+                key=lambda k: (abs(k - tier), k),
+            ):
+                pool = queues[other]
+                while taken[other] < len(pool) and len(group) < cap:
+                    item = pool[taken[other]]
+                    if not fits(members + [item]):
+                        break
+                    members.append(item)
+                    group.append((other, item))
+                    taken[other] += 1
+                if len(group) >= cap:
+                    break
+        yield group
 
 
 class FairScheduler:
