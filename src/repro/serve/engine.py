@@ -210,6 +210,8 @@ class EngineStats:
     merges: int = 0
     #: dispatched batches that mixed more than one workload tier
     merged_batches: int = 0
+    #: warm starts whose plan-and-seed fixpoint had not settled when it stopped
+    warm_unsettled: int = 0
     collate_hits: int = 0
     collate_misses: int = 0
     #: requests rejected because the pending queue was at ``max_pending``
@@ -297,6 +299,7 @@ class EngineStats:
             "publishes": self.publishes,
             "merges": self.merges,
             "merged_batches": self.merged_batches,
+            "warm_unsettled": self.warm_unsettled,
             "collate_hits": self.collate_hits,
             "collate_misses": self.collate_misses,
             "load_shed": self.load_shed,
@@ -786,7 +789,9 @@ class InferenceEngine:
         fails without touching anything already queued).
         """
         admitted = self._admit(now, version, deadline, tenant, request_class)
-        return self._enqueue(self._graph_of(item), *admitted)
+        request_id = self._enqueue(self._graph_of(item), *admitted)
+        self._flush_ready(admitted[0])
+        return request_id
 
     def _admit(
         self,
@@ -841,8 +846,10 @@ class InferenceEngine:
     ) -> int:
         """Queue an admitted, already validated and resolved graph; returns its id.
 
-        The entry :meth:`predict_many` uses for graphs it resolved itself,
-        so no item is validated or built twice.
+        Nothing is dispatched here: :meth:`submit` follows with the ready
+        scan, :meth:`predict_many` enqueues its whole set (graphs it
+        resolved itself, so no item is validated or built twice) and then
+        plans it in one flush.
         """
         dims = (
             graph.num_atoms,
@@ -885,7 +892,6 @@ class InferenceEngine:
             queue.insert(i, pending)
         else:
             queue.append(pending)
-        self._flush_ready(now)
         return request_id
 
     def poll(self, request_id: int, now: float | None = None) -> Prediction | None:
@@ -1142,24 +1148,27 @@ class InferenceEngine:
     def predict_many(
         self, items: list[Crystal | CrystalGraph]
     ) -> list[Prediction]:
-        """Predict all items, micro-batched per tier; order follows inputs.
+        """Predict all items, grouped over the whole set; order follows inputs.
 
         All requests are treated as submitted at the engine's current
-        virtual time and pinned to the current weight version; the whole
-        set is flushed with exact per-tier grouping (tail groups become
-        partial batches), so the call is deterministic and leaves nothing
+        virtual time and pinned to the current weight version.  The caller
+        waits for every result anyway, so there is no latency to protect:
+        the set is enqueued as a whole and flushed **planned over the whole
+        set** — full per-tier groups, then partial tails absorbing adjacent
+        tiers under ``merge_overhead_cap``, whatever ``merge_tiers`` says
+        (docs/serving.md, "Grouping").  Deterministic; leaves nothing
         queued.
         """
         if self._closed:
             raise EngineClosed("engine is shut down; predict_many rejected")
         graphs = [self._graph_of(item) for item in items]
         if self.compilers is not None:
-            self._warm_start(graphs)
+            self._warm_start(graphs, merge=True)
         # A synchronous wave arrives after all previously dispatched work
         # finished; rebasing the clock keeps its latencies self-contained.
         self._now = max(self._now, self.makespan())
         ids = [self._enqueue(g, *self._admit()) for g in graphs]
-        self.flush(merge=False)
+        self.flush(merge=True)
         predictions = []
         for request_id in ids:
             failure = self._failed.pop(request_id, None)
@@ -1171,8 +1180,8 @@ class InferenceEngine:
     def predict_wave(self, items: list[Crystal | CrystalGraph]) -> list[Prediction]:
         """One lockstep wave of a trajectory farm; order follows inputs.
 
-        Identical to :meth:`predict_many` (exact per-tier grouping, current
-        version, nothing left queued) but counted as a wave in
+        Identical to :meth:`predict_many` (planned over the whole set,
+        current version, nothing left queued) but counted as a wave in
         :attr:`EngineStats.waves`/``wave_structs``, so farm throughput and
         wave shrinkage show up in :meth:`snapshot`.
         """
@@ -1186,12 +1195,12 @@ class InferenceEngine:
 
         Async callers that know their stream up front (the CLI's queue
         driver, screening loops) can pre-size tier shapes the way
-        :meth:`predict_many` does implicitly, so first-pass captures happen
-        once per group shape instead of recompiling as canonical shapes
-        grow.  On a ``merge_tiers`` engine the simulation also plays out
-        the adaptive cross-tier absorption a flush of this stream would
-        perform, so merged group shapes are pre-sized too.  Returns the
-        number of tier groups seeded (0 on an eager engine).
+        :meth:`predict_many` does implicitly: the grouping a :meth:`flush`
+        of this stream would perform is planned over the whole set by the
+        same planner (absorbing across tiers iff ``merge_tiers``), so
+        first-pass captures happen once per group shape instead of
+        recompiling as canonical shapes grow.  Returns the number of tier
+        groups seeded (0 on an eager engine).
         """
         if self.compilers is None:
             return 0
@@ -1199,27 +1208,25 @@ class InferenceEngine:
             [self._graph_of(item) for item in items], merge=self.merge_tiers
         )
 
-    def _warm_start(self, graphs: list[CrystalGraph], merge: bool = False) -> int:
+    def _warm_start(self, graphs: list[CrystalGraph], merge: bool) -> int:
         """Pre-size canonical tier shapes from the planned micro-batches.
 
-        Grouping is simulated ahead of submission — FIFO per tier, chunks
-        of ``max_batch_structs``, and with ``merge`` the same nearest-tier
-        tail absorption :meth:`flush` performs — so every group's canonical
-        shape is known before the first capture: one capture per group
-        shape for the whole stream, exactly like the trainers' warm start.
+        :func:`~repro.serve.scheduler.plan_groups` is run on the stream's
+        dims ahead of submission — the very code the flush will run — so
+        every group's canonical shape is known before the first capture:
+        one capture per group shape for the whole stream, exactly like the
+        trainers' warm start.
 
-        Merge decisions price padding against the canonical shapes this
-        very seeding creates, so with ``merge`` the simulate-and-seed loop
-        runs to a fixpoint (canonical entries only grow; in practice one
-        extra pass settles it).
+        Absorption prices padding against the canonical shapes this very
+        seeding creates, so with ``merge`` the plan-and-seed loop runs to a
+        fixpoint (canonical entries only grow; one extra pass usually
+        settles it).  A stream that is still moving after four passes is
+        served anyway — later captures just re-grow shapes live — and
+        counted in ``stats.warm_unsettled``.
         """
-        dims_list = [
-            (g.num_atoms, g.num_edges, g.num_short_edges, g.num_angles)
-            for g in graphs
-        ]
-        seeded = 0
         tiers: dict[int, list[tuple[int, int, int, int]]] = {}
-        for dims in dims_list:
+        for g in graphs:
+            dims = (g.num_atoms, g.num_edges, g.num_short_edges, g.num_angles)
             tiers.setdefault(workload_tier(dims), []).append(dims)
         fits = self._affordable if merge else None
         for _ in range(4):
@@ -1231,8 +1238,9 @@ class InferenceEngine:
             # The canonical dict is shared through the cache: seeding one
             # compiler seeds them all.
             seeded = self.compilers[0].warm_start(entries)
-            if not merge or dict(self.cache.canonical) == before:
-                break
+            if not merge or self.cache.canonical == before:
+                return seeded
+        self.stats.warm_unsettled += 1
         return seeded
 
     @staticmethod

@@ -498,18 +498,29 @@ class TestMergeAwareWarmStart:
         assert all(_equal(a, b) for a, b in zip(warm_preds, base))
 
     def test_non_merging_warm_start_foresees_every_group(self, wide_pool):
-        """merge_tiers=False: explicit warm_start plans the exact per-tier
-        groups predict_many will form — one capture per seeded group shape,
-        nothing learned live."""
+        """merge_tiers=False: explicit warm_start runs the planner without
+        absorption — exactly the per-tier groups a live submit + flush of
+        the stream forms — so there is one capture per seeded group shape,
+        nothing is learned live and a second pass captures nothing."""
         model = _fresh_model()
         engine = InferenceEngine(
             model, n_workers=1, compile=True, max_batch_structs=4, max_programs=128
         )
         seeded = engine.warm_start(wide_pool)
         assert seeded > 0
-        preds = engine.predict_many(wide_pool)
+
+        def serve():
+            ids = [engine.submit(g, now=0.0) for g in wide_pool]
+            engine.flush(now=0.0)
+            return [engine.poll(i) for i in ids]
+
+        preds = serve()
         snap = engine.snapshot()
         assert snap["captures"] == seeded  # every group shape was foreseen
-        assert snap["replays"] > 0
+        assert snap["merges"] == 0 and snap["warm_unsettled"] == 0
+        again = serve()
+        assert engine.snapshot()["captures"] == seeded
+        assert [p.batch_structs for p in again] == [p.batch_structs for p in preds]
         base = _solo_eager(model, wide_pool)
         assert all(_equal(a, b) for a, b in zip(preds, base))
+        assert all(_equal(a, b) for a, b in zip(again, base))
