@@ -530,7 +530,7 @@ def group_padded_targets(
     members = [tuple(int(c) for c in m) for m in members]
     if not members:
         raise ValueError("group_padded_targets needs at least one member")
-    summed = tuple(int(c) for c in np.sum(np.asarray(members, dtype=np.int64), axis=0))
+    summed = tuple(map(sum, zip(*members)))
     targets = tuple(bucket_size(c) for c in summed)
     if targets == summed:
         # Mirrors the compiled-step managers' early return: a batch already

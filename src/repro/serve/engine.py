@@ -1123,9 +1123,7 @@ class InferenceEngine:
         """
         if self.cache is None:
             return ()
-        summed = tuple(
-            int(s) for s in np.sum(np.asarray(dims_list, dtype=np.int64), axis=0)
-        )
+        summed = tuple(map(sum, zip(*dims_list)))
         stored = self.cache.canonical.get(
             (len(dims_list) + 1, False, workload_tier(summed))
         )
@@ -1247,8 +1245,7 @@ class InferenceEngine:
     def _group_entry(
         dims: list[tuple[int, int, int, int]]
     ) -> tuple[int, bool, tuple[int, int, int, int]]:
-        summed = tuple(int(s) for s in np.sum(np.asarray(dims, dtype=np.int64), axis=0))
-        return (len(dims), False, summed)
+        return (len(dims), False, tuple(map(sum, zip(*dims))))
 
     # -------------------------------------------------------------- dispatch
     def _collate_group(self, graphs: list[CrystalGraph]) -> GraphBatch:
