@@ -893,7 +893,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     # The async submit/poll queue exercises deadlines, tier merging,
     # mid-stream publishes and multi-tenant scheduling; the synchronous
-    # path packs full per-tier groups.
+    # path plans its groups over the whole stream.
     use_queue = (
         args.publish_every > 0
         or args.merge_tiers

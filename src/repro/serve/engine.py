@@ -19,17 +19,19 @@ Micro-batching
     compiler to the tier's canonical shape, so nearly every batch **replays
     a cached program** instead of recompiling or re-taping.
 
-Adaptive tier merging
-    A diverse trickle under exact per-tier queues produces many deadline
-    flushes of nearly-empty groups.  With ``merge_tiers=True`` a partial
-    group that hits its deadline absorbs pending same-version requests from
-    **adjacent tiers** (nearest tier first, FIFO within a tier) until it is
-    full or the next absorption would push the group's priced padding
-    overhead — :func:`repro.graph.batching.padding_overhead` of the merged
-    dims against the canonical shape the compiler will pad to — past
-    ``merge_overhead_cap``.  Fuller batches amortize per-batch dispatch cost
-    at a bounded ghost-row price; per-structure results stay bit-identical
-    regardless of grouping (see below).
+Grouping
+    Which queued requests share a micro-batch is decided by one pure
+    planner, :func:`repro.serve.scheduler.plan_groups`: full per-tier
+    groups first, then partial tails that may **absorb** pending
+    same-version requests from adjacent tiers (nearest first, FIFO within a
+    tier) while the group's priced padding overhead stays within
+    ``merge_overhead_cap``.  The live ready scan, the paced dispatch, the
+    ``warm_start`` plan and the synchronous sets all iterate it:
+    ``merge_tiers`` turns absorption on for the deadline flush of the live
+    queue, while :meth:`InferenceEngine.predict_many` /
+    :meth:`~InferenceEngine.predict_wave` always plan over the whole
+    submitted set (docs/serving.md, "Grouping").  Per-structure results
+    stay bit-identical regardless of grouping (see below).
 
 Versioned weights (serving under live fine-tuning)
     The engine keeps a registry of **published weight versions**.
@@ -116,7 +118,7 @@ Bit-identity
     bits because every kernel in the inference path (including the
     derivative-force backward) is **row-stable** (docs/architecture.md,
     "Row-stable kernels").  The same property makes predictions
-    independent of *grouping*, which is what licenses adaptive tier merging
+    independent of *grouping*, which is what licenses cross-tier absorption
     and version-interleaved batches.  Tests and
     ``benchmarks/bench_serve.py`` / ``benchmarks/bench_serve_live.py``
     verify the end-to-end guarantee on models with non-trivial weights.
@@ -206,7 +208,7 @@ class EngineStats:
     cache_misses: int = 0
     #: publish_weights calls (the constructor's initial snapshot included)
     publishes: int = 0
-    #: requests absorbed across tiers by adaptive merging
+    #: requests absorbed into another tier's group by the planner (every path)
     merges: int = 0
     #: dispatched batches that mixed more than one workload tier
     merged_batches: int = 0
@@ -377,14 +379,15 @@ class InferenceEngine:
     max_programs:
         LRU capacity of the worker-shared program cache.
     merge_tiers:
-        Enable adaptive micro-batching: deadline-flushed partial groups
-        absorb pending same-version requests from adjacent tiers, bounded
-        by ``merge_overhead_cap`` (see the module docstring).
+        Let deadline-flushed partial groups of the live queue absorb
+        pending same-version requests from adjacent tiers, bounded by
+        ``merge_overhead_cap`` (see the module docstring).  The
+        synchronous paths always plan with absorption on.
     merge_overhead_cap:
         Maximum priced padding overhead (relative ghost-row workload,
-        :func:`repro.graph.batching.padding_overhead`) a merged group may
-        reach; absorption from a tier stops at the first request that
-        would exceed it.
+        :func:`repro.graph.batching.padding_overhead`) a group may reach
+        by absorbing; absorption from a tier stops at the first request
+        that would exceed it.
     memoize:
         LRU entries for engine-side collate memoization (``0`` disables).
         Micro-batches are cached by member-graph identity and built graphs
@@ -917,9 +920,11 @@ class InferenceEngine:
     def flush(self, now: float | None = None, merge: bool | None = None) -> int:
         """Dispatch every queued request regardless of batch size/deadline.
 
-        ``merge`` controls whether partial tail groups absorb adjacent-tier
-        requests (default: the engine's ``merge_tiers`` setting).  Returns
-        the number of batches dispatched.  On a ``paced`` engine the
+        Everything queued is planned over the whole set
+        (:func:`~repro.serve.scheduler.plan_groups`); ``merge`` controls
+        whether partial tail groups absorb adjacent-tier requests
+        (default: the engine's ``merge_tiers`` setting).  Returns the
+        number of batches dispatched.  On a ``paced`` engine the
         force-drain dispatches in global weighted-fair order (smallest
         start tag first across every queue) rather than per-key FIFO, so
         the backlog's modeled latencies still respect tenant shares.
