@@ -7,12 +7,14 @@
 #
 # `make perf` runs the perf ledger (benchmarks/perf/) at smoke scale;
 # `make perf-compare A=old.json B=new.json` prints the per-workload,
-# per-metric verdict table for two ledger result files (base A).
+# per-metric verdict table for two ledger result files (base A);
+# `make perf-trajectory SET=docs/perf/prNN_set_head.json [LABEL=prNN]`
+# appends (or replaces) that set's line in docs/perf/trajectory.jsonl.
 
 PYTEST = PYTHONPATH=src python -m pytest -x -q
 LEDGER = python3 benchmarks/perf/run.py
 
-.PHONY: test quicktest perf perf-compare
+.PHONY: test quicktest perf perf-compare perf-trajectory
 
 test:
 	$(PYTEST)
@@ -25,3 +27,6 @@ perf:
 
 perf-compare:
 	$(LEDGER) compare $(A) $(B)
+
+perf-trajectory:
+	python3 tools/perf_trajectory.py $(SET) $(if $(LABEL),--label $(LABEL))
