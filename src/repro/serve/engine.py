@@ -1134,14 +1134,12 @@ class InferenceEngine:
         )
         return () if stored is None else (stored,)
 
-    def _group_overhead(self, dims_list: list[tuple]) -> float:
-        if self.compilers is None:
-            return 0.0  # eager batches are never padded
-        return padding_overhead(dims_list, seeds=self._canonical_seeds(dims_list))
-
     def _affordable(self, dims_list: list[tuple]) -> bool:
         """The planner's price test: padding overhead within ``merge_overhead_cap``."""
-        return self._group_overhead(dims_list) <= self.merge_overhead_cap
+        if self.compilers is None:
+            return True  # eager batches are never padded
+        overhead = padding_overhead(dims_list, seeds=self._canonical_seeds(dims_list))
+        return overhead <= self.merge_overhead_cap
 
     def _fits(self, members: list[_Pending]) -> bool:
         """:meth:`_affordable` on live requests."""

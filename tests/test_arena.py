@@ -23,7 +23,7 @@ from repro.data.dataset import StructureDataset
 from repro.data.mptrj import generate_mptrj
 from repro.graph.batching import collate
 from repro.graph.crystal_graph import build_graph
-from repro.model import CHGNetConfig, CHGNetModel, OptLevel
+from repro.model import CHGNetModel, OptLevel
 from repro.runtime import memory_stats
 from repro.serve import InferenceEngine
 from repro.tensor.compile import (
@@ -35,23 +35,11 @@ from repro.tensor.compile import (
 )
 from repro.train import DistributedConfig, DistributedTrainer
 from repro.train.loss import CompositeLoss
-
-CFG = CHGNetConfig(
-    atom_fea_dim=8,
-    bond_fea_dim=8,
-    angle_fea_dim=8,
-    num_radial=5,
-    angular_order=2,
-    hidden_dim=8,
-)
+from serve_harness import TINY_CFG as CFG, make_model
 
 
-def _jittered(level: OptLevel, seed: int = 2) -> CHGNetModel:
-    model = CHGNetModel(CFG.with_level(level), np.random.default_rng(seed))
-    rng = np.random.default_rng(100 * seed)
-    for p in model.parameters():
-        p.data += rng.normal(scale=0.05, size=p.data.shape)
-    return model
+def _jittered(level: OptLevel) -> CHGNetModel:
+    return make_model(cfg=CFG.with_level(level))
 
 
 @pytest.fixture(scope="module")

@@ -21,12 +21,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.data.mptrj import generate_mptrj  # noqa: E402
 from repro.graph.batching import padding_overhead, workload_tier  # noqa: E402
-from repro.graph.crystal_graph import build_graph  # noqa: E402
-from repro.model import CHGNetConfig, CHGNetModel, OptLevel  # noqa: E402
+from repro.model import OptLevel  # noqa: E402
 from repro.serve import InferenceEngine  # noqa: E402
 from repro.serve.scheduler import plan_groups  # noqa: E402
+from serve_harness import TINY_CFG, make_graphs, make_model  # noqa: E402
 
 
 # ------------------------------------------------------------ frozen oracle
@@ -162,32 +161,15 @@ def test_absorbs_nearest_tier_first_ties_to_the_lower():
 
 
 # ------------------------------------------------------------------ engine
-CFG = CHGNetConfig(
-    atom_fea_dim=8,
-    bond_fea_dim=8,
-    angle_fea_dim=8,
-    num_radial=5,
-    angular_order=2,
-    hidden_dim=8,
-)
-
-
 @pytest.fixture(scope="module")
 def model():
-    model = CHGNetModel(CFG.with_level(OptLevel.DECOMPOSE_FS), np.random.default_rng(2))
-    rng = np.random.default_rng(200)
-    for p in model.parameters():
-        p.data += rng.normal(scale=0.05, size=p.data.shape)
-    return model
+    return make_model(cfg=TINY_CFG.with_level(OptLevel.DECOMPOSE_FS))
 
 
 @pytest.fixture(scope="module")
 def pool():
     """40 distinct structures over several tiers, with partial tails."""
-    return [
-        build_graph(e.crystal, CFG.cutoff_atom, CFG.cutoff_bond)
-        for e in generate_mptrj(40, seed=9, max_atoms=12)
-    ]
+    return make_graphs(40, seed=9, max_atoms=12)
 
 
 def _dims(g):
@@ -304,8 +286,7 @@ class TestLivePlanIsTheSimulatedPlan:
     def test_one_wave_is_one_replay(self, model):
         """A wave of n <= max_batch_structs trajectories of mixed tiers goes
         out as one batch: one capture the first time, one replay after."""
-        entries = generate_mptrj(6, seed=4, max_atoms=6)
-        wave = [build_graph(e.crystal, CFG.cutoff_atom, CFG.cutoff_bond) for e in entries]
+        wave = make_graphs(6, seed=4, max_atoms=6)
         assert len({workload_tier(_dims(g)) for g in wave}) > 1
         engine = InferenceEngine(
             model, n_workers=2, compile=True, max_batch_structs=8, max_programs=64
