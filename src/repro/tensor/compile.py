@@ -266,12 +266,16 @@ def _plan_offsets(
         if not sizes[i]:
             continue
         busy = np.flatnonzero(placed & (first <= last[i]) & (last >= first[i]))
-        busy = busy[np.argsort(offset[busy], kind="stable")]
         at = 0
-        for lo, hi in zip(offset[busy].tolist(), (offset[busy] + size[busy]).tolist()):
-            if at + sizes[i] <= lo:
-                break
-            at = max(at, hi)
+        if busy.size:
+            busy = busy[np.argsort(offset[busy], kind="stable")]
+            lo = offset[busy]
+            # end[j]: where the first j+1 busy buffers stop; the candidate
+            # before buffer j is end[j-1] (0 before the first).
+            end = np.maximum.accumulate(lo + size[busy])
+            start = np.concatenate(([0], end[:-1]))
+            gaps = np.flatnonzero(start + sizes[i] <= lo)
+            at = int(start[gaps[0]] if gaps.size else end[-1])
         offset[i] = at
         placed[i] = True
         total = max(total, at + sizes[i])
