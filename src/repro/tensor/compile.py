@@ -58,6 +58,7 @@ Managers
 from __future__ import annotations
 
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
@@ -331,19 +332,57 @@ class Instr:
         self.nbytes = out.nbytes
 
 
+class _SlotRef(weakref.ref):
+    """Weak reference to a traced array carrying its slot.
+
+    ``TapeTrace._slots`` maps ``id(array)`` to one of these; when the array
+    dies :func:`_forget_slot` removes the entry, so an id is in the table
+    exactly as long as it is unambiguous.  The trace is referenced weakly:
+    the table owns its refs, a strong back-reference would be a cycle.
+    """
+
+    __slots__ = ("key", "slot", "trace")
+
+    def __new__(cls, arr: np.ndarray, slot: int, trace: "weakref.ref[TapeTrace]"):
+        return super().__new__(cls, arr, _forget_slot)
+
+    def __init__(self, arr: np.ndarray, slot: int, trace: "weakref.ref[TapeTrace]") -> None:
+        super().__init__(arr, _forget_slot)
+        self.key = id(arr)
+        self.slot = slot
+        self.trace = trace
+
+
+def _forget_slot(ref: _SlotRef) -> None:
+    trace = ref.trace()
+    if trace is not None:
+        del trace._slots[ref.key]
+
+
 class TapeTrace:
-    """Observer recording every primitive execution of one eager step."""
+    """Observer recording every primitive execution of one eager step.
+
+    Arrays are identified by ``id()`` and held *weakly*: the trace pins
+    nothing the eager step would drop (docs/architecture.md, "Capture
+    memory").
+    """
 
     def __init__(self, batch: GraphBatch, params: list) -> None:
         self.batch = batch
         self.params = params
         self._param_idx = {id(p.data): i for i, p in enumerate(params)}
-        self._slots: dict[int, int] = {}  # id(ndarray) -> slot
+        self._slots: dict[int, _SlotRef] = {}  # id(live ndarray) -> its slot
+        self._weak = weakref.ref(self)
         self.n_slots = 0
         self.externals: list[tuple] = []  # (slot, kind, ref, shape, dtype)
         self.instrs: list[Instr] = []
         self.grad_writes: list[tuple[int, int]] = []  # (param index, slot)
-        self._keep: list[np.ndarray] = []  # keeps id()s unambiguous
+
+    def _new_slot(self, arr: np.ndarray) -> int:
+        slot = self.n_slots
+        self.n_slots += 1
+        self._slots[id(arr)] = _SlotRef(arr, slot, self._weak)
+        return slot
 
     # ------------------------------------------------------------- resolution
     def _new_external(self, arr: np.ndarray, allow_const: bool, context: str) -> int:
@@ -365,18 +404,15 @@ class TapeTrace:
                     f"{context}: ndarray argument is neither a parameter nor a "
                     "named batch array; cannot rebind it on replay"
                 )
-        slot = self.n_slots
-        self.n_slots += 1
-        self._slots[id(arr)] = slot
-        self._keep.append(arr)
+        slot = self._new_slot(arr)
         self.externals.append((slot, kind, ref, arr.shape, arr.dtype))
         return slot
 
     def _slot_for(self, arr: np.ndarray, allow_const: bool, context: str) -> int:
-        slot = self._slots.get(id(arr))
-        if slot is None:
-            slot = self._new_external(arr, allow_const, context)
-        return slot
+        ref = self._slots.get(id(arr))
+        if ref is None:
+            return self._new_external(arr, allow_const, context)
+        return ref.slot
 
     # -------------------------------------------------------- engine callbacks
     def record(
@@ -397,10 +433,7 @@ class TapeTrace:
             static_kwargs = {
                 k: v for k, v in kwargs.items() if not isinstance(v, np.ndarray)
             }
-        out_slot = self.n_slots
-        self.n_slots += 1
-        self._slots[id(out)] = out_slot
-        self._keep.append(out)
+        out_slot = self._new_slot(out)
         self.instrs.append(
             Instr(name, fn, in_slots, out_slot, static_kwargs, kw_ext, out)
         )
@@ -409,16 +442,16 @@ class TapeTrace:
         pid = self._param_idx.get(id(leaf.data))
         if pid is None:
             return  # disp/strain scratch leaves: eager discards them too
-        slot = self._slots.get(id(grad.data))
-        if slot is None:
+        ref = self._slots.get(id(grad.data))
+        if ref is None:
             raise TraceUnsupported("final parameter gradient was not produced on the tape")
-        self.grad_writes.append((pid, slot))
+        self.grad_writes.append((pid, ref.slot))
 
     def slot_of(self, arr: np.ndarray) -> int:
-        slot = self._slots.get(id(arr))
-        if slot is None:
+        ref = self._slots.get(id(arr))
+        if ref is None:
             raise TraceUnsupported("requested output array was not produced on the tape")
-        return slot
+        return ref.slot
 
 
 class _traced:
