@@ -286,13 +286,43 @@ def _ones_like(t: Tensor) -> Tensor:
     return Tensor(np.ones_like(t.data))
 
 
+def _push_cotangents(node: Node, out: Tensor, g: Tensor, cot: dict) -> None:
+    """Run ``node``'s VJP on ``g`` and add the results into ``cot``."""
+    inputs = node.inputs
+    needs = tuple(t.requires_grad for t in inputs)
+    grads = node.vjp(g, out, inputs, needs, **node.kwargs)
+    if len(grads) != len(inputs):
+        raise RuntimeError(
+            f"vjp for {node.name!r} returned {len(grads)} grads "
+            f"for {len(inputs)} inputs"
+        )
+    for t, gt in zip(inputs, grads):
+        if gt is None:
+            continue
+        if gt.shape != t.shape:
+            raise RuntimeError(
+                f"vjp for {node.name!r} produced grad of shape {gt.shape} "
+                f"for input of shape {t.shape}"
+            )
+        prev = cot.get(id(t))
+        cot[id(t)] = (t, gt if prev is None else prev[1] + gt)
+
+
 def _backprop(
     output: Tensor,
     grad_output: Tensor | None,
+    topo: list[Node],
     create_graph: bool,
     retain_graph: bool,
-) -> dict[int, Tensor]:
-    """Run reverse accumulation from ``output``; return cotangents by id."""
+) -> dict[int, tuple[Tensor, Tensor]]:
+    """Run reverse accumulation from ``output`` over its ``topo`` order.
+
+    Returns ``{id(t): (t, cotangent)}``.  An entry holds its tensor, so an
+    id is a key exactly as long as it is unambiguous; nothing else pins the
+    graph.  ``topo`` is consumed from the end and each node's locals die
+    with :func:`_push_cotangents`, so with ``retain_graph=False`` a tensor
+    is freed as soon as its last consumer and its own node are released.
+    """
     if output.node is None and not output.requires_grad:
         raise RuntimeError("output does not require grad; nothing to differentiate")
     if grad_output is None:
@@ -306,41 +336,16 @@ def _backprop(
             f"grad_output shape {grad_output.shape} != output shape {output.shape}"
         )
 
-    topo, _leaves = _collect_graph(output)
-    cot: dict[int, Tensor] = {id(output): grad_output}
-    # Keep every graph tensor alive for the duration of the walk so id()s
-    # remain unambiguous keys.
-    alive: list[Tensor] = [output]
-    for node in topo:
-        alive.extend(node.inputs)
-
+    cot = {id(output): (output, grad_output)}
     with enable_grad(create_graph):
-        for node in reversed(topo):
-            g = cot.pop(id(node.out), None)
-            if g is None:
-                if not retain_graph:
-                    node.release()
-                continue
-            needs = tuple(t.requires_grad for t in node.inputs)
-            grads = node.vjp(g, node.out, node.inputs, needs, **node.kwargs)
-            if len(grads) != len(node.inputs):
-                raise RuntimeError(
-                    f"vjp for {node.name!r} returned {len(grads)} grads "
-                    f"for {len(node.inputs)} inputs"
-                )
-            for t, gt in zip(node.inputs, grads):
-                if gt is None:
-                    continue
-                if gt.shape != t.shape:
-                    raise RuntimeError(
-                        f"vjp for {node.name!r} produced grad of shape {gt.shape} "
-                        f"for input of shape {t.shape}"
-                    )
-                prev = cot.get(id(t))
-                cot[id(t)] = gt if prev is None else prev + gt
+        while topo:
+            node = topo.pop()
+            out = node.out
+            entry = cot.pop(id(out), None)
+            if entry is not None:
+                _push_cotangents(node, out, entry[1], cot)
             if not retain_graph:
                 node.release()
-    del alive
     return cot
 
 
@@ -372,11 +377,12 @@ def grad(
     """
     if retain_graph is None:
         retain_graph = create_graph
-    cot = _backprop(output, grad_output, create_graph, retain_graph)
+    topo, _ = _collect_graph(output)
+    cot = _backprop(output, grad_output, topo, create_graph, retain_graph)
     results: list[Tensor | None] = []
     for t in inputs:
-        gt = cot.get(id(t))
-        if gt is None:
+        entry = cot.get(id(t))
+        if entry is None:
             if not allow_unused:
                 raise RuntimeError(
                     "one of the inputs was not used in the graph "
@@ -384,7 +390,7 @@ def grad(
                 )
             results.append(None)
         else:
-            results.append(gt)
+            results.append(entry[1])
     return tuple(results)
 
 
@@ -397,12 +403,13 @@ def backward(
     """Accumulate gradients of ``output`` into ``.grad`` of all leaves."""
     if retain_graph is None:
         retain_graph = create_graph
-    _, leaves = _collect_graph(output)
-    cot = _backprop(output, grad_output, create_graph, retain_graph)
+    topo, leaves = _collect_graph(output)
+    cot = _backprop(output, grad_output, topo, create_graph, retain_graph)
     for leaf in leaves:
-        gt = cot.get(id(leaf))
-        if gt is None:
+        entry = cot.get(id(leaf))
+        if entry is None:
             continue
+        gt = entry[1]
         if _TRACERS:
             _TRACERS[-1].record_leaf_grad(leaf, gt)
         if leaf.grad is None:
