@@ -697,6 +697,12 @@ class CompiledStep:
             else:
                 slots[ins.out_slot] = ins.fn(slots[ins.in_slots[0]], **ins.kwargs)
 
+    def detach(self) -> None:
+        """Drop every view of the slab (undoes :meth:`attach`)."""
+        self.buffers = []
+        for ins in self._static:
+            self._slots[ins.out_slot] = None
+
     # ------------------------------------------------------------------ bind
     def bind(self, batch: GraphBatch, params: list) -> str | None:
         """Rebind external arrays to a new batch/parameter state.
@@ -929,15 +935,21 @@ class SharedProgramCache:
     def store(self, sig: tuple, prog: CompiledStep) -> None:
         """Insert a program under ``sig`` and attach it to the shared slab.
 
-        A program larger than the slab grows it (one new allocation, the old
-        one dropped) and every cached program is re-attached; LRU eviction
-        beyond ``max_programs`` drops programs but never shrinks the slab.
+        A program larger than the slab grows it and every cached program is
+        re-attached: the programs let go of the old slab *before* the new
+        one is allocated, so growth peaks at max(old, new) bytes, not their
+        sum (arrays a caller still holds keep the old slab readable).  LRU
+        eviction beyond ``max_programs`` drops programs but never shrinks
+        the slab.
         """
         self.programs[sig] = prog
         if len(self.programs) > self.max_programs:
             self.programs.popitem(last=False)
         if prog.arena_bytes > self._slab.nbytes:
             record_tape_free(self._slab.nbytes)
+            for cached in self.programs.values():
+                cached.detach()
+            self._slab = None
             self._slab = _new_slab(prog.arena_bytes)
             record_tape_alloc(self._slab.nbytes)
             for cached in self.programs.values():
