@@ -6,8 +6,11 @@ Force/Stress heads ("decompose_fs") cut memory by 3.38-3.59x because the
 derivative graph is never built (Fig. 8c).  Here the tracked quantity is the
 number of bytes held alive by the autodiff tape: every tensor recorded as a
 graph node output adds its ``nbytes`` on creation and releases them when the
-graph is freed after backward.  Peak tape bytes is the reproduction's
-"GPU memory usage".
+node is released, which backward does node by node as it walks.  The walk
+pins nothing else, so bytes booked as freed here are freed in the process
+too — with or without a tape tracer active (views count their full
+``nbytes`` here though they share their base's storage).  Peak tape bytes is
+the reproduction's "GPU memory usage".
 """
 
 from __future__ import annotations

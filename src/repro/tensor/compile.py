@@ -949,7 +949,7 @@ class SharedProgramCache:
             record_tape_free(self._slab.nbytes)
             for cached in self.programs.values():
                 cached.detach()
-            self._slab = None
+            self._slab = None  # freed here, not after the allocation below
             self._slab = _new_slab(prog.arena_bytes)
             record_tape_alloc(self._slab.nbytes)
             for cached in self.programs.values():
@@ -1171,17 +1171,16 @@ class _CompilerBase:
 
         ``eager`` runs one eager step and returns ``(result, outputs)`` with
         ``outputs`` the named arrays to mark as program outputs.  The trace
-        keeps every intermediate of that step alive, so it is dropped once
-        the program is built (planning only, no allocation) and *before*
-        :meth:`SharedProgramCache.store` attaches — and possibly grows —
-        the slab: the high-water mark is tape or arena, not tape plus arena.
+        holds arrays weakly, so the step's intermediates die when eager
+        drops them and the capture peaks where the eager step does
+        (docs/architecture.md, "Capture memory"); the program is built
+        (planning only, no allocation) after the step has returned.
         """
         trace = TapeTrace(batch, self.params)
         with _traced(trace):
             result, outputs = eager()
         slots = {name: trace.slot_of(arr) for name, arr in outputs.items()}
         prog = CompiledStep(trace, slots, len(self.params))
-        del trace, outputs
         self.cache.store(sig, prog)
         self.last_program = prog
         self.stats.captures += 1

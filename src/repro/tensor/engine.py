@@ -19,9 +19,12 @@ Design notes
   ``create_graph=True`` records a new differentiable graph — second-order
   derivatives come for free, and backward-pass kernels are counted exactly
   like forward ones (as on a real GPU).
-* Graphs are freed eagerly after :func:`grad`/``backward`` unless
-  ``retain_graph=True``; freeing returns the bytes to the memory tracker,
-  which is how the decompose_fs memory reduction becomes measurable.
+* Graphs are freed eagerly *during* :func:`grad`/``backward`` unless
+  ``retain_graph=True``: the walk consumes the topological order from the
+  end and holds a tensor only while its cotangent is pending, so each
+  ``node.release()`` returns the bytes to the allocator as well as to the
+  memory tracker, which is how the decompose_fs memory reduction becomes
+  measurable.
 
 Compiled training steps
 -----------------------
@@ -31,8 +34,9 @@ bookkeeping above.  :mod:`repro.tensor.compile` implements that: a tracer
 registered via :func:`push_tracer` observes every :func:`apply_op`
 execution (and each final leaf-gradient write in :func:`backward`) and
 compiles them into a flat kernel program with arena buffers.  Tracing is
-purely observational — eager semantics, kernel accounting and numerics are
-unchanged while a tracer is active.
+purely observational — eager semantics, kernel accounting, numerics and
+array lifetimes (the tracer holds arrays weakly) are unchanged while a
+tracer is active.
 """
 
 from __future__ import annotations
