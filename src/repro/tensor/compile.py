@@ -78,7 +78,14 @@ from repro.graph.batching import (
 from repro.runtime.kernels import profiling_active, record_kernel
 from repro.runtime.memory import record_tape_alloc, record_tape_free
 from repro.tensor.engine import Tensor, no_grad, pop_tracer, push_tracer
-from repro.tensor.ops_fused import _envelope_coeffs, _envelope_np, _layernorm_np
+from repro.tensor.ops_fused import (
+    _envelope_coeffs,
+    _envelope_np,
+    _layernorm_np,
+    _layernorm_vjp2_np,
+    _layernorm_vjp_np,
+    _layernorm_vjp_gamma_np,
+)
 from repro.tensor.ops_linalg import _linear_np, _matmul_np
 from repro.tensor.ops_math import _sigmoid_np, _silu_np
 from repro.tensor.ops_shape import _segment_sum_np
@@ -89,9 +96,9 @@ class TraceUnsupported(RuntimeError):
 
 
 # Ops whose NumPy forward returns a view (or may): their output aliases the
-# input buffer, so liveness treats producer and consumer as one group and
-# replay re-executes the (cheap) view creation instead of arena-writing.
-_ALIAS_OPS = frozenset({"reshape", "transpose", "broadcast_to", "slice"})
+# (first) input buffer, so liveness treats producer and consumer as one group
+# and replay re-executes the (cheap) view creation instead of arena-writing.
+_ALIAS_OPS = frozenset({"reshape", "transpose", "broadcast_to", "slice", "part"})
 
 
 # ------------------------------------------------------------- out= kernels
@@ -201,6 +208,9 @@ _OUT_IMPLS: dict[str, Callable] = {
     "fused_srbf": _fused_srbf_out,
     "fused_fourier": _fused_fourier_out,
     "fused_layernorm": _shared(_layernorm_np),
+    "fused_layernorm_vjp": _shared(_layernorm_vjp_np),
+    "fused_layernorm_vjp_gamma": _shared(_layernorm_vjp_gamma_np),
+    "fused_layernorm_vjp2": _shared(_layernorm_vjp2_np),
     # Reads xi several times, so it must never consume a chain carry: kept
     # out of _ELEMENTWISE deliberately (arena-backed standalone launch only).
     "fused_envelope": _fused_envelope_out,
@@ -330,6 +340,12 @@ class Instr:
         self.shape = out.shape
         self.dtype = out.dtype
         self.nbytes = out.nbytes
+
+    @property
+    def reads(self) -> tuple[int, ...]:
+        """Slots whose data the kernel touches: a view reads only its base
+        (a ``part`` lists the tensors its cotangents go to after it)."""
+        return self.in_slots[:1] if self.alias else self.in_slots
 
 
 class _SlotRef(weakref.ref):
@@ -519,7 +535,7 @@ class CompiledStep:
         last: dict[int, int] = {}
         count: dict[int, int] = {}
         for t, ins in enumerate(self.instrs):
-            for s in ins.in_slots:
+            for s in ins.reads:
                 last[s] = t
                 count[s] = count.get(s, 0) + 1
             for _, s in ins.kw_ext:
@@ -546,7 +562,7 @@ class CompiledStep:
         for ins in reversed(self.instrs):
             if ins.out_slot in live:
                 kept.append(ins)
-                live.update(ins.in_slots)
+                live.update(ins.reads)
                 live.update(slot for _, slot in ins.kw_ext)
         kept.reverse()
         self.instrs = kept

@@ -2,29 +2,34 @@
 
 Each function here executes as a *single* simulated kernel where the
 reference implementation composes many small ones (Section III-C of the
-paper).  Their VJPs are written in terms of base primitives, so first- and
-second-order differentiation through fused code paths remains exact —
-required by the "w/o head" FastCHGNet variant, which keeps derivative-based
-forces while using every fusion.
+paper).  The basis kernels' VJPs are written in terms of base primitives;
+the gated-MLP primitive ``fused_layernorm`` carries
+one hand-derived, row-blocked kernel per derivative order — forward, VJP,
+VJP of the VJP (docs/architecture.md, "Fused gated MLP").  Either way
+first- and second-order differentiation through fused code paths remains
+exact — required by the "w/o head" FastCHGNet variant, which keeps
+derivative-based forces while using every fusion.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Iterator, Sequence
+
 import numpy as np
 
-from repro.tensor.engine import Tensor, apply_op
+from repro.tensor.engine import Tensor, apply_op, is_grad_enabled
+from repro.tensor.ops_shape import slice_
 from repro.tensor.ops_math import (
+    _unbroadcast,
     add,
-    broadcast_to,
     cos,
     div,
-    mean,
     mul,
     neg,
     power,
     reshape,
     sin,
-    sqrt,
     sub,
     sum as tsum,
 )
@@ -142,8 +147,6 @@ def fused_fourier(theta: Tensor, order: int) -> Tensor:
 
 
 def _fused_fourier_vjp(g, out, inputs, needs, order):
-    from repro.tensor.ops_shape import slice_
-
     (theta,) = inputs
     if not needs[0]:
         return (None,)
@@ -159,8 +162,150 @@ def _fused_fourier_vjp(g, out, inputs, needs, order):
     return (gt,)
 
 
+#: Elements per block-sized array of the gated-MLP kernels below: they walk
+#: their rows ``_BLOCK_ELEMS // (B * D)`` at a time.  256 KiB of float64 per
+#: array — 512 rows of the widest packed activation the model produces,
+#: ``(B=4, D=16)`` — and the derivative kernels keep four (gate VJP) to
+#: eight (layernorm VJP-of-VJP) such arrays live, 1-2 MiB: every pass over
+#: a block after the first works out of the core's L2 wherever the operands
+#: sit in the arena slab.  Measured on the ``(1792, 4, 16)`` tier, operands
+#: spread over a 64 MB slab: 256 to 1024 rows within run-to-run noise of
+#: each other, 64 rows 1.5x slower (per-call overhead), unblocked 1.1-1.2x
+#: slower (docs/architecture.md, "Fused gated MLP").
+_BLOCK_ELEMS = 32768
+
+
+class ThirdOrderUnsupported(NotImplementedError):
+    """A fused gated-MLP primitive was differentiated a third time.
+
+    ``fused_layernorm`` and ``fused_gate`` carry hand-derived kernels for the
+    forward, its VJP and the VJP of that VJP — what energy, forces and the
+    force loss need.  Nothing in this package differentiates further.
+    """
+
+
+def _third_order(name: str):
+    def vjp(g, out, inputs, needs, **kwargs):
+        raise ThirdOrderUnsupported(
+            f"{name} is differentiable to second order only; compose the "
+            "reference primitives (layernorm_reference, silu_reference) instead"
+        )
+
+    return vjp
+
+
+def _flat_parts(flat: np.ndarray | None, shapes: Sequence[tuple[int, ...]], dtype) -> list[np.ndarray]:
+    """``[flat, *parts]``: a kernel's flat output buffer and its segments.
+
+    An op has one output array, so a kernel with several results (or values
+    saved for its derivative kernels) writes them back to back.
+    """
+    if flat is None:
+        flat = np.empty(sum(math.prod(shape) for shape in shapes), dtype=dtype)
+    parts, lo = [flat], 0
+    for shape in shapes:
+        hi = lo + math.prod(shape)
+        parts.append(flat[lo:hi].reshape(shape))
+        lo = hi
+    return parts
+
+
+def _kernel(name: str, fn, inputs: Sequence[Tensor], **kwargs) -> Tensor:
+    """Launch ``fn`` on the inputs' arrays, off the graph; :func:`_part` puts
+    its results on it."""
+    return apply_op(name, fn, None, [t.detach() for t in inputs], kwargs)
+
+
+def _part_np(flat: np.ndarray, *routed: np.ndarray, shape, offset) -> np.ndarray:
+    return flat.reshape(-1)[offset : offset + math.prod(shape)].reshape(shape)
+
+
+def _part(flat: Tensor, shape: tuple[int, ...], offset: int, vjp, routed: Sequence[Tensor]) -> Tensor:
+    """One segment of a kernel's flat output as a graph node.
+
+    The kernel ran on detached inputs; this view (eagerly and on replay) is
+    what autograd sees.  ``vjp(g, out, (flat, *routed), needs, shape,
+    offset)`` returns ``None`` for ``flat`` and one cotangent per ``routed``
+    tensor — the tensors the segment is a function of — so a cotangent goes
+    straight to them and is never zero-padded back into the flat layout.
+    """
+    return apply_op("part", _part_np, vjp, (flat, *routed), {"shape": tuple(shape), "offset": offset})
+
+
+def _parts(flat: Tensor, shapes: Sequence[tuple[int, ...]], vjp, routed: Sequence[Tensor]) -> list[Tensor]:
+    """Every segment of ``flat``, each a :func:`_part` with the same ``vjp``."""
+    parts, lo = [], 0
+    for shape in shapes:
+        parts.append(_part(flat, shape, lo, vjp, routed))
+        lo += math.prod(shape)
+    return parts
+
+
+def _tracked(*tensors: Tensor) -> bool:
+    """Whether a derivative kernel can follow: the forward then saves for it."""
+    return is_grad_enabled() and any(t.requires_grad for t in tensors)
+
+
+def _block_rows(row_elems: int) -> int:
+    """Rows of ``row_elems`` elements in one block."""
+    return max(1, _BLOCK_ELEMS // max(1, row_elems))
+
+
+def _blocks(n: int, row_elems: int) -> Iterator[slice]:
+    step = _block_rows(row_elems)
+    for lo in range(0, n, step):
+        yield slice(lo, lo + step)
+
+
+def _scratch(shape: tuple[int, ...], row_elems: int, dtype, count: int, axis: int = 0) -> list[np.ndarray]:
+    """``count`` work arrays of ``shape`` cut down to one row block on ``axis``."""
+    shape = shape[:axis] + (min(shape[axis], _block_rows(row_elems)),) + shape[axis + 1 :]
+    return [np.empty(shape, dtype=dtype) for _ in range(count)]
+
+
+# ---------------------------------------------------------------- layernorm
+def _param_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Shape the affine parameters broadcast to: everything but the row axis."""
+    return shape[1:] if len(shape) > 1 else shape
+
+
+def _as_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` as contiguous ``(rows, B, D)``."""
+    tail = _param_shape(x.shape)
+    return np.ascontiguousarray(x).reshape(-1, math.prod(tail[:-1]), tail[-1])
+
+
+def _as_params(p: np.ndarray, like: tuple[int, ...]) -> np.ndarray:
+    """Affine parameter ``p`` broadcast to the ``(B, D)`` of :func:`_as_rows`."""
+    tail = _param_shape(like)
+    if p.shape != tail:
+        p = np.broadcast_to(p, tail)
+    return p.reshape(-1, tail[-1])
+
+
+def _row_mean(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Mean over ``D`` of ``a`` (or of ``a * b``) as ``(rows, B, 1)``.
+
+    A contraction of the short last axis: one einsum inner loop per row over
+    contiguous data, so a row's moment cannot depend on the rows batched
+    around it and no product temporary is materialized
+    (docs/architecture.md, "Row-stable kernels").
+    """
+    if b is None:
+        mom = np.einsum("nbd->nb", a)[..., None]
+    else:
+        mom = np.einsum("nbd,nbd->nb", a, b)[..., None]
+    mom /= a.shape[-1]
+    return mom
+
+
 def _layernorm_np(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, out: np.ndarray | None = None
+    x: np.ndarray,
+    gamma: np.ndarray,
+    beta: np.ndarray,
+    eps: float,
+    save: bool = False,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Layernorm over the last axis; forward and (with ``out``) compiled kernel.
 
@@ -168,21 +313,132 @@ def _layernorm_np(
     inner loop per row over contiguous data, so a row's moments — like the
     elementwise passes after them — cannot depend on the rows batched
     around it, and no ``(x - mu)**2`` temporary is materialized
-    (docs/architecture.md, "Row-stable kernels").
+    (docs/architecture.md, "Row-stable kernels").  ``y = gamma * xhat +
+    beta`` in ``x``'s shape; with ``save`` the output is flat ``[y | xhat |
+    rstd]`` — the normalized rows and ``1/sqrt(var + eps)``, which is all
+    the derivative kernels read of ``x``.
     """
     x = np.ascontiguousarray(x)
-    if out is None:
-        out = np.empty(x.shape, dtype=np.result_type(x, gamma, beta))
+    dtype = np.result_type(x, gamma, beta)
+    if save:
+        out, y, xhat, rstd = _flat_parts(out, (x.shape, x.shape, x.shape[:-1] + (1,)), dtype)
+    else:
+        y = xhat = out = np.empty(x.shape, dtype=dtype) if out is None else out
     mom = np.einsum("...d->...", x)[..., None]
     mom /= x.shape[-1]
-    xc = np.subtract(x, mom, out=out)
-    mom = np.einsum("...d,...d->...", xc, xc)[..., None]
+    np.subtract(x, mom, out=xhat)
+    mom = np.einsum("...d,...d->...", xhat, xhat)[..., None]
     mom /= x.shape[-1]
     mom += eps
     np.sqrt(mom, out=mom)
-    np.divide(xc, mom, out=out)
-    np.multiply(gamma, out, out=out)
-    return np.add(out, beta, out=out)
+    np.divide(xhat, mom, out=xhat)
+    np.multiply(gamma, xhat, out=y)
+    np.add(y, beta, out=y)
+    if save:
+        np.reciprocal(mom, out=rstd)
+    return out
+
+
+def _layernorm_vjp_np(
+    g: np.ndarray, xhat: np.ndarray, rstd: np.ndarray, gamma: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """VJP kernel of layernorm with respect to ``x``.
+
+    ``gx = rstd * (gh - mean(gh) - xhat * mean(gh * xhat))``, ``gh = g * gamma``.
+    """
+    xhat3, g3 = _as_rows(xhat), _as_rows(g)
+    rstd3, gamma = rstd.reshape(xhat3.shape[:2] + (1,)), _as_params(gamma, xhat.shape)
+    if out is None:
+        out = np.empty(xhat.shape, dtype=xhat3.dtype)
+    out3 = out.reshape(xhat3.shape)
+    n, b, d = xhat3.shape
+    (s_gh,) = _scratch(xhat3.shape, b * d, xhat3.dtype, 1)
+    for rows in _blocks(n, b * d):
+        xh, o = xhat3[rows], out3[rows]
+        gh = s_gh[: len(o)]
+        np.multiply(g3[rows], gamma, out=gh)
+        np.multiply(xh, _row_mean(gh, xh), out=o)
+        np.subtract(gh, o, out=o)
+        o -= _row_mean(gh)
+        o *= rstd3[rows]
+    return out
+
+
+def _layernorm_vjp_gamma_np(g: np.ndarray, xhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """VJP kernel of layernorm with respect to ``gamma``: ``sum_rows(g * xhat)``.
+
+    In the broadcast ``(B, D)`` shape (the caller reduces it to
+    ``gamma.shape``), accumulated block by block in row order.
+    """
+    xhat3, g3 = _as_rows(xhat), _as_rows(g)
+    if out is None:
+        out = np.empty(_param_shape(xhat.shape), dtype=xhat3.dtype)
+    ggamma = out.reshape(xhat3.shape[1:])
+    ggamma.fill(0.0)
+    for rows in _blocks(len(xhat3), ggamma.size):
+        ggamma += np.einsum("nbd,nbd->bd", g3[rows], xhat3[rows])
+    return out
+
+
+def _layernorm_vjp2_np(
+    a: np.ndarray,
+    g: np.ndarray,
+    xhat: np.ndarray,
+    rstd: np.ndarray,
+    gamma: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """VJP kernel of :func:`_layernorm_vjp_np`: flat ``[cg | cx | cgamma]``.
+
+    ``a`` is the cotangent of ``gx``.  With ``P(v) = v - mean(v) - xhat *
+    mean(v * xhat)``, ``gh = g * gamma`` and the row scalars ``abar =
+    mean(a)``, ``gbar = mean(gh)``, ``alpha = mean(a * xhat)``, ``bt =
+    mean(gh * xhat)``, ``c = mean(a * gh)`` (the textbook layernorm double
+    backward, docs/architecture.md, "Fused gated MLP")::
+
+        p      = rstd * P(a)
+        cg     = gamma * p
+        cgamma = sum_rows(g * p)
+        cx     = -rstd**2 * (bt * (a - abar) + alpha * (gh - gbar)
+                             + xhat * (c - abar * gbar - 3 * alpha * bt))
+    """
+    xhat3, g3, a3 = _as_rows(xhat), _as_rows(g), _as_rows(a)
+    rstd3, gamma = rstd.reshape(xhat3.shape[:2] + (1,)), _as_params(gamma, xhat.shape)
+    out, cg, cx, cgamma = _flat_parts(out, (xhat3.shape, xhat3.shape, gamma.shape), xhat3.dtype)
+    cgamma.fill(0.0)
+    n, b, d = xhat3.shape
+    s_gh, s_t = _scratch(xhat3.shape, b * d, xhat3.dtype, 2)
+    for rows in _blocks(n, b * d):
+        ab, gb, xh, rs, og, ox = a3[rows], g3[rows], xhat3[rows], rstd3[rows], cg[rows], cx[rows]
+        gh, t = s_gh[: len(gb)], s_t[: len(gb)]
+        np.multiply(gb, gamma, out=gh)
+        abar, gbar = _row_mean(ab), _row_mean(gh)
+        alpha, bt, c = _row_mean(ab, xh), _row_mean(gh, xh), _row_mean(ab, gh)
+        # og = p = rstd * (a - abar - xhat * alpha)
+        np.multiply(xh, alpha, out=t)
+        np.subtract(ab, t, out=og)
+        og -= abar
+        og *= rs
+        cgamma += np.einsum("nbd,nbd->bd", gb, og)
+        og *= gamma
+        # ox = -rstd**2 * (bt * a + alpha * gh + k * xhat - (bt * abar + alpha * gbar))
+        c -= abar * gbar
+        abar *= bt
+        gbar *= alpha
+        abar += gbar
+        gh *= alpha
+        alpha *= bt
+        alpha *= 3.0
+        c -= alpha
+        np.multiply(ab, bt, out=ox)
+        ox += gh
+        np.multiply(xh, c, out=t)
+        ox += t
+        ox -= abar
+        np.multiply(rs, rs, out=c)
+        np.negative(c, out=c)
+        ox *= c
+    return out
 
 
 def fused_layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -190,33 +446,63 @@ def fused_layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -
 
     The reference GatedMLP runs two separate ~9-kernel LN compositions per
     gate; FastCHGNet batches both branches through this fused kernel.
+    ``gamma``/``beta`` broadcast against ``x.shape[1:]``.  Differentiable to
+    second order with one row-blocked kernel per order and cotangent group,
+    on ``xhat`` and ``rstd`` saved by the forward (docs/architecture.md,
+    "Fused gated MLP"); a third differentiation raises
+    :class:`ThirdOrderUnsupported`.
     """
-    return apply_op(
-        "fused_layernorm", _layernorm_np, _fused_layernorm_vjp, (x, gamma, beta), {"eps": float(eps)}
-    )
+    save = _tracked(x, gamma, beta)
+    out = _kernel("fused_layernorm", _layernorm_np, (x, gamma, beta), eps=float(eps), save=save)
+    return _part(out, x.shape, 0, _fused_layernorm_vjp, (x, gamma, beta)) if save else out
 
 
-def _fused_layernorm_vjp(g, out, inputs, needs, eps):
-    from repro.tensor.ops_math import _unbroadcast
+def _layernorm_saved(flat: Tensor, x: Tensor) -> list[Tensor]:
+    # (xhat, rstd) as functions of x that refuse to be differentiated: what is
+    # computed from them with the graph on raises at a third backward.
+    refuse = _third_order("fused_layernorm")
+    return [
+        _part(flat, x.shape, x.size, refuse, (x,)),
+        _part(flat, x.shape[:-1] + (1,), 2 * x.size, refuse, (x,)),
+    ]
 
-    x, gamma, beta = inputs
-    # Recompute the normalized activations differentiably.
-    mu = mean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = mean(mul(xc, xc), axis=-1, keepdims=True)
-    inv = div(1.0, sqrt(add(var, eps)))
-    xhat = mul(xc, inv)
-    gx = ggamma = gbeta = None
-    if needs[0]:
-        gxh = mul(g, gamma)
-        m1 = mean(gxh, axis=-1, keepdims=True)
-        m2 = mean(mul(gxh, xhat), axis=-1, keepdims=True)
-        gx = mul(inv, sub(sub(gxh, m1), mul(xhat, m2)))
+
+def _fused_layernorm_vjp(g, out, inputs, needs, shape, offset):
+    flat, x, gamma, beta = inputs
+    xhat, rstd = _layernorm_saved(flat, x)
+    gx = ggamma = None
     if needs[1]:
-        ggamma = _unbroadcast(mul(g, xhat), gamma.shape)
+        gx = _layernorm_vjp_x(g, x, gamma, xhat, rstd)
     if needs[2]:
-        gbeta = _unbroadcast(g, beta.shape)
-    return (gx, ggamma, gbeta)
+        arr = _kernel("fused_layernorm_vjp_gamma", _layernorm_vjp_gamma_np, (g, xhat))
+        ggamma = _part(arr, _param_shape(x.shape), 0, _fused_layernorm_vjp_gamma_vjp, (g, x, xhat, rstd))
+        ggamma = _unbroadcast(ggamma, gamma.shape)
+    return (None, gx, ggamma, _unbroadcast(g, beta.shape) if needs[3] else None)
+
+
+def _layernorm_vjp_x(g: Tensor, x: Tensor, gamma: Tensor, xhat: Tensor, rstd: Tensor) -> Tensor:
+    arr = _kernel("fused_layernorm_vjp", _layernorm_vjp_np, (g, xhat, rstd, gamma))
+    return _part(arr, x.shape, 0, _fused_layernorm_vjp2, (g, x, gamma, xhat, rstd))
+
+
+def _fused_layernorm_vjp2(a, out, inputs, needs, shape, offset):
+    _, g, x, gamma, xhat, rstd = inputs
+    flat = _kernel("fused_layernorm_vjp2", _layernorm_vjp2_np, (a, g, xhat, rstd, gamma))
+    cg, cx, cgamma = _parts(
+        flat,
+        (x.shape, x.shape, _param_shape(x.shape)),
+        _third_order("fused_layernorm"),
+        (a, g, x, gamma),
+    )
+    return (None, cg, cx, _unbroadcast(cgamma, gamma.shape), None, None)
+
+
+def _fused_layernorm_vjp_gamma_vjp(h, out, inputs, needs, shape, offset):
+    # ggamma = sum_rows(g * xhat): linear in g, and in x the layernorm VJP
+    # with unit gamma applied to g * h.
+    _, g, x, xhat, rstd = inputs
+    ones = Tensor(np.ones(_param_shape(x.shape)))
+    return (None, mul(xhat, h), _layernorm_vjp_x(mul(g, h), x, ones, xhat, rstd), None, None)
 
 
 def fused_scale_shift(x: Tensor, scale: float, shift: float) -> Tensor:
