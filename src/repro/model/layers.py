@@ -19,7 +19,7 @@ import numpy as np
 from repro.tensor import Tensor, concat, mul, reshape, sigmoid, slice_, stack
 from repro.tensor.module import LayerNorm, Linear, Module
 from repro.tensor.functional import silu_reference
-from repro.tensor.ops_fused import fused_layernorm
+from repro.tensor.ops_fused import fused_gate, fused_layernorm
 from repro.tensor.ops_linalg import linear as linear_op
 
 
@@ -49,8 +49,10 @@ def packed_gated_forward(x: Tensor, gmlps: list["GatedMLP"]) -> list[Tensor]:
     """Evaluate several GatedMLPs sharing input ``x`` through packed kernels.
 
     One GEMM for all ``2 * len(gmlps)`` branches, one batched LayerNorm, one
-    shared sigmoid; SiLU recovered as ``z_core * sigmoid(z_core)`` per
-    Fig. 3(b).  All heads must agree on ``in_dim`` and ``out_dim``.
+    gate kernel (one shared sigmoid, SiLU recovered as ``z_core *
+    sigmoid(z_core)`` per Fig. 3(b)); both primitives differentiate to second
+    order with one kernel per order (docs/architecture.md, "Fused gated
+    MLP").  All heads must agree on ``in_dim`` and ``out_dim``.
     """
     if not gmlps:
         raise ValueError("packed_gated_forward requires at least one GatedMLP")
@@ -77,15 +79,10 @@ def packed_gated_forward(x: Tensor, gmlps: list["GatedMLP"]) -> list[Tensor]:
     gamma = stack(gammas, axis=0)  # (n_branch, out)
     beta = stack(betas, axis=0)
     z = fused_layernorm(z, gamma, beta, gmlps[0].core_ln.eps)
-    s = sigmoid(z)  # one sigmoid kernel for every branch
-
-    outs: list[Tensor] = []
-    for h in range(len(gmlps)):
-        z_core = slice_(z, (slice(None), 2 * h))
-        s_core = slice_(s, (slice(None), 2 * h))
-        s_gate = slice_(s, (slice(None), 2 * h + 1))
-        outs.append(mul(mul(z_core, s_core), s_gate))  # silu(z_core) * gate
-    return outs
+    phi = fused_gate(z)  # (heads, n, out): silu(z_core) * sigmoid(z_gate)
+    if len(gmlps) == 1:
+        return [reshape(phi, (-1, out_dim))]  # a slice's VJP would zero-fill and copy
+    return [slice_(phi, h) for h in range(len(gmlps))]
 
 
 def packed_linear_forward(x: Tensor, linears: list[Linear]) -> list[Tensor]:

@@ -81,6 +81,9 @@ from repro.tensor.engine import Tensor, no_grad, pop_tracer, push_tracer
 from repro.tensor.ops_fused import (
     _envelope_coeffs,
     _envelope_np,
+    _gate_np,
+    _gate_vjp2_np,
+    _gate_vjp_np,
     _layernorm_np,
     _layernorm_vjp2_np,
     _layernorm_vjp_np,
@@ -211,6 +214,9 @@ _OUT_IMPLS: dict[str, Callable] = {
     "fused_layernorm_vjp": _shared(_layernorm_vjp_np),
     "fused_layernorm_vjp_gamma": _shared(_layernorm_vjp_gamma_np),
     "fused_layernorm_vjp2": _shared(_layernorm_vjp2_np),
+    "fused_gate": _shared(_gate_np),
+    "fused_gate_vjp": _shared(_gate_vjp_np),
+    "fused_gate_vjp2": _shared(_gate_vjp2_np),
     # Reads xi several times, so it must never consume a chain carry: kept
     # out of _ELEMENTWISE deliberately (arena-backed standalone launch only).
     "fused_envelope": _fused_envelope_out,

@@ -3,7 +3,7 @@
 Each function here executes as a *single* simulated kernel where the
 reference implementation composes many small ones (Section III-C of the
 paper).  The basis kernels' VJPs are written in terms of base primitives;
-the gated-MLP primitive ``fused_layernorm`` carries
+the two gated-MLP primitives, ``fused_layernorm`` and ``fused_gate``, carry
 one hand-derived, row-blocked kernel per derivative order — forward, VJP,
 VJP of the VJP (docs/architecture.md, "Fused gated MLP").  Either way
 first- and second-order differentiation through fused code paths remains
@@ -21,6 +21,7 @@ import numpy as np
 from repro.tensor.engine import Tensor, apply_op, is_grad_enabled
 from repro.tensor.ops_shape import slice_
 from repro.tensor.ops_math import (
+    _sigmoid_np,
     _unbroadcast,
     add,
     cos,
@@ -503,6 +504,167 @@ def _fused_layernorm_vjp_gamma_vjp(h, out, inputs, needs, shape, offset):
     _, g, x, xhat, rstd = inputs
     ones = Tensor(np.ones(_param_shape(x.shape)))
     return (None, mul(xhat, h), _layernorm_vjp_x(mul(g, h), x, ones, xhat, rstd), None, None)
+
+
+# --------------------------------------------------------------------- gate
+def _split_heads(zb: np.ndarray) -> np.ndarray:
+    """A packed ``(rows, 2 * heads, D)`` block viewed ``(2, heads, rows, D)``.
+
+    Index 0 holds the core columns, 1 the gate columns, each head-major.
+    """
+    m, b, d = zb.shape
+    return zb.reshape(m, b // 2, 2, d).transpose(2, 1, 0, 3)
+
+
+def _gate_np(z: np.ndarray, save: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """Gate forward and compiled kernel: ``phi[h] = silu(z[:, 2h]) * sigmoid(z[:, 2h+1])``.
+
+    Head-major ``(heads, N, D)``, so every head is one contiguous array for
+    its consumer: ``s = sig(c)`` and ``t = sig(q)`` from one sigmoid over the
+    packed block, ``v = c * s`` (SiLU recovered from the shared sigmoid,
+    Fig. 3b), ``phi = v * t``.  With ``save`` the output is flat ``[phi | v
+    | s | t]``: the derivative kernels read those, never ``z``.
+    """
+    n, b, d = z.shape
+    heads = (b // 2, n, d)
+    if save:
+        out, phi, saved = _flat_parts(out, (heads, (3, *heads)), z.dtype)
+    else:
+        phi = out = np.empty(heads, dtype=z.dtype) if out is None else out
+    (s_sig,) = _scratch(z.shape, b * d, z.dtype, 1)
+    for rows in _blocks(n, b * d):
+        zb = z[rows]
+        sig = _split_heads(_sigmoid_np(zb, out=s_sig[: len(zb)]))
+        o = phi[:, rows]
+        v = saved[0, :, rows] if save else o
+        np.multiply(_split_heads(zb)[0], sig[0], out=v)
+        np.multiply(v, sig[1], out=o)
+        if save:
+            np.copyto(saved[1:, :, rows], sig)
+    return out
+
+
+def _gate_vjp_np(g: np.ndarray, saved: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """VJP kernel of the gate: ``gz`` in ``z``'s packed ``(N, 2 * heads, D)`` layout.
+
+    With ``u = v' = s + v * (1 - s)``: ``gz[:, 2h] = g * t * u``, ``gz[:,
+    2h+1] = g * v * t * (1 - t)``.
+    """
+    _, heads, n, d = saved.shape
+    if out is None:
+        out = np.empty((n, 2 * heads, d), dtype=saved.dtype)
+    row = 2 * heads * d
+    (s_w,) = _scratch((heads, n, d), row, saved.dtype, 1, axis=1)
+    for rows in _blocks(n, row):
+        v, s, t = saved[:, :, rows]
+        gb = g[:, rows]
+        oc, oq = _split_heads(out[rows])
+        w = s_w[:, : v.shape[1]]
+        np.subtract(1.0, t, out=w)
+        w *= t
+        w *= v
+        np.multiply(w, gb, out=oq)
+        np.subtract(1.0, s, out=w)
+        w *= v
+        w += s
+        w *= t
+        np.multiply(w, gb, out=oc)
+    return out
+
+
+def _gate_vjp2_np(
+    h: np.ndarray, g: np.ndarray, saved: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """VJP kernel of :func:`_gate_vjp_np`: flat ``[cg | cz]``.
+
+    ``h`` is the cotangent of ``gz`` (``hc``/``hq`` its core/gate columns).
+    With ``f = v * t`` the forward value per element, ``s' = s * (1 - s)``,
+    ``u' = 2 s' + v * (1 - s) * (1 - 2 s)``, ``t' = t * (1 - t)``, ``t'' = t'
+    * (1 - 2 t)``, the closed-form second derivatives are ``f_c = u t``,
+    ``f_q = v t'``, ``f_cc = u' t``, ``f_cq = u t'``, ``f_qq = v t''`` and::
+
+        cg          = hc * f_c + hq * f_q
+        cz[:, 2h]   = g * (hc * f_cc + hq * f_cq)
+        cz[:, 2h+1] = g * (hc * f_cq + hq * f_qq)
+    """
+    _, heads, n, d = saved.shape
+    out, cg, cz = _flat_parts(out, ((heads, n, d), (n, 2 * heads, d)), saved.dtype)
+    row = 2 * heads * d
+    (s_h,) = _scratch((2, heads, n, d), row, saved.dtype, 1, axis=2)
+    s_u, s_w, s_k, s_x, s_y = _scratch((heads, n, d), row, saved.dtype, 5, axis=1)
+    for rows in _blocks(n, row):
+        v, s, t = saved[:, :, rows]
+        m = v.shape[1]
+        hc, hq = hh = s_h[:, :, :m]
+        np.copyto(hh, _split_heads(h[rows]))
+        gb, og = g[:, rows], cg[:, rows]
+        oc, oq = _split_heads(cz[rows])
+        u, w, k, x, y = s_u[:, :m], s_w[:, :m], s_k[:, :m], s_x[:, :m], s_y[:, :m]
+        np.subtract(1.0, s, out=w)
+        np.multiply(v, w, out=x)  # v * (1 - s)
+        np.add(x, s, out=u)
+        np.multiply(s, -2.0, out=k)
+        k += 1.0
+        k *= x
+        w *= s  # s'
+        w *= 2.0
+        k += w  # u'
+        np.subtract(1.0, t, out=w)
+        w *= t  # t'
+        # og = hc * f_c + hq * f_q, with y = f_q
+        np.multiply(u, t, out=x)
+        np.multiply(hc, x, out=og)
+        np.multiply(v, w, out=y)
+        np.multiply(hq, y, out=x)
+        og += x
+        # oc = g * (hc * f_cc + hq * f_cq), leaving u = f_cq
+        k *= t
+        k *= hc
+        u *= w
+        np.multiply(hq, u, out=x)
+        k += x
+        np.multiply(k, gb, out=oc)
+        # oq = g * (hc * f_cq + hq * f_qq), f_qq = f_q * (1 - 2 t)
+        u *= hc
+        np.multiply(t, -2.0, out=x)
+        x += 1.0
+        x *= y
+        x *= hq
+        u += x
+        np.multiply(u, gb, out=oq)
+    return out
+
+
+def fused_gate(z: Tensor) -> Tensor:
+    """Gate tail of the packed GatedMLPs in one kernel.
+
+    ``z`` is the packed, normalized pre-activation ``(N, 2 * heads, D)`` with
+    core and gate branches interleaved; returns head-major ``(heads, N, D)``
+    with ``out[h] = silu(z[:, 2h]) * sigmoid(z[:, 2h+1])``.  Differentiable
+    to second order with one row-blocked kernel per order, on the SiLU and
+    the two sigmoids saved by the forward (docs/architecture.md, "Fused
+    gated MLP"); a third differentiation raises :class:`ThirdOrderUnsupported`.
+    """
+    if z.ndim != 3 or z.shape[1] % 2:
+        raise ValueError(f"fused_gate needs a packed (N, 2*heads, D) input, got {z.shape}")
+    n, b, d = z.shape
+    save = _tracked(z)
+    out = _kernel("fused_gate", _gate_np, (z,), save=save)
+    return _part(out, (b // 2, n, d), 0, _fused_gate_vjp, (z,)) if save else out
+
+
+def _fused_gate_vjp(g, out, inputs, needs, shape, offset):
+    flat, z = inputs
+    saved = _part(flat, (3, *shape), math.prod(shape), _third_order("fused_gate"), (z,))
+    gz = _kernel("fused_gate_vjp", _gate_vjp_np, (g, saved))
+    return (None, _part(gz, z.shape, 0, _fused_gate_vjp2, (g, z, saved)))
+
+
+def _fused_gate_vjp2(h, out, inputs, needs, shape, offset):
+    _, g, z, saved = inputs
+    flat = _kernel("fused_gate_vjp2", _gate_vjp2_np, (h, g, saved))
+    cg, cz = _parts(flat, (g.shape, z.shape), _third_order("fused_gate"), (h, g, z))
+    return (None, cg, cz, None)
 
 
 def fused_scale_shift(x: Tensor, scale: float, shift: float) -> Tensor:

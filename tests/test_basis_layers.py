@@ -130,8 +130,9 @@ class TestPacking:
         with kernel_stats() as ks:
             packed_gated_forward(x, gmlps)
         assert ks.by_name.get("linear", 0) == 1
-        assert ks.by_name.get("sigmoid", 0) == 1
         assert ks.by_name.get("fused_layernorm", 0) == 1
+        assert ks.by_name.get("fused_gate", 0) == 1  # the one shared sigmoid lives in it
+        assert "sigmoid" not in ks.by_name and "mul" not in ks.by_name
 
     def test_packed_empty_raises(self, rng):
         with pytest.raises(ValueError):
