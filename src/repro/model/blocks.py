@@ -13,8 +13,9 @@ import numpy as np
 
 from repro.graph.batching import GraphBatch
 from repro.model.config import CHGNetConfig
+from repro.model.geometry import gather_field
 from repro.model.layers import GatedMLP, packed_gated_forward
-from repro.tensor import Tensor, add, concat, gather_rows, mul, segment_sum
+from repro.tensor import Tensor, add, concat, mul, segment_sum
 from repro.tensor.module import Linear, Module
 
 
@@ -28,7 +29,9 @@ class AtomConv(Module):
         self.proj = Linear(dim, dim, rng, fused=config.fused)
 
     def forward(self, v: Tensor, e: Tensor, ea: Tensor, batch: GraphBatch) -> Tensor:
-        fv = concat([gather_rows(v, batch.edge_src), gather_rows(v, batch.edge_dst), e], axis=1)
+        fv = concat(
+            [gather_field(v, batch, "edge_src"), gather_field(v, batch, "edge_dst"), e], axis=1
+        )
         msg = mul(self.gmlp(fv), ea)
         agg = segment_sum(
             msg, batch.edge_src, batch.num_atoms, batch.aux(("segment_plan", "edge_src"))
@@ -42,9 +45,9 @@ def bond_angle_input(
     """The shared BondConv/AngleUpdate feature ``[v_i, e_ij, e_ik, a_ijk]``."""
     return concat(
         [
-            gather_rows(v, batch.angle_center),
-            gather_rows(e_short, batch.angle_e1),
-            gather_rows(e_short, batch.angle_e2),
+            gather_field(v, batch, "angle_center"),
+            gather_field(e_short, batch, "angle_e1"),
+            gather_field(e_short, batch, "angle_e2"),
             a,
         ],
         axis=1,
@@ -64,7 +67,9 @@ class BondConv(Module):
         self, phi: Tensor, e_short: Tensor, ebw: Tensor, batch: GraphBatch
     ) -> Tensor:
         """Weight, aggregate and project precomputed GatedMLP output ``phi``."""
-        weight = mul(gather_rows(ebw, batch.angle_e1), gather_rows(ebw, batch.angle_e2))
+        weight = mul(
+            gather_field(ebw, batch, "angle_e1"), gather_field(ebw, batch, "angle_e2")
+        )
         msg = mul(phi, weight)
         agg = segment_sum(
             msg, batch.angle_e1, batch.num_short_edges, batch.aux(("segment_plan", "angle_e1"))

@@ -17,7 +17,7 @@ from repro.graph.batching import GraphBatch
 from repro.model.basis import FourierExpansion, RadialBessel, make_bases
 from repro.model.blocks import InteractionBlock
 from repro.model.config import CHGNetConfig, OptLevel
-from repro.model.geometry import Geometry, compute_geometry
+from repro.model.geometry import Geometry, compute_geometry, gather_field
 from repro.model.heads import EnergyHead, ForceHead, MagmomHead, StressHead
 from repro.model.layers import packed_linear_forward
 from repro.tensor import Tensor, div, gather_rows, grad, neg, reshape, sum as tsum
@@ -112,7 +112,7 @@ class CHGNetModel(Module):
         v, e, ea, ebw, a = self._embeddings(geo, batch)
         e0, a0 = e, a  # noqa: F841 - kept for clarity of Eq. 2 naming
 
-        e_short = gather_rows(e, batch.short_idx)
+        e_short = gather_field(e, batch, "short_idx")
         v_magmom = None
         for i, block in enumerate(self.blocks):
             v, e, e_short, a = block(v, e, e_short, a, ea, ebw, batch)

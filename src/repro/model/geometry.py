@@ -36,6 +36,7 @@ from repro.tensor import (
     concat,
     div,
     gather_rows,
+    is_grad_enabled,
     matmul,
     mul,
     reshape,
@@ -46,6 +47,17 @@ from repro.tensor import (
 )
 
 _COS_EPS = 1e-8
+
+
+def gather_field(a: Tensor, batch: GraphBatch, field: str) -> Tensor:
+    """``a[batch.<field>]`` for an index field of the batch.
+
+    Where a VJP can follow, the lookup carries the batch's sort-once plan of
+    the field, so the segment sum that VJP is reduces by it instead of
+    sorting the index again on every step.
+    """
+    plan = batch.aux(("segment_plan", field)) if is_grad_enabled() and a.requires_grad else None
+    return gather_rows(a, getattr(batch, field), plan)
 
 
 @dataclass
@@ -106,16 +118,13 @@ def compute_geometry(
     return geo
 
 
-def _bond_angles(
-    vec_short: Tensor, d_short: Tensor, angle_e1: np.ndarray, angle_e2: np.ndarray
-) -> Tensor:
-    """theta_ijk = arccos(x_ij . x_ik / (|x_ij| |x_ik|)), clipped for stability."""
-    v1 = gather_rows(vec_short, angle_e1)
-    v2 = gather_rows(vec_short, angle_e2)
-    num = tsum(mul(v1, v2), axis=-1)
-    den = mul(gather_rows(d_short, angle_e1), gather_rows(d_short, angle_e2))
-    cos_t = clip(div(num, den), -1.0 + _COS_EPS, 1.0 - _COS_EPS)
-    return arccos(cos_t)
+def _bond_angles(v1: Tensor, v2: Tensor, d1: Tensor, d2: Tensor) -> Tensor:
+    """theta_ijk = arccos(x_ij . x_ik / (|x_ij| |x_ik|)), clipped for stability.
+
+    ``v1, v2`` are the two bond vectors of every angle, ``d1, d2`` their lengths.
+    """
+    cos_t = div(tsum(mul(v1, v2), axis=-1), mul(d1, d2))
+    return arccos(clip(cos_t, -1.0 + _COS_EPS, 1.0 - _COS_EPS))
 
 
 def _geometry_serial(
@@ -160,7 +169,14 @@ def _geometry_serial(
             if g1 > g0:  # "if angle nums != 0" guard of Algorithm 1
                 ae1 = batch.aux(("ae1", s))
                 ae2 = batch.aux(("ae2", s))
-                theta_list.append(_bond_angles(vec_short, d_short, ae1, ae2))
+                theta_list.append(
+                    _bond_angles(
+                        gather_rows(vec_short, ae1),
+                        gather_rows(vec_short, ae2),
+                        gather_rows(d_short, ae1),
+                        gather_rows(d_short, ae2),
+                    )
+                )
 
     d6 = concat(d_list, axis=0)
     vec6 = concat(vec_list, axis=0)
@@ -208,19 +224,24 @@ def _geometry_parallel(
     img = Tensor(batch.aux(("img_col",)))
     offsets = tsum(mul(img, lat_per_edge), axis=1)  # (nb, 3)
 
-    ri = gather_rows(cart, batch.edge_src)
-    rj = add(gather_rows(cart, batch.edge_dst), offsets)
+    ri = gather_field(cart, batch, "edge_src")
+    rj = add(gather_field(cart, batch, "edge_dst"), offsets)
     vec6 = sub(rj, ri)
     d6 = sqrt(tsum(mul(vec6, vec6), axis=-1))
 
     if batch.num_short_edges:
-        vec_short = gather_rows(vec6, batch.short_idx)
-        d3 = gather_rows(d6, batch.short_idx)
+        vec_short = gather_field(vec6, batch, "short_idx")
+        d3 = gather_field(d6, batch, "short_idx")
     else:
         vec_short = Tensor(np.zeros((0, 3)))
         d3 = Tensor(np.zeros(0))
     if batch.num_angles:
-        theta = _bond_angles(vec_short, d3, batch.angle_e1, batch.angle_e2)
+        theta = _bond_angles(
+            gather_field(vec_short, batch, "angle_e1"),
+            gather_field(vec_short, batch, "angle_e2"),
+            gather_field(d3, batch, "angle_e1"),
+            gather_field(d3, batch, "angle_e2"),
+        )
     else:
         theta = Tensor(np.zeros(0))
 

@@ -205,7 +205,7 @@ _OUT_IMPLS: dict[str, Callable] = {
     ),
     "concat": lambda out, *xs, axis=0: np.concatenate(xs, axis=axis, out=out),
     "stack": lambda out, *xs, axis=0: np.stack(xs, axis=axis, out=out),
-    "gather": lambda out, x, idx: np.take(x, idx, axis=0, out=out),
+    "gather": lambda out, x, idx, plan: np.take(x, idx, axis=0, out=out),
     "segment_sum": _shared(_segment_sum_np),
     "scatter_slice": _scatter_slice_out,
     "fused_srbf": _fused_srbf_out,

@@ -151,23 +151,28 @@ def split(a: Tensor, sections: int, axis: int = 0) -> list[Tensor]:
     return outs
 
 
-def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Row lookup ``a[idx]`` with an integer index array (axis 0)."""
+def gather_rows(a: Tensor, idx: np.ndarray, plan: np.ndarray | None = None) -> Tensor:
+    """Row lookup ``a[idx]`` with an integer index array (axis 0).
+
+    ``plan`` (optional) is ``batch.aux(("segment_plan", field))`` for the
+    batch field ``idx`` is: the lookup ignores it, the VJP's
+    :func:`segment_sum` reduces by it instead of re-sorting ``idx``.
+    """
     idx = np.asarray(idx, dtype=np.int64)
     return apply_op(
         "gather",
-        lambda x, idx: x[idx],
+        lambda x, idx, plan: x[idx],
         _gather_vjp,
         (a,),
-        {"idx": idx},
+        {"idx": idx, "plan": plan},
     )
 
 
-def _gather_vjp(g, out, inputs, needs, idx):
+def _gather_vjp(g, out, inputs, needs, idx, plan):
     (a,) = inputs
     if not needs[0]:
         return (None,)
-    return (segment_sum(g, idx, a.shape[0]),)
+    return (segment_sum(g, idx, a.shape[0], plan),)
 
 
 class SegmentPlan(NamedTuple):
@@ -252,7 +257,7 @@ def segment_sum(
 def _segment_sum_vjp(g, out, inputs, needs, idx, num_segments, plan):
     if not needs[0]:
         return (None,)
-    return (gather_rows(g, idx),)
+    return (gather_rows(g, idx, plan),)
 
 
 def _getitem(self: Tensor, index):
