@@ -764,7 +764,7 @@ class CompiledStep:
     def replay(self) -> None:
         """Execute the program on the currently bound slots."""
         if profiling_active():
-            self._replay_profiled()
+            self.replay_measured(record=True)
         else:
             self._replay_fast()
 
@@ -810,29 +810,27 @@ class CompiledStep:
             slot = self._removed_alias[slot]
         return self._slot_instr.get(slot, -1)
 
-    def replay_measured(self) -> np.ndarray:
+    def replay_measured(self, record: bool = False) -> np.ndarray:
         """Replay on the bound slots, timestamping every instruction.
 
-        Returns cumulative seconds after each launch (same kernels, same
-        order, same bits as :meth:`replay`); combined with
-        :meth:`grad_instr_index` this yields *measured* per-gradient
-        completion times instead of byte-share estimates.
+        The one instrumented loop.  Returns cumulative seconds after each
+        launch (same kernels, same order, same bits as :meth:`replay`);
+        combined with :meth:`grad_instr_index` this yields *measured*
+        per-gradient completion times instead of byte-share estimates.  With
+        ``record`` every launch is also reported to the runtime profiler,
+        which is how :meth:`replay` runs while one is active.
         """
         slots = self._slots
         times = np.zeros(len(self.instrs))
         t0 = time.perf_counter()
         for t, ins in enumerate(self.instrs):
+            start = time.perf_counter()
             slots[ins.out_slot] = self._run_instr(ins, slots)
-            times[t] = time.perf_counter() - t0
+            end = time.perf_counter()
+            if record:
+                record_kernel(ins.name, ins.nbytes, end - start)
+            times[t] = end - t0
         return times
-
-    def _replay_profiled(self) -> None:
-        slots = self._slots
-        for ins in self.instrs:
-            t0 = time.perf_counter()
-            out = self._run_instr(ins, slots)
-            record_kernel(ins.name, ins.nbytes, time.perf_counter() - t0)
-            slots[ins.out_slot] = out
 
     def apply_grads(self, params: list) -> None:
         """Write final gradients in place into persistent ``.grad`` arrays."""
