@@ -10,6 +10,8 @@ hand-picked ones, for the eager forward and the compiled ``out=`` kernel:
   ``_ROW_STABLE_MAX_N``, any ``k``, 0/1/2/many rows, transposed and strided
   operands, float32 and float64;
 * ``fused_layernorm`` — 2-D and packed 3-D;
+* the gated-MLP kernels (``fused_layernorm`` / ``fused_gate``: forward with
+  saved values, VJP, VJP of the VJP) — rows straddling the row block;
 * ``sigmoid`` / ``silu`` — finite, warning-free and monotone out to |x| = 1e3;
 * ``segment_sum`` — with and without a cached plan.
 
@@ -33,6 +35,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.graph.batching import workload_tier  # noqa: E402
 from repro.serve import InferenceEngine  # noqa: E402
 from repro.tensor import Tensor, fused_layernorm, segment_sum, sigmoid, silu  # noqa: E402
+from repro.tensor import ops_fused  # noqa: E402
 from repro.tensor.compile import _OUT_IMPLS  # noqa: E402
 from repro.tensor.ops_linalg import (  # noqa: E402
     _ROW_STABLE_MAX_N,
@@ -194,6 +197,84 @@ class TestLayerNorm:
         want = gamma * (x - mu) / np.sqrt(var + 1e-5) + beta
         got = fused_layernorm(Tensor(x), Tensor(gamma), Tensor(beta)).data
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+class TestGatedMLPKernels:
+    """Forward, VJP and VJP-of-VJP of the two gated-MLP primitives.
+
+    A row's outputs may depend neither on the rows batched around it nor on
+    where the row-block boundaries fall (slicing ``[i:j]`` moves them); only
+    the parameter cotangents, sums over rows accumulated block by block, do.
+    """
+
+    # in blocks (of ``_block_rows(B * D)`` rows): under one, over one, over two
+    BLOCKS = st.sampled_from([0.002, 0.01, 0.6, 1.002, 2.02])
+
+    @given(blocks=BLOCKS, b=st.sampled_from([2, 4]), d=st.sampled_from([3, 8, 16]), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_layernorm_rows_do_not_see_their_batch(self, blocks, b, d, seed):
+        rng = np.random.default_rng(seed)
+        rows = 1 + int(blocks * ops_fused._block_rows(b * d))
+        x, g, a = rng.normal(size=(3, rows, b, d))
+        gamma, beta = rng.normal(size=(2, b, d))
+        size = x.size
+
+        def kernels(lo, hi):
+            flat = ops_fused._layernorm_np(x[lo:hi], gamma, beta, 1e-5, save=True)
+            n = (hi - lo) * b * d
+            y, xhat, rstd = np.split(flat, [n, 2 * n])
+            xhat, rstd = xhat.reshape(-1, b, d), rstd.reshape(-1, b, 1)
+            gx = ops_fused._layernorm_vjp_np(g[lo:hi], xhat, rstd, gamma)
+            cg, cx, _cgamma = np.split(
+                ops_fused._layernorm_vjp2_np(a[lo:hi], g[lo:hi], xhat, rstd, gamma), [n, 2 * n]
+            )
+            return [part.reshape(-1, b, d) for part in (y, xhat, gx, cg, cx)] + [rstd]
+
+        full = kernels(0, rows)
+        assert np.array_equal(full[0], ops_fused._layernorm_np(x, gamma, beta, 1e-5))
+        assert size == full[0].size
+        for i, j in _sub_slices(rng, rows):
+            for alone, whole in zip(kernels(i, j), full):
+                assert np.array_equal(alone, whole[i:j]), (i, j)
+
+    @given(blocks=BLOCKS, heads=st.sampled_from([1, 2]), d=st.sampled_from([3, 8, 16]), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_gate_rows_do_not_see_their_batch(self, blocks, heads, d, seed):
+        rng = np.random.default_rng(seed)
+        rows = 1 + int(blocks * ops_fused._block_rows(2 * heads * d))
+        z, h = rng.normal(size=(2, rows, 2 * heads, d))
+        g = rng.normal(size=(heads, rows, d))
+
+        def kernels(lo, hi):
+            n = (hi - lo) * heads * d
+            phi, saved = np.split(ops_fused._gate_np(z[lo:hi], save=True), [n])
+            saved = saved.reshape(3, heads, -1, d)
+            gz = ops_fused._gate_vjp_np(g[:, lo:hi], saved)
+            cg, cz = np.split(ops_fused._gate_vjp2_np(h[lo:hi], g[:, lo:hi], saved), [n])
+            row_major = [gz, cz.reshape(-1, 2 * heads, d)]
+            head_major = [phi.reshape(heads, -1, d), cg.reshape(heads, -1, d), *saved]
+            return row_major + [part.transpose(1, 0, 2) for part in head_major]
+
+        full = kernels(0, rows)
+        assert np.array_equal(full[2].transpose(1, 0, 2), ops_fused._gate_np(z))
+        for i, j in _sub_slices(rng, rows):
+            for alone, whole in zip(kernels(i, j), full):
+                assert np.array_equal(alone, whole[i:j]), (i, j)
+
+    def test_parameter_cotangents_accumulate_block_by_block(self):
+        """The one output that does depend on the block: ``sum_rows`` over
+        blocks, each block's rows reduced first."""
+        rng = np.random.default_rng(2)
+        b, d = 2, 8
+        block = ops_fused._block_rows(b * d)
+        n = 2 * block + 9
+        g, xhat = rng.normal(size=(2, n, b, d))
+        want = np.zeros((b, d))
+        for lo in range(0, n, block):
+            rows = slice(lo, lo + block)
+            want += np.einsum("nbd,nbd->bd", g[rows], xhat[rows])
+        assert np.array_equal(ops_fused._layernorm_vjp_gamma_np(g, xhat), want)
+        np.testing.assert_allclose(want, (g * xhat).sum(axis=0), rtol=1e-12, atol=1e-12)
 
 
 class TestSigmoid:
