@@ -6,7 +6,7 @@ from repro.data.dataset import (
     StructureDataset,
     split_dataset,
 )
-from repro.data.loader import DataLoader, ShardedLoader
+from repro.data.loader import DataLoader, PlannedPaddingError, ShardedLoader
 from repro.data.mptrj import LabeledStructure, dataset_statistics, generate_crystals, generate_mptrj
 from repro.data.oracle import OraclePotential
 from repro.data.samplers import (
@@ -24,6 +24,7 @@ __all__ = [
     "StructureDataset",
     "split_dataset",
     "DataLoader",
+    "PlannedPaddingError",
     "ShardedLoader",
     "LabeledStructure",
     "dataset_statistics",

@@ -26,6 +26,43 @@ from repro.graph.batching import GraphBatch, pad_batch
 from repro.runtime.stream import PrefetchQueue
 
 
+class PlannedPaddingError(RuntimeError):
+    """A shard does not fit the padded shape its sampler planned for it.
+
+    The plan is made from the same per-sample dims the shard is collated
+    from, so this is a planner bug, never a property of the data.  Yielding
+    the shard unpadded instead would hand the compiler a shape nobody
+    planned: it would tier and capture it silently, mid-epoch.
+    """
+
+    def __init__(self, shard: np.ndarray, batch: GraphBatch, target: tuple) -> None:
+        raw = (batch.num_atoms, batch.num_edges, batch.num_short_edges, batch.num_angles)
+        super().__init__(
+            f"shard {[int(i) for i in shard]} with raw dims {raw} cannot be "
+            f"padded to its planned target {tuple(target)}"
+        )
+
+
+def _pad_planned(sampler: BatchSampler, batch: GraphBatch, shard: np.ndarray) -> GraphBatch:
+    """``batch`` padded to the shape ``sampler`` planned for ``shard``, if any."""
+    targets = getattr(sampler, "padding_targets", None)
+    planned = None if targets is None else targets(shard)
+    if planned is None:
+        return batch
+    padded = pad_batch(batch, *planned)
+    if padded is None:
+        raise PlannedPaddingError(shard, batch, planned)
+    return padded
+
+
+def _planned_batches(
+    dataset: StructureDataset, sampler: BucketBatchSampler, memoize: bool | None
+) -> Iterator[GraphBatch]:
+    """One padded member shard per shape ``sampler`` planned, costliest first."""
+    for shard in sampler.planned_shards():
+        yield _pad_planned(sampler, dataset.batch(shard, memoize=memoize), shard)
+
+
 class DataLoader:
     """Single-device loader yielding :class:`GraphBatch` per iteration.
 
@@ -33,11 +70,12 @@ class DataLoader:
     single-device analogue of the distributed bucket sampler): batches are
     fixed contiguous blocks of the size-sorted dataset, epochs shuffle only
     the block *order*, and — when the dataset carries per-graph dims and
-    ``pad`` is not disabled — every block is padded to its workload tier's
-    canonical shape before being yielded.  Block composition is static
-    across epochs, so a compiled trainer captures once per tier and replays
-    from the first epoch on.  Block mode covers every sample (the tail
-    forms one short block) and ignores ``drop_last``/``shuffle``.
+    ``pad`` is not disabled — every block is padded to the shape the block
+    sampler planned for it before being yielded.  Block composition is
+    static across epochs, so a compiled trainer captures once per planned
+    shape (:meth:`planned_batches`) and only replays after.  Block mode
+    covers every sample (the tail forms one short block) and ignores
+    ``drop_last``/``shuffle``.
     """
 
     def __init__(
@@ -108,13 +146,16 @@ class DataLoader:
         sampler = self.block_sampler
         for (block,) in sampler.epoch_partitions(epoch):
             batch = self.dataset.batch(block, memoize=self.memoize)
-            if self._pad_blocks:
-                planned = sampler.padding_targets(block)
-                if planned is not None:
-                    padded = pad_batch(batch, *planned)
-                    if padded is not None:
-                        batch = padded
-            yield batch
+            yield _pad_planned(sampler, batch, block) if self._pad_blocks else batch
+
+    def planned_batches(self) -> Iterator[GraphBatch]:
+        """One padded block per planned shape, the costliest shape first.
+
+        What a compiled trainer captures on before its first step; empty
+        unless blocks are padded by this loader.
+        """
+        if self._pad_blocks:
+            yield from _planned_batches(self.dataset, self.block_sampler, self.memoize)
 
     def warm_start_entries(
         self, has_labels: bool = True
@@ -162,14 +203,18 @@ class ShardedLoader:
     Drives the simulated data-parallel trainer; the ``sampler`` decides how
     each global batch is split across ranks (default vs load-balanced).
 
-    ``pad=True`` pads every shard to the sampler's planned canonical shape
+    ``pad=True`` pads every shard to the shape its sampler planned for it
     (:meth:`repro.data.samplers.BucketBatchSampler.padding_targets`) before
-    yielding it, so all ranks of a step carry tier-equal shapes and compiled
-    per-rank steps replay instead of recompiling.  Padded results are cached
-    on the source batch, so combined with ``memoize`` a repeated epoch yields
-    the *identical* padded objects — bind-and-replay with no re-collation and
-    no re-concatenation.  Shards without planned targets pass through
-    unpadded (the compiler then buckets them itself).
+    yielding it, so a run meets only the planned shapes — the ranks of a
+    step may carry different ones — and compiled per-rank steps replay
+    programs captured up front (:meth:`planned_batches`; docs/architecture.md,
+    "Padding: tiers for streams, plans for fixed blocks").  Padded results
+    are cached on the source batch, so combined with ``memoize`` a repeated
+    epoch yields the *identical* padded objects — bind-and-replay with no
+    re-collation and no re-concatenation.  A sampler that plans nothing
+    passes shards through unpadded (the compiler then tiers them itself); a
+    planned shape the shard does not fit raises
+    :class:`PlannedPaddingError`.
     """
 
     def __init__(
@@ -224,19 +269,19 @@ class ShardedLoader:
             batches = [self.dataset.batch(s, memoize=self.memoize) for s in shards]
             if self.pad:
                 batches = [
-                    self._padded(batch, shard) for batch, shard in zip(batches, shards)
+                    _pad_planned(self.sampler, batch, shard)
+                    for batch, shard in zip(batches, shards)
                 ]
             yield batches
 
-    def _padded(self, batch: GraphBatch, shard: np.ndarray) -> GraphBatch:
-        targets = getattr(self.sampler, "padding_targets", None)
-        if targets is None:
-            return batch
-        planned = targets(shard)
-        if planned is None:
-            return batch
-        padded = pad_batch(batch, *planned)
-        return batch if padded is None else padded
+    def planned_batches(self) -> Iterator[GraphBatch]:
+        """One padded shard per planned shape, the costliest shape first.
+
+        What compiled trainers capture on before their first step; empty
+        unless ``pad`` is set and the sampler plans shapes.
+        """
+        if self.pad and hasattr(self.sampler, "planned_shards"):
+            yield from _planned_batches(self.dataset, self.sampler, self.memoize)
 
     def __len__(self) -> int:
         return self.sampler.num_batches()

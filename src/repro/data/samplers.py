@@ -8,13 +8,14 @@ remaining samples in turn, cutting the coefficient of variation of per-rank
 work from 0.186 to 0.064 (Fig. 9).
 
 :class:`BucketBatchSampler` composes that load balancing with the padding
-tiers of the compile-once training step: global batches become fixed
-contiguous blocks of the size-sorted dataset (epochs shuffle the *order* of
-blocks), every block's rank shards are fixed by the greedy pairing, and —
-given per-sample graph dims — each shard is assigned a canonical padded
-target shared by its whole workload tier.  Shard shapes are then static
-across epochs, which is what lets compiled per-rank steps replay from the
-first epoch on with one program per tier.
+of the compile-once training step: global batches become fixed contiguous
+blocks of the size-sorted dataset (epochs shuffle the *order* of blocks),
+every block's rank shards are fixed by the greedy pairing, and — given
+per-sample graph dims — every shard is assigned one of a few exact padded
+shapes planned over all shards at once
+(:func:`repro.graph.batching.plan_shapes`).  Shard shapes are then static
+across epochs, and known before the first step: a compiled trainer
+captures one program per planned shape up front and only replays after.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.graph.batching import canonical_targets, workload_tier
+from repro.graph.batching import MAX_PROGRAMS, plan_shapes, workload_cost
 
 
 def coefficient_of_variation(values: np.ndarray) -> float:
@@ -135,7 +136,7 @@ class LoadBalanceSampler(BatchSampler):
 
 
 class BucketBatchSampler(LoadBalanceSampler):
-    """Fig. 9 load balancing composed with padding-tier awareness.
+    """Fig. 9 load balancing composed with planned padding.
 
     Global batches are contiguous **blocks of the size-sorted dataset**, so
     every block holds similarly-sized structures; an epoch shuffles the
@@ -146,20 +147,23 @@ class BucketBatchSampler(LoadBalanceSampler):
     matters to SGD, exactly the size-bucketed batching of Koker et al.
 
     With per-sample graph ``dims`` (``(n, 4)`` — atoms, edges, short edges,
-    angles), the sampler also plans padding: every shard is assigned the
-    canonical padded target of its workload tier, where a block's shards all
-    share the block's tier (per-rank tier equality) and a tier's target is
-    the feasibility fixpoint over all member shards
-    (:func:`repro.graph.batching.canonical_targets`).  Because shards are
-    static, these targets are exact — a compiled trainer captures once per
-    tier and replays everything else.
+    angles), the sampler also plans padding.  The shards are fixed, so their
+    raw dims are all known here: :func:`repro.graph.batching.plan_shapes`
+    cuts them, per shard length, into at most
+    :data:`~repro.graph.batching.MAX_PROGRAMS` groups in total and pads each
+    group to the exact maximum of its members — no geometric tier, no bucket
+    rounding.  ``tier_targets`` is the table of those shapes (one compiled
+    program each) and :meth:`planned_shards` the order to capture them in.
+    The ranks of a step need not share a shape; they replay different
+    programs of one shared cache.  docs/architecture.md, "Padding: tiers
+    for streams, plans for fixed blocks", has the objective and the reasons.
 
     Because blocks are fixed, dropping the sorted tail would exclude the
     *same largest structures from every epoch* (the other samplers drop a
     different random remainder each time).  The bucket sampler therefore
     ignores ``drop_last``'s full-batch guarantee in favor of coverage: the
-    tail becomes one short block (rank counts still equal, so it simply
-    forms its own padding tier), and only the unavoidable
+    tail becomes one short block (rank counts still equal; it takes its
+    shapes from the same program budget), and only the unavoidable
     ``n % world_size`` leftover is excluded — taken from evenly spaced
     interior positions of the size-sorted order, never the extremes.
     """
@@ -188,8 +192,11 @@ class BucketBatchSampler(LoadBalanceSampler):
             blocks.append(chunk)
         self._blocks = blocks
         self._shards = [self.partition(block) for block in blocks]
-        #: (shard_len, tier) -> canonical (atoms, edges, short, angles) target
+        #: the planned-shape table: (shard_len, shape index) -> padded
+        #: (atoms, edges, short, angles); one compiled program per entry
         self.tier_targets: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+        #: one member shard of every planned shape (what a trainer captures on)
+        self._shape_shard: dict[tuple[int, int], tuple[int, ...]] = {}
         self._shard_targets: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
         self._shard_dims: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
         if self._dims is not None:
@@ -200,7 +207,7 @@ class BucketBatchSampler(LoadBalanceSampler):
 
         Returns a fresh sampler over the identical ``feature_numbers`` /
         ``dims`` with the same seed and global batch size — block
-        composition, shard pairing, and padding tiers are all re-planned
+        composition, shard pairing, and padded shapes are all re-planned
         for ``world_size``.  The global batch must stay divisible by the
         new world size (pick it with
         :func:`repro.train.elastic.largest_feasible_world`).  Sharding a
@@ -269,35 +276,59 @@ class BucketBatchSampler(LoadBalanceSampler):
     def _plan_padding(self, dims: np.ndarray) -> None:
         if dims.shape != (self.n, 4):
             raise ValueError(f"dims must be ({self.n}, 4), got {dims.shape}")
-        groups: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
-        keyed: list[tuple[tuple[int, ...], tuple[int, int], tuple]] = []
+        classes: dict[int, list[tuple[int, ...]]] = {}
         for shards in self._shards:
-            raws = [tuple(int(c) for c in dims[s].sum(axis=0)) for s in shards]
-            # One tier per block: the heaviest shard's tier, so every rank
-            # of a step pads to the same canonical shape (equal-count
-            # shards) and stragglers never split a block across programs.
-            block_tier = max(workload_tier(raw) for raw in raws)
-            for shard, raw in zip(shards, raws):
-                key = (len(shard), block_tier)
-                groups.setdefault(key, []).append(raw)
-                keyed.append((tuple(int(i) for i in shard), key, raw))
-        self.tier_targets = {
-            key: canonical_targets(members) for key, members in groups.items()
+            for shard in shards:
+                shard_key = tuple(int(i) for i in shard)
+                self._shard_dims[shard_key] = tuple(
+                    int(c) for c in dims[shard].sum(axis=0)
+                )
+                classes.setdefault(len(shard), []).append(shard_key)
+        # Programs are keyed by structure count, so each shard-length class
+        # (full blocks, the short tail block) gets shapes of its own out of
+        # the one program budget: a share by shard count, at least one, and
+        # the class with the most shards takes what the others leave.
+        total = sum(len(keys) for keys in classes.values())
+        main = max(classes, key=lambda n: len(classes[n]))
+        budget = {
+            n: max(1, MAX_PROGRAMS * len(keys) // total)
+            for n, keys in classes.items()
+            if n != main
         }
-        for shard_key, key, raw in keyed:
-            self._shard_targets[shard_key] = self.tier_targets[key]
-            self._shard_dims[shard_key] = raw
+        budget[main] = MAX_PROGRAMS - sum(budget.values())
+        for n, keys in classes.items():
+            assignment, shapes = plan_shapes(
+                [self._shard_dims[k] for k in keys], budget[n]
+            )
+            for i, shape in enumerate(shapes):
+                self.tier_targets[(n, i)] = shape
+            for shard_key, i in zip(keys, assignment):
+                self._shard_targets[shard_key] = shapes[i]
+                self._shape_shard.setdefault((n, i), shard_key)
 
     def padding_targets(
         self, shard_indices: np.ndarray
     ) -> tuple[int, int, int, int] | None:
-        """Planned canonical padded shape for one of the fixed shards.
+        """Planned padded shape for one of the fixed shards.
 
         ``None`` when the sampler was built without ``dims`` or the indices
         are not one of its shards (callers then fall back to compiler-side
         tiering).
         """
         return self._shard_targets.get(tuple(int(i) for i in shard_indices))
+
+    def planned_shards(self) -> list[np.ndarray]:
+        """One shard per planned shape, the costliest shape first.
+
+        The order a trainer captures in: the first program is the largest,
+        so the cache's arena slab is allocated once at its final size.
+        """
+        costliest_first = sorted(
+            self.tier_targets,
+            key=lambda key: workload_cost(*self.tier_targets[key]),
+            reverse=True,
+        )
+        return [np.array(self._shape_shard[key], dtype=np.int64) for key in costliest_first]
 
     def warm_start_entries(
         self, has_labels: bool = True

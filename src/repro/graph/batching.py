@@ -27,12 +27,15 @@ Two services back the compile-once training step
   array tails, carry finite well-conditioned geometry (no zero-length
   bonds, no degenerate angles), and are masked out of losses and metrics.
 
-The **workload-tier** math lives here too (:func:`workload_tier`,
+The padding math lives here too, in two forms (docs/architecture.md,
+"Padding: tiers for streams, plans for fixed blocks").  For streams nobody
+sees in advance, **workload tiers** (:func:`workload_tier`,
 :func:`canonical_targets`): batches whose workload proxy falls in the same
-geometric tier share one canonical padded shape.  Both the compiled-step
-managers (:mod:`repro.tensor.compile`) and the bucket-aware distributed
-sampler (:class:`repro.data.samplers.BucketBatchSampler`) consume it, so
-sampler-planned shapes and compiler-grown shapes agree by construction.
+geometric tier share one canonical, bucket-rounded shape that the
+compiled-step managers (:mod:`repro.tensor.compile`) grow as batches
+arrive.  For batches known up front, a **plan** (:func:`plan_shapes`): the
+block samplers (:class:`repro.data.samplers.BucketBatchSampler`) cut their
+fixed shards into at most :data:`MAX_PROGRAMS` groups, one shape each.
 
 :func:`pad_batch` results are **cached on the source batch** keyed by the
 target shape (small LRU): a memoized loader that yields the same batch
@@ -501,6 +504,13 @@ def canonical_targets(
         targets = tuple(max(a, b) for a, b in zip(targets, bucketed))
     for s in seeds:
         targets = tuple(max(a, int(b)) for a, b in zip(targets, s))
+    return _feasible_fixpoint(members, targets)
+
+
+def _feasible_fixpoint(
+    members: Sequence[tuple[int, int, int, int]], targets: tuple[int, int, int, int]
+) -> tuple[int, int, int, int]:
+    """Smallest shape >= ``targets`` that :func:`pad_batch` accepts for every member."""
     while True:
         merged = targets
         for m in members:
@@ -510,6 +520,82 @@ def canonical_targets(
         if merged == targets:
             return targets
         targets = merged
+
+
+#: Programs a :class:`repro.tensor.compile.SharedProgramCache` holds by
+#: default, and therefore the number of shapes a loader that plans its own
+#: padding may use: a planned shape must never be evicted.
+MAX_PROGRAMS = 8
+
+
+def plan_shapes(
+    members: Sequence[tuple[int, int, int, int]], max_shapes: int
+) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+    """Exact padded shapes for a set of batches known up front.
+
+    ``members`` are the raw ``(atoms, edges, short, angles)`` of batches
+    that never change (the fixed shards of a block sampler).  They are
+    sorted by :func:`workload_cost` and cut into at most ``max_shapes``
+    contiguous groups; a group's shape is :func:`canonical_targets` of its
+    members (bucket-rounded maxima, ghost-feasible).  The cut minimises the summed ``workload_cost`` of the
+    shape every member is padded to (dynamic programme over the *distinct*
+    members: ``O(d**3)`` feasibility checks for ``d`` of them).
+
+    Returns ``(assignment, shapes)``: the groups' shapes (all different),
+    lightest members' group first, and for every member in input order the
+    index of its shape.  See docs/architecture.md, "Padding: tiers for
+    streams, plans for fixed blocks".
+    """
+    if max_shapes < 1:
+        raise ValueError(f"max_shapes must be >= 1, got {max_shapes}")
+    members = [tuple(int(c) for c in m) for m in members]
+    if not members:
+        raise ValueError("plan_shapes needs at least one member")
+    multiplicity: dict[tuple, int] = {}
+    for m in members:
+        multiplicity[m] = multiplicity.get(m, 0) + 1
+    distinct = sorted(multiplicity, key=lambda m: (workload_cost(*m), m))
+    d = len(distinct)
+    k = min(max_shapes, d)
+
+    # shape[i][j - i], price[i][j - i]: distinct[i..j] as one group
+    shape: list[list[tuple]] = []
+    price: list[list[int]] = []
+    for i in range(d):
+        shapes_i, prices_i = [], []
+        count = 0
+        for j in range(i, d):
+            count += multiplicity[distinct[j]]
+            closed = canonical_targets(distinct[i : j + 1])
+            shapes_i.append(closed)
+            prices_i.append(count * workload_cost(*closed))
+        shape.append(shapes_i)
+        price.append(prices_i)
+
+    # best[g][j]: cheapest cut of distinct[..j] into g + 1 groups; the last
+    # group starts at start[g][j].  More groups never cost more (a group's
+    # shape bounds each of its parts'), so exactly ``k`` groups is optimal.
+    best = [price[0][:]]
+    start = [[0] * d]
+    for g in range(1, k):
+        row, cut = [0] * d, [0] * d
+        for j in range(g, d):
+            options = [(best[g - 1][i - 1] + price[i][j - i], i) for i in range(g, j + 1)]
+            row[j], cut[j] = min(options)
+        best.append(row)
+        start.append(cut)
+
+    shapes: list[tuple[int, int, int, int]] = []
+    shape_of: dict[tuple, int] = {}
+    j = d - 1
+    for g in range(k - 1, -1, -1):
+        i = start[g][j]
+        shapes.append(shape[i][j - i])
+        for m in distinct[i : j + 1]:
+            shape_of[m] = g
+        j = i - 1
+    shapes.reverse()
+    return [shape_of[m] for m in members], shapes
 
 
 def group_padded_targets(

@@ -66,6 +66,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from repro.graph.batching import (
+    MAX_PROGRAMS,
     GraphBatch,
     bucket_size,
     bucket_targets,
@@ -903,7 +904,7 @@ class SharedProgramCache:
     """Signature-keyed store of compiled programs, shareable across compilers.
 
     Per-rank/per-worker compilers capture *identical* programs for a given
-    signature (tier-equal shards, same model config), differing only in the
+    signature (equal padded shapes, same model config), differing only in the
     parameter arrays bound at replay time.  Holding the programs here and
     handing every sharer a reference lets one capture serve ``world_size``
     ranks or ``n_workers`` serving workers: each call rebinds the program to
@@ -923,7 +924,7 @@ class SharedProgramCache:
     which reproduces the old per-instance behavior exactly.
     """
 
-    def __init__(self, max_programs: int = 8) -> None:
+    def __init__(self, max_programs: int = MAX_PROGRAMS) -> None:
         if max_programs < 1:
             raise ValueError(f"max_programs must be >= 1, got {max_programs}")
         self.max_programs = max_programs
@@ -1129,6 +1130,11 @@ class _CompilerBase:
         its members (:func:`repro.graph.batching.canonical_targets`) makes
         the first epoch replay-only after a single capture per tier.
         Returns the number of tiers seeded.
+
+        Only for batches this compiler pads itself.  A loader that pads to
+        shapes planned from its fixed blocks needs no tiers at all — its
+        trainer captures the planned shapes directly (docs/architecture.md,
+        "Padding: tiers for streams, plans for fixed blocks").
         """
         if not self.bucket or not self.model.config.batched_basis:
             return 0
@@ -1235,7 +1241,7 @@ class StepCompiler(_CompilerBase):
         model,
         loss_fn,
         bucket: bool = True,
-        max_programs: int = 8,
+        max_programs: int = MAX_PROGRAMS,
         validate: bool = False,
         cache: SharedProgramCache | None = None,
     ) -> None:
@@ -1326,7 +1332,7 @@ class InferenceCompiler(_CompilerBase):
         self,
         model,
         bucket: bool = True,
-        max_programs: int = 8,
+        max_programs: int = MAX_PROGRAMS,
         cache: SharedProgramCache | None = None,
     ) -> None:
         super().__init__(model, bucket, max_programs, cache)

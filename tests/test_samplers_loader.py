@@ -17,6 +17,8 @@ from repro.data import (
     coefficient_of_variation,
     imbalance_study,
 )
+from repro.data.loader import PlannedPaddingError
+from repro.graph.batching import MAX_PROGRAMS, feasible_targets_for_counts
 
 
 def longtail_features(n: int, seed: int = 0) -> np.ndarray:
@@ -147,6 +149,14 @@ class TestBucketBatchSampler:
     def _features(self, dims: np.ndarray) -> np.ndarray:
         return dims[:, 0] + dims[:, 1] + dims[:, 3]
 
+    def _assert_planned(self, sampler, dims, shards) -> None:
+        """Every shard of a step has a planned target, and fits it."""
+        for s in shards:
+            target = sampler.padding_targets(s)
+            assert target in sampler.tier_targets.values()
+            raw = tuple(int(c) for c in dims[s].sum(axis=0))
+            assert feasible_targets_for_counts(raw, target) == target
+
     def test_every_sample_once_per_epoch(self):
         dims = longtail_dims(64)
         sampler = BucketBatchSampler(self._features(dims), 16, 4, seed=1, dims=dims)
@@ -183,11 +193,9 @@ class TestBucketBatchSampler:
     def test_per_rank_targets_equal_within_block(self):
         dims = longtail_dims(96, seed=4)
         sampler = BucketBatchSampler(self._features(dims), 16, 4, seed=0, dims=dims)
-        assert sampler.tier_targets
+        assert 0 < len(sampler.tier_targets) <= MAX_PROGRAMS
         for shards in sampler.epoch_partitions(0):
-            targets = {sampler.padding_targets(s) for s in shards}
-            assert len(targets) == 1  # per-rank tier equality
-            assert None not in targets
+            self._assert_planned(sampler, dims, shards)
 
     def test_targets_feasible_for_every_shard(self):
         dims = longtail_dims(64, seed=5)
@@ -228,8 +236,7 @@ class TestBucketBatchSampler:
         seen: list[int] = []
         for shards in sampler.epoch_partitions(0):
             assert len({len(s) for s in shards}) == 1
-            targets = {sampler.padding_targets(s) for s in shards}
-            assert len(targets) == 1 and None not in targets
+            self._assert_planned(sampler, dims, shards)
             seen.extend(np.concatenate(shards).tolist())
         assert sorted(seen) == list(range(n))
 
@@ -254,10 +261,11 @@ class TestBucketBatchSampler:
             [np.concatenate(s) for s in sampler.epoch_partitions(3)]
         )
         assert set(seen.tolist()) == set(seen2.tolist())
-        # per-rank target equality holds on the short tail block too
+        # the short tail block is planned too, out of the same budget
+        assert len(sampler.tier_targets) <= MAX_PROGRAMS
+        assert len({n for n, _ in sampler.tier_targets}) == 2
         for shards in sampler.epoch_partitions(0):
-            targets = {sampler.padding_targets(s) for s in shards}
-            assert len(targets) == 1 and None not in targets
+            self._assert_planned(sampler, dims, shards)
 
     def test_world_multiple_dataset_fully_covered(self):
         dims = longtail_dims(72, seed=8)
@@ -285,12 +293,13 @@ class TestPaddedShardedLoader:
 
     def test_yields_tier_padded_shards(self, tiny_entries):
         loader = self._loader(tiny_entries)
+        planned = set(loader.sampler.tier_targets.values())
         for shards in loader:
             shapes = {
                 (b.num_atoms, b.num_edges, b.num_short_edges, b.num_angles)
                 for b in shards
             }
-            assert len(shapes) == 1
+            assert shapes <= planned
             assert all(b.pad_info is not None for b in shards)
 
     def test_memoized_pad_returns_identical_objects_across_epochs(self, tiny_entries):
@@ -301,6 +310,25 @@ class TestPaddedShardedLoader:
         second = [b for step in loader for b in step]
         # block order shuffles between epochs, so compare as sets
         assert {id(b) for b in first} == {id(b) for b in second}
+
+    def test_refused_planned_target_is_a_named_error(self, tiny_entries, monkeypatch):
+        """A planned shape ``pad_batch`` refuses is a planner bug: the loaders
+        say which shard, its raw dims and the target — they used to yield the
+        shard unpadded, and the compiler captured it silently mid-epoch."""
+        loader = self._loader(tiny_entries)
+        sampler = loader.sampler
+        shard = next(sampler.epoch_partitions(0))[0]
+        raw = tuple(int(c) for c in loader.dataset.graph_dims[shard].sum(axis=0))
+        monkeypatch.setattr(sampler, "padding_targets", lambda s: raw)  # no ghost atom
+        with pytest.raises(PlannedPaddingError) as err:
+            next(loader.iter_epoch(0))
+        for part in (str([int(i) for i in shard]), str(raw)):
+            assert part in str(err.value)
+
+        blocks = DataLoader(loader.dataset, batch_size=8, blocks=True)
+        monkeypatch.setattr(blocks.block_sampler, "padding_targets", lambda s: (1, 0, 0, 0))
+        with pytest.raises(PlannedPaddingError, match=r"\(1, 0, 0, 0\)"):
+            next(iter(blocks))
 
     def test_pad_false_passes_through(self, tiny_entries):
         ds = StructureDataset(tiny_entries)
