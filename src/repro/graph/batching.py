@@ -35,7 +35,8 @@ geometric tier share one canonical, bucket-rounded shape that the
 compiled-step managers (:mod:`repro.tensor.compile`) grow as batches
 arrive.  For batches known up front, a **plan** (:func:`plan_shapes`): the
 block samplers (:class:`repro.data.samplers.BucketBatchSampler`) cut their
-fixed shards into at most :data:`MAX_PROGRAMS` groups, one shape each.
+fixed shards into at most :data:`MAX_PROGRAMS` groups and pad each to the
+exact maximum of its members.
 
 :func:`pad_batch` results are **cached on the source batch** keyed by the
 target shape (small LRU): a memoized loader that yields the same batch
@@ -536,8 +537,10 @@ def plan_shapes(
     ``members`` are the raw ``(atoms, edges, short, angles)`` of batches
     that never change (the fixed shards of a block sampler).  They are
     sorted by :func:`workload_cost` and cut into at most ``max_shapes``
-    contiguous groups; a group's shape is :func:`canonical_targets` of its
-    members (bucket-rounded maxima, ghost-feasible).  The cut minimises the summed ``workload_cost`` of the
+    contiguous groups; a group's shape is the elementwise maximum of its
+    members' raw dims made ghost-feasible for each of them — no
+    :func:`bucket_size` rounding, because nothing outside ``members`` will
+    ever need to fit.  The cut minimises the summed ``workload_cost`` of the
     shape every member is padded to (dynamic programme over the *distinct*
     members: ``O(d**3)`` feasibility checks for ``d`` of them).
 
@@ -563,10 +566,12 @@ def plan_shapes(
     price: list[list[int]] = []
     for i in range(d):
         shapes_i, prices_i = [], []
+        raw = (0, 0, 0, 0)
         count = 0
         for j in range(i, d):
+            raw = tuple(max(a, b) for a, b in zip(raw, distinct[j]))
             count += multiplicity[distinct[j]]
-            closed = canonical_targets(distinct[i : j + 1])
+            closed = _feasible_fixpoint(distinct[i : j + 1], raw)
             shapes_i.append(closed)
             prices_i.append(count * workload_cost(*closed))
         shape.append(shapes_i)
