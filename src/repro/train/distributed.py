@@ -12,16 +12,17 @@ the alpha-beta communication model.
 result rests on, end to end:
 
 * the :class:`~repro.data.samplers.BucketBatchSampler` forms size-sorted
-  global blocks with fixed load-balanced shards and plans one canonical
-  padded shape per workload tier;
+  global blocks with fixed load-balanced shards and plans a few exact
+  padded shapes over all of them, at most as many as the program cache
+  holds;
 * the :class:`~repro.data.loader.ShardedLoader` pads every shard to its
-  planned shape (cached on the source batch), so all ranks of a step carry
-  tier-equal static shapes;
-* each rank owns a :class:`~repro.tensor.compile.StepCompiler` with its own
-  program cache; shard shapes are static by construction, so the first
-  epoch captures once per tier and replays everything else (when shards
-  arrive unpadded — ``pad_shards=False`` — the compilers are instead
-  warm-started from the sampler's tier statistics to the same effect);
+  planned shape (cached on the source batch); the ranks of a step may
+  carry different shapes;
+* each rank owns a :class:`~repro.tensor.compile.StepCompiler` over one
+  shared program cache; the planned shapes are captured when the trainer
+  is built, largest first, and every step replays (when shards arrive
+  unpadded — ``pad_shards=False`` — the compilers tier them themselves,
+  warm-started from the sampler's shard statistics);
 * the backward's gradients are flushed through **liveness-ordered buckets**
   (:class:`GradientBuckets`): each bucket is mean-allreduced through the
   communicator's in-place collective as soon as its gradients are complete,
@@ -65,7 +66,7 @@ class DistributedConfig:
     """Configuration of a simulated multi-GPU run.
 
     ``compile=True`` switches every rank to compile-once training steps over
-    bucket-sampled, tier-padded shards (see the module docstring); the
+    bucket-sampled shards padded to planned shapes (see the module docstring); the
     companion knobs default to "follow ``compile``" so the eager comparison
     pipeline can be forced explicitly:
 
@@ -82,10 +83,12 @@ class DistributedConfig:
     * ``validate_replay`` — re-run every replayed step eagerly and assert
       bitwise equality (test harness);
     * ``share_programs`` — hand every rank compiler one
-      :class:`~repro.tensor.compile.SharedProgramCache`: shards are
-      tier-equal by construction, so one rank captures each tier's program
-      and the others replay it after rebinding their own weights (capture
-      cost / ``world_size``);
+      :class:`~repro.tensor.compile.SharedProgramCache`: a program depends
+      on the padded shape only, so each planned shape is captured once and
+      every rank that meets it replays it after rebinding its own weights
+      (capture cost / ``world_size``).  The ranks of one step need not meet
+      the same shape (docs/architecture.md, "Padding: tiers for streams,
+      plans for fixed blocks");
     * ``flatten_buckets`` — pack each gradient bucket into one contiguous
       scratch message per rank and run a single in-place mean-allreduce per
       bucket instead of one per parameter (bit-identical averages);
@@ -280,10 +283,10 @@ class DistributedTrainer:
         if cfg.compile:
             from repro.tensor.compile import SharedProgramCache, StepCompiler
 
-            # One program cache for all ranks (unless disabled): shards are
-            # tier-equal by construction, so whichever rank first sees a
-            # tier captures its program and every other rank replays it
-            # after rebinding its own parameters.
+            # One program cache for all ranks (unless disabled): a program
+            # depends on the padded shape only, so one capture per planned
+            # shape serves every rank that meets it, after rebinding that
+            # rank's own parameters.
             shared = SharedProgramCache() if cfg.share_programs else None
             self.compilers = [
                 StepCompiler(
@@ -291,16 +294,22 @@ class DistributedTrainer:
                 )
                 for rep in self.replicas
             ]
-            # Pre-padded shards (the default) carry the sampler's static
-            # tier shapes, so the compilers' own tiering never runs; only
-            # when shards arrive raw do the canonical shapes need seeding.
-            entries_fn = getattr(self.sampler, "warm_start_entries", None)
-            if entries_fn is not None and not cfg.use_pad_shards():
-                entries = entries_fn(has_labels=True)
-                for compiler in self.compilers:
+            sharers = self.compilers[:1] if cfg.share_programs else self.compilers
+            if cfg.use_pad_shards():
+                # The loader pads every shard to a shape the sampler planned,
+                # so every program this run needs is known now: capture them
+                # largest first and the slab is allocated once, at its final
+                # size (docs/architecture.md, "Padding: tiers for streams,
+                # plans for fixed blocks").  A capture only writes ``.grad``.
+                for batch in self.loader.planned_batches():
+                    for compiler in sharers:
+                        compiler.step(batch)
+            elif hasattr(self.sampler, "warm_start_entries"):
+                # Raw shards are tiered by the compilers themselves; seed
+                # their canonical shapes (one shared dict under a shared cache).
+                entries = self.sampler.warm_start_entries(has_labels=True)
+                for compiler in sharers:
                     compiler.warm_start(entries)
-                    if cfg.share_programs:
-                        break  # the canonical tier dict is shared too
 
         total_steps = max(1, len(self.loader) * cfg.epochs)
         self.schedulers = [

@@ -49,9 +49,9 @@ class TrainConfig:
 
     ``compile_blocks`` selects the loader's size-sorted block mode
     (``None``: iff compiling with buckets) — the single-device analogue of
-    the distributed bucket sampler: static size-sorted batches, one
-    canonical padded shape per tier, so epoch 1 is replay-only after one
-    capture per tier.  ``pad_blocks=False`` yields raw blocks instead and
+    the distributed bucket sampler: static size-sorted batches padded to a
+    few planned shapes, each captured when the trainer is built, so every
+    epoch is replay-only.  ``pad_blocks=False`` yields raw blocks instead and
     warm-starts the compiler from the block statistics (the compiler then
     pads), matching the distributed ``pad_shards=False`` fallback.
     """
@@ -139,11 +139,14 @@ class Trainer:
             self.compiler = StepCompiler(
                 model, self.loss_fn, bucket=self.config.compile_bucket
             )
-            # Pre-padded blocks carry static tier shapes already; raw blocks
-            # seed the compiler's canonical tiers so epoch 1 stays
-            # replay-only after one capture per tier (the distributed
-            # trainers' warm start, on the single-device path).
-            if use_blocks and not self.config.pad_blocks:
+            # Loader-padded blocks have planned shapes: capture them now,
+            # largest first (the distributed trainer's constructor says
+            # why).  Raw blocks are tiered by the compiler, whose canonical
+            # shapes are seeded from the block statistics instead.
+            if use_blocks and self.config.pad_blocks:
+                for batch in self.loader.planned_batches():
+                    self.compiler.step(batch)
+            elif use_blocks:
                 self.compiler.warm_start(self.loader.warm_start_entries(has_labels=True))
         total_steps = max(1, len(self.loader) * self.config.epochs)
         self.scheduler = CosineAnnealingLR(

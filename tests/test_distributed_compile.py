@@ -1,10 +1,11 @@
 """Compiled distributed training: bit-exact equivalence, buckets, overlap.
 
 The contract under test (ISSUE 3): ``DistributedConfig(compile=True)`` runs
-bucket-sampled, tier-padded, compiled per-rank steps that are bit-identical
+bucket-sampled, plan-padded, compiled per-rank steps that are bit-identical
 to the eager distributed path on the same padded pipeline; gradients flush
-through liveness-ordered buckets via the in-place collective; warm-started
-tiers make the first epoch replay-only after one capture per tier.
+through liveness-ordered buckets via the in-place collective; the planned
+shapes are captured up front (ISSUE 24), one capture each, and every epoch
+is replay-only.
 """
 
 from __future__ import annotations
@@ -110,6 +111,82 @@ class TestCompiledEquivalence:
             # a step may differ (they replay from one shared cache)
             assert shapes <= planned
             assert all(b.pad_info is not None for b in shards)
+
+
+class TestPlannedCapture:
+    """Every program a padded run needs is captured before its first step,
+    largest first (docs/architecture.md, "Padding: tiers for streams, plans
+    for fixed blocks")."""
+
+    def test_captures_are_the_planned_shapes_largest_first(self, dataset, monkeypatch):
+        from repro.graph.batching import workload_cost
+        from repro.tensor.compile import SharedProgramCache
+
+        stored = []  # (padded dims, slab bytes once stored), in capture order
+        real_store = SharedProgramCache.store
+
+        def store(cache, sig, prog):
+            real_store(cache, sig, prog)
+            stored.append((sig[2:6], cache.arena_bytes))
+
+        monkeypatch.setattr(SharedProgramCache, "store", store)
+        dt = DistributedTrainer(factory, dataset, _cfg(compile=True, epochs=3))
+        planned = list(dt.sampler.tier_targets.values())
+        assert 1 < len(planned) <= dt.compilers[0].max_programs
+        # before any step: one capture per planned shape, nothing else
+        assert dt.compile_stats()["captures"] == len(planned)
+        assert sorted(dims for dims, _ in stored) == sorted(planned)
+        costs = [workload_cost(*dims) for dims, _ in stored]
+        assert costs == sorted(costs, reverse=True)
+        # the slab was allocated once, by the first (largest) capture
+        assert {nbytes for _, nbytes in stored} == {stored[0][1]}
+
+        cache = dt.compilers[0].cache
+        programs = list(cache.programs)
+        dt.train()
+        stats = dt.compile_stats()
+        assert stats["captures"] == len(planned)  # none in any epoch
+        assert stats["eager_fallbacks"] == 0
+        assert stats["replays"] == 3 * len(dt.loader) * dt.config.world_size
+        assert sorted(cache.programs) == sorted(programs)  # none evicted
+        assert cache.misses == len(planned)
+        assert cache.arena_bytes == stored[0][1]
+        assert dt.replicas_in_sync()
+
+    def test_private_caches_capture_the_plan_once_per_rank(self, dataset):
+        dt = DistributedTrainer(
+            factory, dataset, _cfg(compile=True, epochs=1, share_programs=False)
+        )
+        planned = len(dt.sampler.tier_targets)
+        assert dt.compile_stats()["captures"] == planned * dt.config.world_size
+        dt.train()
+        assert dt.compile_stats()["captures"] == planned * dt.config.world_size
+
+    def test_single_device_blocks_capture_the_plan_too(self, dataset):
+        from repro.train import TrainConfig, Trainer
+
+        trainer = Trainer(
+            factory(), dataset, config=TrainConfig(epochs=2, batch_size=6, compile=True)
+        )
+        planned = trainer.loader.block_sampler.tier_targets
+        assert trainer.compiler.stats.captures == len(planned) > 1
+        slab = trainer.compiler.arena_bytes
+        trainer.train()
+        assert trainer.compiler.stats.captures == len(planned)
+        assert trainer.compiler.stats.eager_fallbacks == 0
+        assert trainer.compiler.arena_bytes == slab
+
+    def test_unpadded_shards_are_tiered_by_the_compilers(self, dataset):
+        """``pad_shards=False`` keeps the stream path: nothing is captured up
+        front, the compilers pad to warm-started geometric tiers."""
+        dt = DistributedTrainer(
+            factory, dataset, _cfg(compile=True, epochs=1, pad_shards=False)
+        )
+        assert dt.compile_stats()["captures"] == 0
+        assert dt.compilers[0].cache.canonical
+        dt.train()
+        assert dt.compile_stats()["captures"] > 0
+        assert dt.compile_stats()["eager_fallbacks"] == 0
 
 
 class TestTrainableMask:
