@@ -29,12 +29,16 @@ def matmul_rowstable(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarra
 
     One gemm on contiguous operands, the right-hand side zero-padded to a
     multiple of ``_ROW_STABLE_MAX_N`` columns and a single row evaluated as
-    two.  The contraction behind ``matmul`` and ``linear``, eager and
-    compiled alike (docs/architecture.md, "Row-stable kernels").
+    two.  A transposed left operand (``swap_last(x) @ g``, every weight
+    gradient) goes to BLAS as the view it is when the product needs neither
+    fix-up: gemm takes the transpose as a flag and gives each row the bits
+    it gives the copy.  The contraction behind ``matmul`` and ``linear``,
+    eager and compiled alike (docs/architecture.md, "Row-stable kernels").
     """
     m, n = out.shape
     pad = -n % _ROW_STABLE_MAX_N
-    a = np.ascontiguousarray(a)
+    if pad or m == 1 or not a.flags.f_contiguous:
+        a = np.ascontiguousarray(a)
     if pad:
         w = np.zeros((b.shape[0], n + pad), dtype=b.dtype)
         w[:, :n] = b

@@ -32,11 +32,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro.data import StructureDataset  # noqa: E402
 from repro.graph.batching import workload_tier  # noqa: E402
+from repro.model import OptLevel  # noqa: E402
 from repro.serve import InferenceEngine  # noqa: E402
 from repro.tensor import Tensor, fused_layernorm, segment_sum, sigmoid, silu  # noqa: E402
 from repro.tensor import ops_fused  # noqa: E402
-from repro.tensor.compile import _OUT_IMPLS  # noqa: E402
+from repro.tensor.compile import _OUT_IMPLS, InferenceCompiler, StepCompiler  # noqa: E402
 from repro.tensor.ops_linalg import (  # noqa: E402
     _ROW_STABLE_MAX_N,
     _linear_np,
@@ -44,6 +46,7 @@ from repro.tensor.ops_linalg import (  # noqa: E402
     matmul_rowstable,
 )
 from repro.tensor.ops_shape import segment_plan, sorted_segment_reduce  # noqa: E402
+from repro.train.loss import CompositeLoss  # noqa: E402
 from serve_harness import make_graphs, make_model  # noqa: E402
 
 pytestmark = pytest.mark.slow
@@ -77,13 +80,15 @@ class TestMatmul:
     @given(
         m=ROWS,
         k=st.integers(1, 96),
-        n=st.integers(1, 64),
+        # unpadded widths half the time: the only ones a transposed left
+        # operand reaches BLAS uncopied at
+        n=st.one_of(st.integers(1, 64), st.sampled_from([16, 32, 48, 64])),
         dtype=DTYPES,
         a_layout=LAYOUTS,
         b_layout=LAYOUTS,
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_rows_do_not_see_their_batch(self, m, k, n, dtype, a_layout, b_layout, seed):
         rng = np.random.default_rng(seed)
         a = _laid_out(rng, (m, k), dtype, a_layout)
@@ -92,8 +97,11 @@ class TestMatmul:
         assert full.shape == (m, n) and full.dtype == dtype
         tol = 1e-4 if dtype == np.float32 else 1e-11
         np.testing.assert_allclose(full, np.matmul(a, b), rtol=tol, atol=tol)
+        # the same rows whether the left operand is copied or handed over
+        assert np.array_equal(_matmul_np(np.ascontiguousarray(a), b), full)
         for i, j in _sub_slices(rng, m):
             assert np.array_equal(_matmul_np(a[i:j], b), full[i:j]), (i, j)
+            assert np.array_equal(_matmul_np(np.asfortranarray(a[i:j]), b), full[i:j]), (i, j)
 
     @given(
         m=ROWS,
@@ -129,6 +137,51 @@ class TestMatmul:
         assert len(calls) == 1
 
 
+    def test_transposed_left_operand_reaches_blas_uncopied(self, monkeypatch):
+        """``swap_last(x) @ g`` (every weight gradient): gemm takes the
+        transpose as a flag, so the view itself is the operand — unless the
+        product needs a fix-up (padded width, single row) that copies anyway."""
+        lefts = []
+        real = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda a, *r, **k: lefts.append(a) or real(a, *r, **k))
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(1792, 64))
+        for n, handed_over in ((64, True), (16, True), (24, False)):
+            g = rng.normal(size=(1792, n))
+            out = matmul_rowstable(x.T, g, np.empty((64, n)))
+            assert (lefts[-1].base is x) == handed_over
+            assert np.array_equal(out, _matmul_np(np.ascontiguousarray(x.T), g))
+        matmul_rowstable(x[:, :1].T, g, np.empty((1, 24)))
+        assert lefts[-1].shape == (2, 1792)  # a single row is still evaluated as two
+
+    def test_only_training_hands_blas_a_transposed_operand(
+        self, monkeypatch, small_config, tiny_entries
+    ):
+        """Weight gradients are the only transposed-left products.  Inference
+        has no cotangents, so a ``DECOMPOSE_FS`` replay never takes the
+        uncopied path: serving's bits and timings cannot move with it."""
+        transposed = []
+        real = np.matmul
+
+        def counting(a, *rest, **kwargs):
+            transposed.append(a.ndim == 2 and a.flags.f_contiguous and not a.flags.c_contiguous)
+            return real(a, *rest, **kwargs)
+
+        model = make_model(cfg=small_config)  # widths of 16: nothing is column-padded
+        assert model.config.opt_level == OptLevel.DECOMPOSE_FS
+        labeled = StructureDataset(tiny_entries).batch(range(4))
+        infer = InferenceCompiler(model)
+        train = StepCompiler(model, CompositeLoss())
+        infer.run(labeled)
+        train.step(labeled)
+        monkeypatch.setattr(np, "matmul", counting)
+        infer.run(labeled)
+        assert infer.stats.replays == 1 and transposed and not any(transposed)
+        transposed.clear()
+        train.step(labeled)
+        assert train.stats.replays == 1 and any(transposed)
+
+
 def test_blas_prefix_stability_calibration():
     """The substrate assumption behind ``_ROW_STABLE_MAX_N``, probed directly.
 
@@ -139,6 +192,13 @@ def test_blas_prefix_stability_calibration():
     row-count-dependent order), which is why every width is padded up.  If
     a BLAS upgrade breaks the assumption, this fails and says which library
     to re-derive the constant for.
+
+    The transposed-left path adds one assumption: a left operand handed over
+    as a transposed view (gemm's ``TransA``) gets the bits its contiguous
+    copy gets — probed at the row counts above and at the contraction
+    lengths of weight gradients (``k`` = rows of a batch), where a row of
+    the product is a feature and prefix stability is neither needed nor,
+    from ``k`` ~ 400 up on this OpenBLAS, true of either layout.
     """
     rng = np.random.default_rng(2025)
     broken = []
@@ -150,15 +210,21 @@ def test_blas_prefix_stability_calibration():
                 full = np.matmul(a, w)
                 for m in (2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 255, 257, 512, 1000):
                     for start in (0, 1, 1200 - m):
-                        part = np.matmul(np.ascontiguousarray(a[start : start + m]), w)
-                        if not np.array_equal(part, full[start : start + m]):
-                            broken.append((np.dtype(dtype).name, n, k, m, start))
+                        rows = a[start : start + m]
+                        for layout in (np.ascontiguousarray, np.asfortranarray):
+                            if not np.array_equal(np.matmul(layout(rows), w), full[start : start + m]):
+                                broken.append((np.dtype(dtype).name, n, k, m, start, layout.__name__))
+            for k, m in ((114, 8), (732, 16), (896, 32), (1792, 64), (4096, 64)):
+                a = rng.normal(size=(k, m)).astype(dtype).T
+                w = rng.normal(size=(k, n)).astype(dtype)
+                if not np.array_equal(np.matmul(a, w), np.matmul(np.ascontiguousarray(a), w)):
+                    broken.append((np.dtype(dtype).name, n, k, m, 0, "view != copy"))
     if broken:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         pytest.fail(
             f"BLAS {blas.get('name')} {blas.get('version')} is not prefix-stable at output "
             f"widths that are multiples of {_ROW_STABLE_MAX_N}: {len(broken)} "
-            f"(dtype, width, k, rows, start) cases differ, first {broken[:5]}; re-derive "
+            f"(dtype, width, k, rows, start, layout) cases differ, first {broken[:5]}; re-derive "
             "_ROW_STABLE_MAX_N (docs/architecture.md, 'Row-stable kernels')"
         )
 
