@@ -55,12 +55,15 @@ def _pad_planned(sampler: BatchSampler, batch: GraphBatch, shard: np.ndarray) ->
     return padded
 
 
-def _planned_batches(
-    dataset: StructureDataset, sampler: BucketBatchSampler, memoize: bool | None
-) -> Iterator[GraphBatch]:
-    """One padded member shard per shape ``sampler`` planned, costliest first."""
-    for shard in sampler.planned_shards():
-        yield _pad_planned(sampler, dataset.batch(shard, memoize=memoize), shard)
+def _largest_planned_batch(
+    dataset: StructureDataset, sampler: BatchSampler, memoize: bool | None
+) -> GraphBatch | None:
+    """A padded shard of the costliest shape ``sampler`` planned, if it plans."""
+    largest = getattr(sampler, "largest_planned_shard", None)
+    shard = None if largest is None else largest()
+    if shard is None:
+        return None
+    return _pad_planned(sampler, dataset.batch(shard, memoize=memoize), shard)
 
 
 class DataLoader:
@@ -73,9 +76,9 @@ class DataLoader:
     ``pad`` is not disabled — every block is padded to the shape the block
     sampler planned for it before being yielded.  Block composition is
     static across epochs, so a compiled trainer captures once per planned
-    shape (:meth:`planned_batches`) and only replays after.  Block mode
-    covers every sample (the tail forms one short block) and ignores
-    ``drop_last``/``shuffle``.
+    shape (the largest up front, :meth:`largest_planned_batch`) and only
+    replays after.  Block mode covers every sample (the tail forms one
+    short block) and ignores ``drop_last``/``shuffle``.
     """
 
     def __init__(
@@ -148,14 +151,15 @@ class DataLoader:
             batch = self.dataset.batch(block, memoize=self.memoize)
             yield _pad_planned(sampler, batch, block) if self._pad_blocks else batch
 
-    def planned_batches(self) -> Iterator[GraphBatch]:
-        """One padded block per planned shape, the costliest shape first.
+    def largest_planned_batch(self) -> GraphBatch | None:
+        """A padded block of the costliest planned shape.
 
-        What a compiled trainer captures on before its first step; empty
+        What a compiled trainer captures on before its first step; ``None``
         unless blocks are padded by this loader.
         """
-        if self._pad_blocks:
-            yield from _planned_batches(self.dataset, self.block_sampler, self.memoize)
+        if not self._pad_blocks:
+            return None
+        return _largest_planned_batch(self.dataset, self.block_sampler, self.memoize)
 
     def warm_start_entries(
         self, has_labels: bool = True
@@ -206,9 +210,10 @@ class ShardedLoader:
     ``pad=True`` pads every shard to the shape its sampler planned for it
     (:meth:`repro.data.samplers.BucketBatchSampler.padding_targets`) before
     yielding it, so a run meets only the planned shapes — the ranks of a
-    step may carry different ones — and compiled per-rank steps replay
-    programs captured up front (:meth:`planned_batches`; docs/architecture.md,
-    "Padding: tiers for streams, plans for fixed blocks").  Padded results
+    step may carry different ones — and compiled per-rank steps replay one
+    program per planned shape, the largest captured up front
+    (:meth:`largest_planned_batch`; docs/architecture.md, "Padding: tiers
+    for streams, plans for fixed blocks").  Padded results
     are cached on the source batch, so combined with ``memoize`` a repeated
     epoch yields the *identical* padded objects — bind-and-replay with no
     re-collation and no re-concatenation.  A sampler that plans nothing
@@ -274,14 +279,15 @@ class ShardedLoader:
                 ]
             yield batches
 
-    def planned_batches(self) -> Iterator[GraphBatch]:
-        """One padded shard per planned shape, the costliest shape first.
+    def largest_planned_batch(self) -> GraphBatch | None:
+        """A padded shard of the costliest planned shape.
 
-        What compiled trainers capture on before their first step; empty
+        What compiled trainers capture on before their first step; ``None``
         unless ``pad`` is set and the sampler plans shapes.
         """
-        if self.pad and hasattr(self.sampler, "planned_shards"):
-            yield from _planned_batches(self.dataset, self.sampler, self.memoize)
+        if not self.pad:
+            return None
+        return _largest_planned_batch(self.dataset, self.sampler, self.memoize)
 
     def __len__(self) -> int:
         return self.sampler.num_batches()

@@ -15,7 +15,8 @@ per-sample graph dims — every shard is assigned one of a few exact padded
 shapes planned over all shards at once
 (:func:`repro.graph.batching.plan_shapes`).  Shard shapes are then static
 across epochs, and known before the first step: a compiled trainer
-captures one program per planned shape up front and only replays after.
+captures one program per planned shape, the largest before its first step,
+and only replays from the second epoch on.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class BucketBatchSampler(LoadBalanceSampler):
     :data:`~repro.graph.batching.MAX_PROGRAMS` groups in total and pads each
     group to the exact maximum of its members — no geometric tier, no bucket
     rounding.  ``tier_targets`` is the table of those shapes (one compiled
-    program each) and :meth:`planned_shards` the order to capture them in.
+    program each); :meth:`largest_planned_shard` names the one to capture first.
     The ranks of a step need not share a shape; they replay different
     programs of one shared cache.  docs/architecture.md, "Padding: tiers
     for streams, plans for fixed blocks", has the objective and the reasons.
@@ -195,8 +196,6 @@ class BucketBatchSampler(LoadBalanceSampler):
         #: the planned-shape table: (shard_len, shape index) -> padded
         #: (atoms, edges, short, angles); one compiled program per entry
         self.tier_targets: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-        #: one member shard of every planned shape (what a trainer captures on)
-        self._shape_shard: dict[tuple[int, int], tuple[int, ...]] = {}
         self._shard_targets: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
         self._shard_dims: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
         if self._dims is not None:
@@ -304,7 +303,6 @@ class BucketBatchSampler(LoadBalanceSampler):
                 self.tier_targets[(n, i)] = shape
             for shard_key, i in zip(keys, assignment):
                 self._shard_targets[shard_key] = shapes[i]
-                self._shape_shard.setdefault((n, i), shard_key)
 
     def padding_targets(
         self, shard_indices: np.ndarray
@@ -317,18 +315,20 @@ class BucketBatchSampler(LoadBalanceSampler):
         """
         return self._shard_targets.get(tuple(int(i) for i in shard_indices))
 
-    def planned_shards(self) -> list[np.ndarray]:
-        """One shard per planned shape, the costliest shape first.
+    def largest_planned_shard(self) -> np.ndarray | None:
+        """A shard of the costliest planned shape (``None`` without a plan).
 
-        The order a trainer captures in: the first program is the largest,
-        so the cache's arena slab is allocated once at its final size.
+        What a trainer captures before its first step: the largest program
+        sizes the cache's arena slab, so capturing it first allocates the
+        slab once, at its final size.
         """
-        costliest_first = sorted(
-            self.tier_targets,
-            key=lambda key: workload_cost(*self.tier_targets[key]),
-            reverse=True,
+        if not self._shard_targets:
+            return None
+        shard_key = max(
+            self._shard_targets,
+            key=lambda key: workload_cost(*self._shard_targets[key]),
         )
-        return [np.array(self._shape_shard[key], dtype=np.int64) for key in costliest_first]
+        return np.array(shard_key, dtype=np.int64)
 
     def warm_start_entries(
         self, has_labels: bool = True

@@ -1133,8 +1133,9 @@ class _CompilerBase:
 
         Only for batches this compiler pads itself.  A loader that pads to
         shapes planned from its fixed blocks needs no tiers at all — its
-        trainer captures the planned shapes directly (docs/architecture.md,
-        "Padding: tiers for streams, plans for fixed blocks").
+        trainer captures the largest planned shape directly and the rest
+        arrive already padded (docs/architecture.md, "Padding: tiers for
+        streams, plans for fixed blocks").
         """
         if not self.bucket or not self.model.config.batched_basis:
             return 0
@@ -1208,6 +1209,10 @@ class _CompilerBase:
         slots = {name: trace.slot_of(arr) for name, arr in outputs.items()}
         prog = CompiledStep(trace, slots, len(self.params))
         self.cache.store(sig, prog)
+        # ``last_program`` promises bound state, and an instrumented replay
+        # may read it before anyone replays this program
+        # (``DistributedTrainer.measured_ready_fractions``).
+        prog.bind(batch, self.params)
         self.last_program = prog
         self.stats.captures += 1
         return result

@@ -19,8 +19,9 @@ result rests on, end to end:
   planned shape (cached on the source batch); the ranks of a step may
   carry different shapes;
 * each rank owns a :class:`~repro.tensor.compile.StepCompiler` over one
-  shared program cache; the planned shapes are captured when the trainer
-  is built, largest first, and every step replays (when shards arrive
+  shared program cache; the largest planned shape is captured when the
+  trainer is built (it sizes the cache's slab), the others as the first
+  epoch meets them, and every later step replays (when shards arrive
   unpadded — ``pad_shards=False`` — the compilers tier them themselves,
   warm-started from the sampler's shard statistics);
 * the backward's gradients are flushed through **liveness-ordered buckets**
@@ -297,13 +298,16 @@ class DistributedTrainer:
             sharers = self.compilers[:1] if cfg.share_programs else self.compilers
             if cfg.use_pad_shards():
                 # The loader pads every shard to a shape the sampler planned,
-                # so every program this run needs is known now: capture them
-                # largest first and the slab is allocated once, at its final
-                # size (docs/architecture.md, "Padding: tiers for streams,
-                # plans for fixed blocks").  A capture only writes ``.grad``.
-                for batch in self.loader.planned_batches():
+                # so the largest program this run needs is known now:
+                # capture it first and the slab is allocated once, at its
+                # final size (docs/architecture.md, "Padding: tiers for
+                # streams, plans for fixed blocks").  A capture only writes
+                # ``.grad``; the other shapes are captured as epoch 1 meets
+                # them, where the capturing step is a training step anyway.
+                largest = self.loader.largest_planned_batch()
+                if largest is not None:
                     for compiler in sharers:
-                        compiler.step(batch)
+                        compiler.step(largest)
             elif hasattr(self.sampler, "warm_start_entries"):
                 # Raw shards are tiered by the compilers themselves; seed
                 # their canonical shapes (one shared dict under a shared cache).

@@ -50,8 +50,9 @@ class TrainConfig:
     ``compile_blocks`` selects the loader's size-sorted block mode
     (``None``: iff compiling with buckets) — the single-device analogue of
     the distributed bucket sampler: static size-sorted batches padded to a
-    few planned shapes, each captured when the trainer is built, so every
-    epoch is replay-only.  ``pad_blocks=False`` yields raw blocks instead and
+    few planned shapes, the largest captured when the trainer is built and
+    the rest in epoch 1, so every later epoch is replay-only.
+    ``pad_blocks=False`` yields raw blocks instead and
     warm-starts the compiler from the block statistics (the compiler then
     pads), matching the distributed ``pad_shards=False`` fallback.
     """
@@ -139,13 +140,15 @@ class Trainer:
             self.compiler = StepCompiler(
                 model, self.loss_fn, bucket=self.config.compile_bucket
             )
-            # Loader-padded blocks have planned shapes: capture them now,
-            # largest first (the distributed trainer's constructor says
-            # why).  Raw blocks are tiered by the compiler, whose canonical
-            # shapes are seeded from the block statistics instead.
+            # Loader-padded blocks have planned shapes: capture the largest
+            # now, so the slab is sized once (the distributed trainer's
+            # constructor says more).  Raw blocks are tiered by the
+            # compiler, whose canonical shapes are seeded from the block
+            # statistics instead.
             if use_blocks and self.config.pad_blocks:
-                for batch in self.loader.planned_batches():
-                    self.compiler.step(batch)
+                largest = self.loader.largest_planned_batch()
+                if largest is not None:
+                    self.compiler.step(largest)
             elif use_blocks:
                 self.compiler.warm_start(self.loader.warm_start_entries(has_labels=True))
         total_steps = max(1, len(self.loader) * self.config.epochs)
