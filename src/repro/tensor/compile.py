@@ -1209,10 +1209,6 @@ class _CompilerBase:
         slots = {name: trace.slot_of(arr) for name, arr in outputs.items()}
         prog = CompiledStep(trace, slots, len(self.params))
         self.cache.store(sig, prog)
-        # ``last_program`` promises bound state, and an instrumented replay
-        # may read it before anyone replays this program
-        # (``DistributedTrainer.measured_ready_fractions``).
-        prog.bind(batch, self.params)
         self.last_program = prog
         self.stats.captures += 1
         return result
@@ -1281,7 +1277,12 @@ class StepCompiler(_CompilerBase):
             breakdown, output = self._eager(batch)
             return breakdown, {"loss": breakdown.loss.data, **_prediction_arrays(output)}
 
-        return self._trace(sig, batch, eager)
+        breakdown = self._trace(sig, batch, eager)
+        # ``last_program`` promises bound state, and the trainer's
+        # instrumented replay (``measured_ready_fractions``) may read it
+        # before any rank replays this program.
+        self.last_program.bind(batch, self.params)
+        return breakdown
 
     def _replay(self, prog: CompiledStep, batch: GraphBatch):
         from repro.train.loss import LossBreakdown, batch_metrics
