@@ -9,12 +9,16 @@
 # `make perf-compare A=old.json B=new.json` prints the per-workload,
 # per-metric verdict table for two ledger result files (base A);
 # `make perf-trajectory SET=docs/perf/prNN_set_head.json [LABEL=prNN]`
-# appends (or replaces) that set's line in docs/perf/trajectory.jsonl.
+# appends (or replaces) that set's line in docs/perf/trajectory.jsonl;
+# `make perf-pairs A=<parent checkout> B=<change checkout> W=<workload>
+# SEED=<n> [PAIRS=10] [OUT=pairs.json]` runs the driver form on both
+# checkouts in alternating order and prints, per end-to-end metric, the
+# pairs, medians, quartiles, wins and the gain / worse / no-claim verdict.
 
 PYTEST = PYTHONPATH=src python -m pytest -x -q
 LEDGER = python3 benchmarks/perf/run.py
 
-.PHONY: test quicktest perf perf-compare perf-trajectory
+.PHONY: test quicktest perf perf-compare perf-trajectory perf-pairs
 
 test:
 	$(PYTEST)
@@ -30,3 +34,7 @@ perf-compare:
 
 perf-trajectory:
 	python3 tools/perf_trajectory.py $(SET) $(if $(LABEL),--label $(LABEL))
+
+perf-pairs:
+	python3 tools/perf_pairs.py $(A) $(B) --workload $(W) --seed $(SEED) \
+		$(if $(PAIRS),--pairs $(PAIRS)) $(if $(OUT),--out $(OUT))

@@ -180,7 +180,7 @@ def bench_workload(name: str, workload: dict, n_steps: int) -> dict:
     compiled_sps = _steps_per_s(lambda: compiled.train_step(shards), n_steps)
 
     # Recompile budget: one epoch over every block; captures must not exceed
-    # the warm-started tier count per rank.
+    # the planned shape count per rank.
     budget_trainer = DistributedTrainer(factory, ds, _dist_config(workload, compile=True))
     budget_trainer.train()
     stats = budget_trainer.compile_stats()

@@ -36,13 +36,13 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
         "--compile",
         action="store_true",
         help="compile-once training steps: batches flow through the "
-        "size-sorted bucket sampler, pad to one canonical shape per "
-        "workload tier, and the forward/loss/backward tape is captured "
-        "once per tier then replayed with arena buffers and fused kernels "
-        "(bit-identical gradients, automatic eager fallback); with "
-        "--world-size > 1 all simulated ranks share one program cache and "
-        "rebind their own weights per replay, so a tier is captured once "
-        "total",
+        "size-sorted bucket sampler, pad to a few exact shapes planned "
+        "over the fixed blocks, and the forward/loss/backward tape is "
+        "captured once per shape (the largest up front), then replayed with "
+        "arena buffers and fused kernels (bit-identical gradients, "
+        "automatic eager fallback); with --world-size > 1 all simulated "
+        "ranks share one program cache and rebind their own weights per "
+        "replay, so a shape is captured once in total",
     )
     p.add_argument(
         "--n-workers",
