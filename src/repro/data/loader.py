@@ -45,8 +45,7 @@ class PlannedPaddingError(RuntimeError):
 
 def _pad_planned(sampler: BatchSampler, batch: GraphBatch, shard: np.ndarray) -> GraphBatch:
     """``batch`` padded to the shape ``sampler`` planned for ``shard``, if any."""
-    targets = getattr(sampler, "padding_targets", None)
-    planned = None if targets is None else targets(shard)
+    planned = sampler.padding_targets(shard)
     if planned is None:
         return batch
     padded = pad_batch(batch, *planned)
@@ -59,8 +58,7 @@ def _largest_planned_batch(
     dataset: StructureDataset, sampler: BatchSampler, memoize: bool | None
 ) -> GraphBatch | None:
     """A padded shard of the costliest shape ``sampler`` planned, if it plans."""
-    largest = getattr(sampler, "largest_planned_shard", None)
-    shard = None if largest is None else largest()
+    shard = sampler.largest_planned_shard()
     if shard is None:
         return None
     return _pad_planned(sampler, dataset.batch(shard, memoize=memoize), shard)

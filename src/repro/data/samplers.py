@@ -102,6 +102,24 @@ class BatchSampler:
         """Total feature number per rank for one iteration."""
         return np.array([self.feature_numbers[s].sum() for s in shards], dtype=np.float64)
 
+    # Padding plans need shards that never change; samplers that reshuffle
+    # membership every epoch plan nothing (:class:`BucketBatchSampler` does).
+    def padding_targets(
+        self, shard_indices: np.ndarray
+    ) -> tuple[int, int, int, int] | None:
+        """Planned padded shape for a shard (``None``: nothing planned)."""
+        return None
+
+    def largest_planned_shard(self) -> np.ndarray | None:
+        """A shard of the costliest planned shape (``None``: nothing planned)."""
+        return None
+
+    def warm_start_entries(
+        self, has_labels: bool = True
+    ) -> list[tuple[int, bool, tuple[int, int, int, int]]]:
+        """Raw per-shard batch stats for ``StepCompiler.warm_start`` (none here)."""
+        return []
+
 
 class DefaultSampler(BatchSampler):
     """Reference sharding: contiguous equal-count slices of the shuffled batch."""

@@ -308,7 +308,7 @@ class DistributedTrainer:
                 if largest is not None:
                     for compiler in sharers:
                         compiler.step(largest)
-            elif hasattr(self.sampler, "warm_start_entries"):
+            else:
                 # Raw shards are tiered by the compilers themselves; seed
                 # their canonical shapes (one shared dict under a shared cache).
                 entries = self.sampler.warm_start_entries(has_labels=True)

@@ -52,18 +52,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[s
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
-
-
 def judge(parent: list[float], change: list[float], better: str) -> dict:
     """Wins, medians, quartiles and the verdict for one metric."""
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-    p_q1, p_med, p_q3 = quartiles(parent)
-    c_q1, c_med, c_q3 = quartiles(change)
+    p_q1, p_med, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    c_q1, c_med, c_q3 = statistics.quantiles(change, n=4, method="inclusive")
     needed = 0.9 * len(parent)
     beyond_spread = abs(c_med - p_med) > p_q3 - p_q1
     if wins >= needed and beyond_spread and sign * (c_med - p_med) > 0:
