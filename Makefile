@@ -14,11 +14,15 @@
 # SEED=<n> [PAIRS=10] [OUT=pairs.json]` runs the driver form on both
 # checkouts in alternating order and prints, per end-to-end metric, the
 # pairs, medians, quartiles, wins and the gain / worse / no-claim verdict.
+#
+# `make sloc [PATHS="src/repro/serve src/repro/comm/faults.py"]` prints the
+# code lines (no blanks, comments or docstrings) per file and in total,
+# for `src` by default.
 
 PYTEST = PYTHONPATH=src python -m pytest -x -q
 LEDGER = python3 benchmarks/perf/run.py
 
-.PHONY: test quicktest perf perf-compare perf-trajectory perf-pairs
+.PHONY: test quicktest perf perf-compare perf-trajectory perf-pairs sloc
 
 test:
 	$(PYTEST)
@@ -38,3 +42,6 @@ perf-trajectory:
 perf-pairs:
 	python3 tools/perf_pairs.py $(A) $(B) --workload $(W) --seed $(SEED) \
 		$(if $(PAIRS),--pairs $(PAIRS)) $(if $(OUT),--out $(OUT))
+
+sloc:
+	python3 tools/sloc.py $(or $(PATHS),src)

@@ -137,7 +137,7 @@ class ModelCalculator(Calculator):
         else:
             # The model may have been fine-tuned between calls; publish its
             # current weights so no batch is served on a stale version.
-            engine.refresh_weights()
+            engine.publish_weights()
         items: list[Crystal] | list[CrystalGraph] = crystals
         if self.skin > 0:
             while len(self._many_caches) < len(crystals):

@@ -6,7 +6,6 @@ from repro.serve.engine import (
     EngineStats,
     InferenceEngine,
     Prediction,
-    percentile,
 )
 from repro.serve.faults import DeadlineExceeded, WorkerFailure, WorkerFaultPlan
 from repro.serve.scheduler import Autoscaler, AutoscaleConfig, FairScheduler
@@ -16,6 +15,7 @@ from repro.serve.tenants import (
     ClassPolicy,
     TenantPolicy,
     TenantStats,
+    percentile,
     standard_classes,
 )
 

@@ -1,115 +1,16 @@
-"""Tiered dynamic batching over compiled-program replay: the serving engine.
+"""The serving engine: tiered dynamic batching over compiled-program replay.
 
-FastCHGNet's premise is that one universal potential should be cheap enough
-to use everywhere — and the dominant downstream workload is not training but
-*bulk inference*: screening 10k candidate structures, relaxation farms,
-fine-tuning data generation, high-rate MD.  The trainer-side machinery this
-repo already has (workload tiers, ghost padding, tape capture/replay) is
-exactly what a serving layer needs; :class:`InferenceEngine` composes it
-into a request pipeline:
-
-Micro-batching
-    Requests (crystals or prebuilt graphs) queue per **workload tier**
-    (:func:`repro.graph.batching.workload_tier` of their graph dims), so a
-    batch only ever combines similarly-sized structures.  A tier flushes
-    when it reaches ``max_batch_structs`` or — on the queue-based async API
-    — when its oldest request has waited ``max_wait`` (deadline-bounded
-    partial flush).  Each flushed group is collated into one
-    :class:`~repro.graph.batching.GraphBatch` and ghost-padded by the
-    compiler to the tier's canonical shape, so nearly every batch **replays
-    a cached program** instead of recompiling or re-taping.
-
-Grouping
-    Which queued requests share a micro-batch is decided by one pure
-    planner, :func:`repro.serve.scheduler.plan_groups`: full per-tier
-    groups first, then partial tails that may **absorb** pending
-    same-version requests from adjacent tiers (nearest first, FIFO within a
-    tier) while the group's priced padding overhead stays within
-    ``merge_overhead_cap``.  The live ready scan, the paced dispatch, the
-    ``warm_start`` plan and the synchronous sets all iterate it:
-    ``merge_tiers`` turns absorption on for the deadline flush of the live
-    queue, while :meth:`InferenceEngine.predict_many` /
-    :meth:`~InferenceEngine.predict_wave` always plan over the whole
-    submitted set (docs/serving.md, "Grouping").  Per-structure results
-    stay bit-identical regardless of grouping (see below).
-
-Versioned weights (serving under live fine-tuning)
-    The engine keeps a registry of **published weight versions**.
-    :meth:`publish_weights` snapshots the source model (or an explicit state
-    dict, e.g. streamed from :class:`repro.train.ServingTrainer`) as a new
-    version and makes it the default for new requests; every request is
-    **pinned** to a version at submit time, so requests already queued when
-    a publish lands still finish on the weights they entered with.  Worker
-    replicas rebind **copy-on-write**: a publish copies nothing into the
-    workers — a worker installs a version's arrays (by reference) only when
-    it actually dispatches a batch pinned to a version it is not currently
-    holding.  Programs in the :class:`~repro.tensor.compile.SharedProgramCache`
-    are keyed by batch-shape signature only and rebind parameters on every
-    replay, so a publish triggers **zero recaptures**.
-
-Engine-side collate memoization
-    With ``memoize=N`` the engine keeps an LRU of collated micro-batches
-    keyed by the identity of the member graphs (and an LRU of built graphs
-    keyed by crystal identity), so recurring pools — relaxation loops,
-    committee evaluation, repeated screening passes — bind-and-replay with
-    zero re-concatenation, mirroring the training loaders' batch
-    memoization.  Submitted objects must be treated as immutable once
-    built, the same read-only contract the training pipeline requires.
-
-Workers and the shared program cache
-    Batches fan out across ``n_workers`` simulated workers, each holding its
-    own model replica and :class:`~repro.tensor.compile.InferenceCompiler` —
-    all sharing one :class:`~repro.tensor.compile.SharedProgramCache`.  A
-    program captured by any worker replays on every other after parameter
-    **rebinding** against that worker's weights, so capture cost is paid
-    once per tier, not once per worker.  Worker wall-clock is modeled with
-    per-worker virtual clocks advanced by the *measured* service time of
-    each batch (the same measured-compute + modeled-time approach as
-    :mod:`repro.comm.scaling`), which yields per-request latencies for
-    p50/p95 reporting.
-
-Multi-tenant SLA serving
-    Requests carry a **tenant** id and a **request class** (``interactive``
-    / ``bulk``, per-class flush wait and default deadline —
-    :mod:`repro.serve.tenants`).  Inside each ``(version, tier)`` queue,
-    requests dispatch in **weighted-fair order**: every accepted request
-    is stamped with a start-time-fair-queuing tag over its modeled
-    workload cost (:class:`~repro.serve.scheduler.FairScheduler`), so a
-    tenant flooding the queue with a bulk sweep cannot starve another
-    tenant's interactive trickle — with one tenant and one class the tags
-    are FIFO and the schedule is bit-for-bit the pre-tenancy engine.
-    Admission control is per tenant (bounded ``max_pending`` quotas shed
-    with typed :class:`EngineOverloaded`) on top of the global bound, and
-    :class:`~repro.serve.tenants.TenantStats` blocks account every
-    tenant's served/shed/expired/failed/padding/latency story inside
-    :class:`EngineStats`.  With ``paced=True`` queued work is dispatched
-    **when a worker's virtual clock is actually free** instead of
-    immediately on flush, which is what lets fair ordering (and the
-    autoscaler's SLA signal) bite under backlog; ``flush()`` still
-    force-drains.  An :class:`~repro.serve.scheduler.Autoscaler` can grow
-    the fleet (fresh replicas on the shared program cache, zero
-    recaptures) when the watched class's modeled p95 breaches its SLA for
-    K consecutive drain scans, and drain-and-retire workers when idle.
-
-Fault tolerance
-    Workers can fail.  A :class:`~repro.serve.faults.WorkerFaultPlan` kills,
-    flakes or straggles individual workers at dispatch time; a dead worker
-    is *discovered* when a batch is dispatched to it and surfaces as a
-    typed :class:`~repro.serve.faults.WorkerFailure` **before any result is
-    written**, so the whole group transparently re-queues onto the
-    surviving rotation (bounded per-request retries, exponential backoff
-    priced on the virtual clocks).  Per-worker health is a
-    consecutive-failure circuit breaker: a tripped worker drains out of
-    the dispatch rotation and is re-admitted half-open after a cooldown,
-    while a discovered *kill* drains the worker permanently — or, with
-    ``replace_workers=True``, replaces it in place with a fresh replica on
-    the shared program cache, mirroring :func:`repro.train.run_elastic`.
-    Requests may carry deadlines (``submit(..., deadline=...)``); a request
-    whose deadline passes while queued is shed with a typed
-    :class:`~repro.serve.faults.DeadlineExceeded` instead of burning worker
-    time.  Batches stuck behind a straggling worker can be **hedged** to
-    the idlest healthy worker, keeping the first (modeled) completion —
-    safe because of the bit-identity contract below.
+:class:`InferenceEngine` queues requests per ``(weight version, workload
+tier)``, groups them with :func:`repro.serve.scheduler.plan_groups`,
+dispatches every group through one loop (``_dispatch_ready``) onto
+simulated workers that replay programs from one shared
+:class:`~repro.tensor.compile.SharedProgramCache`, and models latency on
+per-worker virtual clocks advanced by *measured* service times.
+docs/serving.md gives each mechanism its one canonical section — the
+request pipeline, dispatch, grouping, versioned weight publishes, collate
+memoization, the latency model and multi-tenancy — and
+docs/fault_tolerance.md the worker fault model (kills, flakes,
+stragglers, retries, the circuit breaker, hedging and replacement).
 
 Bit-identity
     Padded, batched, replayed predictions are **bit-identical** to eager
@@ -118,10 +19,11 @@ Bit-identity
     bits because every kernel in the inference path (including the
     derivative-force backward) is **row-stable** (docs/architecture.md,
     "Row-stable kernels").  The same property makes predictions
-    independent of *grouping*, which is what licenses cross-tier absorption
-    and version-interleaved batches.  Tests and
-    ``benchmarks/bench_serve.py`` / ``benchmarks/bench_serve_live.py``
-    verify the end-to-end guarantee on models with non-trivial weights.
+    independent of *grouping*, *ordering* and *which worker* serves them,
+    which is what licenses cross-tier absorption, version-interleaved
+    batches, weighted-fair reordering, retries and hedging.  The tests and
+    the perf ledger's verify step check the end-to-end guarantee on models
+    with non-trivial weights.
 """
 
 from __future__ import annotations
@@ -147,21 +49,35 @@ from repro.serve.scheduler import Autoscaler, AutoscaleConfig, FairScheduler, pl
 from repro.serve.tenants import (
     DEFAULT_CLASS,
     DEFAULT_TENANT,
+    DERIVED_ONLY,
     ClassPolicy,
     TenantPolicy,
     TenantStats,
+    counters,
+    percentile,
     standard_classes,
 )
 from repro.structures.crystal import Crystal
 from repro.tensor import no_grad
 from repro.tensor.compile import InferenceCompiler, SharedProgramCache
 
-
-def percentile(values, q: float) -> float:
-    """Linear-interpolated percentile of a sequence (0 <= q <= 100)."""
-    if not values:
-        return 0.0
-    return float(np.percentile(np.fromiter(values, dtype=np.float64), q))
+#: Largest priced padding overhead a partial group may reach by absorbing
+#: other tiers: a merge trades at most half a group of ghost rows for the
+#: replay it saves.
+MERGE_OVERHEAD_CAP = 0.5
+#: Weight versions a publish keeps before pruning the oldest unpinned ones:
+#: room for the current version, a queued pin and a publish in flight.
+MAX_VERSIONS = 4
+#: Virtual seconds priced onto a group's clock after its first failed
+#: attempt, doubling per attempt: the order of one batch's service time.
+RETRY_BACKOFF = 1e-3
+#: Consecutive failures that trip a worker's circuit breaker: one may be a
+#: flake, two in a row drain the worker from the rotation.
+BREAKER_THRESHOLD = 2
+#: Virtual seconds a tripped worker stays drained before half-open
+#: re-admission: twenty default flush waits, so the rotation moves on but a
+#: recovered worker still returns within a run.
+BREAKER_COOLDOWN = 1.0
 
 
 class EngineClosed(RuntimeError):
@@ -223,9 +139,9 @@ class EngineStats:
     #: structures served across those waves
     wave_structs: int = 0
     #: summed raw workload cost of all dispatched structures
-    raw_cost: int = 0
+    raw_cost: int = field(default=0, metadata=DERIVED_ONLY)
     #: summed priced workload cost of the padded batches serving them
-    padded_cost: int = 0
+    padded_cost: int = field(default=0, metadata=DERIVED_ONLY)
     #: dispatches that discovered a dead/flaking worker (typed WorkerFailure)
     worker_failures: int = 0
     #: requests transparently re-queued after a worker failure
@@ -264,12 +180,6 @@ class EngineStats:
         """Mean relative ghost-row overhead of dispatched batches (0 = none)."""
         return self.padded_cost / self.raw_cost - 1.0 if self.raw_cost else 0.0
 
-    @property
-    def collate_hit_rate(self) -> float:
-        """Collate-memoization hit rate (0 when memoization is off)."""
-        total = self.collate_hits + self.collate_misses
-        return self.collate_hits / total if total else 0.0
-
     def tenant(self, name: str) -> TenantStats:
         """The accounting block for ``name`` (created on first touch)."""
         stats = self.tenants.get(name)
@@ -286,48 +196,17 @@ class EngineStats:
             )
         window.append(latency)
 
-    def class_p95(self, request_class: str) -> float:
-        """Modeled p95 latency of one request class (0 with no samples)."""
-        return percentile(self.class_latencies.get(request_class, ()), 95)
-
     def as_dict(self) -> dict:
-        """Flat dict of all counters plus derived rates (for benches/CLI)."""
+        """Flat dict of every counter field plus derived rates (for benches/CLI)."""
+        windows = sorted(self.class_latencies.items())
         return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
+            **counters(self),
             "hit_rate": self.hit_rate,
-            "publishes": self.publishes,
-            "merges": self.merges,
-            "merged_batches": self.merged_batches,
-            "warm_unsettled": self.warm_unsettled,
-            "collate_hits": self.collate_hits,
-            "collate_misses": self.collate_misses,
-            "load_shed": self.load_shed,
-            "waves": self.waves,
-            "wave_structs": self.wave_structs,
-            "worker_failures": self.worker_failures,
-            "retries": self.retries,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "deadline_misses": self.deadline_misses,
-            "worker_replacements": self.worker_replacements,
-            "quota_shed": self.quota_shed,
-            "failed": self.failed,
-            "scale_outs": self.scale_outs,
-            "scale_ins": self.scale_ins,
             "padding_overhead": self.padding_overhead,
             "latency_p50": percentile(self.latencies, 50),
             "latency_p95": percentile(self.latencies, 95),
-            "class_latency_p50": {
-                name: percentile(window, 50)
-                for name, window in sorted(self.class_latencies.items())
-            },
-            "class_latency_p95": {
-                name: percentile(window, 95)
-                for name, window in sorted(self.class_latencies.items())
-            },
+            "class_latency_p50": {name: percentile(w, 50) for name, w in windows},
+            "class_latency_p95": {name: percentile(w, 95) for name, w in windows},
             "tenants": {
                 name: stats.as_dict() for name, stats in sorted(self.tenants.items())
             },
@@ -381,22 +260,13 @@ class InferenceEngine:
     merge_tiers:
         Let deadline-flushed partial groups of the live queue absorb
         pending same-version requests from adjacent tiers, bounded by
-        ``merge_overhead_cap`` (see the module docstring).  The
+        :data:`MERGE_OVERHEAD_CAP` (docs/serving.md, "Grouping").  The
         synchronous paths always plan with absorption on.
-    merge_overhead_cap:
-        Maximum priced padding overhead (relative ghost-row workload,
-        :func:`repro.graph.batching.padding_overhead`) a group may reach
-        by absorbing; absorption from a tier stops at the first request
-        that would exceed it.
     memoize:
         LRU entries for engine-side collate memoization (``0`` disables).
         Micro-batches are cached by member-graph identity and built graphs
         by crystal identity, so recurring pools re-serve with zero
         re-concatenation.  Submitted objects must not be mutated afterwards.
-    max_versions:
-        Soft cap on retained weight versions: publishing prunes the oldest
-        versions not pinned by queued requests, not installed on a worker
-        and not current (in-flight pins are never evicted).
     max_pending:
         Bound on the pending-request queue (``0`` = unbounded).  A submit
         that would exceed it is **shed**: the request is rejected with
@@ -404,31 +274,19 @@ class InferenceEngine:
         engine keeps serving — honest backpressure instead of an unbounded
         queue hiding an overload.
     fault_plan:
-        Optional :class:`~repro.serve.faults.WorkerFaultPlan` injecting
-        worker kills/flakes/stragglers at dispatch time (``None`` = the
-        fault-free engine, whose scheduling is bit-for-bit unchanged).
+        :class:`~repro.serve.faults.WorkerFaultPlan` injecting worker
+        kills/flakes/stragglers at dispatch time; ``None`` holds an empty
+        plan, the fault-free engine.
     max_retries:
         Re-dispatches a request may consume after worker failures before
         it is shed with a terminal :class:`~repro.serve.faults.WorkerFailure`.
-    retry_backoff:
-        Base of the exponential backoff (virtual seconds) priced onto a
-        group's dispatch clock after each failed attempt.
     hedge:
         Duplicate batches stuck behind a straggling worker (known plan
-        skew, or queue delay beyond ``hedge_after``) onto the idlest
-        healthy worker, keeping the first modeled completion.  Both
-        workers' clocks advance — hedging buys latency with duplicate
-        work, honestly priced.  Safe: replays are bit-identical, so the
-        winner's bits equal the loser's.
-    hedge_after:
-        Queue delay (seconds on the virtual clock) beyond which a batch
-        is hedged even without known skew; ``None`` uses ``max_wait``.
-    breaker_threshold:
-        Consecutive failures that trip a worker's circuit breaker and
-        drain it from the dispatch rotation.
-    breaker_cooldown:
-        Virtual seconds a tripped worker stays drained before half-open
-        re-admission (one more failure re-trips it immediately).
+        skew, or queue delay beyond ``max_wait``) onto the idlest healthy
+        worker, keeping the first modeled completion.  Both workers'
+        clocks advance — hedging buys latency with duplicate work,
+        honestly priced.  Safe: replays are bit-identical, so the winner's
+        bits equal the loser's.
     replace_workers:
         Replace a worker discovered *dead* (killed, not merely flaking)
         with a fresh replica + compiler on the shared program cache,
@@ -438,27 +296,27 @@ class InferenceEngine:
     tenants:
         Tenant policies (:class:`~repro.serve.tenants.TenantPolicy` list,
         or a ``name -> policy`` dict): fair-share weights and per-tenant
-        pending quotas.  When given, submits naming an undeclared tenant
-        are rejected with ``ValueError`` (closed-world admission) and
-        weighted-fair ordering defaults on; ``None`` leaves the tenant
-        world open (any label auto-registers at weight 1).
+        pending quotas.  Declaring them closes the tenant world — a submit
+        naming an undeclared tenant is rejected with ``ValueError``, while
+        unlabeled traffic joins the default tenant at weight 1 — and
+        dispatches each queue in weighted-fair (start-tag) order; with one
+        tenant and one class that order *is* FIFO, bit-for-bit.  ``None``
+        leaves the world open (any label auto-registers at weight 1) and
+        the queues FIFO.
     classes:
         Request-class policies (``name -> ClassPolicy``); ``None``
         installs the stock ``interactive``/``bulk`` pair
         (:func:`~repro.serve.tenants.standard_classes`).  The default
         class (``bulk``) always behaves exactly like the pre-tenancy
         engine: global ``max_wait``, no default deadline.
-    fair:
-        Dispatch each queue in weighted-fair (start-tag) order instead of
-        FIFO.  Default: on iff ``tenants`` were declared.  With one
-        tenant and one class the fair order *is* FIFO, bit-for-bit.
     paced:
         Hold queued work until a worker's virtual clock is actually free
-        (discrete-event dispatch) instead of dispatching every ready
-        group immediately.  This is what gives fair ordering leverage
-        under backlog — later interactive arrivals overtake queued bulk
-        work — and makes the SLA signal honest.  ``flush()`` (and
-        therefore ``shutdown()``) still force-drains everything.
+        (discrete-event dispatch, global weighted-fair order) instead of
+        dispatching every ready group immediately.  This is what gives
+        fair ordering leverage under backlog — later interactive arrivals
+        overtake queued bulk work — and makes the SLA signal honest.
+        ``flush()`` (and therefore ``shutdown()``) still force-drains
+        everything.
     autoscale:
         :class:`~repro.serve.scheduler.AutoscaleConfig` enabling
         load-driven elasticity: scale out on sustained watched-class p95
@@ -475,21 +333,14 @@ class InferenceEngine:
         max_wait: float = 0.05,
         max_programs: int = 16,
         merge_tiers: bool = False,
-        merge_overhead_cap: float = 0.5,
         memoize: int = 0,
-        max_versions: int = 4,
         max_pending: int = 0,
         fault_plan: WorkerFaultPlan | None = None,
         max_retries: int = 2,
-        retry_backoff: float = 1e-3,
         hedge: bool = False,
-        hedge_after: float | None = None,
-        breaker_threshold: int = 2,
-        breaker_cooldown: float = 1.0,
         replace_workers: bool = False,
         tenants: list[TenantPolicy] | dict[str, TenantPolicy] | None = None,
         classes: dict[str, ClassPolicy] | None = None,
-        fair: bool | None = None,
         paced: bool = False,
         autoscale: AutoscaleConfig | None = None,
     ) -> None:
@@ -499,47 +350,23 @@ class InferenceEngine:
             raise ValueError(f"max_batch_structs must be >= 1, got {max_batch_structs}")
         if max_wait < 0:
             raise ValueError(f"max_wait must be non-negative, got {max_wait}")
-        if merge_overhead_cap < 0:
-            raise ValueError(
-                f"merge_overhead_cap must be non-negative, got {merge_overhead_cap}"
-            )
         if memoize < 0:
             raise ValueError(f"memoize must be non-negative, got {memoize}")
-        if max_versions < 1:
-            raise ValueError(f"max_versions must be >= 1, got {max_versions}")
         if max_pending < 0:
             raise ValueError(f"max_pending must be non-negative, got {max_pending}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be non-negative, got {max_retries}")
-        if retry_backoff < 0:
-            raise ValueError(f"retry_backoff must be non-negative, got {retry_backoff}")
-        if hedge_after is not None and hedge_after < 0:
-            raise ValueError(f"hedge_after must be non-negative, got {hedge_after}")
-        if breaker_threshold < 1:
-            raise ValueError(
-                f"breaker_threshold must be >= 1, got {breaker_threshold}"
-            )
-        if breaker_cooldown < 0:
-            raise ValueError(
-                f"breaker_cooldown must be non-negative, got {breaker_cooldown}"
-            )
         self.model = model
         self.config = model.config
         self.n_workers = n_workers
         self.max_batch_structs = max_batch_structs
         self.max_wait = max_wait
         self.merge_tiers = merge_tiers
-        self.merge_overhead_cap = float(merge_overhead_cap)
         self.memoize = int(memoize)
-        self.max_versions = max_versions
         self.max_pending = int(max_pending)
-        self.fault_plan = fault_plan
+        self.fault_plan = WorkerFaultPlan() if fault_plan is None else fault_plan
         self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
         self.hedge = hedge
-        self.hedge_after = float(max_wait if hedge_after is None else hedge_after)
-        self.breaker_threshold = int(breaker_threshold)
-        self.breaker_cooldown = float(breaker_cooldown)
         self.replace_workers = replace_workers
         if isinstance(tenants, dict):
             tenant_policies = dict(tenants)
@@ -549,7 +376,8 @@ class InferenceEngine:
                 raise ValueError("duplicate tenant names in tenants")
         else:
             tenant_policies = None
-        self._closed_tenants = tenant_policies is not None
+        # Declared tenants: a closed tenant world and weighted-fair order.
+        self.fair = tenant_policies is not None
         self.tenants: dict[str, TenantPolicy] = tenant_policies or {}
         for policy in self.tenants.values():
             policy.validate()
@@ -559,7 +387,6 @@ class InferenceEngine:
         for policy in self.classes.values():
             policy.validate()
         self.classes.setdefault(DEFAULT_CLASS, ClassPolicy(DEFAULT_CLASS))
-        self.fair = self._closed_tenants if fair is None else bool(fair)
         self.paced = bool(paced)
         self.scheduler = FairScheduler(
             {name: p.weight for name, p in self.tenants.items()}
@@ -652,29 +479,19 @@ class InferenceEngine:
         self._prune_versions()
         return version
 
-    def refresh_weights(self) -> int:
-        """Publish the source model's current weights as a new version.
-
-        Equivalent to :meth:`publish_weights` with no arguments (the
-        pre-versioning name, kept for callers that just fine-tuned the
-        source model in place).  Returns the new version id; cached
-        programs survive — replays bind parameter arrays on every call.
-        """
-        return self.publish_weights()
-
     @property
     def versions(self) -> list[int]:
         """Ids of the currently retained weight versions (oldest first)."""
         return list(self._versions)
 
     def _prune_versions(self) -> None:
-        if len(self._versions) <= self.max_versions:
+        if len(self._versions) <= MAX_VERSIONS:
             return
         pinned = {version for version, _tier in self._queues}
         pinned.add(self.current_version)
         pinned.update(v for v in self._worker_version if v >= 0)
         for v in list(self._versions):
-            if len(self._versions) <= self.max_versions:
+            if len(self._versions) <= MAX_VERSIONS:
                 break
             if v not in pinned:
                 del self._versions[v]
@@ -729,12 +546,14 @@ class InferenceEngine:
 
         With declared ``tenants`` the world is closed: unknown names are a
         caller bug (``ValueError``), not a shed.  Without declarations any
-        label is admitted at weight 1 with no quota.
+        label is admitted at weight 1 with no quota — and so is the
+        default tenant of unlabeled traffic (the synchronous paths) on a
+        closed world.
         """
         name = DEFAULT_TENANT if tenant is None else tenant
         policy = self.tenants.get(name)
         if policy is None:
-            if self._closed_tenants:
+            if self.fair and name != DEFAULT_TENANT:
                 raise ValueError(f"tenant {name!r} is not declared on this engine")
             policy = self.tenants[name] = TenantPolicy(name)
             self.scheduler.register(name, policy.weight)
@@ -885,16 +704,14 @@ class InferenceEngine:
             seq=seq,
         )
         queue = self._queues.setdefault((version, workload_tier(dims)), [])
-        if self.fair:
-            # Keep the queue in (tag, seq) dispatch order.  Tags are
-            # nondecreasing per tenant, so single-tenant streams insert at
-            # the end — exactly the FIFO append of the pre-tenancy engine.
-            i = len(queue)
-            while i > 0 and (queue[i - 1].tag, queue[i - 1].seq) > (tag, seq):
-                i -= 1
-            queue.insert(i, pending)
-        else:
-            queue.append(pending)
+        # Keep the queue in (tag, seq) dispatch order.  FIFO requests carry
+        # their arrival as seq and single-tenant fair tags are
+        # nondecreasing, so both insert at the end — exactly the append of
+        # the pre-tenancy engine.
+        i = len(queue)
+        while i > 0 and (queue[i - 1].tag, queue[i - 1].seq) > (tag, seq):
+            i -= 1
+        queue.insert(i, pending)
         return request_id
 
     def poll(self, request_id: int, now: float | None = None) -> Prediction | None:
@@ -931,14 +748,7 @@ class InferenceEngine:
         """
         now = self._advance(now)
         merge = self.merge_tiers if merge is None else merge
-        if self.paced:
-            for key in list(self._queues):
-                self._set_queue(key, self._shed_expired(self._queues[key], now))
-            n = 0
-            while self._dispatch_next(now, merge, force=True):
-                n += 1
-            return n
-        return self._drain(now, merge)
+        return self._dispatch_ready(now, merge, force=True)
 
     def shutdown(self, flush: bool = True) -> int:
         """Stop accepting work; idempotent.  Returns batches dispatched.
@@ -970,52 +780,50 @@ class InferenceEngine:
         return self._now
 
     def _flush_ready(self, now: float) -> None:
-        """One drain scan: shed, autoscale, dispatch whatever is ready.
-
-        Unpaced engines dispatch every ready group immediately (the
-        pre-tenancy behavior, with per-class flush waits); paced engines
-        dispatch ready groups only while a worker's virtual clock is
-        actually free at ``now``, in global weighted-fair order.
-        """
+        """One ready scan (every submit and poll): autoscale, then dispatch
+        whatever is ready."""
         if self.autoscaler is not None:
             self.autoscaler.scan(self, now)
-        if self.paced:
-            for key in list(self._queues):
-                self._set_queue(key, self._shed_expired(self._queues[key], now))
-            while self._idle_worker(now) and self._dispatch_next(
-                now, self.merge_tiers, force=False
-            ):
-                pass
-            return
-        self._drain(
-            now,
-            self.merge_tiers,
-            lambda queue: any(now - p.submitted >= p.wait for p in queue),
-        )
+        self._dispatch_ready(now, self.merge_tiers, force=False)
 
-    def _drain(self, now: float, merge: bool, tail=None) -> int:
-        """Dispatch every group the planner forms over the live queues.
+    def _dispatch_ready(self, now: float, merge: bool, force: bool) -> int:
+        """The engine's one dispatch loop; returns the number of batches.
 
-        Per pinned version, tiers ascending: full groups, then each tier's
-        leftover partial if ``tail(leftover)`` says so (deadline expiry for
-        the ready scan, unconditionally for a flush); a dispatched partial
-        absorbs adjacent tiers when ``merge``
-        (:func:`~repro.serve.scheduler.plan_groups`).  Groups are dispatched
-        as they are planned, so each is priced against the canonical shapes
-        the previous dispatch left.  Returns the number of batches.
+        Sheds expired requests, then repeats: pick the ready ``(version,
+        tier)`` key — a full group, a member whose flush wait expired, or
+        ``force`` — with the smallest rank; plan its next group over its
+        version's tiers (:func:`~repro.serve.scheduler.plan_groups` with
+        ``order=(tier,)``, absorbing other tiers when ``merge``); dispatch.
+        Unpaced, the rank is the key itself (versions, then tiers,
+        ascending); paced, it is the head's ``(tag, seq)`` — global
+        weighted-fair order — and a scan that is not forced stops once no
+        worker is idle at ``now``.  Each group is planned after the previous
+        dispatch, so it is priced against the canonical shapes that
+        dispatch left.
         """
-        versions: dict[int, dict[int, list[_Pending]]] = {}
-        for key in sorted(self._queues):
-            queue = self._set_queue(key, self._shed_expired(self._queues[key], now))
-            if queue:
-                versions.setdefault(key[0], {})[key[1]] = queue
+        for key in list(self._queues):
+            self._set_queue(key, self._shed_expired(self._queues[key], now))
+        cap = self.max_batch_structs
+        fits = self._fits if merge else None
         n = 0
-        for version, tiers in versions.items():
-            for group in plan_groups(
-                tiers, self.max_batch_structs, self._fits if merge else None, tail=tail
-            ):
-                self._dispatch(self._take(version, group), now)
-                n += 1
+        while force or not self.paced or self._idle_worker(now):
+            best = best_rank = None
+            for key, queue in self._queues.items():
+                if (
+                    force
+                    or len(queue) >= cap
+                    or any(now - p.submitted >= p.wait for p in queue)
+                ):
+                    rank = (queue[0].tag, queue[0].seq) if self.paced else key
+                    if best is None or rank < best_rank:
+                        best, best_rank = key, rank
+            if best is None:
+                break
+            version, tier = best
+            tiers = {t: q for (v, t), q in self._queues.items() if v == version}
+            group = next(plan_groups(tiers, cap, fits, order=(tier,)))
+            self._dispatch(self._take(version, group), now)
+            n += 1
         return n
 
     def _take(
@@ -1071,51 +879,9 @@ class InferenceEngine:
         return kept
 
     def _idle_worker(self, now: float) -> bool:
-        """Whether any believed-healthy, non-retired worker is free at ``now``."""
-        for w in range(self.n_workers):
-            if self._retired[w]:
-                continue
-            until = self._drained_until[w]
-            if until is not None and until > now:
-                continue
-            if self._worker_free[w] <= now:
-                return True
-        return False
-
-    def _dispatch_next(self, now: float, merge: bool, force: bool) -> bool:
-        """Dispatch the weighted-fair next ready group, if any (paced mode).
-
-        A queue is *ready* when it holds a full group or any member's
-        flush wait has expired (``force`` makes every non-empty queue
-        ready); among ready queues the one whose head carries the
-        smallest ``(tag, seq)`` wins, so dispatch order across tiers and
-        versions follows the fair schedule, not the key sort.  Returns
-        whether a group was dispatched.
-        """
-        best_key = None
-        best_rank = None
-        for key, queue in self._queues.items():
-            if not (
-                force
-                or len(queue) >= self.max_batch_structs
-                or any(now - p.submitted >= p.wait for p in queue)
-            ):
-                continue
-            rank = (queue[0].tag, queue[0].seq)
-            if best_rank is None or rank < best_rank:
-                best_key, best_rank = key, rank
-        if best_key is None:
-            return False
-        version, tier = best_key
-        queue = self._queues[best_key]
-        if merge and len(queue) < self.max_batch_structs:
-            tiers = {k[1]: q for k, q in self._queues.items() if k[0] == version}
-            fits = self._fits
-        else:
-            tiers, fits = {tier: queue}, None
-        group = next(plan_groups(tiers, self.max_batch_structs, fits, order=(tier,)))
-        self._dispatch(self._take(version, group), now)
-        return True
+        """Whether the rotation worker that frees first is free at ``now``."""
+        worker = self._pick_worker(now)
+        return worker is not None and self._worker_free[worker] <= now
 
     # ------------------------------------------------------- adaptive merging
     def _canonical_seeds(self, dims_list: list[tuple]) -> tuple:
@@ -1135,11 +901,11 @@ class InferenceEngine:
         return () if stored is None else (stored,)
 
     def _affordable(self, dims_list: list[tuple]) -> bool:
-        """The planner's price test: padding overhead within ``merge_overhead_cap``."""
+        """The planner's price test: padding overhead within :data:`MERGE_OVERHEAD_CAP`."""
         if self.compilers is None:
             return True  # eager batches are never padded
         overhead = padding_overhead(dims_list, seeds=self._canonical_seeds(dims_list))
-        return overhead <= self.merge_overhead_cap
+        return overhead <= MERGE_OVERHEAD_CAP
 
     def _fits(self, members: list[_Pending]) -> bool:
         """:meth:`_affordable` on live requests."""
@@ -1156,9 +922,10 @@ class InferenceEngine:
         waits for every result anyway, so there is no latency to protect:
         the set is enqueued as a whole and flushed **planned over the whole
         set** — full per-tier groups, then partial tails absorbing adjacent
-        tiers under ``merge_overhead_cap``, whatever ``merge_tiers`` says
-        (docs/serving.md, "Grouping").  Deterministic; leaves nothing
-        queued.
+        tiers under :data:`MERGE_OVERHEAD_CAP`, whatever ``merge_tiers``
+        says (docs/serving.md, "Grouping").  Deterministic; leaves nothing
+        queued — a terminal failure is raised only after every request of
+        the set has been collected.
         """
         if self._closed:
             raise EngineClosed("engine is shut down; predict_many rejected")
@@ -1170,13 +937,11 @@ class InferenceEngine:
         self._now = max(self._now, self.makespan())
         ids = [self._enqueue(g, *self._admit()) for g in graphs]
         self.flush(merge=True)
-        predictions = []
-        for request_id in ids:
-            failure = self._failed.pop(request_id, None)
+        outcomes = [(self._failed.pop(i, None), self._results.pop(i, None)) for i in ids]
+        for failure, _ in outcomes:
             if failure is not None:
                 raise failure
-            predictions.append(self._results.pop(request_id))
-        return predictions
+        return [prediction for _, prediction in outcomes]
 
     def predict_wave(self, items: list[Crystal | CrystalGraph]) -> list[Prediction]:
         """One lockstep wave of a trajectory farm; order follows inputs.
@@ -1309,7 +1074,7 @@ class InferenceEngine:
                 if until > now:
                     continue
                 self._drained_until[w] = None
-                self._consec_failures[w] = max(0, self.breaker_threshold - 1)
+                self._consec_failures[w] = max(0, BREAKER_THRESHOLD - 1)
             if best is None or self._worker_free[w] < self._worker_free[best]:
                 best = w
         return best
@@ -1405,8 +1170,13 @@ class InferenceEngine:
         always complete) and nothing new lands on it.  Its replica stays
         in place so a later :meth:`add_worker` can reactivate the slot
         (indices stay stable for fault plans and per-worker stats).  The
-        last active worker is never retired.
+        last active worker is never retired; an index outside
+        ``[0, n_workers)`` raises ``ValueError``.
         """
+        if worker is not None and not 0 <= worker < self.n_workers:
+            raise ValueError(
+                f"worker {worker} out of range for {self.n_workers} workers"
+            )
         if worker is None:
             candidates = [
                 w
@@ -1436,19 +1206,17 @@ class InferenceEngine:
         version = group[0].version
         for pending in group:
             self._tenant_pending[pending.tenant] -= 1
-        if self.fair:
-            # Advance virtual time to the *head's* start tag — the tag the
-            # dispatch decision was made on.  Companions sliced from the
-            # same queue to fill the batch may carry much higher tags;
-            # advancing past them would catapult the clock ahead of the
-            # whole backlog and tag later light-tenant arrivals behind it.
-            self.scheduler.advance(min(p.tag for p in group))
+        # Advance virtual time to the *head's* start tag — the tag the
+        # dispatch decision was made on.  Companions sliced from the same
+        # queue to fill the batch may carry much higher tags; advancing
+        # past them would catapult the clock ahead of the whole backlog and
+        # tag later light-tenant arrivals behind it.  (FIFO tags are all 0.)
+        self.scheduler.advance(min(p.tag for p in group))
         attempt = 0
         while group:
             dispatch = self._dispatches
             self._dispatches += 1
-            if self.fault_plan is not None:
-                self._dead.update(self.fault_plan.take_kills(dispatch))
+            self._dead.update(self.fault_plan.take_kills(dispatch))
             worker = self._pick_worker(now)
             if worker is None:
                 # The whole rotation is drained; wait out the earliest
@@ -1470,19 +1238,12 @@ class InferenceEngine:
                 elif wake is None:
                     # Every worker is permanently dead and irreplaceable.
                     for pending in group:
-                        self._failed[pending.request_id] = WorkerFailure(
-                            -1, dispatch, pending.request_id
-                        )
-                        self.stats.failed += 1
-                        self.stats.tenant(pending.tenant).failed += 1
+                        self._fail(pending, -1, dispatch)
                     return
                 else:
                     now = max(now, wake)
                     worker = self._pick_worker(now)
-            failed = worker in self._dead or (
-                self.fault_plan is not None
-                and self.fault_plan.take_flake(worker, dispatch)
-            )
+            failed = worker in self._dead or self.fault_plan.take_flake(worker, dispatch)
             if failed:
                 self.stats.worker_failures += 1
                 self._consec_failures[worker] += 1
@@ -1493,27 +1254,31 @@ class InferenceEngine:
                         self._replace_worker(worker, now)
                     else:
                         self._drained_until[worker] = float("inf")
-                elif self._consec_failures[worker] >= self.breaker_threshold:
-                    self._drained_until[worker] = now + self.breaker_cooldown
+                elif self._consec_failures[worker] >= BREAKER_THRESHOLD:
+                    self._drained_until[worker] = now + BREAKER_COOLDOWN
                 survivors = []
                 for pending in group:
                     pending.retries += 1
                     if pending.retries > self.max_retries:
-                        self._failed[pending.request_id] = WorkerFailure(
-                            worker, dispatch, pending.request_id
-                        )
-                        self.stats.failed += 1
-                        self.stats.tenant(pending.tenant).failed += 1
+                        self._fail(pending, worker, dispatch)
                     else:
                         self.stats.retries += 1
                         survivors.append(pending)
                 group = survivors
-                now += self.retry_backoff * (2.0**attempt)
+                now += RETRY_BACKOFF * (2.0**attempt)
                 attempt += 1
                 continue
             self._consec_failures[worker] = 0
             self._evaluate(group, worker, version, dispatch, now)
             return
+
+    def _fail(self, pending: _Pending, worker: int, dispatch: int) -> None:
+        """Shed ``pending`` terminally; its :meth:`poll` raises the failure."""
+        self._failed[pending.request_id] = WorkerFailure(
+            worker, dispatch, pending.request_id
+        )
+        self.stats.failed += 1
+        self.stats.tenant(pending.tenant).failed += 1
 
     def _evaluate(
         self,
@@ -1533,15 +1298,11 @@ class InferenceEngine:
         t0 = time.perf_counter()
         out = self._eval_batch(worker, batch)
         measured = time.perf_counter() - t0
-        skew = (
-            self.fault_plan.skew(worker, dispatch)
-            if self.fault_plan is not None
-            else 0.0
-        )
+        skew = self.fault_plan.skew(worker, dispatch)
         start = max(self._worker_free[worker], now)
         finish = start + measured + skew
         served_by, served_at = worker, finish
-        if self.hedge and (skew > 0.0 or start - now > self.hedge_after):
+        if self.hedge and (skew > 0.0 or start - now > self.max_wait):
             # Duplicate the stuck batch onto the idlest healthy worker and
             # keep the first modeled completion.  Both clocks advance: the
             # loser's work is not free, it is the price of the hedge.
@@ -1552,13 +1313,10 @@ class InferenceEngine:
                 t1 = time.perf_counter()
                 hedge_out = self._eval_batch(other, batch)
                 hedge_measured = time.perf_counter() - t1
-                hedge_skew = (
-                    self.fault_plan.skew(other, dispatch)
-                    if self.fault_plan is not None
-                    else 0.0
-                )
                 hedge_finish = (
-                    max(self._worker_free[other], now) + hedge_measured + hedge_skew
+                    max(self._worker_free[other], now)
+                    + hedge_measured
+                    + self.fault_plan.skew(other, dispatch)
                 )
                 self._worker_free[other] = hedge_finish
                 if hedge_finish < finish:
@@ -1570,7 +1328,7 @@ class InferenceEngine:
             self.stats.cache_hits += self.cache.hits - before[0]
             self.stats.cache_misses += self.cache.misses - before[1]
         dims_list = [p.dims for p in group]
-        raw = sum(workload_cost(*d) for d in dims_list)
+        raw = sum(p.cost for p in group)
         padded = (
             workload_cost(
                 *group_padded_targets(dims_list, seeds=self._canonical_seeds(dims_list))
@@ -1596,12 +1354,11 @@ class InferenceEngine:
             ts = self.stats.tenant(pending.tenant)
             ts.served += 1
             ts.latencies.append(latency)
-            pending_cost = workload_cost(*pending.dims)
-            ts.raw_cost += pending_cost
+            ts.raw_cost += pending.cost
             # Padded batch cost is priced per batch; attribute each
             # request its raw-cost-proportional share so tenant blocks
             # sum to the global counter.
-            ts.padded_cost += padded * pending_cost / raw if raw else 0
+            ts.padded_cost += padded * pending.cost / raw if raw else 0
             self._results[pending.request_id] = Prediction(
                 request_id=pending.request_id,
                 energy=e_pa * (a1 - a0),

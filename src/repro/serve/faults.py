@@ -3,7 +3,8 @@
 PR 6 taught the simulated training cluster to rehearse rank deaths,
 stragglers and timeouts (:mod:`repro.comm.faults`); a serving tier that is
 supposed to sit in the hot path of production traffic must survive the
-same failures.  :class:`WorkerFaultPlan` is the serving-side analogue of
+same failures.  :class:`WorkerFaultPlan` is the serving-side front-end of
+the same :class:`~repro.comm.faults.FaultSchedule` that backs
 :class:`~repro.comm.faults.FaultPlan` — a declarative, seeded schedule of
 worker faults keyed by the engine's **global dispatch index** (every batch
 dispatch attempt increments it, so a plan is exactly reproducible):
@@ -40,6 +41,8 @@ which rehearsed faults landed on an autoscaled fleet.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.comm.faults import FaultSchedule
 
 
 class WorkerFailure(RuntimeError):
@@ -80,7 +83,7 @@ class DeadlineExceeded(RuntimeError):
         self.deadline = deadline
 
 
-class WorkerFaultPlan:
+class WorkerFaultPlan(FaultSchedule):
     """Declarative schedule of worker faults, keyed by global dispatch index.
 
     Build with the chainable methods::
@@ -89,26 +92,27 @@ class WorkerFaultPlan:
         plan = WorkerFaultPlan().flake(worker=0, dispatch=2, count=3)
         plan = WorkerFaultPlan().straggle(worker=2, seconds=0.5)
 
-    or parse CLI specs (:meth:`parse`) / draw a seeded random plan
-    (:meth:`random`).  Kills and flakes are consumed when they fire;
-    :meth:`unfired` names anything still pending.
+    or parse CLI specs (``serve --inject-worker-fault``; :meth:`parse`) of
+    the forms ``kill:WORKER:DISPATCH``, ``flake:WORKER:DISPATCH[:COUNT]``
+    and ``straggle:WORKER:SECONDS[:START[:STOP]]``, or draw a seeded random
+    plan (:meth:`random`).  Kills and flakes are consumed when they fire;
+    :meth:`unfired` names anything still pending.  An empty plan injects
+    nothing: the engine's fault-free schedule.
     """
 
-    def __init__(self) -> None:
-        self._kills: dict[int, list[int]] = {}
-        self._flakes: list[list[int]] = []  # [worker, start_dispatch, remaining]
-        self._skews: list[tuple[int, float, int, int | None]] = []
-        self._skews_fired: set[int] = set()
+    TARGET = "worker"
+    TICK = "dispatch"
+    TRANSIENT = "flake"
+    SPEC = "worker fault spec"
+    GRAMMAR = {
+        "kill": (2, ("WORKER", int), ("DISPATCH", int)),
+        "flake": (2, ("WORKER", int), ("DISPATCH", int), ("COUNT", int)),
+        "straggle": (2, ("WORKER", int), ("SECONDS", float), ("START", int), ("STOP", int)),
+    }
 
-    # -------------------------------------------------------------- builders
     def kill(self, worker: int, dispatch: int) -> "WorkerFaultPlan":
         """Kill ``worker`` permanently at global dispatch index ``dispatch``."""
-        if worker < 0:
-            raise ValueError(f"worker must be >= 0, got {worker}")
-        if dispatch < 0:
-            raise ValueError(f"dispatch must be >= 0, got {dispatch}")
-        self._kills.setdefault(dispatch, []).append(worker)
-        return self
+        return self._add_kill(worker, dispatch)
 
     def flake(self, worker: int, dispatch: int, count: int = 1) -> "WorkerFaultPlan":
         """Fail the next ``count`` dispatches routed to ``worker``.
@@ -117,14 +121,7 @@ class WorkerFaultPlan:
         worker recovers once the budget is consumed, which is what lets a
         circuit breaker's cooldown re-admission succeed.
         """
-        if worker < 0:
-            raise ValueError(f"worker must be >= 0, got {worker}")
-        if dispatch < 0:
-            raise ValueError(f"dispatch must be >= 0, got {dispatch}")
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        self._flakes.append([worker, dispatch, count])
-        return self
+        return self._add_transient(worker, dispatch, count, None, "count")
 
     def straggle(
         self,
@@ -138,121 +135,11 @@ class WorkerFaultPlan:
         Active for dispatch indices in ``[start, stop)``; ``stop=None``
         means forever.  Overlapping windows accumulate.
         """
-        if worker < 0:
-            raise ValueError(f"worker must be >= 0, got {worker}")
-        if seconds < 0:
-            raise ValueError(f"straggler seconds must be >= 0, got {seconds}")
-        if start < 0 or (stop is not None and stop <= start):
-            raise ValueError(f"bad straggler window [{start}, {stop})")
-        self._skews.append((worker, float(seconds), start, stop))
-        return self
-
-    # --------------------------------------------------------------- queries
-    @property
-    def empty(self) -> bool:
-        """Whether no faults remain scheduled (fired ones are consumed)."""
-        return not (self._kills or any(f[2] for f in self._flakes) or self._skews)
-
-    def take_kills(self, dispatch: int) -> list[int]:
-        """Workers scheduled to die at ``dispatch``; consumed (fires once)."""
-        return self._kills.pop(dispatch, [])
+        return self._add_straggle(worker, seconds, start, stop)
 
     def take_flake(self, worker: int, dispatch: int) -> bool:
         """Consume one flake unit for ``worker`` at ``dispatch``, if any."""
-        for entry in self._flakes:
-            if entry[0] == worker and entry[1] <= dispatch and entry[2] > 0:
-                entry[2] -= 1
-                return True
-        return False
-
-    def skew(self, worker: int, dispatch: int) -> float:
-        """Virtual straggler seconds for ``worker`` at ``dispatch``.
-
-        Windows that contribute are marked fired (see :meth:`unfired`).
-        """
-        total = 0.0
-        for i, (w, seconds, start, stop) in enumerate(self._skews):
-            if w == worker and start <= dispatch and (stop is None or dispatch < stop):
-                total += seconds
-                self._skews_fired.add(i)
-        return total
-
-    def unfired(self) -> list[str]:
-        """Canonical specs of planned faults that have not fired yet.
-
-        Kills/flakes are consumed as they fire and straggler windows are
-        marked the first time :meth:`skew` samples them, so a test can
-        assert ``plan.unfired() == []`` to prove every rehearsed failure
-        actually landed.
-        """
-        specs = [
-            f"kill:{worker}:{dispatch}"
-            for dispatch in sorted(self._kills)
-            for worker in self._kills[dispatch]
-        ]
-        specs += [
-            f"flake:{worker}:{start}:{remaining}"
-            for worker, start, remaining in self._flakes
-            if remaining > 0
-        ]
-        for i, (worker, seconds, start, stop) in enumerate(self._skews):
-            if i not in self._skews_fired:
-                window = f":{start}" + (f":{stop}" if stop is not None else "")
-                specs.append(
-                    f"straggle:{worker}:{seconds}{window if window != ':0' else ''}"
-                )
-        return specs
-
-    # ---------------------------------------------------------- constructors
-    @classmethod
-    def parse(cls, specs: list[str]) -> "WorkerFaultPlan":
-        """Build a plan from CLI specs (``serve --inject-worker-fault``).
-
-        Accepted forms::
-
-            kill:WORKER:DISPATCH
-            flake:WORKER:DISPATCH[:COUNT]
-            straggle:WORKER:SECONDS[:START[:STOP]]
-
-        Malformed specs and duplicates raise ``ValueError`` naming the
-        offending spec string.
-        """
-        plan = cls()
-        seen: set[str] = set()
-        for spec in specs:
-            normalized = spec.strip()
-            if normalized in seen:
-                raise ValueError(
-                    f"duplicate worker fault spec {spec!r}: each fault may "
-                    "be specified only once"
-                )
-            seen.add(normalized)
-            parts = spec.split(":")
-            kind = parts[0]
-            try:
-                if kind == "kill" and len(parts) == 3:
-                    plan.kill(worker=int(parts[1]), dispatch=int(parts[2]))
-                elif kind == "flake" and len(parts) in (3, 4):
-                    count = int(parts[3]) if len(parts) == 4 else 1
-                    plan.flake(worker=int(parts[1]), dispatch=int(parts[2]), count=count)
-                elif kind == "straggle" and len(parts) in (3, 4, 5):
-                    start = int(parts[3]) if len(parts) >= 4 else 0
-                    stop = int(parts[4]) if len(parts) == 5 else None
-                    plan.straggle(
-                        worker=int(parts[1]),
-                        seconds=float(parts[2]),
-                        start=start,
-                        stop=stop,
-                    )
-                else:
-                    raise ValueError("unrecognized form")
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad worker fault spec {spec!r} ({exc}); expected "
-                    "kill:WORKER:DISPATCH, flake:WORKER:DISPATCH[:COUNT], or "
-                    "straggle:WORKER:SECONDS[:START[:STOP]]"
-                ) from exc
-        return plan
+        return self.take_transient(worker, dispatch) > 0
 
     @classmethod
     def random(
@@ -273,15 +160,7 @@ class WorkerFaultPlan:
         """
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        rng = np.random.default_rng(seed)
-        plan = cls()
-        for dispatch in range(n_dispatches):
-            if p_kill and rng.random() < p_kill:
-                plan.kill(worker=int(rng.integers(n_workers)), dispatch=dispatch)
-            if p_flake and rng.random() < p_flake:
-                plan.flake(worker=int(rng.integers(n_workers)), dispatch=dispatch)
-        if straggler_seconds > 0:
-            plan.straggle(
-                worker=int(rng.integers(n_workers)), seconds=straggler_seconds
-            )
-        return plan
+        return cls._random(
+            seed, n_workers, n_dispatches, p_kill, p_flake, straggler_seconds,
+            lambda plan, rng, dispatch: plan.flake(int(rng.integers(n_workers)), dispatch),
+        )  # fmt: skip

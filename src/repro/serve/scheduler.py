@@ -48,6 +48,8 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
+from repro.serve.tenants import percentile
+
 T = TypeVar("T")
 
 
@@ -257,8 +259,6 @@ class Autoscaler:
 
     def watched_p95(self) -> float:
         """Modeled p95 of the watched class over the sliding window."""
-        from repro.serve.engine import percentile
-
         return percentile(self._latencies, 95)
 
     def scan(self, engine, now: float) -> str | None:

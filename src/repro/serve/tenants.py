@@ -26,7 +26,9 @@ counters) is what ``tests/serve_harness.py`` checks.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 #: Class name used when ``submit`` is called without ``request_class`` —
 #: behaves exactly like the pre-tenancy engine (engine-wide ``max_wait``,
@@ -35,6 +37,33 @@ DEFAULT_CLASS = "bulk"
 
 #: Tenant name used when ``submit`` is called without ``tenant``.
 DEFAULT_TENANT = "default"
+
+#: Field metadata of a stats counter that :func:`counters` leaves out
+#: because the report shows it only through a derived key.
+DERIVED_ONLY = {"derived_only": True}
+
+
+def percentile(values, q: float) -> float:
+    """Linear-interpolated percentile of a sequence (0 <= q <= 100)."""
+    if not values:
+        return 0.0
+    return float(np.percentile(np.fromiter(values, dtype=np.float64), q))
+
+
+def counters(stats) -> dict:
+    """The scalar counter fields of a stats dataclass, by name.
+
+    Read off the dataclass declaration, so a counter added to a stats
+    block is reported without touching its ``as_dict``; windows and
+    nested blocks (non-scalar fields) and ``DERIVED_ONLY`` fields are left
+    to the caller's derived keys.
+    """
+    out = {}
+    for f in fields(stats):
+        value = getattr(stats, f.name)
+        if isinstance(value, (int, float)) and not f.metadata.get("derived_only"):
+            out[f.name] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -180,17 +209,9 @@ class TenantStats:
         return self.padded_cost / self.raw_cost - 1.0 if self.raw_cost else 0.0
 
     def as_dict(self) -> dict:
-        """Flat dict of all counters plus derived latency percentiles."""
-        from repro.serve.engine import percentile
-
+        """Flat dict of every counter field plus derived rates and percentiles."""
         return {
-            "submitted": self.submitted,
-            "served": self.served,
-            "shed": self.shed,
-            "expired": self.expired,
-            "failed": self.failed,
-            "raw_cost": self.raw_cost,
-            "padded_cost": self.padded_cost,
+            **counters(self),
             "padding_overhead": self.padding_overhead,
             "latency_p50": percentile(self.latencies, 50),
             "latency_p95": percentile(self.latencies, 95),

@@ -56,8 +56,9 @@ class TestFaultPlan:
 
     def test_timeout_budget_drains(self):
         plan = FaultPlan().timeout(step=2, attempts=2)
-        assert plan.timeout_budget(1) == 0
-        assert plan.timeout_budget(2) == 2
+        assert plan.take_transient(None, 1) == 0
+        assert [plan.take_transient(None, 2) for _ in range(3)] == [1, 2, 0]
+        assert plan.take_transient(None, 3) == 0
 
     def test_skew_windows(self):
         plan = FaultPlan().straggle(rank=0, seconds=0.5, start=2, stop=4)
@@ -72,7 +73,7 @@ class TestFaultPlan:
             ["kill:1:3", "timeout:2:2", "straggle:0:0.25:1:5"]
         )
         assert plan.take_kills(3) == [1]
-        assert plan.timeout_budget(2) == 2
+        assert [plan.take_transient(None, 2) for _ in range(3)] == [1, 2, 0]
         assert plan.skew(0, 1) == 0.25
 
     @pytest.mark.parametrize(
@@ -85,7 +86,39 @@ class TestFaultPlan:
     def test_random_plan_deterministic(self):
         a = FaultPlan.random(seed=7, world_size=4, n_steps=20, p_kill=0.2)
         b = FaultPlan.random(seed=7, world_size=4, n_steps=20, p_kill=0.2)
-        assert a._kills == b._kills and a._timeouts == b._timeouts
+        assert a.unfired() == b.unfired()
+
+    def test_seeded_plans_frozen(self):
+        """Seeded draws, canonical specs and timeout attempt numbers are
+        pinned: the same seed gives the same plan across releases."""
+        plan = FaultPlan.random(
+            seed=7, world_size=4, n_steps=24, p_kill=0.15, p_timeout=0.3,
+            straggler_seconds=0.01,
+        )  # fmt: skip
+        assert plan.unfired() == [
+            "kill:1:3", "kill:3:11", "kill:2:18", "kill:3:22", "timeout:1:1",
+            "timeout:5:1", "timeout:9:1", "timeout:11:1", "timeout:15:1",
+            "timeout:18:1", "straggle:2:0.01",
+        ]  # fmt: skip
+        plan = FaultPlan.parse(
+            ["timeout:3", "kill:1:4", "timeout:3:2", "straggle:0:0.5:0",
+             "straggle:1:0.25:0:6", "timeout:1", "straggle:2:1e-3:2"]
+        )  # fmt: skip
+        assert plan.unfired() == [
+            "kill:1:4", "timeout:1:1", "timeout:3:3", "straggle:0:0.5",
+            "straggle:1:0.25:0:6", "straggle:2:0.001:2",
+        ]  # fmt: skip
+        assert FaultPlan.parse(plan.unfired()).unfired() == plan.unfired()
+        comm = FaultyCommunicator(2, plan)
+        comm.advance(3)
+        attempts = []
+        for _ in range(3):
+            with pytest.raises(CollectiveTimeout) as err:
+                comm.allreduce_sum([np.ones(2), np.ones(2)])
+            attempts.append(err.value.attempt)
+        assert attempts == [1, 2, 3]
+        comm.allreduce_sum([np.ones(2), np.ones(2)])  # budget drained
+        assert comm.timeouts_injected == 3
 
     def test_empty(self):
         assert FaultPlan().empty
@@ -108,9 +141,9 @@ class TestFaultPlan:
             "timeout:2:2",
         ]
         plan.take_kills(3)
-        plan.note_timeout(2)
+        plan.take_transient(None, 2)
         assert plan.unfired() == ["timeout:2:1", "straggle:0:0.25"]
-        plan.note_timeout(2)
+        plan.take_transient(None, 2)
         plan.skew(0, 0)
         assert plan.unfired() == []
 

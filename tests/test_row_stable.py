@@ -35,7 +35,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.data import StructureDataset  # noqa: E402
 from repro.graph.batching import workload_tier  # noqa: E402
 from repro.model import OptLevel  # noqa: E402
-from repro.serve import InferenceEngine  # noqa: E402
+from repro.serve import InferenceEngine, TenantPolicy  # noqa: E402
 from repro.tensor import Tensor, fused_layernorm, segment_sum, sigmoid, silu  # noqa: E402
 from repro.tensor import ops_fused  # noqa: E402
 from repro.tensor.compile import _OUT_IMPLS, InferenceCompiler, StepCompiler  # noqa: E402
@@ -474,7 +474,8 @@ class TestQueueKeysAreReclaimed:
     def test_paced_and_merging_engines_reclaim_too(self):
         model = make_model()
         graphs = make_graphs(10, seed=6)
-        for kwargs in ({"paced": True}, {"merge_tiers": True}, {"fair": True}):
+        fair = {"tenants": [TenantPolicy("solo")]}  # weighted-fair order
+        for kwargs in ({"paced": True}, {"merge_tiers": True}, fair):
             engine = InferenceEngine(
                 model, compile=False, max_batch_structs=3, max_wait=0.01, **kwargs
             )

@@ -197,7 +197,7 @@ class TestSharedCacheRebinding:
         # fine-tune-style update of the source weights
         for p in model.parameters():
             p.data *= 1.01
-        engine.refresh_weights()
+        engine.publish_weights()
         served = engine.predict_many(stream)
         baseline = _eager_baseline(model, stream)
         assert all(_equal(a, b) for a, b in zip(served, baseline))

@@ -27,6 +27,7 @@ from repro.serve import (
     WorkerFailure,
     WorkerFaultPlan,
 )
+from repro.serve import engine as engine_module
 
 CFG = CHGNetConfig(
     atom_fea_dim=8,
@@ -158,6 +159,27 @@ class TestWorkerFaultPlan:
         plan.skew(2, 0)
         assert plan.unfired() == []
 
+    def test_seeded_plans_frozen(self):
+        """Seeded draws and canonical specs are pinned: the same seed gives
+        the same plan across releases, and parse renders canonical forms."""
+        plan = WorkerFaultPlan.random(
+            7, 4, 32, p_kill=0.1, p_flake=0.25, straggler_seconds=0.5
+        )
+        assert plan.unfired() == [
+            "kill:0:11", "kill:2:17", "kill:0:21", "kill:1:31", "flake:0:1:1",
+            "flake:1:2:1", "flake:3:9:1", "flake:0:10:1", "flake:2:14:1",
+            "flake:3:17:1", "flake:2:23:1", "flake:3:31:1", "straggle:0:0.5",
+        ]  # fmt: skip
+        plan = WorkerFaultPlan.parse(
+            ["flake:1:2", "kill:0:5", "flake:0:3:2", "straggle:0:0.5:0",
+             "straggle:1:0.25:0:6", "kill:2:1", "straggle:2:1e-3:2"]
+        )  # fmt: skip
+        assert plan.unfired() == [
+            "kill:2:1", "kill:0:5", "flake:1:2:1", "flake:0:3:2",
+            "straggle:0:0.5", "straggle:1:0.25:0:6", "straggle:2:0.001:2",
+        ]  # fmt: skip
+        assert WorkerFaultPlan.parse(plan.unfired()).unfired() == plan.unfired()
+
     def test_random_plan_deterministic(self):
         a = WorkerFaultPlan.random(7, 4, 32, p_kill=0.2, p_flake=0.2)
         b = WorkerFaultPlan.random(7, 4, 32, p_kill=0.2, p_flake=0.2)
@@ -208,10 +230,15 @@ class TestKillRetry:
         assert engine.snapshot()["worker_failures"] >= 1
 
     def test_predict_many_surfaces_terminal_failure(self, model, graphs):
+        """The set's first failure is raised after every id of the set was
+        collected: nothing is left behind in the engine."""
         plan = WorkerFaultPlan().kill(worker=0, dispatch=0)
         engine = _engine(model, n_workers=1, fault_plan=plan)
         with pytest.raises(WorkerFailure):
-            engine.predict_many(graphs[:2])
+            engine.predict_many(graphs[:6])
+        assert engine._results == {}
+        assert engine._failed == {}
+        assert engine.pending == 0
 
 
 class TestHedging:
@@ -276,18 +303,13 @@ class TestDeadlines:
 
 
 class TestCircuitBreaker:
-    def test_flake_trips_then_readmits_half_open(self, model, graphs):
+    def test_flake_trips_then_readmits_half_open(self, model, graphs, monkeypatch):
         """A flaking worker drains out of rotation and is re-admitted after
         the cooldown — and actually serves again (it recovered)."""
+        monkeypatch.setattr(engine_module, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(engine_module, "BREAKER_COOLDOWN", 0.5)
         plan = WorkerFaultPlan().flake(worker=0, dispatch=0)
-        engine = _engine(
-            model,
-            n_workers=2,
-            max_batch_structs=2,
-            fault_plan=plan,
-            breaker_threshold=1,
-            breaker_cooldown=0.5,
-        )
+        engine = _engine(model, n_workers=2, max_batch_structs=2, fault_plan=plan)
         quad = _same_tier(graphs, 4)
         first = [engine.submit(g, now=0.0) for g in quad[:2]]
         assert all(engine.poll(i) is not None for i in first)  # retried on 1
@@ -340,7 +362,9 @@ class TestWorkerReplacement:
 
 
 class TestShutdownUnderFaults:
-    def test_shutdown_flushes_merged_group_past_dead_worker(self, model, graphs):
+    def test_shutdown_flushes_merged_group_past_dead_worker(
+        self, model, graphs, monkeypatch
+    ):
         """shutdown(flush=True) with an in-flight cross-tier merged group
         whose first dispatch lands on a dead worker: the merged group
         re-queues whole, nothing is lost, bits are unchanged."""
@@ -352,14 +376,10 @@ class TestShutdownUnderFaults:
         assert len(tiers) >= 2  # the stream really is multi-tier
         mixed = by_tier[tiers[0]][:2] + by_tier[tiers[1]][:1]
         baseline = _engine(model, n_workers=1).predict_many(mixed)
+        monkeypatch.setattr(engine_module, "MERGE_OVERHEAD_CAP", 10.0)
         plan = WorkerFaultPlan().kill(worker=0, dispatch=0)
         engine = _engine(
-            model,
-            n_workers=2,
-            max_batch_structs=8,
-            merge_tiers=True,
-            merge_overhead_cap=10.0,
-            fault_plan=plan,
+            model, n_workers=2, max_batch_structs=8, merge_tiers=True, fault_plan=plan
         )
         ids = [engine.submit(g, now=0.0) for g in mixed]  # all partial
         assert engine.pending == len(mixed)
@@ -378,13 +398,7 @@ class TestShutdownUnderFaults:
 class TestConstructorValidation:
     @pytest.mark.parametrize(
         "kwargs",
-        [
-            {"max_retries": -1},
-            {"retry_backoff": -0.1},
-            {"hedge_after": -1.0},
-            {"breaker_threshold": 0},
-            {"breaker_cooldown": -1.0},
-        ],
+        [{"max_retries": -1}],
     )
     def test_bad_fault_params_rejected(self, model, kwargs):
         with pytest.raises(ValueError):

@@ -19,6 +19,8 @@ from repro.graph.crystal_graph import build_graph
 from repro.md.calculator import ModelCalculator
 from repro.model import CHGNetConfig, CHGNetModel, OptLevel
 from repro.serve import InferenceEngine
+from repro.serve import engine as engine_module
+from repro.serve.engine import MAX_VERSIONS
 from repro.train import ServingTrainer, TrainConfig
 from repro.data.dataset import StructureDataset
 
@@ -141,25 +143,6 @@ class TestVersionedPublish:
             ref = base_v0[i] if i % 2 == 0 else base_v1[i]
             assert _equal(p, ref)
 
-    def test_refresh_equals_publish(self, graphs):
-        """refresh_weights() is publish_weights() under its old name."""
-        model_a = _fresh_model(seed=3, jitter=300)
-        model_b = _model_with(model_a.state_dict())
-        eng_a = InferenceEngine(model_a, compile=True, max_batch_structs=4)
-        eng_b = InferenceEngine(model_b, compile=True, max_batch_structs=4)
-        subset = graphs[:6]
-        eng_a.predict_many(subset)
-        eng_b.predict_many(subset)
-        _finetune(model_a)
-        _finetune(model_b)
-        va = eng_a.refresh_weights()
-        vb = eng_b.publish_weights()
-        assert va == vb == eng_a.current_version == eng_b.current_version
-        out_a = eng_a.predict_many(subset)
-        out_b = eng_b.predict_many(subset)
-        assert all(_equal(a, b) for a, b in zip(out_a, out_b))
-        assert eng_a.snapshot()["publishes"] == eng_b.snapshot()["publishes"] == 2
-
     def test_source_model_mutation_does_not_leak_into_served_version(self, graphs):
         """Published versions are snapshots: fine-tuning the source model
         without publishing must not change what is served."""
@@ -175,11 +158,11 @@ class TestVersionedPublish:
 
     def test_registry_pruning_and_pin_validation(self, graphs):
         model = _fresh_model()
-        engine = InferenceEngine(model, compile=False, max_versions=2)
+        engine = InferenceEngine(model, compile=False)
         first = engine.current_version
-        for _ in range(4):
+        for _ in range(MAX_VERSIONS + 2):
             engine.publish_weights()
-        assert len(engine.versions) <= 2
+        assert len(engine.versions) <= MAX_VERSIONS
         assert engine.current_version in engine.versions
         with pytest.raises(ValueError):
             engine.submit(graphs[0], version=first)  # evicted version
@@ -197,11 +180,11 @@ class TestVersionedPublish:
         model = _fresh_model(seed=6, jitter=600)
         state_v0 = model.state_dict()
         engine = InferenceEngine(
-            model, compile=False, max_batch_structs=8, max_wait=100.0, max_versions=2
+            model, compile=False, max_batch_structs=8, max_wait=100.0
         )
         v0 = engine.current_version
         rid = engine.submit(graphs[0], now=0.0)
-        for _ in range(5):
+        for _ in range(MAX_VERSIONS + 3):
             _finetune(model)
             engine.publish_weights()
         assert v0 in engine.versions
@@ -335,9 +318,10 @@ class TestAdaptiveTierMerging:
         mean_exact = np.mean([p.batch_structs for p in exact_preds])
         assert mean_merged > mean_exact
 
-    def test_overhead_cap_zero_disables_costly_merges(self, graphs):
+    def test_overhead_cap_zero_disables_costly_merges(self, graphs, monkeypatch):
         """With a zero cap only free absorptions happen, so the priced
         padding overhead never exceeds the exact-tier engine's."""
+        monkeypatch.setattr(engine_module, "MERGE_OVERHEAD_CAP", 0.0)
         model = _fresh_model()
         stream = [graphs[i % len(graphs)] for i in range(2 * len(graphs))]
         exact = InferenceEngine(
@@ -351,7 +335,6 @@ class TestAdaptiveTierMerging:
             max_batch_structs=8,
             max_wait=0.05,
             merge_tiers=True,
-            merge_overhead_cap=0.0,
         )
         _drive_trickle(capped, stream, dt=0.02)
         assert capped.stats.padding_overhead <= exact.stats.padding_overhead + 1e-9
@@ -448,10 +431,6 @@ class TestCollateMemoization:
         model = _fresh_model()
         with pytest.raises(ValueError):
             InferenceEngine(model, memoize=-1)
-        with pytest.raises(ValueError):
-            InferenceEngine(model, merge_overhead_cap=-0.1)
-        with pytest.raises(ValueError):
-            InferenceEngine(model, max_versions=0)
 
 
 class TestMergeAwareWarmStart:

@@ -150,8 +150,9 @@ class TestFairScheduler:
 
 class TestFifoDegenerate:
     def test_fair_single_tenant_bit_identical_to_fifo(self, model, graphs):
-        """fair=True with one tenant/one class reproduces the FIFO engine
-        exactly: same predictions, same batch groupings, same schedule.
+        """One declared tenant (weighted-fair order) with one class
+        reproduces the FIFO engine exactly: same predictions, same batch
+        groupings, same schedule.
 
         (Latencies are *measured* wall seconds, so they are compared by
         grouping — every request lands in the same batch with the same
@@ -159,10 +160,17 @@ class TestFifoDegenerate:
         """
         fifo = InferenceEngine(model, n_workers=1, compile=True, max_batch_structs=4)
         fair = InferenceEngine(
-            model, n_workers=1, compile=True, max_batch_structs=4, fair=True
+            model,
+            n_workers=1,
+            compile=True,
+            max_batch_structs=4,
+            tenants=[TenantPolicy("solo")],
         )
+        assert fair.fair
         fifo_ids = [fifo.submit(g, now=0.01 * i) for i, g in enumerate(graphs)]
-        fair_ids = [fair.submit(g, now=0.01 * i) for i, g in enumerate(graphs)]
+        fair_ids = [
+            fair.submit(g, now=0.01 * i, tenant="solo") for i, g in enumerate(graphs)
+        ]
         assert fifo.flush(now=1.0) == fair.flush(now=1.0)
         for a, b in zip(fifo_ids, fair_ids):
             pa, pb = fifo.poll(a, now=2.0), fair.poll(b, now=2.0)
@@ -238,6 +246,25 @@ class TestMultiTenant:
             engine.submit(graphs[0], tenant="mallory")
         with pytest.raises(ValueError, match="request class"):
             engine.submit(graphs[0], tenant="a", request_class="batch")
+
+    def test_closed_world_serves_synchronous_paths(self, model, graphs):
+        """Unlabeled synchronous traffic joins the default tenant of a
+        closed world instead of being rejected, bit-identical to eager."""
+        baseline = _eager_baseline(model, graphs)
+        engine = InferenceEngine(
+            model,
+            n_workers=2,
+            compile=True,
+            max_batch_structs=4,
+            tenants=[TenantPolicy("a", weight=2.0), TenantPolicy("b")],
+        )
+        many = engine.predict_many(graphs)
+        wave = engine.predict_wave(graphs)
+        assert all(_equal(p, q) for p, q in zip(many, baseline))
+        assert all(_equal(p, q) for p, q in zip(wave, baseline))
+        assert engine.stats.tenant("default").served == 2 * len(graphs)
+        with pytest.raises(ValueError, match="not declared"):
+            engine.submit(graphs[0], tenant="mallory")
 
     def test_open_world_auto_registers_tenants(self, model, graphs):
         engine = InferenceEngine(model, n_workers=1, compile=False)
@@ -343,6 +370,14 @@ class TestAutoscale:
         assert engine.retire_worker() is None
         assert engine.fleet_size == 1
 
+    @pytest.mark.parametrize("worker", [-1, 2, 5])
+    def test_retire_rejects_out_of_range_index(self, model, worker):
+        engine = InferenceEngine(model, n_workers=2, compile=False)
+        with pytest.raises(ValueError, match="out of range"):
+            engine.retire_worker(worker)
+        assert engine.fleet_size == 2
+        assert engine.stats.scale_ins == 0
+
 
 class TestElasticFaults:
     def test_kill_mid_scale_out_recovers_bit_identical(self, model, graphs):
@@ -429,6 +464,28 @@ class TestSnapshotDriftGate:
         for f in dataclasses.fields(TenantStats):
             for key in self.TENANT_FIELD_KEYS.get(f.name, (f.name,)):
                 assert key in block, f"TenantStats.{f.name} missing from as_dict()"
+
+    def test_snapshot_key_set_frozen(self, model):
+        """Reports are built from the dataclass fields; their key sets are
+        the published ones (benches and the CLI read them by name)."""
+        assert set(EngineStats().as_dict()) == {
+            "batches", "cache_hits", "cache_misses", "class_latency_p50",
+            "class_latency_p95", "collate_hits", "collate_misses",
+            "deadline_misses", "failed", "hedge_wins", "hedges", "hit_rate",
+            "latency_p50", "latency_p95", "load_shed", "merged_batches",
+            "merges", "padding_overhead", "publishes", "quota_shed", "requests",
+            "retries", "scale_ins", "scale_outs", "tenants", "warm_unsettled",
+            "wave_structs", "waves", "worker_failures", "worker_replacements",
+        }  # fmt: skip
+        assert set(TenantStats().as_dict()) == {
+            "expired", "failed", "latency_p50", "latency_p95", "padded_cost",
+            "padding_overhead", "raw_cost", "served", "shed", "submitted",
+        }  # fmt: skip
+        snap = InferenceEngine(model, compile=True).snapshot()
+        assert set(snap) - set(EngineStats().as_dict()) == {
+            "captures", "eager_fallbacks", "guard_invalidations", "replays",
+            "unsupported",
+        }  # fmt: skip
 
     def test_snapshot_includes_per_tenant_block(self, model, graphs):
         engine = InferenceEngine(
