@@ -49,7 +49,6 @@ from repro.serve.scheduler import Autoscaler, AutoscaleConfig, FairScheduler, pl
 from repro.serve.tenants import (
     DEFAULT_CLASS,
     DEFAULT_TENANT,
-    DERIVED_ONLY,
     ClassPolicy,
     TenantPolicy,
     TenantStats,
@@ -139,9 +138,9 @@ class EngineStats:
     #: structures served across those waves
     wave_structs: int = 0
     #: summed raw workload cost of all dispatched structures
-    raw_cost: int = field(default=0, metadata=DERIVED_ONLY)
+    raw_cost: int = field(default=0, metadata={"derived_only": True})
     #: summed priced workload cost of the padded batches serving them
-    padded_cost: int = field(default=0, metadata=DERIVED_ONLY)
+    padded_cost: int = field(default=0, metadata={"derived_only": True})
     #: dispatches that discovered a dead/flaking worker (typed WorkerFailure)
     worker_failures: int = 0
     #: requests transparently re-queued after a worker failure

@@ -38,10 +38,6 @@ DEFAULT_CLASS = "bulk"
 #: Tenant name used when ``submit`` is called without ``tenant``.
 DEFAULT_TENANT = "default"
 
-#: Field metadata of a stats counter that :func:`counters` leaves out
-#: because the report shows it only through a derived key.
-DERIVED_ONLY = {"derived_only": True}
-
 
 def percentile(values, q: float) -> float:
     """Linear-interpolated percentile of a sequence (0 <= q <= 100)."""
@@ -54,9 +50,10 @@ def counters(stats) -> dict:
     """The scalar counter fields of a stats dataclass, by name.
 
     Read off the dataclass declaration, so a counter added to a stats
-    block is reported without touching its ``as_dict``; windows and
-    nested blocks (non-scalar fields) and ``DERIVED_ONLY`` fields are left
-    to the caller's derived keys.
+    block is reported without touching its ``as_dict``.  Windows and nested
+    blocks (non-scalar fields) and fields declared with
+    ``metadata={"derived_only": True}`` — reported only through a derived
+    key — are left to the caller.
     """
     out = {}
     for f in fields(stats):
