@@ -2,7 +2,7 @@
 #
 # `make test` is tier 1 — the full suite, the command CI and the
 # acceptance gate run.  `make quicktest` skips tests marked `slow`
-# (bench smoke runs and hypothesis-heavy property suites; see
+# (hypothesis-heavy property suites and the perf ledger smoke; see
 # pytest.ini) for a fast inner-loop signal.
 #
 # `make perf` runs the perf ledger (benchmarks/perf/) at smoke scale;

@@ -1,19 +1,2 @@
-"""Benchmark harness utilities: timing, reporting, shared workloads."""
-
-from repro.bench.reporting import ascii_histogram, emit, format_table, output_dir
-from repro.bench.timers import TimingResult, time_callable
-from repro.bench.workloads import corpus, profiling_batchset, scale, scaled, training_splits
-
-__all__ = [
-    "ascii_histogram",
-    "emit",
-    "format_table",
-    "output_dir",
-    "TimingResult",
-    "time_callable",
-    "corpus",
-    "profiling_batchset",
-    "scale",
-    "scaled",
-    "training_splits",
-]
+"""Helpers the paper figure and table benches share: result tables, workloads,
+trained variants.  Import the submodules directly."""

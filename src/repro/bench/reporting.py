@@ -2,7 +2,8 @@
 
 Every bench prints (and writes to ``benchmarks/out/``) a markdown table in
 the same row format the paper reports, plus the paper's values for
-side-by-side comparison; EXPERIMENTS.md references these outputs.
+side-by-side comparison; ``benchmarks/README.md`` lists which bench writes
+which table.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 This is the seed's collate: per-graph offset-added copies joined with
 repeated ``np.concatenate``.  It is retained verbatim so the preallocating
 single-pass :func:`repro.graph.batching.collate` has an independent
-implementation to be checked against (equivalence tests) and benchmarked
-against (the ``legacy`` baseline in ``bench_graph_pipeline``).  Not used on
-any hot path.
+implementation to be checked against (equivalence tests).  Not used on any
+hot path.
 """
 
 from __future__ import annotations

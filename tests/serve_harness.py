@@ -1,9 +1,9 @@
 """Shared multi-tenant serving harness: traffic generation + invariants.
 
 One seeded generator and one set of invariant checkers, imported by the
-scheduler unit tests, the hypothesis property suite, and
-``benchmarks/bench_serve_sla.py`` — so the bench and the tests prove the
-same contracts on the same traffic shapes.
+scheduler unit tests, the hypothesis property suite and the dispatch-loop
+oracle — so every serving test proves the same contracts on the same
+traffic shapes.
 
 :func:`generate_traffic` draws a deterministic multi-tenant arrival
 stream (tenant / request class / structure tier / arrival-time mix) from
@@ -30,9 +30,8 @@ from repro.model import CHGNetConfig, CHGNetModel
 from repro.serve import EngineOverloaded
 from repro.serve.faults import DeadlineExceeded, WorkerFailure
 
-#: Tiny shared model config (mirrors tests/test_serve.py's CFG) so the
-#: harness is importable from both the test suite and the bench without
-#: a ``tests`` package.
+#: Tiny shared model config (mirrors tests/test_serve.py's CFG), so the
+#: harness needs no ``tests`` package to import.
 TINY_CFG = CHGNetConfig(
     atom_fea_dim=8,
     bond_fea_dim=8,

@@ -1,14 +1,11 @@
-"""Benchmark-harness utilities: reporting, timers, workload scaling."""
+"""Benchmark-harness utilities: reporting, workload scaling, trained variants."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
 
 from repro.bench.reporting import ascii_histogram, format_table
-from repro.bench.timers import TimingResult, time_callable
 from repro.bench.workloads import scaled
 
 
@@ -43,20 +40,6 @@ class TestHistogram:
     def test_nonpositive_filtered(self):
         out = ascii_histogram(np.array([0.0, -1.0, 5.0, 10.0]), label="x")
         assert "n=2" in out
-
-
-class TestTimers:
-    def test_time_callable(self):
-        res = time_callable(lambda: sum(range(1000)), repeats=3, warmup=1)
-        assert isinstance(res, TimingResult)
-        assert len(res.samples) == 3
-        assert res.mean > 0
-        assert res.median > 0
-        assert "TimingResult" in repr(res)
-
-    def test_invalid_repeats(self):
-        with pytest.raises(ValueError):
-            time_callable(lambda: None, repeats=0)
 
 
 class TestWorkloadScaling:

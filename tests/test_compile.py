@@ -17,6 +17,7 @@ from repro.graph.batching import PadInfo, bucket_size, pad_to_bucket
 from repro.model import CHGNetConfig, CHGNetModel, OptLevel
 from repro.structures import cscl
 from repro.md import ModelCalculator
+from repro.runtime import device_profile
 from repro.tensor import Tensor, clip, maximum, minimum, mul, sum as tsum, where_le
 from repro.tensor.compile import InferenceCompiler, StepCompiler, program_signature
 from repro.tensor.gradcheck import check_grad, check_second_grad
@@ -116,6 +117,25 @@ class TestReplayBitIdentical:
         assert float(replay_bd.loss.data) == float(eager_bd.loss.data)
         eager_grads = [g for g in eager_grads if g is not None]
         assert all(np.array_equal(a, b) for a, b in zip(replay_grads, eager_grads))
+
+    @pytest.mark.parametrize("level", list(OptLevel))
+    def test_program_shrinks_below_tape_and_eager(self, level, dataset):
+        """The passes pay off in counts, not just in bits: the program holds
+        fewer instructions than the captured tape, and a replay launches
+        fewer kernels than the eager step on the same padded batch."""
+        model = _model(level)
+        loss_fn = CompositeLoss()
+        batch = dataset.batch([0, 1, 2, 3])
+        with device_profile() as eager:
+            _eager_step(model, loss_fn, pad_to_bucket(batch))
+        comp = StepCompiler(model, loss_fn)
+        comp.step(batch)  # capture
+        with device_profile() as replay:
+            comp.step(batch)
+        assert comp.stats.replays == 1
+        prog = comp.last_program
+        assert prog.n_instrs < prog.n_instrs_captured
+        assert replay.kernels.count < eager.kernels.count
 
 
 class TestTierSharing:

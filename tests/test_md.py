@@ -15,6 +15,7 @@ from repro.md import (
     VelocityVerlet,
 )
 from repro.model import CHGNetModel, OptLevel
+from repro.runtime import device_profile
 from repro.structures import cscl, rocksalt
 
 
@@ -106,27 +107,20 @@ class TestModelCalculator:
         result = ModelCalculator(model).calculate(crystal)
         assert np.all(np.isfinite(result.forces))
 
-    def test_fast_calculator_faster_than_reference(self, small_config, crystal):
-        """Table II's effect: head-based inference beats derivative-based."""
-        import time
-
-        fast = ModelCalculator(
-            CHGNetModel(small_config.with_level(OptLevel.DECOMPOSE_FS), np.random.default_rng(3))
-        )
-        ref = ModelCalculator(
-            CHGNetModel(small_config.with_level(OptLevel.BASELINE), np.random.default_rng(3))
-        )
-        for calc in (fast, ref):
+    def test_fast_calculator_launches_fewer_kernels(self, small_config, crystal):
+        """Table II's effect: head-based inference launches fewer kernels per
+        ``calculate`` than derivative-based.  A launch count repeats exactly;
+        the step rate itself is ``bench_table2_md.py``'s."""
+        counts = {}
+        for level in (OptLevel.DECOMPOSE_FS, OptLevel.BASELINE):
+            calc = ModelCalculator(
+                CHGNetModel(small_config.with_level(level), np.random.default_rng(3))
+            )
             calc.calculate(crystal)  # warm
-        t0 = time.perf_counter()
-        for _ in range(3):
-            fast.calculate(crystal)
-        t_fast = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for _ in range(3):
-            ref.calculate(crystal)
-        t_ref = time.perf_counter() - t0
-        assert t_fast < t_ref
+            with device_profile() as prof:
+                calc.calculate(crystal)
+            counts[level] = prof.kernels.count
+        assert counts[OptLevel.DECOMPOSE_FS] < counts[OptLevel.BASELINE]
 
     def test_time_steps_api(self, crystal):
         md = MolecularDynamics(crystal, OracleCalculator(), seed=1)

@@ -386,8 +386,11 @@ class TestCollateMemoization:
         )
         first = engine.predict_many(graphs)
         assert engine.stats.collate_hits == 0
+        misses = engine.stats.collate_misses
         second = engine.predict_many(graphs)
-        assert engine.stats.collate_hits > 0  # identical groups re-served
+        # identical groups re-served: every group of the warm pass hits
+        assert engine.stats.collate_hits == misses > 0
+        assert engine.stats.collate_misses == misses
         assert all(_equal(a, b) for a, b in zip(first, base))
         assert all(_equal(a, b) for a, b in zip(second, base))
 
