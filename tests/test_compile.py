@@ -138,6 +138,35 @@ class TestReplayBitIdentical:
         assert replay.kernels.count < eager.kernels.count
 
 
+class TestOptLevelLadder:
+    """Fig. 8 in counts: each OptLevel adds one optimization, and each one
+    alone cuts the kernels a training step launches, eager and replayed."""
+
+    @staticmethod
+    def _step_kernels(level: OptLevel, batch) -> tuple[int, int]:
+        model = _model(level)
+        loss_fn = CompositeLoss()
+        with device_profile() as eager:
+            _eager_step(model, loss_fn, pad_to_bucket(batch))
+        comp = StepCompiler(model, loss_fn)
+        comp.step(batch)  # capture
+        with device_profile() as replay:
+            comp.step(batch)
+        return eager.kernels.count, replay.kernels.count
+
+    @pytest.mark.parametrize(
+        "before, after",
+        list(zip(list(OptLevel), list(OptLevel)[1:])),
+        ids=lambda level: level.name,
+    )
+    def test_each_level_launches_fewer_kernels(self, before, after, dataset):
+        batch = dataset.batch([0, 1, 2, 3])
+        eager_before, replay_before = self._step_kernels(before, batch)
+        eager_after, replay_after = self._step_kernels(after, batch)
+        assert eager_after < eager_before
+        assert replay_after < replay_before
+
+
 class TestTierSharing:
     def test_replay_rebinds_real_counts_across_shared_program(self, dataset):
         """A program captured on one batch must replay bit-identically on a

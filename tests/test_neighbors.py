@@ -114,6 +114,15 @@ class TestCellList:
         cell = neighbor_list(c, 6.0, algorithm="cell")
         assert_same_neighbor_list(cell, dense, exact_dist=True)
 
+    def test_bitwise_identical_to_dense_at_512_atoms(self):
+        """The scale where the O(N) path pays off still agrees exactly."""
+        c = rocksalt(3, 8).supercell((4, 4, 4))
+        assert c.num_atoms == 512
+        dense = neighbor_list(c, 6.0, algorithm="dense")
+        cell = neighbor_list(c, 6.0, algorithm="cell")
+        assert dense.num_pairs > 0
+        assert_same_neighbor_list(cell, dense, exact_dist=True)
+
     def test_auto_picks_cell_on_large_cells(self):
         c = rocksalt(3, 8).supercell((3, 3, 3))
         auto = neighbor_list(c, 6.0)

@@ -98,6 +98,25 @@ class TestBitIdentity:
         baseline = _eager_baseline(model, graphs)
         assert all(_equal(a, b) for a, b in zip(served, baseline))
 
+    def test_warm_pass_hits_every_batch_without_fallback(self, model, graphs):
+        """A recurring stream: once the cold pass has captured its tiers,
+        every warm-pass batch is a cache hit, none falls back to eager, and
+        replays outnumber captures."""
+        stream = graphs * 3
+        engine = InferenceEngine(model, n_workers=2, compile=True, max_batch_structs=4)
+        engine.predict_many(stream)
+        cold = engine.snapshot()
+        served = engine.predict_many(stream)
+        warm = engine.snapshot()
+        batches = warm["batches"] - cold["batches"]
+        assert batches > 0
+        assert warm["cache_hits"] - cold["cache_hits"] == batches
+        assert warm["cache_misses"] == cold["cache_misses"]
+        assert warm["eager_fallbacks"] == 0
+        assert warm["replays"] > warm["captures"]
+        baseline = _eager_baseline(model, graphs) * 3
+        assert all(_equal(a, b) for a, b in zip(served, baseline))
+
     def test_eager_batched_engine_also_identical(self, model, graphs):
         """compile=False with batching still matches per-request eager (the
         row-stable kernel guarantee, without padding/replay)."""
