@@ -15,6 +15,7 @@ the geometry is part of the per-iteration Alg. 1 / Alg. 2 story.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,8 +212,12 @@ def build_graph(
 
     Raises if an atom has no neighbor within ``cutoff_atom`` (an isolated
     atom has no defined message path; the paper's dataset never contains
-    one because MPtrj structures are condensed phases).
+    one because MPtrj structures are condensed phases), and on a cutoff
+    that is not finite — ``nan`` and ``inf`` compare silently wrong against
+    precomputed distances.
     """
+    if not (math.isfinite(cutoff_atom) and math.isfinite(cutoff_bond)):
+        raise ValueError(f"cutoffs must be finite, got atom {cutoff_atom}, bond {cutoff_bond}")
     if cutoff_bond > cutoff_atom:
         raise ValueError(
             f"bond cutoff {cutoff_bond} cannot exceed atom cutoff {cutoff_atom}"

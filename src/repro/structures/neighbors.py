@@ -7,17 +7,22 @@ Two interchangeable search algorithms produce identical output:
   :data:`_BIN_REFINE`), so only atoms in nearby bins (and the periodic
   images they imply) are candidate pairs.  Cost is O(N * density) instead
   of O(N^2 * images).
-* **dense** (``algorithm="dense"``) — the original vectorized candidate-image
-  scan: all (i, j, image) displacement vectors inside the reachable image
-  block are evaluated in one NumPy pass (chunked over images to bound
-  memory).  Faster for small systems where binning overhead dominates.
+* **dense** (``algorithm="dense"``) — the vectorized candidate-image scan:
+  all (i, j, image) displacement vectors for the image shifts that can
+  reach the cutoff are evaluated in one component-major NumPy pass
+  (chunked over images to bound memory).  Faster for small systems where
+  binning overhead dominates.
 
 ``algorithm="auto"`` (the default) picks the cell list when the crystal has
 at least :data:`CELL_LIST_MIN_ATOMS` atoms and every cell plane spacing is
 at least one cutoff (the regime where binning wins); otherwise it falls back
 to the dense path.  Both paths emit pairs in the same canonical order
-(lexsorted by src, dst, image) with distances computed by the same
-expression, so their outputs are interchangeable bit for bit.
+(sorted by src, dst, image) with distances computed by the same expression
+(:func:`_pair_dist`), so their outputs are interchangeable bit for bit.  The
+dense path's order comes by construction — a flat scan of the ``(i, j,
+image)`` grid with images in lexicographic order *is* the canonical order —
+so the lexsort runs only where chunks (several dense blocks), bins (the
+cell list) or an atom wrapped since a cached search break it.
 
 :class:`NeighborCache` adds Verlet skin-list reuse on top: the pair search
 runs once at ``cutoff + skin`` and subsequent queries only re-derive
@@ -31,6 +36,8 @@ backs the property-based tests.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +70,10 @@ _MAX_CHUNK_ELEMENTS = 4_000_000  # bound on n_atoms^2 * images per block
 
 # Below this atom count the dense path's single vectorized pass beats the
 # cell list's binning overhead; "auto" dispatch uses it as the crossover.
-CELL_LIST_MIN_ATOMS = 48
+# Measured at 6 A on rocksalt and skewed supercells (docs/architecture.md,
+# "Neighbor search"): the dense / cell time ratio crosses 1 between 192
+# (geometric mean 0.97) and 216 atoms (1.35).
+CELL_LIST_MIN_ATOMS = 200
 
 # Bins per cutoff length along each axis.  Finer bins shrink the candidate
 # volume the stencil sweeps (at 1 the 3x3x3 stencil spans 3 cutoffs per
@@ -82,58 +92,116 @@ def _empty_pairs() -> tuple[np.ndarray, ...]:
     )
 
 
-def _dense_search(
-    crystal: Crystal, cutoff: float, spacings: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """All-pairs scan over the reachable image block (unsorted).
+def _check_length(name: str, value: float, allow_zero: bool = False) -> None:
+    """Raise unless ``value`` is a finite positive (or, if allowed, zero) length."""
+    if not math.isfinite(value) or value < 0 or (value == 0 and not allow_zero):
+        bound = "non-negative" if allow_zero else "positive"
+        raise ValueError(f"{name} must be finite and {bound}, got {value}")
 
-    ``spacings`` are the cell's plane spacings, evaluated once per search
-    by :func:`neighbor_list`.
+
+def _pair_dist(vec: np.ndarray) -> np.ndarray:
+    """Row norms of ``(k, 3)`` vectors as ``sqrt((x*x + y*y) + z*z)``.
+
+    The bits of ``np.linalg.norm(vec, axis=-1)``, whose sum of squares runs
+    left to right over the length-3 axis, without its short-axis reduction.
+    Every search path and :meth:`NeighborCache.query` use this expression.
+    """
+    sq = vec * vec
+    d2 = sq[:, 0] + sq[:, 1]
+    d2 += sq[:, 2]
+    return np.sqrt(d2, out=d2)
+
+
+def _dist2_bound(cutoff: float) -> float:
+    """The largest double ``t`` with ``sqrt(t) <= cutoff``.
+
+    The square root rounds correctly, hence monotonically, so for every
+    double ``d2``: ``sqrt(d2) <= cutoff`` exactly when ``d2 <= t``.
+    """
+    t = cutoff * cutoff
+    while math.sqrt(t) > cutoff:
+        t = math.nextafter(t, 0.0)
+    while math.sqrt(math.nextafter(t, math.inf)) <= cutoff:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+@functools.lru_cache(maxsize=64)
+def _image_block(reps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Image shifts ``[-r, r]`` per axis in lexicographic order (read-only).
+
+    ``(m, 3)`` int64 and its float64 copy, both laid out as the transpose
+    of a ``(3, m)`` array; the float copy is the operand of the shift
+    product, so every search of one block hands BLAS the same layout.
+    """
+    ranges = [np.arange(-r, r + 1) for r in reps]
+    images = np.array(np.meshgrid(*ranges, indexing="ij"), dtype=np.int64).reshape(3, -1).T
+    as_float = images.astype(np.float64)
+    images.flags.writeable = False
+    as_float.flags.writeable = False
+    return images, as_float
+
+
+def _dense_search(crystal: Crystal, cutoff: float, spacings: np.ndarray) -> NeighborList:
+    """All-pairs scan over the image shifts that can reach the cutoff.
+
+    The block ``[-ceil(cutoff / spacing), +ceil(cutoff / spacing)]`` per
+    axis is pruned to the shifts ``s`` with ``|s| <= cutoff + max|r_j -
+    r_i|`` (no pair through any other shift is in range).  Displacements
+    ``(r_j + s) - r_i`` are built component-major, ``(3, n, n, m)``, so
+    every NumPy pass runs over the long axes.  Pairs are selected on the
+    squared distance against :func:`_dist2_bound` — the exact ``d <=
+    cutoff`` test — and only they take a square root.  A flat
+    ``np.flatnonzero`` walks ``(i, j, image)`` in the canonical order, so a
+    single block comes out sorted; only a search split over several blocks
+    (see :data:`_MAX_CHUNK_ELEMENTS`) is lexsorted.  ``spacings`` are the
+    cell's plane spacings, evaluated once by :func:`neighbor_list`.
     """
     n = crystal.num_atoms
     cart = crystal.cart_coords
-    lat = crystal.lattice.matrix
-
-    reps = np.ceil(cutoff / spacings).astype(int)
-    ranges = [np.arange(-r, r + 1) for r in reps]
-    images = np.array(np.meshgrid(*ranges, indexing="ij"), dtype=np.int64).reshape(3, -1).T
+    reps = tuple(math.ceil(cutoff / s) for s in spacings.tolist())
+    all_images, as_float = _image_block(reps)
+    # One product over the whole block, so a shift's bits do not depend on
+    # which shifts survive the pruning.
+    shifts = as_float @ crystal.lattice.matrix
+    pos = np.ascontiguousarray(cart.T)  # (3, n)
+    rel = pos[:, None, :] - pos[:, :, None]
+    span = math.sqrt(float((rel * rel).sum(axis=0).max(initial=0.0)))
+    # Slack far above the rounding of either side of the bound.
+    reach = (cutoff + span) * (1.0 + 1e-9) + 1e-9 * float(np.abs(pos).max(initial=0.0))
+    keep = _pair_dist(shifts) <= reach
+    images, shifts = all_images[keep], shifts[keep]
+    home = int(np.count_nonzero(keep[: len(keep) // 2]))  # (0, 0, 0) is the centre
+    bound = _dist2_bound(cutoff)
 
     chunk = max(1, _MAX_CHUNK_ELEMENTS // max(n * n, 1))
-    srcs, dsts, imgs, dists, vecs = [], [], [], [], []
+    blocks = []
     for lo in range(0, len(images), chunk):
         block = images[lo : lo + chunk]
-        shift_cart = block.astype(np.float64) @ lat  # (m, 3)
-        # vec[i, j, m] = r_j + shift_m - r_i
-        diff = cart[None, :, None, :] + shift_cart[None, None, :, :] - cart[:, None, None, :]
-        d = np.linalg.norm(diff, axis=-1)
-        mask = d <= cutoff
-        # exclude self-interaction in the home cell
-        home = np.all(block == 0, axis=1)
-        if home.any():
-            m_idx = np.flatnonzero(home)[0]
-            mask[np.arange(n), np.arange(n), m_idx] = False
-        ii, jj, mm = np.nonzero(mask)
-        srcs.append(ii)
-        dsts.append(jj)
-        imgs.append(block[mm])
-        dists.append(d[ii, jj, mm])
-        vecs.append(diff[ii, jj, mm])
+        m = len(block)
+        # diff[:, i, j, k] = (r_j + s_k) - r_i: the association of the cell
+        # list and NeighborCache.query, so every path carries the same bits.
+        reached = pos[:, :, None] + shifts[lo : lo + chunk].T[:, None, :]  # (3, n, m)
+        diff = reached[:, None, :, :] - pos[:, :, None, None]
+        sq = diff * diff
+        d2 = sq[0] + sq[1]
+        d2 += sq[2]
+        if lo <= home < lo + m:
+            # No self pair in the home cell: flat (i, i, home) steps by (n + 1) m.
+            d2.reshape(-1)[home - lo :: (n + 1) * m] = np.inf
+        flat = np.flatnonzero(d2 <= bound)
+        ii, jj, kk = np.unravel_index(flat, d2.shape)
+        dist = np.sqrt(d2.take(flat))
+        vec = np.ascontiguousarray(diff.reshape(3, -1).take(flat, axis=1).T)
+        blocks.append((ii, jj, block.take(kk, axis=0), dist, vec))
 
-    if not srcs:
-        return _empty_pairs()
-    return (
-        np.concatenate(srcs).astype(np.int64),
-        np.concatenate(dsts).astype(np.int64),
-        np.concatenate(imgs),
-        np.concatenate(dists),
-        np.concatenate(vecs),
-    )
+    if len(blocks) == 1:
+        return NeighborList(*blocks[0])
+    return _canonical(tuple(np.concatenate(parts) for parts in zip(*blocks)))
 
 
-def _cell_list_search(
-    crystal: Crystal, cutoff: float, spacings: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Linked-cell (binned) pair search (unsorted).
+def _cell_list_search(crystal: Crystal, cutoff: float, spacings: np.ndarray) -> NeighborList:
+    """Linked-cell (binned) pair search, lexsorted into canonical order.
 
     Atoms are binned on fractional coordinates into a grid of
     ``floor(_BIN_REFINE * spacing / cutoff)`` bins per axis (at least one).
@@ -183,7 +251,7 @@ def _cell_list_search(
     cnt = counts[qflat]
     total = int(cnt.sum())
     if total == 0:
-        return _empty_pairs()
+        return NeighborList(*_empty_pairs())
     ii = np.repeat(np.repeat(np.arange(n, dtype=np.int64), m), cnt)
     # position of each candidate inside its bin's contiguous segment
     pos = segment_arange(cnt)
@@ -192,9 +260,9 @@ def _cell_list_search(
     # Same expression (and association) as the dense path, so distances are
     # bitwise identical between algorithms.
     diff = (cart[jj] + im.astype(np.float64) @ lat) - cart[ii]
-    d = np.linalg.norm(diff, axis=-1)
+    d = _pair_dist(diff)
     mask = (d <= cutoff) & ~((ii == jj) & np.all(im == 0, axis=1))
-    return (ii[mask], jj[mask], im[mask], d[mask], diff[mask])
+    return _canonical((ii[mask], jj[mask], im[mask], d[mask], diff[mask]))
 
 
 def _canonical(pairs: tuple[np.ndarray, ...]) -> NeighborList:
@@ -217,8 +285,7 @@ def neighbor_list(crystal: Crystal, cutoff: float, algorithm: str = "auto") -> N
     otherwise), ``"cell"`` or ``"dense"``.  All choices return identical
     :class:`NeighborList` contents in the same canonical order.
     """
-    if cutoff <= 0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    _check_length("cutoff", cutoff)
     if algorithm not in ("auto", "cell", "dense"):
         raise ValueError(f"unknown neighbor-list algorithm {algorithm!r}")
     spacings = crystal.lattice.plane_spacings()
@@ -226,7 +293,7 @@ def neighbor_list(crystal: Crystal, cutoff: float, algorithm: str = "auto") -> N
         big_cell = crystal.num_atoms >= CELL_LIST_MIN_ATOMS and bool(np.all(spacings >= cutoff))
         algorithm = "cell" if big_cell else "dense"
     search = _cell_list_search if algorithm == "cell" else _dense_search
-    return _canonical(search(crystal, cutoff, spacings))
+    return search(crystal, cutoff, spacings)
 
 
 class NeighborCache:
@@ -249,10 +316,8 @@ class NeighborCache:
     """
 
     def __init__(self, cutoff: float, skin: float = 1.0, algorithm: str = "auto") -> None:
-        if cutoff <= 0:
-            raise ValueError(f"cutoff must be positive, got {cutoff}")
-        if skin < 0:
-            raise ValueError(f"skin must be non-negative, got {skin}")
+        _check_length("cutoff", cutoff)
+        _check_length("skin", skin, allow_zero=True)
         self.cutoff = cutoff
         self.skin = skin
         self.algorithm = algorithm
@@ -325,7 +390,7 @@ class NeighborCache:
         image = full.image + wrap[full.src] - wrap[full.dst]
 
         vec = (cart[full.dst] + image.astype(np.float64) @ lat) - cart[full.src]
-        dist = np.linalg.norm(vec, axis=-1)
+        dist = _pair_dist(vec)
         keep = dist <= self.cutoff
         src, dst = full.src[keep], full.dst[keep]
         image, dist, vec = image[keep], dist[keep], vec[keep]

@@ -82,6 +82,7 @@ from repro.tensor.engine import Tensor, no_grad, pop_tracer, push_tracer
 from repro.tensor.ops_fused import (
     _envelope_coeffs,
     _envelope_np,
+    _fourier_np,
     _gate_np,
     _gate_vjp2_np,
     _gate_vjp_np,
@@ -91,7 +92,7 @@ from repro.tensor.ops_fused import (
     _layernorm_vjp_gamma_np,
 )
 from repro.tensor.ops_linalg import _linear_np, _matmul_np
-from repro.tensor.ops_math import _sigmoid_np, _silu_np
+from repro.tensor.ops_math import _sigmoid_np, _silu_np, _sum_np
 from repro.tensor.ops_shape import _segment_sum_np
 
 
@@ -125,20 +126,6 @@ def _fused_srbf_out(out, r, freqs, rcut, p):
     np.sin(out, out=out)
     u = _envelope_np(r / rcut, p)
     np.multiply((np.sqrt(2.0 / rcut) * u / r)[:, None], out, out=out)
-    return out
-
-
-def _fused_fourier_out(out, theta, order):
-    cos_block = out[:, 1 : order + 1]
-    sin_block = out[:, order + 1 :]
-    n = np.arange(1, order + 1, dtype=theta.dtype)
-    # n*theta lands in the cos block, feeds the sin block, then cos in place.
-    np.multiply(theta.reshape(-1, 1), n, out=cos_block)
-    np.sin(cos_block, out=sin_block)
-    np.cos(cos_block, out=cos_block)
-    np.divide(cos_block, np.sqrt(np.pi), out=cos_block)
-    np.divide(sin_block, np.sqrt(np.pi), out=sin_block)
-    out[:, 0] = 1.0 / np.sqrt(2.0 * np.pi)
     return out
 
 
@@ -199,18 +186,14 @@ _OUT_IMPLS: dict[str, Callable] = {
     "matmul": _shared(_matmul_np),
     "linear": _shared(_linear_np),
     "fused_scale_shift": _scale_shift_out,
-    # np.sum delegates to np.add.reduce (same pairwise C path, bit-identical);
-    # calling it directly skips two Python wrapper layers per launch.
-    "sum": lambda out, a, axis=None, keepdims=False: np.add.reduce(
-        a, axis=axis, keepdims=keepdims, out=out
-    ),
+    "sum": _shared(_sum_np),
     "concat": lambda out, *xs, axis=0: np.concatenate(xs, axis=axis, out=out),
     "stack": lambda out, *xs, axis=0: np.stack(xs, axis=axis, out=out),
     "gather": lambda out, x, idx, plan: np.take(x, idx, axis=0, out=out),
     "segment_sum": _shared(_segment_sum_np),
     "scatter_slice": _scatter_slice_out,
     "fused_srbf": _fused_srbf_out,
-    "fused_fourier": _fused_fourier_out,
+    "fused_fourier": _shared(_fourier_np),
     "fused_layernorm": _shared(_layernorm_np),
     "fused_layernorm_vjp": _shared(_layernorm_vjp_np),
     "fused_layernorm_vjp_gamma": _shared(_layernorm_vjp_gamma_np),

@@ -85,11 +85,61 @@ def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 # ---------------------------------------------------------------- reductions
+#: Longest single reduced axis :func:`_sum_np` unrolls into plain adds.
+_UNROLL_MAX = 7
+
+
+def _sum_np(
+    x: np.ndarray,
+    axis: int | Sequence[int] | None = None,
+    keepdims: bool = False,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``np.add.reduce`` bit for bit; forward and compiled kernel.
+
+    A float reduction over one axis of length ``L <= 7`` is unrolled into
+    ``L - 1`` adds over strided slices plus a final ``+ 0.0``.  NumPy runs
+    such an axis left to right whichever loop order its iterator picks:
+    from the identity ``+0.0`` in its strided loop, from ``-0.0`` in the
+    pairwise sum (which goes sequential below 8 elements) whose result is
+    then added to ``+0.0``.  Both equal ``((x0 + x1) + ...) + 0.0`` — the
+    trailing add turns an all-``-0.0`` sum into ``+0.0`` as NumPy does.
+    From 8 elements the pairwise sum blocks by eight, so its association
+    depends on the loop order — which also follows the output's layout, so
+    a float sum always reduces into a C-ordered ``out`` (the arena's, or a
+    fresh one) and eager and replay see the same order.  Longer axes and
+    several axes go to ``np.add.reduce``, other dtypes without ``out``.
+    NumPy iterates a length-3 axis with one inner loop per row; unrolled,
+    each add is one pass over the other axes.
+    """
+    if x.dtype not in (np.float32, np.float64):
+        return np.asarray(np.add.reduce(x, axis=axis, keepdims=keepdims, out=out))
+    axes = _normalize_axis(axis, x.ndim)
+    if out is None:
+        shape = [1 if i in axes else n for i, n in enumerate(x.shape) if keepdims or i not in axes]
+        out = np.empty(shape, dtype=x.dtype)
+    if len(axes) != 1 or not 1 <= x.shape[axes[0]] <= _UNROLL_MAX or out.dtype != x.dtype:
+        return np.add.reduce(x, axis=axis, keepdims=keepdims, out=out)
+    (ax,) = axes
+    index: list[Any] = [slice(None)] * x.ndim
+
+    def part(k: int) -> np.ndarray:
+        index[ax] = slice(k, k + 1) if keepdims else k
+        return x[tuple(index)]
+
+    if x.shape[ax] == 1:
+        return np.add(part(0), 0.0, out=out)
+    np.add(part(0), part(1), out=out)
+    for k in range(2, x.shape[ax]):
+        np.add(out, part(k), out=out)
+    return np.add(out, 0.0, out=out)
+
+
 def sum(a: Tensor, axis: int | Sequence[int] | None = None, keepdims: bool = False) -> Tensor:  # noqa: A001
     """Sum over ``axis`` (all axes when ``None``)."""
     return apply_op(
         "sum",
-        lambda x, axis, keepdims: np.asarray(np.sum(x, axis=axis, keepdims=keepdims)),
+        _sum_np,
         _sum_vjp,
         (a,),
         {"axis": axis if axis is None or isinstance(axis, int) else tuple(axis), "keepdims": keepdims},

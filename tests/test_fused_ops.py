@@ -138,6 +138,31 @@ class TestFusedFourier:
         theta = Tensor(rng.uniform(0.1, 3.0, size=(9,)))
         assert fused_fourier(theta, 15).shape == (9, 31)
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 15])
+    def test_recurrence_within_1e13_of_definition(self, rng, order):
+        """The Chebyshev recurrence against sin/cos of n * theta on [0, pi],
+        endpoints included, over more rows than one block."""
+        theta = np.concatenate([np.linspace(0.0, np.pi, 4001), rng.uniform(0.0, np.pi, 2000)])
+        n = np.arange(1, order + 1)
+        want = np.hstack(
+            [
+                np.full((len(theta), 1), 1.0 / np.sqrt(2.0 * np.pi)),
+                np.cos(np.outer(theta, n)) / np.sqrt(np.pi),
+                np.sin(np.outer(theta, n)) / np.sqrt(np.pi),
+            ]
+        )
+        got = fused_fourier(Tensor(theta), order).data
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-13
+
+    def test_rows_do_not_depend_on_the_batch(self, rng):
+        """A row's bits depend on its own angle only, so a padded batch
+        serves what a solo structure computes."""
+        theta = rng.uniform(0.0, np.pi, size=3000)  # several row blocks at order 15
+        full = fused_fourier(Tensor(theta), 15).data
+        for lo, hi in [(0, 1), (5, 9), (1000, 2999)]:
+            assert np.array_equal(fused_fourier(Tensor(theta[lo:hi]), 15).data, full[lo:hi])
+
     def test_single_kernel(self, rng):
         theta = Tensor(rng.uniform(0.1, 3.0, size=(9,)))
         with kernel_stats() as ks:

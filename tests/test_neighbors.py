@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.graph.crystal_graph import build_graph
 from repro.structures import (
+    CELL_LIST_MIN_ATOMS,
     Crystal,
     Lattice,
     NeighborCache,
@@ -16,6 +20,8 @@ from repro.structures import (
     neighbor_list_bruteforce,
     rocksalt,
 )
+from repro.structures import neighbors
+from repro.structures.neighbors import NeighborList, _empty_pairs
 
 
 def assert_same_neighbor_list(a, b, exact_dist=True):
@@ -261,3 +267,213 @@ def test_translation_invariance(rng):
     b = neighbor_list(shifted, 5.0)
     assert a.num_pairs == b.num_pairs
     assert np.allclose(np.sort(a.dist), np.sort(b.dist), atol=1e-9)
+
+
+class TestNonFiniteLengths:
+    """``nan`` and ``inf`` cutoffs and skins are refused, not searched."""
+
+    @staticmethod
+    def _pair_at_5():
+        return Crystal(Lattice.cubic(10.0), np.array([3, 8]), np.array([[0, 0, 0], [0.5, 0, 0]]))
+
+    @pytest.mark.parametrize("cutoff", [np.nan, np.inf, -np.inf])
+    def test_neighbor_list(self, cutoff):
+        with pytest.raises(ValueError, match="finite"):
+            neighbor_list(self._pair_at_5(), cutoff)
+
+    @pytest.mark.parametrize(("cutoff", "skin"), [(5.0, np.nan), (5.0, np.inf), (np.nan, 1.0), (np.inf, 1.0)])
+    def test_neighbor_cache(self, cutoff, skin):
+        with pytest.raises(ValueError, match="finite"):
+            NeighborCache(cutoff, skin=skin)
+
+    @pytest.mark.parametrize(("cutoff_atom", "cutoff_bond"), [(np.nan, 3.0), (np.inf, 3.0), (6.0, np.nan)])
+    def test_build_graph(self, cutoff_atom, cutoff_bond):
+        c = self._pair_at_5()
+        nl = neighbor_list(c, 6.0)
+        with pytest.raises(ValueError, match="finite"):
+            build_graph(c, cutoff_atom, cutoff_bond)
+        with pytest.raises(ValueError, match="finite"):
+            build_graph(c, cutoff_atom, cutoff_bond, nl=nl)
+
+
+# ---------------------------------------------------------------------------
+# Frozen oracle: the dense search and canonical sort as they were before the
+# search pruned its image block and built its distances component-major.
+# Copied verbatim; every search path must reproduce it bit for bit.
+_MAX_CHUNK_ELEMENTS = 4_000_000  # bound on n_atoms^2 * images per block
+
+
+def _dense_search(
+    crystal: Crystal, cutoff: float, spacings: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """All-pairs scan over the reachable image block (unsorted).
+
+    ``spacings`` are the cell's plane spacings, evaluated once per search
+    by :func:`neighbor_list`.
+    """
+    n = crystal.num_atoms
+    cart = crystal.cart_coords
+    lat = crystal.lattice.matrix
+
+    reps = np.ceil(cutoff / spacings).astype(int)
+    ranges = [np.arange(-r, r + 1) for r in reps]
+    images = np.array(np.meshgrid(*ranges, indexing="ij"), dtype=np.int64).reshape(3, -1).T
+
+    chunk = max(1, _MAX_CHUNK_ELEMENTS // max(n * n, 1))
+    srcs, dsts, imgs, dists, vecs = [], [], [], [], []
+    for lo in range(0, len(images), chunk):
+        block = images[lo : lo + chunk]
+        shift_cart = block.astype(np.float64) @ lat  # (m, 3)
+        # vec[i, j, m] = r_j + shift_m - r_i
+        diff = cart[None, :, None, :] + shift_cart[None, None, :, :] - cart[:, None, None, :]
+        d = np.linalg.norm(diff, axis=-1)
+        mask = d <= cutoff
+        # exclude self-interaction in the home cell
+        home = np.all(block == 0, axis=1)
+        if home.any():
+            m_idx = np.flatnonzero(home)[0]
+            mask[np.arange(n), np.arange(n), m_idx] = False
+        ii, jj, mm = np.nonzero(mask)
+        srcs.append(ii)
+        dsts.append(jj)
+        imgs.append(block[mm])
+        dists.append(d[ii, jj, mm])
+        vecs.append(diff[ii, jj, mm])
+
+    if not srcs:
+        return _empty_pairs()
+    return (
+        np.concatenate(srcs).astype(np.int64),
+        np.concatenate(dsts).astype(np.int64),
+        np.concatenate(imgs),
+        np.concatenate(dists),
+        np.concatenate(vecs),
+    )
+
+
+def _canonical(pairs: tuple[np.ndarray, ...]) -> NeighborList:
+    """Sort pairs into the canonical (src, dst, image) order."""
+    src, dst, image, dist, vec = pairs
+    order = np.lexsort((image[:, 2], image[:, 1], image[:, 0], dst, src))
+    return NeighborList(
+        src[order].astype(np.int64),
+        dst[order].astype(np.int64),
+        image[order],
+        dist[order],
+        vec[order],
+    )
+
+
+def oracle(crystal: Crystal, cutoff: float) -> NeighborList:
+    return _canonical(_dense_search(crystal, cutoff, crystal.lattice.plane_spacings()))
+
+
+def assert_bitwise(got: NeighborList, want: NeighborList) -> None:
+    for field in ("src", "dst", "image", "dist", "vec"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert np.array_equal(a, b), field
+
+
+# Fractional coordinates with atoms on cell faces (0) and mid-cell planes.
+_coord = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 0.5]))
+
+
+@st.composite
+def skewed_crystals(draw) -> Crystal:
+    """Triclinic cells: diagonals 2-6 A, every off-diagonal within +-2.5 A, 1-16 atoms."""
+    matrix = np.diag(draw(st.lists(st.floats(2.0, 6.0), min_size=3, max_size=3)))
+    matrix[~np.eye(3, dtype=bool)] = draw(st.lists(st.floats(-2.5, 2.5), min_size=6, max_size=6))
+    assume(abs(np.linalg.det(matrix)) > 1.0)
+    lattice = Lattice(matrix)
+    # A plane spacing under 1.2 A puts thousands of images in an 8 A block.
+    assume(lattice.plane_spacings().min() > 1.2)
+    n = draw(st.integers(1, 16))
+    frac = draw(st.lists(st.tuples(_coord, _coord, _coord), min_size=n, max_size=n))
+    return Crystal(lattice, np.full(n, 14), np.array(frac, dtype=np.float64))
+
+
+_oracle_settings = settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow]
+)
+
+
+class TestFrozenOracle:
+    """Every search path, bit for bit against the frozen dense search."""
+
+    @_oracle_settings
+    @given(crystal=skewed_crystals(), cutoff=st.floats(2.0, 8.0))
+    def test_every_path_matches(self, crystal, cutoff):
+        want = oracle(crystal, cutoff)
+        for algorithm in ("auto", "dense", "cell"):
+            assert_bitwise(neighbor_list(crystal, cutoff, algorithm), want)
+        # A few images per block: the multi-chunk path and its lexsort.
+        n = crystal.num_atoms
+        with mock.patch.object(neighbors, "_MAX_CHUNK_ELEMENTS", 3 * n * n):
+            assert_bitwise(neighbor_list(crystal, cutoff, "dense"), want)
+
+    @_oracle_settings
+    @given(crystal=skewed_crystals(), cutoff=st.floats(2.0, 8.0), axis=st.integers(0, 2))
+    def test_cached_query_after_wrap_across_a_face(self, crystal, cutoff, axis):
+        """Atoms on a face step back across it: images shift, no rebuild."""
+        frac = crystal.frac_coords.copy()
+        frac[0, axis] = 0.0  # at least one atom wraps
+        start = Crystal(crystal.lattice, crystal.species, frac)
+        cache = NeighborCache(cutoff, skin=1.0)
+        assert_bitwise(cache.query(start), oracle(start, cutoff))
+        step = -0.3 / float(np.linalg.norm(crystal.lattice.matrix[axis]))  # 0.3 A < skin / 2
+        frac[:, axis] += step
+        moved = Crystal(crystal.lattice, crystal.species, frac)
+        got = cache.query(moved)
+        assert cache.num_builds == 1 and cache.num_reuses == 1
+        assert_bitwise(got, oracle(moved, cutoff))
+
+    @_oracle_settings
+    @given(crystal=skewed_crystals())
+    def test_cutoff_exactly_at_a_pair_distance(self, crystal):
+        """``d <= cutoff`` decided on ``d**2`` keeps the pairs at equality."""
+        dists = np.unique(oracle(crystal, 5.0).dist)
+        dists = dists[dists > 0]  # coincident atoms sit at distance 0
+        assume(len(dists) > 0)
+        for cutoff in dists[:: max(1, len(dists) // 8)]:
+            want = oracle(crystal, float(cutoff))
+            assert_bitwise(neighbor_list(crystal, float(cutoff), "dense"), want)
+
+    @pytest.mark.parametrize("cutoff", [3.0, 6.0, 7.0])
+    def test_multi_chunk_and_cell_on_a_supercell(self, cutoff):
+        c = rocksalt(3, 8).supercell((2, 2, 2)).perturbed(np.random.default_rng(3), 0.05)
+        want = oracle(c, cutoff)
+        assert_bitwise(neighbor_list(c, cutoff, "cell"), want)
+        with mock.patch.object(neighbors, "_MAX_CHUNK_ELEMENTS", 5 * c.num_atoms**2):
+            assert_bitwise(neighbor_list(c, cutoff, "dense"), want)
+
+
+class TestAutoCrossover:
+    """``auto`` switches to the cell list at exactly ``CELL_LIST_MIN_ATOMS``.
+
+    The constant is a measured crossover (docs/architecture.md, "Neighbor
+    search"); this pins the switch and that both sides of it agree bit for
+    bit, with no wall-clock assertion.
+    """
+
+    @pytest.mark.parametrize(("n", "expected"), [(CELL_LIST_MIN_ATOMS - 1, "dense"), (CELL_LIST_MIN_ATOMS, "cell")])
+    def test_switch_and_bitwise_equal(self, n, expected):
+        rng = np.random.default_rng(n)
+        # ~0.12 atoms per cubic angstrom, as in the calibration cells
+        side = max(6.5, (n / 0.12) ** (1.0 / 3.0))
+        c = Crystal(Lattice.cubic(side), np.full(n, 14), rng.uniform(size=(n, 3)))
+        picked = []
+        dense, cell = neighbors._dense_search, neighbors._cell_list_search
+
+        def spy(name, search):
+            def run(*args):
+                picked.append(name)
+                return search(*args)
+
+            return run
+
+        with mock.patch.multiple(neighbors, _dense_search=spy("dense", dense), _cell_list_search=spy("cell", cell)):
+            auto = neighbor_list(c, 6.0)
+        assert picked == [expected]
+        assert_bitwise(neighbor_list(c, 6.0, "dense"), neighbor_list(c, 6.0, "cell"))
+        assert_bitwise(auto, oracle(c, 6.0))

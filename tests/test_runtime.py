@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -148,26 +147,25 @@ class TestPrefetchQueue:
             PrefetchQueue([1], depth=0)
 
     def test_overlaps_production_with_consumption(self):
-        """With prefetch, producer works while the consumer computes."""
-        produce_time = 0.02
-        consume_time = 0.02
-        n = 5
+        """The producer builds item 1 while the consumer still holds item 0.
 
-        def slow_source():
-            for i in range(n):
-                time.sleep(produce_time)
-                yield i
+        A handshake, not a stopwatch: the consumer waits on an event the
+        producer sets once item 1 exists.  Serial iteration cannot get
+        there (it would wait out the timeout and fail).
+        """
+        produced_next = threading.Event()
+        held = []
 
-        t0 = time.perf_counter()
-        for _ in PrefetchQueue(slow_source(), depth=1):
-            time.sleep(consume_time)
-        overlapped = time.perf_counter() - t0
+        def source():
+            yield 0
+            produced_next.set()  # item 1 is built
+            yield 1
+            yield 2
 
-        t0 = time.perf_counter()
-        for _ in slow_source():
-            time.sleep(consume_time)
-        serial = time.perf_counter() - t0
-        assert overlapped < serial * 0.9
+        for item in PrefetchQueue(source(), depth=1):
+            if item == 0:
+                held.append(produced_next.wait(timeout=10.0))
+        assert held == [True]
 
     def test_producer_error_propagates(self):
         def bad():

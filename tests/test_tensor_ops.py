@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.tensor import (
     Tensor,
@@ -44,6 +47,8 @@ from repro.tensor import (
     transpose,
     where,
 )
+from repro.tensor.compile import _OUT_IMPLS
+from repro.tensor.ops_math import _sum_np
 
 
 @pytest.fixture
@@ -155,6 +160,87 @@ class TestReductions:
     def test_mean(self, a):
         assert np.isclose(mean(a).item(), a.data.mean())
         assert np.allclose(mean(a, axis=0).data, a.data.mean(axis=0))
+
+
+def _special_values(dtype) -> list[float]:
+    info = np.finfo(dtype)
+    sub = float(info.smallest_subnormal)
+    return [0.0, -0.0, np.inf, -np.inf, np.nan, sub, -sub, float(info.smallest_normal) / 4, 1.0, -1.0]
+
+
+@st.composite
+def _reductions(draw):
+    """An array, one of its axes and a layout for the short-axis sum."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)))
+    width = 32 if dtype is np.float32 else 64
+    elements = st.one_of(
+        st.sampled_from(_special_values(dtype)),
+        st.floats(-(2.0**20), 2.0**20, width=width),
+        st.floats(-(2.0**-120), 2.0**-120, width=width),
+    )
+    x = draw(arrays(dtype, shape, elements=elements))
+    layout = draw(st.sampled_from(["C", "F", "reversed"]))
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "reversed":
+        x = x[::-1]
+    axis = draw(st.integers(-x.ndim, x.ndim - 1))
+    return x, draw(st.sampled_from([axis, (axis,)])), draw(st.booleans())
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal shape, dtype and bits; NaNs (whose payload may differ) by position."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.where(nan, 0, got).tobytes() == np.where(nan, 0, want).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
+class TestShortAxisSum:
+    """``sum`` unrolls a short reduced axis and must stay ``np.add.reduce``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_reductions(), use_out=st.booleans())
+    def test_bit_identical_to_add_reduce(self, case, use_out):
+        """Into a C-ordered output, as the arena's; an axis short enough to
+        unroll gives NumPy's bits whatever the output layout."""
+        x, axis, keepdims = case
+        free = np.add.reduce(x, axis=axis, keepdims=keepdims)
+        want = np.add.reduce(x, axis=axis, keepdims=keepdims, out=np.empty(free.shape, dtype=x.dtype))
+        out = np.empty(free.shape, dtype=x.dtype) if use_out else None
+        got = _sum_np(x, axis=axis, keepdims=keepdims, out=out)
+        if use_out:
+            assert got is out
+        _assert_same_bits(got, want)
+        if x.shape[np.atleast_1d(axis)[0]] <= 7:
+            _assert_same_bits(got, free)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_reductions())
+    def test_eager_equals_compiled_kernel(self, case):
+        x, axis, keepdims = case
+        eager = tsum(Tensor(x), axis=axis, keepdims=keepdims).data
+        out = np.empty(eager.shape, dtype=eager.dtype)
+        assert _OUT_IMPLS["sum"](out, x, axis=axis, keepdims=keepdims) is out
+        _assert_same_bits(out, eager)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_all_negative_zero_sums_to_positive_zero(self, dtype):
+        x = np.full((4, 3, 2), -0.0, dtype=dtype)
+        for axis in range(3):
+            got = _sum_np(x, axis=axis)
+            assert not np.signbit(got).any()
+            _assert_same_bits(got, np.add.reduce(x, axis=axis))
+
+    def test_long_axes_and_integers_fall_back(self):
+        x = np.arange(2 * 8 * 3, dtype=np.float64).reshape(2, 8, 3)
+        _assert_same_bits(_sum_np(x, axis=1), np.add.reduce(x, axis=1))
+        flags = np.array([[True, False, True], [True, True, False]])
+        assert _sum_np(flags, axis=1).dtype == np.sum(flags, axis=1).dtype
+        _assert_same_bits(_sum_np(x, axis=None), np.add.reduce(x, axis=None))
 
 
 class TestShape:
