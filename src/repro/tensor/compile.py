@@ -186,7 +186,9 @@ _OUT_IMPLS: dict[str, Callable] = {
     "matmul": _shared(_matmul_np),
     "linear": _shared(_linear_np),
     "fused_scale_shift": _scale_shift_out,
-    "sum": _shared(_sum_np),
+    # Positional call: a program launches hundreds of sums, most of them
+    # small, so the keyword round trip of _shared is worth skipping here.
+    "sum": lambda out, a, axis=None, keepdims=False: _sum_np(a, axis, keepdims, out),
     "concat": lambda out, *xs, axis=0: np.concatenate(xs, axis=axis, out=out),
     "stack": lambda out, *xs, axis=0: np.stack(xs, axis=axis, out=out),
     "gather": lambda out, x, idx, plan: np.take(x, idx, axis=0, out=out),

@@ -130,18 +130,19 @@ def _fused_srbf_vjp(g, out, inputs, needs, rcut, p):
 def _fourier_np(theta: np.ndarray, order: int, out: np.ndarray | None = None) -> np.ndarray:
     """Fourier basis forward and compiled kernel (see :func:`fused_fourier`).
 
-    ``cos(theta)`` and ``sin(theta)`` are its only transcendental calls —
-    scalar libm, 11-18 ns an element on the ledger box against 0.8 ns for
-    ``exp``.  Both scaled harmonics ``f[n] = cos(n theta) / sqrt(pi)`` (from
-    ``f[0] = 1 / sqrt(pi)``) and ``sin(n theta) / sqrt(pi)`` (from ``f[0] =
-    0``) follow the Chebyshev recurrence ``f[n + 1] = 2 cos(theta) f[n] -
-    f[n - 1]``.  A rounding error made at step ``k`` reaches step ``n``
-    multiplied by ``U_{n-k-1}(cos theta)``, and ``|U_m| <= m + 1`` on
-    ``[0, pi]``, so harmonic ``n`` is off the sin/cos definition by
-    ``O(n**2)`` roundings: at most 1.2e-14 at ``n = 15`` over ``[0, pi]``,
-    4.5x faster than evaluating ``n * theta`` through libm.  The recurrence
-    runs feature-major on one block of rows at a time, which is transposed
-    into ``out`` once; each row depends only on its own angle.
+    ``cos(theta)`` and ``sin(theta)`` are its only transcendental calls:
+    NumPy's float64 ``sin`` and ``cos`` cost 18 ns an element on a 2.1 GHz
+    Xeon, ``exp`` 0.8 ns and a multiply 0.5 ns.  Both scaled harmonics,
+    ``f[n] = cos(n theta) / sqrt(pi)`` (from ``f[0] = 1 / sqrt(pi)``) and
+    ``sin(n theta) / sqrt(pi)`` (from ``f[0] = 0``), follow the Chebyshev
+    recurrence ``f[n + 1] = 2 cos(theta) f[n] - f[n - 1]``.  A rounding
+    error made at step ``k`` reaches step ``n`` multiplied by
+    ``U_{n-k-1}(cos theta)``, and ``|U_m| <= m + 1`` on ``[0, pi]``, so
+    harmonic ``n`` is off the sin/cos definition by ``O(n**2)`` roundings:
+    at most 1.2e-14 at ``n = 15`` over ``[0, pi]``, in a quarter of the
+    time ``sin``/``cos`` of every ``n * theta`` take.  The recurrence runs
+    feature-major on one block of rows at a time, which is transposed into
+    ``out`` once; each row depends only on its own angle.
     """
     na = theta.shape[0]
     if out is None:

@@ -8,6 +8,7 @@ pass itself differentiable — the property the reference CHGNet training path
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence
 
 import numpy as np
@@ -87,6 +88,9 @@ def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
 # ---------------------------------------------------------------- reductions
 #: Longest single reduced axis :func:`_sum_np` unrolls into plain adds.
 _UNROLL_MAX = 7
+#: NumPy inner loops one unrolled add must replace before unrolling pays: a
+#: ufunc call costs ~1 us, one of NumPy's short inner loops ~10 ns.
+_UNROLL_MIN_LOOPS = 128
 
 
 def _sum_np(
@@ -97,42 +101,48 @@ def _sum_np(
 ) -> np.ndarray:
     """``np.add.reduce`` bit for bit; forward and compiled kernel.
 
-    A float reduction over one axis of length ``L <= 7`` is unrolled into
-    ``L - 1`` adds over strided slices plus a final ``+ 0.0``.  NumPy runs
-    such an axis left to right whichever loop order its iterator picks:
-    from the identity ``+0.0`` in its strided loop, from ``-0.0`` in the
-    pairwise sum (which goes sequential below 8 elements) whose result is
-    then added to ``+0.0``.  Both equal ``((x0 + x1) + ...) + 0.0`` — the
-    trailing add turns an all-``-0.0`` sum into ``+0.0`` as NumPy does.
-    From 8 elements the pairwise sum blocks by eight, so its association
-    depends on the loop order — which also follows the output's layout, so
-    a float sum always reduces into a C-ordered ``out`` (the arena's, or a
-    fresh one) and eager and replay see the same order.  Longer axes and
-    several axes go to ``np.add.reduce``, other dtypes without ``out``.
-    NumPy iterates a length-3 axis with one inner loop per row; unrolled,
-    each add is one pass over the other axes.
+    NumPy sums a float axis shorter than 8 left to right whichever loop
+    order its iterator picks — from the identity ``+0.0`` in its strided
+    loop, and in its pairwise sum (sequential below 8 elements) from
+    ``-0.0``, that sum then added to ``+0.0`` — and both equal ``((0.0 +
+    x0) + x1) + ...``, signed zeros included.  So a reduction over one such
+    axis of length ``L`` can run as ``L`` adds over strided slices, one
+    pass each over the other axes, where NumPy runs one short inner loop
+    per row (a length-3 axis: one per vector).  It does when NumPy would
+    run at least :data:`_UNROLL_MIN_LOOPS` inner loops per add; small
+    outputs and a reduced axis with long rows after it keep
+    ``np.add.reduce``.  From 8 elements the pairwise sum blocks by eight
+    and its association follows the loop order, which follows the output's
+    layout too — so a float sum always reduces into a C-ordered ``out``
+    (the arena's, or a fresh one) and eager and replay agree.  Other dtypes
+    go to ``np.add.reduce`` unchanged.
     """
-    if x.dtype not in (np.float32, np.float64):
+    if x.dtype.char not in "fd" or not x.dtype.isnative:
         return np.asarray(np.add.reduce(x, axis=axis, keepdims=keepdims, out=out))
-    axes = _normalize_axis(axis, x.ndim)
     if out is None:
+        axes = _normalize_axis(axis, x.ndim)
         shape = [1 if i in axes else n for i, n in enumerate(x.shape) if keepdims or i not in axes]
         out = np.empty(shape, dtype=x.dtype)
-    if len(axes) != 1 or not 1 <= x.shape[axes[0]] <= _UNROLL_MAX or out.dtype != x.dtype:
-        return np.add.reduce(x, axis=axis, keepdims=keepdims, out=out)
-    (ax,) = axes
-    index: list[Any] = [slice(None)] * x.ndim
-
-    def part(k: int) -> np.ndarray:
-        index[ax] = slice(k, k + 1) if keepdims else k
-        return x[tuple(index)]
-
-    if x.shape[ax] == 1:
-        return np.add(part(0), 0.0, out=out)
-    np.add(part(0), part(1), out=out)
-    for k in range(2, x.shape[ax]):
-        np.add(out, part(k), out=out)
-    return np.add(out, 0.0, out=out)
+    # Cheap rejections first: most sums in a program are small or reduce a
+    # long axis (loops >= _UNROLL_MIN_LOOPS * n needs out.size >= that too).
+    ax = axis[0] if type(axis) is tuple and len(axis) == 1 else axis
+    if (
+        type(ax) is int
+        and out.size >= _UNROLL_MIN_LOOPS
+        and 1 <= x.shape[ax] <= _UNROLL_MAX
+        and out.dtype == x.dtype
+    ):
+        n = x.shape[ax]
+        ax %= x.ndim
+        inner = math.prod(x.shape[ax + 1 :])
+        loops = out.size if inner == 1 else out.size // inner * n
+        if loops >= _UNROLL_MIN_LOOPS * n:
+            index: list[Any] = [slice(None)] * x.ndim
+            for k in range(n):
+                index[ax] = slice(k, k + 1) if keepdims else k
+                np.add(out if k else 0.0, x[tuple(index)], out=out)
+            return out
+    return np.add.reduce(x, axis=axis, keepdims=keepdims, out=out)
 
 
 def sum(a: Tensor, axis: int | Sequence[int] | None = None, keepdims: bool = False) -> Tensor:  # noqa: A001

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,7 @@ from repro.tensor import (
     transpose,
     where,
 )
+from repro.tensor import ops_math
 from repro.tensor.compile import _OUT_IMPLS
 from repro.tensor.ops_math import _sum_np
 
@@ -203,15 +206,17 @@ class TestShortAxisSum:
     """``sum`` unrolls a short reduced axis and must stay ``np.add.reduce``."""
 
     @settings(max_examples=300, deadline=None)
-    @given(case=_reductions(), use_out=st.booleans())
-    def test_bit_identical_to_add_reduce(self, case, use_out):
+    @given(case=_reductions(), use_out=st.booleans(), unroll_all=st.booleans())
+    def test_bit_identical_to_add_reduce(self, case, use_out, unroll_all):
         """Into a C-ordered output, as the arena's; an axis short enough to
-        unroll gives NumPy's bits whatever the output layout."""
+        unroll gives NumPy's bits whatever the output layout.  ``unroll_all``
+        drops the size gate, so every short axis takes the unrolled adds."""
         x, axis, keepdims = case
         free = np.add.reduce(x, axis=axis, keepdims=keepdims)
         want = np.add.reduce(x, axis=axis, keepdims=keepdims, out=np.empty(free.shape, dtype=x.dtype))
         out = np.empty(free.shape, dtype=x.dtype) if use_out else None
-        got = _sum_np(x, axis=axis, keepdims=keepdims, out=out)
+        with mock.patch.object(ops_math, "_UNROLL_MIN_LOOPS", 0 if unroll_all else ops_math._UNROLL_MIN_LOOPS):
+            got = _sum_np(x, axis=axis, keepdims=keepdims, out=out)
         if use_out:
             assert got is out
         _assert_same_bits(got, want)
@@ -228,6 +233,7 @@ class TestShortAxisSum:
         _assert_same_bits(out, eager)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @mock.patch.object(ops_math, "_UNROLL_MIN_LOOPS", 0)
     def test_all_negative_zero_sums_to_positive_zero(self, dtype):
         x = np.full((4, 3, 2), -0.0, dtype=dtype)
         for axis in range(3):
