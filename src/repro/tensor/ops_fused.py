@@ -131,7 +131,7 @@ def _fourier_np(theta: np.ndarray, order: int, out: np.ndarray | None = None) ->
     """Fourier basis forward and compiled kernel (see :func:`fused_fourier`).
 
     ``cos(theta)`` and ``sin(theta)`` are its only transcendental calls:
-    NumPy's float64 ``sin`` and ``cos`` cost 18 ns an element on a 2.1 GHz
+    NumPy's float64 ``sin`` and ``cos`` cost 18 ns an element on a 2.0 GHz
     Xeon, ``exp`` 0.8 ns and a multiply 0.5 ns.  Both scaled harmonics,
     ``f[n] = cos(n theta) / sqrt(pi)`` (from ``f[0] = 1 / sqrt(pi)``) and
     ``sin(n theta) / sqrt(pi)`` (from ``f[0] = 0``), follow the Chebyshev

@@ -8,15 +8,16 @@ Usage::
 Runs ``python3 benchmarks/perf/run.py --workload W --seed N --seconds S
 --trace 0`` (``S`` from the parent's ``BENCHMARK.json``) inside each
 checkout, ``--pairs`` times per side, alternating which side goes first, and
-prints for every end-to-end metric the per-pair table, each side's median
-and quartiles, the pairs the change won and the verdict by the rule of the
-choosing-metrics guide: a **gain** needs the change to win at least nine
-tenths of the pairs (ties count for neither side) *and* the medians to
-differ by more than the parent's interquartile range; **worse** is the same
-rule with the sides swapped; anything else is **no claim**.  Make each
-checkout a clean ``git clone`` at its commit, so both run committed files
-only.  Standard library only; nothing under ``benchmarks/perf/`` is imported
-or touched.
+prints for every end-to-end metric — and for the uncalibrated
+``bench.raw_*`` timings the same runs print, which the calibration slice
+cannot move — the per-pair table, each side's median and quartiles, the
+pairs the change won and the verdict by the rule of the choosing-metrics
+guide: a **gain** needs the change to win at least nine tenths of the pairs
+(ties count for neither side) *and* the medians to differ by more than the
+parent's interquartile range; **worse** is the same rule with the sides
+swapped; anything else is **no claim**.  Make each checkout a clean ``git
+clone`` at its commit, so both run committed files only.  Standard library
+only; nothing under ``benchmarks/perf/`` is imported or touched.
 """
 
 from __future__ import annotations
@@ -29,8 +30,13 @@ import sys
 from pathlib import Path
 
 
+#: Per-layer timings `run.py --trace 0` prints beside the end-to-end metrics.
+RAW_PREFIX = "bench.raw_"
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """One driver-form run in ``checkout``: its end-to-end metrics by name."""
+    """One driver-form run in ``checkout``: its end-to-end metrics and
+    ``bench.raw_*`` timings by name."""
     done = subprocess.run(
         [
             sys.executable,
@@ -49,7 +55,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[s
     result = json.loads(done.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"run in {checkout} is invalid: {result['failed']} failed ops")
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    values = {name: entry["value"] for name, entry in result["metrics"].items()}
+    for line in done.stdout.splitlines():
+        fields = line.split()
+        if len(fields) >= 2 and fields[0].startswith(RAW_PREFIX):
+            values[fields[0]] = float(fields[1])
+    return values
 
 
 def judge(parent: list[float], change: list[float], better: str) -> dict:
@@ -92,7 +103,9 @@ def main() -> int:
     with open(args.parent / "BENCHMARK.json") as fh:
         contract = json.load(fh)
     seconds = contract["run_seconds"]
-    metrics = contract["end_to_end"]
+    metrics = contract["end_to_end"] + [
+        m for m in contract["per_layer"] if m["name"].startswith(RAW_PREFIX)
+    ]
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
@@ -104,6 +117,8 @@ def main() -> int:
     verdicts = {}
     for metric in metrics:
         name = metric["name"]
+        if not all(name in run for side in runs.values() for run in side):
+            continue
         parent = [run[name] for run in runs["parent"]]
         change = [run[name] for run in runs["change"]]
         verdicts[name] = judged = judge(parent, change, metric["better"])
