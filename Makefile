@@ -19,11 +19,15 @@
 # `make sloc [PATHS="src/repro/serve src/repro/comm/faults.py"]` prints the
 # code lines (no blanks, comments or docstrings) per file and in total,
 # for `src` by default.
+#
+# `make knobs` prints the independently settable values of the public
+# configuration surface (config dataclass fields, constructor keywords with a
+# default) per class and in total.
 
 PYTEST = PYTHONPATH=src python -m pytest -x -q
 LEDGER = python3 benchmarks/perf/run.py
 
-.PHONY: test quicktest perf perf-compare perf-trajectory perf-pairs sloc
+.PHONY: test quicktest perf perf-compare perf-trajectory perf-pairs sloc knobs
 
 test:
 	$(PYTEST)
@@ -46,3 +50,6 @@ perf-pairs:
 
 sloc:
 	python3 tools/sloc.py $(or $(PATHS),src)
+
+knobs:
+	python3 tools/knobs.py

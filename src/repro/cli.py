@@ -433,15 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fault_plan(args: argparse.Namespace):
-    """Parse ``--inject-fault`` specs, validating their prerequisites."""
+    """Parse ``--inject-fault`` specs (``cmd_train`` checked their prerequisites)."""
     if not args.inject_fault:
         return None
     from repro.comm import FaultPlan
 
-    if args.world_size <= 1:
-        raise SystemExit("--inject-fault requires --world-size > 1")
-    if not args.state:
-        raise SystemExit("--inject-fault requires --state (recovery needs a checkpoint)")
     try:
         return FaultPlan.parse(args.inject_fault)
     except ValueError as exc:
@@ -457,8 +453,6 @@ def _train_distributed(args: argparse.Namespace, splits, model_factory) -> objec
             f"--batch-size {args.batch_size} must be divisible by "
             f"--world-size {args.world_size}"
         )
-    if args.checkpoint_every < 1:
-        raise SystemExit(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}")
     cfg = DistributedConfig(
         world_size=args.world_size,
         global_batch_size=args.batch_size,
@@ -542,6 +536,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     if args.inject_fault and args.world_size <= 1:
         raise SystemExit("--inject-fault requires --world-size > 1")
+    if args.inject_fault and not args.state:
+        raise SystemExit("--inject-fault requires --state (recovery needs a checkpoint)")
+    if args.checkpoint_every < 1:
+        raise SystemExit(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}")
     entries = generate_mptrj(args.structures, seed=args.seed, max_atoms=args.max_atoms)
     splits = split_dataset(entries, seed=args.seed, n_workers=args.n_workers)
 
@@ -558,10 +556,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.world_size > 1:
         model = _train_distributed(args, splits, model_factory)
     else:
-        if args.checkpoint_every < 1:
-            raise SystemExit(
-                f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
-            )
         config = TrainConfig(
             epochs=args.epochs,
             batch_size=args.batch_size,

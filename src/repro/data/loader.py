@@ -70,9 +70,9 @@ class DataLoader:
     ``blocks=True`` switches to **size-sorted block mode** (the
     single-device analogue of the distributed bucket sampler): batches are
     fixed contiguous blocks of the size-sorted dataset, epochs shuffle only
-    the block *order*, and — when the dataset carries per-graph dims and
-    ``pad`` is not disabled — every block is padded to the shape the block
-    sampler planned for it before being yielded.  Block composition is
+    the block *order*, and — when the dataset carries per-graph dims, so
+    the block sampler plans shapes — every block is padded to the shape
+    planned for it before being yielded.  Block composition is
     static across epochs, so a compiled trainer captures once per planned
     shape (the largest up front, :meth:`largest_planned_batch`) and only
     replays after.  Block mode covers every sample (the tail forms one
@@ -89,7 +89,6 @@ class DataLoader:
         prefetch: bool = False,
         memoize: bool | None = None,
         blocks: bool = False,
-        pad: bool | None = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -102,21 +101,14 @@ class DataLoader:
         self.memoize = memoize
         self.epoch = 0
         self.block_sampler: BucketBatchSampler | None = None
-        self._pad_blocks = False
         if blocks:
-            dims = getattr(dataset, "graph_dims", None)
-            self._pad_blocks = (dims is not None) if pad is None else pad
-            if self._pad_blocks and dims is None:
-                raise ValueError("pad=True requires a dataset with graph_dims")
             self.block_sampler = BucketBatchSampler(
                 dataset.feature_numbers,
                 min(batch_size, len(dataset)),
                 world_size=1,
                 seed=seed,
-                dims=dims,
+                dims=getattr(dataset, "graph_dims", None),
             )
-        elif pad:
-            raise ValueError("pad=True requires blocks=True")
 
     def __len__(self) -> int:
         if self.block_sampler is not None:
@@ -147,30 +139,17 @@ class DataLoader:
         sampler = self.block_sampler
         for (block,) in sampler.epoch_partitions(epoch):
             batch = self.dataset.batch(block, memoize=self.memoize)
-            yield _pad_planned(sampler, batch, block) if self._pad_blocks else batch
+            yield _pad_planned(sampler, batch, block)
 
     def largest_planned_batch(self) -> GraphBatch | None:
         """A padded block of the costliest planned shape.
 
         What a compiled trainer captures on before its first step; ``None``
-        unless blocks are padded by this loader.
-        """
-        if not self._pad_blocks:
-            return None
-        return _largest_planned_batch(self.dataset, self.block_sampler, self.memoize)
-
-    def warm_start_entries(
-        self, has_labels: bool = True
-    ) -> list[tuple[int, bool, tuple[int, int, int, int]]]:
-        """Per-block raw batch stats for ``StepCompiler.warm_start``.
-
-        Only meaningful in block mode (raises otherwise); used by the
-        trainer when blocks are yielded unpadded so the compiler's own
-        tiering starts at its fixpoint shapes.
+        unless this loader's block sampler plans shapes.
         """
         if self.block_sampler is None:
-            raise RuntimeError("warm_start_entries requires blocks=True")
-        return self.block_sampler.warm_start_entries(has_labels=has_labels)
+            return None
+        return _largest_planned_batch(self.dataset, self.block_sampler, self.memoize)
 
     def __iter__(self) -> Iterator[GraphBatch]:
         # Plain method (not a generator) so the epoch advances at iterator
@@ -205,13 +184,13 @@ class ShardedLoader:
     Drives the simulated data-parallel trainer; the ``sampler`` decides how
     each global batch is split across ranks (default vs load-balanced).
 
-    ``pad=True`` pads every shard to the shape its sampler planned for it
-    (:meth:`repro.data.samplers.BucketBatchSampler.padding_targets`) before
-    yielding it, so a run meets only the planned shapes — the ranks of a
-    step may carry different ones — and compiled per-rank steps replay one
-    program per planned shape, the largest captured up front
-    (:meth:`largest_planned_batch`; docs/architecture.md, "Padding: tiers
-    for streams, plans for fixed blocks").  Padded results
+    Every shard the sampler planned a shape for
+    (:meth:`repro.data.samplers.BucketBatchSampler.padding_targets`) is
+    padded to it before being yielded, so a run meets only the planned
+    shapes — the ranks of a step may carry different ones — and compiled
+    per-rank steps replay one program per planned shape, the largest
+    captured up front (:meth:`largest_planned_batch`; docs/architecture.md,
+    "Padding: tiers for streams, plans for fixed blocks").  Padded results
     are cached on the source batch, so combined with ``memoize`` a repeated
     epoch yields the *identical* padded objects — bind-and-replay with no
     re-collation and no re-concatenation.  A sampler that plans nothing
@@ -225,12 +204,10 @@ class ShardedLoader:
         dataset: StructureDataset,
         sampler: BatchSampler,
         memoize: bool | None = None,
-        pad: bool = False,
     ) -> None:
         self.dataset = dataset
         self.sampler = sampler
         self.memoize = memoize
-        self.pad = pad
         self.epoch = 0
 
     @classmethod
@@ -269,22 +246,17 @@ class ShardedLoader:
 
     def _steps(self, epoch: int) -> Iterator[list[GraphBatch]]:
         for shards in self.sampler.epoch_partitions(epoch):
-            batches = [self.dataset.batch(s, memoize=self.memoize) for s in shards]
-            if self.pad:
-                batches = [
-                    _pad_planned(self.sampler, batch, shard)
-                    for batch, shard in zip(batches, shards)
-                ]
-            yield batches
+            yield [
+                _pad_planned(self.sampler, self.dataset.batch(s, memoize=self.memoize), s)
+                for s in shards
+            ]
 
     def largest_planned_batch(self) -> GraphBatch | None:
         """A padded shard of the costliest planned shape.
 
         What compiled trainers capture on before their first step; ``None``
-        unless ``pad`` is set and the sampler plans shapes.
+        unless the sampler plans shapes.
         """
-        if not self.pad:
-            return None
         return _largest_planned_batch(self.dataset, self.sampler, self.memoize)
 
     def __len__(self) -> int:

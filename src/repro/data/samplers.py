@@ -114,12 +114,6 @@ class BatchSampler:
         """A shard of the costliest planned shape (``None``: nothing planned)."""
         return None
 
-    def warm_start_entries(
-        self, has_labels: bool = True
-    ) -> list[tuple[int, bool, tuple[int, int, int, int]]]:
-        """Raw per-shard batch stats for ``StepCompiler.warm_start`` (none here)."""
-        return []
-
 
 class DefaultSampler(BatchSampler):
     """Reference sharding: contiguous equal-count slices of the shuffled batch."""
@@ -215,7 +209,6 @@ class BucketBatchSampler(LoadBalanceSampler):
         #: (atoms, edges, short, angles); one compiled program per entry
         self.tier_targets: dict[tuple[int, int], tuple[int, int, int, int]] = {}
         self._shard_targets: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
-        self._shard_dims: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
         if self._dims is not None:
             self._plan_padding(self._dims)
 
@@ -294,12 +287,11 @@ class BucketBatchSampler(LoadBalanceSampler):
         if dims.shape != (self.n, 4):
             raise ValueError(f"dims must be ({self.n}, 4), got {dims.shape}")
         classes: dict[int, list[tuple[int, ...]]] = {}
+        shard_dims: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
         for shards in self._shards:
             for shard in shards:
                 shard_key = tuple(int(i) for i in shard)
-                self._shard_dims[shard_key] = tuple(
-                    int(c) for c in dims[shard].sum(axis=0)
-                )
+                shard_dims[shard_key] = tuple(int(c) for c in dims[shard].sum(axis=0))
                 classes.setdefault(len(shard), []).append(shard_key)
         # Programs are keyed by structure count, so each shard-length class
         # (full blocks, the short tail block) gets shapes of its own out of
@@ -314,9 +306,7 @@ class BucketBatchSampler(LoadBalanceSampler):
         }
         budget[main] = MAX_PROGRAMS - sum(budget.values())
         for n, keys in classes.items():
-            assignment, shapes = plan_shapes(
-                [self._shard_dims[k] for k in keys], budget[n]
-            )
+            assignment, shapes = plan_shapes([shard_dims[k] for k in keys], budget[n])
             for i, shape in enumerate(shapes):
                 self.tier_targets[(n, i)] = shape
             for shard_key, i in zip(keys, assignment):
@@ -328,8 +318,8 @@ class BucketBatchSampler(LoadBalanceSampler):
         """Planned padded shape for one of the fixed shards.
 
         ``None`` when the sampler was built without ``dims`` or the indices
-        are not one of its shards (callers then fall back to compiler-side
-        tiering).
+        are not one of its shards: the loaders then pass the shard through
+        unpadded, and a compiler tiers it itself.
         """
         return self._shard_targets.get(tuple(int(i) for i in shard_indices))
 
@@ -347,15 +337,6 @@ class BucketBatchSampler(LoadBalanceSampler):
             key=lambda key: workload_cost(*self._shard_targets[key]),
         )
         return np.array(shard_key, dtype=np.int64)
-
-    def warm_start_entries(
-        self, has_labels: bool = True
-    ) -> list[tuple[int, bool, tuple[int, int, int, int]]]:
-        """Raw per-shard batch stats for ``StepCompiler.warm_start``."""
-        return [
-            (len(shard_key), has_labels, raw)
-            for shard_key, raw in self._shard_dims.items()
-        ]
 
 
 def imbalance_study(

@@ -22,7 +22,10 @@ Payloads are split into ``arrays`` (flat ``name -> ndarray``; saved
 losslessly, float64 bits round-trip exactly) and ``meta`` (a JSON-encodable
 dict of scalars/progress; Python's JSON float encoding is shortest-repr and
 round-trips bit-exactly).  The trainers put model weights and Adam moments
-in ``arrays`` and scalar optimizer/schedule/progress state in ``meta``.
+in ``arrays`` and scalar optimizer/schedule/progress state in ``meta``; one
+codec (:func:`pack_training_state` / :func:`restore_training_state`) packs
+and restores that payload for both, each trainer adding only its ``kind``,
+``progress`` and ``run`` keys.
 """
 
 from __future__ import annotations
@@ -120,3 +123,102 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     except Exception as exc:  # malformed npz despite a passing CRC
         raise CheckpointError(f"{path!r} payload is not a valid archive: {exc}") from exc
     return arrays, meta
+
+
+def pack_training_state(
+    model, optimizer, scheduler, kind: str, progress: dict, run: dict
+) -> tuple[dict[str, np.ndarray], dict]:
+    """A trainer's state as a checkpoint payload ``(arrays, meta)``.
+
+    Arrays: the model's weights under ``model/<name>`` and the Adam moments
+    under ``adam/m/<i>`` / ``adam/v/<i>``.  Meta: ``kind``, the Adam scalars,
+    the cosine schedule's position, and the trainer's own ``progress``
+    cursor and ``run`` identity.
+    """
+    arrays: dict[str, np.ndarray] = {
+        f"model/{name}": arr for name, arr in model.state_dict().items()
+    }
+    for i, (m, v) in enumerate(zip(optimizer._m, optimizer._v)):
+        arrays[f"adam/m/{i}"] = m.copy()
+        arrays[f"adam/v/{i}"] = v.copy()
+    meta = {
+        "kind": kind,
+        "adam": {"t": optimizer.t, "lr": optimizer.lr, "n_params": len(optimizer.params)},
+        "schedule": {
+            "step_count": scheduler.step_count,
+            "base_lr": scheduler.base_lr,
+            "total_steps": scheduler.total_steps,
+            "eta_min": scheduler.eta_min,
+        },
+        "progress": progress,
+        "run": run,
+    }
+    return arrays, meta
+
+
+def restore_training_state(
+    arrays: dict[str, np.ndarray],
+    meta: dict,
+    kind: str,
+    run: dict,
+    models: list,
+    optimizers: list,
+    schedulers: list,
+) -> dict:
+    """Validate a :func:`pack_training_state` payload, then restore it.
+
+    Every check runs before anything is written, so a rejected payload
+    leaves the trainer exactly as it was: the ``kind``, each ``run`` key
+    (the data order derives from them), the model's parameter names and
+    shapes, and the presence and shape of every Adam moment.  Any mismatch
+    raises :class:`CheckpointError` naming the key.  The restored state goes
+    into every model, optimizer and scheduler given (the replicas of a
+    distributed run are identical).  Returns the payload's ``progress``.
+    """
+    if meta.get("kind") != kind:
+        raise CheckpointError(f"checkpoint kind {meta.get('kind')!r} is not {kind!r}")
+    for key, value in run.items():
+        if meta["run"][key] != value:
+            raise CheckpointError(
+                f"checkpoint {key}={meta['run'][key]} does not match config "
+                f"{key}={value}; the resumed data order would diverge"
+            )
+    model_state = {
+        name[len("model/") :]: arr for name, arr in arrays.items() if name.startswith("model/")
+    }
+    try:
+        models[0].aligned_state(model_state)
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint model does not fit: {exc}") from exc
+    adam, sched_meta = meta["adam"], meta["schedule"]
+    slots = optimizers[0]._m
+    if adam["n_params"] != len(slots):
+        raise CheckpointError(
+            f"checkpoint has {adam['n_params']} optimizer slots, model has {len(slots)}"
+        )
+    for i, slot in enumerate(slots):
+        for key in (f"adam/m/{i}", f"adam/v/{i}"):
+            if key not in arrays:
+                raise CheckpointError(f"checkpoint missing Adam moment {key!r}")
+            if arrays[key].shape != slot.shape:
+                raise CheckpointError(
+                    f"Adam moment {key!r} shape {arrays[key].shape} does not match "
+                    f"parameter shape {slot.shape}"
+                )
+    for model in models:
+        model.load_state_dict(model_state)
+    for opt in optimizers:
+        opt.t = int(adam["t"])
+        opt.lr = float(adam["lr"])
+        for i in range(len(slots)):
+            np.copyto(opt._m[i], arrays[f"adam/m/{i}"])
+            np.copyto(opt._v[i], arrays[f"adam/v/{i}"])
+    for sched in schedulers:
+        sched.step_count = int(sched_meta["step_count"])
+        sched.base_lr = float(sched_meta["base_lr"])
+        # The checkpointed horizon wins over the constructor's (an elastic
+        # world change must not bend the LR trajectory).
+        sched.total_steps = int(sched_meta["total_steps"])
+        sched.eta_min = float(sched_meta["eta_min"])
+        sched.optimizer.lr = float(adam["lr"])
+    return meta["progress"]

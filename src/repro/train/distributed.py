@@ -15,26 +15,24 @@ result rests on, end to end:
   global blocks with fixed load-balanced shards and plans a few exact
   padded shapes over all of them, at most as many as the program cache
   holds;
-* the :class:`~repro.data.loader.ShardedLoader` pads every shard to its
-  planned shape (cached on the source batch); the ranks of a step may
-  carry different shapes;
+* the :class:`~repro.data.loader.ShardedLoader` pads every shard to the
+  shape the sampler planned for it (cached on the source batch); the ranks
+  of a step may carry different shapes;
 * each rank owns a :class:`~repro.tensor.compile.StepCompiler` over one
-  shared program cache; the largest planned shape is captured when the
-  trainer is built (it sizes the cache's slab), the others as the first
-  epoch meets them, and every later step replays (when shards arrive
-  unpadded — ``pad_shards=False`` — the compilers tier them themselves,
-  warm-started from the sampler's shard statistics);
+  shared program cache; rank 0 captures the largest planned shape when the
+  trainer is built (it sizes the cache's slab), the others are captured as
+  the first epoch meets them, and every later step replays;
 * the backward's gradients are flushed through **liveness-ordered buckets**
-  (:class:`GradientBuckets`): each bucket is mean-allreduced through the
-  communicator's in-place collective as soon as its gradients are complete,
-  and the same bucket layout (per-bucket bytes + ready times) feeds the
-  alpha-beta overlap model (:meth:`DistributedTrainer.modeled_overlap`)
-  instead of the uniform spread.
+  (:class:`GradientBuckets`): each bucket is packed into one contiguous
+  message per rank and mean-allreduced through the communicator's in-place
+  collective as soon as its gradients are complete, and the same bucket
+  layout (per-bucket bytes + ready times) feeds the alpha-beta overlap
+  model (:meth:`DistributedTrainer.modeled_overlap`) instead of the
+  uniform spread.
 
 The compiled path is bit-identical to the eager distributed path on the
-same padded shards (``pad_shards=True`` forces the eager comparison run
-through the identical pipeline), and replicas stay bitwise in sync either
-way.
+same padded shards (``bucket_sampler=True`` on an eager run yields the
+identical pipeline), and replicas stay bitwise in sync either way.
 """
 
 from __future__ import annotations
@@ -53,13 +51,25 @@ from repro.data.loader import ShardedLoader
 from repro.data.samplers import BucketBatchSampler, DefaultSampler, LoadBalanceSampler
 from repro.graph.batching import GraphBatch
 from repro.model.chgnet import CHGNetModel
-from repro.train.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from repro.train.checkpoint import (
+    load_checkpoint,
+    pack_training_state,
+    restore_training_state,
+    save_checkpoint,
+)
 from repro.train.loss import CompositeLoss, LossWeights
 from repro.train.optimizer import Adam
-from repro.train.schedule import CosineAnnealingLR, scaled_learning_rate
+from repro.train.schedule import BASE_LR, ETA_MIN_FRAC, CosineAnnealingLR, scaled_learning_rate
 
 #: Format tag of the distributed training-state checkpoint payload.
 CHECKPOINT_KIND = "distributed-v1"
+#: Retries of one flush collective after an injected timeout before it is
+#: re-raised: one transient stall is survived, a rank that keeps timing out
+#: is not hidden.
+MAX_FLUSH_RETRIES = 2
+#: Virtual seconds priced after a flush's first timeout, doubling per retry:
+#: the order of one bucket's collective, as the serving engine's retries.
+FLUSH_BACKOFF = 1e-3
 
 
 @dataclass
@@ -67,43 +77,32 @@ class DistributedConfig:
     """Configuration of a simulated multi-GPU run.
 
     ``compile=True`` switches every rank to compile-once training steps over
-    bucket-sampled shards padded to planned shapes (see the module docstring); the
-    companion knobs default to "follow ``compile``" so the eager comparison
-    pipeline can be forced explicitly:
+    bucket-sampled shards padded to planned shapes (see the module
+    docstring); the companion knobs default to "follow ``compile``" so the
+    eager comparison pipeline can be forced explicitly:
 
     * ``bucket_sampler`` — use the size-bucketed sampler (``None``: iff
       compiling; the legacy ``load_balance`` flag picks the sampler
-      otherwise);
-    * ``pad_shards`` — pad shards to the sampler's planned canonical shapes
-      (``None``: iff compiling).  Forcing ``True`` on an eager run yields a
-      pipeline bit-identical to the compiled one;
+      otherwise).  Its shards are padded to the shapes it plans, so
+      ``True`` on an eager run yields a pipeline bit-identical to the
+      compiled one;
     * ``memoize_shards`` — reuse collated shard batches across epochs
       (``None``: iff compiling; shards are static under the bucket sampler,
       so with the padded-batch cache repeat epochs bind-and-replay);
     * ``n_buckets`` — gradient-flush buckets for the overlapped allreduce;
-    * ``validate_replay`` — re-run every replayed step eagerly and assert
-      bitwise equality (test harness);
-    * ``share_programs`` — hand every rank compiler one
-      :class:`~repro.tensor.compile.SharedProgramCache`: a program depends
-      on the padded shape only, so each planned shape is captured once and
-      every rank that meets it replays it after rebinding its own weights
-      (capture cost / ``world_size``).  The ranks of one step need not meet
-      the same shape (docs/architecture.md, "Padding: tiers for streams,
-      plans for fixed blocks");
-    * ``flatten_buckets`` — pack each gradient bucket into one contiguous
-      scratch message per rank and run a single in-place mean-allreduce per
-      bucket instead of one per parameter (bit-identical averages);
     * ``trace_ring`` — route the packed per-bucket flush messages through
       the explicit ring allreduce and record per-collective transfer
       traces (see :class:`repro.comm.communicator.SimCommunicator`), so
       the modeled per-bucket bytes can be checked against actual traced
-      messages;
-    * ``max_flush_retries`` / ``flush_backoff`` — bounded retry around
-      each flush collective when a fault plan injects
-      :class:`~repro.comm.faults.CollectiveTimeout`: up to
-      ``max_flush_retries`` retries per collective with exponential
-      *virtual* backoff (``flush_backoff * 2**attempt`` seconds,
-      accumulated in ``backoff_seconds`` for honest pricing, never slept).
+      messages.
+
+    All ranks' compilers share one
+    :class:`~repro.tensor.compile.SharedProgramCache`: a program depends on
+    the padded shape only, so each planned shape is captured once and every
+    rank that meets it replays it after rebinding its own weights.  Each
+    flush collective that a fault plan times out is retried up to
+    ``MAX_FLUSH_RETRIES`` times with *virtual* backoff (``FLUSH_BACKOFF *
+    2**attempt`` seconds, accumulated in ``backoff_seconds``, never slept).
     """
 
     world_size: int = 4
@@ -118,29 +117,18 @@ class DistributedConfig:
     compile: bool = False
     n_buckets: int = 8
     bucket_sampler: bool | None = None
-    pad_shards: bool | None = None
     memoize_shards: bool | None = None
-    validate_replay: bool = False
-    share_programs: bool = True
-    flatten_buckets: bool = True
     trace_ring: bool = False
-    max_flush_retries: int = 2
-    flush_backoff: float = 1e-3
 
     def resolve_lr(self) -> float:
         if self.learning_rate is not None:
             return self.learning_rate
         if self.scale_lr:
             return scaled_learning_rate(self.global_batch_size)
-        from repro.train.schedule import BASE_LR
-
         return BASE_LR
 
     def use_bucket_sampler(self) -> bool:
         return self.compile if self.bucket_sampler is None else self.bucket_sampler
-
-    def use_pad_shards(self) -> bool:
-        return self.compile if self.pad_shards is None else self.pad_shards
 
     def resolve_memoize(self) -> bool | None:
         if self.memoize_shards is None:
@@ -273,51 +261,40 @@ class DistributedTrainer:
                 cfg.world_size,
                 seed=cfg.seed,
             )
-        self.loader = ShardedLoader(
-            train_dataset,
-            self.sampler,
-            memoize=cfg.resolve_memoize(),
-            pad=cfg.use_pad_shards(),
-        )
+        self.loader = ShardedLoader(train_dataset, self.sampler, memoize=cfg.resolve_memoize())
+        if len(self.loader) == 0:
+            raise ValueError(
+                f"global batch {cfg.global_batch_size} yields no step on "
+                f"{len(train_dataset)} structures; use a smaller global batch"
+            )
 
         self.compilers = None
         if cfg.compile:
             from repro.tensor.compile import SharedProgramCache, StepCompiler
 
-            # One program cache for all ranks (unless disabled): a program
-            # depends on the padded shape only, so one capture per planned
-            # shape serves every rank that meets it, after rebinding that
-            # rank's own parameters.
-            shared = SharedProgramCache() if cfg.share_programs else None
+            # One program cache for all ranks: a program depends on the
+            # padded shape only, so one capture per planned shape serves
+            # every rank that meets it, after rebinding that rank's own
+            # parameters.
+            shared = SharedProgramCache()
             self.compilers = [
-                StepCompiler(
-                    rep, self.loss_fn, validate=cfg.validate_replay, cache=shared
-                )
-                for rep in self.replicas
+                StepCompiler(rep, self.loss_fn, cache=shared) for rep in self.replicas
             ]
-            sharers = self.compilers[:1] if cfg.share_programs else self.compilers
-            if cfg.use_pad_shards():
-                # The loader pads every shard to a shape the sampler planned,
-                # so the largest program this run needs is known now:
-                # capture it first and the slab is allocated once, at its
-                # final size (docs/architecture.md, "Padding: tiers for
-                # streams, plans for fixed blocks").  A capture only writes
-                # ``.grad``; the other shapes are captured as epoch 1 meets
-                # them, where the capturing step is a training step anyway.
-                largest = self.loader.largest_planned_batch()
-                if largest is not None:
-                    for compiler in sharers:
-                        compiler.step(largest)
-            else:
-                # Raw shards are tiered by the compilers themselves; seed
-                # their canonical shapes (one shared dict under a shared cache).
-                entries = self.sampler.warm_start_entries(has_labels=True)
-                for compiler in sharers:
-                    compiler.warm_start(entries)
+            # The loader pads every shard to a shape the sampler planned, so
+            # the largest program this run needs is known now: capture it
+            # first and the slab is allocated once, at its final size
+            # (docs/architecture.md, "Padding: tiers for streams, plans for
+            # fixed blocks").  A capture only writes ``.grad``; the other
+            # shapes are captured as epoch 1 meets them, where the capturing
+            # step is a training step anyway.
+            largest = self.loader.largest_planned_batch()
+            if largest is not None:
+                self.compilers[0].step(largest)
 
         total_steps = max(1, len(self.loader) * cfg.epochs)
         self.schedulers = [
-            CosineAnnealingLR(opt, total_steps, eta_min=0.01 * lr) for opt in self.optimizers
+            CosineAnnealingLR(opt, total_steps, eta_min=ETA_MIN_FRAC * lr)
+            for opt in self.optimizers
         ]
         self.steps: list[StepStats] = []
         # Progress cursor: global step across the whole run plus the
@@ -334,9 +311,8 @@ class DistributedTrainer:
         # Built on the first step, once gradients reveal the trainable set.
         self._trainable: list[bool] | None = None
         self._buckets: GradientBuckets | None = None
-        self._flush_work: list[np.ndarray | None] = []
-        # Flattened-collective scratch: one (world, elems) pack per bucket
-        # plus the communicator's reusable work block.
+        # Flush scratch: one (world, elems) pack per bucket plus the
+        # communicator's reusable work block.
         self._packs: list[np.ndarray] = []
         self._pack_work: list[np.ndarray | None] = []
 
@@ -395,9 +371,9 @@ class DistributedTrainer:
 
         :class:`~repro.comm.faults.CollectiveTimeout` fires *before* any
         buffer is touched, so a retry simply reissues the collective.  Each
-        retry accrues exponential virtual backoff (``flush_backoff *
+        retry accrues exponential virtual backoff (``FLUSH_BACKOFF *
         2**attempt`` seconds) into ``backoff_seconds`` — priced, never
-        slept.  The timeout is re-raised once ``max_flush_retries`` is
+        slept.  The timeout is re-raised once ``MAX_FLUSH_RETRIES`` is
         exhausted; :class:`~repro.comm.faults.RankFailure` is never retried
         (a dead rank needs the elastic recovery path, not a retry).
         """
@@ -406,10 +382,10 @@ class DistributedTrainer:
             try:
                 return self.comm.allreduce_mean_inplace(bufs, work)
             except CollectiveTimeout:
-                if attempts >= self.config.max_flush_retries:
+                if attempts >= MAX_FLUSH_RETRIES:
                     raise
                 self.flush_retries += 1
-                self.backoff_seconds += self.config.flush_backoff * (2.0**attempts)
+                self.backoff_seconds += FLUSH_BACKOFF * (2.0**attempts)
                 attempts += 1
 
     def _flush_gradients(self) -> None:
@@ -421,12 +397,11 @@ class DistributedTrainer:
         the mask cached on the first step (instead of being zero-filled,
         averaged and re-assigned every step).
 
-        With ``flatten_buckets`` (the default) each bucket is packed into
-        one contiguous per-rank scratch message and mean-allreduced in a
-        *single* collective — per-array latency collapses to one launch per
-        bucket, and the traced message matches the modeled per-bucket bytes.
-        The mean is elementwise over the rank axis either way, so flattened
-        averages are bit-identical to the per-parameter collectives.
+        Each bucket is packed into one contiguous per-rank scratch message
+        and mean-allreduced in a *single* collective — one launch per bucket,
+        and the traced message matches the modeled per-bucket bytes.  The
+        mean is elementwise over the rank axis, so the averages are
+        bit-identical to one collective per parameter.
         """
         params0 = self._params[0]
         if self._buckets is None:
@@ -434,20 +409,10 @@ class DistributedTrainer:
             self._buckets = GradientBuckets(
                 params0, self._trainable, self.config.n_buckets
             )
-            self._flush_work = [None] * len(params0)
-            if self.config.flatten_buckets:
-                world = self.config.world_size
-                self._packs = [
-                    np.empty((world, elems)) for elems in self._buckets.bucket_elems
-                ]
-                self._pack_work = [None] * self._buckets.n_buckets
+            world = self.config.world_size
+            self._packs = [np.empty((world, elems)) for elems in self._buckets.bucket_elems]
+            self._pack_work = [None] * self._buckets.n_buckets
         world = range(self.config.world_size)
-        if not self.config.flatten_buckets:
-            for bucket in self._buckets.buckets:
-                for i in bucket:
-                    grads = [self._params[r][i].grad.data for r in world]
-                    self._flush_work[i] = self._allreduce(grads, self._flush_work[i])
-            return
         for b, layout in enumerate(self._buckets.layouts):
             pack = self._packs[b]
             for r in world:
@@ -550,43 +515,33 @@ class DistributedTrainer:
     def training_state(self) -> tuple[dict[str, np.ndarray], dict]:
         """Everything a bit-identical resume needs, as ``(arrays, meta)``.
 
-        Arrays: rank-0 model weights and Adam first/second moments (all
-        replicas and per-rank optimizers are identical by the sync
-        invariant).  Meta: Adam scalar state, the LR schedule's position,
-        and the progress cursor.  The data order needs no live RNG state —
-        every shuffle is a pure function of ``(seed, epoch)``, so the
-        cursor alone pins it.
+        Rank 0's weights, Adam moments and schedule position
+        (:func:`~repro.train.checkpoint.pack_training_state`; all replicas
+        and per-rank optimizers are identical by the sync invariant), plus
+        the progress cursor and the run identity.  The data order needs no
+        live RNG state — every shuffle is a pure function of ``(seed,
+        epoch)``, so the cursor alone pins it.
         """
         cfg = self.config
-        opt, sched = self.optimizers[0], self.schedulers[0]
-        arrays: dict[str, np.ndarray] = {
-            f"model/{name}": arr for name, arr in self.replicas[0].state_dict().items()
+        progress = {
+            "epoch": self._epoch,
+            "step_in_epoch": self._step_in_epoch,
+            "global_step": self.global_step,
         }
-        for i, (m, v) in enumerate(zip(opt._m, opt._v)):
-            arrays[f"adam/m/{i}"] = m.copy()
-            arrays[f"adam/v/{i}"] = v.copy()
-        meta = {
-            "kind": CHECKPOINT_KIND,
-            "adam": {"t": opt.t, "lr": opt.lr, "n_params": len(opt.params)},
-            "schedule": {
-                "step_count": sched.step_count,
-                "base_lr": sched.base_lr,
-                "total_steps": sched.total_steps,
-                "eta_min": sched.eta_min,
-            },
-            "progress": {
-                "epoch": self._epoch,
-                "step_in_epoch": self._step_in_epoch,
-                "global_step": self.global_step,
-            },
-            "run": {
-                "seed": cfg.seed,
-                "global_batch_size": cfg.global_batch_size,
-                "world_size": cfg.world_size,
-                "epochs": cfg.epochs,
-            },
+        run = {
+            "seed": cfg.seed,
+            "global_batch_size": cfg.global_batch_size,
+            "world_size": cfg.world_size,
+            "epochs": cfg.epochs,
         }
-        return arrays, meta
+        return pack_training_state(
+            self.replicas[0],
+            self.optimizers[0],
+            self.schedulers[0],
+            CHECKPOINT_KIND,
+            progress,
+            run,
+        )
 
     def save_checkpoint(self, path: str) -> None:
         """Atomically write the current training state to ``path``."""
@@ -601,59 +556,20 @@ class DistributedTrainer:
         mismatch breaks the resume contract and raises
         :class:`~repro.train.checkpoint.CheckpointError`); ``world_size``
         *may* differ (elastic shrink/replace), since per-rank sharding of a
-        global batch does not change the averaged gradient.
+        global batch does not change the averaged gradient.  The payload
+        is validated in full before anything is written, so a rejected one
+        leaves this trainer untouched.
         """
         cfg = self.config
-        if meta.get("kind") != CHECKPOINT_KIND:
-            raise CheckpointError(
-                f"checkpoint kind {meta.get('kind')!r} is not {CHECKPOINT_KIND!r}"
-            )
-        run = meta["run"]
-        for key in ("seed", "global_batch_size"):
-            if run[key] != getattr(cfg, key):
-                raise CheckpointError(
-                    f"checkpoint {key}={run[key]} does not match config "
-                    f"{key}={getattr(cfg, key)}; the resumed data order would diverge"
-                )
-        model_state = {
-            name[len("model/") :]: arr
-            for name, arr in arrays.items()
-            if name.startswith("model/")
-        }
-        adam, sched_meta, progress = meta["adam"], meta["schedule"], meta["progress"]
-        n_params = adam["n_params"]
-        if n_params != len(self.optimizers[0].params):
-            raise CheckpointError(
-                f"checkpoint has {n_params} optimizer slots, model has "
-                f"{len(self.optimizers[0].params)}"
-            )
-        moments = []
-        for i in range(n_params):
-            try:
-                moments.append((arrays[f"adam/m/{i}"], arrays[f"adam/v/{i}"]))
-            except KeyError as exc:
-                raise CheckpointError(f"checkpoint missing Adam moment {exc}") from exc
-        for rep in self.replicas:
-            rep.load_state_dict(model_state)
-        for opt in self.optimizers:
-            opt.t = int(adam["t"])
-            opt.lr = float(adam["lr"])
-            for i, (m, v) in enumerate(moments):
-                if m.shape != opt._m[i].shape:
-                    raise CheckpointError(
-                        f"Adam moment {i} shape {m.shape} does not match "
-                        f"parameter shape {opt._m[i].shape}"
-                    )
-                np.copyto(opt._m[i], m)
-                np.copyto(opt._v[i], v)
-        for sched in self.schedulers:
-            sched.step_count = int(sched_meta["step_count"])
-            sched.base_lr = float(sched_meta["base_lr"])
-            # The checkpointed horizon wins over the constructor's (an
-            # elastic world change must not bend the LR trajectory).
-            sched.total_steps = int(sched_meta["total_steps"])
-            sched.eta_min = float(sched_meta["eta_min"])
-            sched.optimizer.lr = float(adam["lr"])
+        progress = restore_training_state(
+            arrays,
+            meta,
+            CHECKPOINT_KIND,
+            {"seed": cfg.seed, "global_batch_size": cfg.global_batch_size},
+            self.replicas,
+            self.optimizers,
+            self.schedulers,
+        )
         self._epoch = int(progress["epoch"])
         self._step_in_epoch = int(progress["step_in_epoch"])
         self.global_step = int(progress["global_step"])

@@ -24,11 +24,16 @@ from repro.data.dataset import StructureDataset
 from repro.data.loader import DataLoader
 from repro.graph.batching import GraphBatch
 from repro.model.chgnet import CHGNetModel
-from repro.train.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from repro.train.checkpoint import (
+    load_checkpoint,
+    pack_training_state,
+    restore_training_state,
+    save_checkpoint,
+)
 from repro.train.loss import CompositeLoss, LossBreakdown, LossWeights
 from repro.train.metrics import EvalResult, evaluate
 from repro.train.optimizer import Adam
-from repro.train.schedule import BASE_LR, CosineAnnealingLR, scaled_learning_rate
+from repro.train.schedule import BASE_LR, ETA_MIN_FRAC, CosineAnnealingLR, scaled_learning_rate
 
 #: Format tag of the single-device training-state checkpoint payload.
 CHECKPOINT_KIND = "single-v1"
@@ -40,21 +45,17 @@ class TrainConfig:
 
     ``compile=True`` turns on the compile-once training step
     (:class:`repro.tensor.compile.StepCompiler`): each batch is padded to a
-    shape bucket, the first batch of a bucket captures the full
-    forward/loss/backward tape, and later batches replay it with arena
+    planned shape or a shape tier, the first batch of a shape captures the
+    full forward/loss/backward tape, and later batches replay it with arena
     buffers and fused kernels — bit-identical to the eager step, with an
     automatic eager fallback when a program's guards fail.
-    ``compile_bucket=False`` disables the padding (programs are then keyed
-    by exact batch shapes, useful for strict eager-equality testing).
 
     ``compile_blocks`` selects the loader's size-sorted block mode
-    (``None``: iff compiling with buckets) — the single-device analogue of
-    the distributed bucket sampler: static size-sorted batches padded to a
-    few planned shapes, the largest captured when the trainer is built and
-    the rest in epoch 1, so every later epoch is replay-only.
-    ``pad_blocks=False`` yields raw blocks instead and
-    warm-starts the compiler from the block statistics (the compiler then
-    pads), matching the distributed ``pad_shards=False`` fallback.
+    (``None``: iff compiling) — the single-device analogue of the
+    distributed bucket sampler: static size-sorted batches padded to the few
+    shapes the block sampler plans, the largest captured when the trainer is
+    built and the rest in epoch 1, so every later epoch is replay-only.
+    The cosine schedule decays to ``ETA_MIN_FRAC`` of the initial LR.
     """
 
     epochs: int = 30
@@ -64,17 +65,11 @@ class TrainConfig:
     loss_weights: LossWeights = field(default_factory=LossWeights)
     huber_delta: float = 0.1
     seed: int = 0
-    prefetch: bool = False
-    cosine_eta_min_frac: float = 0.01
     compile: bool = False
-    compile_bucket: bool = True
     compile_blocks: bool | None = None
-    pad_blocks: bool = True
 
     def use_blocks(self) -> bool:
-        if self.compile_blocks is not None:
-            return self.compile_blocks
-        return self.compile and self.compile_bucket
+        return self.compile if self.compile_blocks is None else self.compile_blocks
 
     def resolve_lr(self, effective_batch_size: int | None = None) -> float:
         """The initial learning rate.
@@ -128,34 +123,22 @@ class Trainer:
             train_dataset,
             batch_size=effective_batch_size,
             seed=self.config.seed,
-            prefetch=self.config.prefetch,
             blocks=use_blocks,
-            pad=self.config.pad_blocks if use_blocks else None,
             memoize=True if use_blocks else None,
         )
         self.compiler = None
         if self.config.compile:
             from repro.tensor.compile import StepCompiler
 
-            self.compiler = StepCompiler(
-                model, self.loss_fn, bucket=self.config.compile_bucket
-            )
-            # Loader-padded blocks have planned shapes: capture the largest
-            # now, so the slab is sized once (the distributed trainer's
-            # constructor says more).  Raw blocks are tiered by the
-            # compiler, whose canonical shapes are seeded from the block
-            # statistics instead.
-            if use_blocks and self.config.pad_blocks:
-                largest = self.loader.largest_planned_batch()
-                if largest is not None:
-                    self.compiler.step(largest)
-            elif use_blocks:
-                self.compiler.warm_start(self.loader.warm_start_entries(has_labels=True))
+            self.compiler = StepCompiler(model, self.loss_fn)
+            # Planned blocks: capture the largest now, so the slab is sized
+            # once (the distributed trainer's constructor says more).
+            largest = self.loader.largest_planned_batch()
+            if largest is not None:
+                self.compiler.step(largest)
         total_steps = max(1, len(self.loader) * self.config.epochs)
         self.scheduler = CosineAnnealingLR(
-            self.optimizer,
-            total_steps,
-            eta_min=self.config.cosine_eta_min_frac * self.optimizer.lr,
+            self.optimizer, total_steps, eta_min=ETA_MIN_FRAC * self.optimizer.lr
         )
         self.history: list[EpochRecord] = []
         self.epoch_hooks: list[Callable[[int, EpochRecord], None]] = []
@@ -231,32 +214,21 @@ class Trainer:
         """Epoch-granular training state as ``(arrays, meta)``.
 
         Model weights plus Adam moments in ``arrays``; Adam scalars, the LR
-        schedule's position, and the completed-epoch cursor in ``meta``.
+        schedule's position, and the completed-epoch cursor in ``meta``
+        (:func:`~repro.train.checkpoint.pack_training_state`).
         The loader's shuffle is a pure function of ``(seed, epoch)``, so
         the cursor alone pins the resumed data order (mid-epoch cursors are
         the distributed trainer's job — see
         :meth:`repro.train.DistributedTrainer.training_state`).
         """
-        opt, sched = self.optimizer, self.scheduler
-        arrays: dict[str, np.ndarray] = {
-            f"model/{name}": arr for name, arr in self.model.state_dict().items()
-        }
-        for i, (m, v) in enumerate(zip(opt._m, opt._v)):
-            arrays[f"adam/m/{i}"] = m.copy()
-            arrays[f"adam/v/{i}"] = v.copy()
-        meta = {
-            "kind": CHECKPOINT_KIND,
-            "adam": {"t": opt.t, "lr": opt.lr, "n_params": len(opt.params)},
-            "schedule": {
-                "step_count": sched.step_count,
-                "base_lr": sched.base_lr,
-                "total_steps": sched.total_steps,
-                "eta_min": sched.eta_min,
-            },
-            "progress": {"epoch": self._epoch},
-            "run": {"seed": self.config.seed, "batch_size": self.config.batch_size},
-        }
-        return arrays, meta
+        return pack_training_state(
+            self.model,
+            self.optimizer,
+            self.scheduler,
+            CHECKPOINT_KIND,
+            {"epoch": self._epoch},
+            {"seed": self.config.seed, "batch_size": self.config.batch_size},
+        )
 
     def save_checkpoint(self, path: str) -> None:
         """Atomically write the current training state to ``path``."""
@@ -268,53 +240,20 @@ class Trainer:
 
         ``seed`` and ``batch_size`` must match the checkpointed run (the
         data order derives from them); mismatches raise
-        :class:`~repro.train.checkpoint.CheckpointError`.
+        :class:`~repro.train.checkpoint.CheckpointError`, as does a payload
+        that does not fit this model.  The payload is validated in full
+        before anything is written, so a rejected one leaves this trainer
+        untouched.
         """
-        if meta.get("kind") != CHECKPOINT_KIND:
-            raise CheckpointError(
-                f"checkpoint kind {meta.get('kind')!r} is not {CHECKPOINT_KIND!r}"
-            )
-        run = meta["run"]
-        for key in ("seed", "batch_size"):
-            if run[key] != getattr(self.config, key):
-                raise CheckpointError(
-                    f"checkpoint {key}={run[key]} does not match config "
-                    f"{key}={getattr(self.config, key)}; the resumed data order "
-                    "would diverge"
-                )
-        model_state = {
-            name[len("model/") :]: arr
-            for name, arr in arrays.items()
-            if name.startswith("model/")
-        }
-        adam, sched_meta, progress = meta["adam"], meta["schedule"], meta["progress"]
-        opt = self.optimizer
-        if adam["n_params"] != len(opt.params):
-            raise CheckpointError(
-                f"checkpoint has {adam['n_params']} optimizer slots, model has "
-                f"{len(opt.params)}"
-            )
-        self.model.load_state_dict(model_state)
-        opt.t = int(adam["t"])
-        opt.lr = float(adam["lr"])
-        for i in range(len(opt.params)):
-            try:
-                m, v = arrays[f"adam/m/{i}"], arrays[f"adam/v/{i}"]
-            except KeyError as exc:
-                raise CheckpointError(f"checkpoint missing Adam moment {exc}") from exc
-            if m.shape != opt._m[i].shape:
-                raise CheckpointError(
-                    f"Adam moment {i} shape {m.shape} does not match "
-                    f"parameter shape {opt._m[i].shape}"
-                )
-            np.copyto(opt._m[i], m)
-            np.copyto(opt._v[i], v)
-        sched = self.scheduler
-        sched.step_count = int(sched_meta["step_count"])
-        sched.base_lr = float(sched_meta["base_lr"])
-        sched.total_steps = int(sched_meta["total_steps"])
-        sched.eta_min = float(sched_meta["eta_min"])
-        sched.optimizer.lr = float(adam["lr"])
+        progress = restore_training_state(
+            arrays,
+            meta,
+            CHECKPOINT_KIND,
+            {"seed": self.config.seed, "batch_size": self.config.batch_size},
+            [self.model],
+            [self.optimizer],
+            [self.scheduler],
+        )
         self._epoch = int(progress["epoch"])
         # Re-anchor the loader so its next auto-advanced epoch matches the
         # cursor (train() passes epochs explicitly anyway).

@@ -228,10 +228,11 @@ class TestNaNPoison:
                 global_batch_size=4,
                 epochs=3,
                 compile=True,
-                validate_replay=True,
                 seed=0,
             ),
         )
+        for compiler in trainer.compilers:
+            compiler.validate = True
         caches = {id(c.cache): c.cache for c in trainer.compilers}
         assert len(caches) == 1  # one slab for both ranks
         count = _poison_before_every_replay(monkeypatch, caches.values)

@@ -193,9 +193,7 @@ class TestTrainingFaultSurfaces:
         trainer = DistributedTrainer(
             factory,
             ds,
-            DistributedConfig(
-                world_size=2, global_batch_size=4, epochs=1, max_flush_retries=2
-            ),
+            DistributedConfig(world_size=2, global_batch_size=4, epochs=1),
             fault_plan=plan,
         )
         with pytest.raises(CollectiveTimeout):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,128 @@ class TestDistributedResume:
             largest_feasible_world(8, 0)
 
 
+def _trainer_state(models, optimizers, schedulers) -> dict:
+    """Everything a restore writes, copied."""
+    return {
+        "weights": [m.state_dict() for m in models],
+        "moments": [[a.copy() for a in o._m + o._v] for o in optimizers],
+        "adam": [(o.t, o.lr) for o in optimizers],
+        "schedule": [
+            (s.step_count, s.base_lr, s.total_steps, s.eta_min) for s in schedulers
+        ],
+    }
+
+
+def _states_equal(a: dict, b: dict) -> bool:
+    weights = all(
+        x.keys() == y.keys() and all(np.array_equal(x[k], y[k]) for k in x)
+        for x, y in zip(a["weights"], b["weights"])
+    )
+    moments = all(
+        all(np.array_equal(u, v) for u, v in zip(x, y))
+        for x, y in zip(a["moments"], b["moments"])
+    )
+    return weights and moments and a["adam"] == b["adam"] and a["schedule"] == b["schedule"]
+
+
+def _bad_last_moment(arrays: dict, meta: dict) -> dict:
+    """``arrays`` with the last Adam moment one element too long."""
+    key = f"adam/v/{meta['adam']['n_params'] - 1}"
+    bad = dict(arrays)
+    bad[key] = np.zeros(arrays[key].size + 1)
+    return bad
+
+
+def _assert_format(arrays: dict, meta: dict, model, kind, progress, run) -> None:
+    n = meta["adam"]["n_params"]
+    assert n == len(model.parameters())
+    assert set(arrays) == {f"model/{name}" for name in model.state_dict()} | {
+        f"adam/{mv}/{i}" for mv in "mv" for i in range(n)
+    }
+    assert list(meta) == ["kind", "adam", "schedule", "progress", "run"]
+    assert meta["kind"] == kind
+    assert list(meta["adam"]) == ["t", "lr", "n_params"]
+    assert list(meta["schedule"]) == ["step_count", "base_lr", "total_steps", "eta_min"]
+    assert list(meta["progress"]) == progress
+    assert list(meta["run"]) == run
+
+
+class TestCheckpointCodec:
+    """One codec packs and restores both trainers' payloads: the on-disk
+    format is frozen, and a rejected payload writes nothing."""
+
+    def _single(self, small_config, dataset, seed=5):
+        cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1e-4, seed=0)
+        return Trainer(make_factory(small_config, seed)(), dataset, config=cfg)
+
+    def _stepped_single(self, small_config, dataset, seed):
+        trainer = self._single(small_config, dataset, seed)
+        for _, batch in zip(range(3), trainer.loader):
+            trainer.train_step(batch)
+        return trainer
+
+    def test_single_payload_format_frozen(self, small_config, dataset):
+        trainer = self._single(small_config, dataset)
+        arrays, meta = trainer.training_state()
+        _assert_format(
+            arrays, meta, trainer.model, "single-v1", ["epoch"], ["seed", "batch_size"]
+        )
+
+    def test_distributed_payload_format_frozen(self, small_config, dataset):
+        trainer = DistributedTrainer(make_factory(small_config), dataset, dist_config())
+        arrays, meta = trainer.training_state()
+        _assert_format(
+            arrays,
+            meta,
+            trainer.model,
+            "distributed-v1",
+            ["epoch", "step_in_epoch", "global_step"],
+            ["seed", "global_batch_size", "world_size", "epochs"],
+        )
+
+    def test_rejected_load_leaves_single_trainer_untouched(self, small_config, dataset):
+        arrays, meta = self._stepped_single(small_config, dataset, 5).training_state()
+        target = self._stepped_single(small_config, dataset, 6)
+        parts = ([target.model], [target.optimizer], [target.scheduler])
+        before = _trainer_state(*parts)
+        with pytest.raises(CheckpointError, match="Adam moment"):
+            target.load_training_state(_bad_last_moment(arrays, meta), meta)
+        assert _states_equal(before, _trainer_state(*parts))
+        assert target._epoch == 0
+
+    def test_rejected_load_leaves_distributed_trainer_untouched(
+        self, small_config, dataset
+    ):
+        def stepped(seed):
+            trainer = DistributedTrainer(
+                make_factory(small_config, seed), dataset, dist_config()
+            )
+            for _, shards in zip(range(3), trainer.loader):
+                trainer.train_step(shards)
+            return trainer
+
+        arrays, meta = stepped(5).training_state()
+        target = stepped(6)
+        parts = (target.replicas, target.optimizers, target.schedulers)
+        before = _trainer_state(*parts)
+        with pytest.raises(CheckpointError, match="Adam moment"):
+            target.load_training_state(_bad_last_moment(arrays, meta), meta)
+        assert _states_equal(before, _trainer_state(*parts))
+        assert target.global_step == 3
+
+    def test_other_architecture_is_a_checkpoint_error(self, small_config, dataset):
+        wide = replace(small_config, atom_fea_dim=small_config.atom_fea_dim * 2)
+        cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1e-4, seed=0)
+        source = Trainer(make_factory(wide)(), dataset, config=cfg)
+        target = self._single(small_config, dataset)
+        before = _trainer_state([target.model], [target.optimizer], [target.scheduler])
+        with pytest.raises(CheckpointError, match="shape mismatch for '") as err:
+            target.load_training_state(*source.training_state())
+        assert isinstance(err.value, ValueError)  # existing handlers still catch it
+        after = _trainer_state([target.model], [target.optimizer], [target.scheduler])
+        assert _states_equal(before, after)
+
+
 class TestStragglersAndRetries:
     def test_straggler_skew_priced_into_step_stats(self, small_config, dataset):
         factory = make_factory(small_config)
@@ -376,7 +500,7 @@ class TestStragglersAndRetries:
         trainer = DistributedTrainer(
             factory,
             dataset,
-            dist_config(epochs=1, max_flush_retries=2),
+            dist_config(epochs=1),
             fault_plan=plan,
         )
         trainer.train()
@@ -390,7 +514,7 @@ class TestStragglersAndRetries:
         trainer = DistributedTrainer(
             factory,
             dataset,
-            dist_config(epochs=1, max_flush_retries=2),
+            dist_config(epochs=1),
             fault_plan=plan,
         )
         with pytest.raises(CollectiveTimeout):

@@ -280,7 +280,7 @@ class TestBucketBatchSampler:
         sampler = BucketBatchSampler(features, 8, 2, seed=0)
         shards = next(sampler.epoch_partitions(0))
         assert sampler.padding_targets(shards[0]) is None
-        assert sampler.warm_start_entries() == []
+        assert sampler.largest_planned_shard() is None
 
 
 class TestPaddedShardedLoader:
@@ -289,7 +289,7 @@ class TestPaddedShardedLoader:
         sampler = BucketBatchSampler(
             ds.feature_numbers, 8, 2, seed=0, dims=ds.graph_dims
         )
-        return ShardedLoader(ds, sampler, memoize=memoize, pad=True)
+        return ShardedLoader(ds, sampler, memoize=memoize)
 
     def test_yields_tier_padded_shards(self, tiny_entries):
         loader = self._loader(tiny_entries)
@@ -330,13 +330,15 @@ class TestPaddedShardedLoader:
         with pytest.raises(PlannedPaddingError, match=r"\(1, 0, 0, 0\)"):
             next(iter(blocks))
 
-    def test_pad_false_passes_through(self, tiny_entries):
+    def test_sampler_without_dims_passes_shards_through(self, tiny_entries):
+        """A loader pads exactly what its sampler planned: a sampler built
+        without dims plans nothing, so every shard arrives unpadded."""
         ds = StructureDataset(tiny_entries)
-        sampler = BucketBatchSampler(
-            ds.feature_numbers, 8, 2, seed=0, dims=ds.graph_dims
-        )
-        loader = ShardedLoader(ds, sampler, pad=False)
-        assert all(b.pad_info is None for step in loader for b in step)
+        sampler = BucketBatchSampler(ds.feature_numbers, 8, 2, seed=0)
+        loader = ShardedLoader(ds, sampler)
+        assert loader.largest_planned_batch() is None
+        steps = list(loader)
+        assert steps and all(b.pad_info is None for step in steps for b in step)
 
 
 class TestDataLoader:

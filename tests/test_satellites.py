@@ -120,7 +120,7 @@ class TestBlockModeLoader:
         from repro.data.loader import DataLoader
 
         ds = self._dataset(entries)
-        loader = DataLoader(ds, batch_size=5, blocks=True, pad=False)
+        loader = DataLoader(ds, batch_size=5, blocks=True)
         seen = []
         for (block,) in loader.block_sampler.epoch_partitions(0):
             seen.extend(int(i) for i in block)
@@ -152,12 +152,6 @@ class TestBlockModeLoader:
         loader = DataLoader(ds, batch_size=5, blocks=True)
         assert len(loader) == loader.block_sampler.num_batches()
         assert len(list(loader)) == len(loader)
-
-    def test_pad_without_blocks_rejected(self, entries):
-        from repro.data.loader import DataLoader
-
-        with pytest.raises(ValueError):
-            DataLoader(self._dataset(entries), batch_size=4, pad=True)
 
     def test_compiled_trainer_first_epoch_replay_only(self, entries):
         ds = self._dataset(entries)
@@ -202,27 +196,6 @@ class TestBlockModeLoader:
         state_e, losses_e = run(False)
         assert losses_c == losses_e
         assert all(np.array_equal(state_c[k], state_e[k]) for k in state_c)
-
-    def test_unpadded_blocks_warm_start_compiler(self, entries):
-        ds = self._dataset(entries)
-        model = FastCHGNet(np.random.default_rng(2), config=_small_config())
-        trainer = Trainer(
-            model,
-            ds,
-            config=TrainConfig(
-                epochs=2,
-                batch_size=4,
-                learning_rate=1e-4,
-                compile=True,
-                pad_blocks=False,
-            ),
-        )
-        assert trainer.compiler._canonical  # warm-started tier shapes
-        trainer.train_epoch(0)
-        captures_first = trainer.compiler.stats.captures
-        trainer.train_epoch(1)
-        assert trainer.compiler.stats.captures == captures_first
-        assert trainer.compiler.stats.replays > 0
 
 
 def _small_config() -> CHGNetConfig:

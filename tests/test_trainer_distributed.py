@@ -105,6 +105,17 @@ class TestDistributed:
         assert stats.rank_feature_numbers.shape == (2,)
         assert np.isfinite(stats.loss)
 
+    def test_global_batch_larger_than_dataset_raises(self, small_config, dataset):
+        """A run that would take no step is refused when it is built, naming
+        the global batch and the dataset size (it used to train nothing)."""
+        small = StructureDataset(dataset.entries[:12])
+        with pytest.raises(ValueError, match=r"global batch 16 .* 12 structures"):
+            DistributedTrainer(
+                lambda: make_model(small_config),
+                small,
+                DistributedConfig(world_size=2, global_batch_size=16),
+            )
+
     def test_wrong_shard_count_raises(self, small_config, dataset):
         cfg = DistributedConfig(world_size=2, global_batch_size=4, epochs=1)
         dt = DistributedTrainer(self._factory(small_config), dataset, cfg)
