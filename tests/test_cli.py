@@ -97,6 +97,29 @@ def test_inject_fault_requires_distributed_and_state(capsys):
         )
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--checkpoint-every", "0"], "--checkpoint-every must be >= 1, got 0"),
+        (["--world-size", "2", "--checkpoint-every", "0"], "--checkpoint-every must be >= 1"),
+        (["--inject-fault", "kill:0:1"], "--inject-fault requires --world-size > 1"),
+        (["--world-size", "2", "--inject-fault", "kill:0:1"], "--inject-fault requires --state"),
+    ],
+)
+def test_train_flags_checked_before_any_data(monkeypatch, flags, message):
+    """Each ``train`` flag is checked once, up front: single-device and
+    distributed runs fail the same way before a structure is generated."""
+    import repro.data
+    from repro.cli import main
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("flags must be checked before the dataset is generated")
+
+    monkeypatch.setattr(repro.data, "generate_mptrj", no_data)
+    with pytest.raises(SystemExit, match=message):
+        main(["train", *flags])
+
+
 def test_inject_fault_rejects_bad_spec():
     from repro.cli import main
 

@@ -107,7 +107,7 @@ class TestDistributed:
 
     def test_global_batch_larger_than_dataset_raises(self, small_config, dataset):
         """A run that would take no step is refused when it is built, naming
-        the global batch and the dataset size (it used to train nothing)."""
+        the global batch and the dataset size."""
         small = StructureDataset(dataset.entries[:12])
         with pytest.raises(ValueError, match=r"global batch 16 .* 12 structures"):
             DistributedTrainer(
