@@ -1168,8 +1168,9 @@ class InferenceEngine:
         always complete) and nothing new lands on it.  Its replica stays
         in place so a later :meth:`add_worker` can reactivate the slot
         (indices stay stable for fault plans and per-worker stats).  The
-        last active worker is never retired; an index outside
-        ``[0, n_workers)`` raises ``ValueError``.
+        last active worker is never retired, nor is one already out of the
+        rotation (retired, or drained for good after a discovered kill);
+        an index outside ``[0, n_workers)`` raises ``ValueError``.
         """
         if worker is not None and not 0 <= worker < self.n_workers:
             raise ValueError(
@@ -1184,7 +1185,12 @@ class InferenceEngine:
                 and self._drained_until[w] != float("inf")
             ]
             worker = candidates[0] if candidates else None
-        if worker is None or self._retired[worker] or self.fleet_size <= 1:
+        if (
+            worker is None
+            or self._retired[worker]
+            or self._drained_until[worker] == float("inf")
+            or self.fleet_size <= 1
+        ):
             return None
         self._retired[worker] = True
         self.stats.scale_ins += 1
@@ -1217,10 +1223,14 @@ class InferenceEngine:
             self._dead.update(self.fault_plan.take_kills(dispatch))
             worker = self._pick_worker(now)
             if worker is None:
-                # The whole rotation is drained; wait out the earliest
+                # The whole rotation is drained; wait out its earliest
                 # finite cooldown on the virtual clock.
                 wake = min(
-                    (u for u in self._drained_until if u is not None and u != float("inf")),
+                    (
+                        u
+                        for w, u in enumerate(self._drained_until)
+                        if not self._retired[w] and u is not None and u != float("inf")
+                    ),
                     default=None,
                 )
                 if wake is None and any(

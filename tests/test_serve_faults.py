@@ -323,6 +323,27 @@ class TestCircuitBreaker:
         assert snap["worker_failures"] == 1
         assert snap["retries"] == 2  # both requests of the flaked batch
 
+    def test_retired_cooldown_does_not_stall_a_drained_rotation(
+        self, model, graphs, monkeypatch
+    ):
+        """A retired worker's pending cooldown is no wake-up time for the
+        rotation: with every active worker dead, the retired slot is
+        reactivated at once instead of waited for and then not picked."""
+        monkeypatch.setattr(engine_module, "BREAKER_THRESHOLD", 1)
+        plan = (
+            WorkerFaultPlan()
+            .flake(worker=0, dispatch=0)
+            .kill(worker=1, dispatch=2)
+            .kill(worker=2, dispatch=2)
+        )
+        engine = _engine(model, n_workers=3, max_batch_structs=1, fault_plan=plan)
+        assert engine.poll(engine.submit(graphs[0], now=0.0)) is not None
+        assert engine.retire_worker(0) == 0  # tripped, cooling down, retired
+        pred = engine.poll(engine.submit(graphs[1], now=0.0))
+        assert pred is not None and pred.worker == 0
+        assert engine.stats.scale_outs == 1  # the emergency reactivation
+        assert tuple(plan.unfired()) == ()
+
 
 class TestWorkerReplacement:
     def test_replacement_honors_version_pinning(self, model, graphs):

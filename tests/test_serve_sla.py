@@ -376,6 +376,19 @@ class TestAutoscale:
         assert engine.retire_worker() is None
         assert engine.fleet_size == 1
 
+    def test_retiring_a_drained_dead_worker_counts_nothing(self, model, graphs):
+        """A worker a discovered kill drained for good is already out of the
+        rotation: retiring it removes nothing, so it is no scale-in."""
+        plan = WorkerFaultPlan().kill(worker=0, dispatch=0)
+        engine = InferenceEngine(
+            model, n_workers=3, compile=False, max_batch_structs=1, fault_plan=plan
+        )
+        assert engine.poll(engine.submit(graphs[0], now=0.0)) is not None
+        assert engine.stats.worker_failures == 1 and engine.fleet_size == 2
+        assert engine.retire_worker(0) is None
+        assert engine.fleet_size == 2
+        assert engine.stats.scale_ins == 0
+
     @pytest.mark.parametrize("worker", [-1, 2, 5])
     def test_retire_rejects_out_of_range_index(self, model, worker):
         engine = InferenceEngine(model, n_workers=2, compile=False)
