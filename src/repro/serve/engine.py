@@ -5,7 +5,9 @@ tier)``, groups them with :func:`repro.serve.scheduler.plan_groups`,
 dispatches every group through one loop (``_dispatch_ready``) onto
 simulated workers that replay programs from one shared
 :class:`~repro.tensor.compile.SharedProgramCache`, and models latency on
-per-worker virtual clocks advanced by *measured* service times.
+per-worker virtual clocks advanced by *measured* service times.  The
+workers themselves — one record each, and the health policy over them —
+live in :mod:`repro.serve.fleet`.
 docs/serving.md gives each mechanism its one canonical section — the
 request pipeline, dispatch, grouping, versioned weight publishes, collate
 memoization, the latency model and multi-tenancy — and
@@ -45,6 +47,7 @@ from repro.graph.batching import (
 from repro.graph.crystal_graph import CrystalGraph, build_graph
 from repro.model.chgnet import CHGNetModel
 from repro.serve.faults import DeadlineExceeded, WorkerFailure, WorkerFaultPlan
+from repro.serve.fleet import Fleet
 from repro.serve.scheduler import Autoscaler, AutoscaleConfig, FairScheduler, plan_groups
 from repro.serve.tenants import (
     DEFAULT_CLASS,
@@ -57,8 +60,7 @@ from repro.serve.tenants import (
     standard_classes,
 )
 from repro.structures.crystal import Crystal
-from repro.tensor import no_grad
-from repro.tensor.compile import InferenceCompiler, SharedProgramCache
+from repro.tensor.compile import SharedProgramCache
 
 #: Largest priced padding overhead a partial group may reach by absorbing
 #: other tiers: a merge trades at most half a group of ghost rows for the
@@ -70,13 +72,6 @@ MAX_VERSIONS = 4
 #: Virtual seconds priced onto a group's clock after its first failed
 #: attempt, doubling per attempt: the order of one batch's service time.
 RETRY_BACKOFF = 1e-3
-#: Consecutive failures that trip a worker's circuit breaker: one may be a
-#: flake, two in a row drain the worker from the rotation.
-BREAKER_THRESHOLD = 2
-#: Virtual seconds a tripped worker stays drained before half-open
-#: re-admission: twenty default flush waits, so the rotation moves on but a
-#: recovered worker still returns within a run.
-BREAKER_COOLDOWN = 1.0
 
 
 class EngineClosed(RuntimeError):
@@ -357,7 +352,6 @@ class InferenceEngine:
             raise ValueError(f"max_retries must be non-negative, got {max_retries}")
         self.model = model
         self.config = model.config
-        self.n_workers = n_workers
         self.max_batch_structs = max_batch_structs
         self.max_wait = max_wait
         self.merge_tiers = merge_tiers
@@ -393,31 +387,13 @@ class InferenceEngine:
         self.autoscaler = Autoscaler(autoscale) if autoscale is not None else None
         self._tenant_pending: dict[str, int] = {}
         self._closed = False
-        self.workers: list[CHGNetModel] = [
-            CHGNetModel(model.config, np.random.default_rng(w))
-            for w in range(n_workers)
-        ]
-        self._worker_params = [replica.parameters() for replica in self.workers]
-        self._worker_version = [-1] * n_workers
-        self.cache: SharedProgramCache | None = None
-        self.compilers: list[InferenceCompiler] | None = None
-        if compile:
-            self.cache = SharedProgramCache(max_programs)
-            self.compilers = [
-                InferenceCompiler(worker, cache=self.cache) for worker in self.workers
-            ]
+        self.cache = SharedProgramCache(max_programs) if compile else None
+        self.fleet = Fleet(
+            model.config, n_workers, self.cache, self.fault_plan, replace_workers
+        )
         self.stats = EngineStats()
-        self._worker_free = [0.0] * n_workers
-        # Fault-tolerance state: global dispatch-attempt counter (the fault
-        # plan's key), the set of actually-dead workers (plan truth, only
-        # *discovered* by dispatching to one), and the engine's health view.
+        # Global dispatch-attempt counter: the fault plan's key.
         self._dispatches = 0
-        self._dead: set[int] = set()
-        self._consec_failures = [0] * n_workers
-        self._drained_until: list[float | None] = [None] * n_workers
-        # Elastic fleet: retired workers stay in place (indices are stable
-        # for fault plans and stats) but leave the dispatch rotation.
-        self._retired = [False] * n_workers
         # (version, tier) -> FIFO of pending requests
         self._queues: dict[tuple[int, int], list[_Pending]] = {}
         self._results: dict[int, Prediction] = {}
@@ -456,12 +432,7 @@ class InferenceEngine:
         if state is None:
             arrays = [p.data.copy() for p in self.model.parameters()]
         else:
-            arrays = self.workers[0].aligned_state(state)
-        if len(arrays) != len(self._worker_params[0]):
-            raise ValueError(
-                f"{len(arrays)} parameter arrays for "
-                f"{len(self._worker_params[0])} worker parameters"
-            )
+            arrays = self.model.aligned_state(state)
         if version is None:
             version = self._next_version
         elif int(version) < 0:
@@ -488,7 +459,7 @@ class InferenceEngine:
             return
         pinned = {version for version, _tier in self._queues}
         pinned.add(self.current_version)
-        pinned.update(v for v in self._worker_version if v >= 0)
+        pinned.update(w.version for w in self.fleet if w.version >= 0)
         for v in list(self._versions):
             if len(self._versions) <= MAX_VERSIONS:
                 break
@@ -497,17 +468,13 @@ class InferenceEngine:
 
     def _ensure_version(self, worker: int, version: int) -> None:
         """Install ``version``'s arrays on ``worker`` (by reference) if stale."""
-        if self._worker_version[worker] == version:
+        record = self.fleet[worker]
+        if record.version == version:
             return
         arrays = self._versions.get(version)
         if arrays is None:
             raise RuntimeError(f"weight version {version} evicted while in flight")
-        # Zero-copy rebinding: registry arrays are private snapshots and
-        # workers never write parameter data in place, so replicas (and the
-        # compiled programs bound through them) can share them directly.
-        for p, arr in zip(self._worker_params[worker], arrays):
-            p.data = arr
-        self._worker_version[worker] = version
+        record.install(version, arrays)
 
     # ------------------------------------------------------------- submission
     @staticmethod
@@ -879,8 +846,8 @@ class InferenceEngine:
 
     def _idle_worker(self, now: float) -> bool:
         """Whether the rotation worker that frees first is free at ``now``."""
-        worker = self._pick_worker(now)
-        return worker is not None and self._worker_free[worker] <= now
+        worker = self.fleet.pick(now)
+        return worker is not None and self.fleet[worker].free <= now
 
     # ------------------------------------------------------- adaptive merging
     def _canonical_seeds(self, dims_list: list[tuple]) -> tuple:
@@ -901,7 +868,7 @@ class InferenceEngine:
 
     def _affordable(self, dims_list: list[tuple]) -> bool:
         """The planner's price test: padding overhead within :data:`MERGE_OVERHEAD_CAP`."""
-        if self.compilers is None:
+        if self.cache is None:
             return True  # eager batches are never padded
         overhead = padding_overhead(dims_list, seeds=self._canonical_seeds(dims_list))
         return overhead <= MERGE_OVERHEAD_CAP
@@ -929,7 +896,7 @@ class InferenceEngine:
         if self._closed:
             raise EngineClosed("engine is shut down; predict_many rejected")
         graphs = [self._graph_of(item) for item in items]
-        if self.compilers is not None:
+        if self.cache is not None:
             self._warm_start(graphs, merge=True)
         # A synchronous wave arrives after all previously dispatched work
         # finished; rebasing the clock keeps its latencies self-contained.
@@ -967,7 +934,7 @@ class InferenceEngine:
         recompiling as canonical shapes grow.  Returns the number of tier
         groups seeded (0 on an eager engine).
         """
-        if self.compilers is None:
+        if self.cache is None:
             return 0
         return self._warm_start(
             [self._graph_of(item) for item in items], merge=self.merge_tiers
@@ -1001,7 +968,7 @@ class InferenceEngine:
             before = dict(self.cache.canonical)
             # The canonical dict is shared through the cache: seeding one
             # compiler seeds them all.
-            seeded = self.compilers[0].warm_start(entries)
+            seeded = self.fleet[0].compiler.warm_start(entries)
             if not merge or self.cache.canonical == before:
                 return seeded
         self.stats.warm_unsettled += 1
@@ -1038,72 +1005,12 @@ class InferenceEngine:
             self._collate_cache.popitem(last=False)
         return batch
 
-    def _eval_batch(self, worker: int, batch: GraphBatch) -> dict[str, np.ndarray]:
-        if self.compilers is not None:
-            return self.compilers[worker].run(batch)
-        model = self.workers[worker]
-        if model.config.use_heads:
-            with no_grad():
-                output = model.forward(batch, training=False)
-        else:
-            output = model.forward(batch, training=False)
-        return {
-            "energy": output.energy_per_atom.data,
-            "forces": output.forces.data,
-            "stress": output.stress.data,
-            "magmom": output.magmom.data,
-        }
-
-    def _pick_worker(self, now: float, exclude: int | None = None) -> int | None:
-        """Believed-healthy worker whose virtual clock frees first, or ``None``.
-
-        Skips workers drained by the circuit breaker whose cooldown has not
-        elapsed; a worker whose cooldown *has* elapsed is re-admitted
-        half-open (one more failure re-trips the breaker immediately).
-        Ties break to the lowest index, matching the fault-free argmin, so
-        an engine with no fault plan schedules bit-for-bit identically.
-        """
-        best = None
-        for w in range(self.n_workers):
-            if w == exclude or self._retired[w]:
-                continue
-            until = self._drained_until[w]
-            if until is not None:
-                if until > now:
-                    continue
-                self._drained_until[w] = None
-                self._consec_failures[w] = max(0, BREAKER_THRESHOLD - 1)
-            if best is None or self._worker_free[w] < self._worker_free[best]:
-                best = w
-        return best
-
-    def _replace_worker(self, worker: int, now: float) -> None:
-        """Swap a dead worker for a fresh replica on the shared cache.
-
-        Like :func:`repro.train.run_elastic`'s replace-recovery, the
-        replacement joins the rotation immediately with nothing installed
-        (version sentinel ``-1``), so its first batch installs whatever
-        version that batch is pinned to — not merely the current one.
-        Cached programs survive: they are keyed by batch shape and rebind
-        parameters on every replay.
-        """
-        self.workers[worker] = CHGNetModel(
-            self.model.config, np.random.default_rng(worker)
-        )
-        self._worker_params[worker] = self.workers[worker].parameters()
-        self._worker_version[worker] = -1
-        if self.compilers is not None:
-            self.compilers[worker] = InferenceCompiler(
-                self.workers[worker], cache=self.cache
-            )
-        self._dead.discard(worker)
-        self._consec_failures[worker] = 0
-        self._drained_until[worker] = None
-        self._retired[worker] = False
-        self._worker_free[worker] = max(self._worker_free[worker], now)
-        self.stats.worker_replacements += 1
-
     # ------------------------------------------------------------- elasticity
+    @property
+    def n_workers(self) -> int:
+        """Worker slots ever created, retired and dead ones included."""
+        return len(self.fleet)
+
     @property
     def fleet_size(self) -> int:
         """Workers in (or admissible to) the dispatch rotation.
@@ -1111,19 +1018,11 @@ class InferenceEngine:
         Retired workers and permanently drained dead ones don't count;
         breaker-tripped workers do (they re-admit after cooldown).
         """
-        return sum(
-            1
-            for w in range(self.n_workers)
-            if not self._retired[w] and self._drained_until[w] != float("inf")
-        )
+        return self.fleet.size
 
     def fleet_idle(self, now: float) -> bool:
         """Whether every active worker's virtual clock is at or behind ``now``."""
-        return all(
-            self._worker_free[w] <= now
-            for w in range(self.n_workers)
-            if not self._retired[w] and self._drained_until[w] != float("inf")
-        )
+        return self.fleet.idle(now)
 
     def add_worker(self, now: float | None = None) -> int:
         """Scale out by one worker; returns its index.
@@ -1133,31 +1032,11 @@ class InferenceEngine:
         program cache — programs are keyed by batch shape and rebind
         parameters per replay, so growing the fleet captures **nothing**.
         The new worker installs whatever version its first batch is
-        pinned to (sentinel ``-1``), mirroring :meth:`_replace_worker`.
+        pinned to (sentinel ``-1``), like a replacement of a dead worker.
         """
-        now = self._advance(now)
-        for w in range(self.n_workers):
-            if self._retired[w] and w not in self._dead:
-                self._retired[w] = False
-                self._consec_failures[w] = 0
-                self._drained_until[w] = None
-                self._worker_free[w] = max(self._worker_free[w], now)
-                self.stats.scale_outs += 1
-                return w
-        w = self.n_workers
-        replica = CHGNetModel(self.model.config, np.random.default_rng(w))
-        self.workers.append(replica)
-        self._worker_params.append(replica.parameters())
-        self._worker_version.append(-1)
-        self._worker_free.append(now)
-        self._consec_failures.append(0)
-        self._drained_until.append(None)
-        self._retired.append(False)
-        if self.compilers is not None:
-            self.compilers.append(InferenceCompiler(replica, cache=self.cache))
-        self.n_workers += 1
+        worker = self.fleet.add(self._advance(now))
         self.stats.scale_outs += 1
-        return w
+        return worker
 
     def retire_worker(self, worker: int | None = None) -> int | None:
         """Drain-and-retire one worker; returns its index (``None`` if not
@@ -1172,28 +1051,9 @@ class InferenceEngine:
         rotation (retired, or drained for good after a discovered kill);
         an index outside ``[0, n_workers)`` raises ``ValueError``.
         """
-        if worker is not None and not 0 <= worker < self.n_workers:
-            raise ValueError(
-                f"worker {worker} out of range for {self.n_workers} workers"
-            )
-        if worker is None:
-            candidates = [
-                w
-                for w in reversed(range(self.n_workers))
-                if not self._retired[w]
-                and w not in self._dead
-                and self._drained_until[w] != float("inf")
-            ]
-            worker = candidates[0] if candidates else None
-        if (
-            worker is None
-            or self._retired[worker]
-            or self._drained_until[worker] == float("inf")
-            or self.fleet_size <= 1
-        ):
-            return None
-        self._retired[worker] = True
-        self.stats.scale_ins += 1
+        worker = self.fleet.retire(worker)
+        if worker is not None:
+            self.stats.scale_ins += 1
         return worker
 
     def _dispatch(self, group: list[_Pending], now: float) -> None:
@@ -1217,53 +1077,33 @@ class InferenceEngine:
         # tag later light-tenant arrivals behind it.  (FIFO tags are all 0.)
         self.scheduler.advance(min(p.tag for p in group))
         attempt = 0
+        fleet = self.fleet
         while group:
             dispatch = self._dispatches
             self._dispatches += 1
-            self._dead.update(self.fault_plan.take_kills(dispatch))
-            worker = self._pick_worker(now)
+            fleet.begin(dispatch)
+            worker = fleet.pick(now)
             if worker is None:
-                # The whole rotation is drained; wait out its earliest
-                # finite cooldown on the virtual clock.
-                wake = min(
-                    (
-                        u
-                        for w, u in enumerate(self._drained_until)
-                        if not self._retired[w] and u is not None and u != float("inf")
-                    ),
-                    default=None,
-                )
-                if wake is None and any(
-                    self._retired[w] and w not in self._dead
-                    for w in range(self.n_workers)
-                ):
-                    # Every active worker is gone but a healthy retired
-                    # slot remains — an emergency scale-out beats a
-                    # terminal shed (the autoscaler composing with a
-                    # fault plan can hit exactly this corner).
+                # The whole rotation is drained: wait out its earliest finite
+                # cooldown on the virtual clock.  Failing that, a healthy
+                # retired slot makes an emergency scale-out, which beats a
+                # terminal shed (the autoscaler composing with a fault plan
+                # can hit exactly this corner).
+                wake = fleet.wake()
+                if wake is not None:
+                    now = max(now, wake)
+                elif fleet.spare():
                     self.add_worker(now)
-                    worker = self._pick_worker(now)
-                elif wake is None:
+                else:
                     # Every worker is permanently dead and irreplaceable.
                     for pending in group:
                         self._fail(pending, -1, dispatch)
                     return
-                else:
-                    now = max(now, wake)
-                    worker = self._pick_worker(now)
-            failed = worker in self._dead or self.fault_plan.take_flake(worker, dispatch)
-            if failed:
+                worker = fleet.pick(now)
+            if fleet.fails(worker, dispatch):
                 self.stats.worker_failures += 1
-                self._consec_failures[worker] += 1
-                if worker in self._dead:
-                    # A kill is unambiguous: out of rotation for good, or
-                    # replaced in place when the engine is elastic.
-                    if self.replace_workers:
-                        self._replace_worker(worker, now)
-                    else:
-                        self._drained_until[worker] = float("inf")
-                elif self._consec_failures[worker] >= BREAKER_THRESHOLD:
-                    self._drained_until[worker] = now + BREAKER_COOLDOWN
+                if fleet.record_failure(worker, now):
+                    self.stats.worker_replacements += 1
                 survivors = []
                 for pending in group:
                     pending.retries += 1
@@ -1276,7 +1116,7 @@ class InferenceEngine:
                 now += RETRY_BACKOFF * (2.0**attempt)
                 attempt += 1
                 continue
-            self._consec_failures[worker] = 0
+            fleet.record_success(worker)
             self._evaluate(group, worker, version, dispatch, now)
             return
 
@@ -1304,29 +1144,29 @@ class InferenceEngine:
             self.cache.misses if self.cache is not None else 0,
         )
         t0 = time.perf_counter()
-        out = self._eval_batch(worker, batch)
+        out = self.fleet[worker].run(batch)
         measured = time.perf_counter() - t0
         skew = self.fault_plan.skew(worker, dispatch)
-        start = max(self._worker_free[worker], now)
+        start = max(self.fleet[worker].free, now)
         finish = start + measured + skew
         served_by, served_at = worker, finish
         if self.hedge and (skew > 0.0 or start - now > self.max_wait):
             # Duplicate the stuck batch onto the idlest healthy worker and
             # keep the first modeled completion.  Both clocks advance: the
             # loser's work is not free, it is the price of the hedge.
-            other = self._pick_worker(now, exclude=worker)
-            if other is not None and other not in self._dead:
+            other = self.fleet.partner(now, exclude=worker)
+            if other is not None:
                 self.stats.hedges += 1
                 self._ensure_version(other, version)
                 t1 = time.perf_counter()
-                hedge_out = self._eval_batch(other, batch)
+                hedge_out = self.fleet[other].run(batch)
                 hedge_measured = time.perf_counter() - t1
                 hedge_finish = (
-                    max(self._worker_free[other], now)
+                    max(self.fleet[other].free, now)
                     + hedge_measured
                     + self.fault_plan.skew(other, dispatch)
                 )
-                self._worker_free[other] = hedge_finish
+                self.fleet[other].free = hedge_finish
                 if hedge_finish < finish:
                     # Bit-identity makes the winner's bits equal the
                     # loser's, so keeping either output is safe.
@@ -1341,14 +1181,14 @@ class InferenceEngine:
             workload_cost(
                 *group_padded_targets(dims_list, seeds=self._canonical_seeds(dims_list))
             )
-            if self.compilers is not None
+            if self.cache is not None
             else raw
         )
         self.stats.raw_cost += raw
         self.stats.padded_cost += padded
         if len({workload_tier(d) for d in dims_list}) > 1:
             self.stats.merged_batches += 1
-        self._worker_free[worker] = finish
+        self.fleet[worker].free = finish
         self.stats.batches += 1
         offsets = batch.atom_offsets
         for i, pending in enumerate(group):
@@ -1383,15 +1223,15 @@ class InferenceEngine:
     # ----------------------------------------------------------------- stats
     def makespan(self) -> float:
         """Latest worker-finish time on the virtual clock."""
-        return max(self._worker_free)
+        return max(worker.free for worker in self.fleet)
 
     def compile_stats(self) -> dict[str, int] | None:
         """Aggregated per-worker compiler counters (``None`` when eager)."""
-        if self.compilers is None:
+        if self.cache is None:
             return None
         totals: dict[str, int] = {}
-        for compiler in self.compilers:
-            for key, value in compiler.stats.as_dict().items():
+        for worker in self.fleet:
+            for key, value in worker.compiler.stats.as_dict().items():
                 totals[key] = totals.get(key, 0) + value
         return totals
 

@@ -123,13 +123,13 @@ class TwoLoopEngine(TracedEngine):
         return True
 
     def _idle_worker(self, now):
-        for w in range(self.n_workers):
-            if self._retired[w]:
+        for worker in self.fleet:
+            if worker.retired:
                 continue
-            until = self._drained_until[w]
+            until = worker.drained_until
             if until is not None and until > now:
                 continue
-            if self._worker_free[w] <= now:
+            if worker.free <= now:
                 return True
         return False
 

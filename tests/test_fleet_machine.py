@@ -64,14 +64,13 @@ def _solo_energy(state: int, graph: int) -> float:
 def _workers(engine: InferenceEngine, kind: str) -> list[int]:
     """Indices of ``kind``: ``live`` (in the rotation), ``retired`` or
     ``dead`` (a discovered kill drained it for good)."""
-    inf = float("inf")
     return [
         w
-        for w in range(engine.n_workers)
+        for w, worker in enumerate(engine.fleet)
         if {
-            "live": not engine._retired[w] and engine._drained_until[w] != inf,
-            "retired": engine._retired[w],
-            "dead": engine._drained_until[w] == inf,
+            "live": worker.active,
+            "retired": worker.retired,
+            "dead": worker.drained_until == float("inf"),
         }[kind]
     ]
 

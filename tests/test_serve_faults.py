@@ -28,6 +28,7 @@ from repro.serve import (
     WorkerFaultPlan,
 )
 from repro.serve import engine as engine_module
+from repro.serve import fleet as fleet_module
 
 CFG = CHGNetConfig(
     atom_fea_dim=8,
@@ -270,7 +271,7 @@ class TestHedging:
         )
         engine.predict_many(graphs[:4])
         assert engine.snapshot()["hedges"] >= 1
-        assert all(t > 0 for t in engine._worker_free)
+        assert all(w.free > 0 for w in engine.fleet)
 
 
 class TestDeadlines:
@@ -306,19 +307,19 @@ class TestCircuitBreaker:
     def test_flake_trips_then_readmits_half_open(self, model, graphs, monkeypatch):
         """A flaking worker drains out of rotation and is re-admitted after
         the cooldown — and actually serves again (it recovered)."""
-        monkeypatch.setattr(engine_module, "BREAKER_THRESHOLD", 1)
-        monkeypatch.setattr(engine_module, "BREAKER_COOLDOWN", 0.5)
+        monkeypatch.setattr(fleet_module, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(fleet_module, "BREAKER_COOLDOWN", 0.5)
         plan = WorkerFaultPlan().flake(worker=0, dispatch=0)
         engine = _engine(model, n_workers=2, max_batch_structs=2, fault_plan=plan)
         quad = _same_tier(graphs, 4)
         first = [engine.submit(g, now=0.0) for g in quad[:2]]
         assert all(engine.poll(i) is not None for i in first)  # retried on 1
-        assert engine._drained_until[0] is not None  # breaker tripped
+        assert engine.fleet[0].drained_until is not None  # breaker tripped
         second = [engine.submit(g, now=10.0) for g in quad[2:]]
         preds = [engine.poll(i) for i in second]
         assert all(p is not None for p in preds)
         assert preds[0].worker == 0  # re-admitted worker took the batch
-        assert engine._drained_until[0] is None
+        assert engine.fleet[0].drained_until is None
         snap = engine.snapshot()
         assert snap["worker_failures"] == 1
         assert snap["retries"] == 2  # both requests of the flaked batch
@@ -329,7 +330,7 @@ class TestCircuitBreaker:
         """A retired worker's pending cooldown is no wake-up time for the
         rotation: with every active worker dead, the retired slot is
         reactivated at once instead of waited for and then not picked."""
-        monkeypatch.setattr(engine_module, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(fleet_module, "BREAKER_THRESHOLD", 1)
         plan = (
             WorkerFaultPlan()
             .flake(worker=0, dispatch=0)
@@ -370,7 +371,7 @@ class TestWorkerReplacement:
         assert all(p.version == 0 for p in preds)
         assert all(_equal(a, b) for a, b in zip(preds, reference))
         assert engine.snapshot()["worker_replacements"] == 1
-        assert engine._worker_version[0] == 0  # the pin drove the install
+        assert engine.fleet[0].version == 0  # the pin drove the install
 
     def test_replaced_worker_keeps_serving(self, model, graphs):
         """With replace_workers a 1-worker engine survives its own death."""
