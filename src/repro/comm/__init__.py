@@ -1,12 +1,7 @@
 """Simulated multi-GPU communication: collectives, ring allreduce, cost model."""
 
 from repro.comm.communicator import SimCommunicator
-from repro.comm.faults import (
-    CollectiveTimeout,
-    FaultPlan,
-    FaultyCommunicator,
-    RankFailure,
-)
+from repro.comm.faults import CollectiveTimeout, FaultPlan, RankFailure
 from repro.comm.cost_model import (
     ClusterSpec,
     OverlapResult,
@@ -20,7 +15,6 @@ __all__ = [
     "SimCommunicator",
     "CollectiveTimeout",
     "FaultPlan",
-    "FaultyCommunicator",
     "RankFailure",
     "ClusterSpec",
     "OverlapResult",

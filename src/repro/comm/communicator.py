@@ -5,13 +5,16 @@ the data-parallel trainer for gradient averaging) with algorithmic fidelity
 available through the explicit ring allreduce in :mod:`repro.comm.ring`.
 Timing is modeled separately (:mod:`repro.comm.cost_model`) — the paper's
 scaling numbers come from compute measurements + this model, mirroring how
-the real system's efficiency is compute/communication-ratio bound.
+the real system's efficiency is compute/communication-ratio bound.  Every
+collective first consults the communicator's
+:class:`~repro.comm.faults.FaultPlan`; the default, empty plan never fires.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.comm.faults import CollectiveTimeout, FaultPlan, RankFailure
 from repro.comm.ring import RingTrace, ring_allreduce
 
 
@@ -32,14 +35,59 @@ class SimCommunicator:
     traced averages are *not* bit-identical to the default pairwise path —
     but all ranks still receive identical results, which is the invariant
     the trainer relies on.
+
+    ``fault_plan`` rehearses failures (``None`` holds an empty plan, which
+    never fires).  Every collective consults it for the current step (set by
+    the trainer through :meth:`advance`) before touching a buffer:
+
+    * scheduled **kills** mark the rank dead and raise
+      :class:`~repro.comm.faults.RankFailure` — and keep raising it on every
+      later collective, as a real job's collectives would keep failing until
+      the world is rebuilt;
+    * scheduled **timeouts** raise
+      :class:`~repro.comm.faults.CollectiveTimeout` once per budgeted
+      attempt, so a caller's bounded retry drains the budget and the retried
+      collective completes;
+    * **stragglers** never fail anything — :meth:`compute_skew` reports the
+      per-rank virtual seconds the trainer adds to its measured compute
+      times, so modeled throughput prices the slow rank honestly.
     """
 
-    def __init__(self, world_size: int, trace_ring: bool = False) -> None:
+    def __init__(
+        self,
+        world_size: int,
+        fault_plan: FaultPlan | None = None,
+        trace_ring: bool = False,
+    ) -> None:
         if world_size < 1:
             raise ValueError(f"world size must be >= 1, got {world_size}")
         self.world_size = world_size
+        self.fault_plan = FaultPlan() if fault_plan is None else fault_plan
         self.trace_ring = bool(trace_ring)
         self.ring_traces: list[RingTrace] = []
+        self.step = 0
+        self.dead: set[int] = set()
+        self.timeouts_injected = 0
+
+    def advance(self, step: int) -> None:
+        """Set the global step the next collectives belong to."""
+        self.step = int(step)
+
+    def compute_skew(self, rank: int) -> float:
+        """Virtual straggler seconds for ``rank`` at the current step."""
+        return self.fault_plan.skew(rank, self.step)
+
+    def _inject(self) -> None:
+        """Raise the fault the plan schedules for this collective, if any."""
+        for rank in self.fault_plan.take_kills(self.step):
+            if 0 <= rank < self.world_size:
+                self.dead.add(rank)
+        if self.dead:
+            raise RankFailure(min(self.dead), self.step)
+        attempt = self.fault_plan.take_transient(None, self.step)
+        if attempt:
+            self.timeouts_injected += 1
+            raise CollectiveTimeout(self.step, attempt)
 
     def _check(self, per_rank: list) -> None:
         if len(per_rank) != self.world_size:
@@ -49,13 +97,21 @@ class SimCommunicator:
 
     def allreduce_sum(self, per_rank: list[np.ndarray]) -> list[np.ndarray]:
         """Sum one array across ranks; every rank receives the result."""
+        self._inject()
+        return self._sum(per_rank)
+
+    def allreduce_mean(self, per_rank: list[np.ndarray]) -> list[np.ndarray]:
+        """Average one array across ranks (DDP gradient averaging)."""
+        self._inject()
+        return self._mean(per_rank)
+
+    def _sum(self, per_rank: list[np.ndarray]) -> list[np.ndarray]:
         self._check(per_rank)
         total = np.sum(np.stack(per_rank, axis=0), axis=0)
         return [total.copy() for _ in range(self.world_size)]
 
-    def allreduce_mean(self, per_rank: list[np.ndarray]) -> list[np.ndarray]:
-        """Average one array across ranks (DDP gradient averaging)."""
-        out = self.allreduce_sum(per_rank)
+    def _mean(self, per_rank: list[np.ndarray]) -> list[np.ndarray]:
+        out = self._sum(per_rank)
         for arr in out:
             arr /= self.world_size
         return out
@@ -78,6 +134,7 @@ class SimCommunicator:
         algorithm and records its transfer trace (see the class docstring);
         the scratch block is passed through untouched.
         """
+        self._inject()
         self._check(per_rank)
         shape, dtype = per_rank[0].shape, per_rank[0].dtype
         for arr in per_rank:
@@ -106,6 +163,7 @@ class SimCommunicator:
         self, per_rank: list[list[np.ndarray]]
     ) -> list[list[np.ndarray]]:
         """Average *lists* of arrays (one list per rank, e.g. all gradients)."""
+        self._inject()
         self._check(per_rank)
         n_buffers = len(per_rank[0])
         for bufs in per_rank:
@@ -113,18 +171,20 @@ class SimCommunicator:
                 raise ValueError("ranks disagree on number of buffers")
         out: list[list[np.ndarray]] = [[] for _ in range(self.world_size)]
         for j in range(n_buffers):
-            reduced = self.allreduce_mean([per_rank[r][j] for r in range(self.world_size)])
+            reduced = self._mean([per_rank[r][j] for r in range(self.world_size)])
             for r in range(self.world_size):
                 out[r].append(reduced[r])
         return out
 
     def broadcast(self, value: np.ndarray, root: int = 0) -> list[np.ndarray]:
         """Every rank receives a copy of ``value`` from ``root``."""
+        self._inject()
         if not 0 <= root < self.world_size:
             raise ValueError(f"root {root} out of range for world size {self.world_size}")
         return [np.array(value, copy=True) for _ in range(self.world_size)]
 
     def gather(self, per_rank: list[np.ndarray], root: int = 0) -> list[np.ndarray]:
         """Root receives the list of all rank buffers (returned directly)."""
+        self._inject()
         self._check(per_rank)
         return [np.array(b, copy=True) for b in per_rank]

@@ -4,9 +4,9 @@ Real multi-GPU runs at the paper's scale lose ranks, hit slow NICs, and see
 collectives time out; the simulated cluster should be able to *rehearse*
 those failures deterministically.  :class:`FaultPlan` is a declarative,
 seeded schedule of faults — rank kills, per-rank virtual-clock skew
-(stragglers), and collective timeouts — and :class:`FaultyCommunicator`
-wraps :class:`~repro.comm.communicator.SimCommunicator` so that every
-collective passes through the plan before touching data.  Faults surface as
+(stragglers), and collective timeouts — that every collective of
+:class:`~repro.comm.communicator.SimCommunicator` consults before touching
+data.  Faults surface as
 typed errors (:class:`RankFailure`, :class:`CollectiveTimeout`) instead of
 silently corrupting averages; the trainer's recovery machinery
 (checkpoint-resume, elastic re-sharding, bounded flush retries) is tested
@@ -337,87 +337,3 @@ class FaultPlan(FaultSchedule):
             seed, world_size, n_steps, p_kill, p_timeout, straggler_seconds,
             lambda plan, rng, step: plan.timeout(step),
         )  # fmt: skip
-
-
-class FaultyCommunicator:
-    """A :class:`~repro.comm.communicator.SimCommunicator` under a fault plan.
-
-    Wraps the simulated communicator (full attribute delegation, so it is a
-    drop-in replacement) and makes every collective first consult the plan
-    for the current step (set by the trainer through :meth:`advance`):
-
-    * scheduled **kills** mark the rank dead and raise :class:`RankFailure`
-      — and keep raising it on every later collective, as a real job's
-      collectives would keep failing until the world is rebuilt;
-    * scheduled **timeouts** raise :class:`CollectiveTimeout` once per
-      budgeted attempt, so a caller's bounded retry drains the budget and
-      the retried collective completes;
-    * **stragglers** never fail anything — :meth:`compute_skew` reports the
-      per-rank virtual seconds the trainer adds to its measured compute
-      times, so modeled throughput prices the slow rank honestly.
-    """
-
-    def __init__(self, world_size: int, plan: FaultPlan, trace_ring: bool = False) -> None:
-        # Imported here to keep module import order obvious (communicator
-        # does not know about faults).
-        from repro.comm.communicator import SimCommunicator
-
-        self._base = SimCommunicator(world_size, trace_ring=trace_ring)
-        self.plan = plan
-        self.step = 0
-        self.dead: set[int] = set()
-        self.timeouts_injected = 0
-
-    # Delegation keeps FaultyCommunicator drop-in for SimCommunicator users.
-    def __getattr__(self, name: str):
-        return getattr(self._base, name)
-
-    def advance(self, step: int) -> None:
-        """Set the global step the next collectives belong to."""
-        self.step = int(step)
-
-    def compute_skew(self, rank: int) -> float:
-        """Virtual straggler seconds for ``rank`` at the current step."""
-        return self.plan.skew(rank, self.step)
-
-    def _inject(self) -> None:
-        for rank in self.plan.take_kills(self.step):
-            if 0 <= rank < self.world_size:
-                self.dead.add(rank)
-        if self.dead:
-            raise RankFailure(min(self.dead), self.step)
-        attempt = self.plan.take_transient(None, self.step)
-        if attempt:
-            self.timeouts_injected += 1
-            raise CollectiveTimeout(self.step, attempt)
-
-    # ------------------------------------------------------------ collectives
-    def allreduce_sum(self, per_rank):
-        """Faulting wrapper over :meth:`SimCommunicator.allreduce_sum`."""
-        self._inject()
-        return self._base.allreduce_sum(per_rank)
-
-    def allreduce_mean(self, per_rank):
-        """Faulting wrapper over :meth:`SimCommunicator.allreduce_mean`."""
-        self._inject()
-        return self._base.allreduce_mean(per_rank)
-
-    def allreduce_mean_inplace(self, per_rank, work=None):
-        """Faulting wrapper over :meth:`SimCommunicator.allreduce_mean_inplace`."""
-        self._inject()
-        return self._base.allreduce_mean_inplace(per_rank, work)
-
-    def allreduce_mean_lists(self, per_rank):
-        """Faulting wrapper over :meth:`SimCommunicator.allreduce_mean_lists`."""
-        self._inject()
-        return self._base.allreduce_mean_lists(per_rank)
-
-    def broadcast(self, value, root: int = 0):
-        """Faulting wrapper over :meth:`SimCommunicator.broadcast`."""
-        self._inject()
-        return self._base.broadcast(value, root)
-
-    def gather(self, per_rank, root: int = 0):
-        """Faulting wrapper over :meth:`SimCommunicator.gather`."""
-        self._inject()
-        return self._base.gather(per_rank, root)

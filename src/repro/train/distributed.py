@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.comm.communicator import SimCommunicator
 from repro.comm.cost_model import ClusterSpec, OverlapResult, simulate_overlap
-from repro.comm.faults import CollectiveTimeout, FaultPlan, FaultyCommunicator
+from repro.comm.faults import CollectiveTimeout, FaultPlan
 from repro.data.dataset import StructureDataset
 from repro.data.loader import ShardedLoader
 from repro.data.samplers import BucketBatchSampler, DefaultSampler, LoadBalanceSampler
@@ -234,12 +234,7 @@ class DistributedTrainer:
         state = self.replicas[0].state_dict()
         for rep in self.replicas[1:]:
             rep.load_state_dict(state)
-        if fault_plan is not None:
-            self.comm: SimCommunicator | FaultyCommunicator = FaultyCommunicator(
-                cfg.world_size, fault_plan, trace_ring=cfg.trace_ring
-            )
-        else:
-            self.comm = SimCommunicator(cfg.world_size, trace_ring=cfg.trace_ring)
+        self.comm = SimCommunicator(cfg.world_size, fault_plan, trace_ring=cfg.trace_ring)
         self.loss_fn = CompositeLoss(cfg.loss_weights, cfg.huber_delta)
         lr = cfg.resolve_lr()
         self._params = [rep.parameters() for rep in self.replicas]
@@ -321,9 +316,7 @@ class DistributedTrainer:
         cfg = self.config
         if len(shards) != cfg.world_size:
             raise ValueError(f"{len(shards)} shards for {cfg.world_size} ranks")
-        advance = getattr(self.comm, "advance", None)
-        if advance is not None:
-            advance(self.global_step)
+        self.comm.advance(self.global_step)
         compute_times = np.zeros(cfg.world_size)
         losses = np.zeros(cfg.world_size)
         e_maes = np.zeros(cfg.world_size)
@@ -341,12 +334,10 @@ class DistributedTrainer:
             losses[rank] = float(breakdown.loss.data)
             e_maes[rank] = breakdown.energy_mae
             f_maes[rank] = breakdown.force_mae
-        skew_fn = getattr(self.comm, "compute_skew", None)
-        if skew_fn is not None:
-            # Straggler injection: the slow rank's virtual clock runs behind,
-            # so modeled (max-rank) step time prices the straggler honestly.
-            for rank in range(cfg.world_size):
-                compute_times[rank] += skew_fn(rank)
+        # Straggler injection: the slow rank's virtual clock runs behind, so
+        # modeled (max-rank) step time prices the straggler honestly.
+        for rank in range(cfg.world_size):
+            compute_times[rank] += self.comm.compute_skew(rank)
 
         self._flush_gradients()
         for opt, sched in zip(self.optimizers, self.schedulers):

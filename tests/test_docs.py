@@ -18,11 +18,13 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser
-from repro.comm.faults import FaultPlan, FaultyCommunicator
+from repro.comm.communicator import SimCommunicator
+from repro.comm.faults import FaultPlan
 from repro.data.samplers import BucketBatchSampler
 from repro.serve.engine import EngineStats, InferenceEngine, Prediction
 from repro.serve.faults import WorkerFaultPlan
 from repro.serve.scheduler import Autoscaler, AutoscaleConfig, FairScheduler
+from repro.serve.fleet import Fleet, Worker
 from repro.serve.tenants import ClassPolicy, TenantPolicy, TenantStats
 from repro.tensor.compile import (
     InferenceCompiler,
@@ -43,9 +45,11 @@ DOCUMENTED_CLASSES = [
     EngineStats,
     Prediction,
     FaultPlan,
-    FaultyCommunicator,
+    SimCommunicator,
     WorkerFaultPlan,
     Trainer,
+    Fleet,
+    Worker,
     FairScheduler,
     Autoscaler,
     AutoscaleConfig,

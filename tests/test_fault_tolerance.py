@@ -7,13 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.comm import (
-    CollectiveTimeout,
-    FaultPlan,
-    FaultyCommunicator,
-    RankFailure,
-    SimCommunicator,
-)
+from repro.comm import CollectiveTimeout, FaultPlan, RankFailure, SimCommunicator
 from repro.data import StructureDataset
 from repro.data.samplers import BucketBatchSampler
 from repro.model import CHGNetModel, OptLevel
@@ -111,7 +105,7 @@ class TestFaultPlan:
             "straggle:1:0.25:0:6", "straggle:2:0.001:2",
         ]  # fmt: skip
         assert FaultPlan.parse(plan.unfired()).unfired() == plan.unfired()
-        comm = FaultyCommunicator(2, plan)
+        comm = SimCommunicator(2, plan)
         comm.advance(3)
         attempts = []
         for _ in range(3):
@@ -150,17 +144,17 @@ class TestFaultPlan:
         assert plan.unfired() == []
 
     def test_injected_timeouts_count_as_fired(self, rng):
-        comm = FaultyCommunicator(2, FaultPlan().timeout(step=0, attempts=1))
+        comm = SimCommunicator(2, FaultPlan().timeout(step=0, attempts=1))
         comm.advance(0)
         with pytest.raises(CollectiveTimeout):
             comm.allreduce_sum([rng.standard_normal(3) for _ in range(2)])
-        assert comm.plan.unfired() == []
+        assert comm.fault_plan.unfired() == []
 
 
-class TestFaultyCommunicator:
+class TestCommunicatorFaults:
     def test_no_faults_is_transparent(self, rng):
         plain = SimCommunicator(2)
-        faulty = FaultyCommunicator(2, FaultPlan())
+        faulty = SimCommunicator(2, FaultPlan())
         bufs = [rng.standard_normal(5) for _ in range(2)]
         assert np.array_equal(
             plain.allreduce_sum([b.copy() for b in bufs])[0],
@@ -168,7 +162,7 @@ class TestFaultyCommunicator:
         )
 
     def test_kill_raises_at_step(self, rng):
-        comm = FaultyCommunicator(2, FaultPlan().kill(rank=1, step=1))
+        comm = SimCommunicator(2, FaultPlan().kill(rank=1, step=1))
         bufs = [rng.standard_normal(3) for _ in range(2)]
         comm.advance(0)
         comm.allreduce_sum([b.copy() for b in bufs])
@@ -181,13 +175,29 @@ class TestFaultyCommunicator:
             comm.allreduce_sum([b.copy() for b in bufs])
 
     def test_timeout_budget_then_success(self, rng):
-        comm = FaultyCommunicator(2, FaultPlan().timeout(step=0, attempts=1))
+        comm = SimCommunicator(2, FaultPlan().timeout(step=0, attempts=1))
         bufs = [rng.standard_normal(3) for _ in range(2)]
         comm.advance(0)
         with pytest.raises(CollectiveTimeout):
             comm.allreduce_sum([b.copy() for b in bufs])
         out = comm.allreduce_sum([b.copy() for b in bufs])  # retry succeeds
         assert np.allclose(out[0], bufs[0] + bufs[1])
+
+    @pytest.mark.parametrize(
+        "collective",
+        ["allreduce_sum", "allreduce_mean", "allreduce_mean_lists", "gather", "broadcast"],
+    )
+    def test_every_collective_consults_the_plan(self, rng, collective):
+        """Each collective raises the step's timeout before touching a
+        buffer, and its retry goes through."""
+        comm = SimCommunicator(2, FaultPlan().timeout(step=0, attempts=1))
+        bufs = [rng.standard_normal(3) for _ in range(2)]
+        arg = {"allreduce_mean_lists": [[b] for b in bufs], "broadcast": bufs[0]}
+        call = getattr(comm, collective)
+        with pytest.raises(CollectiveTimeout):
+            call(arg.get(collective, bufs))
+        call(arg.get(collective, bufs))
+        assert comm.timeouts_injected == 1
 
 
 class TestCheckpointFormat:
