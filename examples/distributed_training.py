@@ -41,9 +41,7 @@ def main() -> None:
         print(f"   {name:12s} sampler: mean CoV of per-rank work = {cov:.3f}")
 
     print("\n2) Data-parallel training on 4 simulated ranks (Eq. 14 LR scaling):")
-    config = DistributedConfig(
-        world_size=4, global_batch_size=16, epochs=2, scale_lr=True, load_balance=True
-    )
+    config = DistributedConfig(world_size=4, global_batch_size=16, epochs=2, scale_lr=True)
     trainer = DistributedTrainer(
         lambda: FastCHGNet(np.random.default_rng(5)), splits.train, config
     )

@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.data.dataset import StructureDataset
-from repro.data.samplers import BatchSampler, BucketBatchSampler, DefaultSampler
+from repro.data.samplers import BatchSampler, BucketBatchSampler
 from repro.graph.batching import GraphBatch, pad_batch
 from repro.runtime.stream import PrefetchQueue
 
@@ -209,21 +209,6 @@ class ShardedLoader:
         self.sampler = sampler
         self.memoize = memoize
         self.epoch = 0
-
-    @classmethod
-    def with_default_sampler(
-        cls,
-        dataset: StructureDataset,
-        global_batch_size: int,
-        world_size: int,
-        seed: int = 0,
-        memoize: bool | None = None,
-    ) -> "ShardedLoader":
-        return cls(
-            dataset,
-            DefaultSampler(dataset.feature_numbers, global_batch_size, world_size, seed),
-            memoize=memoize,
-        )
 
     def __iter__(self) -> Iterator[list[GraphBatch]]:
         # Plain method, not a generator: epoch advances at creation (see

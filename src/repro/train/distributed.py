@@ -48,7 +48,7 @@ from repro.comm.cost_model import ClusterSpec, OverlapResult, simulate_overlap
 from repro.comm.faults import CollectiveTimeout, FaultPlan
 from repro.data.dataset import StructureDataset
 from repro.data.loader import ShardedLoader
-from repro.data.samplers import BucketBatchSampler, DefaultSampler, LoadBalanceSampler
+from repro.data.samplers import BucketBatchSampler, LoadBalanceSampler
 from repro.graph.batching import GraphBatch
 from repro.model.chgnet import CHGNetModel
 from repro.train.checkpoint import (
@@ -82,10 +82,9 @@ class DistributedConfig:
     eager comparison pipeline can be forced explicitly:
 
     * ``bucket_sampler`` — use the size-bucketed sampler (``None``: iff
-      compiling; the legacy ``load_balance`` flag picks the sampler
-      otherwise).  Its shards are padded to the shapes it plans, so
-      ``True`` on an eager run yields a pipeline bit-identical to the
-      compiled one;
+      compiling; the load-balancing sampler otherwise).  Its shards are
+      padded to the shapes it plans, so ``True`` on an eager run yields a
+      pipeline bit-identical to the compiled one;
     * ``memoize_shards`` — reuse collated shard batches across epochs
       (``None``: iff compiling; shards are static under the bucket sampler,
       so with the padded-batch cache repeat epochs bind-and-replay);
@@ -110,7 +109,6 @@ class DistributedConfig:
     epochs: int = 1
     scale_lr: bool = True  # Eq. 14 on the *global* batch size
     learning_rate: float | None = None
-    load_balance: bool = True
     loss_weights: LossWeights = field(default_factory=LossWeights)
     huber_delta: float = 0.1
     seed: int = 0
@@ -249,8 +247,7 @@ class DistributedTrainer:
                 dims=getattr(train_dataset, "graph_dims", None),
             )
         else:
-            sampler_cls = LoadBalanceSampler if cfg.load_balance else DefaultSampler
-            self.sampler = sampler_cls(
+            self.sampler = LoadBalanceSampler(
                 train_dataset.feature_numbers,
                 cfg.global_batch_size,
                 cfg.world_size,

@@ -381,7 +381,7 @@ class TestDataLoader:
 class TestShardedLoader:
     def test_yields_per_rank_batches(self, tiny_entries):
         ds = StructureDataset(tiny_entries)
-        loader = ShardedLoader.with_default_sampler(ds, global_batch_size=8, world_size=2)
+        loader = ShardedLoader(ds, DefaultSampler(ds.feature_numbers, 8, 2))
         step = next(iter(loader))
         assert len(step) == 2
         assert sum(b.num_structs for b in step) == 8
@@ -411,7 +411,7 @@ class TestEpochAccounting:
 
     def test_sharded_loader_abandoned_iterator_advances(self, tiny_entries):
         ds = StructureDataset(tiny_entries)
-        loader = ShardedLoader.with_default_sampler(ds, global_batch_size=8, world_size=2)
+        loader = ShardedLoader(ds, DefaultSampler(ds.feature_numbers, 8, 2))
         next(iter(loader))
         assert loader.epoch == 1
 
@@ -460,10 +460,3 @@ class TestMemoizedCollate:
         second = list(loader)
         assert all(a is not b for a, b in zip(first, second))
         assert ds._batch_cache == {}
-
-    def test_sharded_factory_forwards_memoize(self, tiny_entries):
-        ds = StructureDataset(tiny_entries)
-        loader = ShardedLoader.with_default_sampler(
-            ds, global_batch_size=8, world_size=2, memoize=True
-        )
-        assert loader.memoize is True

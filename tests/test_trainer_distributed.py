@@ -123,21 +123,21 @@ class TestDistributed:
         with pytest.raises(ValueError):
             dt.train_step(shards[:1])
 
-    def test_load_balance_flag_switches_sampler(self, small_config, dataset):
-        from repro.data.samplers import DefaultSampler, LoadBalanceSampler
+    def test_eager_runs_balance_load(self, small_config, dataset):
+        from repro.data.samplers import BucketBatchSampler, LoadBalanceSampler
 
-        lb = DistributedTrainer(
+        eager = DistributedTrainer(
             self._factory(small_config),
             dataset,
-            DistributedConfig(world_size=2, global_batch_size=4, load_balance=True),
+            DistributedConfig(world_size=2, global_batch_size=4),
         )
-        dd = DistributedTrainer(
+        bucketed = DistributedTrainer(
             self._factory(small_config),
             dataset,
-            DistributedConfig(world_size=2, global_batch_size=4, load_balance=False),
+            DistributedConfig(world_size=2, global_batch_size=4, bucket_sampler=True),
         )
-        assert isinstance(lb.sampler, LoadBalanceSampler)
-        assert isinstance(dd.sampler, DefaultSampler)
+        assert isinstance(eager.sampler, LoadBalanceSampler)
+        assert isinstance(bucketed.sampler, BucketBatchSampler)
 
     def test_lr_scales_with_global_batch(self, small_config, dataset):
         cfg = DistributedConfig(world_size=2, global_batch_size=8, scale_lr=True)
