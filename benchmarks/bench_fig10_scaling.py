@@ -6,9 +6,10 @@ Paper (4 GPUs/node, global batch 2048 strong / 512-per-rank weak):
   5.26x (32, 66%);
 * weak: efficiencies 91.5% / 84.6% / 74.6% at 8/16/32 GPUs.
 
-Reproduction method (see DESIGN.md): iteration time on p ranks is modeled
-as max-rank compute + exposed ring-allreduce communication, averaged over
-many sampled iterations.  Two ingredients:
+Reproduction method (docs/architecture.md, section 5 "Comm + runtime
+models"): iteration time on p ranks is modeled as max-rank compute +
+exposed ring-allreduce communication, averaged over many sampled
+iterations.  Two ingredients:
 
 1. *Compute model.*  Per-rank compute is linear in the rank's feature
    number.  The linearity (and this substrate's rate) is verified by

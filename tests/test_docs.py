@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -23,8 +24,8 @@ from repro.comm.faults import FaultPlan
 from repro.data.samplers import BucketBatchSampler
 from repro.serve.engine import EngineStats, InferenceEngine, Prediction
 from repro.serve.faults import WorkerFaultPlan
-from repro.serve.scheduler import Autoscaler, AutoscaleConfig, FairScheduler
 from repro.serve.fleet import Fleet, Worker
+from repro.serve.scheduler import Autoscaler, AutoscaleConfig, FairScheduler
 from repro.serve.tenants import ClassPolicy, TenantPolicy, TenantStats
 from repro.tensor.compile import (
     InferenceCompiler,
@@ -47,9 +48,9 @@ DOCUMENTED_CLASSES = [
     FaultPlan,
     SimCommunicator,
     WorkerFaultPlan,
-    Trainer,
     Fleet,
     Worker,
+    Trainer,
     FairScheduler,
     Autoscaler,
     AutoscaleConfig,
@@ -160,6 +161,24 @@ class TestDocsSuite:
                 if not (ROOT / n).is_file()
             ]
         assert not dangling, f"docs name scripts that do not exist: {dangling}"
+
+    def test_benches_name_existing_docs(self):
+        """Every ``*.md`` path a paper bench names in its comments or strings
+        is on disk, relative to the repository root."""
+        dangling = []
+        for bench in sorted((ROOT / "benchmarks").glob("bench_*.py")):
+            with bench.open("rb") as f:
+                prose = " ".join(
+                    tok.string
+                    for tok in tokenize.tokenize(f.readline)
+                    if tok.type in (tokenize.COMMENT, tokenize.STRING)
+                )
+            dangling += [
+                f"{bench.name}: {name}"
+                for name in re.findall(r"[\w./-]+\.md\b", prose)
+                if not (ROOT / name).is_file()
+            ]
+        assert not dangling, f"benches name docs that do not exist: {dangling}"
 
 
 class TestCliDocsDriftGate:
