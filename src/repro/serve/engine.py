@@ -1081,7 +1081,7 @@ class InferenceEngine:
         while group:
             dispatch = self._dispatches
             self._dispatches += 1
-            fleet.begin(dispatch)
+            fleet.fire_kills(dispatch)
             worker = fleet.pick(now)
             if worker is None:
                 # The whole rotation is drained: wait out its earliest finite

@@ -198,7 +198,7 @@ class Fleet:
         """Whether a retired slot the plan has not killed can be reactivated."""
         return any(w.retired and not w.dead for w in self.workers)
 
-    def begin(self, dispatch: int) -> None:
+    def fire_kills(self, dispatch: int) -> None:
         """Fire the plan's kills for global dispatch index ``dispatch``."""
         for index in self.plan.take_kills(dispatch):
             if index < len(self.workers):
