@@ -360,7 +360,6 @@ class InferenceEngine:
         self.fault_plan = WorkerFaultPlan() if fault_plan is None else fault_plan
         self.max_retries = int(max_retries)
         self.hedge = hedge
-        self.replace_workers = replace_workers
         if isinstance(tenants, dict):
             tenant_policies = dict(tenants)
         elif tenants is not None:
