@@ -170,3 +170,72 @@ def test_train_kill_recover_resume_cycle(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "resumed from" in out
     assert "replicas in sync: True" in out
+
+
+# End-to-end runs of the serving, farm and model-calculator commands, sized to
+# a few structures so each finishes in about a second.
+_SMALL_POOL = ["--structures", "6", "--max-atoms", "6"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(
+            ["serve", "--compile", "--baseline", "--repeat", "2", "--requests", "16"],
+            id="serve-synchronous",
+        ),
+        pytest.param(
+            [
+                "serve",
+                "--requests",
+                "24",
+                "--tenants",
+                "a:1,b:4:4",
+                "--class",
+                "mixed",
+                "--autoscale",
+                "4",
+                "--inject-worker-fault",
+                "kill:1:2",
+                "--hedge",
+                "--deadline",
+                "0.5",
+                "--merge-tiers",
+                "--memoize",
+                "8",
+                "--publish-every",
+                "8",
+                "--baseline",
+            ],
+            id="serve-queue",
+        ),
+        pytest.param(
+            [
+                "farm",
+                "--compile",
+                "--baseline",
+                "--trajectories",
+                "6",
+                "--steps",
+                "4",
+                "--max-steps",
+                "6",
+            ],
+            id="farm",
+        ),
+        pytest.param(
+            ["relax", "--calculator", "fast", "--compile", "--skin", "0.5", "--max-steps", "5"],
+            id="relax-fast",
+        ),
+        pytest.param(["md", "--calculator", "fast", "--skin", "1", "--steps", "3"], id="md-fast"),
+    ],
+)
+def test_command_runs_end_to_end(argv, capsys):
+    from repro.cli import main
+
+    if argv[0] in ("serve", "farm"):
+        argv = [*argv, *_SMALL_POOL]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if "--baseline" in argv:
+        assert "bit-identical" in out
