@@ -51,7 +51,8 @@ class FIREConfig:
     per-atom displacement of one drift.  The remaining fields are the FIRE
     control parameters: initial/extremal timesteps, the ``n_min`` stability
     window, timestep growth/shrink factors ``f_inc``/``f_dec``, and the
-    mixing schedule ``alpha_start``/``f_alpha``.
+    mixing schedule ``alpha_start``/``f_alpha``.  An out-of-range value
+    raises ``ValueError`` at construction.
     """
 
     fmax: float = 0.05
@@ -66,8 +67,7 @@ class FIREConfig:
     alpha_start: float = 0.25
     f_alpha: float = 0.99
 
-    def validate(self) -> None:
-        """Raise ``ValueError`` on out-of-range parameters."""
+    def __post_init__(self) -> None:
         if self.fmax <= 0:
             raise ValueError(f"fmax must be positive, got {self.fmax}")
         if self.max_steps < 0:
@@ -145,7 +145,6 @@ class FIRE:
 
     def __init__(self, config: FIREConfig | None = None) -> None:
         self.config = config or FIREConfig()
-        self.config.validate()
 
     def init_state(self, crystal: Crystal, result) -> FIREState:
         """Initial state from the first force evaluation (velocities zero)."""

@@ -371,13 +371,9 @@ class InferenceEngine:
         # Declared tenants: a closed tenant world and weighted-fair order.
         self.fair = tenant_policies is not None
         self.tenants: dict[str, TenantPolicy] = tenant_policies or {}
-        for policy in self.tenants.values():
-            policy.validate()
         self.classes: dict[str, ClassPolicy] = (
             standard_classes(self.max_wait) if classes is None else dict(classes)
         )
-        for policy in self.classes.values():
-            policy.validate()
         self.classes.setdefault(DEFAULT_CLASS, ClassPolicy(DEFAULT_CLASS))
         self.paced = bool(paced)
         self.scheduler = FairScheduler(
@@ -1018,10 +1014,6 @@ class InferenceEngine:
         breaker-tripped workers do (they re-admit after cooldown).
         """
         return self.fleet.size
-
-    def fleet_idle(self, now: float) -> bool:
-        """Whether every active worker's virtual clock is at or behind ``now``."""
-        return self.fleet.idle(now)
 
     def add_worker(self, now: float | None = None) -> int:
         """Scale out by one worker; returns its index.

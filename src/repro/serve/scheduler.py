@@ -182,6 +182,8 @@ class FairScheduler:
 class AutoscaleConfig:
     """Policy for load-driven worker scale-out/in.
 
+    A non-sensical value raises ``ValueError`` at construction.
+
     Parameters
     ----------
     sla_p95:
@@ -215,8 +217,7 @@ class AutoscaleConfig:
     window: int = 64
     min_samples: int = 8
 
-    def validate(self) -> None:
-        """Raise ``ValueError`` on non-sensical scaling policy."""
+    def __post_init__(self) -> None:
         if self.sla_p95 <= 0:
             raise ValueError(f"sla_p95 must be > 0, got {self.sla_p95}")
         if self.breach_scans < 1:
@@ -246,7 +247,6 @@ class Autoscaler:
     """
 
     def __init__(self, config: AutoscaleConfig) -> None:
-        config.validate()
         self.config = config
         self._latencies: deque = deque(maxlen=config.window)
         self._breaches = 0
@@ -281,7 +281,7 @@ class Autoscaler:
                 action = "out"
         else:
             self._breaches = 0
-        if engine.pending == 0 and engine.fleet_idle(now):
+        if engine.pending == 0 and engine.fleet.idle(now):
             self._idle += 1
             if self._idle >= cfg.idle_scans and engine.fleet_size > cfg.min_workers:
                 if engine.retire_worker() is not None:

@@ -67,6 +67,8 @@ def counters(stats) -> dict:
 class ClassPolicy:
     """One request class: latency policy shared by every request in it.
 
+    A non-sensical value raises ``ValueError`` at construction.
+
     Parameters
     ----------
     name:
@@ -87,8 +89,7 @@ class ClassPolicy:
     max_wait: float | None = None
     deadline: float | None = None
 
-    def validate(self) -> None:
-        """Raise ``ValueError`` on non-sensical policy values."""
+    def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("class name must be non-empty")
         if self.max_wait is not None and self.max_wait < 0:
@@ -115,6 +116,8 @@ def standard_classes(max_wait: float) -> dict[str, ClassPolicy]:
 class TenantPolicy:
     """One tenant: fair-share weight and admission quota.
 
+    A non-sensical value raises ``ValueError`` at construction.
+
     Parameters
     ----------
     name:
@@ -135,8 +138,7 @@ class TenantPolicy:
     weight: float = 1.0
     max_pending: int = 0
 
-    def validate(self) -> None:
-        """Raise ``ValueError`` on non-sensical policy values."""
+    def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
         if self.weight <= 0:
@@ -151,18 +153,16 @@ class TenantPolicy:
         try:
             if not 1 <= len(parts) <= 3:
                 raise ValueError("unrecognized form")
-            policy = cls(
+            return cls(
                 name=parts[0],
                 weight=float(parts[1]) if len(parts) >= 2 else 1.0,
                 max_pending=int(parts[2]) if len(parts) == 3 else 0,
             )
-            policy.validate()
         except ValueError as exc:
             raise ValueError(
                 f"bad tenant spec {spec!r} ({exc}); expected "
                 "NAME[:WEIGHT[:MAX_PENDING]]"
             ) from exc
-        return policy
 
 
 #: Sliding latency window per tenant (mirrors the global window; a busy

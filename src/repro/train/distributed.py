@@ -102,6 +102,9 @@ class DistributedConfig:
     flush collective that a fault plan times out is retried up to
     ``MAX_FLUSH_RETRIES`` times with *virtual* backoff (``FLUSH_BACKOFF *
     2**attempt`` seconds, accumulated in ``backoff_seconds``, never slept).
+
+    Construction raises ``ValueError`` for a ``world_size`` or ``n_buckets``
+    below 1 and for a global batch the ranks cannot split evenly.
     """
 
     world_size: int = 4
@@ -117,6 +120,18 @@ class DistributedConfig:
     bucket_sampler: bool | None = None
     memoize_shards: bool | None = None
     trace_ring: bool = False
+
+    def __post_init__(self) -> None:
+        if self.world_size < 1:
+            raise ValueError(f"world_size must be >= 1, got {self.world_size}")
+        if self.global_batch_size % self.world_size != 0:
+            raise ValueError(
+                f"global_batch_size {self.global_batch_size} must be divisible "
+                f"by world_size {self.world_size}"
+            )
+        # GradientBuckets is built at the first step; check the count now.
+        if self.n_buckets < 1:
+            raise ValueError(f"n_buckets must be >= 1, got {self.n_buckets}")
 
     def resolve_lr(self) -> float:
         if self.learning_rate is not None:

@@ -24,7 +24,7 @@ def oracle():
 
 class TestConfigValidation:
     def test_defaults_valid(self):
-        FIREConfig().validate()
+        FIREConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -47,7 +47,7 @@ class TestConfigValidation:
     )
     def test_bad_values_raise(self, kwargs):
         with pytest.raises(ValueError):
-            FIREConfig(**kwargs).validate()
+            FIREConfig(**kwargs)
 
     def test_driver_validates_on_construction(self):
         with pytest.raises(ValueError):

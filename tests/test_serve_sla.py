@@ -71,19 +71,19 @@ def _equal(a, b) -> bool:
 class TestPolicies:
     def test_tenant_policy_validation(self):
         with pytest.raises(ValueError):
-            TenantPolicy("", weight=1.0).validate()
+            TenantPolicy("", weight=1.0)
         with pytest.raises(ValueError):
-            TenantPolicy("a", weight=0.0).validate()
+            TenantPolicy("a", weight=0.0)
         with pytest.raises(ValueError):
-            TenantPolicy("a", max_pending=-1).validate()
+            TenantPolicy("a", max_pending=-1)
 
     def test_class_policy_validation(self):
         with pytest.raises(ValueError):
-            ClassPolicy("", max_wait=1.0).validate()
+            ClassPolicy("", max_wait=1.0)
         with pytest.raises(ValueError):
-            ClassPolicy("x", max_wait=-1.0).validate()
+            ClassPolicy("x", max_wait=-1.0)
         with pytest.raises(ValueError):
-            ClassPolicy("x", deadline=0.0).validate()
+            ClassPolicy("x", deadline=0.0)
 
     def test_tenant_spec_parsing(self):
         assert TenantPolicy.parse("alice") == TenantPolicy("alice")
@@ -96,7 +96,7 @@ class TestPolicies:
                 TenantPolicy.parse(bad)
 
     def test_autoscale_config_validation(self):
-        AutoscaleConfig(sla_p95=1.0).validate()
+        AutoscaleConfig(sla_p95=1.0)
         for bad in (
             dict(sla_p95=0.0),
             dict(sla_p95=1.0, breach_scans=0),
@@ -105,7 +105,7 @@ class TestPolicies:
             dict(sla_p95=1.0, min_samples=0),
         ):
             with pytest.raises(ValueError):
-                AutoscaleConfig(**bad).validate()
+                AutoscaleConfig(**bad)
 
 
 class TestFairScheduler:
