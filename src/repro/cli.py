@@ -17,33 +17,117 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
 
+VARIANTS = ("chgnet", "fast", "fast-wo-head")
+
+
+def _compile_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--compile",
+        action="store_true",
+        help="compile once, replay after: batches pad to a few planned shapes "
+        "(serving: workload tiers) and each shape's tape is captured once "
+        "into a program cache that every rank or worker shares, then "
+        "replayed with arena buffers and fused kernels, bit-identical to "
+        "eager with automatic eager fallback (md/relax: model calculators "
+        "only)",
+    )
+
+
+def _corpus_flags(p: argparse.ArgumentParser, structures: int, max_atoms: int) -> None:
+    p.add_argument(
+        "--structures",
+        type=int,
+        default=structures,
+        help="synthetic MPtrj corpus size (farm and serve cycle it as their pool)",
+    )
+    p.add_argument("--max-atoms", type=int, default=max_atoms)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _calculator_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--structure", choices=("LiMnO2", "LiTiPO5", "Li9Co7O16"), default="LiMnO2")
+    p.add_argument("--calculator", choices=("oracle", "fast", "chgnet"), default="oracle")
+    p.add_argument("--checkpoint", default="", help="load model weights from this .npz path")
+    p.add_argument(
+        "--skin",
+        type=float,
+        default=0.0,
+        help="model calculators only: Verlet skin radius in angstroms; reuse "
+        "the neighbor search across steps until an atom moves > skin/2",
+    )
+    _compile_flag(p)
+
+
+def _engine_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--variant", choices=VARIANTS, default="fast")
+    p.add_argument("--checkpoint", default="", help="load model weights from this .npz path")
+    p.add_argument("--workers", type=int, default=2, help="simulated serving workers")
+    p.add_argument(
+        "--batch-structs", type=int, default=8, help="engine micro-batch flush threshold"
+    )
+    _compile_flag(p)
+    p.add_argument(
+        "--baseline",
+        action="store_true",
+        help="also run eager unbatched inference (per request, or per "
+        "trajectory step) and report the speedup plus a bitwise equality check",
+    )
+
+
+def _state_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--state",
+        default="",
+        metavar="PATH",
+        help="checkpoint the run's full state (train: model, optimizer "
+        "moments, schedule and data cursor; farm: every trajectory) to this "
+        "path in the atomic, CRC-validated RCKPT1 format; a crashed run "
+        "resumed from it finishes bit-identical to an uninterrupted one",
+    )
+    p.add_argument(
+        "--checkpoint-every",
+        type=int,
+        default=1,
+        metavar="N",
+        help="--state cadence: every N steps (distributed train), epochs "
+        "(single-device train) or stepping waves (farm)",
+    )
+
+
+def _fire_flags(p: argparse.ArgumentParser, max_steps: int) -> None:
+    p.add_argument(
+        "--fmax",
+        type=float,
+        default=0.05,
+        help="relaxation tolerance on the max per-atom force norm (eV/A)",
+    )
+    p.add_argument(
+        "--max-steps", type=int, default=max_steps, help="relaxation force-evaluation budget"
+    )
+
+
+def _md_flags(p: argparse.ArgumentParser, steps: int) -> None:
+    p.add_argument("--steps", type=int, default=steps, help="MD steps (per MD trajectory)")
+    p.add_argument("--temperature", type=float, default=300.0, help="MD temperature (K)")
+
+
 def _add_train(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("train", help="train a model on synthetic MPtrj")
-    p.add_argument("--variant", choices=("chgnet", "fast", "fast-wo-head"), default="fast")
-    p.add_argument("--structures", type=int, default=80)
-    p.add_argument("--max-atoms", type=int, default=10)
+    p.add_argument("--variant", choices=VARIANTS, default="fast")
+    _corpus_flags(p, structures=80, max_atoms=10)
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--lr", type=float, default=None, help="default: 3e-4 (or Eq. 14 with --scale-lr)")
     p.add_argument("--scale-lr", action="store_true", help="apply the Eq. 14 scaling rule")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint", default="", help="save trained weights to this .npz path")
-    p.add_argument(
-        "--compile",
-        action="store_true",
-        help="compile-once training steps: batches flow through the "
-        "size-sorted bucket sampler, pad to a few exact shapes planned "
-        "over the fixed blocks, and the forward/loss/backward tape is "
-        "captured once per shape (the largest up front), then replayed with "
-        "arena buffers and fused kernels (bit-identical gradients, "
-        "automatic eager fallback); with --world-size > 1 all simulated "
-        "ranks share one program cache and rebind their own weights per "
-        "replay, so a shape is captured once in total",
-    )
+    _compile_flag(p)
     p.add_argument(
         "--n-workers",
         type=int,
@@ -65,22 +149,7 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
         help="gradient buckets for the overlapped allreduce flush "
         "(distributed runs only)",
     )
-    p.add_argument(
-        "--state",
-        default="",
-        help="save a full training-state checkpoint (model + optimizer "
-        "moments + schedule + data cursor, CRC-validated atomic write) to "
-        "this path while training; required by --inject-fault",
-    )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        metavar="N",
-        help="training-state checkpoint cadence: every N steps for "
-        "distributed runs, every N epochs for single-device runs "
-        "(with --state)",
-    )
+    _state_flags(p)
     p.add_argument(
         "--resume",
         default="",
@@ -112,40 +181,15 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
 
 def _add_md(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("md", help="molecular dynamics on a Table II structure")
-    p.add_argument("--structure", choices=("LiMnO2", "LiTiPO5", "Li9Co7O16"), default="LiMnO2")
-    p.add_argument("--steps", type=int, default=5)
+    _calculator_flags(p)
+    _md_flags(p, steps=5)
     p.add_argument("--timestep", type=float, default=1.0, help="femtoseconds")
-    p.add_argument("--temperature", type=float, default=300.0, help="kelvin")
-    p.add_argument("--calculator", choices=("oracle", "fast", "chgnet"), default="oracle")
-    p.add_argument("--checkpoint", default="", help="load model weights from this .npz path")
-    p.add_argument(
-        "--skin",
-        type=float,
-        default=0.0,
-        help="Verlet skin radius in angstroms (model calculators only): reuse "
-        "the neighbor search across steps until an atom moves > skin/2",
-    )
-    p.add_argument(
-        "--compile",
-        action="store_true",
-        help="compiled MD inference (model calculators only): capture the "
-        "model evaluation tape once per graph-shape bucket and replay it "
-        "each step instead of re-taping the model",
-    )
 
 
 def _add_relax(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("relax", help="FIRE relaxation of a Table II structure")
-    p.add_argument("--structure", choices=("LiMnO2", "LiTiPO5", "Li9Co7O16"), default="LiMnO2")
-    p.add_argument("--calculator", choices=("oracle", "fast", "chgnet"), default="oracle")
-    p.add_argument("--checkpoint", default="", help="load model weights from this .npz path")
-    p.add_argument(
-        "--fmax",
-        type=float,
-        default=0.05,
-        help="convergence tolerance on the max per-atom force norm (eV/A)",
-    )
-    p.add_argument("--max-steps", type=int, default=500, help="force-evaluation budget")
+    _calculator_flags(p)
+    _fire_flags(p, max_steps=500)
     p.add_argument(
         "--max-step",
         type=float,
@@ -161,18 +205,6 @@ def _add_relax(sub: argparse._SubParsersAction) -> None:
         "(0: relax the pristine prototype)",
     )
     p.add_argument("--seed", type=int, default=0, help="jitter seed")
-    p.add_argument(
-        "--skin",
-        type=float,
-        default=0.0,
-        help="Verlet skin radius in angstroms (model calculators only): reuse "
-        "the neighbor search across steps until an atom moves > skin/2",
-    )
-    p.add_argument(
-        "--compile",
-        action="store_true",
-        help="compiled single-point inference (model calculators only)",
-    )
 
 
 def _add_farm(sub: argparse._SubParsersAction) -> None:
@@ -180,27 +212,15 @@ def _add_farm(sub: argparse._SubParsersAction) -> None:
         "farm", help="lockstep trajectory farm (mixed relax/MD) over the engine"
     )
     p.add_argument("--trajectories", type=int, default=16, help="total trajectory count")
-    p.add_argument(
-        "--structures", type=int, default=8, help="candidate pool size (trajectories cycle it)"
-    )
-    p.add_argument("--max-atoms", type=int, default=8)
+    _corpus_flags(p, structures=8, max_atoms=8)
+    _engine_flags(p)
+    _fire_flags(p, max_steps=50)
+    _md_flags(p, steps=20)
     p.add_argument(
         "--md-fraction",
         type=float,
         default=0.5,
         help="fraction of trajectories run as NVT MD (the rest relax with FIRE)",
-    )
-    p.add_argument("--steps", type=int, default=20, help="MD steps per MD trajectory")
-    p.add_argument(
-        "--fmax", type=float, default=0.05, help="relaxation convergence tolerance (eV/A)"
-    )
-    p.add_argument(
-        "--max-steps", type=int, default=50, help="relaxation force-evaluation budget"
-    )
-    p.add_argument("--temperature", type=float, default=300.0, help="MD thermostat target (K)")
-    p.add_argument("--workers", type=int, default=2, help="simulated serving workers")
-    p.add_argument(
-        "--batch-structs", type=int, default=8, help="engine micro-batch flush threshold"
     )
     p.add_argument(
         "--skin",
@@ -209,38 +229,7 @@ def _add_farm(sub: argparse._SubParsersAction) -> None:
         help="per-trajectory Verlet skin radius in angstroms (0: rebuild the "
         "neighbor list every step)",
     )
-    p.add_argument("--variant", choices=("chgnet", "fast", "fast-wo-head"), default="fast")
-    p.add_argument("--checkpoint", default="", help="load model weights from this .npz path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--compile",
-        action="store_true",
-        help="compiled wave inference: each wave's micro-batches replay cached "
-        "programs (bit-identical to eager)",
-    )
-    p.add_argument(
-        "--baseline",
-        action="store_true",
-        help="also run the sequential per-trajectory eager loop and report the "
-        "structure-steps/s speedup plus a per-frame bitwise equality check",
-    )
-    p.add_argument(
-        "--state",
-        default="",
-        metavar="PATH",
-        help="checkpoint the farm's full per-trajectory state (RCKPT1 "
-        "atomic-CRC format) to this path at wave boundaries; a crashed run "
-        "restarted with --resume finishes bit-identical to an uninterrupted "
-        "one",
-    )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        metavar="N",
-        help="checkpoint every N stepping waves (with --state); a crash "
-        "loses at most N waves of work",
-    )
+    _state_flags(p)
     p.add_argument(
         "--resume",
         action="store_true",
@@ -263,30 +252,8 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
         "serve", help="serve a bulk inference stream through the batching engine"
     )
     p.add_argument("--requests", type=int, default=64, help="total request count")
-    p.add_argument("--workers", type=int, default=2, help="simulated serving workers")
-    p.add_argument(
-        "--batch-structs", type=int, default=8, help="micro-batch flush threshold"
-    )
-    p.add_argument(
-        "--structures", type=int, default=16, help="candidate pool size (requests cycle it)"
-    )
-    p.add_argument("--max-atoms", type=int, default=10)
-    p.add_argument("--variant", choices=("chgnet", "fast", "fast-wo-head"), default="fast")
-    p.add_argument("--checkpoint", default="", help="load model weights from this .npz path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--compile",
-        action="store_true",
-        help="replay cached inference programs: micro-batches are ghost-padded "
-        "to canonical workload tiers so nearly every batch replays one shared "
-        "program (bit-identical to eager per-request inference)",
-    )
-    p.add_argument(
-        "--baseline",
-        action="store_true",
-        help="also time eager per-request inference and report the speedup "
-        "plus a bitwise equality check",
-    )
+    _corpus_flags(p, structures=16, max_atoms=10)
+    _engine_flags(p)
     p.add_argument(
         "--repeat",
         type=int,
@@ -414,73 +381,60 @@ def _add_profile(sub: argparse._SubParsersAction) -> None:
 
 def _add_dataset(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("dataset", help="generate a corpus and print statistics")
-    p.add_argument("--structures", type=int, default=50)
-    p.add_argument("--max-atoms", type=int, default=24)
-    p.add_argument("--seed", type=int, default=0)
+    _corpus_flags(p, structures=50, max_atoms=24)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_train(sub)
-    _add_md(sub)
-    _add_relax(sub)
-    _add_farm(sub)
-    _add_serve(sub)
-    _add_profile(sub)
-    _add_dataset(sub)
+    for add in (_add_train, _add_md, _add_relax, _add_farm, _add_serve, _add_profile, _add_dataset):
+        add(sub)
     return parser
 
 
-def _fault_plan(args: argparse.Namespace):
-    """Parse ``--inject-fault`` specs (``cmd_train`` checked their prerequisites)."""
-    if not args.inject_fault:
-        return None
-    from repro.comm import FaultPlan
+@contextmanager
+def _setup(command: str):
+    """Build a command's objects from its flags, turning a rejected value
+    into ``SystemExit("<command>: <message>")``.
 
+    Each ``cmd_*`` builds everything its flags configure inside this guard
+    before it runs anything; a ``ValueError`` raised later stays a traceback.
+    """
     try:
-        return FaultPlan.parse(args.inject_fault)
+        yield
     except ValueError as exc:
-        raise SystemExit(f"--inject-fault: {exc}")
+        raise SystemExit(f"{command}: {exc}") from None
 
 
-def _train_distributed(args: argparse.Namespace, splits, model_factory) -> object:
-    """Train through the simulated data-parallel path; returns the model."""
-    from repro.train import DistributedConfig, DistributedTrainer, run_elastic
+def _build_model(variant: str, seed: int, weights: str = ""):
+    """A freshly initialized ``variant`` model, with ``weights`` loaded if given."""
+    from repro.model import CHGNet, FastCHGNet
 
-    if args.batch_size % args.world_size != 0:
-        raise SystemExit(
-            f"--batch-size {args.batch_size} must be divisible by "
-            f"--world-size {args.world_size}"
-        )
-    cfg = DistributedConfig(
-        world_size=args.world_size,
-        global_batch_size=args.batch_size,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        scale_lr=args.scale_lr,
-        seed=args.seed,
-        compile=args.compile,
-        n_buckets=args.n_buckets,
-    )
-    plan = _fault_plan(args)
-    if args.resume:
-        trainer = DistributedTrainer.resume(
-            args.resume, model_factory, splits.train, cfg, fault_plan=plan
-        )
-        print(
-            f"resumed from {args.resume}: epoch {trainer._epoch}, "
-            f"global step {trainer.global_step}"
-        )
-        trainer.train(
-            checkpoint_path=args.state or None,
-            checkpoint_every=args.checkpoint_every,
-        )
-    elif plan is not None:
+    rng = np.random.default_rng(seed)
+    if variant == "chgnet":
+        model = CHGNet(rng)
+    else:
+        model = FastCHGNet(rng, use_heads=variant != "fast-wo-head")
+    if weights:
+        model.load(weights)
+    return model
+
+
+def _train_distributed(
+    args: argparse.Namespace, trainer, model_factory, dataset, config, plan
+) -> object:
+    """Run the simulated data-parallel path; returns the model.
+
+    ``trainer`` is ``None`` for a fault-injected run, whose trainers
+    ``run_elastic`` builds and rebuilds as ranks fail.
+    """
+    from repro.train import run_elastic
+
+    if trainer is None:
         result = run_elastic(
             model_factory,
-            splits.train,
-            cfg,
+            dataset,
+            config,
             checkpoint_path=args.state,
             checkpoint_every=args.checkpoint_every,
             fault_plan=plan,
@@ -499,7 +453,11 @@ def _train_distributed(args: argparse.Namespace, splits, model_factory) -> objec
                 f"(backoff {trainer.backoff_seconds * 1e3:.1f} ms)"
             )
     else:
-        trainer = DistributedTrainer(model_factory, splits.train, cfg)
+        if args.resume:
+            print(
+                f"resumed from {args.resume}: epoch {trainer._epoch}, "
+                f"global step {trainer.global_step}"
+            )
         trainer.train(
             checkpoint_path=args.state or None,
             checkpoint_every=args.checkpoint_every,
@@ -508,10 +466,9 @@ def _train_distributed(args: argparse.Namespace, splits, model_factory) -> objec
     # elastically rebuilt run only records its own steps), so summarize
     # rather than pretending to a full per-epoch history.
     if trainer.steps:
-        loss = float(np.mean([r.loss for r in trainer.steps[-len(trainer.loader) :]]))
-        e_mae = float(
-            np.mean([r.energy_mae for r in trainer.steps[-len(trainer.loader) :]])
-        )
+        last_epoch = trainer.steps[-len(trainer.loader) :]
+        loss = float(np.mean([r.loss for r in last_epoch]))
+        e_mae = float(np.mean([r.energy_mae for r in last_epoch]))
         print(
             f"{trainer.global_step} global steps x {trainer.config.world_size} ranks, "
             f"last-epoch loss={loss:.4f} E={e_mae * 1e3:7.1f}meV/atom",
@@ -530,49 +487,58 @@ def _train_distributed(args: argparse.Namespace, splits, model_factory) -> objec
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from repro.comm import FaultPlan
     from repro.data import generate_mptrj, split_dataset
-    from repro.model import CHGNet, FastCHGNet
-    from repro.train import TrainConfig, Trainer, evaluate
+    from repro.train import DistributedConfig, DistributedTrainer, TrainConfig, Trainer, evaluate
 
-    if args.inject_fault and args.world_size <= 1:
-        raise SystemExit("--inject-fault requires --world-size > 1")
-    if args.inject_fault and not args.state:
-        raise SystemExit("--inject-fault requires --state (recovery needs a checkpoint)")
-    if args.checkpoint_every < 1:
-        raise SystemExit(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}")
-    entries = generate_mptrj(args.structures, seed=args.seed, max_atoms=args.max_atoms)
-    splits = split_dataset(entries, seed=args.seed, n_workers=args.n_workers)
-
-    def model_factory():
-        rng = np.random.default_rng(args.seed + 7)
-        if args.variant == "chgnet":
-            return CHGNet(rng)
-        if args.variant == "fast-wo-head":
-            return FastCHGNet(rng, use_heads=False)
-        return FastCHGNet(rng)
-
-    model = model_factory()
-    print(f"{args.variant}: {model.num_parameters():,} parameters")
-    if args.world_size > 1:
-        model = _train_distributed(args, splits, model_factory)
-    else:
-        config = TrainConfig(
+    distributed = args.world_size != 1
+    with _setup("train"):
+        if args.inject_fault and args.world_size <= 1:
+            raise ValueError("--inject-fault requires --world-size > 1")
+        if args.inject_fault and not args.state:
+            raise ValueError("--inject-fault requires --state (recovery needs a checkpoint)")
+        if args.checkpoint_every < 1:
+            raise ValueError(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}")
+        shared = dict(
             epochs=args.epochs,
-            batch_size=args.batch_size,
             learning_rate=args.lr,
             scale_lr=args.scale_lr,
             seed=args.seed,
             compile=args.compile,
         )
-        if args.resume:
-            trainer = Trainer.resume(
-                args.resume, model, splits.train, val_dataset=splits.val, config=config
+        if distributed:
+            config = DistributedConfig(
+                world_size=args.world_size,
+                global_batch_size=args.batch_size,
+                n_buckets=args.n_buckets,
+                **shared,
             )
-            print(f"resumed from {args.resume}: epoch {trainer._epoch}")
         else:
-            trainer = Trainer(model, splits.train, val_dataset=splits.val, config=config)
-        if args.state:
-            trainer.add_checkpoint_hook(args.state, every=args.checkpoint_every)
+            config = TrainConfig(batch_size=args.batch_size, **shared)
+        plan = FaultPlan.parse(args.inject_fault) if args.inject_fault else None
+        entries = generate_mptrj(args.structures, seed=args.seed, max_atoms=args.max_atoms)
+        splits = split_dataset(entries, seed=args.seed, n_workers=args.n_workers)
+        model_factory = partial(_build_model, args.variant, args.seed + 7)
+        model = model_factory()
+        if not distributed:
+            build = partial(Trainer.resume, args.resume) if args.resume else Trainer
+            trainer = build(model, splits.train, val_dataset=splits.val, config=config)
+            if args.state:
+                trainer.add_checkpoint_hook(args.state, every=args.checkpoint_every)
+        elif args.resume:
+            trainer = DistributedTrainer.resume(
+                args.resume, model_factory, splits.train, config, fault_plan=plan
+            )
+        elif plan is None:
+            trainer = DistributedTrainer(model_factory, splits.train, config)
+        else:
+            trainer = None
+    print(f"{args.variant}: {model.num_parameters():,} parameters")
+    if distributed:
+        model = _train_distributed(args, trainer, model_factory, splits.train, config, plan)
+    else:
+        if args.resume:
+            print(f"resumed from {args.resume}: epoch {trainer._epoch}")
         trainer.train(verbose=True)
         if args.state:
             print(f"training state checkpointed to {args.state}")
@@ -591,15 +557,30 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _model_calculator(args: argparse.Namespace):
+    """Oracle or model calculator from the shared --calculator flags."""
+    from repro.md import ModelCalculator, OracleCalculator
+
+    if args.calculator == "oracle":
+        if args.skin:
+            print("warning: --skin only applies to model calculators; ignored")
+        if args.compile:
+            print("warning: --compile only applies to model calculators; ignored")
+        return OracleCalculator()
+    model = _build_model(args.calculator, 0, args.checkpoint)
+    return ModelCalculator(model, skin=args.skin, compile=args.compile)
+
+
 def cmd_md(args: argparse.Namespace) -> int:
     from repro.md import MolecularDynamics
     from repro.structures import named_structures
 
-    crystal = named_structures()[args.structure]
-    calc = _model_calculator(args)
-    md = MolecularDynamics(
-        crystal, calc, timestep_fs=args.timestep, temperature_k=args.temperature, seed=0
-    )
+    with _setup("md"):
+        crystal = named_structures()[args.structure]
+        calc = _model_calculator(args)
+        md = MolecularDynamics(
+            crystal, calc, timestep_fs=args.timestep, temperature_k=args.temperature, seed=0
+        )
     result = md.run(args.steps)
     print(f"{args.structure}: {crystal.num_atoms} atoms, {args.steps} steps")
     for rec in result.records:
@@ -611,40 +592,24 @@ def cmd_md(args: argparse.Namespace) -> int:
     return 0
 
 
-def _model_calculator(args: argparse.Namespace):
-    """Oracle or model calculator from the shared --calculator flags."""
-    from repro.md import ModelCalculator, OracleCalculator
-    from repro.model import CHGNet, FastCHGNet
-
-    if args.calculator == "oracle":
-        if args.skin:
-            print("warning: --skin only applies to model calculators; ignored")
-        if args.compile:
-            print("warning: --compile only applies to model calculators; ignored")
-        return OracleCalculator()
-    rng = np.random.default_rng(0)
-    model = FastCHGNet(rng) if args.calculator == "fast" else CHGNet(rng)
-    if args.checkpoint:
-        model.load(args.checkpoint)
-    return ModelCalculator(model, skin=args.skin, compile=args.compile)
-
-
 def cmd_relax(args: argparse.Namespace) -> int:
     from repro.md import FIRE, FIREConfig
     from repro.structures import named_structures
 
-    crystal = named_structures()[args.structure]
-    if args.perturb > 0:
-        crystal = crystal.perturbed(np.random.default_rng(args.seed), args.perturb)
-    calc = _model_calculator(args)
-    config = FIREConfig(
-        fmax=args.fmax,
-        max_steps=args.max_steps,
-        max_step=args.max_step,
-        timestep_fs=args.timestep,
-    )
-    config.validate()
-    result = FIRE(config).relax(crystal, calc)
+    with _setup("relax"):
+        crystal = named_structures()[args.structure]
+        if args.perturb > 0:
+            crystal = crystal.perturbed(np.random.default_rng(args.seed), args.perturb)
+        calc = _model_calculator(args)
+        fire = FIRE(
+            FIREConfig(
+                fmax=args.fmax,
+                max_steps=args.max_steps,
+                max_step=args.max_step,
+                timestep_fs=args.timestep,
+            )
+        )
+    result = fire.relax(crystal, calc)
     print(
         f"{args.structure}: {crystal.num_atoms} atoms, "
         f"perturbed {args.perturb:.3f} A, fmax tolerance {args.fmax} eV/A"
@@ -665,8 +630,6 @@ def cmd_relax(args: argparse.Namespace) -> int:
 
 
 def cmd_farm(args: argparse.Namespace) -> int:
-    import time
-
     from repro.data import generate_mptrj
     from repro.md import (
         FIREConfig,
@@ -676,64 +639,50 @@ def cmd_farm(args: argparse.Namespace) -> int:
         TrajectoryFarm,
         run_sequential,
     )
-    from repro.model import CHGNet, FastCHGNet
     from repro.serve import InferenceEngine
 
-    if not 0 <= args.md_fraction <= 1:
-        raise SystemExit(f"--md-fraction must lie in [0, 1], got {args.md_fraction}")
-    if args.resume and not args.state:
-        raise SystemExit("--resume requires --state (the checkpoint to resume from)")
-    if args.checkpoint_every < 1:
-        raise SystemExit(
-            f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
-        )
-    rng = np.random.default_rng(args.seed)
-    if args.variant == "chgnet":
-        model = CHGNet(rng)
-    elif args.variant == "fast-wo-head":
-        model = FastCHGNet(rng, use_heads=False)
-    else:
-        model = FastCHGNet(rng)
-    if args.checkpoint:
-        model.load(args.checkpoint)
-
-    pool = generate_mptrj(args.structures, seed=args.seed, max_atoms=args.max_atoms)
-    n_md = int(round(args.md_fraction * args.trajectories))
-    fire = FIREConfig(fmax=args.fmax, max_steps=args.max_steps)
-    specs = []
-    for i in range(args.trajectories):
-        crystal = pool[i % len(pool)].crystal.perturbed(
-            np.random.default_rng(args.seed + 100 + i), 0.03
-        )
-        if i < n_md:
-            specs.append(
-                MDSpec(
-                    crystal,
-                    args.steps,
-                    temperature_k=args.temperature,
-                    seed=args.seed + i,
-                    rescale_every=5,
-                )
+    with _setup("farm"):
+        if not 0 <= args.md_fraction <= 1:
+            raise ValueError(f"--md-fraction must lie in [0, 1], got {args.md_fraction}")
+        if args.resume and not args.state:
+            raise ValueError("--resume requires --state (the checkpoint to resume from)")
+        if args.resume and args.baseline:
+            raise ValueError(
+                "--resume cannot take --baseline (the baseline replays a fresh "
+                "run from the flags, not the restored trajectories)"
             )
+        if args.checkpoint_every < 1:
+            raise ValueError(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}")
+        model = _build_model(args.variant, args.seed, args.checkpoint)
+        # Shrinking waves visit many distinct group sizes (each one a program
+        # signature), so give the cache plenty of headroom over the default 16.
+        engine = InferenceEngine(
+            model,
+            n_workers=args.workers,
+            compile=args.compile,
+            max_batch_structs=args.batch_structs,
+            max_programs=256,
+        )
+        if args.resume:
+            farm = TrajectoryFarm.resume(args.state, engine)
         else:
-            specs.append(RelaxSpec(crystal, fire))
-
-    # Shrinking waves visit many distinct group sizes (each one a program
-    # signature), so give the cache plenty of headroom over the default 16.
-    engine = InferenceEngine(
-        model,
-        n_workers=args.workers,
-        compile=args.compile,
-        max_batch_structs=args.batch_structs,
-        max_programs=256,
-    )
+            farm = TrajectoryFarm(engine, skin=args.skin, record=args.baseline)
+            fire = FIREConfig(fmax=args.fmax, max_steps=args.max_steps)
+            make_md = partial(
+                MDSpec, n_steps=args.steps, temperature_k=args.temperature, rescale_every=5
+            )
+            pool = generate_mptrj(args.structures, seed=args.seed, max_atoms=args.max_atoms)
+            n_md = int(round(args.md_fraction * args.trajectories))
+            for i in range(args.trajectories):
+                crystal = pool[i % len(pool)].crystal.perturbed(
+                    np.random.default_rng(args.seed + 100 + i), 0.03
+                )
+                if i < n_md:
+                    farm.add(make_md(crystal, seed=args.seed + i))
+                else:
+                    farm.add(RelaxSpec(crystal, fire))
     if args.resume:
-        farm = TrajectoryFarm.resume(args.state, engine)
         print(f"resumed {len(farm)} trajectories from {args.state}")
-    else:
-        farm = TrajectoryFarm(engine, skin=args.skin, record=args.baseline)
-        for spec in specs:
-            farm.add(spec)
     t0 = time.perf_counter()
     result = farm.run(
         max_waves=args.max_waves or None,
@@ -742,17 +691,22 @@ def cmd_farm(args: argparse.Namespace) -> int:
     )
     wall = time.perf_counter() - t0
     stats = result.stats
-    n_relax = args.trajectories - n_md
+    # Counts come from the trajectories that ran: a resumed farm's are the
+    # checkpoint's, not the flags'.
+    md = [r.spec for r in result.results if r.kind == "md"]
+    relax = [r.spec for r in result.results if r.kind == "relax"]
+    steps = md[0].n_steps if md else args.steps
+    fmax = relax[0].config.fmax if relax else args.fmax
     converged = sum(1 for r in result.results if r.kind == "relax" and r.converged)
     rate = stats.structure_steps / wall if wall > 0 else float("inf")
     print(
-        f"{args.trajectories} trajectories ({n_md} MD x {args.steps} steps, "
-        f"{n_relax} relax @ fmax {args.fmax}): {stats.structure_steps} "
+        f"{len(result.results)} trajectories ({len(md)} MD x {steps} steps, "
+        f"{len(relax)} relax @ fmax {fmax}): {stats.structure_steps} "
         f"structure-steps in {wall:.3f}s ({rate:.1f} steps/s)"
     )
     print(
         f"  {stats.waves} waves (sizes {stats.wave_sizes[0]} -> {stats.wave_sizes[-1]}), "
-        f"{stats.evaluations} evaluations, {converged}/{n_relax} relaxations converged"
+        f"{stats.evaluations} evaluations, {converged}/{len(relax)} relaxations converged"
     )
     if args.state:
         print(f"  farm state checkpointed to {args.state} (RCKPT1, resumable)")
@@ -771,7 +725,7 @@ def cmd_farm(args: argparse.Namespace) -> int:
     if args.baseline:
         calc = ModelCalculator(model)
         t0 = time.perf_counter()
-        base = run_sequential(specs, calc, record=True)
+        base = run_sequential([r.spec for r in result.results], calc, record=True)
         base_wall = time.perf_counter() - t0
         identical = all(
             f.steps == b.steps
@@ -796,11 +750,8 @@ def cmd_farm(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    import time
-
     from repro.data import generate_mptrj
     from repro.graph.crystal_graph import build_graph
-    from repro.model import CHGNet, FastCHGNet
     from repro.serve import (
         AutoscaleConfig,
         DeadlineExceeded,
@@ -811,73 +762,43 @@ def cmd_serve(args: argparse.Namespace) -> int:
         WorkerFaultPlan,
     )
 
-    fault_plan = None
-    if args.inject_worker_fault:
-        try:
-            fault_plan = WorkerFaultPlan.parse(args.inject_worker_fault)
-        except ValueError as exc:
-            raise SystemExit(f"--inject-worker-fault: {exc}")
-    if args.max_retries < 0:
-        raise SystemExit(f"--max-retries must be non-negative, got {args.max_retries}")
-    if args.deadline < 0:
-        raise SystemExit(f"--deadline must be non-negative, got {args.deadline}")
-    tenants = None
-    if args.tenants:
-        try:
-            tenants = [TenantPolicy.parse(spec) for spec in args.tenants.split(",")]
-        except ValueError as exc:
-            raise SystemExit(f"--tenants: {exc}")
-    if args.sla < 0:
-        raise SystemExit(f"--sla must be non-negative, got {args.sla}")
-    if args.autoscale < 0:
-        raise SystemExit(f"--autoscale must be non-negative, got {args.autoscale}")
-    if args.autoscale and args.autoscale < args.workers:
-        raise SystemExit(
-            f"--autoscale ceiling ({args.autoscale}) must be >= --workers "
-            f"({args.workers})"
+    max_wait = 0.05  # the engine default, spelled out so --sla can scale to it
+    with _setup("serve"):
+        # Applied per submit, after the stream is built: check it now.
+        if args.deadline < 0:
+            raise ValueError(f"--deadline must be non-negative, got {args.deadline}")
+        fault_plan = WorkerFaultPlan.parse(args.inject_worker_fault)
+        tenants = [TenantPolicy.parse(t) for t in args.tenants.split(",")] if args.tenants else None
+        autoscale = None
+        if args.autoscale:
+            autoscale = AutoscaleConfig(
+                sla_p95=args.sla or max_wait / 2.0,
+                max_workers=args.autoscale,
+                min_workers=args.workers,
+            )
+        model = _build_model(args.variant, args.seed, args.checkpoint)
+        engine = InferenceEngine(
+            model,
+            n_workers=args.workers,
+            compile=args.compile,
+            max_batch_structs=args.batch_structs,
+            max_wait=max_wait,
+            merge_tiers=args.merge_tiers,
+            memoize=args.memoize,
+            fault_plan=fault_plan,
+            max_retries=args.max_retries,
+            hedge=args.hedge,
+            replace_workers=args.replace_workers,
+            tenants=tenants,
+            paced=tenants is not None,
+            autoscale=autoscale,
         )
-
-    rng = np.random.default_rng(args.seed)
-    if args.variant == "chgnet":
-        model = CHGNet(rng)
-    elif args.variant == "fast-wo-head":
-        model = FastCHGNet(rng, use_heads=False)
-    else:
-        model = FastCHGNet(rng)
-    if args.checkpoint:
-        model.load(args.checkpoint)
-
-    pool = generate_mptrj(args.structures, seed=args.seed, max_atoms=args.max_atoms)
+        pool = generate_mptrj(args.structures, seed=args.seed, max_atoms=args.max_atoms)
     graphs = [
         build_graph(e.crystal, model.config.cutoff_atom, model.config.cutoff_bond)
         for e in pool
     ]
     stream = [graphs[i % len(graphs)] for i in range(args.requests)]
-
-    max_wait = 0.05  # the engine default, spelled out so --sla can scale to it
-    autoscale = None
-    if args.autoscale:
-        autoscale = AutoscaleConfig(
-            sla_p95=args.sla if args.sla > 0 else max_wait / 2.0,
-            max_workers=args.autoscale,
-            min_workers=args.workers,
-        )
-    engine = InferenceEngine(
-        model,
-        n_workers=args.workers,
-        compile=args.compile,
-        max_batch_structs=args.batch_structs,
-        max_wait=max_wait,
-        merge_tiers=args.merge_tiers,
-        memoize=args.memoize,
-        fault_plan=fault_plan,
-        max_retries=args.max_retries,
-        hedge=args.hedge,
-        replace_workers=args.replace_workers,
-        tenants=tenants,
-        paced=tenants is not None,
-        autoscale=autoscale,
-    )
     tenant_names = [p.name for p in tenants] if tenants else [None]
 
     def _request_class(i: int) -> str:
@@ -927,11 +848,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         for request_id in ids:
             # Shed requests (missed deadline, every retry failed) surface
             # as typed errors; keep the stream aligned with None markers.
-            if request_id is None:
-                out.append(None)
-                continue
             try:
-                out.append(engine.poll(request_id))
+                out.append(None if request_id is None else engine.poll(request_id))
             except (DeadlineExceeded, WorkerFailure):
                 out.append(None)
         return out
@@ -978,14 +896,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"collate memoization: {snap['collate_hits']} hits / "
             f"{snap['collate_misses']} misses"
         )
-    if fault_plan is not None or args.hedge or args.deadline:
+    if args.inject_worker_fault or args.hedge or args.deadline:
         print(
             f"fault tolerance: {snap['worker_failures']} worker failures, "
             f"{snap['retries']} retries, {snap['worker_replacements']} "
             f"replacements, {snap['hedges']} hedges ({snap['hedge_wins']} "
             f"won), {snap['deadline_misses']} deadline misses"
         )
-        if fault_plan is not None and fault_plan.unfired():
+        if fault_plan.unfired():
             print(f"  warning: planned faults never fired: {fault_plan.unfired()}")
     if tenants is not None or args.request_class != "bulk":
         for name in sorted(snap["tenants"]):
@@ -1044,9 +962,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.runtime import device_profile
     from repro.train import Adam, CompositeLoss
 
-    entries = generate_mptrj(args.structures, seed=2, max_atoms=10)
-    splits = split_dataset(entries, seed=0, fractions=(0.8, 0.1, 0.1))
-    batch = splits.train.batch(np.arange(min(args.batch_size, len(splits.train))))
+    with _setup("profile"):
+        entries = generate_mptrj(args.structures, seed=2, max_atoms=10)
+        splits = split_dataset(entries, seed=0, fractions=(0.8, 0.1, 0.1))
+        batch = splits.train.batch(np.arange(min(args.batch_size, len(splits.train))))
     print(f"{'level':16s} {'time (s)':>9s} {'kernels':>8s} {'tape MiB':>9s}")
     for level in OptLevel:
         model = CHGNetModel(CHGNetConfig(opt_level=level), np.random.default_rng(1))
@@ -1073,7 +992,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_dataset(args: argparse.Namespace) -> int:
     from repro.data import dataset_statistics, generate_mptrj
 
-    entries = generate_mptrj(args.structures, seed=args.seed, max_atoms=args.max_atoms)
+    with _setup("dataset"):
+        entries = generate_mptrj(args.structures, seed=args.seed, max_atoms=args.max_atoms)
     stats = dataset_statistics(entries)
     print(f"{args.structures} structures (max {args.max_atoms} atoms):")
     for name, arr in stats.items():

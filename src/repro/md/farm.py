@@ -96,6 +96,7 @@ class TrajectoryResult:
     """Outcome of one trajectory, in submission order."""
 
     index: int
+    spec: RelaxSpec | MDSpec  # the job that ran
     kind: str  # "relax" | "md"
     crystal: Crystal  # final structure
     steps: int  # integrator steps taken (evaluations beyond the initial one)
@@ -226,6 +227,7 @@ class _Trajectory:
         )
         return TrajectoryResult(
             index=self.index,
+            spec=self.spec,
             kind=self.kind,
             crystal=self.state.crystal,
             steps=self.steps,
@@ -275,14 +277,6 @@ class TrajectoryFarm:
         )
         self._prev.append(None)
         return index
-
-    def add_relax(self, crystal: Crystal, config: FIREConfig | None = None) -> int:
-        """Register a FIRE relaxation of ``crystal``."""
-        return self.add(RelaxSpec(crystal, config or FIREConfig()))
-
-    def add_md(self, crystal: Crystal, n_steps: int, **kwargs) -> int:
-        """Register an MD run of ``crystal`` (kwargs as :class:`MDSpec`)."""
-        return self.add(MDSpec(crystal, n_steps, **kwargs))
 
     def __len__(self) -> int:
         return len(self._trajectories)

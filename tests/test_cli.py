@@ -239,3 +239,91 @@ def test_command_runs_end_to_end(argv, capsys):
     out = capsys.readouterr().out
     if "--baseline" in argv:
         assert "bit-identical" in out
+
+
+def _spy_on_data(monkeypatch) -> list:
+    """Record every ``generate_mptrj`` call (the real corpus is still built)."""
+    import repro.data
+
+    calls = []
+    real = repro.data.generate_mptrj
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(repro.data, "generate_mptrj", spy)
+    return calls
+
+
+_AFTER_DATA = " --structures 20 --max-atoms 6"
+
+
+# (argv, exit message, checked before the corpus is generated); the three
+# values checked after it belong to the loader, the optimizer and the
+# generator itself.
+_BAD_FLAGS = [
+    ("serve --workers 0", "serve: n_workers must be >= 1, got 0", True),
+    ("serve --batch-structs 0", "serve: max_batch_structs must be >= 1, got 0", True),
+    ("serve --memoize -1", "serve: memoize must be non-negative, got -1", True),
+    ("farm --skin -1", "farm: skin must be non-negative, got -1.0", True),
+    ("farm --workers 0", "farm: n_workers must be >= 1, got 0", True),
+    ("farm --fmax 0", "farm: fmax must be positive, got 0.0", True),
+    ("md --timestep 0", "md: timestep must be positive, got 0.0", True),
+    ("md --calculator fast --skin -1", "md: skin must be non-negative, got -1.0", True),
+    ("relax --fmax 0", "relax: fmax must be positive, got 0.0", True),
+    ("relax --max-steps -1", "relax: max_steps must be non-negative, got -1", True),
+    ("relax --timestep 5", "relax: timestep_fs must lie in (0, 2.0], got 5.0", True),
+    ("train --batch-size 0" + _AFTER_DATA, "train: batch_size must be >= 1, got 0", False),
+    ("train --lr -1" + _AFTER_DATA, "train: learning rate must be positive, got -1.0", False),
+    (
+        "train --world-size 2 --batch-size 4 --n-buckets 0",
+        "train: n_buckets must be >= 1, got 0",
+        True,
+    ),
+    ("dataset --structures 0", "dataset: n_structures must be positive, got 0", False),
+    (
+        "train --world-size 2 --batch-size 5",
+        "train: global_batch_size 5 must be divisible by world_size 2",
+        True,
+    ),
+    ("train --world-size 0", "train: world_size must be >= 1, got 0", True),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message, before_data", _BAD_FLAGS, ids=[argv for argv, *_ in _BAD_FLAGS]
+)
+def test_bad_flag_value_exits_naming_command_and_value(monkeypatch, argv, message, before_data):
+    """A rejected value exits as ``<command>: <message>`` with no traceback;
+    values a config, engine, farm or calculator constructor checks fail
+    before any structure is generated."""
+    from repro.cli import main
+
+    calls = _spy_on_data(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == message
+    assert exc.value.__suppress_context__
+    assert bool(calls) != before_data
+
+
+def test_farm_resume_reports_the_restored_farm(tmp_path, monkeypatch, capsys):
+    """A resumed farm is summarized from its checkpoint, not from the flags,
+    and generates no candidate pool."""
+    from repro.cli import main
+
+    state = str(tmp_path / "farm.rckpt")
+    run = ["farm", "--trajectories", "4", "--steps", "4", "--max-steps", "6", *_SMALL_POOL]
+    assert main([*run, "--state", state, "--max-waves", "2"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit, match="farm: --resume cannot take --baseline"):
+        main(["farm", "--state", state, "--resume", "--baseline"])
+
+    calls = _spy_on_data(monkeypatch)
+    assert main(["farm", "--state", state, "--resume"]) == 0
+    out = capsys.readouterr().out
+    assert not calls
+    assert "resumed 4 trajectories" in out
+    assert "4 trajectories (2 MD x 4 steps, 2 relax @ fmax 0.05)" in out
+    assert "/2 relaxations converged" in out
