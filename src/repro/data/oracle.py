@@ -35,7 +35,6 @@ from repro.tensor import (
     matmul,
     mul,
     neg,
-    slice_,
     sqrt,
     sub,
     sum as tsum,

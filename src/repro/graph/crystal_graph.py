@@ -16,7 +16,7 @@ the geometry is part of the per-iteration Alg. 1 / Alg. 2 story.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -20,7 +20,7 @@ from repro.model.config import CHGNetConfig, OptLevel
 from repro.model.geometry import Geometry, compute_geometry, gather_field
 from repro.model.heads import EnergyHead, ForceHead, MagmomHead, StressHead
 from repro.model.layers import packed_linear_forward
-from repro.tensor import Tensor, div, gather_rows, grad, neg, reshape, sum as tsum
+from repro.tensor import Tensor, div, gather_rows, grad, neg, sum as tsum
 from repro.tensor.module import Linear, Module, ModuleList, Parameter
 
 

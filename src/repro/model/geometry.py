@@ -31,7 +31,6 @@ from repro.tensor import (
     Tensor,
     add,
     arccos,
-    block_diag,
     clip,
     concat,
     div,
@@ -40,7 +39,6 @@ from repro.tensor import (
     is_grad_enabled,
     matmul,
     mul,
-    reshape,
     slice_,
     sqrt,
     sub,

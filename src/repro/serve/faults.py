@@ -40,8 +40,6 @@ which rehearsed faults landed on an autoscaled fleet.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.comm.faults import FaultSchedule
 
 

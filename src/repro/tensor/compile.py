@@ -73,7 +73,6 @@ from repro.graph.batching import (
     canonical_targets,
     feasible_targets,
     pad_batch,
-    pad_to_bucket,
     workload_tier,
 )
 from repro.runtime.kernels import profiling_active, record_kernel

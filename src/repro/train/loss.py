@@ -13,7 +13,7 @@ compiled-step replay so the two paths cannot drift).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
