@@ -532,7 +532,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         elif plan is None:
             trainer = DistributedTrainer(model_factory, splits.train, config)
         else:
-            trainer = None
+            trainer = None  # run_elastic builds its own, and rebuilds them as ranks fail
     print(f"{args.variant}: {model.num_parameters():,} parameters")
     if distributed:
         model = _train_distributed(args, trainer, model_factory, splits.train, config, plan)

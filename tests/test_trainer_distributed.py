@@ -89,6 +89,18 @@ class TestDistributed:
     def _factory(self, small_config):
         return lambda: make_model(small_config, seed=5)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(world_size=0), "world_size must be >= 1, got 0"),
+            (dict(world_size=3, global_batch_size=8), "must be divisible by world_size 3"),
+            (dict(n_buckets=0), "n_buckets must be >= 1, got 0"),
+        ],
+    )
+    def test_config_rejects_bad_values_on_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            DistributedConfig(**kwargs)
+
     def test_replicas_start_and_stay_in_sync(self, small_config, dataset):
         cfg = DistributedConfig(world_size=2, global_batch_size=4, epochs=1)
         dt = DistributedTrainer(self._factory(small_config), dataset, cfg)
