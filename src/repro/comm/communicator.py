@@ -25,7 +25,7 @@ class SimCommunicator:
     ranks share one process.
 
     ``trace_ring=True`` routes :meth:`allreduce_mean_inplace` — the
-    trainer's packed per-bucket gradient-flush collective — through the
+    trainer's per-bucket gradient-flush collective — through the
     explicit ring algorithm of :func:`repro.comm.ring.ring_allreduce` and
     accumulates each collective's :class:`~repro.comm.ring.RingTrace` in
     ``ring_traces``.  The traced per-rank byte volumes are what the

@@ -100,9 +100,14 @@ class Module:
         return arrays
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load parameter values; shapes must match exactly."""
+        """Load parameter values; shapes must match exactly.
+
+        Values are copied into the existing parameter arrays, which may be
+        views an optimizer owns (:class:`~repro.train.optimizer.Adam`'s
+        slab), so a load never detaches a parameter from its optimizer.
+        """
         for p, arr in zip(self.parameters(), self.aligned_state(state)):
-            p.data = arr
+            np.copyto(p.data, arr)
 
     def save(self, path: str) -> None:
         """Serialize parameters to an ``.npz`` checkpoint."""

@@ -23,9 +23,11 @@ result rests on, end to end:
   trainer is built (it sizes the cache's slab), the others are captured as
   the first epoch meets them, and every later step replays;
 * the backward's gradients are flushed through **liveness-ordered buckets**
-  (:class:`GradientBuckets`): each bucket is packed into one contiguous
-  message per rank and mean-allreduced through the communicator's in-place
-  collective as soon as its gradients are complete, and the same bucket
+  (:class:`GradientBuckets`): each rank's :class:`~repro.train.optimizer.Adam`
+  keeps its gradients in one flat slab in bucket order, so a bucket is one
+  contiguous slice of every rank's slab, mean-allreduced in place through
+  the communicator's collective as soon as its gradients are complete, and
+  the same bucket
   layout (per-bucket bytes + ready times) feeds the alpha-beta overlap
   model (:meth:`DistributedTrainer.modeled_overlap`) instead of the
   uniform spread.
@@ -89,7 +91,7 @@ class DistributedConfig:
       (``None``: iff compiling; shards are static under the bucket sampler,
       so with the padded-batch cache repeat epochs bind-and-replay);
     * ``n_buckets`` — gradient-flush buckets for the overlapped allreduce;
-    * ``trace_ring`` — route the packed per-bucket flush messages through
+    * ``trace_ring`` — route the per-bucket flush messages through
       the explicit ring allreduce and record per-collective transfer
       traces (see :class:`repro.comm.communicator.SimCommunicator`), so
       the modeled per-bucket bytes can be checked against actual traced
@@ -200,20 +202,6 @@ class GradientBuckets:
         self.bucket_bytes = [
             float(sum(sizes[i] for i in bucket)) for bucket in self.buckets
         ]
-        # Flat-message layout: each bucket's parameters at fixed element
-        # offsets inside one contiguous scratch message (the flattened
-        # collective packs/unpacks through this plan every step).
-        self.layouts: list[list[tuple[int, int, int]]] = []  # (param, off, n)
-        self.bucket_elems: list[int] = []
-        for bucket in self.buckets:
-            off = 0
-            layout = []
-            for i in bucket:
-                n = int(params[i].data.size)
-                layout.append((i, off, n))
-                off += n
-            self.layouts.append(layout)
-            self.bucket_elems.append(off)
 
     @property
     def n_buckets(self) -> int:
@@ -317,11 +305,12 @@ class DistributedTrainer:
         self.backoff_seconds = 0.0
         # Built on the first step, once gradients reveal the trainable set.
         self._trainable: list[bool] | None = None
+        self._untrainable: frozenset[int] = frozenset()
         self._buckets: GradientBuckets | None = None
-        # Flush scratch: one (world, elems) pack per bucket plus the
-        # communicator's reusable work block.
-        self._packs: list[np.ndarray] = []
-        self._pack_work: list[np.ndarray | None] = []
+        # Flush plan, built with the buckets: per collective, every rank's
+        # slab slice, and the communicator's reusable work block for it.
+        self._flush: list[list[np.ndarray]] = []
+        self._flush_work: list[np.ndarray | None] = []
 
     def train_step(self, shards: list[GraphBatch]) -> StepStats:
         """One synchronized step: local grads, bucketed allreduce, updates."""
@@ -395,39 +384,37 @@ class DistributedTrainer:
         """Bucketed mean-allreduce of the just-written gradients, in place.
 
         Buckets are flushed in liveness order (the order backward completes
-        them); the averaged gradients land directly in every replica's
-        ``.grad`` arrays.  Parameters the model never grads are skipped via
-        the mask cached on the first step (instead of being zero-filled,
-        averaged and re-assigned every step).
-
-        Each bucket is packed into one contiguous per-rank scratch message
-        and mean-allreduced in a *single* collective — one launch per bucket,
-        and the traced message matches the modeled per-bucket bytes.  The
-        mean is elementwise over the rank axis, so the averages are
-        bit-identical to one collective per parameter.
+        them).  Every optimizer first adopts gradients that arrived outside
+        its slab (:meth:`~repro.train.optimizer.Adam.adopt_grads`); a bucket
+        is then one contiguous slice of each rank's gradient slab, handed to
+        a *single* collective — one launch per bucket, no packing, and the
+        averages land where Adam reads them.  The mean is elementwise over
+        the rank axis, so it is bit-identical to one collective per
+        parameter.  Parameters the model never grads (the mask cached on the
+        first step) are in no bucket; a bucket that spans one flushes each
+        contiguous run of its slots as its own collective.
         """
-        params0 = self._params[0]
+        missing = [opt.adopt_grads() for opt in self.optimizers]
         if self._buckets is None:
-            self._trainable = [p.grad is not None for p in params0]
+            params0 = self._params[0]
+            self._trainable = [i not in missing[0] for i in range(len(params0))]
             self._buckets = GradientBuckets(
                 params0, self._trainable, self.config.n_buckets
             )
-            world = self.config.world_size
-            self._packs = [np.empty((world, elems)) for elems in self._buckets.bucket_elems]
-            self._pack_work = [None] * self._buckets.n_buckets
-        world = range(self.config.world_size)
-        for b, layout in enumerate(self._buckets.layouts):
-            pack = self._packs[b]
-            for r in world:
-                row = pack[r]
-                for i, off, n in layout:
-                    np.copyto(row[off : off + n], self._params[r][i].grad.data.ravel())
-            self._pack_work[b] = self._allreduce(list(pack), self._pack_work[b])
-            for r in world:
-                row = pack[r]
-                for i, off, n in layout:
-                    grad = self._params[r][i].grad.data
-                    np.copyto(grad, row[off : off + n].reshape(grad.shape))
+            self._untrainable = frozenset(missing[0])
+            self._flush = [
+                [opt.flat_grads[run] for opt in self.optimizers]
+                for bucket in self._buckets.buckets
+                for run in self.optimizers[0].slices(bucket)
+            ]
+            self._flush_work = [None] * len(self._flush)
+        for rank, absent in enumerate(missing):
+            if absent and not self._untrainable.issuperset(absent):
+                raise RuntimeError(
+                    f"rank {rank}: a trainable parameter has no gradient this step"
+                )
+        for k, views in enumerate(self._flush):
+            self._flush_work[k] = self._allreduce(views, self._flush_work[k])
 
     def measured_ready_fractions(self) -> list[float] | None:
         """Measured per-bucket gradient-completion fractions, or ``None``.

@@ -1,8 +1,10 @@
 """Optimizers: Adam (the paper's choice) and SGD with momentum.
 
-Parameter updates run as direct in-place NumPy operations; each parameter's
-update is recorded as one fused "kernel" with the runtime (as a fused
-optimizer kernel would launch on a GPU).
+Parameter updates run as direct in-place NumPy operations.  :class:`Adam`
+owns one aligned slab holding every parameter, its gradient and both
+moments as flat vectors, so a step is one fused update recorded as one
+``adam_step`` kernel (as a fused multi-tensor optimizer kernel would launch
+on a GPU); :class:`SGD` records one ``sgd_step`` kernel per parameter.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.runtime.kernels import record_kernel
+from repro.tensor.compile import _new_slab
+from repro.tensor.engine import Tensor
 from repro.tensor.module import Parameter
 
 
@@ -31,14 +35,8 @@ class Optimizer:
     def step(self) -> None:
         raise NotImplementedError
 
-    def gradients(self) -> list[np.ndarray | None]:
-        """Current gradient arrays (``None`` where absent) — comm hook point."""
-        return [None if p.grad is None else p.grad.data for p in self.params]
-
     def set_gradients(self, grads: list[np.ndarray]) -> None:
         """Overwrite parameter gradients (after an allreduce)."""
-        from repro.tensor.engine import Tensor
-
         if len(grads) != len(self.params):
             raise ValueError(f"{len(grads)} gradients for {len(self.params)} params")
         for p, g in zip(self.params, grads):
@@ -48,7 +46,24 @@ class Optimizer:
 
 
 class Adam(Optimizer):
-    """Adam with bias correction (the paper's optimizer)."""
+    """Adam with bias correction (the paper's optimizer).
+
+    The constructor moves every parameter into one 64-byte-aligned slab of
+    four flat float64 vectors — ``flat_params``, ``flat_grads`` and the two
+    moments — laid out in **reverse parameter order**, the order the
+    backward completes gradients and the distributed flush walks its
+    buckets.  ``p.data``, the gradient :meth:`step` reads, ``_m[i]`` and
+    ``_v[i]`` are views into it, so a step is one elementwise update over
+    the flat vectors, bit-identical to updating each parameter on its own.
+    Parameter data must therefore be written in place from then on
+    (:meth:`Module.load_state_dict` does).
+
+    A gradient that arrives as a fresh array (an eager backward after
+    ``zero_grad``, :meth:`set_gradients`) is copied into the slab by
+    :meth:`adopt_grads`, after which ``p.grad`` is a view too and in-place
+    writers (compiled replays, the flush collectives) land in the slab.  A
+    parameter without a gradient is left untouched, moments included.
+    """
 
     def __init__(
         self,
@@ -59,31 +74,102 @@ class Adam(Optimizer):
         weight_decay: float = 0.0,
     ) -> None:
         super().__init__(params, lr)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("a parameter is listed twice; it can own one slab slot only")
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        # Slab slot of each parameter, last parameter first.
+        self.spans: list[slice] = [slice(0, 0)] * len(self.params)
+        n = 0
+        for i in reversed(range(len(self.params))):
+            size = self.params[i].data.size
+            self.spans[i] = slice(n, n + size)
+            n += size
+        # Six rows (parameters, gradients, two moments, two update
+        # scratch vectors), each starting on a 64-byte boundary.
+        stride = -(-n // 8) * 8
+        slab = _new_slab(6 * stride * 8).view(np.float64).reshape(6, stride)
+        slab[:] = 0.0
+        flat = slab[:, :n]
+        self.flat_params, self.flat_grads, self._flat_m, self._flat_v = flat[:4]
+        self._scratch = flat[4:]
+        self._grads: list[np.ndarray] = []
+        self._m: list[np.ndarray] = []
+        self._v: list[np.ndarray] = []
+        for p, span in zip(self.params, self.spans):
+            view = self.flat_params[span].reshape(p.shape)
+            np.copyto(view, p.data)
+            # The one rebind: from here on the parameter lives in the slab.
+            p.data = view
+            self._grads.append(self.flat_grads[span].reshape(p.shape))
+            self._m.append(self._flat_m[span].reshape(p.shape))
+            self._v.append(self._flat_v[span].reshape(p.shape))
+
+    def slices(self, indices) -> list[slice]:
+        """Slab slices covering the parameters ``indices``, in slab order,
+        adjacent slots merged (one slice when they are contiguous)."""
+        out: list[slice] = []
+        for span in sorted((self.spans[i] for i in indices), key=lambda s: s.start):
+            if out and out[-1].stop == span.start:
+                out[-1] = slice(out[-1].start, span.stop)
+            else:
+                out.append(span)
+        return out
+
+    def adopt_grads(self) -> tuple[int, ...]:
+        """Copy gradients held outside the slab into it, rebinding ``p.grad``
+        to the slab view; returns the indices of parameters without one."""
+        missing = []
+        for i, (p, view) in enumerate(zip(self.params, self._grads)):
+            grad = p.grad
+            if grad is None:
+                missing.append(i)
+            elif grad.data is not view:
+                np.copyto(view, grad.data)
+                p.grad = Tensor(view)
+        return tuple(missing)
 
     def step(self) -> None:
+        missing = set(self.adopt_grads())
+        runs = [slice(0, self.flat_params.size)]
+        if missing:
+            runs = self.slices(i for i in range(len(self.params)) if i not in missing)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad.data
+        for run in runs:
+            # The per-parameter Adam expression, one ufunc at a time in the
+            # same order (so the same bits), into scratch:
+            #   g = grad + wd * p
+            #   m = b1 * m + (1 - b1) * g;  v = b2 * v + ((1 - b2) * g) * g
+            #   p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            p, g = self.flat_params[run], self.flat_grads[run]
+            m, v = self._flat_m[run], self._flat_v[run]
+            s1, s2 = self._scratch[0][run], self._scratch[1][run]
             if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            m, v = self._m[i], self._v[i]
+                np.multiply(p, self.weight_decay, out=s1)
+                np.add(g, s1, out=s1)
+                g = s1
             m *= b1
-            m += (1.0 - b1) * g
+            np.multiply(g, 1.0 - b1, out=s2)
+            m += s2
             v *= b2
-            v += (1.0 - b2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            record_kernel("adam_step", p.data.nbytes)
+            np.multiply(g, 1.0 - b2, out=s2)
+            s2 *= g
+            v += s2
+            np.divide(v, bc2, out=s1)
+            np.sqrt(s1, out=s1)
+            s1 += self.eps
+            np.divide(m, bc1, out=s2)
+            s2 *= self.lr
+            s2 /= s1
+            p -= s2
+        if runs:
+            nbytes = sum(r.stop - r.start for r in runs) * self.flat_params.itemsize
+            record_kernel("adam_step", nbytes)
 
 
 class SGD(Optimizer):

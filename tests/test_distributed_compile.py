@@ -202,16 +202,16 @@ class TestTrainableMask:
         bucketed = sorted(i for b in buckets.buckets for i in b)
         assert bucketed == [i for i, t in enumerate(mask) if t]
 
-    def test_flat_pack_scratch_reused_across_steps(self, dataset):
+    def test_flush_plan_and_work_reused_across_steps(self, dataset):
         dt = DistributedTrainer(factory, dataset, _cfg(compile=False, epochs=1))
         shards = next(iter(dt.loader))
         dt.train_step(shards)
-        assert dt._packs and all(w is not None for w in dt._pack_work)
-        pack_ids = [id(p) for p in dt._packs]
-        work_ids = [id(w) for w in dt._pack_work]
+        assert dt._flush and all(w is not None for w in dt._flush_work)
+        view_ids = [[id(v) for v in views] for views in dt._flush]
+        work_ids = [id(w) for w in dt._flush_work]
         dt.train_step(shards)
-        assert [id(p) for p in dt._packs] == pack_ids
-        assert [id(w) for w in dt._pack_work] == work_ids
+        assert [[id(v) for v in views] for views in dt._flush] == view_ids
+        assert [id(w) for w in dt._flush_work] == work_ids
 
 
 class TestGradientBuckets:
@@ -377,16 +377,23 @@ class TestFlattenedBucketCollectives:
         dt.comm.allreduce_mean_inplace = counting
         dt.train_step(next(iter(dt.loader)))
         assert len(calls) == dt._buckets.n_buckets
-        assert calls == dt._buckets.bucket_elems
+        assert calls == [int(b) // 8 for b in dt._buckets.bucket_bytes]
 
-    def test_layouts_cover_buckets(self):
-        params = [TestGradientBuckets._P(4), TestGradientBuckets._P(6)]
-        gb = GradientBuckets(params, [True, True], n_buckets=2)
-        assert gb.bucket_elems == [
-            sum(n for _, _, n in layout) for layout in gb.layouts
-        ]
-        covered = sorted(i for layout in gb.layouts for i, _, _ in layout)
-        assert covered == [0, 1]
+    def test_bucket_is_one_slab_slice_per_rank(self, dataset):
+        """Each collective reduces a slice of every rank's Adam gradient
+        slab in place, and that slice holds exactly the bucket's gradients."""
+        dt = DistributedTrainer(factory, dataset, _cfg(compile=True, epochs=1))
+        dt.train_step(next(iter(dt.loader)))
+        assert len(dt._flush) == dt._buckets.n_buckets
+        for bucket, views in zip(dt._buckets.buckets, dt._flush):
+            for rank, view in enumerate(views):
+                opt = dt.optimizers[rank]
+                assert view.base is not None
+                assert np.shares_memory(view, opt.flat_grads)
+                assert view.size == sum(dt._params[rank][i].size for i in bucket)
+                for i in bucket:
+                    grad = dt._params[rank][i].grad.data
+                    assert np.shares_memory(grad, view)
 
 
 class TestMeasuredReadyTimes:

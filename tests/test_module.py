@@ -80,6 +80,19 @@ class TestStateDict:
         state["scale"][0] = 99.0
         assert toy.scale.data[0] == 1.0
 
+    def test_load_writes_into_the_existing_arrays(self, rng):
+        a, b = Toy(rng), Toy(np.random.default_rng(1))
+        arrays = [p.data for p in b.parameters()]
+        state = a.state_dict()
+        b.load_state_dict(state)
+        assert all(p.data is arr for p, arr in zip(b.parameters(), arrays))
+        assert all(np.array_equal(p.data, q.data) for p, q in zip(a.parameters(), b.parameters()))
+        # the loaded dict stays the caller's: mutating it does not reach b
+        state["scale"][0] = 99.0
+        state["lin.weight"][:] = 0.0
+        assert b.scale.data[0] == 1.0
+        assert np.array_equal(b.lin.weight.data, a.lin.weight.data)
+
     def test_save_load_npz(self, rng, tmp_path):
         a, b = Toy(rng), Toy(np.random.default_rng(1))
         path = str(tmp_path / "ckpt.npz")

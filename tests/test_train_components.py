@@ -5,6 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm import SimCommunicator
+from repro.data import StructureDataset
+from repro.model import CHGNetConfig, CHGNetModel, OptLevel
+from repro.runtime import kernel_stats
 from repro.tensor import Parameter, Tensor, huber_loss, mul, sum as tsum
 from repro.train import (
     Adam,
@@ -12,6 +16,8 @@ from repro.train import (
     CompositeLoss,
     ConstantLR,
     CosineAnnealingLR,
+    DistributedConfig,
+    DistributedTrainer,
     LossWeights,
     SGD,
     mae,
@@ -157,6 +163,176 @@ class TestAdam:
         opt = Adam([Parameter(np.ones(3))], lr=0.1)
         with pytest.raises(ValueError):
             opt.set_gradients([np.ones(3), np.ones(3)])
+
+
+#: Mixed parameter shapes: 16-element rows (most of a CHGNet's parameters),
+#: a matrix of them, odd sizes, a 0-d scalar and a 3-D block.
+SHAPES = [(16,), (3, 16), (5,), (), (16,), (2, 3, 4), (1,)]
+
+
+def _reference_adam(params, grads, moments, t, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+    """Adam as one update per parameter: the loop the flat update reproduces."""
+    b1, b2 = betas
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for p, g, (m, v) in zip(params, grads, moments):
+        if g is None:
+            continue
+        if weight_decay:
+            g = g + weight_decay * p
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_equals_per_parameter_reference(self, weight_decay):
+        """Five steps, bit for bit: fresh gradient arrays (steps 1-3), a
+        parameter without a gradient (step 3), ``set_gradients`` (step 4) and
+        gradients written in place into the adopted views (step 5)."""
+        rng = np.random.default_rng(7)
+        init = [np.asarray(rng.normal(size=s)) for s in SHAPES]
+        params = [Parameter(a.copy()) for a in init]
+        opt = Adam(params, lr=0.05, weight_decay=weight_decay)
+        ref = [a.copy() for a in init]
+        moments = [(np.zeros_like(a), np.zeros_like(a)) for a in init]
+        for step in range(1, 6):
+            grads = [np.asarray(rng.normal(size=s)) for s in SHAPES]
+            if step == 3:
+                grads[1] = None
+            if step == 4:
+                opt.set_gradients(grads)
+            elif step == 5:
+                for p, g in zip(params, grads):
+                    np.copyto(p.grad.data, g)
+            else:
+                for p, g in zip(params, grads):
+                    p.grad = None if g is None else Tensor(g.copy())
+            opt.step()
+            _reference_adam(ref, grads, moments, step, 0.05, weight_decay)
+            for i, p in enumerate(params):
+                assert np.array_equal(p.data, ref[i]), (step, i)
+                assert np.array_equal(opt._m[i], moments[i][0]), (step, i)
+                assert np.array_equal(opt._v[i], moments[i][1]), (step, i)
+
+    def test_one_aligned_slab_in_reverse_parameter_order(self):
+        params = [Parameter(np.full(s, float(i))) for i, s in enumerate(SHAPES)]
+        opt = Adam(params, lr=0.1)
+        for flat in (opt.flat_params, opt.flat_grads, opt._flat_m, opt._flat_v):
+            assert flat.ctypes.data % 64 == 0
+            assert flat.size == sum(p.size for p in params)
+        starts = [span.start for span in opt.spans]
+        assert starts == sorted(starts, reverse=True) and starts[-1] == 0
+        for i, p in enumerate(params):
+            assert np.array_equal(p.data, np.full(SHAPES[i], float(i)))
+            assert np.shares_memory(p.data, opt.flat_params)
+            assert np.shares_memory(opt._m[i], opt._flat_m)
+            assert np.shares_memory(opt._v[i], opt._flat_v)
+        # a parameter's neighbours in the slab are its list neighbours
+        assert opt.slices([0, 1]) == [slice(opt.spans[1].start, opt.spans[0].stop)]
+        assert len(opt.slices([0, 2])) == 2
+
+    def test_fresh_gradients_are_copied_into_the_slab(self):
+        params = [Parameter(np.ones(s)) for s in SHAPES]
+        opt = Adam(params, lr=0.1)
+        fresh = [np.full(s, 2.0) for s in SHAPES]
+        opt.set_gradients(fresh)
+        opt.step()
+        for p, g in zip(params, fresh):
+            assert np.shares_memory(p.grad.data, opt.flat_grads)
+            assert not np.shares_memory(p.grad.data, g)
+            assert np.array_equal(p.grad.data, g)
+        fresh[0][:] = 5.0  # the caller's array stays the caller's
+        assert np.all(params[0].grad.data == 2.0)
+
+    def test_one_kernel_per_step_over_the_updated_bytes(self):
+        params = [Parameter(np.ones(s)) for s in SHAPES]
+        opt = Adam(params, lr=0.1)
+        for p in params:
+            p.grad = Tensor(np.ones(p.shape))
+        params[2].grad = None
+        with kernel_stats() as ks:
+            opt.step()
+        assert ks.by_name == {"adam_step": 1}
+        assert ks.bytes_out == sum(p.data.nbytes for p in params) - params[2].data.nbytes
+
+    def test_parameter_listed_twice_rejected(self):
+        p = Parameter(np.ones(3))
+        with pytest.raises(ValueError, match="twice"):
+            Adam([p, p], lr=0.1)
+
+
+def _factory_with_unused_parameter():
+    """A small CHGNet with one parameter the loss never reaches, registered
+    in the middle of the parameter list (inside the flush's one bucket)."""
+    config = CHGNetConfig(
+        atom_fea_dim=8, bond_fea_dim=8, angle_fea_dim=8, num_radial=5,
+        angular_order=2, hidden_dim=8,
+    ).with_level(OptLevel.DECOMPOSE_FS)
+    model = CHGNetModel(config, np.random.default_rng(5))
+    modules = list(model.modules())
+    modules[len(modules) // 2].never_used = Parameter(np.ones(16))
+    return model
+
+
+class TestFlatFlushWithGradlessParameter:
+    @pytest.mark.parametrize("compile_", [False, True])
+    def test_buckets_bytes_and_weights_match_per_parameter_flush(self, tiny_entries, compile_):
+        """Per-rank gradients reduced one parameter at a time plus the
+        per-parameter Adam loop give the trainer's weights bit for bit; the
+        gradless parameter is in no bucket, sends no bytes and never moves."""
+        dt = DistributedTrainer(
+            _factory_with_unused_parameter,
+            StructureDataset(tiny_entries),
+            DistributedConfig(
+                world_size=2, global_batch_size=8, epochs=1, learning_rate=1e-3,
+                seed=0, n_buckets=1, compile=compile_,
+            ),
+        )
+        params = dt._params[0]
+        names = [name for name, _ in dt.replicas[0].named_parameters()]
+        unused = next(i for i, name in enumerate(names) if name.endswith("never_used"))
+        frozen = params[unused].data.copy()
+        ref = [p.data.copy() for p in params]
+        moments = [(np.zeros_like(a), np.zeros_like(a)) for a in ref]
+        comm = SimCommunicator(2)
+        seen = []
+        flush, reduce = dt._flush_gradients, dt.comm.allreduce_mean_inplace
+
+        def spying_flush():
+            seen.append([[None if p.grad is None else p.grad.data.copy() for p in ps] for ps in dt._params])
+            flush()
+
+        sent = []
+
+        def counting(per_rank, work=None):
+            sent.append(sum(b.nbytes for b in per_rank))
+            return reduce(per_rank, work)
+
+        dt._flush_gradients = spying_flush
+        dt.comm.allreduce_mean_inplace = counting
+        for t, shards in enumerate(dt.loader, 1):
+            lr = dt.optimizers[0].lr
+            dt.train_step(shards)
+            grads = seen[-1]
+            for i in range(len(params)):
+                if grads[0][i] is not None:
+                    comm.allreduce_mean_inplace([grads[r][i] for r in range(2)])
+            _reference_adam(ref, grads[0], moments, t, lr, 0.0)
+            for rank in range(2):
+                for i, p in enumerate(dt._params[rank]):
+                    assert np.array_equal(p.data, ref[i]), (t, rank, i)
+        assert not dt._trainable[unused] and grads[0][unused] is None
+        trainable = [i for i, ok in enumerate(dt._trainable) if ok]
+        assert dt._buckets.buckets == [sorted(trainable, reverse=True)]
+        assert unused in range(min(trainable), max(trainable))  # a hole in the bucket
+        steps = len(dt.loader)
+        assert sum(sent) / steps == 2 * sum(params[i].data.nbytes for i in trainable)
+        assert len(sent) == steps * len(dt._flush)
+        assert np.array_equal(params[unused].data, frozen)
 
 
 class TestSGD:
