@@ -297,6 +297,52 @@ class TestDistributedResume:
         a, b = ref.model.state_dict(), result.trainer.model.state_dict()
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
+    def test_resumed_and_replaced_replicas_stay_in_the_optimizer_slab(
+        self, small_config, dataset, tmp_path
+    ):
+        """A restore writes weights into the slab views instead of rebinding
+        them: a detached parameter would stop learning while Adam kept
+        updating the slab, so check the memory and the final weights."""
+        factory = make_factory(small_config)
+        ref = DistributedTrainer(factory, dataset, dist_config())
+        ref.train()
+        expected = ref.model.state_dict()
+
+        def in_slab(trainer):
+            return all(
+                np.shares_memory(p.data, opt.flat_params)
+                for rep, opt in zip(trainer.replicas, trainer.optimizers)
+                for p in rep.parameters()
+            )
+
+        def finishes_like_ref(trainer):
+            got = trainer.model.state_dict()
+            return trainer.replicas_in_sync() and all(
+                np.array_equal(expected[k], got[k]) for k in expected
+            )
+
+        path = str(tmp_path / "mid.rckpt")
+        first = DistributedTrainer(factory, dataset, dist_config())
+        steps = first.loader.iter_epoch(0)
+        for _ in range(2):
+            first.train_step(next(steps))
+        first.save_checkpoint(path)
+        resumed = DistributedTrainer.resume(path, factory, dataset, dist_config())
+        assert in_slab(resumed)
+        resumed.train()
+        assert in_slab(resumed) and finishes_like_ref(resumed)
+
+        result = run_elastic(
+            factory,
+            dataset,
+            dist_config(),
+            checkpoint_path=str(tmp_path / "elastic.rckpt"),
+            fault_plan=FaultPlan().kill(rank=1, step=3),
+            shrink=False,
+        )
+        assert len(result.failures) == 1
+        assert in_slab(result.trainer) and finishes_like_ref(result.trainer)
+
     def test_mid_epoch_cursor_restored(self, small_config, dataset, tmp_path):
         factory = make_factory(small_config)
         path = str(tmp_path / "dist.rckpt")
