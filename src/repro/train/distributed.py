@@ -27,10 +27,9 @@ result rests on, end to end:
   keeps its gradients in one flat slab in bucket order, so a bucket is one
   contiguous slice of every rank's slab, mean-allreduced in place through
   the communicator's collective as soon as its gradients are complete, and
-  the same bucket
-  layout (per-bucket bytes + ready times) feeds the alpha-beta overlap
-  model (:meth:`DistributedTrainer.modeled_overlap`) instead of the
-  uniform spread.
+  the same bucket layout (per-bucket bytes + ready times) feeds the
+  alpha-beta overlap model (:meth:`DistributedTrainer.modeled_overlap`)
+  instead of the uniform spread.
 
 The compiled path is bit-identical to the eager distributed path on the
 same padded shards (``bucket_sampler=True`` on an eager run yields the
@@ -305,7 +304,6 @@ class DistributedTrainer:
         self.backoff_seconds = 0.0
         # Built on the first step, once gradients reveal the trainable set.
         self._trainable: list[bool] | None = None
-        self._untrainable: frozenset[int] = frozenset()
         self._buckets: GradientBuckets | None = None
         # Flush plan, built with the buckets: per collective, every rank's
         # slab slice, and the communicator's reusable work block for it.
@@ -401,7 +399,6 @@ class DistributedTrainer:
             self._buckets = GradientBuckets(
                 params0, self._trainable, self.config.n_buckets
             )
-            self._untrainable = frozenset(missing[0])
             self._flush = [
                 [opt.flat_grads[run] for opt in self.optimizers]
                 for bucket in self._buckets.buckets
@@ -409,7 +406,7 @@ class DistributedTrainer:
             ]
             self._flush_work = [None] * len(self._flush)
         for rank, absent in enumerate(missing):
-            if absent and not self._untrainable.issuperset(absent):
+            if any(self._trainable[i] for i in absent):
                 raise RuntimeError(
                     f"rank {rank}: a trainable parameter has no gradient this step"
                 )

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.runtime.kernels import record_kernel
-from repro.tensor.compile import _new_slab
 from repro.tensor.engine import Tensor
 from repro.tensor.module import Parameter
 
@@ -49,9 +48,9 @@ class Adam(Optimizer):
     """Adam with bias correction (the paper's optimizer).
 
     The constructor moves every parameter into one 64-byte-aligned slab of
-    four flat float64 vectors — ``flat_params``, ``flat_grads`` and the two
-    moments — laid out in **reverse parameter order**, the order the
-    backward completes gradients and the distributed flush walks its
+    flat float64 vectors — ``flat_params``, ``flat_grads``, the two moments
+    and update scratch — laid out in **reverse parameter order**, the order
+    the backward completes gradients and the distributed flush walks its
     buckets.  ``p.data``, the gradient :meth:`step` reads, ``_m[i]`` and
     ``_v[i]`` are views into it, so a step is one elementwise update over
     the flat vectors, bit-identical to updating each parameter on its own.
@@ -73,6 +72,8 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
+        from repro.tensor.compile import _new_slab
+
         super().__init__(params, lr)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ValueError("a parameter is listed twice; it can own one slab slot only")
