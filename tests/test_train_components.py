@@ -303,7 +303,9 @@ class TestFlatFlushWithGradlessParameter:
         flush, reduce = dt._flush_gradients, dt.comm.allreduce_mean_inplace
 
         def spying_flush():
-            seen.append([[None if p.grad is None else p.grad.data.copy() for p in ps] for ps in dt._params])
+            seen.append(
+                [[None if p.grad is None else p.grad.data.copy() for p in ps] for ps in dt._params]
+            )
             flush()
 
         sent = []
