@@ -55,7 +55,8 @@ class Adam(Optimizer):
     ``_v[i]`` are views into it, so a step is one elementwise update over
     the flat vectors, bit-identical to updating each parameter on its own.
     Parameter data must therefore be written in place from then on
-    (:meth:`Module.load_state_dict` does).
+    (:meth:`Module.load_state_dict` does), and a parameter belongs to the
+    last ``Adam`` built over it: a second one moves it into its own slab.
 
     A gradient that arrives as a fresh array (an eager backward after
     ``zero_grad``, :meth:`set_gradients`) is copied into the slab by

@@ -387,9 +387,7 @@ class TestFlattenedBucketCollectives:
         assert len(dt._flush) == dt._buckets.n_buckets
         for bucket, views in zip(dt._buckets.buckets, dt._flush):
             for rank, view in enumerate(views):
-                opt = dt.optimizers[rank]
-                assert view.base is not None
-                assert np.shares_memory(view, opt.flat_grads)
+                assert np.shares_memory(view, dt.optimizers[rank].flat_grads)
                 assert view.size == sum(dt._params[rank][i].size for i in bucket)
                 for i in bucket:
                     grad = dt._params[rank][i].grad.data
