@@ -23,7 +23,6 @@ import numpy as np
 from repro.bench.workloads import _cache_dir, scale, scaled, training_splits
 from repro.model import CHGNetConfig, CHGNetModel, OptLevel
 from repro.train import TrainConfig, Trainer, evaluate
-from repro.train.metrics import EvalResult
 
 VARIANT_LEVELS: dict[str, OptLevel] = {
     "chgnet": OptLevel.BASELINE,
@@ -106,14 +105,3 @@ def load_trained(variant: str) -> tuple[CHGNetModel, dict]:
     model = build_model(variant)
     model.load(str(ckpt))
     return model, record
-
-
-def eval_result_of(record: dict) -> EvalResult:
-    return EvalResult(
-        energy_mae=record["energy_mae"],
-        force_mae=record["force_mae"],
-        stress_mae=record["stress_mae"],
-        magmom_mae=record["magmom_mae"],
-        energy_r2=record["energy_r2"],
-        force_r2=record["force_r2"],
-    )

@@ -654,14 +654,11 @@ def cmd_farm(args: argparse.Namespace) -> int:
         if args.checkpoint_every < 1:
             raise ValueError(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}")
         model = _build_model(args.variant, args.seed, args.checkpoint)
-        # Shrinking waves visit many distinct group sizes (each one a program
-        # signature), so give the cache plenty of headroom over the default 16.
         engine = InferenceEngine(
             model,
             n_workers=args.workers,
             compile=args.compile,
             max_batch_structs=args.batch_structs,
-            max_programs=256,
         )
         if args.resume:
             farm = TrajectoryFarm.resume(args.state, engine)

@@ -9,7 +9,7 @@ from repro.comm.cost_model import (
     simulate_overlap,
 )
 from repro.comm.ring import RingTrace, ring_allreduce
-from repro.comm.scaling import ComputeModel, ScalingPoint, model_iteration, weak_efficiency
+from repro.comm.scaling import ComputeModel, ScalingPoint, model_iteration
 
 __all__ = [
     "SimCommunicator",
@@ -25,5 +25,4 @@ __all__ = [
     "ComputeModel",
     "ScalingPoint",
     "model_iteration",
-    "weak_efficiency",
 ]

@@ -1,12 +1,14 @@
 """Simulated multi-GPU communicator.
 
-Collectives over "ranks" living in one process: numerically exact (used by
-the data-parallel trainer for gradient averaging) with algorithmic fidelity
-available through the explicit ring allreduce in :mod:`repro.comm.ring`.
-Timing is modeled separately (:mod:`repro.comm.cost_model`) — the paper's
-scaling numbers come from compute measurements + this model, mirroring how
-the real system's efficiency is compute/communication-ratio bound.  Every
-collective first consults the communicator's
+One collective over "ranks" living in one process: the in-place mean
+allreduce the data-parallel trainer runs to average each gradient bucket
+(:meth:`SimCommunicator.allreduce_mean_inplace`), numerically exact, with
+algorithmic fidelity available through the explicit ring allreduce in
+:mod:`repro.comm.ring`.  Timing is modeled separately
+(:mod:`repro.comm.cost_model`) — the paper's scaling numbers come from
+compute measurements + this model, mirroring how the real system's
+efficiency is compute/communication-ratio bound.  The collective first
+consults the communicator's
 :class:`~repro.comm.faults.FaultPlan`; the default, empty plan never fires.
 """
 
@@ -19,7 +21,7 @@ from repro.comm.ring import RingTrace, ring_allreduce
 
 
 class SimCommunicator:
-    """MPI-like collectives across ``world_size`` simulated ranks.
+    """MPI-like mean allreduce across ``world_size`` simulated ranks.
 
     All per-rank buffers are passed together (rank-major lists), since the
     ranks share one process.
@@ -37,7 +39,7 @@ class SimCommunicator:
     the trainer relies on.
 
     ``fault_plan`` rehearses failures (``None`` holds an empty plan, which
-    never fires).  Every collective consults it for the current step (set by
+    never fires).  The collective consults it for the current step (set by
     the trainer through :meth:`advance`) before touching a buffer:
 
     * scheduled **kills** mark the rank dead and raise
@@ -89,33 +91,6 @@ class SimCommunicator:
             self.timeouts_injected += 1
             raise CollectiveTimeout(self.step, attempt)
 
-    def _check(self, per_rank: list) -> None:
-        if len(per_rank) != self.world_size:
-            raise ValueError(
-                f"expected buffers for {self.world_size} ranks, got {len(per_rank)}"
-            )
-
-    def allreduce_sum(self, per_rank: list[np.ndarray]) -> list[np.ndarray]:
-        """Sum one array across ranks; every rank receives the result."""
-        self._inject()
-        return self._sum(per_rank)
-
-    def allreduce_mean(self, per_rank: list[np.ndarray]) -> list[np.ndarray]:
-        """Average one array across ranks (DDP gradient averaging)."""
-        self._inject()
-        return self._mean(per_rank)
-
-    def _sum(self, per_rank: list[np.ndarray]) -> list[np.ndarray]:
-        self._check(per_rank)
-        total = np.sum(np.stack(per_rank, axis=0), axis=0)
-        return [total.copy() for _ in range(self.world_size)]
-
-    def _mean(self, per_rank: list[np.ndarray]) -> list[np.ndarray]:
-        out = self._sum(per_rank)
-        for arr in out:
-            arr /= self.world_size
-        return out
-
     def allreduce_mean_inplace(
         self,
         per_rank: list[np.ndarray],
@@ -123,8 +98,9 @@ class SimCommunicator:
     ) -> np.ndarray:
         """Mean-allreduce writing the result back into every rank's buffer.
 
-        Bitwise-equal to :meth:`allreduce_mean` (same stacked pairwise sum,
-        same division) but allocation-free in steady state: ``work`` is a
+        Bitwise-equal to ``np.sum(np.stack(per_rank), axis=0) / world_size``
+        (same stacked pairwise sum, same division) but allocation-free in
+        steady state: ``work`` is a
         ``(world_size + 1, *shape)`` scratch block — rows ``0..world-1``
         stage the stacked operands, row ``world`` receives the mean — that
         callers keep and pass back on every step (the gradient-flush hot
@@ -135,7 +111,10 @@ class SimCommunicator:
         the scratch block is passed through untouched.
         """
         self._inject()
-        self._check(per_rank)
+        if len(per_rank) != self.world_size:
+            raise ValueError(
+                f"expected buffers for {self.world_size} ranks, got {len(per_rank)}"
+            )
         shape, dtype = per_rank[0].shape, per_rank[0].dtype
         for arr in per_rank:
             if arr.shape != shape:
@@ -152,39 +131,9 @@ class SimCommunicator:
             np.copyto(work[r], arr)
         mean = work[self.world_size]
         # np.sum delegates to np.add.reduce (same pairwise path, so the sum
-        # is bit-identical to the stacking allreduce_mean above).
+        # is bit-identical to summing the stacked buffers).
         np.add.reduce(work[: self.world_size], axis=0, out=mean)
         mean /= self.world_size
         for arr in per_rank:
             np.copyto(arr, mean)
         return work
-
-    def allreduce_mean_lists(
-        self, per_rank: list[list[np.ndarray]]
-    ) -> list[list[np.ndarray]]:
-        """Average *lists* of arrays (one list per rank, e.g. all gradients)."""
-        self._inject()
-        self._check(per_rank)
-        n_buffers = len(per_rank[0])
-        for bufs in per_rank:
-            if len(bufs) != n_buffers:
-                raise ValueError("ranks disagree on number of buffers")
-        out: list[list[np.ndarray]] = [[] for _ in range(self.world_size)]
-        for j in range(n_buffers):
-            reduced = self._mean([per_rank[r][j] for r in range(self.world_size)])
-            for r in range(self.world_size):
-                out[r].append(reduced[r])
-        return out
-
-    def broadcast(self, value: np.ndarray, root: int = 0) -> list[np.ndarray]:
-        """Every rank receives a copy of ``value`` from ``root``."""
-        self._inject()
-        if not 0 <= root < self.world_size:
-            raise ValueError(f"root {root} out of range for world size {self.world_size}")
-        return [np.array(value, copy=True) for _ in range(self.world_size)]
-
-    def gather(self, per_rank: list[np.ndarray], root: int = 0) -> list[np.ndarray]:
-        """Root receives the list of all rank buffers (returned directly)."""
-        self._inject()
-        self._check(per_rank)
-        return [np.array(b, copy=True) for b in per_rank]

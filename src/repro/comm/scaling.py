@@ -116,9 +116,3 @@ def model_iteration(
         compute_time=compute_time,
         exposed_comm=overlap.exposed_comm,
     )
-
-
-def weak_efficiency(points: list[ScalingPoint]) -> list[float]:
-    """Weak-scaling efficiency: t(base)/t(p) with per-rank work constant."""
-    base = points[0]
-    return [base.iteration_time / p.iteration_time for p in points]

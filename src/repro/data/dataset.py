@@ -242,21 +242,6 @@ class StructureDataset:
                 self._batch_cache.popitem(last=False)
         return batch
 
-    def subset(self, indices: np.ndarray) -> "StructureDataset":
-        ds = StructureDataset.__new__(StructureDataset)
-        ds.entries = [self.entries[int(i)] for i in indices]
-        ds.cutoff_atom = self.cutoff_atom
-        ds.cutoff_bond = self.cutoff_bond
-        ds.memoize_batches = self.memoize_batches
-        ds.skin = self.skin
-        ds._skin_cache = self._skin_cache
-        ds.graph_diff_stats = self.graph_diff_stats
-        ds._batch_cache = OrderedDict()
-        ds.graphs = [self.graphs[int(i)] for i in indices]
-        ds.feature_numbers = self.feature_numbers[indices]
-        ds.graph_dims = self.graph_dims[indices]
-        return ds
-
 
 def split_dataset(
     entries: list[LabeledStructure],

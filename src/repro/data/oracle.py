@@ -156,10 +156,3 @@ class OraclePotential:
             stress=stress,
             magmom=magmom,
         )
-
-    def energy_of(self, crystal: Crystal) -> float:
-        """Total energy only (cheaper; used by MD tests and examples)."""
-        with no_grad():
-            disp = Tensor(np.zeros((crystal.num_atoms, 3)))
-            strain = Tensor(np.zeros((3, 3)))
-            return float(self._energy(crystal, disp, strain).data)

@@ -212,28 +212,6 @@ class BucketBatchSampler(LoadBalanceSampler):
         if self._dims is not None:
             self._plan_padding(self._dims)
 
-    def reshard(self, world_size: int) -> "BucketBatchSampler":
-        """Re-shard the same corpus for a new world size (elastic membership).
-
-        Returns a fresh sampler over the identical ``feature_numbers`` /
-        ``dims`` with the same seed and global batch size — block
-        composition, shard pairing, and padded shapes are all re-planned
-        for ``world_size``.  The global batch must stay divisible by the
-        new world size (pick it with
-        :func:`repro.train.elastic.largest_feasible_world`).  Sharding a
-        block across fewer ranks does not change its averaged gradient;
-        only the unavoidable ``n % world_size`` interior leftover may
-        shift block membership at the margin.
-        """
-        return BucketBatchSampler(
-            self.feature_numbers,
-            self.global_batch_size,
-            world_size,
-            seed=self.seed,
-            drop_last=self.drop_last,
-            dims=self._dims,
-        )
-
     def partition(self, batch_indices: np.ndarray) -> list[np.ndarray]:
         """Serpentine split of the size-sorted block: equal rank counts.
 

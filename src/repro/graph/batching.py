@@ -20,12 +20,13 @@ Two services back the compile-once training step
   therefore name each such array and rebind it on a *different* batch at
   replay time; :meth:`GraphBatch.find_array` is the reverse lookup the
   tracer uses.
-* **Shape bucketing** — :func:`pad_to_bucket` appends one ghost structure
+* **Shape bucketing** — :func:`pad_batch` appends one ghost structure
   that pads the atom/edge/angle counts up to canonical bucket sizes
-  (:func:`bucket_size`), so batches of similar size share one compiled
-  program.  ``pad_info`` records the real counts; the ghost rows sit at the
-  array tails, carry finite well-conditioned geometry (no zero-length
-  bonds, no degenerate angles), and are masked out of losses and metrics.
+  (:func:`bucket_size`, :func:`bucket_targets`), so batches of similar size
+  share one compiled program.  ``pad_info`` records the real counts; the
+  ghost rows sit at the array tails, carry finite well-conditioned geometry
+  (no zero-length bonds, no degenerate angles), and are masked out of
+  losses and metrics.
 
 The padding math lives here too, in two forms (docs/architecture.md,
 "Padding: tiers for streams, plans for fixed blocks").  For streams nobody
@@ -81,7 +82,7 @@ class Labels:
 
 @dataclass(frozen=True)
 class PadInfo:
-    """Real (pre-padding) counts of a bucketed batch; see :func:`pad_to_bucket`."""
+    """Real (pre-padding) counts of a padded batch; see :func:`pad_batch`."""
 
     num_structs: int
     num_atoms: int
@@ -663,34 +664,6 @@ def bucket_targets(batch: GraphBatch) -> tuple[int, int, int, int]:
     if targets == (n, e, ns, na):
         return targets
     return feasible_targets(batch, targets)
-
-
-def pad_to_bucket(batch: GraphBatch) -> GraphBatch:
-    """Pad a batch to canonical bucket sizes by appending one ghost structure.
-
-    Batches with equal bucketed counts share one compiled program
-    (:mod:`repro.tensor.compile`).  Returns ``batch`` unchanged when every
-    count already sits on its bucket boundary (or it was padded before).
-    The result's ``pad_info`` holds the real counts; all ghost rows are at
-    the array tails, so the real data is the ``[:real]`` prefix of every
-    array.  Ghost contributions are excluded from losses/metrics via the
-    ``pad_mask``/``pad_count`` aux arrays (exactly zero weight), but padding
-    may reorder float reductions, so padded totals match unpadded ones to
-    rounding, not bit-for-bit.
-    """
-    if batch.pad_info is not None:
-        return batch
-    targets = bucket_targets(batch)
-    if targets == (
-        batch.num_atoms,
-        batch.num_edges,
-        batch.num_short_edges,
-        batch.num_angles,
-    ):
-        return batch
-    padded = pad_batch(batch, *targets)
-    assert padded is not None
-    return padded
 
 
 # Padded variants kept per source batch: a batch meets at most a handful of

@@ -77,103 +77,24 @@ class ModelCalculator(Calculator):
             NeighborCache(model.config.cutoff_atom, skin) if skin > 0 else None
         )
         self._prev_graph: CrystalGraph | None = None
-        self._many_caches: list[NeighborCache] = []
-        self._many_prev: list[CrystalGraph | None] = []
         self.diff_stats = GraphDiffStats()
         self._compiler = None
-        self._engine = None
         if compile:
             from repro.tensor.compile import InferenceCompiler
 
             self._compiler = InferenceCompiler(model)
 
-    def calculate_many(
-        self,
-        crystals: list[Crystal],
-        batch_structs: int = 8,
-        n_workers: int = 1,
-        memoize: int = 0,
-    ) -> list[CalcResult]:
-        """Batched single-point evaluation of many structures.
-
-        Trajectory frames, relaxation candidates or screening pools are
-        served through a lazily-created :class:`repro.serve.InferenceEngine`
-        (kept across calls, so its program cache stays warm): structures are
-        micro-batched per workload tier and — when the calculator was built
-        with ``compile=True`` — evaluated by cached-program replay.
-        ``memoize=N`` passes through to the engine's collate memoization:
-        repeated calls over the *same* crystal objects (relaxation loops,
-        committee evaluation) then reuse both their built graphs and their
-        collated micro-batches, binding and replaying with zero
-        re-concatenation (crystals must not be mutated between calls).
-
-        A calculator built with ``skin > 0`` keeps one
-        :class:`~repro.structures.NeighborCache` (and previous graph, for
-        incremental angle updates) **per list position**, so repeated calls
-        over trajectory frames — crystal ``i`` of one call succeeding
-        crystal ``i`` of the previous — reuse each slot's pair search the
-        same way :meth:`calculate` does, and the engine receives pre-built
-        graphs.  Cached queries are exact, so results are bit-identical to
-        calling :meth:`calculate` per structure with or without a skin
-        list.
-        """
-        from repro.serve import InferenceEngine
-
-        engine = self._engine
-        if (
-            engine is None
-            or engine.max_batch_structs != batch_structs
-            or engine.n_workers != n_workers
-            or engine.memoize != memoize
-        ):
-            engine = InferenceEngine(
-                self.model,
-                n_workers=n_workers,
-                compile=self._compiler is not None,
-                max_batch_structs=batch_structs,
-                memoize=memoize,
-            )
-            self._engine = engine
-        else:
-            # The model may have been fine-tuned between calls; publish its
-            # current weights so no batch is served on a stale version.
-            engine.publish_weights()
-        items: list[Crystal] | list[CrystalGraph] = crystals
-        if self.skin > 0:
-            while len(self._many_caches) < len(crystals):
-                self._many_caches.append(
-                    NeighborCache(self.model.config.cutoff_atom, self.skin)
-                )
-                self._many_prev.append(None)
-            graphs = []
-            for i, crystal in enumerate(crystals):
-                graph = self._build(crystal, self._many_caches[i], self._many_prev[i])
-                self._many_prev[i] = graph
-                graphs.append(graph)
-            items = graphs
-        return [
-            CalcResult(
-                energy=p.energy, forces=p.forces, stress=p.stress, magmom=p.magmom
-            )
-            for p in engine.predict_many(items)
-        ]
-
-    def _build(
-        self, crystal: Crystal, cache: NeighborCache, prev: CrystalGraph | None
-    ) -> CrystalGraph:
-        """Graph through a skin cache, angle arrays diffed against ``prev``."""
-        return build_graph(
-            crystal,
-            self.model.config.cutoff_atom,
-            self.model.config.cutoff_bond,
-            nl=cache.query(crystal),
-            prev=prev,
-            diff_stats=self.diff_stats,
-        )
-
     def calculate(self, crystal: Crystal) -> CalcResult:
         if self._cache is not None:
-            graph = self._build(crystal, self._cache, self._prev_graph)
+            # skin-cached pair search, angle arrays diffed against the last graph
+            graph = build_graph(
+                crystal,
+                self.model.config.cutoff_atom,
+                self.model.config.cutoff_bond,
+                nl=self._cache.query(crystal),
+                prev=self._prev_graph,
+                diff_stats=self.diff_stats,
+            )
             self._prev_graph = graph
         else:
             graph = build_graph(

@@ -247,8 +247,8 @@ class TrajectoryFarm:
     bit-identity instrument — cheap, the arrays are the step's own).
 
     Shrinking waves visit many distinct group sizes, each its own program
-    signature — build the engine with ``max_programs`` comfortably above
-    ``max_batch_structs`` x live tiers so late small waves still replay.
+    signature; the engine's default ``max_programs`` leaves room for them,
+    so late small waves still replay.
     """
 
     def __init__(

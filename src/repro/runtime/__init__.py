@@ -11,14 +11,14 @@ instrumentation for the NumPy substrate used in this reproduction:
   (:mod:`repro.runtime.memory`),
 * :func:`repro.runtime.profiler.device_profile` combines both with wall-clock
   timing into a single report, and
-* :mod:`repro.runtime.stream` models asynchronous copy streams used by the
-  data-prefetch optimization.
+* :mod:`repro.runtime.stream` models the asynchronous copy stream of the
+  data-prefetch optimization as a double-buffered queue.
 """
 
 from repro.runtime.kernels import KernelStats, kernel_stats, record_kernel
 from repro.runtime.memory import MemoryStats, memory_stats, record_tape_alloc, record_tape_free
 from repro.runtime.profiler import DeviceProfile, device_profile
-from repro.runtime.stream import CopyStream, PrefetchQueue
+from repro.runtime.stream import PrefetchQueue
 
 __all__ = [
     "KernelStats",
@@ -30,6 +30,5 @@ __all__ = [
     "record_tape_free",
     "DeviceProfile",
     "device_profile",
-    "CopyStream",
     "PrefetchQueue",
 ]

@@ -55,10 +55,6 @@ class KernelStats:
         """The ``n`` most frequently launched kernels, descending."""
         return sorted(self.by_name.items(), key=lambda kv: -kv[1])[:n]
 
-    def top_time(self, n: int = 10) -> list[tuple[str, float]]:
-        """The ``n`` most expensive kernels by accumulated seconds."""
-        return sorted(self.time_by_name.items(), key=lambda kv: -kv[1])[:n]
-
 
 class _TLS(threading.local):
     def __init__(self) -> None:

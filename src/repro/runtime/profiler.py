@@ -34,13 +34,6 @@ class DeviceProfile:
     memory: MemoryStats = field(default_factory=MemoryStats)
     wall_time: float = 0.0
 
-    def summary(self) -> str:
-        """One-line human-readable summary."""
-        return (
-            f"time={self.wall_time:.4f}s kernels={self.kernels.count} "
-            f"peak_mem={self.memory.peak_mib:.2f}MiB"
-        )
-
 
 @contextmanager
 def device_profile() -> Iterator[DeviceProfile]:

@@ -1,67 +1,19 @@
-"""Simulated copy streams and prefetch queues.
+"""Prefetch queue: the simulated copy stream of the data-prefetch optimization.
 
 The paper's "Data Prefetch" optimization overlaps host-to-device copies of
 the next mini-batch with compute on the current one by using a separate CUDA
 stream.  The NumPy analogue is a background worker thread that prepares (and
 "copies") the next batch while the main thread trains; :class:`PrefetchQueue`
-implements the double-buffering, :class:`CopyStream` the asynchronous-copy
-abstraction with explicit synchronization points.
+implements that double-buffering.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 _SENTINEL = object()
-
-
-class CopyStream:
-    """A background stream executing copy jobs asynchronously.
-
-    Jobs are arbitrary callables; :meth:`synchronize` blocks until every job
-    submitted so far has completed — the analogue of
-    ``torch.cuda.Stream.synchronize()``.
-    """
-
-    def __init__(self) -> None:
-        self._queue: "queue.Queue[Any]" = queue.Queue()
-        self._error: BaseException | None = None
-        self._worker = threading.Thread(target=self._run, daemon=True)
-        self._worker.start()
-
-    def _run(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is _SENTINEL:
-                self._queue.task_done()
-                return
-            try:
-                job()
-            except BaseException as exc:  # surfaced on synchronize()
-                self._error = exc
-            finally:
-                self._queue.task_done()
-
-    def submit(self, job: Callable[[], Any]) -> None:
-        """Enqueue a copy job for asynchronous execution."""
-        if self._error is not None:
-            raise RuntimeError("copy stream failed") from self._error
-        self._queue.put(job)
-
-    def synchronize(self) -> None:
-        """Block until all submitted jobs have finished."""
-        self._queue.join()
-        if self._error is not None:
-            err, self._error = self._error, None
-            raise RuntimeError("copy stream failed") from err
-
-    def close(self) -> None:
-        """Stop the worker thread (idempotent)."""
-        if self._worker.is_alive():
-            self._queue.put(_SENTINEL)
-            self._worker.join(timeout=10)
 
 
 class PrefetchQueue:

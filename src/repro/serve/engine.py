@@ -250,7 +250,9 @@ class InferenceEngine:
         Deadline (seconds, on the caller-supplied ``now`` clock) after
         which a partial tier queue is flushed by :meth:`poll`/:meth:`submit`.
     max_programs:
-        LRU capacity of the worker-shared program cache.
+        LRU capacity of the worker-shared program cache.  The default
+        leaves room for a trajectory farm's shrinking waves, which visit
+        many distinct group sizes, each its own program.
     merge_tiers:
         Let deadline-flushed partial groups of the live queue absorb
         pending same-version requests from adjacent tiers, bounded by
@@ -325,7 +327,7 @@ class InferenceEngine:
         compile: bool = True,
         max_batch_structs: int = 8,
         max_wait: float = 0.05,
-        max_programs: int = 16,
+        max_programs: int = 256,
         merge_tiers: bool = False,
         memoize: int = 0,
         max_pending: int = 0,
@@ -443,11 +445,6 @@ class InferenceEngine:
         self.stats.publishes += 1
         self._prune_versions()
         return version
-
-    @property
-    def versions(self) -> list[int]:
-        """Ids of the currently retained weight versions (oldest first)."""
-        return list(self._versions)
 
     def _prune_versions(self) -> None:
         if len(self._versions) <= MAX_VERSIONS:

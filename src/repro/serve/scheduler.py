@@ -138,11 +138,6 @@ class FairScheduler:
         """The registered weight of ``tenant`` (1.0 when unregistered)."""
         return self._weights.get(tenant, 1.0)
 
-    @property
-    def vtime(self) -> float:
-        """Global virtual time: the largest start tag ever dispatched."""
-        return self._vtime
-
     def tag(self, tenant: str, cost: float) -> tuple[float, int]:
         """Stamp one request of modeled ``cost``; returns ``(start, seq)``.
 
@@ -171,11 +166,6 @@ class FairScheduler:
         the current virtual time, not at its stale finish tag.
         """
         self._vtime = max(self._vtime, start_tag)
-
-    def lag(self, tenant: str) -> float:
-        """How far ``tenant``'s finish tag trails virtual time (>= 0 when
-        the tenant is owed service; backlogged heavy tenants go negative)."""
-        return self._vtime - self._finish.get(tenant, 0.0)
 
 
 @dataclass(frozen=True)

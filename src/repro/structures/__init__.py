@@ -17,7 +17,6 @@ from repro.structures.neighbors import (
     NeighborCache,
     NeighborList,
     neighbor_list,
-    neighbor_list_bruteforce,
 )
 from repro.structures.prototypes import (
     PROTOTYPE_BUILDERS,
@@ -50,7 +49,6 @@ __all__ = [
     "NeighborCache",
     "NeighborList",
     "neighbor_list",
-    "neighbor_list_bruteforce",
     "PROTOTYPE_BUILDERS",
     "bcc",
     "cscl",

@@ -57,10 +57,6 @@ class Crystal:
         counts = Counter(symbols(self.species))
         return "".join(f"{el}{n if n > 1 else ''}" for el, n in sorted(counts.items()))
 
-    @property
-    def volume_per_atom(self) -> float:
-        return self.lattice.volume / self.num_atoms
-
     # ------------------------------------------------------------- transforms
     def supercell(self, reps: tuple[int, int, int]) -> "Crystal":
         """Replicate the cell ``reps`` times along each lattice vector."""

@@ -29,9 +29,6 @@ runs once at ``cutoff + skin`` and subsequent queries only re-derive
 vectors/distances (and re-filter to ``cutoff``) until some atom has moved
 more than ``skin / 2`` from its position at build time, which triggers a
 rebuild.  Cached queries return exactly what a fresh search would.
-
-A deliberately slow brute-force reference (`neighbor_list_bruteforce`)
-backs the property-based tests.
 """
 
 from __future__ import annotations
@@ -334,13 +331,6 @@ class NeighborCache:
         total = self.num_builds + self.num_reuses
         return self.num_reuses / total if total else 0.0
 
-    def invalidate(self) -> None:
-        """Drop the cached search so the next query rebuilds (counters kept)."""
-        self._full = None
-        self._ref_frac = None
-        self._ref_lattice = None
-        self._ref_species = None
-
     def _needs_rebuild(self, crystal: Crystal) -> bool:
         if self._full is None or self.skin == 0.0:
             return True
@@ -401,38 +391,3 @@ class NeighborCache:
             src, dst, image = src[order], dst[order], image[order]
             dist, vec = dist[order], vec[order]
         return NeighborList(src, dst, image, dist, vec)
-
-
-def neighbor_list_bruteforce(crystal: Crystal, cutoff: float, extra_images: int = 1) -> NeighborList:
-    """Triple-loop reference implementation (tests only).
-
-    Scans ``ceil(cutoff/spacing) + extra_images`` images per axis to make the
-    search region strictly larger than the fast path's.
-    """
-    n = crystal.num_atoms
-    cart = crystal.cart_coords
-    lat = crystal.lattice.matrix
-    spacings = crystal.lattice.plane_spacings()
-    reps = np.ceil(cutoff / spacings).astype(int) + extra_images
-
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for a in range(-reps[0], reps[0] + 1):
-                for b in range(-reps[1], reps[1] + 1):
-                    for c in range(-reps[2], reps[2] + 1):
-                        if i == j and a == b == c == 0:
-                            continue
-                        vec = cart[j] + np.array([a, b, c], dtype=np.float64) @ lat - cart[i]
-                        d = float(np.linalg.norm(vec))
-                        if d <= cutoff:
-                            rows.append((i, j, a, b, c, d, vec))
-    if not rows:
-        return NeighborList(*_empty_pairs())
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
-    src = np.array([r[0] for r in rows], dtype=np.int64)
-    dst = np.array([r[1] for r in rows], dtype=np.int64)
-    image = np.array([[r[2], r[3], r[4]] for r in rows], dtype=np.int64)
-    dist = np.array([r[5] for r in rows])
-    vec = np.array([r[6] for r in rows])
-    return NeighborList(src, dst, image, dist, vec)

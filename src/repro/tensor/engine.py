@@ -202,11 +202,6 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    @property
-    def is_leaf(self) -> bool:
-        """True when this tensor was not produced by a recorded op."""
-        return self.node is None
-
     def __len__(self) -> int:
         return len(self.data)
 
@@ -424,13 +419,6 @@ def backward(
                 leaf.grad = leaf.grad + gt
             else:
                 leaf.grad.data += gt.data
-
-
-def free_graph(output: Tensor) -> None:
-    """Explicitly release a graph without running backward (memory hygiene)."""
-    topo, _ = _collect_graph(output)
-    for node in topo:
-        node.release()
 
 
 def apply_op(

@@ -43,14 +43,6 @@ def layernorm_reference(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
     return add(mul(gamma, xhat), beta)
 
 
-def norm_rows(x: Tensor, eps: float = 0.0) -> Tensor:
-    """Euclidean norm of each row of an ``(n, d)`` tensor -> ``(n,)``."""
-    sq = tsum(mul(x, x), axis=-1)
-    if eps:
-        sq = add(sq, eps)
-    return sqrt(sq)
-
-
 def huber_loss(
     pred: Tensor,
     target: Tensor,
@@ -85,21 +77,6 @@ def huber_loss(
     return div(tsum(mul(sel, mask)), count)
 
 
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error."""
-    d = sub(pred, astensor(target))
-    return mean(mul(d, d))
-
-
 def mae(pred: Tensor, target: Tensor) -> float:
     """Mean absolute error as a Python float (metric, not differentiable)."""
     return float(np.mean(np.abs(pred.data - np.asarray(target))))
-
-
-def softplus(x: Tensor, beta: float = 1.0) -> Tensor:
-    """Numerically stable softplus composed from primitives."""
-    from repro.tensor.ops_math import exp, log, maximum, neg
-
-    bx = mul(x, beta)
-    # log(1 + exp(bx)) = max(bx, 0) + log(1 + exp(-|bx|))
-    return div(add(maximum(bx, 0.0), log(add(1.0, exp(neg(absolute(bx)))))), beta)

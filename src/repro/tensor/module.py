@@ -203,28 +203,6 @@ def _activation(name: str, fused: bool) -> Callable[[Tensor], Tensor]:
     raise ValueError(f"unknown activation {name!r}")
 
 
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *layers: Module) -> None:
-        super().__init__()
-        self._layers = []
-        for i, layer in enumerate(layers):
-            setattr(self, f"layer{i}", layer)
-            self._layers.append(layer)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self._layers:
-            x = layer(x)
-        return x
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._layers)
-
-    def __len__(self) -> int:
-        return len(self._layers)
-
-
 class ModuleList(Module):
     """List container registering each element as a submodule."""
 

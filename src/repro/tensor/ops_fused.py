@@ -55,11 +55,6 @@ def _envelope_np(xi: np.ndarray, p: float) -> np.ndarray:
     return 1.0 - xi**p * (a - xi * (b - c * xi))
 
 
-def _envelope_dnp(xi: np.ndarray, p: float) -> np.ndarray:
-    a, b, c = _envelope_coeffs(p)
-    return -(xi ** (p - 1.0)) * (a * p - xi * (b * (p + 1.0) - c * (p + 2.0) * xi))
-
-
 def fused_envelope(xi: Tensor, p: float) -> Tensor:
     """Polynomial cutoff envelope ``u(xi)`` in one kernel (Eq. 13)."""
     return apply_op(

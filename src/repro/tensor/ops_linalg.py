@@ -1,20 +1,16 @@
-"""Linear-algebra primitives: matmul, fused linear, block-diagonal assembly.
+"""Linear-algebra primitives: matmul and fused linear.
 
 ``linear`` is the packed GEMM+bias kernel used after FastCHGNet's computation
 graph reconstruction (Fig. 3a); the reference path composes ``matmul`` +
-``add``.  ``block_diag`` implements line 11 of Algorithm 2 (assembling the
-per-sample neighbor-image matrices into one batched operand).
+``add``.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from repro.tensor.engine import Tensor, apply_op
 from repro.tensor.ops_math import _unbroadcast, astensor, sum as tsum
-from repro.tensor.ops_shape import builtin_slice
 
 
 # Column quantum of the row-stable product: output widths are zero-padded up
@@ -120,58 +116,6 @@ def _linear_vjp(g, out, inputs, needs):
         if needs[2]:
             gb = tsum(gf, axis=0)
     return (gx, gw, gb)
-
-
-def dot_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise dot product of two ``(n, d)`` tensors -> ``(n,)``.
-
-    Composition (mul + sum); used for bond-angle cosines.
-    """
-    from repro.tensor.ops_math import mul
-
-    return tsum(mul(a, b), axis=-1)
-
-
-def block_diag(mats: Sequence[Tensor]) -> Tensor:
-    """Assemble matrices into a block-diagonal matrix (Algorithm 2, line 11).
-
-    Inputs of shapes ``(n_i, m_i)`` produce ``(sum n_i, sum m_i)``; the paper
-    uses this to batch the per-sample ``I @ L`` products, noting the zero
-    padding slightly increases memory — reproduced here since the zeros are
-    materialized.
-    """
-    mats = [astensor(m) for m in mats]
-    if not mats:
-        raise ValueError("block_diag requires at least one matrix")
-
-    def fwd(*xs):
-        rows = int(np.sum([x.shape[0] for x in xs]))
-        cols = int(np.sum([x.shape[1] for x in xs]))
-        out = np.zeros((rows, cols), dtype=xs[0].dtype)
-        r = c = 0
-        for x in xs:
-            out[r : r + x.shape[0], c : c + x.shape[1]] = x
-            r += x.shape[0]
-            c += x.shape[1]
-        return out
-
-    return apply_op("block_diag", fwd, _block_diag_vjp, tuple(mats))
-
-
-def _block_diag_vjp(g, out, inputs, needs):
-    from repro.tensor.ops_shape import slice_
-
-    grads = []
-    r = c = 0
-    for t, need in zip(inputs, needs):
-        n, m = t.shape
-        if need:
-            grads.append(slice_(g, (builtin_slice(r, r + n), builtin_slice(c, c + m))))
-        else:
-            grads.append(None)
-        r += n
-        c += m
-    return tuple(grads)
 
 
 Tensor.__matmul__ = matmul

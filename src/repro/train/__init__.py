@@ -21,11 +21,10 @@ from repro.train.elastic import (
 )
 from repro.train.loss import CompositeLoss, LossBreakdown, LossWeights
 from repro.train.metrics import EvalResult, ParityData, evaluate, mae, r_squared
-from repro.train.optimizer import SGD, Adam, Optimizer
+from repro.train.optimizer import Adam, Optimizer
 from repro.train.schedule import (
     BASE_LR,
     LR_SCALE_K,
-    ConstantLR,
     CosineAnnealingLR,
     scaled_learning_rate,
 )
@@ -51,12 +50,10 @@ __all__ = [
     "evaluate",
     "mae",
     "r_squared",
-    "SGD",
     "Adam",
     "Optimizer",
     "BASE_LR",
     "LR_SCALE_K",
-    "ConstantLR",
     "CosineAnnealingLR",
     "scaled_learning_rate",
     "EpochRecord",

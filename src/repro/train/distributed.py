@@ -105,7 +105,8 @@ class DistributedConfig:
     2**attempt`` seconds, accumulated in ``backoff_seconds``, never slept).
 
     Construction raises ``ValueError`` for a ``world_size`` or ``n_buckets``
-    below 1 and for a global batch the ranks cannot split evenly.
+    below 1, a non-positive ``learning_rate`` and a global batch the ranks
+    cannot split evenly.
     """
 
     world_size: int = 4
@@ -125,6 +126,8 @@ class DistributedConfig:
     def __post_init__(self) -> None:
         if self.world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {self.world_size}")
+        if self.learning_rate is not None and self.learning_rate <= 0:
+            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
         if self.global_batch_size % self.world_size != 0:
             raise ValueError(
                 f"global_batch_size {self.global_batch_size} must be divisible "

@@ -14,10 +14,10 @@ injected :class:`~repro.comm.faults.RankFailure` surfaces, the driver
    does not change the averaged gradient, so training continues exactly
    where it left off, just summed in a different rank order), and
 3. rebuilds the trainer from the checkpoint via
-   :meth:`DistributedTrainer.resume` — the bucket sampler re-shards its
-   blocks for the new world size and the gradient buckets re-plan their
-   layouts automatically, because both are pure functions of the dataset
-   and the (new) config.
+   :meth:`DistributedTrainer.resume`, which constructs a fresh trainer for
+   the new config: its bucket sampler cuts the same blocks into shards for
+   the new world size and its gradient buckets re-plan their layouts,
+   because both are pure functions of the dataset and the config.
 
 The fault plan is shared across restarts; kills are consumed when they
 fire, so the resumed run replays the fatal step without dying again.
@@ -53,16 +53,6 @@ class ElasticResult:
 
     trainer: DistributedTrainer
     failures: list[FailureEvent] = field(default_factory=list)
-
-    @property
-    def total_steps_lost(self) -> int:
-        """Steps redone across all recoveries."""
-        return sum(f.steps_lost for f in self.failures)
-
-    @property
-    def total_resume_seconds(self) -> float:
-        """Wall-clock spent rebuilding trainers across all recoveries."""
-        return sum(f.resume_seconds for f in self.failures)
 
 
 def largest_feasible_world(global_batch_size: int, survivors: int) -> int:

@@ -1,10 +1,10 @@
-"""Optimizers: Adam (the paper's choice) and SGD with momentum.
+"""Optimizers: Adam, the paper's choice, over a small :class:`Optimizer` base.
 
 Parameter updates run as direct in-place NumPy operations.  :class:`Adam`
 owns one aligned slab holding every parameter, its gradient and both
 moments as flat vectors, so a step is one fused update recorded as one
 ``adam_step`` kernel (as a fused multi-tensor optimizer kernel would launch
-on a GPU); :class:`SGD` records one ``sgd_step`` kernel per parameter.
+on a GPU).
 """
 
 from __future__ import annotations
@@ -34,15 +34,6 @@ class Optimizer:
     def step(self) -> None:
         raise NotImplementedError
 
-    def set_gradients(self, grads: list[np.ndarray]) -> None:
-        """Overwrite parameter gradients (after an allreduce)."""
-        if len(grads) != len(self.params):
-            raise ValueError(f"{len(grads)} gradients for {len(self.params)} params")
-        for p, g in zip(self.params, grads):
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape {g.shape} != param shape {p.shape}")
-            p.grad = Tensor(g)
-
 
 class Adam(Optimizer):
     """Adam with bias correction (the paper's optimizer).
@@ -59,7 +50,7 @@ class Adam(Optimizer):
     last ``Adam`` built over it: a second one moves it into its own slab.
 
     A gradient that arrives as a fresh array (an eager backward after
-    ``zero_grad``, :meth:`set_gradients`) is copied into the slab by
+    ``zero_grad``, a caller assigning ``p.grad``) is copied into the slab by
     :meth:`adopt_grads`, after which ``p.grad`` is a view too and in-place
     writers (compiled replays, the flush collectives) land in the slab.  A
     parameter without a gradient is left untouched, moments included.
@@ -172,30 +163,3 @@ class Adam(Optimizer):
         if runs:
             nbytes = sum(r.stop - r.start for r in runs) * self.flat_params.itemsize
             record_kernel("adam_step", nbytes)
-
-
-class SGD(Optimizer):
-    """SGD with optional momentum (baseline comparator)."""
-
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 1e-3,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self._buf = [np.zeros_like(p.data) for p in self.params] if momentum else None
-
-    def step(self) -> None:
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad.data
-            if self._buf is not None:
-                buf = self._buf[i]
-                buf *= self.momentum
-                buf += g
-                g = buf
-            p.data -= self.lr * g
-            record_kernel("sgd_step", p.data.nbytes)

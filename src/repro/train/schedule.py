@@ -49,13 +49,3 @@ class CosineAnnealingLR:
         lr = self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (1.0 + math.cos(math.pi * frac))
         self.optimizer.lr = lr
         return lr
-
-
-class ConstantLR:
-    """No-op schedule (keeps the trainer interface uniform)."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        self.optimizer = optimizer
-
-    def step(self) -> float:
-        return self.optimizer.lr

@@ -56,6 +56,7 @@ class TrainConfig:
     shapes the block sampler plans, the largest captured when the trainer is
     built and the rest in epoch 1, so every later epoch is replay-only.
     The cosine schedule decays to ``ETA_MIN_FRAC`` of the initial LR.
+    Construction raises ``ValueError`` for a non-positive ``learning_rate``.
     """
 
     epochs: int = 30
@@ -67,6 +68,10 @@ class TrainConfig:
     seed: int = 0
     compile: bool = False
     compile_blocks: bool | None = None
+
+    def __post_init__(self) -> None:
+        if self.learning_rate is not None and self.learning_rate <= 0:
+            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
 
     def use_blocks(self) -> bool:
         return self.compile if self.compile_blocks is None else self.compile_blocks

@@ -143,6 +143,21 @@ def test_inject_fault_rejects_bad_spec():
         )
 
 
+def test_fault_injected_train_rejects_bad_lr_in_one_line(tmp_path, monkeypatch):
+    """``run_elastic`` builds its trainers outside the setup guard, so the
+    learning rate is checked by the config, before any data or state."""
+    from repro.cli import main
+
+    calls = _spy_on_data(monkeypatch)
+    state = tmp_path / "state.rckpt"
+    argv = "train --world-size 2 --batch-size 4 --inject-fault kill:1:2 --lr -1"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--state", str(state)])
+    assert exc.value.code == "train: learning rate must be positive, got -1.0"
+    assert exc.value.__suppress_context__
+    assert not calls and not state.exists()
+
+
 def test_train_kill_recover_resume_cycle(tmp_path, capsys):
     """End-to-end CLI: fault-injected elastic run, then resume from state."""
     from repro.cli import main
@@ -259,9 +274,8 @@ def _spy_on_data(monkeypatch) -> list:
 _AFTER_DATA = " --structures 20 --max-atoms 6"
 
 
-# (argv, exit message, checked before the corpus is generated); the three
-# values checked after it belong to the loader, the optimizer and the
-# generator itself.
+# (argv, exit message, checked before the corpus is generated); the two
+# values checked after it belong to the loader and the generator itself.
 _BAD_FLAGS = [
     ("serve --workers 0", "serve: n_workers must be >= 1, got 0", True),
     ("serve --batch-structs 0", "serve: max_batch_structs must be >= 1, got 0", True),
@@ -275,7 +289,7 @@ _BAD_FLAGS = [
     ("relax --max-steps -1", "relax: max_steps must be non-negative, got -1", True),
     ("relax --timestep 5", "relax: timestep_fs must lie in (0, 2.0], got 5.0", True),
     ("train --batch-size 0" + _AFTER_DATA, "train: batch_size must be >= 1, got 0", False),
-    ("train --lr -1" + _AFTER_DATA, "train: learning rate must be positive, got -1.0", False),
+    ("train --lr -1", "train: learning rate must be positive, got -1.0", True),
     (
         "train --world-size 2 --batch-size 4 --n-buckets 0",
         "train: n_buckets must be >= 1, got 0",

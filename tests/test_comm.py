@@ -15,53 +15,13 @@ from repro.comm import (
     ring_allreduce,
     ring_allreduce_time,
     simulate_overlap,
-    weak_efficiency,
 )
 
 
 class TestSimCommunicator:
-    def test_allreduce_sum(self, rng):
-        comm = SimCommunicator(3)
-        bufs = [rng.normal(size=(4, 2)) for _ in range(3)]
-        out = comm.allreduce_sum(bufs)
-        expected = sum(bufs)
-        assert all(np.allclose(o, expected) for o in out)
-
-    def test_allreduce_mean(self, rng):
-        comm = SimCommunicator(4)
-        bufs = [rng.normal(size=5) for _ in range(4)]
-        out = comm.allreduce_mean(bufs)
-        assert all(np.allclose(o, np.mean(bufs, axis=0)) for o in out)
-
-    def test_allreduce_lists(self, rng):
-        comm = SimCommunicator(2)
-        per_rank = [[rng.normal(size=3), rng.normal(size=(2, 2))] for _ in range(2)]
-        out = comm.allreduce_mean_lists(per_rank)
-        for j in range(2):
-            expected = (per_rank[0][j] + per_rank[1][j]) / 2
-            assert np.allclose(out[0][j], expected)
-            assert np.allclose(out[1][j], expected)
-
     def test_wrong_rank_count_raises(self, rng):
         with pytest.raises(ValueError):
-            SimCommunicator(3).allreduce_sum([np.ones(2)] * 2)
-
-    def test_mismatched_buffer_counts_raise(self, rng):
-        comm = SimCommunicator(2)
-        with pytest.raises(ValueError):
-            comm.allreduce_mean_lists([[np.ones(2)], [np.ones(2), np.ones(2)]])
-
-    def test_broadcast(self):
-        comm = SimCommunicator(3)
-        out = comm.broadcast(np.arange(4))
-        assert len(out) == 3
-        assert all(np.array_equal(o, np.arange(4)) for o in out)
-        out[0][0] = 99  # copies, not views
-        assert out[1][0] == 0
-
-    def test_broadcast_bad_root_raises(self):
-        with pytest.raises(ValueError):
-            SimCommunicator(2).broadcast(np.ones(1), root=5)
+            SimCommunicator(3).allreduce_mean_inplace([np.ones(2)] * 2)
 
     def test_world_size_validation(self):
         with pytest.raises(ValueError):
@@ -209,16 +169,16 @@ class TestComputeModel:
         assert 1.0 < p8.speedup(p4) < 2.0
         assert p8.efficiency(p4) < 1.0
 
-    def test_weak_efficiency_decreasing(self):
+    def test_weak_scaling_time_grows(self):
+        """Constant per-rank work: only communication grows with the world."""
         cm = ComputeModel(rate=1e-6, overhead=0.001)
         spec = ClusterSpec()
         points = [
             model_iteration(np.full(p, 8000.0), cm, 4 * 400_000 * 8, p, spec)
             for p in (4, 8, 16)
         ]
-        eff = weak_efficiency(points)
-        assert eff[0] == 1.0
-        assert eff[1] <= 1.0 and eff[2] <= eff[1] + 1e-9
+        times = [p.iteration_time for p in points]
+        assert times[1] >= times[0] and times[2] >= times[1] - 1e-12
 
 
 class TestRingHardening:

@@ -13,15 +13,15 @@ import pytest
 
 from repro.data.dataset import StructureDataset
 from repro.data.mptrj import generate_mptrj
-from repro.graph.batching import PadInfo, bucket_size, pad_to_bucket
+from repro.graph.batching import PadInfo, bucket_size
 from repro.model import CHGNetConfig, CHGNetModel, OptLevel
 from repro.structures import cscl
 from repro.md import ModelCalculator
 from repro.runtime import device_profile
 from repro.tensor import Tensor, clip, maximum, minimum, mul, sum as tsum, where_le
 from repro.tensor.compile import InferenceCompiler, StepCompiler, program_signature
-from repro.tensor.gradcheck import check_grad, check_second_grad
 from repro.train.loss import CompositeLoss
+from oracles import check_grad, check_second_grad, pad_to_bucket
 
 pytestmark = []
 

@@ -1,9 +1,10 @@
-"""Documentation guarantees (ISSUE 5/6 satellites).
+"""Documentation guarantees.
 
-Three enforced contracts: the public serving/compile/fault-tolerance API
+Four enforced contracts: the public serving/compile/fault-tolerance API
 is fully docstring-covered (every public class and method carries at
 least a one-line summary), the documentation suite the README links to
-actually exists with its promised sections, and ``docs/cli.md`` tracks
+actually exists with its promised sections, every `` `Class.attr` `` the
+docs name on a public ``repro`` class exists, and ``docs/cli.md`` tracks
 the argparse tree bidirectionally (every parser flag documented, every
 documented flag real).
 """
@@ -11,13 +12,17 @@ documented flag real).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import importlib
 import inspect
+import pkgutil
 import re
 import tokenize
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser
 from repro.comm.communicator import SimCommunicator
 from repro.comm.faults import FaultPlan
@@ -179,6 +184,39 @@ class TestDocsSuite:
                 if not (ROOT / name).is_file()
             ]
         assert not dangling, f"benches name docs that do not exist: {dangling}"
+
+
+def _public_repro_classes() -> dict[str, list[type]]:
+    """Every public class defined in a ``repro`` module, by name."""
+    classes: dict[str, list[type]] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == info.name and not name.startswith("_"):
+                classes.setdefault(name, []).append(obj)
+    return classes
+
+
+def _has_attr(cls: type, attr: str) -> bool:
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    return hasattr(cls, attr) or attr in fields
+
+
+def test_docs_class_attributes_resolve():
+    """A `` `Class.attr` `` span in ``docs/*.md`` or ``README.md`` whose
+    ``Class`` is a public ``repro`` class names a member that exists."""
+    classes = _public_repro_classes()
+    seen, dangling = 0, []
+    for doc in [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md")):
+        for span in re.findall(r"`([^`\n]+)`", doc.read_text()):
+            ref = re.match(r"([A-Z]\w*)\.([A-Za-z_]\w*)", span)
+            if ref is None or ref.group(1) not in classes:
+                continue
+            seen += 1
+            if not any(_has_attr(cls, ref.group(2)) for cls in classes[ref.group(1)]):
+                dangling.append(f"{doc.relative_to(ROOT)}: {span}")
+    assert seen >= 20, f"the scan found only {seen} references; is the pattern broken?"
+    assert not dangling, f"docs name class members that do not exist: {dangling}"
 
 
 class TestCliDocsDriftGate:

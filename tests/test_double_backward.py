@@ -31,7 +31,7 @@ from repro.tensor import (
     sum as tsum,
     tanh,
 )
-from repro.tensor.gradcheck import check_second_grad
+from oracles import check_second_grad
 
 
 def _w(shape, seed=1):

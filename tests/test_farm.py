@@ -335,14 +335,6 @@ class TestDatasetSkin:
         assert stats.angle_reuses + stats.angle_diffs == len(entries) - 1
         assert plain.neighbor_builds == plain.neighbor_reuses == 0
 
-    def test_subset_carries_skin_counters(self):
-        entries = self._trajectory_entries(4)
-        ds = StructureDataset(entries, skin=0.8)
-        sub = ds.subset(np.array([0, 2]))
-        assert sub.skin == 0.8
-        assert sub.neighbor_builds == ds.neighbor_builds
-        assert len(sub) == 2
-
     def test_skin_validation(self):
         entries = self._trajectory_entries(2)
         with pytest.raises(ValueError):

@@ -110,10 +110,10 @@ class TestFaultPlan:
         attempts = []
         for _ in range(3):
             with pytest.raises(CollectiveTimeout) as err:
-                comm.allreduce_sum([np.ones(2), np.ones(2)])
+                comm.allreduce_mean_inplace([np.ones(2), np.ones(2)])
             attempts.append(err.value.attempt)
         assert attempts == [1, 2, 3]
-        comm.allreduce_sum([np.ones(2), np.ones(2)])  # budget drained
+        comm.allreduce_mean_inplace([np.ones(2), np.ones(2)])  # budget drained
         assert comm.timeouts_injected == 3
 
     def test_empty(self):
@@ -147,7 +147,7 @@ class TestFaultPlan:
         comm = SimCommunicator(2, FaultPlan().timeout(step=0, attempts=1))
         comm.advance(0)
         with pytest.raises(CollectiveTimeout):
-            comm.allreduce_sum([rng.standard_normal(3) for _ in range(2)])
+            comm.allreduce_mean_inplace([rng.standard_normal(3) for _ in range(2)])
         assert comm.fault_plan.unfired() == []
 
 
@@ -156,48 +156,56 @@ class TestCommunicatorFaults:
         plain = SimCommunicator(2)
         faulty = SimCommunicator(2, FaultPlan())
         bufs = [rng.standard_normal(5) for _ in range(2)]
-        assert np.array_equal(
-            plain.allreduce_sum([b.copy() for b in bufs])[0],
-            faulty.allreduce_sum([b.copy() for b in bufs])[0],
-        )
+        a, b = [x.copy() for x in bufs], [x.copy() for x in bufs]
+        plain.allreduce_mean_inplace(a)
+        faulty.allreduce_mean_inplace(b)
+        assert np.array_equal(a[0], b[0])
 
     def test_kill_raises_at_step(self, rng):
         comm = SimCommunicator(2, FaultPlan().kill(rank=1, step=1))
         bufs = [rng.standard_normal(3) for _ in range(2)]
         comm.advance(0)
-        comm.allreduce_sum([b.copy() for b in bufs])
+        comm.allreduce_mean_inplace([b.copy() for b in bufs])
         comm.advance(1)
         with pytest.raises(RankFailure) as err:
-            comm.allreduce_sum([b.copy() for b in bufs])
+            comm.allreduce_mean_inplace([b.copy() for b in bufs])
         assert err.value.rank == 1 and err.value.step == 1
         # a dead rank keeps the communicator dead
         with pytest.raises(RankFailure):
-            comm.allreduce_sum([b.copy() for b in bufs])
+            comm.allreduce_mean_inplace([b.copy() for b in bufs])
 
     def test_timeout_budget_then_success(self, rng):
         comm = SimCommunicator(2, FaultPlan().timeout(step=0, attempts=1))
         bufs = [rng.standard_normal(3) for _ in range(2)]
         comm.advance(0)
         with pytest.raises(CollectiveTimeout):
-            comm.allreduce_sum([b.copy() for b in bufs])
-        out = comm.allreduce_sum([b.copy() for b in bufs])  # retry succeeds
-        assert np.allclose(out[0], bufs[0] + bufs[1])
+            comm.allreduce_mean_inplace([b.copy() for b in bufs])
+        out = [b.copy() for b in bufs]
+        comm.allreduce_mean_inplace(out)  # retry succeeds
+        assert np.allclose(out[0], (bufs[0] + bufs[1]) / 2)
 
-    @pytest.mark.parametrize(
-        "collective",
-        ["allreduce_sum", "allreduce_mean", "allreduce_mean_lists", "gather", "broadcast"],
-    )
-    def test_every_collective_consults_the_plan(self, rng, collective):
-        """Each collective raises the step's timeout before touching a
-        buffer, and its retry goes through."""
-        comm = SimCommunicator(2, FaultPlan().timeout(step=0, attempts=1))
+    @pytest.mark.parametrize("fault", ["kill", "timeout"])
+    def test_collective_consults_the_plan(self, rng, fault):
+        """The step's fault fires before any buffer is written; a timeout's
+        retry then goes through, a kill keeps failing."""
+        if fault == "kill":
+            comm = SimCommunicator(2, FaultPlan().kill(rank=1, step=0))
+            error = RankFailure
+        else:
+            comm = SimCommunicator(2, FaultPlan().timeout(step=0, attempts=1))
+            error = CollectiveTimeout
         bufs = [rng.standard_normal(3) for _ in range(2)]
-        arg = {"allreduce_mean_lists": [[b] for b in bufs], "broadcast": bufs[0]}
-        call = getattr(comm, collective)
-        with pytest.raises(CollectiveTimeout):
-            call(arg.get(collective, bufs))
-        call(arg.get(collective, bufs))
-        assert comm.timeouts_injected == 1
+        before = [b.copy() for b in bufs]
+        with pytest.raises(error):
+            comm.allreduce_mean_inplace(bufs)
+        assert all(np.array_equal(b, c) for b, c in zip(bufs, before))
+        if fault == "kill":
+            with pytest.raises(RankFailure):
+                comm.allreduce_mean_inplace(bufs)
+        else:
+            comm.allreduce_mean_inplace(bufs)
+            assert comm.timeouts_injected == 1
+            assert np.array_equal(bufs[0], bufs[1])
 
 
 class TestCheckpointFormat:
@@ -615,13 +623,13 @@ class TestRingTracedFlush:
         assert ringed.replicas_in_sync()
 
 
-class TestSamplerReshard:
-    def test_reshard_preserves_blocks(self, tiny_entries):
+class TestSamplerWorldChange:
+    def test_smaller_world_keeps_the_blocks(self, tiny_entries):
+        """A resumed trainer's fresh sampler for fewer ranks splits the same
+        blocks differently."""
         ds = StructureDataset(tiny_entries)
         sampler = BucketBatchSampler(ds.feature_numbers, 8, world_size=4, seed=3)
-        resharded = sampler.reshard(2)
-        assert resharded.world_size == 2
-        assert resharded.seed == sampler.seed
+        resharded = BucketBatchSampler(ds.feature_numbers, 8, world_size=2, seed=3)
         for old, new in zip(sampler.epoch_partitions(0), resharded.epoch_partitions(0)):
             assert np.array_equal(
                 np.sort(np.concatenate(old)), np.sort(np.concatenate(new))

@@ -35,7 +35,7 @@ from repro.tensor import (
 from repro.tensor.functional import layernorm_reference, silu_reference
 from repro.tensor.ops_fused import center, fused_pack_gated
 from repro.tensor.ops_math import add, div, mean, sqrt
-from repro.tensor.gradcheck import check_grad, check_second_grad
+from oracles import check_grad, check_second_grad
 from repro.tensor.ops_fused import _block_rows, _envelope_coeffs
 from repro.tensor.ops_shape import segment_plan
 from test_arena import _poison_before_every_replay

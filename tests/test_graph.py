@@ -180,7 +180,7 @@ def _labels_like(g, rng):
 
 def _collate_reference(graphs, labels=None):
     """The seed's concatenate-based collate (shared oracle module)."""
-    from repro.graph.reference import collate_concat
+    from oracles import collate_concat
 
     return collate_concat(graphs, labels)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import kernel_stats
-from repro.tensor import MLP, LayerNorm, Linear, Module, ModuleList, Parameter, Sequential, Tensor
+from repro.tensor import MLP, LayerNorm, Linear, Module, ModuleList, Parameter, Tensor
 from repro.tensor import mul, sum as tsum
 from repro.tensor.module import xavier_uniform
 
@@ -147,12 +147,6 @@ class TestLayerNorm:
 
 
 class TestContainers:
-    def test_sequential(self, rng):
-        seq = Sequential(Linear(4, 8, rng), Linear(8, 2, rng))
-        assert seq(Tensor(rng.normal(size=(3, 4)))).shape == (3, 2)
-        assert len(seq) == 2
-        assert len(seq.parameters()) == 4
-
     def test_module_list(self, rng):
         ml = ModuleList([Linear(2, 2, rng) for _ in range(3)])
         assert len(ml) == 3

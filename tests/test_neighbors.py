@@ -17,11 +17,11 @@ from repro.structures import (
     NeighborCache,
     cscl,
     neighbor_list,
-    neighbor_list_bruteforce,
     rocksalt,
 )
 from repro.structures import neighbors
 from repro.structures.neighbors import NeighborList, _empty_pairs
+from oracles import neighbor_list_bruteforce
 
 
 def assert_same_neighbor_list(a, b, exact_dist=True):

@@ -218,9 +218,9 @@ class TestSamplerPlans:
             workload_cost(*shape) for shape in sampler.tier_targets.values()
         )
 
-    def test_reshard_replans_for_the_new_world(self):
+    def test_smaller_world_replans_shapes(self):
         sampler, table = _sampler(64, 4, 2, seed=11)
-        halved = sampler.reshard(2)
+        halved = BucketBatchSampler(sampler.feature_numbers, 8, 2, seed=11, dims=table)
         assert {length for length, _ in halved.tier_targets} == {4}
         assert set(halved.tier_targets.values()) != set(sampler.tier_targets.values())
         for shards in halved.epoch_partitions(0):

@@ -152,41 +152,22 @@ def _tiny_model() -> CHGNetModel:
     return model
 
 
-class TestCalculateManySkin:
-    def test_batched_skin_matches_solo_bitwise(self):
-        """calculate_many with skin > 0 threads per-slot caches to the engine
-        and stays bit-identical to per-structure calculate without any skin."""
-        model = _tiny_model()
-        batched = ModelCalculator(model, skin=0.8)
-        solo = ModelCalculator(model)
-        # three frames per slot, each drifting well inside skin/2
-        bases = [cscl(11, 17), rocksalt(3, 8)]
-        rng = np.random.default_rng(5)
-        for _ in range(3):
-            frames = [c.perturbed(rng, 0.01) for c in bases]
-            bases = frames
-            got = batched.calculate_many(frames, batch_structs=2)
-            want = [solo.calculate(c) for c in frames]
-            for g, w in zip(got, want):
-                assert g.energy == w.energy
-                assert np.array_equal(g.forces, w.forces)
-                assert np.array_equal(g.stress, w.stress)
-                assert np.array_equal(g.magmom, w.magmom)
-        # the skin caches actually engaged: one build per slot, reuses after
-        assert len(batched._many_caches) == 2
-        assert all(c.num_builds == 1 for c in batched._many_caches)
-        assert all(c.num_reuses == 2 for c in batched._many_caches)
-        assert (
-            batched.diff_stats.angle_reuses + batched.diff_stats.angle_diffs > 0
-        )
-
+class TestCalculatorSkin:
     def test_solo_calculate_reuses_skin_cache(self):
+        """calculate with skin > 0 reuses its pair search and angle arrays
+        and stays bit-identical to calculate without any skin."""
         model = _tiny_model()
         calc = ModelCalculator(model, skin=0.8)
+        fresh = ModelCalculator(model)
         crystal = cscl(11, 17)
         rng = np.random.default_rng(9)
         for _ in range(3):
-            calc.calculate(crystal)
+            got, want = calc.calculate(crystal), fresh.calculate(crystal)
+            assert got.energy == want.energy
+            assert np.array_equal(got.forces, want.forces)
+            assert np.array_equal(got.stress, want.stress)
+            assert np.array_equal(got.magmom, want.magmom)
             crystal = crystal.perturbed(rng, 0.01)
         assert calc._cache.num_builds == 1
         assert calc._cache.num_reuses == 2
+        assert calc.diff_stats.angle_reuses + calc.diff_stats.angle_diffs > 0

@@ -490,7 +490,7 @@ class TestQueueKeysAreReclaimed:
             assert all(engine.poll(i, now=now) is not None for i in ids)
             assert engine._queues == {}, f"round {round_}: drained keys kept"
         assert engine.stats.publishes == 13
-        assert 0 < peak <= len(engine.versions) * len(tiers)
+        assert 0 < peak <= len(engine._versions) * len(tiers)
 
     def test_paced_and_merging_engines_reclaim_too(self):
         model = make_model()

@@ -444,13 +444,6 @@ class TestMemoizedCollate:
         second = list(loader)
         assert all(a is b for a, b in zip(first, second))
 
-    def test_subset_gets_fresh_cache(self, tiny_entries):
-        ds = StructureDataset(tiny_entries, memoize_batches=True)
-        ds.batch([0, 1])
-        sub = ds.subset(np.arange(4))
-        assert sub.memoize_batches
-        assert sub._batch_cache == {}
-
     def test_loader_memoize_false_overrides_dataset(self, tiny_entries):
         """Tri-state: an explicit memoize=False forces re-collation even on
         a memoizing dataset (so shuffled loaders don't grow its cache)."""

@@ -64,12 +64,6 @@ class TestBoundedMemoization:
             ds.batch([lo, lo + 1])
         assert len(ds._batch_cache) == 5
 
-    def test_subset_preserves_setting(self, entries):
-        ds = StructureDataset(entries, memoize_batches=3)
-        sub = ds.subset(np.arange(4))
-        assert sub.memoize_batches == 3
-        assert len(sub._batch_cache) == 0
-
 
 class TestEffectiveBatchLRScaling:
     CFG = CHGNetConfig(

@@ -308,47 +308,19 @@ class TestEngineValidation:
 
 
 class TestCalculatorIntegration:
-    def test_calculate_many_matches_calculate(self, model):
+    def test_predict_many_matches_calculate(self, model):
+        """Crystals served in compiled micro-batches equal the eager
+        single-point calculator, bit for bit."""
         entries = generate_mptrj(6, seed=13, max_atoms=8)
         crystals = [e.crystal for e in entries]
-        calc = ModelCalculator(model, compile=True)
+        engine = InferenceEngine(model, compile=True, max_batch_structs=3)
         singles = [
             ModelCalculator(model).calculate(c) for c in crystals
         ]
-        many = calc.calculate_many(crystals, batch_structs=3)
+        many = engine.predict_many(crystals)
         assert len(many) == len(singles)
         for got, ref in zip(many, singles):
             assert got.energy == ref.energy
             assert np.array_equal(got.forces, ref.forces)
             assert np.array_equal(got.stress, ref.stress)
             assert np.array_equal(got.magmom, ref.magmom)
-
-    def test_engine_reused_across_calls(self, model):
-        entries = generate_mptrj(4, seed=14, max_atoms=8)
-        crystals = [e.crystal for e in entries]
-        calc = ModelCalculator(model, compile=True)
-        calc.calculate_many(crystals, batch_structs=2)
-        engine = calc._engine
-        calc.calculate_many(crystals, batch_structs=2)
-        assert calc._engine is engine  # warm cache persists across frames
-
-    def test_weight_update_between_calls_reaches_all_workers(self):
-        """Fine-tuning between calculate_many calls must not leave worker
-        replicas serving stale weights."""
-        model = _jitter(
-            CHGNetModel(
-                CFG.with_level(OptLevel.DECOMPOSE_FS), np.random.default_rng(21)
-            ),
-            seed=400,
-        )
-        entries = generate_mptrj(6, seed=15, max_atoms=8)
-        crystals = [e.crystal for e in entries]
-        calc = ModelCalculator(model, compile=True)
-        calc.calculate_many(crystals, batch_structs=2, n_workers=2)
-        for p in model.parameters():
-            p.data *= 1.05
-        updated = calc.calculate_many(crystals, batch_structs=2, n_workers=2)
-        fresh = [ModelCalculator(model).calculate(c) for c in crystals]
-        for got, ref in zip(updated, fresh):
-            assert np.array_equal(got.magmom, ref.magmom)
-            assert np.array_equal(got.forces, ref.forces)

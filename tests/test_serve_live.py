@@ -16,7 +16,6 @@ import pytest
 from repro.data.mptrj import generate_mptrj
 from repro.graph.batching import group_padded_targets, padding_overhead
 from repro.graph.crystal_graph import build_graph
-from repro.md.calculator import ModelCalculator
 from repro.model import CHGNetConfig, CHGNetModel, OptLevel
 from repro.serve import InferenceEngine
 from repro.serve import engine as engine_module
@@ -162,8 +161,8 @@ class TestVersionedPublish:
         first = engine.current_version
         for _ in range(MAX_VERSIONS + 2):
             engine.publish_weights()
-        assert len(engine.versions) <= MAX_VERSIONS
-        assert engine.current_version in engine.versions
+        assert len(engine._versions) <= MAX_VERSIONS
+        assert engine.current_version in engine._versions
         with pytest.raises(ValueError):
             engine.submit(graphs[0], version=first)  # evicted version
         with pytest.raises(ValueError):
@@ -187,7 +186,7 @@ class TestVersionedPublish:
         for _ in range(MAX_VERSIONS + 3):
             _finetune(model)
             engine.publish_weights()
-        assert v0 in engine.versions
+        assert v0 in engine._versions
         pred = engine.poll(rid, now=200.0)  # deadline flush on the old pin
         assert pred is not None and pred.version == v0
         assert _equal(pred, _solo_eager(_model_with(state_v0), [graphs[0]])[0])
@@ -414,21 +413,6 @@ class TestCollateMemoization:
         assert engine.stats.collate_hits > 0
         base = _solo_eager(model, crystals)
         assert all(_equal(a, b) for a, b in zip(served, base))
-
-    def test_calculate_many_passthrough(self):
-        model = _fresh_model(seed=11, jitter=110)
-        entries = generate_mptrj(6, seed=16, max_atoms=8)
-        crystals = [e.crystal for e in entries]
-        calc = ModelCalculator(model, compile=True)
-        calc.calculate_many(crystals, batch_structs=3, memoize=8)
-        many = calc.calculate_many(crystals, batch_structs=3, memoize=8)
-        assert calc._engine.memoize == 8
-        assert calc._engine.stats.collate_hits > 0
-        singles = [ModelCalculator(model).calculate(c) for c in crystals]
-        for got, ref in zip(many, singles):
-            assert got.energy == ref.energy
-            assert np.array_equal(got.forces, ref.forces)
-            assert np.array_equal(got.magmom, ref.magmom)
 
     def test_rejects_bad_args(self):
         model = _fresh_model()

@@ -139,12 +139,13 @@ class TestFairScheduler:
         start, _ = sched.tag("a", 100)
         sched.advance(start)
         sched.advance(start - 50)  # stale advance is ignored
-        assert sched.vtime == start
-        # an idle tenant's first tag starts at vtime, not at zero
+        assert sched.tag("c", 0)[0] == start
+        # an idle tenant's first tag starts at virtual time, not at zero
         sched.advance(500.0)
         late, _ = sched.tag("b", 10)
         assert late == 500.0
-        assert sched.lag("a") == 500.0 - 100.0
+        # a tenant idle since its finish tag (100) banks none of the gap
+        assert sched.tag("a", 10)[0] == 500.0
 
     def test_rejects_bad_inputs(self):
         sched = FairScheduler()

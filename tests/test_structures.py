@@ -127,7 +127,9 @@ class TestCrystal:
     def test_supercell_preserves_density(self):
         c = rocksalt(3, 8)
         sc = c.supercell((2, 1, 1))
-        assert np.isclose(c.volume_per_atom, sc.volume_per_atom)
+        assert np.isclose(
+            c.lattice.volume / c.num_atoms, sc.lattice.volume / sc.num_atoms
+        )
 
     def test_supercell_bad_reps_raises(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from repro.tensor import (
     Tensor,
     backward,
     enable_grad,
-    free_graph,
     grad,
     is_grad_enabled,
     matmul,
@@ -203,13 +202,6 @@ class TestGraphLifetime:
             assert ms.current_bytes > 0
             del y
             gc.collect()
-            assert ms.current_bytes == 0
-
-    def test_free_graph_explicit(self):
-        with memory_stats() as ms:
-            x = Tensor(np.ones(10), requires_grad=True)
-            y = tsum(mul(x, x))
-            free_graph(y)
             assert ms.current_bytes == 0
 
     def test_kernels_counted_forward_and_backward(self):

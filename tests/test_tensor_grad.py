@@ -11,7 +11,6 @@ from repro.tensor import (
     Tensor,
     absolute,
     arccos,
-    block_diag,
     broadcast_to,
     clip,
     concat,
@@ -42,7 +41,7 @@ from repro.tensor import (
     transpose,
     where,
 )
-from repro.tensor.gradcheck import check_grad
+from oracles import check_grad
 
 
 def _w(shape, seed=42):
@@ -293,12 +292,6 @@ class TestLinalgGrads:
                 Tensor(rng.normal(size=(4, 2))),
                 Tensor(rng.normal(size=(2,))),
             ],
-        )
-
-    def test_block_diag(self, rng):
-        check_grad(
-            lambda a, b: tsum(mul(block_diag([a, b]), _w((3, 5)))),
-            [Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(1, 2)))],
         )
 
 

@@ -15,13 +15,11 @@ from repro.tensor import (
     absolute,
     add,
     arccos,
-    block_diag,
     broadcast_to,
     clip,
     concat,
     cos,
     div,
-    dot_rows,
     exp,
     gather_rows,
     linear,
@@ -380,23 +378,6 @@ class TestLinalg:
     def test_linear_no_bias(self, rng):
         x, w = rng.normal(size=(5, 3)), rng.normal(size=(3, 4))
         assert np.allclose(linear(Tensor(x), Tensor(w)).data, x @ w)
-
-    def test_dot_rows(self, rng):
-        x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
-        assert np.allclose(dot_rows(Tensor(x), Tensor(y)).data, np.sum(x * y, axis=1))
-
-    def test_block_diag(self):
-        m1 = Tensor(np.ones((2, 3)))
-        m2 = Tensor(2 * np.ones((1, 2)))
-        out = block_diag([m1, m2]).data
-        assert out.shape == (3, 5)
-        assert np.array_equal(out[:2, :3], np.ones((2, 3)))
-        assert np.array_equal(out[2:, 3:], 2 * np.ones((1, 2)))
-        assert np.all(out[:2, 3:] == 0) and np.all(out[2:, :3] == 0)
-
-    def test_block_diag_empty_raises(self):
-        with pytest.raises(ValueError):
-            block_diag([])
 
     def test_matmul_operator(self, rng):
         x, y = rng.normal(size=(2, 3)), rng.normal(size=(3, 2))

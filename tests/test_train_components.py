@@ -14,12 +14,10 @@ from repro.train import (
     Adam,
     BASE_LR,
     CompositeLoss,
-    ConstantLR,
     CosineAnnealingLR,
     DistributedConfig,
     DistributedTrainer,
     LossWeights,
-    SGD,
     mae,
     r_squared,
     scaled_learning_rate,
@@ -42,7 +40,7 @@ class TestHuber:
         assert huber_loss(Tensor(x), Tensor(x.copy())).item() == 0.0
 
     def test_differentiable(self, rng):
-        from repro.tensor.gradcheck import check_grad
+        from oracles import check_grad
 
         target = Tensor(rng.normal(size=(6,)))
         pred0 = rng.normal(size=(6,))
@@ -154,17 +152,6 @@ class TestAdam:
             opt.step()
         assert abs(p.data[0]) < 0.1
 
-    def test_set_gradients_shape_check(self):
-        opt = Adam([Parameter(np.ones(3))], lr=0.1)
-        with pytest.raises(ValueError):
-            opt.set_gradients([np.ones(4)])
-
-    def test_set_gradients_count_check(self):
-        opt = Adam([Parameter(np.ones(3))], lr=0.1)
-        with pytest.raises(ValueError):
-            opt.set_gradients([np.ones(3), np.ones(3)])
-
-
 #: Mixed parameter shapes: 16-element rows (most of a CHGNet's parameters),
 #: a matrix of them, odd sizes, a 0-d scalar and a 3-D block.
 SHAPES = [(16,), (3, 16), (5,), (), (16,), (2, 3, 4), (1,)]
@@ -191,7 +178,8 @@ class TestFlatAdam:
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_equals_per_parameter_reference(self, weight_decay):
         """Five steps, bit for bit: fresh gradient arrays (steps 1-3), a
-        parameter without a gradient (step 3), ``set_gradients`` (step 4) and
+        parameter without a gradient (step 3), gradients wrapping the caller's
+        arrays (step 4) and
         gradients written in place into the adopted views (step 5)."""
         rng = np.random.default_rng(7)
         init = [np.asarray(rng.normal(size=s)) for s in SHAPES]
@@ -204,7 +192,8 @@ class TestFlatAdam:
             if step == 3:
                 grads[1] = None
             if step == 4:
-                opt.set_gradients(grads)
+                for p, g in zip(params, grads):
+                    p.grad = Tensor(g)
             elif step == 5:
                 for p, g in zip(params, grads):
                     np.copyto(p.grad.data, g)
@@ -239,7 +228,8 @@ class TestFlatAdam:
         params = [Parameter(np.ones(s)) for s in SHAPES]
         opt = Adam(params, lr=0.1)
         fresh = [np.full(s, 2.0) for s in SHAPES]
-        opt.set_gradients(fresh)
+        for p, g in zip(params, fresh):
+            p.grad = Tensor(g)
         opt.step()
         for p, g in zip(params, fresh):
             assert np.shares_memory(p.grad.data, opt.flat_grads)
@@ -337,24 +327,6 @@ class TestFlatFlushWithGradlessParameter:
         assert np.array_equal(params[unused].data, frozen)
 
 
-class TestSGD:
-    def test_plain_step(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.5)
-        p.grad = Tensor(np.array([2.0]))
-        opt.step()
-        assert np.isclose(p.data[0], 0.0)
-
-    def test_momentum_accumulates(self):
-        p = Parameter(np.array([0.0]))
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        for _ in range(2):
-            p.grad = Tensor(np.array([1.0]))
-            opt.step()
-        # steps: 1, then 1 + 0.9
-        assert np.isclose(p.data[0], -(1.0 + 1.9))
-
-
 class TestSchedules:
     def test_lr_scaling_rule(self):
         assert np.isclose(scaled_learning_rate(128), BASE_LR)
@@ -391,12 +363,6 @@ class TestSchedules:
         for _ in range(8):
             sched.step()
         assert opt.lr >= 0.0
-
-    def test_constant(self):
-        opt = Adam([Parameter(np.ones(1))], lr=0.3)
-        sched = ConstantLR(opt)
-        sched.step()
-        assert opt.lr == 0.3
 
 
 class TestMetrics:
