@@ -290,6 +290,13 @@ _BAD_FLAGS = [
     ("relax --timestep 5", "relax: timestep_fs must lie in (0, 2.0], got 5.0", True),
     ("train --batch-size 0" + _AFTER_DATA, "train: batch_size must be >= 1, got 0", False),
     ("train --lr -1", "train: learning rate must be positive, got -1.0", True),
+    ("train --lr -1" + _AFTER_DATA, "train: learning rate must be positive, got -1.0", True),
+    ("train --lr 0", "train: learning rate must be positive, got 0.0", True),
+    (
+        "train --world-size 2 --batch-size 4 --lr 0",
+        "train: learning rate must be positive, got 0.0",
+        True,
+    ),
     (
         "train --world-size 2 --batch-size 4 --n-buckets 0",
         "train: n_buckets must be >= 1, got 0",

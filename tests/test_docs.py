@@ -202,19 +202,47 @@ def _has_attr(cls: type, attr: str) -> bool:
     return hasattr(cls, attr) or attr in fields
 
 
+def _class_refs(text: str, classes: dict[str, list[type]]) -> tuple[list[str], list[str]]:
+    """The `` `Class.attr` `` spans of ``text`` naming a class in
+    ``classes``, and those of them whose member does not exist."""
+    seen, dangling = [], []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        ref = re.match(r"([A-Z]\w*)\.([A-Za-z_]\w*)", span)
+        if ref is None or ref.group(1) not in classes:
+            continue
+        seen.append(span)
+        if not any(_has_attr(cls, ref.group(2)) for cls in classes[ref.group(1)]):
+            dangling.append(span)
+    return seen, dangling
+
+
+def test_class_ref_scan_flags_missing_members_only():
+    @dataclasses.dataclass
+    class Config:
+        depth: int = 1
+
+        def build(self):
+            pass
+
+    text = (
+        "Call `Config.build()` after setting `Config.depth`; `Config.width` is\n"
+        "gone, `Other.thing` is not ours, `config.build` is lowercase and\n"
+        "`Config` alone names no member."
+    )
+    seen, dangling = _class_refs(text, {"Config": [Config]})
+    assert seen == ["Config.build()", "Config.depth", "Config.width"]
+    assert dangling == ["Config.width"]
+
+
 def test_docs_class_attributes_resolve():
     """A `` `Class.attr` `` span in ``docs/*.md`` or ``README.md`` whose
     ``Class`` is a public ``repro`` class names a member that exists."""
     classes = _public_repro_classes()
     seen, dangling = 0, []
     for doc in [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md")):
-        for span in re.findall(r"`([^`\n]+)`", doc.read_text()):
-            ref = re.match(r"([A-Z]\w*)\.([A-Za-z_]\w*)", span)
-            if ref is None or ref.group(1) not in classes:
-                continue
-            seen += 1
-            if not any(_has_attr(cls, ref.group(2)) for cls in classes[ref.group(1)]):
-                dangling.append(f"{doc.relative_to(ROOT)}: {span}")
+        refs, missing = _class_refs(doc.read_text(), classes)
+        seen += len(refs)
+        dangling += [f"{doc.relative_to(ROOT)}: {span}" for span in missing]
     assert seen >= 20, f"the scan found only {seen} references; is the pattern broken?"
     assert not dangling, f"docs name class members that do not exist: {dangling}"
 

@@ -207,6 +207,22 @@ class TestCommunicatorFaults:
             assert comm.timeouts_injected == 1
             assert np.array_equal(bufs[0], bufs[1])
 
+    @pytest.mark.parametrize("fault", ["kill", "timeout"])
+    def test_traced_collective_consults_the_plan(self, rng, fault):
+        """The ring-traced flush path fires the same faults before it runs
+        the ring: no buffer is written and no trace is recorded."""
+        plan = FaultPlan()
+        plan = plan.kill(rank=0, step=3) if fault == "kill" else plan.timeout(step=3)
+        comm = SimCommunicator(2, plan, trace_ring=True)
+        comm.advance(3)
+        bufs = [rng.standard_normal(4) for _ in range(2)]
+        before = [b.copy() for b in bufs]
+        with pytest.raises(RankFailure if fault == "kill" else CollectiveTimeout):
+            comm.allreduce_mean_inplace(bufs)
+        assert all(np.array_equal(b, c) for b, c in zip(bufs, before))
+        assert comm.ring_traces == []
+        assert comm.fault_plan.unfired() == []
+
 
 class TestCheckpointFormat:
     def test_round_trip_bit_exact(self, tmp_path, rng):

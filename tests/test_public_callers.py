@@ -171,3 +171,58 @@ def test_src_public_names_have_callers():
     # the allowlist names live, uncalled code, not history
     stale = sorted(set(ALLOWED) - set(found))
     assert not stale, f"stale ALLOWED entries (gone, or now called): {stale}"
+
+
+def test_definitions_cover_decorators_and_skip_nested_and_private():
+    source = (
+        "import functools\n"
+        "@functools.cache\n"
+        "def cached():\n"
+        "    def inner():\n"
+        "        pass\n"
+        "    return inner\n"
+        "class _Hidden:\n"
+        "    def visible(self):\n"
+        "        pass\n"
+        "class Box:\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    async def fill(self):\n"
+        "        pass\n"
+    )
+    assert definitions(source) == [
+        ("cached", "cached", (2, 6)),
+        ("Box", "Box", (10, 15)),
+        ("Box.size", "size", (11, 13)),
+        ("Box.fill", "fill", (14, 15)),
+    ]
+
+
+def test_init_skips_only_top_level_imports_and_all():
+    """A package ``__init__`` that uses a name in code is a caller; its
+    re-export lines are not."""
+    init = (
+        "from pkg.lib import used, exported\n"
+        "__all__ = ['exported']\n"
+        "def setup():\n"
+        "    from pkg.lib import lazy\n"
+        "    return used() + lazy()\n"
+    )
+    names = {name for name, _ in references(init, skip_reexports=True)}
+    assert {"used", "lazy"} <= names
+    assert "exported" not in names
+    assert "exported" in {name for name, _ in references(init)}
+
+
+def test_only_identifier_strings_count():
+    source = "a = 'Engine.size'\nb = 'two words'\nc = 'x-y'\nd = 'step'\ne = 'a..b'\n"
+    names = [name for name, _ in references(source)]
+    assert [n for n in names if n not in "abcde"] == ["Engine", "size", "step"]
+
+
+def test_tests_are_not_scanned_for_callers():
+    files = _shipped_files()
+    assert files and all(path.split("/")[0] in CALLER_DIRS for path in files)
+    assert "src/repro/cli.py" in files
+    assert not any(path.startswith("tests/") for path in files)

@@ -285,6 +285,10 @@ class TestEngineValidation:
         with pytest.raises(ValueError):
             InferenceEngine(model, max_wait=-1.0)
 
+    def test_default_program_cache_holds_256_shapes(self, model):
+        assert InferenceEngine(model, compile=True).cache.max_programs == 256
+        assert InferenceEngine(model, compile=False).cache is None
+
     def test_percentile(self):
         assert percentile([], 50) == 0.0
         assert percentile([1.0, 2.0, 3.0], 50) == 2.0
@@ -308,6 +312,44 @@ class TestEngineValidation:
 
 
 class TestCalculatorIntegration:
+    def test_engine_reused_across_calls(self, model):
+        """A second bulk call over the same crystals replays the programs the
+        first one captured, with the same bits."""
+        entries = generate_mptrj(4, seed=14, max_atoms=8)
+        crystals = [e.crystal for e in entries]
+        engine = InferenceEngine(model, compile=True, max_batch_structs=2)
+        first = engine.predict_many(crystals)
+        captured = engine.snapshot()["captures"]
+        replays = engine.snapshot()["replays"]
+        second = engine.predict_many(crystals)
+        assert captured > 0 and engine.snapshot()["captures"] == captured
+        assert engine.snapshot()["replays"] > replays
+        assert all(_equal(a, b) for a, b in zip(first, second))
+
+    def test_weight_update_between_calls_reaches_all_workers(self):
+        """Fine-tuning between bulk calls, then publishing, leaves no worker
+        replica serving stale weights."""
+        model = _jitter(
+            CHGNetModel(
+                CFG.with_level(OptLevel.DECOMPOSE_FS), np.random.default_rng(21)
+            ),
+            seed=400,
+        )
+        entries = generate_mptrj(6, seed=15, max_atoms=8)
+        crystals = [e.crystal for e in entries]
+        engine = InferenceEngine(model, n_workers=2, compile=True, max_batch_structs=2)
+        stale = engine.predict_many(crystals)
+        for p in model.parameters():
+            p.data *= 1.05
+        engine.publish_weights()
+        updated = engine.predict_many(crystals)
+        fresh = [ModelCalculator(model).calculate(c) for c in crystals]
+        assert {p.worker for p in updated} == {0, 1}
+        for got, ref, old in zip(updated, fresh, stale):
+            assert got.energy == ref.energy and got.energy != old.energy
+            assert np.array_equal(got.magmom, ref.magmom)
+            assert np.array_equal(got.forces, ref.forces)
+
     def test_predict_many_matches_calculate(self, model):
         """Crystals served in compiled micro-batches equal the eager
         single-point calculator, bit for bit."""

@@ -18,10 +18,12 @@ from repro.train import (
     DistributedConfig,
     DistributedTrainer,
     LossWeights,
+    TrainConfig,
     mae,
     r_squared,
     scaled_learning_rate,
 )
+from repro.train.optimizer import Optimizer
 
 
 class TestHuber:
@@ -143,6 +145,50 @@ class TestAdam:
     def test_bad_lr_raises(self):
         with pytest.raises(ValueError):
             Adam([Parameter(np.ones(1))], lr=0.0)
+
+    def test_negative_lr_raises(self):
+        with pytest.raises(ValueError, match="got -0.1"):
+            Adam([Parameter(np.ones(1))], lr=-0.1)
+
+    def test_base_optimizer_has_no_update_rule(self):
+        opt = Optimizer([Parameter(np.ones(2))], lr=0.1)
+        with pytest.raises(NotImplementedError):
+            opt.step()
+
+    def test_zero_grad_clears_every_gradient(self):
+        params = [Parameter(np.ones(2)), Parameter(np.ones(3))]
+        opt = Adam(params, lr=0.1)
+        for p in params:
+            p.grad = Tensor(np.ones(p.shape))
+        opt.step()
+        opt.zero_grad()
+        assert all(p.grad is None for p in params)
+        before = [p.data.copy() for p in params]
+        opt.step()  # nothing to apply
+        assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
+
+    def test_adopt_grads_reports_gradless_parameters(self):
+        params = [Parameter(np.ones(2)), Parameter(np.ones(3)), Parameter(np.ones(1))]
+        opt = Adam(params, lr=0.1)
+        params[0].grad = Tensor(np.full(2, 4.0))
+        params[2].grad = Tensor(np.full(1, 5.0))
+        assert opt.adopt_grads() == (1,)
+        assert params[1].grad is None
+        assert np.array_equal(opt._grads[0], np.full(2, 4.0))
+        assert params[2].grad.data is opt._grads[2]
+        assert opt.adopt_grads() == (1,)  # adopted views are left in place
+        assert params[2].grad.data is opt._grads[2]
+
+    def test_parameter_belongs_to_the_last_adam_built_over_it(self):
+        p = Parameter(np.array([1.0, 2.0]))
+        first = Adam([p], lr=0.1)
+        second = Adam([p], lr=0.1)
+        assert np.shares_memory(p.data, second.flat_params)
+        assert not np.shares_memory(p.data, first.flat_params)
+        assert np.array_equal(p.data, [1.0, 2.0])
+        p.grad = Tensor(np.ones(2))
+        second.step()
+        assert np.array_equal(second.flat_params, p.data)
 
     def test_weight_decay_pulls_to_zero(self):
         p = Parameter(np.array([1.0]))
@@ -325,6 +371,18 @@ class TestFlatFlushWithGradlessParameter:
         assert sum(sent) / steps == 2 * sum(params[i].data.nbytes for i in trainable)
         assert len(sent) == steps * len(dt._flush)
         assert np.array_equal(params[unused].data, frozen)
+
+
+class TestConfigLearningRate:
+    @pytest.mark.parametrize("config", [TrainConfig, DistributedConfig])
+    @pytest.mark.parametrize("lr", [0.0, -1.0])
+    def test_non_positive_lr_rejected_on_construction(self, config, lr):
+        with pytest.raises(ValueError, match=f"learning rate must be positive, got {lr}"):
+            config(learning_rate=lr)
+
+    @pytest.mark.parametrize("config", [TrainConfig, DistributedConfig])
+    def test_explicit_lr_is_used_as_given(self, config):
+        assert config(learning_rate=2e-4).resolve_lr() == 2e-4
 
 
 class TestSchedules:
