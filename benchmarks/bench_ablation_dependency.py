@@ -18,21 +18,23 @@ import numpy as np
 from repro.bench.reporting import emit, format_table
 from repro.bench.workloads import scaled, training_splits
 from repro.model import CHGNetConfig, CHGNetModel, OptLevel
-from repro.train import TrainConfig, Trainer, evaluate
+from repro.train import DistributedConfig, DistributedTrainer, evaluate
 
 
 def _train(level: OptLevel, state: dict) -> tuple[list[float], object]:
     splits = training_splits()
     model = CHGNetModel(CHGNetConfig(opt_level=level), np.random.default_rng(0))
     model.load_state_dict(state)
-    trainer = Trainer(
-        model,
+    trainer = DistributedTrainer(
+        lambda: model,
         splits.train,
-        config=TrainConfig(epochs=scaled(4, minimum=3), batch_size=8, learning_rate=1e-3),
+        DistributedConfig(
+            world_size=1, global_batch_size=8, epochs=scaled(4, minimum=3), learning_rate=1e-3
+        ),
     )
-    history = trainer.train()
+    trainer.train()
     result, _ = evaluate(model, splits.test)
-    return [r.train_loss for r in history], result
+    return [r.train_loss for r in trainer.history], result
 
 
 def test_ablation_dependency_elimination(benchmark):

@@ -1,9 +1,10 @@
 """Ablation — data prefetch (Section III-C "Other Optimization").
 
 The paper transfers the next mini-batch on a separate stream while the
-current one trains.  Here the prefetching loader collates the next batch in
-a background thread while the trainer computes; the bench measures one
-epoch of FastCHGNet training with and without prefetch.
+current one trains.  Here a :class:`PrefetchQueue` around the loader's epoch
+collates the next batch in a background thread while the trainer computes;
+the bench measures one epoch of FastCHGNet training with and without
+prefetch.
 
 Shape to reproduce: the prefetched epoch is never slower, and approaches
 compute-bound time (batch preparation hidden).
@@ -17,8 +18,9 @@ import numpy as np
 
 from repro.bench.reporting import emit, format_table
 from repro.bench.workloads import training_splits
-from repro.data import DataLoader
+from repro.data import DefaultSampler, ShardedLoader
 from repro.model import CHGNetConfig, CHGNetModel, OptLevel
+from repro.runtime import PrefetchQueue
 from repro.train import Adam, CompositeLoss
 
 
@@ -27,9 +29,12 @@ def _epoch_seconds(prefetch: bool) -> float:
     model = CHGNetModel(CHGNetConfig(opt_level=OptLevel.DECOMPOSE_FS), np.random.default_rng(1))
     loss_fn = CompositeLoss()
     optimizer = Adam(model.parameters(), lr=3e-4)
-    loader = DataLoader(splits.train, batch_size=8, seed=0, prefetch=prefetch)
+    sampler = DefaultSampler(splits.train.feature_numbers, 8, world_size=1)
+    steps = ShardedLoader(splits.train, sampler).iter_epoch(0)
+    if prefetch:
+        steps = PrefetchQueue(steps, depth=1)
     t0 = time.perf_counter()
-    for batch in loader:
+    for (batch,) in steps:
         model.zero_grad()
         out = model.forward(batch, training=True)
         loss_fn(out, batch).loss.backward()

@@ -18,7 +18,7 @@ import numpy as np
 from repro.bench.reporting import emit, format_table
 from repro.bench.workloads import scaled, training_splits
 from repro.model import CHGNetConfig, CHGNetModel, OptLevel
-from repro.train import TrainConfig, Trainer
+from repro.train import DistributedConfig, DistributedTrainer
 from repro.train.schedule import scaled_learning_rate
 
 LARGE_BATCH = 32
@@ -30,14 +30,18 @@ def _run(lr: float) -> list[dict]:
     model = CHGNetModel(
         CHGNetConfig(opt_level=OptLevel.DECOMPOSE_FS), np.random.default_rng(3)
     )
-    trainer = Trainer(
-        model,
+    trainer = DistributedTrainer(
+        lambda: model,
         splits.train,
-        config=TrainConfig(
-            epochs=scaled(6, minimum=3), batch_size=LARGE_BATCH, learning_rate=lr, seed=0
+        DistributedConfig(
+            world_size=1,
+            global_batch_size=LARGE_BATCH,
+            epochs=scaled(6, minimum=3),
+            learning_rate=lr,
+            seed=0,
         ),
     )
-    history = trainer.train()
+    trainer.train()
     return [
         {
             "epoch": r.epoch,
@@ -46,7 +50,7 @@ def _run(lr: float) -> list[dict]:
             "stress": r.train_stress_mae,
             "magmom": r.train_magmom_mae,
         }
-        for r in history
+        for r in trainer.history
     ]
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.data import generate_mptrj, split_dataset
 from repro.model import FastCHGNet
-from repro.train import TrainConfig, Trainer, evaluate
+from repro.train import DistributedConfig, DistributedTrainer, evaluate
 
 
 def main() -> None:
@@ -29,14 +29,24 @@ def main() -> None:
     model = FastCHGNet(np.random.default_rng(7))
     print(f"FastCHGNet (F/S head): {model.num_parameters():,} parameters")
 
-    trainer = Trainer(
-        model,
+    # One device is the one-rank case of the data-parallel trainer.
+    trainer = DistributedTrainer(
+        lambda: model,
         splits.train,
+        DistributedConfig(
+            world_size=1, global_batch_size=8, epochs=5, learning_rate=3e-4, seed=0
+        ),
         val_dataset=splits.val,
-        config=TrainConfig(epochs=5, batch_size=8, learning_rate=3e-4, seed=0),
+    )
+    trainer.add_epoch_hook(
+        lambda epoch, r: print(
+            f"epoch {epoch:3d} loss={r.train_loss:.4f} "
+            f"E={r.train_energy_mae * 1e3:7.1f}meV/atom "
+            f"F={r.train_force_mae * 1e3:7.1f}meV/A | val E={r.val.energy_mae * 1e3:7.1f}"
+        )
     )
     print("Training (Huber loss, prefactors 2/1.5/0.1/0.1, Adam + cosine annealing)...")
-    trainer.train(verbose=True)
+    trainer.train()
 
     result, _ = evaluate(model, splits.test)
     print("\nTest-set accuracy (Table I format):")

@@ -27,7 +27,7 @@ from repro.data import generate_mptrj, split_dataset
 from repro.graph.crystal_graph import build_graph
 from repro.model import CHGNetConfig, CHGNetModel, FastCHGNet, OptLevel
 from repro.serve import InferenceEngine
-from repro.train import ServingTrainer, TrainConfig
+from repro.train import DistributedConfig, ServingTrainer
 
 # A trained model would come from a checkpoint (model.load("weights.npz")).
 model = FastCHGNet(np.random.default_rng(0))
@@ -111,10 +111,12 @@ candidates = [e.crystal for e in corpus[:6]]
 
 pinned = live.submit(candidates[0], now=0.0)  # queued before training starts
 trainer = ServingTrainer(
-    live_model,
+    lambda: live_model,  # one rank, so the served model object is trained
     splits.train,
     live,
-    config=TrainConfig(epochs=2, batch_size=8, seed=0),
+    config=DistributedConfig(
+        world_size=1, global_batch_size=8, epochs=2, scale_lr=False, seed=0
+    ),
     publish_every=1,  # stream every epoch's checkpoint into the fleet
 )
 trainer.train()

@@ -96,8 +96,7 @@ def _state_flags(p: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="--state cadence: every N steps (distributed train), epochs "
-        "(single-device train) or stepping waves (farm)",
+        help="--state cadence: every N steps (train) or stepping waves (farm)",
     )
 
 
@@ -138,16 +137,16 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
         "--world-size",
         type=int,
         default=1,
-        help="simulated data-parallel ranks; > 1 trains through the "
-        "DistributedTrainer (--batch-size becomes the global batch, Eq. 14 "
-        "LR scaling applies unless --lr is given)",
+        help="simulated data-parallel ranks (1: one device); --batch-size is "
+        "the global batch, split evenly across them, and the learning rate "
+        "is --lr, else Eq. 14 on the global batch with --scale-lr, else 3e-4, "
+        "at every world size",
     )
     p.add_argument(
         "--n-buckets",
         type=int,
         default=8,
-        help="gradient buckets for the overlapped allreduce flush "
-        "(distributed runs only)",
+        help="gradient buckets for the overlapped allreduce flush",
     )
     _state_flags(p)
     p.add_argument(
@@ -164,7 +163,7 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
         default=[],
         metavar="SPEC",
         help="inject a failure into the simulated comm layer (repeatable; "
-        "distributed runs only): kill:RANK:STEP kills a rank at a global "
+        "--world-size > 1 only): kill:RANK:STEP kills a rank at a global "
         "step (the run recovers elastically from --state), "
         "timeout:STEP[:ATTEMPTS] times out the gradient flush (retried "
         "with backoff), straggle:RANK:SECONDS[:START[:STOP]] skews a "
@@ -420,28 +419,66 @@ def _build_model(variant: str, seed: int, weights: str = ""):
     return model
 
 
-def _train_distributed(
-    args: argparse.Namespace, trainer, model_factory, dataset, config, plan
-) -> object:
-    """Run the simulated data-parallel path; returns the model.
+def _print_epoch(epoch: int, record) -> None:
+    """Epoch hook of ``train``: one line per completed epoch."""
+    msg = (
+        f"epoch {epoch:3d} loss={record.train_loss:.4f} "
+        f"E={record.train_energy_mae * 1e3:7.1f}meV/atom "
+        f"F={record.train_force_mae * 1e3:7.1f}meV/A lr={record.lr:.2e}"
+    )
+    if record.val:
+        msg += f" | val E={record.val.energy_mae * 1e3:7.1f}"
+    print(msg, flush=True)
 
-    ``trainer`` is ``None`` for a fault-injected run, whose trainers
-    ``run_elastic`` builds and rebuilds as ranks fail.
-    """
-    from repro.train import run_elastic
 
-    if trainer is None:
-        result = run_elastic(
-            model_factory,
-            dataset,
-            config,
+def cmd_train(args: argparse.Namespace) -> int:
+    from repro.comm import FaultPlan
+    from repro.data import generate_mptrj, split_dataset
+    from repro.train import DistributedConfig, DistributedTrainer, evaluate, run_elastic
+
+    with _setup("train"):
+        if args.inject_fault and args.world_size <= 1:
+            raise ValueError("--inject-fault requires --world-size > 1")
+        if args.inject_fault and not args.state:
+            raise ValueError("--inject-fault requires --state (recovery needs a checkpoint)")
+        if args.checkpoint_every < 1:
+            raise ValueError(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}")
+        config = DistributedConfig(
+            world_size=args.world_size,
+            global_batch_size=args.batch_size,
+            epochs=args.epochs,
+            learning_rate=args.lr,
+            scale_lr=args.scale_lr,
+            seed=args.seed,
+            compile=args.compile,
+            n_buckets=args.n_buckets,
+        )
+        plan = FaultPlan.parse(args.inject_fault) if args.inject_fault else None
+        entries = generate_mptrj(args.structures, seed=args.seed, max_atoms=args.max_atoms)
+        splits = split_dataset(entries, seed=args.seed, n_workers=args.n_workers)
+        model_factory = partial(_build_model, args.variant, args.seed + 7)
+        build = DistributedTrainer
+        if args.resume:
+            build = partial(DistributedTrainer.resume, args.resume)
+        trainer = build(model_factory, splits.train, config, plan, val_dataset=splits.val)
+    print(f"{args.variant}: {trainer.model.num_parameters():,} parameters")
+    if args.resume:
+        print(
+            f"resumed from {args.resume}: epoch {trainer._epoch}, "
+            f"global step {trainer.global_step}"
+        )
+    trainer.add_epoch_hook(_print_epoch)
+    if plan is None:
+        trainer.train(checkpoint_path=args.state or None, checkpoint_every=args.checkpoint_every)
+    else:
+        elastic = run_elastic(
+            trainer,
             checkpoint_path=args.state,
             checkpoint_every=args.checkpoint_every,
-            fault_plan=plan,
             shrink=not args.no_shrink,
         )
-        trainer = result.trainer
-        for f in result.failures:
+        trainer = elastic.trainer
+        for f in elastic.failures:
             print(
                 f"rank {f.rank} failed at step {f.step}: world "
                 f"{f.world_before} -> {f.world_after}, {f.steps_lost} steps "
@@ -452,28 +489,7 @@ def _train_distributed(
                 f"flush retries: {trainer.flush_retries} "
                 f"(backoff {trainer.backoff_seconds * 1e3:.1f} ms)"
             )
-    else:
-        if args.resume:
-            print(
-                f"resumed from {args.resume}: epoch {trainer._epoch}, "
-                f"global step {trainer.global_step}"
-            )
-        trainer.train(
-            checkpoint_path=args.state or None,
-            checkpoint_every=args.checkpoint_every,
-        )
-    # trainer.steps belongs to the final trainer instance (a resumed or
-    # elastically rebuilt run only records its own steps), so summarize
-    # rather than pretending to a full per-epoch history.
-    if trainer.steps:
-        last_epoch = trainer.steps[-len(trainer.loader) :]
-        loss = float(np.mean([r.loss for r in last_epoch]))
-        e_mae = float(np.mean([r.energy_mae for r in last_epoch]))
-        print(
-            f"{trainer.global_step} global steps x {trainer.config.world_size} ranks, "
-            f"last-epoch loss={loss:.4f} E={e_mae * 1e3:7.1f}meV/atom",
-            flush=True,
-        )
+    print(f"{trainer.global_step} global steps x {trainer.config.world_size} ranks")
     if args.state:
         print(f"training state checkpointed to {args.state}")
     print(f"replicas in sync: {trainer.replicas_in_sync()}")
@@ -483,76 +499,11 @@ def _train_distributed(
             f"compiled rank steps: {stats['replays']} replays / "
             f"{stats['captures']} captures / {stats['eager_fallbacks']} eager fallbacks"
         )
-    return trainer.model
-
-
-def cmd_train(args: argparse.Namespace) -> int:
-    from repro.comm import FaultPlan
-    from repro.data import generate_mptrj, split_dataset
-    from repro.train import DistributedConfig, DistributedTrainer, TrainConfig, Trainer, evaluate
-
-    distributed = args.world_size != 1
-    with _setup("train"):
-        if args.inject_fault and args.world_size <= 1:
-            raise ValueError("--inject-fault requires --world-size > 1")
-        if args.inject_fault and not args.state:
-            raise ValueError("--inject-fault requires --state (recovery needs a checkpoint)")
-        if args.checkpoint_every < 1:
-            raise ValueError(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}")
-        shared = dict(
-            epochs=args.epochs,
-            learning_rate=args.lr,
-            scale_lr=args.scale_lr,
-            seed=args.seed,
-            compile=args.compile,
-        )
-        if distributed:
-            config = DistributedConfig(
-                world_size=args.world_size,
-                global_batch_size=args.batch_size,
-                n_buckets=args.n_buckets,
-                **shared,
-            )
-        else:
-            config = TrainConfig(batch_size=args.batch_size, **shared)
-        plan = FaultPlan.parse(args.inject_fault) if args.inject_fault else None
-        entries = generate_mptrj(args.structures, seed=args.seed, max_atoms=args.max_atoms)
-        splits = split_dataset(entries, seed=args.seed, n_workers=args.n_workers)
-        model_factory = partial(_build_model, args.variant, args.seed + 7)
-        model = model_factory()
-        if not distributed:
-            build = partial(Trainer.resume, args.resume) if args.resume else Trainer
-            trainer = build(model, splits.train, val_dataset=splits.val, config=config)
-            if args.state:
-                trainer.add_checkpoint_hook(args.state, every=args.checkpoint_every)
-        elif args.resume:
-            trainer = DistributedTrainer.resume(
-                args.resume, model_factory, splits.train, config, fault_plan=plan
-            )
-        elif plan is None:
-            trainer = DistributedTrainer(model_factory, splits.train, config)
-        else:
-            trainer = None  # run_elastic builds its own, and rebuilds them as ranks fail
-    print(f"{args.variant}: {model.num_parameters():,} parameters")
-    if distributed:
-        model = _train_distributed(args, trainer, model_factory, splits.train, config, plan)
-    else:
-        if args.resume:
-            print(f"resumed from {args.resume}: epoch {trainer._epoch}")
-        trainer.train(verbose=True)
-        if args.state:
-            print(f"training state checkpointed to {args.state}")
-        if args.compile and trainer.compiler is not None:
-            stats = trainer.compiler.stats
-            print(
-                f"compiled steps: {stats.replays} replays / {stats.captures} captures "
-                f"/ {stats.eager_fallbacks} eager fallbacks"
-            )
-    result, _ = evaluate(model, splits.test)
+    result, _ = evaluate(trainer.model, splits.test)
     print("| model | E (meV/atom) | F (meV/A) | S | M (m-muB) |")
     print(result.row(args.variant))
     if args.checkpoint:
-        model.save(args.checkpoint)
+        trainer.model.save(args.checkpoint)
         print(f"saved {args.checkpoint}")
     return 0
 

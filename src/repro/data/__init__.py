@@ -6,7 +6,7 @@ from repro.data.dataset import (
     StructureDataset,
     split_dataset,
 )
-from repro.data.loader import DataLoader, PlannedPaddingError, ShardedLoader
+from repro.data.loader import PlannedPaddingError, ShardedLoader
 from repro.data.mptrj import LabeledStructure, dataset_statistics, generate_crystals, generate_mptrj
 from repro.data.oracle import OraclePotential
 from repro.data.samplers import (
@@ -23,7 +23,6 @@ __all__ = [
     "DatasetSplits",
     "StructureDataset",
     "split_dataset",
-    "DataLoader",
     "PlannedPaddingError",
     "ShardedLoader",
     "LabeledStructure",

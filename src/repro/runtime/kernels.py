@@ -24,22 +24,17 @@ class KernelStats:
         Total number of primitive executions (forward *and* backward).
     by_name:
         Launch count per primitive name, e.g. ``{"matmul": 120, "add": 300}``.
-    time_by_name:
-        Accumulated execution seconds per primitive name.
     bytes_out:
         Total bytes written by kernel outputs (a proxy for memory traffic).
     """
 
     count: int = 0
     by_name: dict[str, int] = field(default_factory=dict)
-    time_by_name: dict[str, float] = field(default_factory=dict)
     bytes_out: int = 0
 
-    def record(self, name: str, nbytes: int, seconds: float = 0.0) -> None:
+    def record(self, name: str, nbytes: int) -> None:
         self.count += 1
         self.by_name[name] = self.by_name.get(name, 0) + 1
-        if seconds:
-            self.time_by_name[name] = self.time_by_name.get(name, 0.0) + seconds
         self.bytes_out += nbytes
 
     def merge(self, other: "KernelStats") -> None:
@@ -48,8 +43,6 @@ class KernelStats:
         self.bytes_out += other.bytes_out
         for name, n in other.by_name.items():
             self.by_name[name] = self.by_name.get(name, 0) + n
-        for name, t in other.time_by_name.items():
-            self.time_by_name[name] = self.time_by_name.get(name, 0.0) + t
 
     def top(self, n: int = 10) -> list[tuple[str, int]]:
         """The ``n`` most frequently launched kernels, descending."""
@@ -64,7 +57,7 @@ class _TLS(threading.local):
 _tls = _TLS()
 
 
-def record_kernel(name: str, nbytes: int = 0, seconds: float = 0.0) -> None:
+def record_kernel(name: str, nbytes: int = 0) -> None:
     """Record one kernel launch on every active profile scope.
 
     Called by the autodiff engine on each primitive execution.  Cheap when no
@@ -73,7 +66,7 @@ def record_kernel(name: str, nbytes: int = 0, seconds: float = 0.0) -> None:
     stack = _tls.stack
     if stack:
         for stats in stack:
-            stats.record(name, nbytes, seconds)
+            stats.record(name, nbytes)
 
 
 def profiling_active() -> bool:

@@ -789,22 +789,15 @@ class CompiledStep:
 
     # ---------------------------------------------------------------- replay
     def replay(self) -> None:
-        """Execute the program on the currently bound slots."""
-        if profiling_active():
-            self.replay_measured(record=True)
-        else:
-            self._replay_fast()
+        """Execute the program on the currently bound slots.
 
-    def _run_instr(self, ins: Instr, slots: list) -> np.ndarray:
-        if ins.chain is not None:
-            buf = self.buffers[ins.buf]
-            for impl, argspec, kw in ins.chain:
-                impl(buf, *[buf if a == _CARRY else slots[a] for a in argspec], **kw)
-            return buf
-        args = [slots[s] for s in ins.in_slots]
-        if ins.buf >= 0:
-            return ins.out_impl(self.buffers[ins.buf], *args, **ins.rkwargs)
-        return ins.fn(*args, **ins.rkwargs)
+        While a runtime profile is active every instruction is also reported
+        as one kernel launch (name and output bytes), as eager dispatch does.
+        """
+        self._replay_fast()
+        if profiling_active():
+            for ins in self.instrs:
+                record_kernel(ins.name, ins.nbytes)
 
     def _replay_fast(self) -> None:
         # Arena-backed slots were prefilled with their (permanent) buffers at
@@ -837,26 +830,31 @@ class CompiledStep:
             slot = self._removed_alias[slot]
         return self._slot_instr.get(slot, -1)
 
-    def replay_measured(self, record: bool = False) -> np.ndarray:
+    def replay_measured(self) -> np.ndarray:
         """Replay on the bound slots, timestamping every instruction.
 
         The one instrumented loop.  Returns cumulative seconds after each
         launch (same kernels, same order, same bits as :meth:`replay`);
         combined with :meth:`grad_instr_index` this yields *measured*
-        per-gradient completion times instead of byte-share estimates.  With
-        ``record`` every launch is also reported to the runtime profiler,
-        which is how :meth:`replay` runs while one is active.
+        per-gradient completion times instead of byte-share estimates.
         """
         slots = self._slots
+        buffers = self.buffers
         times = np.zeros(len(self.instrs))
         t0 = time.perf_counter()
         for t, ins in enumerate(self.instrs):
-            start = time.perf_counter()
-            slots[ins.out_slot] = self._run_instr(ins, slots)
-            end = time.perf_counter()
-            if record:
-                record_kernel(ins.name, ins.nbytes, end - start)
-            times[t] = end - t0
+            if ins.chain is not None:
+                buf = buffers[ins.buf]
+                for impl, argspec, kw in ins.chain:
+                    impl(buf, *[buf if a == _CARRY else slots[a] for a in argspec], **kw)
+                slots[ins.out_slot] = buf
+            else:
+                args = [slots[s] for s in ins.in_slots]
+                if ins.buf >= 0:
+                    slots[ins.out_slot] = ins.out_impl(buffers[ins.buf], *args, **ins.rkwargs)
+                else:
+                    slots[ins.out_slot] = ins.fn(*args, **ins.rkwargs)
+            times[t] = time.perf_counter() - t0
         return times
 
     def apply_grads(self, params: list) -> None:

@@ -41,7 +41,6 @@ tracer is active.
 
 from __future__ import annotations
 
-import time
 import weakref
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
@@ -435,12 +434,9 @@ def apply_op(
     """
     kwargs = kwargs or {}
     arrays = tuple(t.data for t in inputs)
+    out_data = forward(*arrays, **kwargs)
     if profiling_active():
-        t0 = time.perf_counter()
-        out_data = forward(*arrays, **kwargs)
-        record_kernel(name, out_data.nbytes, time.perf_counter() - t0)
-    else:
-        out_data = forward(*arrays, **kwargs)
+        record_kernel(name, out_data.nbytes)
     if _TRACERS:
         # Normalize scalar outputs (0-d ufunc results) to the ndarray the
         # Tensor below will hold, so the trace's buffer ids line up.

@@ -1,4 +1,4 @@
-"""Training harness: loss, optimizers, schedules, trainers, metrics.
+"""Training harness: loss, optimizers, schedules, the trainer, metrics.
 
 Fault tolerance lives here too: CRC-validated atomic checkpoints
 (:mod:`repro.train.checkpoint`), mid-epoch resume on the distributed
@@ -10,6 +10,7 @@ from repro.train.checkpoint import CheckpointError, load_checkpoint, save_checkp
 from repro.train.distributed import (
     DistributedConfig,
     DistributedTrainer,
+    EpochRecord,
     GradientBuckets,
     StepStats,
 )
@@ -28,7 +29,7 @@ from repro.train.schedule import (
     CosineAnnealingLR,
     scaled_learning_rate,
 )
-from repro.train.trainer import EpochRecord, ServingTrainer, TrainConfig, Trainer
+from repro.train.trainer import ServingTrainer
 
 __all__ = [
     "CheckpointError",
@@ -36,6 +37,7 @@ __all__ = [
     "save_checkpoint",
     "DistributedConfig",
     "DistributedTrainer",
+    "EpochRecord",
     "GradientBuckets",
     "StepStats",
     "ElasticResult",
@@ -56,8 +58,5 @@ __all__ = [
     "LR_SCALE_K",
     "CosineAnnealingLR",
     "scaled_learning_rate",
-    "EpochRecord",
     "ServingTrainer",
-    "TrainConfig",
-    "Trainer",
 ]

@@ -1,6 +1,6 @@
 """Versioned, CRC-validated training checkpoints with atomic write-rename.
 
-The resume contract of the fault-tolerant trainers (mid-epoch bit-identical
+The resume contract of the fault-tolerant trainer (mid-epoch bit-identical
 continuation, see :mod:`repro.train.elastic`) only holds if a checkpoint can
 never be half-written or silently corrupted.  The on-disk format is
 
@@ -21,10 +21,10 @@ never a torn file.  Loads verify magic, length (truncation), and CRC
 Payloads are split into ``arrays`` (flat ``name -> ndarray``; saved
 losslessly, float64 bits round-trip exactly) and ``meta`` (a JSON-encodable
 dict of scalars/progress; Python's JSON float encoding is shortest-repr and
-round-trips bit-exactly).  The trainers put model weights and Adam moments
+round-trips bit-exactly).  The trainer puts model weights and Adam moments
 in ``arrays`` and scalar optimizer/schedule/progress state in ``meta``; one
 codec (:func:`pack_training_state` / :func:`restore_training_state`) packs
-and restores that payload for both, each trainer adding only its ``kind``,
+and restores that payload, the trainer adding only its ``kind``,
 ``progress`` and ``run`` keys.
 """
 

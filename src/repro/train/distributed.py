@@ -1,4 +1,4 @@
-"""Data-parallel training over simulated ranks.
+"""Data-parallel training over simulated ranks — the one trainer.
 
 Functionally exact data parallelism: one model replica per rank, per-rank
 forward/backward on the sampler's shard, gradient averaging through
@@ -7,6 +7,10 @@ everywhere.  Replicas provably stay bit-identical (tested), which is the
 invariant real DDP maintains.  Wall-clock behavior of a *cluster* is modeled
 separately (:mod:`repro.comm.scaling`) from measured per-rank compute plus
 the alpha-beta communication model.
+
+A single-device run is the degenerate case ``world_size=1``: the model
+factory is called once, so the caller's own model object is the one
+trained, and the sampler's one shard per step is the whole batch.
 
 ``DistributedConfig(compile=True)`` runs the path the paper's 1.5-hour
 result rests on, end to end:
@@ -59,6 +63,7 @@ from repro.train.checkpoint import (
     save_checkpoint,
 )
 from repro.train.loss import CompositeLoss, LossWeights
+from repro.train.metrics import EvalResult, evaluate
 from repro.train.optimizer import Adam
 from repro.train.schedule import BASE_LR, ETA_MIN_FRAC, CosineAnnealingLR, scaled_learning_rate
 
@@ -75,7 +80,8 @@ FLUSH_BACKOFF = 1e-3
 
 @dataclass
 class DistributedConfig:
-    """Configuration of a simulated multi-GPU run.
+    """Configuration of a training run on ``world_size`` simulated ranks
+    (1: a single device).
 
     ``compile=True`` switches every rank to compile-once training steps over
     bucket-sampled shards padded to planned shapes (see the module
@@ -155,13 +161,30 @@ class DistributedConfig:
 
 @dataclass
 class StepStats:
-    """Per-step record: loss plus per-rank compute seconds (for the model)."""
+    """Per-step record: rank-mean losses plus per-rank compute seconds (for
+    the model)."""
 
     loss: float
     energy_mae: float
     force_mae: float
+    stress_mae: float
+    magmom_mae: float
     rank_compute_seconds: np.ndarray
     rank_feature_numbers: np.ndarray
+
+
+@dataclass
+class EpochRecord:
+    """Aggregated metrics of one epoch: step means, validation, final LR."""
+
+    epoch: int
+    train_loss: float
+    train_energy_mae: float
+    train_force_mae: float
+    train_stress_mae: float
+    train_magmom_mae: float
+    val: EvalResult | None = None
+    lr: float = 0.0
 
 
 class GradientBuckets:
@@ -221,7 +244,11 @@ class GradientBuckets:
 
 
 class DistributedTrainer:
-    """DDP-style trainer across ``world_size`` simulated ranks."""
+    """DDP-style trainer across ``world_size`` simulated ranks.
+
+    ``model_factory`` is called once per rank.  With ``val_dataset`` every
+    completed epoch is also evaluated on it (:attr:`history`).
+    """
 
     def __init__(
         self,
@@ -229,9 +256,15 @@ class DistributedTrainer:
         train_dataset: StructureDataset,
         config: DistributedConfig | None = None,
         fault_plan: FaultPlan | None = None,
+        *,
+        val_dataset: StructureDataset | None = None,
     ) -> None:
         self.config = config or DistributedConfig()
         cfg = self.config
+        # Kept so an elastic restart can rebuild this run for another world.
+        self.model_factory = model_factory
+        self.train_dataset = train_dataset
+        self.val_dataset = val_dataset
         self.replicas = [model_factory() for _ in range(cfg.world_size)]
         # Synchronize initial weights, as DDP broadcasts from rank 0.
         state = self.replicas[0].state_dict()
@@ -294,6 +327,8 @@ class DistributedTrainer:
             for opt in self.optimizers
         ]
         self.steps: list[StepStats] = []
+        self.history: list[EpochRecord] = []
+        self.epoch_hooks: list[Callable[[int, EpochRecord], None]] = []
         # Progress cursor: global step across the whole run plus the
         # (epoch, step-in-epoch) position the resume path restarts from.
         # All shuffling is derived from (seed, epoch), so this cursor *is*
@@ -320,9 +355,8 @@ class DistributedTrainer:
             raise ValueError(f"{len(shards)} shards for {cfg.world_size} ranks")
         self.comm.advance(self.global_step)
         compute_times = np.zeros(cfg.world_size)
-        losses = np.zeros(cfg.world_size)
-        e_maes = np.zeros(cfg.world_size)
-        f_maes = np.zeros(cfg.world_size)
+        # Rows: loss, energy, force, stress and magmom MAE; one column per rank.
+        metrics = np.zeros((5, cfg.world_size))
         for rank, (model, batch) in enumerate(zip(self.replicas, shards)):
             t0 = time.perf_counter()
             if self.compilers is not None:
@@ -333,9 +367,13 @@ class DistributedTrainer:
                 breakdown = self.loss_fn(out, batch)
                 breakdown.loss.backward()
             compute_times[rank] = time.perf_counter() - t0
-            losses[rank] = float(breakdown.loss.data)
-            e_maes[rank] = breakdown.energy_mae
-            f_maes[rank] = breakdown.force_mae
+            metrics[:, rank] = (
+                float(breakdown.loss.data),
+                breakdown.energy_mae,
+                breakdown.force_mae,
+                breakdown.stress_mae,
+                breakdown.magmom_mae,
+            )
         # Straggler injection: the slow rank's virtual clock runs behind, so
         # modeled (max-rank) step time prices the straggler honestly.
         for rank in range(cfg.world_size):
@@ -348,10 +386,13 @@ class DistributedTrainer:
         self.global_step += 1
         self._step_in_epoch += 1
 
+        loss, e_mae, f_mae, s_mae, m_mae = (float(m) for m in metrics.mean(axis=1))
         stats = StepStats(
-            loss=float(losses.mean()),
-            energy_mae=float(e_maes.mean()),
-            force_mae=float(f_maes.mean()),
+            loss=loss,
+            energy_mae=e_mae,
+            force_mae=f_mae,
+            stress_mae=s_mae,
+            magmom_mae=m_mae,
             rank_compute_seconds=compute_times,
             rank_feature_numbers=np.array([b.feature_number for b in shards], dtype=float),
         )
@@ -572,6 +613,8 @@ class DistributedTrainer:
         train_dataset: StructureDataset,
         config: DistributedConfig | None = None,
         fault_plan: FaultPlan | None = None,
+        *,
+        val_dataset: StructureDataset | None = None,
     ) -> "DistributedTrainer":
         """Rebuild a trainer from a checkpoint and continue its run.
 
@@ -584,13 +627,22 @@ class DistributedTrainer:
         schedule but sums per-rank gradients in a different order.
         """
         arrays, meta = load_checkpoint(path)
-        trainer = cls(model_factory, train_dataset, config, fault_plan=fault_plan)
+        trainer = cls(
+            model_factory, train_dataset, config, fault_plan, val_dataset=val_dataset
+        )
         trainer.load_training_state(arrays, meta)
         return trainer
 
     # ------------------------------------------------------------- train loop
-    def train_epoch(self) -> list[StepStats]:
-        return [self.train_step(shards) for shards in self.loader]
+    def add_epoch_hook(self, hook: Callable[[int, EpochRecord], None]) -> None:
+        """Register ``hook(epoch, record)`` to run at the end of every epoch.
+
+        Hooks run after validation and after the epoch cursor advances, in
+        registration order — the mechanism behind checkpoint streaming
+        (:class:`~repro.train.trainer.ServingTrainer` publishes the fresh
+        weights into a serving engine from one of these).
+        """
+        self.epoch_hooks.append(hook)
 
     def train(
         self, checkpoint_path: str | None = None, checkpoint_every: int = 1
@@ -602,19 +654,45 @@ class DistributedTrainer:
         (same ``(seed, epoch)`` shuffle, completed steps skipped).  With
         ``checkpoint_path`` the state is saved every ``checkpoint_every``
         global steps and once more when training completes.
+
+        Each epoch that ran a step here appends one :class:`EpochRecord`
+        (means of its steps, validation on ``val_dataset``, the LR reached)
+        to :attr:`history`; then the cursor advances and the epoch hooks
+        run.  An epoch resumed at its very end ran its steps, record and
+        hooks in the run that checkpointed it.
         """
         if checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         while self._epoch < self.config.epochs:
             epoch, skip = self._epoch, self._step_in_epoch
+            first = len(self.steps)
             for i, shards in enumerate(self.loader.iter_epoch(epoch)):
                 if i < skip:
                     continue
                 self.train_step(shards)
                 if checkpoint_path and self.global_step % checkpoint_every == 0:
                     self.save_checkpoint(checkpoint_path)
+            ran = self.steps[first:]
+            record = None
+            if ran:
+                means = np.mean(
+                    [
+                        [s.loss, s.energy_mae, s.force_mae, s.stress_mae, s.magmom_mae]
+                        for s in ran
+                    ],
+                    axis=0,
+                )
+                record = EpochRecord(epoch, *means, lr=self.optimizers[0].lr)
+                if self.val_dataset is not None:
+                    record.val, _ = evaluate(self.model, self.val_dataset)
+                self.history.append(record)
+            # Advance the cursor before hooks run, so a checkpoint written
+            # from a hook records this epoch as completed.
             self._epoch += 1
             self._step_in_epoch = 0
+            if record is not None:
+                for hook in self.epoch_hooks:
+                    hook(epoch, record)
         if checkpoint_path:
             self.save_checkpoint(checkpoint_path)
         return self.steps

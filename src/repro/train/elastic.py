@@ -1,8 +1,9 @@
 """Elastic fault-tolerant training: kill, shrink (or replace), resume.
 
 :func:`run_elastic` drives a :class:`~repro.train.distributed.DistributedTrainer`
-under a :class:`~repro.comm.faults.FaultPlan` to completion.  When an
-injected :class:`~repro.comm.faults.RankFailure` surfaces, the driver
+under its :class:`~repro.comm.faults.FaultPlan` to completion — a fresh
+trainer or one resumed from a checkpoint.  When an injected
+:class:`~repro.comm.faults.RankFailure` surfaces, the driver
 
 1. prices the failure (steps lost since the last checkpoint, wall-clock
    resume cost),
@@ -17,7 +18,9 @@ injected :class:`~repro.comm.faults.RankFailure` surfaces, the driver
    :meth:`DistributedTrainer.resume`, which constructs a fresh trainer for
    the new config: its bucket sampler cuts the same blocks into shards for
    the new world size and its gradient buckets re-plan their layouts,
-   because both are pure functions of the dataset and the config.
+   because both are pure functions of the dataset and the config.  The
+   rebuilt trainer keeps the run's validation set, epoch history and epoch
+   hooks.
 
 The fault plan is shared across restarts; kills are consumed when they
 fire, so the resumed run replays the fatal step without dying again.
@@ -27,12 +30,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
-from repro.comm.faults import FaultPlan, RankFailure
-from repro.data.dataset import StructureDataset
-from repro.model.chgnet import CHGNetModel
-from repro.train.distributed import DistributedConfig, DistributedTrainer
+from repro.comm.faults import RankFailure
+from repro.train.distributed import DistributedTrainer
 
 
 @dataclass
@@ -73,27 +73,24 @@ def largest_feasible_world(global_batch_size: int, survivors: int) -> int:
 
 
 def run_elastic(
-    model_factory: Callable[[], CHGNetModel],
-    train_dataset: StructureDataset,
-    config: DistributedConfig,
+    trainer: DistributedTrainer,
     *,
     checkpoint_path: str,
     checkpoint_every: int = 1,
-    fault_plan: FaultPlan | None = None,
     shrink: bool = True,
     max_failures: int = 8,
 ) -> ElasticResult:
-    """Train to completion under injected faults, recovering from each kill.
+    """Train ``trainer`` to completion, recovering from each injected kill.
 
-    ``shrink=True`` drops the dead rank and re-shards for the surviving
-    world; ``shrink=False`` replaces it (same world size — the mode whose
-    final weights are bit-identical to an uninterrupted run).  Recovery is
-    attempted at most ``max_failures`` times; the fatal ``RankFailure``
-    propagates beyond that, or when no feasible world remains.
+    The faults come from the plan ``trainer`` was built with; each rebuild
+    reuses its model factory, datasets and config.  ``shrink=True`` drops
+    the dead rank and re-shards for the surviving world; ``shrink=False``
+    replaces it (same world size — the mode whose final weights are
+    bit-identical to an uninterrupted run).  Recovery is attempted at most
+    ``max_failures`` times; the fatal ``RankFailure`` propagates beyond
+    that, or when no feasible world remains.
     """
-    plan = fault_plan if fault_plan is not None else FaultPlan()
-    cfg = config
-    trainer = DistributedTrainer(model_factory, train_dataset, cfg, fault_plan=plan)
+    plan = trainer.comm.fault_plan
     trainer.save_checkpoint(checkpoint_path)
     failures: list[FailureEvent] = []
     while True:
@@ -103,6 +100,7 @@ def run_elastic(
         except RankFailure as failure:
             if len(failures) >= max_failures:
                 raise
+            cfg = trainer.config
             world_before = cfg.world_size
             if shrink:
                 survivors = world_before - 1
@@ -111,12 +109,18 @@ def run_elastic(
                 world_after = largest_feasible_world(cfg.global_batch_size, survivors)
             else:
                 world_after = world_before
-            cfg = replace(cfg, world_size=world_after)
             t0 = time.perf_counter()
-            trainer = DistributedTrainer.resume(
-                checkpoint_path, model_factory, train_dataset, cfg, fault_plan=plan
+            resumed = DistributedTrainer.resume(
+                checkpoint_path,
+                trainer.model_factory,
+                trainer.train_dataset,
+                replace(cfg, world_size=world_after),
+                plan,
+                val_dataset=trainer.val_dataset,
             )
             resume_seconds = time.perf_counter() - t0
+            resumed.history, resumed.epoch_hooks = trainer.history, trainer.epoch_hooks
+            trainer = resumed
             failures.append(
                 FailureEvent(
                     rank=failure.rank,

@@ -15,7 +15,7 @@ from repro.train.optimizer import Optimizer
 
 BASE_LR = 3e-4
 LR_SCALE_K = 128
-#: Floor of the trainers' cosine decay as a fraction of the initial LR: the
+#: Floor of the trainer's cosine decay as a fraction of the initial LR: the
 #: last epochs still move the weights instead of stalling at zero.
 ETA_MIN_FRAC = 0.01
 
@@ -30,7 +30,7 @@ def scaled_learning_rate(batch_size: int, k: int = LR_SCALE_K, base_lr: float = 
 class CosineAnnealingLR:
     """Per-step cosine decay from the initial LR to ``eta_min``.
 
-    The trainers decay to ``ETA_MIN_FRAC`` of the initial LR.
+    The trainer decays to ``ETA_MIN_FRAC`` of the initial LR.
     """
 
     def __init__(self, optimizer: Optimizer, total_steps: int, eta_min: float = 0.0) -> None:

@@ -144,8 +144,9 @@ def test_inject_fault_rejects_bad_spec():
 
 
 def test_fault_injected_train_rejects_bad_lr_in_one_line(tmp_path, monkeypatch):
-    """``run_elastic`` builds its trainers outside the setup guard, so the
-    learning rate is checked by the config, before any data or state."""
+    """A fault-injected run builds its trainer inside the setup guard like
+    every other run; the learning rate is checked by the config, before any
+    data or state."""
     from repro.cli import main
 
     calls = _spy_on_data(monkeypatch)
@@ -156,6 +157,44 @@ def test_fault_injected_train_rejects_bad_lr_in_one_line(tmp_path, monkeypatch):
     assert exc.value.code == "train: learning rate must be positive, got -1.0"
     assert exc.value.__suppress_context__
     assert not calls and not state.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--world-size", "2", "--inject-fault", "kill:1:2"], ["--world-size", "1"]],
+    ids=["fault-injected", "one-device"],
+)
+def test_batch_larger_than_corpus_exits_in_one_line(tmp_path, flags):
+    """A global batch no step can fill is refused when the trainer is built,
+    inside the setup guard: on a fault-injected run (it used to raise from
+    inside ``run_elastic``) and on one device (it used to be clamped)."""
+    from repro.cli import main
+
+    state = tmp_path / "state.rckpt"
+    argv = ["train", "--batch-size", "64", "--structures", "16", *flags, "--state", str(state)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code.startswith("train: global batch 64 yields no step on 14 structures; ")
+    assert "\n" not in exc.value.code
+    assert exc.value.__suppress_context__
+    assert not state.exists()
+
+
+def test_resumed_fault_injected_run_recovers(tmp_path, capsys):
+    """A resumed run goes through elastic recovery too: the kill lands after
+    the resume point and the run finishes in sync."""
+    from repro.cli import main
+
+    state = str(tmp_path / "state.rckpt")
+    base = "train --structures 16 --max-atoms 6 --batch-size 4 --world-size 2".split()
+    assert main([*base, "--epochs", "1", "--state", state]) == 0
+    capsys.readouterr()
+    resume = ["--epochs", "3", "--resume", state, "--state", state, "--inject-fault", "kill:1:5"]
+    assert main([*base, *resume]) == 0
+    out = capsys.readouterr().out
+    assert "resumed from" in out
+    assert "rank 1 failed at step 5" in out
+    assert "replicas in sync: True" in out
 
 
 def test_train_kill_recover_resume_cycle(tmp_path, capsys):
@@ -275,7 +314,7 @@ _AFTER_DATA = " --structures 20 --max-atoms 6"
 
 
 # (argv, exit message, checked before the corpus is generated); the two
-# values checked after it belong to the loader and the generator itself.
+# values checked after it belong to the sampler and the generator itself.
 _BAD_FLAGS = [
     ("serve --workers 0", "serve: n_workers must be >= 1, got 0", True),
     ("serve --batch-structs 0", "serve: max_batch_structs must be >= 1, got 0", True),
@@ -288,7 +327,7 @@ _BAD_FLAGS = [
     ("relax --fmax 0", "relax: fmax must be positive, got 0.0", True),
     ("relax --max-steps -1", "relax: max_steps must be non-negative, got -1", True),
     ("relax --timestep 5", "relax: timestep_fs must lie in (0, 2.0], got 5.0", True),
-    ("train --batch-size 0" + _AFTER_DATA, "train: batch_size must be >= 1, got 0", False),
+    ("train --batch-size 0" + _AFTER_DATA, "train: global batch 0 smaller than world size 1", False),
     ("train --lr -1", "train: learning rate must be positive, got -1.0", True),
     ("train --lr -1" + _AFTER_DATA, "train: learning rate must be positive, got -1.0", True),
     ("train --lr 0", "train: learning rate must be positive, got 0.0", True),

@@ -106,11 +106,13 @@ def test_property_inplace_mean_equals_stacked_mean(p, shape, seed):
     rng = np.random.default_rng(seed)
     bufs = [rng.normal(size=tuple(shape)) for _ in range(p)]
     expected = np.sum(np.stack(bufs), axis=0) / p
+    inputs = [b.copy() for b in bufs]
     comm = SimCommunicator(p)
     work = comm.allreduce_mean_inplace(bufs)
     assert all(np.array_equal(b, expected) for b in bufs)
-    # a second call through the kept scratch block gives the same bits
-    again = [b.copy() for b in bufs]
+    # a second call on the same inputs, through the kept scratch block,
+    # gives the same bits
+    again = [b.copy() for b in inputs]
     assert comm.allreduce_mean_inplace(again, work) is work
     assert all(np.array_equal(b, expected) for b in again)
 

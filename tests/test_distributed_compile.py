@@ -38,6 +38,12 @@ def factory():
     return CHGNetModel(CFG.with_level(OptLevel.DECOMPOSE_FS), np.random.default_rng(5))
 
 
+def _epoch(dt: DistributedTrainer) -> None:
+    """Train one pass over the loader's next epoch."""
+    for shards in dt.loader:
+        dt.train_step(shards)
+
+
 def _cfg(**overrides) -> DistributedConfig:
     base = dict(
         world_size=2, global_batch_size=8, epochs=2, learning_rate=1e-4, seed=0
@@ -47,17 +53,26 @@ def _cfg(**overrides) -> DistributedConfig:
 
 
 class TestCompiledEquivalence:
-    def test_compiled_bit_identical_to_eager_padded_across_epochs(self, dataset):
+    @pytest.mark.parametrize("world_size", [1, 2])
+    def test_compiled_bit_identical_to_eager_padded_across_epochs(self, dataset, world_size):
         """Weights and losses of a compiled run equal the eager run through
-        the identical padded pipeline, bit for bit, after two epochs."""
-        compiled = DistributedTrainer(factory, dataset, _cfg(compile=True))
+        the identical padded pipeline, bit for bit, after two epochs — on
+        one device as on two ranks."""
+        compiled = DistributedTrainer(
+            factory, dataset, _cfg(world_size=world_size, compile=True)
+        )
         for compiler in compiled.compilers:
             compiler.validate = True
         compiled.train()
         eager = DistributedTrainer(
             factory,
             dataset,
-            _cfg(compile=False, bucket_sampler=True, memoize_shards=True),
+            _cfg(
+                world_size=world_size,
+                compile=False,
+                bucket_sampler=True,
+                memoize_shards=True,
+            ),
         )
         eager.train()
         assert compiled.replicas_in_sync()
@@ -69,6 +84,7 @@ class TestCompiledEquivalence:
         for a, b in zip(compiled.steps, eager.steps):
             assert a.loss == b.loss
             assert a.energy_mae == b.energy_mae
+        assert compiled.history == eager.history
         # the compiled run really replayed (validated bitwise per replay)
         stats = compiled.compile_stats()
         assert stats["replays"] > 0
@@ -85,9 +101,9 @@ class TestCompiledEquivalence:
         dt = DistributedTrainer(factory, dataset, _cfg(compile=True, epochs=2))
         n_tiers = len(dt.sampler.tier_targets)
         assert n_tiers > 0
-        dt.train_epoch()
+        _epoch(dt)
         after_first = dt.compile_stats()["captures"]
-        dt.train_epoch()
+        _epoch(dt)
         stats = dt.compile_stats()
         # captures bounded by the warm-started tier count per rank, and the
         # second epoch added none (replay-only).
@@ -151,15 +167,15 @@ class TestPlannedCapture:
         assert workload_cost(*stored[0][0]) == max(workload_cost(*p) for p in planned)
 
         cache = dt.compilers[0].cache
-        dt.train_epoch()
+        _epoch(dt)
         # the first epoch captured the rest: one program per planned shape,
         # and the slab the first capture allocated never had to grow
         assert dt.compile_stats()["captures"] == len(planned)
         assert sorted(dims for dims, _ in stored) == sorted(planned)
         assert {nbytes for _, nbytes in stored} == {stored[0][1]}
         programs = list(cache.programs)
-        dt.train_epoch()
-        dt.train_epoch()
+        _epoch(dt)
+        _epoch(dt)
         stats = dt.compile_stats()
         assert stats["captures"] == len(planned)  # none in any later epoch
         assert stats["eager_fallbacks"] == 0
@@ -171,19 +187,18 @@ class TestPlannedCapture:
         assert dt.replicas_in_sync()
 
     def test_single_device_blocks_capture_the_plan_too(self, dataset):
-        from repro.train import TrainConfig, Trainer
-
-        trainer = Trainer(
-            factory(), dataset, config=TrainConfig(epochs=2, batch_size=6, compile=True)
+        trainer = DistributedTrainer(
+            factory, dataset, _cfg(world_size=1, global_batch_size=6, compile=True)
         )
-        planned = trainer.loader.block_sampler.tier_targets
+        (compiler,) = trainer.compilers
+        planned = trainer.sampler.tier_targets
         assert len(planned) > 1
-        assert trainer.compiler.stats.captures == 1
-        slab = trainer.compiler.arena_bytes
+        assert compiler.stats.captures == 1
+        slab = compiler.arena_bytes
         trainer.train()
-        assert trainer.compiler.stats.captures == len(planned)
-        assert trainer.compiler.stats.eager_fallbacks == 0
-        assert trainer.compiler.arena_bytes == slab
+        assert compiler.stats.captures == len(planned)
+        assert compiler.stats.eager_fallbacks == 0
+        assert compiler.arena_bytes == slab
 
 
 class TestTrainableMask:
@@ -400,7 +415,7 @@ class TestMeasuredReadyTimes:
             factory, dataset, _cfg(compile=True, epochs=1, n_buckets=4)
         )
         assert dt.measured_ready_fractions() is None  # before any step
-        dt.train_epoch()
+        _epoch(dt)
         fractions = dt.measured_ready_fractions()
         assert fractions is not None
         assert len(fractions) == dt._buckets.n_buckets
@@ -423,7 +438,7 @@ class TestMeasuredReadyTimes:
         dt = DistributedTrainer(
             factory, dataset, _cfg(compile=True, epochs=1, n_buckets=4)
         )
-        dt.train_epoch()
+        _epoch(dt)
         measured = dt.modeled_overlap(ClusterSpec(), measured=True)
         modeled = dt.modeled_overlap(ClusterSpec(), measured=False)
         assert measured.total_time > 0 and modeled.total_time > 0

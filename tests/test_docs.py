@@ -37,7 +37,7 @@ from repro.tensor.compile import (
     SharedProgramCache,
     StepCompiler,
 )
-from repro.train.trainer import Trainer
+from repro.train.distributed import DistributedTrainer
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,7 +55,7 @@ DOCUMENTED_CLASSES = [
     WorkerFaultPlan,
     Fleet,
     Worker,
-    Trainer,
+    DistributedTrainer,
     FairScheduler,
     Autoscaler,
     AutoscaleConfig,

@@ -15,8 +15,6 @@ from repro.train import (
     CheckpointError,
     DistributedConfig,
     DistributedTrainer,
-    TrainConfig,
-    Trainer,
     largest_feasible_world,
     load_checkpoint,
     run_elastic,
@@ -269,57 +267,38 @@ class TestCheckpointFormat:
             )
 
 
-class TestSingleTrainerResume:
-    def test_epoch_resume_bit_identical(self, small_config, dataset, tmp_path):
-        cfg = TrainConfig(epochs=3, batch_size=4, learning_rate=1e-4, seed=0)
-        ref = Trainer(make_factory(small_config)(), dataset, config=cfg)
-        ref.train()
-
-        path = str(tmp_path / "single.rckpt")
-        first = Trainer(make_factory(small_config)(), dataset, config=cfg)
-        first.add_checkpoint_hook(path)
-        first.train_epoch(0)  # interrupted after one epoch
-        resumed = Trainer.resume(path, make_factory(small_config)(), dataset, config=cfg)
-        assert resumed._epoch == 1
-        resumed.train()
-
-        a, b = ref.model.state_dict(), resumed.model.state_dict()
-        assert all(np.array_equal(a[k], b[k]) for k in a)
-
+class TestSingleDeviceResume:
     def test_mismatched_run_rejected(self, small_config, dataset, tmp_path):
         path = str(tmp_path / "single.rckpt")
-        cfg = TrainConfig(epochs=1, batch_size=4, seed=0)
-        t = Trainer(make_factory(small_config)(), dataset, config=cfg)
-        t.save_checkpoint(path)
-        other = TrainConfig(epochs=1, batch_size=4, seed=1)
+        factory = make_factory(small_config)
+        DistributedTrainer(factory, dataset, dist_config(world_size=1)).save_checkpoint(path)
         with pytest.raises(CheckpointError, match="seed"):
-            Trainer.resume(path, make_factory(small_config)(), dataset, config=other)
+            DistributedTrainer.resume(path, factory, dataset, dist_config(world_size=1, seed=1))
 
 
 class TestDistributedResume:
-    def test_kill_resume_bit_identical(self, small_config, dataset, tmp_path):
+    @pytest.mark.parametrize("world_size", [1, 2])
+    def test_kill_resume_bit_identical(self, small_config, dataset, tmp_path, world_size):
         """The tentpole oracle: kill at step k + replacement resume finishes
-        bit-identical to the uninterrupted reference."""
+        bit-identical to the uninterrupted reference, on one device too."""
         factory = make_factory(small_config)
-        ref = DistributedTrainer(factory, dataset, dist_config())
+        cfg = dist_config(world_size=world_size)
+        ref = DistributedTrainer(factory, dataset, cfg)
         ref.train()
 
         path = str(tmp_path / "dist.rckpt")
-        plan = FaultPlan().kill(rank=1, step=3)
+        plan = FaultPlan().kill(rank=world_size - 1, step=3)
+        trainer = DistributedTrainer(factory, dataset, cfg, plan)
         result = run_elastic(
-            factory,
-            dataset,
-            dist_config(),
-            checkpoint_path=path,
-            checkpoint_every=2,
-            fault_plan=plan,
-            shrink=False,
+            trainer, checkpoint_path=path, checkpoint_every=2, shrink=False
         )
         assert len(result.failures) == 1
         assert result.failures[0].steps_lost >= 1  # sparse cadence redoes work
         assert result.trainer.replicas_in_sync()
         a, b = ref.model.state_dict(), result.trainer.model.state_dict()
         assert all(np.array_equal(a[k], b[k]) for k in a)
+        # the rebuilt trainer carries on the run's epoch history
+        assert [r.epoch for r in result.trainer.history][-1] == cfg.epochs - 1
 
     def test_resumed_and_replaced_replicas_stay_in_the_optimizer_slab(
         self, small_config, dataset, tmp_path
@@ -357,11 +336,10 @@ class TestDistributedResume:
         assert in_slab(resumed) and finishes_like_ref(resumed)
 
         result = run_elastic(
-            factory,
-            dataset,
-            dist_config(),
+            DistributedTrainer(
+                factory, dataset, dist_config(), FaultPlan().kill(rank=1, step=3)
+            ),
             checkpoint_path=str(tmp_path / "elastic.rckpt"),
-            fault_plan=FaultPlan().kill(rank=1, step=3),
             shrink=False,
         )
         assert len(result.failures) == 1
@@ -384,11 +362,10 @@ class TestDistributedResume:
         path = str(tmp_path / "dist.rckpt")
         plan = FaultPlan().kill(rank=0, step=2)
         result = run_elastic(
-            factory,
-            dataset,
-            dist_config(world_size=4, global_batch_size=8),
+            DistributedTrainer(
+                factory, dataset, dist_config(world_size=4, global_batch_size=8), plan
+            ),
             checkpoint_path=path,
-            fault_plan=plan,
             shrink=True,
         )
         event = result.failures[0]
@@ -417,11 +394,8 @@ class TestDistributedResume:
         path = str(tmp_path / "dist.rckpt")
         plan = FaultPlan().kill(rank=1, step=2)
         result = run_elastic(
-            factory,
-            dataset,
-            dist_config(compile=True),
+            DistributedTrainer(factory, dataset, dist_config(compile=True), plan),
             checkpoint_path=path,
-            fault_plan=plan,
             shrink=False,
         )
         assert result.trainer.replicas_in_sync()
@@ -484,25 +458,8 @@ def _assert_format(arrays: dict, meta: dict, model, kind, progress, run) -> None
 
 
 class TestCheckpointCodec:
-    """One codec packs and restores both trainers' payloads: the on-disk
+    """One codec packs and restores the trainer's payload: the on-disk
     format is frozen, and a rejected payload writes nothing."""
-
-    def _single(self, small_config, dataset, seed=5):
-        cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1e-4, seed=0)
-        return Trainer(make_factory(small_config, seed)(), dataset, config=cfg)
-
-    def _stepped_single(self, small_config, dataset, seed):
-        trainer = self._single(small_config, dataset, seed)
-        for _, batch in zip(range(3), trainer.loader):
-            trainer.train_step(batch)
-        return trainer
-
-    def test_single_payload_format_frozen(self, small_config, dataset):
-        trainer = self._single(small_config, dataset)
-        arrays, meta = trainer.training_state()
-        _assert_format(
-            arrays, meta, trainer.model, "single-v1", ["epoch"], ["seed", "batch_size"]
-        )
 
     def test_distributed_payload_format_frozen(self, small_config, dataset):
         trainer = DistributedTrainer(make_factory(small_config), dataset, dist_config())
@@ -516,22 +473,11 @@ class TestCheckpointCodec:
             ["seed", "global_batch_size", "world_size", "epochs"],
         )
 
-    def test_rejected_load_leaves_single_trainer_untouched(self, small_config, dataset):
-        arrays, meta = self._stepped_single(small_config, dataset, 5).training_state()
-        target = self._stepped_single(small_config, dataset, 6)
-        parts = ([target.model], [target.optimizer], [target.scheduler])
-        before = _trainer_state(*parts)
-        with pytest.raises(CheckpointError, match="Adam moment"):
-            target.load_training_state(_bad_last_moment(arrays, meta), meta)
-        assert _states_equal(before, _trainer_state(*parts))
-        assert target._epoch == 0
-
-    def test_rejected_load_leaves_distributed_trainer_untouched(
-        self, small_config, dataset
-    ):
+    @pytest.mark.parametrize("world_size", [1, 2])
+    def test_rejected_load_leaves_trainer_untouched(self, small_config, dataset, world_size):
         def stepped(seed):
             trainer = DistributedTrainer(
-                make_factory(small_config, seed), dataset, dist_config()
+                make_factory(small_config, seed), dataset, dist_config(world_size=world_size)
             )
             for _, shards in zip(range(3), trainer.loader):
                 trainer.train_step(shards)
@@ -548,15 +494,15 @@ class TestCheckpointCodec:
 
     def test_other_architecture_is_a_checkpoint_error(self, small_config, dataset):
         wide = replace(small_config, atom_fea_dim=small_config.atom_fea_dim * 2)
-        cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1e-4, seed=0)
-        source = Trainer(make_factory(wide)(), dataset, config=cfg)
-        target = self._single(small_config, dataset)
-        before = _trainer_state([target.model], [target.optimizer], [target.scheduler])
+        cfg = dist_config(world_size=1)
+        source = DistributedTrainer(make_factory(wide), dataset, cfg)
+        target = DistributedTrainer(make_factory(small_config), dataset, cfg)
+        parts = (target.replicas, target.optimizers, target.schedulers)
+        before = _trainer_state(*parts)
         with pytest.raises(CheckpointError, match="shape mismatch for '") as err:
             target.load_training_state(*source.training_state())
         assert isinstance(err.value, ValueError)  # existing handlers still catch it
-        after = _trainer_state([target.model], [target.optimizer], [target.scheduler])
-        assert _states_equal(before, after)
+        assert _states_equal(before, _trainer_state(*parts))
 
 
 class TestStragglersAndRetries:

@@ -8,7 +8,7 @@ import pytest
 from repro.data import StructureDataset, split_dataset
 from repro.md import ModelCalculator, MolecularDynamics
 from repro.model import CHGNetModel, OptLevel
-from repro.train import TrainConfig, Trainer, evaluate
+from repro.train import DistributedConfig, DistributedTrainer, evaluate
 
 
 @pytest.fixture(scope="module")
@@ -24,12 +24,15 @@ class TestEndToEnd:
     def test_training_improves_fit(self, small_config, splits):
         model = make_model(small_config)
         before, _ = evaluate(model, splits.test)
-        trainer = Trainer(
-            model,
+        trainer = DistributedTrainer(
+            lambda: model,
             splits.train,
-            config=TrainConfig(epochs=6, batch_size=8, learning_rate=1e-3),
+            DistributedConfig(
+                world_size=1, global_batch_size=8, epochs=6, learning_rate=1e-3
+            ),
         )
-        history = trainer.train()
+        trainer.train()
+        history = trainer.history
         after, _ = evaluate(model, splits.test)
         assert history[-1].train_loss < 0.9 * history[0].train_loss
         assert after.force_mae < before.force_mae
@@ -65,12 +68,13 @@ class TestEndToEnd:
         """Every optimization level runs a full training step end to end."""
         for level in OptLevel:
             model = make_model(small_config, level=level)
-            trainer = Trainer(
-                model, splits.train, config=TrainConfig(epochs=1, batch_size=2)
+            trainer = DistributedTrainer(
+                lambda: model,
+                splits.train,
+                DistributedConfig(world_size=1, global_batch_size=2, scale_lr=False),
             )
-            batch = splits.train.batch([0, 1])
-            breakdown = trainer.train_step(batch)
-            assert np.isfinite(breakdown.loss.item()), level
+            stats = trainer.train_step([splits.train.batch([0, 1])])
+            assert np.isfinite(stats.loss), level
 
     def test_dataset_regeneration_is_stable(self, tiny_entries):
         """The cached corpus equals a fresh regeneration (bit-for-bit)."""

@@ -9,10 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.data.loader import DataLoader, ShardedLoader
+from repro.data.loader import ShardedLoader
 from repro.md import ModelCalculator, TrajectoryFarm
 from repro.serve import AutoscaleConfig, InferenceEngine
-from repro.train import DistributedConfig, TrainConfig
+from repro.train import DistributedConfig
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "knobs.py"
 
@@ -30,8 +30,8 @@ def _defaulted(cls) -> int:
 
 
 def test_counts_agree_with_fields_and_signatures():
-    configs = (DistributedConfig, TrainConfig, AutoscaleConfig)
-    constructors = (InferenceEngine, DataLoader, ShardedLoader, TrajectoryFarm, ModelCalculator)
+    configs = (DistributedConfig, AutoscaleConfig)
+    constructors = (InferenceEngine, ShardedLoader, TrajectoryFarm, ModelCalculator)
     expected = {cls.__name__: len(dataclasses.fields(cls)) for cls in configs}
     expected.update({cls.__name__: _defaulted(cls) for cls in constructors})
     assert _load_tool().knob_counts() == expected

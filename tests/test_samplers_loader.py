@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.data import (
     BucketBatchSampler,
-    DataLoader,
     DefaultSampler,
     LoadBalanceSampler,
     ShardedLoader,
@@ -19,6 +18,7 @@ from repro.data import (
 )
 from repro.data.loader import PlannedPaddingError
 from repro.graph.batching import MAX_PROGRAMS, feasible_targets_for_counts
+from repro.runtime import PrefetchQueue
 
 
 def longtail_features(n: int, seed: int = 0) -> np.ndarray:
@@ -325,10 +325,9 @@ class TestPaddedShardedLoader:
         for part in (str([int(i) for i in shard]), str(raw)):
             assert part in str(err.value)
 
-        blocks = DataLoader(loader.dataset, batch_size=8, blocks=True)
-        monkeypatch.setattr(blocks.block_sampler, "padding_targets", lambda s: (1, 0, 0, 0))
+        monkeypatch.setattr(sampler, "padding_targets", lambda s: (1, 0, 0, 0))
         with pytest.raises(PlannedPaddingError, match=r"\(1, 0, 0, 0\)"):
-            next(iter(blocks))
+            next(iter(loader))
 
     def test_sampler_without_dims_passes_shards_through(self, tiny_entries):
         """A loader pads exactly what its sampler planned: a sampler built
@@ -341,41 +340,38 @@ class TestPaddedShardedLoader:
         assert steps and all(b.pad_info is None for step in steps for b in step)
 
 
-class TestDataLoader:
+def one_device(ds, batch_size, seed=0, memoize=None) -> ShardedLoader:
+    """The single-device loader: one shard per step, the whole batch."""
+    return ShardedLoader(ds, DefaultSampler(ds.feature_numbers, batch_size, seed=seed), memoize)
+
+
+class TestOneDeviceLoader:
     def test_yields_batches(self, tiny_entries):
         ds = StructureDataset(tiny_entries)
-        loader = DataLoader(ds, batch_size=6)
-        batches = list(loader)
-        assert len(batches) == len(ds) // 6
-        assert all(b.num_structs == 6 for b in batches)
+        steps = list(one_device(ds, 6))
+        assert len(steps) == len(ds) // 6
+        assert all(len(step) == 1 and step[0].num_structs == 6 for step in steps)
 
     def test_len(self, tiny_entries):
         ds = StructureDataset(tiny_entries)
-        assert len(DataLoader(ds, batch_size=6)) == 4
-        assert len(DataLoader(ds, batch_size=5, drop_last=False)) == 5
+        assert len(one_device(ds, 6)) == 4
 
     def test_bad_batch_size_raises(self, tiny_entries):
         with pytest.raises(ValueError):
-            DataLoader(StructureDataset(tiny_entries), batch_size=0)
+            one_device(StructureDataset(tiny_entries), 0)
 
     def test_prefetch_yields_same_batches(self, tiny_entries):
         ds = StructureDataset(tiny_entries)
-        plain = [b.feature_number for b in DataLoader(ds, 6, seed=3)]
-        fetched = [b.feature_number for b in DataLoader(ds, 6, seed=3, prefetch=True)]
-        assert plain == fetched
+        plain = [b.feature_number for (b,) in one_device(ds, 6, seed=3).iter_epoch(0)]
+        queued = PrefetchQueue(one_device(ds, 6, seed=3).iter_epoch(0), depth=1)
+        assert plain == [b.feature_number for (b,) in queued]
 
     def test_epoch_advances_order(self, tiny_entries):
         ds = StructureDataset(tiny_entries)
-        loader = DataLoader(ds, batch_size=6, seed=3)
-        first = [b.feature_number for b in loader]
-        second = [b.feature_number for b in loader]
+        loader = one_device(ds, 6, seed=3)
+        first = [b.feature_number for (b,) in loader]
+        second = [b.feature_number for (b,) in loader]
         assert first != second
-
-    def test_no_shuffle_is_sequential(self, tiny_entries):
-        ds = StructureDataset(tiny_entries)
-        loader = DataLoader(ds, batch_size=4, shuffle=False)
-        batch = next(iter(loader))
-        assert batch.feature_number == int(ds.feature_numbers[:4].sum())
 
 
 class TestShardedLoader:
@@ -392,10 +388,10 @@ class TestEpochAccounting:
         """Regression: breaking out mid-epoch must not replay the same
         shuffle order on the next pass."""
         ds = StructureDataset(tiny_entries)
-        loader = DataLoader(ds, batch_size=6, seed=3)
-        first = next(iter(loader))  # abandon mid-epoch
+        loader = one_device(ds, 6, seed=3)
+        (first,) = next(iter(loader))  # abandon mid-epoch
         assert loader.epoch == 1
-        second = next(iter(loader))
+        (second,) = next(iter(loader))
         assert loader.epoch == 2
         assert not np.array_equal(first.species, second.species)
 
@@ -403,10 +399,10 @@ class TestEpochAccounting:
         """First batches seen by break-out consumers match the first batches
         of consecutive full epochs."""
         ds = StructureDataset(tiny_entries)
-        partial = DataLoader(ds, batch_size=6, seed=9)
-        full = DataLoader(ds, batch_size=6, seed=9)
-        partial_firsts = [next(iter(partial)).feature_number for _ in range(3)]
-        full_firsts = [[b.feature_number for b in full][0] for _ in range(3)]
+        partial = one_device(ds, 6, seed=9)
+        full = one_device(ds, 6, seed=9)
+        partial_firsts = [next(iter(partial))[0].feature_number for _ in range(3)]
+        full_firsts = [[b.feature_number for (b,) in full][0] for _ in range(3)]
         assert partial_firsts == full_firsts
 
     def test_sharded_loader_abandoned_iterator_advances(self, tiny_entries):
@@ -437,19 +433,12 @@ class TestMemoizedCollate:
         assert np.array_equal(cached.species, fresh.species)
         assert np.array_equal(cached.forces, fresh.forces)
 
-    def test_no_shuffle_loader_reuses_batches(self, tiny_entries):
-        ds = StructureDataset(tiny_entries)
-        loader = DataLoader(ds, batch_size=6, shuffle=False, memoize=True)
-        first = list(loader)
-        second = list(loader)
-        assert all(a is b for a, b in zip(first, second))
-
     def test_loader_memoize_false_overrides_dataset(self, tiny_entries):
         """Tri-state: an explicit memoize=False forces re-collation even on
         a memoizing dataset (so shuffled loaders don't grow its cache)."""
         ds = StructureDataset(tiny_entries, memoize_batches=True)
-        loader = DataLoader(ds, batch_size=6, shuffle=False, memoize=False)
-        first = list(loader)
-        second = list(loader)
-        assert all(a is not b for a, b in zip(first, second))
+        loader = one_device(ds, 6, memoize=False)
+        first = list(loader.iter_epoch(0))
+        second = list(loader.iter_epoch(0))
+        assert all(a is not b for (a,), (b,) in zip(first, second))
         assert ds._batch_cache == {}

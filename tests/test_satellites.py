@@ -8,7 +8,7 @@ import pytest
 from repro.data.dataset import StructureDataset
 from repro.data.mptrj import generate_mptrj
 from repro.model import CHGNetConfig, FastCHGNet
-from repro.train import TrainConfig, Trainer
+from repro.train import DistributedConfig, DistributedTrainer
 from repro.train.schedule import scaled_learning_rate
 
 
@@ -75,116 +75,90 @@ class TestEffectiveBatchLRScaling:
         hidden_dim=8,
     )
 
-    def test_lr_scales_with_clamped_batch_size(self, entries):
-        ds = StructureDataset(entries)  # 12 structures
-        model = FastCHGNet(np.random.default_rng(0), config=self.CFG)
-        trainer = Trainer(
-            model, ds, config=TrainConfig(batch_size=512, scale_lr=True, epochs=1)
-        )
-        # batch_size clamps to len(dataset)=12; Eq. 14 must use that.
-        assert trainer.optimizer.lr == pytest.approx(scaled_learning_rate(12))
-        assert trainer.loader.batch_size == 12
+    def _trainer(self, ds, seed=0, **overrides) -> DistributedTrainer:
+        model = FastCHGNet(np.random.default_rng(seed), config=self.CFG)
+        base = dict(world_size=1, global_batch_size=4, epochs=1)
+        base.update(overrides)
+        return DistributedTrainer(lambda: model, ds, DistributedConfig(**base))
+
+    def test_lr_scales_with_the_batch(self, entries):
+        trainer = self._trainer(StructureDataset(entries), global_batch_size=12, scale_lr=True)
+        assert trainer.optimizers[0].lr == pytest.approx(scaled_learning_rate(12))
 
     def test_explicit_lr_unaffected(self, entries):
-        ds = StructureDataset(entries)
-        model = FastCHGNet(np.random.default_rng(0), config=self.CFG)
-        trainer = Trainer(
-            model,
-            ds,
-            config=TrainConfig(batch_size=512, learning_rate=1e-2, epochs=1),
+        trainer = self._trainer(
+            StructureDataset(entries), global_batch_size=12, learning_rate=1e-2
         )
-        assert trainer.optimizer.lr == 1e-2
+        assert trainer.optimizers[0].lr == 1e-2
 
     def test_resolve_lr_backward_compatible(self):
-        assert TrainConfig(scale_lr=True, batch_size=256).resolve_lr() == pytest.approx(
-            scaled_learning_rate(256)
-        )
-        assert TrainConfig(scale_lr=True, batch_size=256).resolve_lr(8) == pytest.approx(
-            scaled_learning_rate(8)
-        )
+        cfg = DistributedConfig(world_size=1, global_batch_size=256, scale_lr=True)
+        assert cfg.resolve_lr() == pytest.approx(scaled_learning_rate(256))
 
 
 class TestBlockModeLoader:
-    """PR-4 satellite: size-sorted block mode for the single-device loader."""
+    """Size-sorted blocks on one device: the bucket sampler at ``world_size=1``."""
 
     def _dataset(self, entries):
         return StructureDataset(entries, memoize_batches=True)
 
-    def test_blocks_cover_every_sample_once(self, entries):
-        from repro.data.loader import DataLoader
+    def _trainer(self, ds, seed=0, **overrides) -> DistributedTrainer:
+        model = FastCHGNet(np.random.default_rng(seed), config=_small_config())
+        base = dict(
+            world_size=1, global_batch_size=4, epochs=2, learning_rate=1e-4, bucket_sampler=True
+        )
+        base.update(overrides)
+        return DistributedTrainer(lambda: model, ds, DistributedConfig(**base))
 
+    def test_blocks_cover_every_sample_once(self, entries):
         ds = self._dataset(entries)
-        loader = DataLoader(ds, batch_size=5, blocks=True)
+        sampler = self._trainer(ds, global_batch_size=5).sampler
         seen = []
-        for (block,) in loader.block_sampler.epoch_partitions(0):
+        for (block,) in sampler.epoch_partitions(0):
             seen.extend(int(i) for i in block)
         assert sorted(seen) == list(range(len(ds)))
 
     def test_blocks_padded_to_planned_tier_shapes(self, entries):
-        from repro.data.loader import DataLoader
-
         ds = self._dataset(entries)
-        loader = DataLoader(ds, batch_size=4, blocks=True)
+        loader = self._trainer(ds).loader
         shapes_by_epoch = []
         for _ in range(2):
-            shapes = [
-                (b.num_structs, b.num_atoms, b.num_edges, b.num_angles)
-                for b in loader
-            ]
-            shapes_by_epoch.append(sorted(shapes))
-            assert all(
-                b.pad_info is not None
-                for b in loader._batches(0)
+            shards = [b for step in loader for b in step]
+            shapes_by_epoch.append(
+                sorted((b.num_structs, b.num_atoms, b.num_edges, b.num_angles) for b in shards)
             )
+            assert all(b.pad_info is not None for b in shards)
         # static block composition: the same padded shapes every epoch
         assert shapes_by_epoch[0] == shapes_by_epoch[1]
 
     def test_len_counts_blocks(self, entries):
-        from repro.data.loader import DataLoader
-
         ds = self._dataset(entries)
-        loader = DataLoader(ds, batch_size=5, blocks=True)
-        assert len(loader) == loader.block_sampler.num_batches()
-        assert len(list(loader)) == len(loader)
+        trainer = self._trainer(ds, global_batch_size=5)
+        assert len(trainer.loader) == trainer.sampler.num_batches()
+        assert len(list(trainer.loader)) == len(trainer.loader)
 
     def test_compiled_trainer_first_epoch_replay_only(self, entries):
         ds = self._dataset(entries)
-        model = FastCHGNet(np.random.default_rng(0), config=_small_config())
-        trainer = Trainer(
-            model,
-            ds,
-            config=TrainConfig(
-                epochs=2, batch_size=4, learning_rate=1e-4, compile=True
-            ),
-        )
-        assert trainer.loader.block_sampler is not None
-        trainer.train_epoch(0)
-        captures_first = trainer.compiler.stats.captures
-        n_tiers = len(trainer.loader.block_sampler.tier_targets)
+        trainer = self._trainer(ds, compile=True)
+        (compiler,) = trainer.compilers
+        for shards in trainer.loader.iter_epoch(0):
+            trainer.train_step(shards)
+        captures_first = compiler.stats.captures
+        n_tiers = len(trainer.sampler.tier_targets)
         assert captures_first <= n_tiers
-        trainer.train_epoch(1)
-        assert trainer.compiler.stats.captures == captures_first
-        assert trainer.compiler.stats.replays > 0
-        assert trainer.compiler.stats.eager_fallbacks == 0
+        for shards in trainer.loader.iter_epoch(1):
+            trainer.train_step(shards)
+        assert compiler.stats.captures == captures_first
+        assert compiler.stats.replays > 0
+        assert compiler.stats.eager_fallbacks == 0
 
     def test_compiled_matches_eager_on_block_pipeline(self, entries):
         ds = self._dataset(entries)
 
         def run(compile_flag):
-            model = FastCHGNet(np.random.default_rng(1), config=_small_config())
-            trainer = Trainer(
-                model,
-                ds,
-                config=TrainConfig(
-                    epochs=2,
-                    batch_size=4,
-                    learning_rate=1e-4,
-                    compile=compile_flag,
-                    compile_blocks=True,
-                ),
-            )
+            trainer = self._trainer(ds, seed=1, compile=compile_flag)
             trainer.train()
-            return model.state_dict(), [r.train_loss for r in trainer.history]
+            return trainer.model.state_dict(), [r.train_loss for r in trainer.history]
 
         state_c, losses_c = run(True)
         state_e, losses_e = run(False)

@@ -20,7 +20,7 @@ from repro.model import CHGNetConfig, CHGNetModel, OptLevel
 from repro.serve import InferenceEngine
 from repro.serve import engine as engine_module
 from repro.serve.engine import MAX_VERSIONS
-from repro.train import ServingTrainer, TrainConfig
+from repro.train import DistributedConfig, ServingTrainer
 from repro.data.dataset import StructureDataset
 
 CFG = CHGNetConfig(
@@ -203,6 +203,12 @@ class TestVersionedPublish:
             engine.publish_weights(state=state)
 
 
+def _one_rank(epochs: int) -> DistributedConfig:
+    return DistributedConfig(
+        world_size=1, global_batch_size=4, epochs=epochs, scale_lr=False, seed=0
+    )
+
+
 class TestServingTrainer:
     def test_epoch_end_checkpoints_stream_into_engine(self):
         entries = generate_mptrj(10, seed=21, max_atoms=8)
@@ -212,11 +218,7 @@ class TestServingTrainer:
         crystals = [e.crystal for e in entries[:4]]
         stale = engine.predict_many(crystals)
         trainer = ServingTrainer(
-            model,
-            dataset,
-            engine,
-            config=TrainConfig(epochs=2, batch_size=4, seed=0),
-            publish_every=1,
+            lambda: model, dataset, engine, config=_one_rank(2), publish_every=1
         )
         trainer.train()
         assert len(trainer.published_versions) == 2
@@ -233,16 +235,37 @@ class TestServingTrainer:
         model = _fresh_model(seed=9, jitter=900)
         engine = InferenceEngine(model, compile=False)
         trainer = ServingTrainer(
-            model,
-            dataset,
-            engine,
-            config=TrainConfig(epochs=3, batch_size=4, seed=0),
-            publish_every=2,
+            lambda: model, dataset, engine, config=_one_rank(3), publish_every=2
         )
         trainer.train()
         assert len(trainer.published_versions) == 1  # only epoch 2 published
         with pytest.raises(ValueError):
-            ServingTrainer(model, dataset, engine, publish_every=0)
+            ServingTrainer(lambda: model, dataset, engine, publish_every=0)
+
+    def test_two_ranks_publish_rank_zeros_weights(self):
+        """On two ranks the engine serves a model of its own, so each publish
+        hands over rank 0's state dict; the served predictions then equal
+        solo eager inference on rank 0's replica."""
+        entries = generate_mptrj(10, seed=23, max_atoms=8)
+        dataset = StructureDataset(entries, CFG.cutoff_atom, CFG.cutoff_bond)
+        engine = InferenceEngine(_fresh_model(seed=10, jitter=1000), compile=False)
+        trainer = ServingTrainer(
+            lambda: _fresh_model(seed=10, jitter=1000),
+            dataset,
+            engine,
+            config=DistributedConfig(
+                world_size=2, global_batch_size=4, epochs=2, scale_lr=False, seed=0
+            ),
+        )
+        assert engine.model is not trainer.model
+        trainer.train()
+        assert trainer.replicas_in_sync()
+        assert engine.current_version == trainer.published_versions[-1]
+        assert len(trainer.published_versions) == 2
+        crystals = [e.crystal for e in entries[:4]]
+        served = engine.predict_many(crystals)
+        base = _solo_eager(trainer.model, crystals)
+        assert all(_equal(a, b) for a, b in zip(served, base))
 
 
 def _drive_trickle(engine, stream, dt, version=None):

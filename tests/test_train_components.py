@@ -18,7 +18,6 @@ from repro.train import (
     DistributedConfig,
     DistributedTrainer,
     LossWeights,
-    TrainConfig,
     mae,
     r_squared,
     scaled_learning_rate,
@@ -374,15 +373,16 @@ class TestFlatFlushWithGradlessParameter:
 
 
 class TestConfigLearningRate:
-    @pytest.mark.parametrize("config", [TrainConfig, DistributedConfig])
+    @pytest.mark.parametrize("world_size", [1, 4])
     @pytest.mark.parametrize("lr", [0.0, -1.0])
-    def test_non_positive_lr_rejected_on_construction(self, config, lr):
+    def test_non_positive_lr_rejected_on_construction(self, world_size, lr):
         with pytest.raises(ValueError, match=f"learning rate must be positive, got {lr}"):
-            config(learning_rate=lr)
+            DistributedConfig(world_size=world_size, learning_rate=lr)
 
-    @pytest.mark.parametrize("config", [TrainConfig, DistributedConfig])
-    def test_explicit_lr_is_used_as_given(self, config):
-        assert config(learning_rate=2e-4).resolve_lr() == 2e-4
+    @pytest.mark.parametrize("world_size", [1, 4])
+    def test_explicit_lr_is_used_as_given(self, world_size):
+        config = DistributedConfig(world_size=world_size, learning_rate=2e-4)
+        assert config.resolve_lr() == 2e-4
 
 
 class TestSchedules:

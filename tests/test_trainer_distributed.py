@@ -1,4 +1,5 @@
-"""Trainers: single-device learning, distributed synchronization & equivalence."""
+"""The trainer: single-device learning (one rank), distributed synchronization
+and equivalence."""
 
 from __future__ import annotations
 
@@ -11,8 +12,6 @@ from repro.tensor import Tensor
 from repro.train import (
     DistributedConfig,
     DistributedTrainer,
-    TrainConfig,
-    Trainer,
     evaluate,
 )
 
@@ -26,56 +25,78 @@ def make_model(small_config, level=OptLevel.DECOMPOSE_FS, seed=5):
     return CHGNetModel(small_config.with_level(level), np.random.default_rng(seed))
 
 
+def single(model, dataset, **overrides) -> DistributedTrainer:
+    """A one-rank trainer over ``model`` itself (the factory runs once)."""
+    base = dict(world_size=1, global_batch_size=4, epochs=1, scale_lr=False)
+    base.update(overrides)
+    return DistributedTrainer(lambda: model, dataset, DistributedConfig(**base))
+
+
 class TestTrainer:
+    """A single-device run is ``DistributedTrainer`` at ``world_size=1``."""
+
     def test_single_step_changes_weights(self, small_config, dataset):
         model = make_model(small_config)
-        trainer = Trainer(model, dataset, config=TrainConfig(epochs=1, batch_size=4))
+        trainer = single(model, dataset)
+        assert trainer.model is model
         before = {k: v.copy() for k, v in model.state_dict().items()}
         batch = dataset.batch([0, 1, 2, 3])
-        trainer.train_step(batch)
+        trainer.train_step([batch])
         after = model.state_dict()
         changed = sum(not np.allclose(before[k], after[k]) for k in before)
         assert changed > 0
 
     def test_loss_decreases_on_fixed_batch(self, small_config, dataset):
         model = make_model(small_config)
-        trainer = Trainer(
-            model, dataset, config=TrainConfig(epochs=1, batch_size=4, learning_rate=1e-3)
-        )
+        trainer = single(model, dataset, learning_rate=1e-3)
         batch = dataset.batch([0, 1, 2, 3])
-        first = trainer.train_step(batch).loss.item()
+        first = trainer.train_step([batch]).loss
         for _ in range(12):
-            last = trainer.train_step(batch).loss.item()
+            last = trainer.train_step([batch]).loss
         assert last < first
 
     def test_reference_model_trains_too(self, small_config, dataset):
         """The double-backward path updates weights without error."""
         model = make_model(small_config, level=OptLevel.BASELINE)
-        trainer = Trainer(model, dataset, config=TrainConfig(epochs=1, batch_size=2))
-        batch = dataset.batch([0, 1])
-        b = trainer.train_step(batch)
-        assert np.isfinite(b.loss.item())
+        trainer = single(model, dataset, global_batch_size=2)
+        stats = trainer.train_step([dataset.batch([0, 1])])
+        assert np.isfinite(stats.loss)
+        assert np.isfinite([stats.stress_mae, stats.magmom_mae]).all()
         assert all(np.all(np.isfinite(p.data)) for p in model.parameters())
 
     def test_history_records(self, small_config, dataset):
         model = make_model(small_config)
-        trainer = Trainer(
-            model,
+        trainer = DistributedTrainer(
+            lambda: model,
             dataset,
+            DistributedConfig(world_size=1, global_batch_size=8, epochs=2, scale_lr=False),
             val_dataset=StructureDataset(dataset.entries[:2]),
-            config=TrainConfig(epochs=2, batch_size=8),
         )
-        history = trainer.train()
+        seen = []
+        trainer.add_epoch_hook(lambda epoch, record: seen.append((epoch, trainer._epoch)))
+        trainer.train()
+        history = trainer.history
         assert len(history) == 2
         assert history[0].val is not None
         assert history[1].lr < trainer.config.resolve_lr()  # cosine decayed
+        # hooks run after the cursor advanced past their epoch
+        assert seen == [(0, 1), (1, 2)]
+        steps = len(trainer.loader)
+        first = trainer.steps[:steps]
+        assert history[0].train_loss == pytest.approx(np.mean([s.loss for s in first]))
+        assert history[0].train_stress_mae == pytest.approx(
+            np.mean([s.stress_mae for s in first])
+        )
 
     def test_resolve_lr_priority(self):
-        assert TrainConfig(learning_rate=1e-2).resolve_lr() == 1e-2
-        assert TrainConfig(scale_lr=True, batch_size=256).resolve_lr() == pytest.approx(
+        def cfg(**kw):
+            return DistributedConfig(world_size=1, **kw)
+
+        assert cfg(learning_rate=1e-2).resolve_lr() == 1e-2
+        assert cfg(scale_lr=True, global_batch_size=256).resolve_lr() == pytest.approx(
             256 / 128 * 3e-4
         )
-        assert TrainConfig().resolve_lr() == pytest.approx(3e-4)
+        assert cfg(scale_lr=False).resolve_lr() == pytest.approx(3e-4)
 
     def test_evaluate_returns_finite_metrics(self, small_config, dataset):
         model = make_model(small_config)
@@ -118,15 +139,17 @@ class TestDistributed:
         assert stats.rank_feature_numbers.shape == (2,)
         assert np.isfinite(stats.loss)
 
-    def test_global_batch_larger_than_dataset_raises(self, small_config, dataset):
+    @pytest.mark.parametrize("world_size", [1, 2])
+    def test_global_batch_larger_than_dataset_raises(self, small_config, dataset, world_size):
         """A run that would take no step is refused when it is built, naming
-        the global batch and the dataset size."""
+        the global batch and the dataset size — one device included, where
+        the batch is not clamped to the corpus."""
         small = StructureDataset(dataset.entries[:12])
         with pytest.raises(ValueError, match=r"global batch 16 .* 12 structures"):
             DistributedTrainer(
                 lambda: make_model(small_config),
                 small,
-                DistributedConfig(world_size=2, global_batch_size=16),
+                DistributedConfig(world_size=world_size, global_batch_size=16),
             )
 
     def test_wrong_shard_count_raises(self, small_config, dataset):

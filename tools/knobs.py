@@ -23,15 +23,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.data.loader import DataLoader, ShardedLoader  # noqa: E402
+from repro.data.loader import ShardedLoader  # noqa: E402
 from repro.md import ModelCalculator, TrajectoryFarm  # noqa: E402
 from repro.serve import AutoscaleConfig, InferenceEngine  # noqa: E402
-from repro.train import DistributedConfig, TrainConfig  # noqa: E402
+from repro.train import DistributedConfig  # noqa: E402
 
 #: Config objects, counted by dataclass field.
-CONFIGS = (DistributedConfig, TrainConfig, AutoscaleConfig)
+CONFIGS = (DistributedConfig, AutoscaleConfig)
 #: Configurable classes, counted by constructor keyword with a default.
-CONSTRUCTORS = (InferenceEngine, DataLoader, ShardedLoader, TrajectoryFarm, ModelCalculator)
+CONSTRUCTORS = (InferenceEngine, ShardedLoader, TrajectoryFarm, ModelCalculator)
 
 
 def keywords(cls: type) -> list[str]:
