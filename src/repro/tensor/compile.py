@@ -20,7 +20,11 @@ Capture
 
 Replay
     :class:`CompiledStep` re-executes the instruction list on rebound batch
-    arrays and live parameter values.  Elementwise chains whose intermediate
+    arrays and live parameter values.  Each program runs as one Python
+    function generated when it is built: one statement per kernel launch,
+    every array read from the slot list, no interpreter loop
+    (docs/architecture.md, "Straight-line replay", has the emission rules
+    and the code cache).  Elementwise chains whose intermediate
     has a single consumer are fused into one in-place kernel (the compiled
     analogue of :mod:`repro.tensor.ops_fused`); all other out-capable kernels
     write into the **arena** — byte offsets planned from liveness analysis
@@ -58,6 +62,7 @@ Managers
 from __future__ import annotations
 
 import time
+import types
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -144,74 +149,100 @@ def _fused_envelope_out(out, xi, p):
     return out
 
 
-def _shared(fwd):
-    # The eager forward takes out= and *is* the compiled kernel: one body, so
-    # replay cannot drift from eager (docs/architecture.md, "Row-stable kernels").
-    return lambda out, *args, **kwargs: fwd(*args, out=out, **kwargs)
+#: Kernels called as ``fn(*args, out=out, **kwargs)``: the NumPy ufuncs, and
+#: the eager forwards that take ``out=`` and *are* the compiled kernel — one
+#: body, so replay cannot drift from eager (docs/architecture.md, "Row-stable
+#: kernels").
+_OUT_KW: dict[str, Callable] = {
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "div": np.divide,
+    "maximum": np.maximum,
+    "minimum": np.minimum,
+    "ge_mask": np.greater_equal,
+    "le_mask": np.less_equal,
+    "neg": np.negative,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "arccos": np.arccos,
+    "tanh": np.tanh,
+    "abs": np.abs,
+    "sign": np.sign,
+    "sigmoid": _sigmoid_np,
+    "silu": _silu_np,
+    "matmul": _matmul_np,
+    "linear": _linear_np,
+    # A program launches hundreds of sums, most of them small: the generated
+    # replay calls _sum_np itself, with no adapter frame in between.
+    "sum": _sum_np,
+    "gather_add": _gather_add_np,
+    "segment_sum": _segment_sum_np,
+    "fused_fourier": _fourier_np,
+    "center": _center_np,
+    "fused_pack_gated": _pack_gated_np,
+    "fused_rmsnorm": _rmsnorm_np,
+    "fused_rmsnorm_vjp": _rmsnorm_vjp_np,
+    "fused_rmsnorm_vjp_gamma": _rmsnorm_vjp_gamma_np,
+    "fused_rmsnorm_vjp2": _rmsnorm_vjp2_np,
+    "fused_gate": _gate_np,
+    "fused_gate_vjp": _gate_vjp_np,
+    "fused_gate_vjp2": _gate_vjp2_np,
+}
 
 
-def _ufunc1(u):
-    return lambda out, a: u(a, out=out)
-
-
-def _ufunc2(u):
-    return lambda out, a, b: u(a, b, out=out)
+def _out_first(fn):
+    return lambda out, *args, **kwargs: fn(*args, out=out, **kwargs)
 
 
 # name -> callable(out_buffer, *input_arrays, **kwargs) writing the result
-# into the buffer.  Every impl computes bit-identically to the eager forward.
+# into the buffer: the kernel table.  Every impl computes bit-identically to
+# the eager forward.
 _OUT_IMPLS: dict[str, Callable] = {
-    "add": _ufunc2(np.add),
-    "sub": _ufunc2(np.subtract),
-    "mul": _ufunc2(np.multiply),
-    "div": _ufunc2(np.divide),
-    "maximum": _ufunc2(np.maximum),
-    "minimum": _ufunc2(np.minimum),
-    "ge_mask": _ufunc2(np.greater_equal),
-    "le_mask": _ufunc2(np.less_equal),
-    "neg": _ufunc1(np.negative),
-    "exp": _ufunc1(np.exp),
-    "log": _ufunc1(np.log),
-    "sqrt": _ufunc1(np.sqrt),
-    "sin": _ufunc1(np.sin),
-    "cos": _ufunc1(np.cos),
-    "arccos": _ufunc1(np.arccos),
-    "tanh": _ufunc1(np.tanh),
-    "abs": _ufunc1(np.abs),
-    "sign": _ufunc1(np.sign),
-    "sigmoid": _shared(_sigmoid_np),
-    "silu": _shared(_silu_np),
+    **{name: _out_first(fn) for name, fn in _OUT_KW.items()},
     "power": lambda out, a, p: np.power(a, p, out=out),
     "clip": lambda out, a, lo, hi: np.clip(a, lo, hi, out=out),
     "le_mask_c": lambda out, a, threshold: np.less_equal(a, threshold, out=out),
-    "matmul": _shared(_matmul_np),
-    "linear": _shared(_linear_np),
     "fused_scale_shift": _scale_shift_out,
-    # Positional call: a program launches hundreds of sums, most of them
-    # small, so the keyword round trip of _shared is worth skipping here.
-    "sum": lambda out, a, axis=None, keepdims=False: _sum_np(a, axis, keepdims, out),
     "concat": lambda out, *xs, axis=0: np.concatenate(xs, axis=axis, out=out),
     "stack": lambda out, *xs, axis=0: np.stack(xs, axis=axis, out=out),
     # mode="clip" writes straight into out (the default "raise" buffers it);
     # CompiledStep.bind range-checks every bound index array instead.
     "gather": lambda out, x, idx, plan: np.take(x, idx, axis=0, out=out, mode="clip"),
-    "gather_add": _shared(_gather_add_np),
-    "segment_sum": _shared(_segment_sum_np),
     "scatter_slice": _scatter_slice_out,
     "fused_srbf": _fused_srbf_out,
-    "fused_fourier": _shared(_fourier_np),
-    "center": _shared(_center_np),
-    "fused_pack_gated": _shared(_pack_gated_np),
-    "fused_rmsnorm": _shared(_rmsnorm_np),
-    "fused_rmsnorm_vjp": _shared(_rmsnorm_vjp_np),
-    "fused_rmsnorm_vjp_gamma": _shared(_rmsnorm_vjp_gamma_np),
-    "fused_rmsnorm_vjp2": _shared(_rmsnorm_vjp2_np),
-    "fused_gate": _shared(_gate_np),
-    "fused_gate_vjp": _shared(_gate_vjp_np),
-    "fused_gate_vjp2": _shared(_gate_vjp2_np),
     # Reads xi several times, so it must never consume a chain carry: kept
     # out of _ELEMENTWISE deliberately (arena-backed standalone launch only).
     "fused_envelope": _fused_envelope_out,
+}
+
+
+def _call(fn: str, args: list[str], kwargs: dict[str, str]) -> str:
+    return f"{fn}({', '.join([*args, *(f'{k}={v}' for k, v in kwargs.items())])})"
+
+
+# Emission rules: the source of one arena launch of kernel ``n`` writing the
+# output expression ``o`` from argument and keyword expressions ``a`` / ``kw``
+# (docs/architecture.md, "Straight-line replay").  A kernel without a rule
+# calls its _OUT_IMPLS entry, bound in every replay namespace as ``o_<n>``.
+_RULES: dict[str, Callable[[str, str, list[str], dict[str, str]], str]] = {
+    **dict.fromkeys(_OUT_KW, lambda n, o, a, kw: _call(n, a, {**kw, "out": o})),
+    "gather": lambda n, o, a, kw: f'{a[0]}.take({kw["idx"]}, axis=0, out={o}, mode="clip")',
+}
+
+
+def _other_rule(n: str, o: str, a: list[str], kw: dict[str, str]) -> str:
+    return _call(f"o_{n}", [o, *a], kw)
+
+
+#: What every generated replay function sees besides its own constants.
+_REPLAY_GLOBALS = {
+    **_OUT_KW,
+    **{f"o_{name}": impl for name, impl in _OUT_IMPLS.items()},
+    "pc": time.perf_counter,
 }
 
 # Chainable elementwise kernels: same-shape outputs, out= capable, safe to
@@ -322,10 +353,8 @@ class Instr:
         "out_slot",
         "kwargs",
         "kw_ext",
-        "rkwargs",
         "alias",
         "buf",
-        "out_impl",
         "chain",
         "shape",
         "dtype",
@@ -338,12 +367,10 @@ class Instr:
         self.in_slots = in_slots
         self.out_slot = out_slot
         self.kwargs = kwargs  # ndarray-free (static) kwargs
-        self.kw_ext = kw_ext  # ((key, ext_slot), ...) rebound at bind time
-        self.rkwargs = kwargs  # kwargs used at replay (rebuilt when kw_ext)
+        self.kw_ext = kw_ext  # ((key, ext_slot), ...) read from the slots at replay
         self.alias = name in _ALIAS_OPS
         self.buf = -1  # arena buffer id (-1: plain allocation)
-        self.out_impl = None
-        self.chain = None  # fused chain: [(impl, argspec, kwargs), ...]
+        self.chain = None  # fused chain: [(kernel name, argspec, kwargs), ...]
         self.shape = out.shape
         self.dtype = out.dtype
         self.nbytes = out.nbytes
@@ -491,6 +518,63 @@ class _traced:
         pop_tracer(self.tracer)
 
 
+def _replay_source(instrs: list[Instr], timed: bool) -> tuple[str, list]:
+    """A program as the source of one straight-line function, plus its constants.
+
+    One statement per instruction — one per step of a fused chain — indexes
+    the slot list ``S`` for every array: arena outputs were placed there by
+    :meth:`CompiledStep.attach`, bound externals by :meth:`CompiledStep.bind`,
+    and plain-allocating instructions store into it.  Keyword values and
+    plain kernels are read from the names ``k0``, ``k1``, ... bound to the
+    returned constants, so programs of one model that differ only in shapes
+    generate the same text.  ``timed`` adds ``T[t] = pc() - t0`` after
+    instruction ``t``.
+    """
+    consts: list = []
+
+    def const(value) -> str:
+        consts.append(value)
+        return f"k{len(consts) - 1}"
+
+    lines = ["def replay(S, T):", " t0 = pc()"] if timed else ["def replay(S):"]
+    for t, ins in enumerate(instrs):
+        o = f"S[{ins.out_slot}]"
+        steps = ins.chain or [(ins.name, ins.in_slots, ins.kwargs)]
+        for name, argspec, kwargs in steps:
+            args = [o if s == _CARRY else f"S[{s}]" for s in argspec]
+            kw = {k: const(v) for k, v in kwargs.items()}
+            kw.update((k, f"S[{s}]") for k, s in ins.kw_ext)
+            if ins.buf < 0:
+                lines.append(f" {o} = {_call(const(ins.fn), args, kw)}")
+            else:
+                lines.append(" " + _RULES.get(name, _other_rule)(name, o, args, kw))
+        if timed:
+            lines.append(f" T[{t}] = pc() - t0")
+    return "\n".join(lines) + "\n", consts
+
+
+#: Compiled replay code by source text, least recently used first.  Every
+#: tier of one model generates the same source, so its programs share one
+#: code object and differ only in their constants namespace.
+_CODE: OrderedDict[str, types.CodeType] = OrderedDict()
+_CODE_CAPACITY = 16
+
+
+def _replay_function(instrs: list[Instr], timed: bool) -> Callable:
+    """The generated replay function of ``instrs`` (see :func:`_replay_source`)."""
+    source, consts = _replay_source(instrs, timed)
+    code = _CODE.pop(source, None)
+    if code is None:
+        module = compile(source, "<compiled replay>", "exec")
+        code = next(c for c in module.co_consts if isinstance(c, types.CodeType))
+    _CODE[source] = code
+    if len(_CODE) > _CODE_CAPACITY:
+        _CODE.popitem(last=False)
+    namespace = dict(_REPLAY_GLOBALS)
+    namespace.update((f"k{i}", value) for i, value in enumerate(consts))
+    return types.FunctionType(code, namespace, "replay")
+
+
 class CompiledStep:
     """A captured tape: flat kernel program + arena plan + gradient writes.
 
@@ -530,7 +614,8 @@ class CompiledStep:
         self._split_static()
         self.n_instrs = len(self.instrs)
         self._slot_instr = {ins.out_slot: t for t, ins in enumerate(self.instrs)}
-        self._kw_instrs = [ins for ins in self.instrs if ins.kw_ext]
+        self._run = _replay_function(self.instrs, timed=False)
+        self._timed: Callable | None = None  # built by the first replay_measured
 
     # ----------------------------------------------------------- compilation
     def _slot_uses(self) -> tuple[dict[int, int], dict[int, int]]:
@@ -624,15 +709,15 @@ class CompiledStep:
                 and not prev.kw_ext
             ):
                 if prev.chain is None:
-                    first = (_OUT_IMPLS[prev.name], prev.in_slots, prev.kwargs)
+                    first = (prev.name, prev.in_slots, prev.kwargs)
                     prev.name = "fused_chain"
                     prev.fn = None
-                    prev.kwargs = prev.rkwargs = {}
+                    prev.kwargs = {}
                     prev.chain = [first]
                 argspec = tuple(
                     _CARRY if s == prev.out_slot else s for s in ins.in_slots
                 )
-                prev.chain.append((_OUT_IMPLS[ins.name], argspec, ins.kwargs))
+                prev.chain.append((ins.name, argspec, ins.kwargs))
                 prev.in_slots = prev.in_slots + tuple(
                     s for s in ins.in_slots if s != prev.out_slot
                 )
@@ -679,11 +764,8 @@ class CompiledStep:
         for t, ins in enumerate(self.instrs):
             if ins.alias:
                 continue
-            impl = _OUT_IMPLS.get(ins.name) if ins.chain is None else True
-            if impl is None:
+            if ins.chain is None and ins.name not in _OUT_IMPLS:
                 continue
-            if ins.chain is None:
-                ins.out_impl = impl
             root = find(ins.out_slot)
             until = len(self.instrs) if root in group_pinned else group_last.get(root, t)
             ins.buf = len(planned)
@@ -781,10 +863,6 @@ class CompiledStep:
         for slot, rows, spec in self._index_bounds:
             if _out_of_range(slots[slot], rows):
                 raise IndexError(f"batch index array {spec!r} out of range for {rows} rows")
-        for ins in self._kw_instrs:
-            ins.rkwargs = dict(ins.kwargs)
-            for key, slot in ins.kw_ext:
-                ins.rkwargs[key] = slots[slot]
         return None
 
     # ---------------------------------------------------------------- replay
@@ -794,30 +872,10 @@ class CompiledStep:
         While a runtime profile is active every instruction is also reported
         as one kernel launch (name and output bytes), as eager dispatch does.
         """
-        self._replay_fast()
+        self._run(self._slots)
         if profiling_active():
             for ins in self.instrs:
                 record_kernel(ins.name, ins.nbytes)
-
-    def _replay_fast(self) -> None:
-        # Arena-backed slots were prefilled with their (permanent) buffers at
-        # build time, so only plain-allocating instructions store results.
-        slots = self._slots
-        buffers = self.buffers
-        for ins in self.instrs:
-            chain = ins.chain
-            if chain is not None:
-                buf = buffers[ins.buf]
-                for impl, argspec, kw in chain:
-                    impl(buf, *[buf if a == _CARRY else slots[a] for a in argspec], **kw)
-            elif ins.buf >= 0:
-                ins.out_impl(
-                    buffers[ins.buf], *[slots[s] for s in ins.in_slots], **ins.rkwargs
-                )
-            else:
-                slots[ins.out_slot] = ins.fn(
-                    *[slots[s] for s in ins.in_slots], **ins.rkwargs
-                )
 
     def grad_instr_index(self, slot: int) -> int:
         """Index of the replay instruction producing ``slot`` (-1: prefilled).
@@ -833,28 +891,16 @@ class CompiledStep:
     def replay_measured(self) -> np.ndarray:
         """Replay on the bound slots, timestamping every instruction.
 
-        The one instrumented loop.  Returns cumulative seconds after each
-        launch (same kernels, same order, same bits as :meth:`replay`);
-        combined with :meth:`grad_instr_index` this yields *measured*
-        per-gradient completion times instead of byte-share estimates.
+        Runs the timed variant of the generated replay function.  Returns
+        cumulative seconds after each launch (same kernels, same order, same
+        bits as :meth:`replay`); combined with :meth:`grad_instr_index` this
+        yields *measured* per-gradient completion times instead of
+        byte-share estimates.
         """
-        slots = self._slots
-        buffers = self.buffers
+        if self._timed is None:
+            self._timed = _replay_function(self.instrs, timed=True)
         times = np.zeros(len(self.instrs))
-        t0 = time.perf_counter()
-        for t, ins in enumerate(self.instrs):
-            if ins.chain is not None:
-                buf = buffers[ins.buf]
-                for impl, argspec, kw in ins.chain:
-                    impl(buf, *[buf if a == _CARRY else slots[a] for a in argspec], **kw)
-                slots[ins.out_slot] = buf
-            else:
-                args = [slots[s] for s in ins.in_slots]
-                if ins.buf >= 0:
-                    slots[ins.out_slot] = ins.out_impl(buffers[ins.buf], *args, **ins.rkwargs)
-                else:
-                    slots[ins.out_slot] = ins.fn(*args, **ins.rkwargs)
-            times[t] = time.perf_counter() - t0
+        self._timed(self._slots, times)
         return times
 
     def apply_grads(self, params: list) -> None:

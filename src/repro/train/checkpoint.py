@@ -24,8 +24,8 @@ dict of scalars/progress; Python's JSON float encoding is shortest-repr and
 round-trips bit-exactly).  The trainer puts model weights and Adam moments
 in ``arrays`` and scalar optimizer/schedule/progress state in ``meta``; one
 codec (:func:`pack_training_state` / :func:`restore_training_state`) packs
-and restores that payload, the trainer adding only its ``kind``,
-``progress`` and ``run`` keys.
+and restores the weights, moments and schedule, and the trainer wraps them
+with its ``kind``, ``progress`` and ``run`` keys.
 """
 
 from __future__ import annotations
@@ -125,15 +125,12 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
-def pack_training_state(
-    model, optimizer, scheduler, kind: str, progress: dict, run: dict
-) -> tuple[dict[str, np.ndarray], dict]:
-    """A trainer's state as a checkpoint payload ``(arrays, meta)``.
+def pack_training_state(model, optimizer, scheduler) -> tuple[dict[str, np.ndarray], dict]:
+    """Weights, moments and schedule as a checkpoint payload ``(arrays, meta)``.
 
     Arrays: the model's weights under ``model/<name>`` and the Adam moments
-    under ``adam/m/<i>`` / ``adam/v/<i>``.  Meta: ``kind``, the Adam scalars,
-    the cosine schedule's position, and the trainer's own ``progress``
-    cursor and ``run`` identity.
+    under ``adam/m/<i>`` / ``adam/v/<i>``.  Meta: the Adam scalars under
+    ``adam`` and the cosine schedule's position under ``schedule``.
     """
     arrays: dict[str, np.ndarray] = {
         f"model/{name}": arr for name, arr in model.state_dict().items()
@@ -142,7 +139,6 @@ def pack_training_state(
         arrays[f"adam/m/{i}"] = m.copy()
         arrays[f"adam/v/{i}"] = v.copy()
     meta = {
-        "kind": kind,
         "adam": {"t": optimizer.t, "lr": optimizer.lr, "n_params": len(optimizer.params)},
         "schedule": {
             "step_count": scheduler.step_count,
@@ -150,39 +146,22 @@ def pack_training_state(
             "total_steps": scheduler.total_steps,
             "eta_min": scheduler.eta_min,
         },
-        "progress": progress,
-        "run": run,
     }
     return arrays, meta
 
 
 def restore_training_state(
-    arrays: dict[str, np.ndarray],
-    meta: dict,
-    kind: str,
-    run: dict,
-    models: list,
-    optimizers: list,
-    schedulers: list,
-) -> dict:
+    arrays: dict[str, np.ndarray], meta: dict, models: list, optimizers: list, schedulers: list
+) -> None:
     """Validate a :func:`pack_training_state` payload, then restore it.
 
     Every check runs before anything is written, so a rejected payload
-    leaves the trainer exactly as it was: the ``kind``, each ``run`` key
-    (the data order derives from them), the model's parameter names and
+    leaves the trainer exactly as it was: the model's parameter names and
     shapes, and the presence and shape of every Adam moment.  Any mismatch
     raises :class:`CheckpointError` naming the key.  The restored state goes
     into every model, optimizer and scheduler given (the replicas of a
-    distributed run are identical).  Returns the payload's ``progress``.
+    distributed run are identical).
     """
-    if meta.get("kind") != kind:
-        raise CheckpointError(f"checkpoint kind {meta.get('kind')!r} is not {kind!r}")
-    for key, value in run.items():
-        if meta["run"][key] != value:
-            raise CheckpointError(
-                f"checkpoint {key}={meta['run'][key]} does not match config "
-                f"{key}={value}; the resumed data order would diverge"
-            )
     model_state = {
         name[len("model/") :]: arr for name, arr in arrays.items() if name.startswith("model/")
     }
@@ -221,4 +200,3 @@ def restore_training_state(
         sched.total_steps = int(sched_meta["total_steps"])
         sched.eta_min = float(sched_meta["eta_min"])
         sched.optimizer.lr = float(adam["lr"])
-    return meta["progress"]

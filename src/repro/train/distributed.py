@@ -57,6 +57,7 @@ from repro.data.samplers import BucketBatchSampler, LoadBalanceSampler
 from repro.graph.batching import GraphBatch
 from repro.model.chgnet import CHGNetModel
 from repro.train.checkpoint import (
+    CheckpointError,
     load_checkpoint,
     pack_training_state,
     restore_training_state,
@@ -565,14 +566,10 @@ class DistributedTrainer:
             "world_size": cfg.world_size,
             "epochs": cfg.epochs,
         }
-        return pack_training_state(
-            self.replicas[0],
-            self.optimizers[0],
-            self.schedulers[0],
-            CHECKPOINT_KIND,
-            progress,
-            run,
+        arrays, state = pack_training_state(
+            self.replicas[0], self.optimizers[0], self.schedulers[0]
         )
+        return arrays, {"kind": CHECKPOINT_KIND, **state, "progress": progress, "run": run}
 
     def save_checkpoint(self, path: str) -> None:
         """Atomically write the current training state to ``path``."""
@@ -591,16 +588,21 @@ class DistributedTrainer:
         is validated in full before anything is written, so a rejected one
         leaves this trainer untouched.
         """
+        if meta.get("kind") != CHECKPOINT_KIND:
+            raise CheckpointError(
+                f"checkpoint kind {meta.get('kind')!r} is not {CHECKPOINT_KIND!r}"
+            )
         cfg = self.config
-        progress = restore_training_state(
-            arrays,
-            meta,
-            CHECKPOINT_KIND,
-            {"seed": cfg.seed, "global_batch_size": cfg.global_batch_size},
-            self.replicas,
-            self.optimizers,
-            self.schedulers,
+        for key in ("seed", "global_batch_size"):
+            if meta["run"][key] != getattr(cfg, key):
+                raise CheckpointError(
+                    f"checkpoint {key}={meta['run'][key]} does not match config "
+                    f"{key}={getattr(cfg, key)}; the resumed data order would diverge"
+                )
+        restore_training_state(
+            arrays, meta, self.replicas, self.optimizers, self.schedulers
         )
+        progress = meta["progress"]
         self._epoch = int(progress["epoch"])
         self._step_in_epoch = int(progress["step_in_epoch"])
         self.global_step = int(progress["global_step"])

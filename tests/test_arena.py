@@ -109,14 +109,6 @@ class TestBytePlan:
         assert prog.n_instrs > 1000  # forward + double backward
         _check_plan(prog)
 
-    def test_bind_visits_only_array_kwarg_instructions(self, entries):
-        dataset = StructureDataset(entries)
-        comp = StepCompiler(_jittered(OptLevel.FUSED), CompositeLoss())
-        comp.step(dataset.batch([0, 1, 2, 3]))
-        (prog,) = comp.cache.programs.values()
-        assert prog._kw_instrs == [ins for ins in prog.instrs if ins.kw_ext]
-        assert 0 < len(prog._kw_instrs) < prog.n_instrs
-
 
 class TestSlabOwnership:
     def test_growth_reattaches_cached_programs(self, graphs):

@@ -275,6 +275,16 @@ class TestSingleDeviceResume:
         with pytest.raises(CheckpointError, match="seed"):
             DistributedTrainer.resume(path, factory, dataset, dist_config(world_size=1, seed=1))
 
+    def test_other_kind_rejected_before_any_write(self, small_config, dataset):
+        trainer = DistributedTrainer(make_factory(small_config), dataset, dist_config(world_size=1))
+        arrays, meta = trainer.training_state()
+        for p in trainer.model.parameters():
+            p.data += 1.0
+        before = [p.data.copy() for p in trainer.model.parameters()]
+        with pytest.raises(CheckpointError, match="kind 'farm-v1'"):
+            trainer.load_training_state(arrays, {**meta, "kind": "farm-v1"})
+        assert all(np.array_equal(b, p.data) for b, p in zip(before, trainer.model.parameters()))
+
 
 class TestDistributedResume:
     @pytest.mark.parametrize("world_size", [1, 2])

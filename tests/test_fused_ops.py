@@ -497,9 +497,13 @@ class TestGatedKernelsCompiled:
 
         from repro.tensor import compile as tc
 
+        from repro.tensor import ops_fused
+
         source = inspect.getsource(tc)
         for name in self.GATED:
-            assert source.count(f'"{name}": _shared(') == 1, name
+            assert source.count(f'"{name}": ') == 1, name
+            kernel = tc._OUT_KW[name]  # called with out=: the eager forward itself
+            assert getattr(ops_fused, kernel.__name__) is kernel, name
         assert "fused_layernorm" not in tc._OUT_IMPLS  # a composition, not a kernel
 
     def test_fused_training_replay_is_eager_bit_for_bit(self, monkeypatch):
@@ -517,11 +521,7 @@ class TestGatedKernelsCompiled:
         (prog,) = comp._programs.values()
         counts = Counter(ins.name for ins in prog.instrs)
         assert all(counts[name] for name in self.GATED)
-        assert all(
-            ins.buf >= 0 and ins.out_impl is not None
-            for ins in prog.instrs
-            if ins.name in self.GATED
-        )
+        assert all(ins.buf >= 0 for ins in prog.instrs if ins.name in self.GATED)
         _poison_before_every_replay(monkeypatch, lambda: [comp.cache])
         for _ in range(2):
             comp.step(batch)  # validate: a diverging replay raises
@@ -681,7 +681,7 @@ class TestFusedOutKernels:
         (prog,) = comp._programs.values()
         seen = [ins for ins in prog.instrs if ins.name == "fused_envelope"]
         assert seen  # the VJP chain reaches the compiled program
-        assert all(ins.buf >= 0 and ins.out_impl is not None for ins in seen)
+        assert all(ins.buf >= 0 for ins in seen)
         comp.release()
 
     def test_fused_fourier_out_bit_identical(self, rng):
@@ -738,5 +738,5 @@ class TestFusedOutKernels:
             ins.name: ins for ins in prog.instrs if ins.name in fused_names
         }
         assert fused_names <= set(seen)
-        assert all(ins.buf >= 0 and ins.out_impl is not None for ins in seen.values())
+        assert all(ins.buf >= 0 for ins in seen.values())
         comp.release()
