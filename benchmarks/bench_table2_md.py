@@ -16,12 +16,14 @@ this substrate it comes from skipping the force/stress backward pass).
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.bench.reporting import emit, format_table
 from repro.graph import build_graph
-from repro.md import ModelCalculator, MolecularDynamics
+from repro.md import MDSpec, ModelCalculator, Trajectory
 from repro.model import CHGNetConfig, CHGNetModel, OptLevel
 from repro.structures import named_structures
 
@@ -34,11 +36,16 @@ _RESULTS: dict[str, dict] = {}
 
 
 def _step_time(crystal, level: OptLevel, n_steps: int = 2) -> float:
+    """Mean seconds per MD step over ``n_steps`` after one warm-up step."""
     model = CHGNetModel(CHGNetConfig(opt_level=level), np.random.default_rng(2))
-    md = MolecularDynamics(
-        crystal, ModelCalculator(model), timestep_fs=1.0, temperature_k=300.0, seed=0
-    )
-    return md.time_steps(n_steps, warmup=1)
+    calc = ModelCalculator(model)
+    trajectory = Trajectory(0, MDSpec(crystal, 1 + n_steps), record=False)
+    trajectory.start(calc.calculate(crystal))
+    trajectory.advance(calc)
+    t0 = time.perf_counter()
+    for _ in range(n_steps):
+        trajectory.advance(calc)
+    return (time.perf_counter() - t0) / n_steps
 
 
 @pytest.mark.parametrize("name", list(PAPER))

@@ -523,28 +523,37 @@ def _model_calculator(args: argparse.Namespace):
 
 
 def cmd_md(args: argparse.Namespace) -> int:
-    from repro.md import MolecularDynamics
+    from repro.md import MDSpec, Trajectory, instantaneous_temperature
     from repro.structures import named_structures
 
     with _setup("md"):
+        if args.steps < 1:
+            raise ValueError(f"--steps must be >= 1, got {args.steps}")
         crystal = named_structures()[args.structure]
         calc = _model_calculator(args)
-        md = MolecularDynamics(
-            crystal, calc, timestep_fs=args.timestep, temperature_k=args.temperature, seed=0
+        spec = MDSpec(
+            crystal, args.steps, timestep_fs=args.timestep, temperature_k=args.temperature
         )
-    result = md.run(args.steps)
+        trajectory = Trajectory(0, spec, record=False)
+    trajectory.start(calc.calculate(crystal))
     print(f"{args.structure}: {crystal.num_atoms} atoms, {args.steps} steps")
-    for rec in result.records:
+    step_ms = []
+    while not trajectory.done:
+        t0 = time.perf_counter()
+        trajectory.advance(calc)
+        step_ms.append((time.perf_counter() - t0) * 1e3)
+        state = trajectory.state
+        temperature = instantaneous_temperature(state.crystal, state.velocities)
         print(
-            f"  step {rec.step:3d}  E_pot {rec.potential_energy:10.4f} eV  "
-            f"T {rec.temperature:7.1f} K  {rec.step_seconds * 1e3:7.1f} ms/step"
+            f"  step {trajectory.steps - 1:3d}  E_pot {state.potential_energy:10.4f} eV  "
+            f"T {temperature:7.1f} K  {step_ms[-1]:7.1f} ms/step"
         )
-    print(f"mean step time: {result.mean_step_seconds * 1e3:.1f} ms")
+    print(f"mean step time: {np.mean(step_ms):.1f} ms")
     return 0
 
 
 def cmd_relax(args: argparse.Namespace) -> int:
-    from repro.md import FIRE, FIREConfig
+    from repro.md import FIREConfig, RelaxSpec, Trajectory
     from repro.structures import named_structures
 
     with _setup("relax"):
@@ -552,30 +561,34 @@ def cmd_relax(args: argparse.Namespace) -> int:
         if args.perturb > 0:
             crystal = crystal.perturbed(np.random.default_rng(args.seed), args.perturb)
         calc = _model_calculator(args)
-        fire = FIRE(
-            FIREConfig(
-                fmax=args.fmax,
-                max_steps=args.max_steps,
-                max_step=args.max_step,
-                timestep_fs=args.timestep,
-            )
+        config = FIREConfig(
+            fmax=args.fmax,
+            max_steps=args.max_steps,
+            max_step=args.max_step,
+            timestep_fs=args.timestep,
         )
-    result = fire.relax(crystal, calc)
+        trajectory = Trajectory(0, RelaxSpec(crystal, config), record=False)
+    trajectory.start(calc.calculate(crystal))
+    states = [trajectory.state]
+    while not trajectory.done:
+        trajectory.advance(calc)
+        states.append(trajectory.state)
+    result = trajectory.result()
     print(
         f"{args.structure}: {crystal.num_atoms} atoms, "
         f"perturbed {args.perturb:.3f} A, fmax tolerance {args.fmax} eV/A"
     )
-    stride = max(1, len(result.records) // 10)
-    for rec in result.records:
-        if rec.step % stride == 0 or rec.step == result.n_steps:
+    stride = max(1, len(states) // 10)
+    for state in states:
+        if state.n_steps % stride == 0 or state.n_steps == result.steps:
             print(
-                f"  step {rec.step:4d}  E {rec.energy:10.4f} eV  "
-                f"fmax {rec.fmax:8.4f} eV/A  dt {rec.dt:5.3f} fs"
+                f"  step {state.n_steps:4d}  E {state.potential_energy:10.4f} eV  "
+                f"fmax {state.fmax:8.4f} eV/A  dt {state.dt:5.3f} fs"
             )
     status = "converged" if result.converged else "NOT converged"
     print(
-        f"{status} in {result.n_steps} steps: E {result.state.potential_energy:.4f} eV, "
-        f"fmax {result.state.fmax:.4f} eV/A"
+        f"{status} in {result.steps} steps: E {result.energy:.4f} eV, "
+        f"fmax {result.fmax:.4f} eV/A"
     )
     return 0 if result.converged else 1
 

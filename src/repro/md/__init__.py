@@ -1,13 +1,18 @@
-"""Molecular dynamics: calculators, velocity-Verlet integrator, MD driver,
-FIRE relaxation and the lockstep trajectory farm."""
+"""Molecular dynamics: calculators, the velocity-Verlet integrator, FIRE
+relaxation and the trajectory driver.
+
+One MD run or relaxation is a :class:`Trajectory` stepped by a calculator
+(:func:`run_sequential` drives a list of them one at a time);
+:class:`TrajectoryFarm` advances many in lockstep waves through the serving
+engine."""
 
 from repro.md.calculator import CalcResult, Calculator, ModelCalculator, OracleCalculator
-from repro.md.dynamics import MDRecord, MDResult, MolecularDynamics
 from repro.md.farm import (
     FarmResult,
     FarmStats,
     MDSpec,
     RelaxSpec,
+    Trajectory,
     TrajectoryFarm,
     TrajectoryResult,
     TrajFrame,
@@ -23,23 +28,13 @@ from repro.md.integrator import (
     maxwell_boltzmann_velocities,
     rescale_to_temperature,
 )
-from repro.md.relax import (
-    FIRE,
-    FIREConfig,
-    FIREState,
-    RelaxRecord,
-    RelaxResult,
-    max_force_norm,
-)
+from repro.md.relax import FIRE, FIREConfig, FIREState, max_force_norm
 
 __all__ = [
     "CalcResult",
     "Calculator",
     "ModelCalculator",
     "OracleCalculator",
-    "MDRecord",
-    "MDResult",
-    "MolecularDynamics",
     "ACCEL_CONV",
     "KB_EV",
     "VelocityVerlet",
@@ -51,13 +46,12 @@ __all__ = [
     "FIRE",
     "FIREConfig",
     "FIREState",
-    "RelaxRecord",
-    "RelaxResult",
     "max_force_norm",
     "FarmResult",
     "FarmStats",
     "MDSpec",
     "RelaxSpec",
+    "Trajectory",
     "TrajectoryFarm",
     "TrajectoryResult",
     "TrajFrame",

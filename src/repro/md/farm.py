@@ -71,7 +71,9 @@ class MDSpec:
     NVE by default; ``rescale_every > 0`` applies the deterministic
     velocity-rescale thermostat to ``temperature_k`` every that many steps
     (the simplest NVT).  Initial velocities are Maxwell-Boltzmann from
-    ``seed``, so a spec fully determines its trajectory.
+    ``seed``, so a spec fully determines its trajectory.  A negative
+    ``n_steps``, ``temperature_k`` or ``rescale_every`` raises
+    ``ValueError`` at construction.
     """
 
     crystal: Crystal
@@ -80,6 +82,16 @@ class MDSpec:
     temperature_k: float = 300.0
     seed: int = 0
     rescale_every: int = 0
+
+    def __post_init__(self) -> None:
+        if self.n_steps < 0:
+            raise ValueError(f"n_steps must be non-negative, got {self.n_steps}")
+        if self.temperature_k < 0:
+            raise ValueError(f"temperature must be non-negative, got {self.temperature_k}")
+        if self.rescale_every < 0:
+            raise ValueError(
+                f"rescale_every must be non-negative, got {self.rescale_every}"
+            )
 
 
 @dataclass
@@ -142,8 +154,19 @@ class FarmResult:
     stats: FarmStats
 
 
-class _Trajectory:
-    """One live trajectory: spec, driver, state, staged half-step."""
+class Trajectory:
+    """One trajectory — a FIRE relaxation or an MD run — stepped in two phases.
+
+    :meth:`start` installs the evaluation of ``spec.crystal``; each step is
+    :meth:`begin` (the crystal the model must evaluate) then :meth:`finish`
+    (integrate that evaluation), or both at once through one calculator
+    with :meth:`advance`.  ``done`` turns true when the trajectory retires
+    (relaxation converged or step budget spent); ``state`` is the current
+    :class:`VerletState` (:class:`FIREState` for a relaxation) and
+    ``frames`` the per-step snapshots when ``record`` is set.  A farm
+    drives many of these in lockstep; driving one alone is a single MD run
+    or relaxation.
+    """
 
     def __init__(self, index: int, spec: RelaxSpec | MDSpec, record: bool) -> None:
         self.index = index
@@ -158,12 +181,6 @@ class _Trajectory:
             self.driver = FIRE(spec.config)
             self.limit = spec.config.max_steps
         elif isinstance(spec, MDSpec):
-            if spec.n_steps < 0:
-                raise ValueError(f"n_steps must be non-negative, got {spec.n_steps}")
-            if spec.rescale_every < 0:
-                raise ValueError(
-                    f"rescale_every must be non-negative, got {spec.rescale_every}"
-                )
             self.kind = "md"
             self.driver = VelocityVerlet(spec.timestep_fs)
             self.limit = spec.n_steps
@@ -215,6 +232,10 @@ class _Trajectory:
         if self.record:
             self._snap(result)
 
+    def advance(self, calculator: Calculator) -> None:
+        """One full step, its evaluation made by ``calculator``."""
+        self.finish(calculator.calculate(self.begin()))
+
     def _snap(self, result: CalcResult) -> None:
         self.frames.append(
             TrajFrame(self.state.crystal.cart_coords, result.forces, result.energy)
@@ -260,7 +281,7 @@ class TrajectoryFarm:
         self.skin = skin
         self.record = record
         self.stats = FarmStats()
-        self._trajectories: list[_Trajectory] = []
+        self._trajectories: list[Trajectory] = []
         self._caches: list[NeighborCache] = []
         self._prev: list[CrystalGraph | None] = []
         self._started = False
@@ -271,7 +292,7 @@ class TrajectoryFarm:
         if self._started:
             raise RuntimeError("farm already run; build a new one")
         index = len(self._trajectories)
-        self._trajectories.append(_Trajectory(index, spec, self.record))
+        self._trajectories.append(Trajectory(index, spec, self.record))
         self._caches.append(
             NeighborCache(self.engine.config.cutoff_atom, self.skin)
         )
@@ -281,7 +302,7 @@ class TrajectoryFarm:
     def __len__(self) -> int:
         return len(self._trajectories)
 
-    def _graph(self, trajectory: _Trajectory, crystal: Crystal) -> CrystalGraph:
+    def _graph(self, trajectory: Trajectory, crystal: Crystal) -> CrystalGraph:
         cache = self._caches[trajectory.index]
         graph = build_graph(
             crystal,
@@ -294,7 +315,7 @@ class TrajectoryFarm:
         self._prev[trajectory.index] = graph
         return graph
 
-    def _wave(self, live: list[_Trajectory], crystals: list[Crystal]) -> list[CalcResult]:
+    def _wave(self, live: list[Trajectory], crystals: list[Crystal]) -> list[CalcResult]:
         graphs = [self._graph(t, c) for t, c in zip(live, crystals)]
         predictions = self.engine.predict_wave(graphs)
         self.stats.waves += 1
@@ -526,10 +547,9 @@ def run_sequential(
     """
     results = []
     for index, spec in enumerate(specs):
-        trajectory = _Trajectory(index, spec, record)
+        trajectory = Trajectory(index, spec, record)
         trajectory.start(calculator.calculate(spec.crystal))
         while not trajectory.done:
-            crystal = trajectory.begin()
-            trajectory.finish(calculator.calculate(crystal))
+            trajectory.advance(calculator)
         results.append(trajectory.result())
     return results

@@ -100,12 +100,6 @@ class VelocityVerlet:
             potential_energy=result.energy,
         )
 
-    def step(self, state: VerletState, calculator) -> VerletState:
-        """Advance one MD step; returns the new state."""
-        crystal, v_half = self.begin_step(state)
-        result = calculator.calculate(crystal)
-        return self.finish_step(crystal, v_half, result)
-
 
 def rescale_to_temperature(
     crystal: Crystal, velocities: np.ndarray, temperature_k: float

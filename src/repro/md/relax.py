@@ -18,14 +18,15 @@ The step is split into :meth:`FIRE.begin_step` (half-kick + clamped
 drift — produces the crystal the model must evaluate) and
 :meth:`FIRE.finish_step` (second half-kick + the FIRE velocity/timestep
 update), so a trajectory farm can batch many relaxations' model
-evaluations between the phases.  :meth:`FIRE.step` and :meth:`FIRE.relax`
-drive the same two phases with a plain calculator, which is what makes
-farmed relaxations bit-identical to solo ones.
+evaluations between the phases.  A single relaxation is one
+:class:`~repro.md.farm.Trajectory` driven by a plain calculator
+(:meth:`~repro.md.farm.Trajectory.advance`) through the same two phases,
+which is what makes farmed relaxations bit-identical to solo ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,31 +116,6 @@ class FIREState:
         return max_force_norm(self.forces)
 
 
-@dataclass
-class RelaxRecord:
-    """One step of a relaxation run (for logging/observers)."""
-
-    step: int
-    energy: float
-    fmax: float
-    dt: float
-
-
-@dataclass
-class RelaxResult:
-    """Outcome of :meth:`FIRE.relax`."""
-
-    state: FIREState
-    converged: bool
-    n_steps: int
-    records: list[RelaxRecord] = field(default_factory=list)
-
-    @property
-    def crystal(self) -> Crystal:
-        """The relaxed (final) structure."""
-        return self.state.crystal
-
-
 class FIRE:
     """The FIRE relaxation driver (see the module docstring)."""
 
@@ -227,35 +203,4 @@ class FIRE:
             alpha=alpha,
             n_pos=n_pos,
             n_steps=state.n_steps + 1,
-        )
-
-    def step(self, state: FIREState, calculator) -> FIREState:
-        """One full relaxation step through ``calculator`` (both phases)."""
-        crystal, v_half = self.begin_step(state)
-        result = calculator.calculate(crystal)
-        return self.finish_step(state, crystal, v_half, result)
-
-    def relax(self, crystal: Crystal, calculator, observer=None) -> RelaxResult:
-        """Relax ``crystal`` until converged or ``max_steps`` evaluations.
-
-        ``observer(state)``, when given, is called after every step.  The
-        run stops the moment the max per-atom force norm drops to ``fmax``
-        (checked on the initial forces too, so an already-relaxed input
-        costs exactly one evaluation).
-        """
-        result = calculator.calculate(crystal)
-        state = self.init_state(crystal, result)
-        records = [RelaxRecord(0, state.potential_energy, state.fmax, state.dt)]
-        while not self.converged(state) and state.n_steps < self.config.max_steps:
-            state = self.step(state, calculator)
-            records.append(
-                RelaxRecord(state.n_steps, state.potential_energy, state.fmax, state.dt)
-            )
-            if observer is not None:
-                observer(state)
-        return RelaxResult(
-            state=state,
-            converged=self.converged(state),
-            n_steps=state.n_steps,
-            records=records,
         )

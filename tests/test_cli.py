@@ -313,8 +313,9 @@ def _spy_on_data(monkeypatch) -> list:
 _AFTER_DATA = " --structures 20 --max-atoms 6"
 
 
-# (argv, exit message, checked before the corpus is generated); the two
-# values checked after it belong to the sampler and the generator itself.
+# (argv, exit message, checked before the corpus is generated); the three
+# values checked after it belong to the sampler, the generator itself and
+# the farm's MD specs, which are built on the generated crystals.
 _BAD_FLAGS = [
     ("serve --workers 0", "serve: n_workers must be >= 1, got 0", True),
     ("serve --batch-structs 0", "serve: max_batch_structs must be >= 1, got 0", True),
@@ -322,6 +323,9 @@ _BAD_FLAGS = [
     ("farm --skin -1", "farm: skin must be non-negative, got -1.0", True),
     ("farm --workers 0", "farm: n_workers must be >= 1, got 0", True),
     ("farm --fmax 0", "farm: fmax must be positive, got 0.0", True),
+    ("farm --temperature -5 --md-fraction 1", "farm: temperature must be non-negative, got -5.0", False),
+    ("md --steps 0", "md: --steps must be >= 1, got 0", True),
+    ("md --steps -2", "md: --steps must be >= 1, got -2", True),
     ("md --timestep 0", "md: timestep must be positive, got 0.0", True),
     ("md --calculator fast --skin -1", "md: skin must be non-negative, got -1.0", True),
     ("relax --fmax 0", "relax: fmax must be positive, got 0.0", True),

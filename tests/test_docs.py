@@ -1,6 +1,6 @@
 """Documentation guarantees.
 
-Four enforced contracts: the public serving/compile/fault-tolerance API
+Four enforced contracts: the public serving/compile/fault-tolerance/trajectory API
 is fully docstring-covered (every public class and method carries at
 least a one-line summary), the documentation suite the README links to
 actually exists with its promised sections, every `` `Class.attr` `` the
@@ -27,6 +27,7 @@ from repro.cli import build_parser
 from repro.comm.communicator import SimCommunicator
 from repro.comm.faults import FaultPlan
 from repro.data.samplers import BucketBatchSampler
+from repro.md.farm import Trajectory, TrajectoryFarm
 from repro.serve.engine import EngineStats, InferenceEngine, Prediction
 from repro.serve.faults import WorkerFaultPlan
 from repro.serve.fleet import Fleet, Worker
@@ -41,7 +42,7 @@ from repro.train.distributed import DistributedTrainer
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: The public serving/compile surface under the docstring-coverage contract.
+#: The public serving/compile/trajectory surface under the docstring-coverage contract.
 DOCUMENTED_CLASSES = [
     InferenceEngine,
     SharedProgramCache,
@@ -62,6 +63,8 @@ DOCUMENTED_CLASSES = [
     TenantPolicy,
     ClassPolicy,
     TenantStats,
+    Trajectory,
+    TrajectoryFarm,
 ]
 
 

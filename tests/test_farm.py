@@ -155,13 +155,33 @@ class TestRetirement:
             TrajectoryFarm(engine, skin=-0.1)
         with pytest.raises(ValueError):
             TrajectoryFarm(engine).run()  # empty farm
-        farm = TrajectoryFarm(engine)
-        with pytest.raises(ValueError):
-            farm.add(MDSpec(cscl(11, 17), -1))
-        with pytest.raises(ValueError):
-            farm.add(MDSpec(cscl(11, 17), 5, rescale_every=-1))
         with pytest.raises(TypeError):
-            farm.add("not a spec")
+            TrajectoryFarm(engine).add("not a spec")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_steps": -1}, "n_steps must be non-negative, got -1"),
+            ({"rescale_every": -1}, "rescale_every must be non-negative, got -1"),
+            ({"temperature_k": -5.0}, "temperature must be non-negative, got -5.0"),
+        ],
+    )
+    def test_md_spec_validates_on_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            MDSpec(cscl(11, 17), **{"n_steps": 5, **kwargs})
+
+    def test_bad_temperature_fails_before_any_trajectory_is_added(self, monkeypatch):
+        """``farm --temperature -5`` exits in one line before the farm sees
+        a trajectory, so no wave is ever evaluated."""
+        from repro.cli import main
+
+        added = []
+        monkeypatch.setattr(TrajectoryFarm, "add", lambda farm, spec: added.append(spec))
+        argv = "farm --temperature -5 --md-fraction 1 --structures 4 --max-atoms 6"
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == "farm: temperature must be non-negative, got -5.0"
+        assert not added
 
     def test_engine_wave_stats(self, model):
         engine = _engine(model)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import StructureDataset, split_dataset
-from repro.md import ModelCalculator, MolecularDynamics
+from repro.md import MDSpec, ModelCalculator, run_sequential
 from repro.model import CHGNetModel, OptLevel
 from repro.train import DistributedConfig, DistributedTrainer, evaluate
 
@@ -53,16 +53,10 @@ class TestEndToEnd:
 
     def test_trained_model_drives_md(self, small_config, splits, tiny_entries):
         model = make_model(small_config)
-        md = MolecularDynamics(
-            tiny_entries[0].crystal,
-            ModelCalculator(model),
-            timestep_fs=0.5,
-            temperature_k=100.0,
-            seed=2,
-        )
-        result = md.run(2)
-        assert len(result.records) == 2
-        assert np.isfinite(result.energies).all()
+        spec = MDSpec(tiny_entries[0].crystal, 2, timestep_fs=0.5, temperature_k=100.0, seed=2)
+        (result,) = run_sequential([spec], ModelCalculator(model), record=True)
+        assert result.steps == 2
+        assert np.isfinite([frame.energy for frame in result.frames]).all()
 
     def test_all_levels_train_one_step(self, small_config, splits):
         """Every optimization level runs a full training step end to end."""

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from repro.md import (
-    MolecularDynamics,
+    MDSpec,
     ModelCalculator,
     OracleCalculator,
+    Trajectory,
+    VelocityVerlet,
     instantaneous_temperature,
     kinetic_energy,
     maxwell_boltzmann_velocities,
-    VelocityVerlet,
+    run_sequential,
 )
 from repro.model import CHGNetModel, OptLevel
 from repro.runtime import device_profile
@@ -22,6 +24,13 @@ from repro.structures import cscl, rocksalt
 @pytest.fixture(scope="module")
 def crystal():
     return cscl(11, 17).supercell((2, 1, 1))
+
+
+def _started(spec: MDSpec, calculator) -> Trajectory:
+    """A solo trajectory with its initial evaluation installed."""
+    trajectory = Trajectory(0, spec, record=False)
+    trajectory.start(calculator.calculate(spec.crystal))
+    return trajectory
 
 
 class TestVelocities:
@@ -59,34 +68,25 @@ class TestIntegrator:
 
     def test_oracle_md_conserves_energy(self, crystal):
         """NVE with consistent forces: total energy drift stays small."""
-        md = MolecularDynamics(
-            crystal, OracleCalculator(), timestep_fs=0.5, temperature_k=150.0, seed=1
-        )
-        result = md.run(15)
-        energies = result.energies
+        calc = OracleCalculator()
+        md = _started(MDSpec(crystal, 15, timestep_fs=0.5, temperature_k=150.0, seed=1), calc)
+        energies = []
+        while not md.done:
+            md.advance(calc)
+            energies.append(
+                md.state.potential_energy
+                + kinetic_energy(md.state.crystal, md.state.velocities)
+            )
+        energies = np.array(energies)
         drift = np.abs(energies - energies[0]).max()
         scale = max(np.abs(energies[0]), kinetic_energy(crystal, md.state.velocities), 1e-3)
         assert drift < 0.05 * scale
 
     def test_atoms_move(self, crystal):
-        md = MolecularDynamics(
-            crystal, OracleCalculator(), timestep_fs=1.0, temperature_k=300.0, seed=1
-        )
-        start = md.state.crystal.cart_coords.copy()
-        md.run(3)
-        assert not np.allclose(start, md.state.crystal.cart_coords)
-
-    def test_zero_steps_raises(self, crystal):
-        md = MolecularDynamics(crystal, OracleCalculator(), seed=1)
-        with pytest.raises(ValueError):
-            md.run(0)
-
-    def test_records_have_timings(self, crystal):
-        md = MolecularDynamics(crystal, OracleCalculator(), seed=1)
-        result = md.run(2)
-        assert len(result.records) == 2
-        assert result.mean_step_seconds > 0
-        assert all(r.temperature >= 0 for r in result.records)
+        spec = MDSpec(crystal, 3, timestep_fs=1.0, temperature_k=300.0, seed=1)
+        (result,) = run_sequential([spec], OracleCalculator())
+        assert result.steps == 3
+        assert not np.allclose(crystal.cart_coords, result.crystal.cart_coords)
 
 
 class TestModelCalculator:
@@ -122,11 +122,6 @@ class TestModelCalculator:
             counts[level] = prof.kernels.count
         assert counts[OptLevel.DECOMPOSE_FS] < counts[OptLevel.BASELINE]
 
-    def test_time_steps_api(self, crystal):
-        md = MolecularDynamics(crystal, OracleCalculator(), seed=1)
-        per_step = md.time_steps(2, warmup=1)
-        assert per_step > 0
-
 
 class CountingCalculator:
     """Wraps a calculator, counting ``calculate`` calls."""
@@ -142,21 +137,22 @@ class CountingCalculator:
 
 class TestSingleEvaluationSteps:
     def test_run_costs_one_evaluation_per_step(self, crystal):
-        """Regression: ``run`` must not re-evaluate just to record energy."""
+        """Regression: a step must not re-evaluate just to record energy."""
         calc = CountingCalculator(OracleCalculator())
-        md = MolecularDynamics(crystal, calc, seed=1)
+        md = _started(MDSpec(crystal, 5, seed=1), calc)
         after_init = calc.calls
         assert after_init == 1
-        md.run(5)
+        while not md.done:
+            md.advance(calc)
         assert calc.calls == after_init + 5
 
     def test_recorded_energy_matches_state(self, crystal):
         calc = OracleCalculator()
-        md = MolecularDynamics(crystal, calc, timestep_fs=0.5, seed=1)
-        result = md.run(3)
-        recomputed = calc.calculate(md.state.crystal).energy
-        assert result.records[-1].potential_energy == pytest.approx(recomputed, abs=1e-10)
-        assert md.state.potential_energy == result.records[-1].potential_energy
+        spec = MDSpec(crystal, 3, timestep_fs=0.5, seed=1)
+        (result,) = run_sequential([spec], calc, record=True)
+        recomputed = calc.calculate(result.crystal).energy
+        assert result.frames[-1].energy == pytest.approx(recomputed, abs=1e-10)
+        assert result.energy == result.frames[-1].energy
 
 
 class TestSkinListMD:
@@ -180,17 +176,15 @@ class TestSkinListMD:
         for p in model.parameters():
             p.data += wrng.normal(scale=0.05, size=p.data.shape)
         start = crystal.perturbed(np.random.default_rng(1), 0.05)
-        plain = MolecularDynamics(
-            start, ModelCalculator(model), timestep_fs=2.0, temperature_k=600.0, seed=4
-        )
+        spec = MDSpec(start, 12, timestep_fs=2.0, temperature_k=600.0, seed=4)
+        plain_calc = ModelCalculator(model)
         skinned_calc = ModelCalculator(model, skin=0.3)
-        skinned = MolecularDynamics(
-            start, skinned_calc, timestep_fs=2.0, temperature_k=600.0, seed=4
-        )
+        plain = _started(spec, plain_calc)
+        skinned = _started(spec, skinned_calc)
         saw_force = 0.0
-        for _ in range(12):
-            plain.state = plain.integrator.step(plain.state, plain.calculator)
-            skinned.state = skinned.integrator.step(skinned.state, skinned.calculator)
+        while not plain.done:
+            plain.advance(plain_calc)
+            skinned.advance(skinned_calc)
             np.testing.assert_allclose(
                 skinned.state.forces, plain.state.forces, rtol=0, atol=1e-9
             )

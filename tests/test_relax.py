@@ -10,6 +10,8 @@ from repro.md import (
     FIREConfig,
     ModelCalculator,
     OracleCalculator,
+    RelaxSpec,
+    Trajectory,
     max_force_norm,
 )
 from repro.md.calculator import CalcResult
@@ -20,6 +22,15 @@ from repro.structures import cscl, named_structures, rocksalt
 @pytest.fixture(scope="module")
 def oracle():
     return OracleCalculator()
+
+
+def _relax(crystal, config: FIREConfig, calculator) -> Trajectory:
+    """Drive one recorded relaxation to retirement."""
+    trajectory = Trajectory(0, RelaxSpec(crystal, config), record=True)
+    trajectory.start(calculator.calculate(crystal))
+    while not trajectory.done:
+        trajectory.advance(calculator)
+    return trajectory
 
 
 class TestConfigValidation:
@@ -60,37 +71,29 @@ class TestConvergence:
         """FIRE drives the max force norm below tolerance and lowers energy."""
         crystal = named_structures()[name].perturbed(np.random.default_rng(3), 0.08)
         start = oracle.calculate(crystal)
-        result = FIRE(FIREConfig(fmax=0.15, max_steps=400)).relax(crystal, oracle)
+        trajectory = _relax(crystal, FIREConfig(fmax=0.15, max_steps=400), oracle)
+        result = trajectory.result()
         assert result.converged
-        assert result.state.fmax <= 0.15
+        assert trajectory.state.fmax <= 0.15
         assert max_force_norm(start.forces) > 0.15  # actually had work to do
-        assert result.state.potential_energy < start.energy
-        assert result.n_steps == result.state.n_steps > 0
-        # records cover step 0 through the final step, in order
-        assert [r.step for r in result.records] == list(range(result.n_steps + 1))
+        assert result.energy < start.energy
+        assert result.steps == trajectory.state.n_steps > 0
+        # frames cover step 0 through the final step
+        assert len(result.frames) == result.steps + 1
 
     def test_already_relaxed_costs_one_evaluation(self, oracle):
         crystal = cscl(11, 17).perturbed(np.random.default_rng(1), 0.05)
-        first = FIRE(FIREConfig(fmax=0.2, max_steps=400)).relax(crystal, oracle)
+        first = _relax(crystal, FIREConfig(fmax=0.2, max_steps=400), oracle).result()
         assert first.converged
-        again = FIRE(FIREConfig(fmax=0.2, max_steps=400)).relax(first.crystal, oracle)
-        assert again.converged and again.n_steps == 0
-        assert len(again.records) == 1
+        again = _relax(first.crystal, FIREConfig(fmax=0.2, max_steps=400), oracle).result()
+        assert again.converged and again.steps == 0
+        assert len(again.frames) == 1
 
     def test_max_steps_bounds_run(self, oracle):
         crystal = rocksalt(3, 8).perturbed(np.random.default_rng(2), 0.1)
-        result = FIRE(FIREConfig(fmax=1e-9, max_steps=4)).relax(crystal, oracle)
+        result = _relax(crystal, FIREConfig(fmax=1e-9, max_steps=4), oracle).result()
         assert not result.converged
-        assert result.n_steps == 4
-
-    def test_observer_called_every_step(self, oracle):
-        crystal = rocksalt(3, 8).perturbed(np.random.default_rng(2), 0.1)
-        seen = []
-        result = FIRE(FIREConfig(fmax=1e-9, max_steps=5)).relax(
-            crystal, oracle, observer=seen.append
-        )
-        assert len(seen) == result.n_steps
-        assert seen[-1] is result.state
+        assert result.steps == 4
 
 
 class TestTrustRadius:
