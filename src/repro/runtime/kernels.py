@@ -4,8 +4,9 @@ The reference CHGNet implementation launches tens of thousands of tiny CUDA
 kernels per iteration (72,659 at batch size 64, per the paper); FastCHGNet's
 kernel fusion and batched basis computation reduce this by 12.7-20.2x.  In
 this reproduction each executed autodiff primitive is one "kernel".  The
-counter is a thread-local stack so nested profiles and simulated ranks
-running in worker threads account independently.
+counter is a thread-local stack of open profile scopes, so scopes nest.  A
+training step under an open scope runs every rank in the trainer's own
+process (:mod:`repro.train.ranks`), so the scope sees every rank's kernels.
 """
 
 from __future__ import annotations

@@ -987,8 +987,10 @@ class SharedProgramCache:
     largest cached program's plan, that every program's buffers are views
     of.  Sharers therefore must not replay concurrently and must copy
     results out before the next replay on the cache (docs/architecture.md,
-    "Arena").  :meth:`store` grows the slab and re-attaches every program;
-    eviction never shrinks it; :meth:`release` drops it.
+    "Arena").  A trainer's rank executors (:mod:`repro.train.ranks`)
+    replay forked copies of the cache, each on its own copy of the slab,
+    and never capture.  :meth:`store` grows the slab and re-attaches every
+    program; eviction never shrinks it; :meth:`release` drops it.
 
     A compiler constructed without an explicit cache owns a private instance,
     which reproduces the old per-instance behavior exactly.
@@ -1007,6 +1009,9 @@ class SharedProgramCache:
         self.canonical: dict[tuple, tuple] = {}
         self.hits = 0
         self.misses = 0
+        #: Bumped by every :meth:`store`: a copy of the cache taken at an
+        #: older generation (a forked rank executor's) lacks a program.
+        self.generation = 0
         # One byte slab backs every cached program (docs/architecture.md,
         # "Arena"): sized to the largest, valid because programs of one
         # cache never replay concurrently and consumers copy results out
@@ -1033,6 +1038,7 @@ class SharedProgramCache:
         eviction beyond ``max_programs`` drops programs but never shrinks
         the slab.
         """
+        self.generation += 1
         self.programs[sig] = prog
         if len(self.programs) > self.max_programs:
             self.programs.popitem(last=False)
@@ -1253,6 +1259,18 @@ class _CompilerBase:
             return self._fallback(batch)
         self.last_program = prog
         return self._replay(prog, batch)
+
+    def will_replay(self, batch: GraphBatch) -> bool:
+        """Whether :meth:`_execute` would replay a cached program on ``batch``
+        (short of :meth:`CompiledStep.bind`'s checks), touching nothing.
+
+        ``False`` for a batch this compiler would have to pad itself: its
+        shape depends on tier state the step may still change.
+        """
+        if (self.bucket and batch.pad_info is None) or self._guard_token() != self._guard:
+            return False
+        sig = program_signature(batch, not self.model.config.batched_basis, self._mode)
+        return sig in self.cache.programs
 
     def _fallback(self, batch: GraphBatch):
         raise NotImplementedError

@@ -12,6 +12,16 @@ A single-device run is the degenerate case ``world_size=1``: the model
 factory is called once, so the caller's own model object is the one
 trained, and the sampler's one shard per step is the whole batch.
 
+The ranks really run at the same time, up to the CPU count.  A compiled
+step in which every rank replays a cached program runs rank ``r`` in
+process ``r mod P``, ``P = min(world_size, usable CPUs)``: process 0 is
+this one, the others are forked rank executors (:mod:`repro.train.ranks`)
+that write their gradients into the shared optimizer slabs.  Any other
+step (one that captures, an eager trainer's, one under an open kernel
+profile) runs every rank here, one after another.  The flush, Adam, the LR
+schedule, fault injection and checkpoints always run here, so the weights
+are bit-identical either way; the cluster's clocks stay modeled.
+
 ``DistributedConfig(compile=True)`` runs the path the paper's 1.5-hour
 result rests on, end to end:
 
@@ -56,6 +66,7 @@ from repro.data.loader import ShardedLoader
 from repro.data.samplers import BucketBatchSampler, LoadBalanceSampler
 from repro.graph.batching import GraphBatch
 from repro.model.chgnet import CHGNetModel
+from repro.runtime.kernels import profiling_active
 from repro.train.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -66,6 +77,7 @@ from repro.train.checkpoint import (
 from repro.train.loss import CompositeLoss, LossWeights
 from repro.train.metrics import EvalResult, evaluate
 from repro.train.optimizer import Adam
+from repro.train.ranks import RankExecutors
 from repro.train.schedule import BASE_LR, ETA_MIN_FRAC, CosineAnnealingLR, scaled_learning_rate
 
 #: Format tag of the distributed training-state checkpoint payload.
@@ -81,8 +93,10 @@ FLUSH_BACKOFF = 1e-3
 
 @dataclass
 class DistributedConfig:
-    """Configuration of a training run on ``world_size`` simulated ranks
-    (1: a single device).
+    """Configuration of a training run on ``world_size`` ranks (1: a single
+    device).  The ranks of a replay-only compiled step run concurrently in
+    up to as many processes as there are usable CPUs (see the module
+    docstring); the modeled cluster clocks do not depend on that.
 
     ``compile=True`` switches every rank to compile-once training steps over
     bucket-sampled shards padded to planned shapes (see the module
@@ -245,10 +259,12 @@ class GradientBuckets:
 
 
 class DistributedTrainer:
-    """DDP-style trainer across ``world_size`` simulated ranks.
+    """DDP-style trainer across ``world_size`` ranks.
 
     ``model_factory`` is called once per rank.  With ``val_dataset`` every
-    completed epoch is also evaluated on it (:attr:`history`).
+    completed epoch is also evaluated on it (:attr:`history`).  The rank
+    executors a compiled trainer forks stop when it is collected or when
+    :meth:`close` is called.
     """
 
     def __init__(
@@ -348,6 +364,9 @@ class DistributedTrainer:
         # slab slice, and the communicator's reusable work block for it.
         self._flush: list[list[np.ndarray]] = []
         self._flush_work: list[np.ndarray | None] = []
+        # Forked processes that run ranks of replay-only steps alongside
+        # this one (repro.train.ranks); forked at the first such step.
+        self._ranks = RankExecutors(cfg.world_size)
 
     def train_step(self, shards: list[GraphBatch]) -> StepStats:
         """One synchronized step: local grads, bucketed allreduce, updates."""
@@ -358,23 +377,25 @@ class DistributedTrainer:
         compute_times = np.zeros(cfg.world_size)
         # Rows: loss, energy, force, stress and magmom MAE; one column per rank.
         metrics = np.zeros((5, cfg.world_size))
-        for rank, (model, batch) in enumerate(zip(self.replicas, shards)):
-            t0 = time.perf_counter()
-            if self.compilers is not None:
-                breakdown = self.compilers[rank].step(batch)
-            else:
-                model.zero_grad()
-                out = model.forward(batch, training=True)
-                breakdown = self.loss_fn(out, batch)
-                breakdown.loss.backward()
-            compute_times[rank] = time.perf_counter() - t0
-            metrics[:, rank] = (
-                float(breakdown.loss.data),
-                breakdown.energy_mae,
-                breakdown.force_mae,
-                breakdown.stress_mae,
-                breakdown.magmom_mae,
-            )
+        remote = self._dispatch(shards)
+        try:
+            for rank, batch in enumerate(shards):
+                if rank not in remote:
+                    metrics[:, rank], compute_times[rank] = self._run_rank(rank, batch)
+        finally:
+            replies = self._ranks.collect()
+        error = None
+        for rank, reply in replies:
+            if isinstance(reply, BaseException):
+                error = error or reply
+                continue
+            metrics[:, rank], compute_times[rank], missing, stats = reply
+            # The executor wrote this rank's gradients into the shared slab;
+            # its p.grad objects here are stale, so take its missing set.
+            self.optimizers[rank].bind_grads(missing)
+            self.compilers[rank].stats = stats
+        if error is not None:
+            raise error
         # Straggler injection: the slow rank's virtual clock runs behind, so
         # modeled (max-rank) step time prices the straggler honestly.
         for rank in range(cfg.world_size):
@@ -399,6 +420,71 @@ class DistributedTrainer:
         )
         self.steps.append(stats)
         return stats
+
+    def _run_rank(self, rank: int, batch: GraphBatch) -> tuple[tuple, float]:
+        """One rank's forward, loss and backward, in whichever process runs
+        it: its loss and four MAEs, and its compute seconds."""
+        t0 = time.perf_counter()
+        if self.compilers is not None:
+            breakdown = self.compilers[rank].step(batch)
+        else:
+            model = self.replicas[rank]
+            model.zero_grad()
+            out = model.forward(batch, training=True)
+            breakdown = self.loss_fn(out, batch)
+            breakdown.loss.backward()
+        seconds = time.perf_counter() - t0
+        row = (
+            float(breakdown.loss.data),
+            breakdown.energy_mae,
+            breakdown.force_mae,
+            breakdown.stress_mae,
+            breakdown.magmom_mae,
+        )
+        return row, seconds
+
+    def _dispatch(self, shards: list[GraphBatch]) -> set[int]:
+        """Send the ranks other processes run to their executors; returns them.
+
+        Ranks run in parallel only when the step is replay-only on every
+        rank: compiled, every rank's program cached, and no kernel profile
+        open (a profile sees every rank's kernels only here).  Any other
+        step runs every rank in this process, where captures happen, and
+        stops the executors first; the next parallel step forks them again,
+        as it does when the program cache stored a program since the fork.
+        """
+        ranks = self._ranks
+        if ranks.processes == 1 or self.compilers is None:
+            return set()
+        if profiling_active() or not all(
+            c.will_replay(b) for c, b in zip(self.compilers, shards)
+        ):
+            # Every rank runs here: stop the executors first.  Their copies
+            # of the ranks (counters, cache) would be stale after this step,
+            # and while they live every page a capture writes is copied.
+            ranks.close()
+            return set()
+        cache = self.compilers[0].cache
+        if ranks.generation != cache.generation:
+            ranks.fork(self._serve_rank, cache.generation)
+        return ranks.submit(
+            [(rank, b, self.compilers[rank].validate) for rank, b in enumerate(shards)]
+        )
+
+    def _serve_rank(self, rank: int, batch: GraphBatch, validate: bool) -> tuple:
+        """One rank of a step, run in a rank executor: :meth:`_run_rank`, then
+        the gradients moved into the shared slab; returns the loss row, the
+        compute seconds, the parameters without a gradient and the rank's
+        compiler counters."""
+        compiler = self.compilers[rank]
+        compiler.validate = validate
+        row, seconds = self._run_rank(rank, batch)
+        return row, seconds, self.optimizers[rank].adopt_grads(), compiler.stats
+
+    def close(self) -> None:
+        """Stop this trainer's rank executors (:mod:`repro.train.ranks`); the
+        next step that runs ranks in parallel forks them again."""
+        self._ranks.close()
 
     # ------------------------------------------------------------ grad flush
     def _allreduce(self, bufs: list[np.ndarray], work: np.ndarray | None) -> np.ndarray:

@@ -120,6 +120,7 @@ def run_elastic(
             )
             resume_seconds = time.perf_counter() - t0
             resumed.history, resumed.epoch_hooks = trainer.history, trainer.epoch_hooks
+            trainer.close()
             trainer = resumed
             failures.append(
                 FailureEvent(

@@ -9,6 +9,8 @@ on a GPU).
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
 from repro.runtime.kernels import record_kernel
@@ -38,7 +40,7 @@ class Optimizer:
 class Adam(Optimizer):
     """Adam with bias correction (the paper's optimizer).
 
-    The constructor moves every parameter into one 64-byte-aligned slab of
+    The constructor moves every parameter into one page-aligned slab of
     flat float64 vectors — ``flat_params``, ``flat_grads``, the two moments
     and update scratch — laid out in **reverse parameter order**, the order
     the backward completes gradients and the distributed flush walks its
@@ -54,6 +56,11 @@ class Adam(Optimizer):
     :meth:`adopt_grads`, after which ``p.grad`` is a view too and in-place
     writers (compiled replays, the flush collectives) land in the slab.  A
     parameter without a gradient is left untouched, moments included.
+
+    The slab is an anonymous shared mapping, so a process forked from this
+    one (a trainer's rank executor, :mod:`repro.train.ranks`) writes its
+    gradients into this very slab and reads the parameters this optimizer
+    updates.
     """
 
     def __init__(
@@ -64,8 +71,6 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        from repro.tensor.compile import _new_slab
-
         super().__init__(params, lr)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ValueError("a parameter is listed twice; it can own one slab slot only")
@@ -81,9 +86,12 @@ class Adam(Optimizer):
             self.spans[i] = slice(n, n + size)
             n += size
         # Six rows (parameters, gradients, two moments, two update
-        # scratch vectors), each starting on a 64-byte boundary.
+        # scratch vectors), each starting on a 64-byte boundary of one
+        # page-aligned anonymous shared mapping.
         stride = -(-n // 8) * 8
-        slab = _new_slab(6 * stride * 8).view(np.float64).reshape(6, stride)
+        mapping = mmap.mmap(-1, max(1, 6 * stride * 8))
+        slab = np.frombuffer(mapping, np.float64, 6 * stride).reshape(6, stride)
+        # Touch every page now, not in the first step's kernels.
         slab[:] = 0.0
         flat = slab[:, :n]
         self.flat_params, self.flat_grads, self._flat_m, self._flat_v = flat[:4]
@@ -123,6 +131,17 @@ class Adam(Optimizer):
                 np.copyto(view, grad.data)
                 p.grad = Tensor(view)
         return tuple(missing)
+
+    def bind_grads(self, missing: tuple[int, ...]) -> None:
+        """Point every ``p.grad`` at its slab view, ``None`` for the indices
+        in ``missing``: what :meth:`adopt_grads` leaves behind, for a step
+        whose gradients another process wrote into this slab."""
+        absent = set(missing)
+        for i, (p, view) in enumerate(zip(self.params, self._grads)):
+            if i in absent:
+                p.grad = None
+            elif p.grad is None or p.grad.data is not view:
+                p.grad = Tensor(view)
 
     def step(self) -> None:
         missing = set(self.adopt_grads())

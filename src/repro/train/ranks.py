@@ -1,0 +1,181 @@
+"""Rank executors: forked processes that run ranks of a training step.
+
+A compiled :class:`~repro.train.distributed.DistributedTrainer` step in
+which every rank replays a cached program runs its ranks at the same time.
+With ``P = min(world_size, usable_cpus())`` processes, process ``p`` runs
+the ranks ``r ≡ p (mod P)``: process 0 is the trainer's own, so rank 0
+always runs there, and processes ``1 .. P-1`` are :func:`os.fork` copies of
+it, made by :class:`RankExecutors`.
+
+A fork sees the trainer as it was when it was forked.  Replicas, compilers
+and the program cache's arena are private copy-on-write copies, so each
+process replays on its own slab.  Every optimizer's slab is an anonymous
+shared mapping (:class:`~repro.train.optimizer.Adam`), so a fork's replayed
+gradients land in the slab the parent flushes, and the parent's Adam update
+is what the fork binds on its next step.  A fork only replays: the trainer
+sends it ranks only when every rank's program is cached and the cache has
+not changed since the fork, and forks again otherwise.
+
+One message per process and step carries that process's ranks as
+``(rank, shard, validate)``; the reply holds, per rank, the
+``serve(rank, shard, validate)`` result or the exception it raised, which
+the parent re-raises with the same type and the rank named.  A fork leaves
+through :func:`os._exit`, so it runs none of the parent's ``atexit``
+handlers or finalizers, and it leaves when its pipe reaches EOF, so it
+cannot outlive the parent.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import traceback
+import weakref
+from typing import TYPE_CHECKING, Callable, NamedTuple
+
+if TYPE_CHECKING:  # imported where a fork needs it: ~20 modules, ~1.4 MB
+    from multiprocessing.connection import Connection
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; 1 off Linux, where forking a process
+    that has imported NumPy is missing or unsafe."""
+    if sys.platform != "linux" or not hasattr(os, "fork"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _Raised(NamedTuple):
+    """What a worker sends back for a rank that raised."""
+
+    kind: type
+    message: str
+    trace: str
+
+
+def _stop(workers: list[tuple[int, Connection]], owner: int) -> None:
+    """Ask every worker to exit, close its pipe and reap it.
+
+    A no-op in any process but ``owner``: a fork inherits its parent's
+    executors, and they are not its children.
+    """
+    if os.getpid() != owner:
+        return
+    for pid, conn in workers:
+        try:
+            conn.send(None)
+        except OSError:  # the worker is gone already
+            pass
+        conn.close()
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass
+    workers.clear()
+
+
+def _serve_forever(conn: Connection, serve: Callable) -> None:
+    """A worker's loop: run the ranks of each request until EOF or ``None``."""
+    status = 0
+    try:
+        while True:
+            try:
+                requests = conn.recv()
+            except EOFError:
+                break
+            if requests is None:
+                break
+            replies = []
+            for rank, batch, validate in requests:
+                try:
+                    replies.append((rank, serve(rank, batch, validate)))
+                except Exception as exc:
+                    # As the in-process loop, stop at the first failing rank.
+                    replies.append((rank, _Raised(type(exc), str(exc), traceback.format_exc())))
+                    break
+            conn.send(replies)
+    except BaseException:
+        status = 1
+    finally:
+        os._exit(status)
+
+
+class RankExecutors:
+    """The forked processes ``1 .. P-1`` of one trainer.
+
+    ``generation`` is the program-cache generation the workers were forked
+    at (``None``: no workers).  The workers are stopped by :meth:`close`,
+    before :meth:`fork` starts new ones, and when this object is collected.
+    """
+
+    def __init__(self, world_size: int) -> None:
+        self.processes = min(world_size, usable_cpus())
+        self.generation: int | None = None
+        self._workers: list[tuple[int, Connection]] = []
+        self._owner = os.getpid()
+        self._busy: list[tuple[int, Connection]] = []
+        weakref.finalize(self, _stop, self._workers, self._owner)
+
+    def fork(self, serve: Callable, generation: int) -> None:
+        """Replace the workers with fresh forks of this process, each
+        running ``serve(rank, shard, validate)`` for the ranks it is sent."""
+        from multiprocessing.connection import Pipe
+
+        self.close()
+        for _ in range(1, self.processes):
+            parent_end, child_end = Pipe()
+            pid = os.fork()
+            if pid == 0:
+                parent_end.close()
+                _serve_forever(child_end, serve)
+            child_end.close()
+            self._workers.append((pid, parent_end))
+        self.generation = generation
+
+    def close(self) -> None:
+        """Stop and reap every worker."""
+        _stop(self._workers, self._owner)
+        self._busy.clear()
+        self.generation = None
+
+    def submit(self, requests: list[tuple]) -> set[int]:
+        """Send each ``(rank, shard, validate)`` to the process owning its
+        rank; returns the ranks sent (those not owned by this process)."""
+        by_process: dict[int, list[tuple]] = {}
+        for request in requests:
+            p = request[0] % self.processes
+            if p:
+                by_process.setdefault(p, []).append(request)
+        for p, sent in by_process.items():
+            pid, conn = worker = self._workers[p - 1]
+            try:
+                conn.send(sent)
+            except OSError:
+                self.close()
+                raise RuntimeError(f"rank executor (pid {pid}) exited") from None
+            self._busy.append(worker)
+        return {request[0] for sent in by_process.values() for request in sent}
+
+    def collect(self) -> list[tuple[int, object]]:
+        """Every sent rank's reply as ``(rank, result)``, by rank; a rank
+        that raised has the exception, re-made with its rank named, as its
+        result.  A worker that died stops all of them and raises."""
+        replies = []
+        busy, self._busy = self._busy, []
+        for pid, conn in busy:
+            try:
+                replies += conn.recv()
+            except EOFError:
+                self.close()
+                raise RuntimeError(f"rank executor (pid {pid}) exited") from None
+        out = []
+        for rank, result in sorted(replies, key=lambda reply: reply[0]):
+            if isinstance(result, _Raised):
+                try:
+                    error = result.kind(f"rank {rank}: {result.message}")
+                except TypeError:  # a constructor that takes other arguments
+                    error = RuntimeError(f"rank {rank}: {result.kind.__name__}: {result.message}")
+                error.add_note(f"raised in the rank executor:\n{result.trace}")
+                result = error
+            out.append((rank, result))
+        return out
