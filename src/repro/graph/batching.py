@@ -22,22 +22,22 @@ Two services back the compile-once training step
   tracer uses.
 * **Shape bucketing** — :func:`pad_batch` appends one ghost structure
   that pads the atom/edge/angle counts up to canonical bucket sizes
-  (:func:`bucket_size`, :func:`bucket_targets`), so batches of similar size
-  share one compiled program.  ``pad_info`` records the real counts; the
-  ghost rows sit at the array tails, carry finite well-conditioned geometry
-  (no zero-length bonds, no degenerate angles), and are masked out of
-  losses and metrics.
+  (:func:`bucket_size`), so batches of similar size share one compiled
+  program.  ``pad_info`` records the real counts; the ghost rows sit at
+  the array tails, carry finite well-conditioned geometry (no zero-length
+  bonds, no degenerate angles), and are masked out of losses and metrics.
 
 The padding math lives here too, in two forms (docs/architecture.md,
 "Padding: tiers for streams, plans for fixed blocks").  For streams nobody
-sees in advance, **workload tiers** (:func:`workload_tier`,
-:func:`canonical_targets`): batches whose workload proxy falls in the same
-geometric tier share one canonical, bucket-rounded shape that the
-compiled-step managers (:mod:`repro.tensor.compile`) grow as batches
-arrive.  For batches known up front, a **plan** (:func:`plan_shapes`): the
-block samplers (:class:`repro.data.samplers.BucketBatchSampler`) cut their
-fixed shards into at most :data:`MAX_PROGRAMS` groups and pad each to the
-exact maximum of its members.
+sees in advance, **workload tiers** (:class:`TierShapes`): batches whose
+workload proxy falls in the same geometric tier share one canonical,
+bucket-rounded shape that grows as batches arrive; the compiled-step
+managers (:mod:`repro.tensor.compile`) pad through it and the serving
+engine prices through it.  For batches known up front, a **plan**
+(:func:`plan_shapes`): the block samplers
+(:class:`repro.data.samplers.BucketBatchSampler`) cut their fixed shards
+into at most :data:`MAX_PROGRAMS` groups and pad each to the exact maximum
+of its members.
 
 :func:`pad_batch` results are **cached on the source batch** keyed by the
 target shape (small LRU): a memoized loader that yields the same batch
@@ -456,19 +456,6 @@ def feasible_targets_for_counts(
     return ta, te, ts, tg
 
 
-def feasible_targets(
-    batch: GraphBatch, targets: tuple[int, int, int, int]
-) -> tuple[int, int, int, int]:
-    """:func:`feasible_targets_for_counts` on a batch's own counts."""
-    counts = (
-        batch.num_atoms,
-        batch.num_edges,
-        batch.num_short_edges,
-        batch.num_angles,
-    )
-    return feasible_targets_for_counts(counts, targets)
-
-
 # Geometric growth factor between workload tiers: batches whose workload
 # proxy (atoms + edges + short + 2*angles — angle kernels are the widest)
 # falls in the same tier are padded to one shared canonical shape.
@@ -485,30 +472,6 @@ def workload_tier(counts: tuple[int, int, int, int]) -> int:
     return int(math.log(max(workload_cost(*counts), 2)) / math.log(TIER_GROWTH))
 
 
-def canonical_targets(
-    members: Iterable[tuple[int, int, int, int]],
-    seeds: Sequence[tuple[int, int, int, int]] = (),
-) -> tuple[int, int, int, int]:
-    """The fixpoint canonical padded shape shared by ``members``.
-
-    Starts from the elementwise max of every member's bucketed counts (and
-    any ``seeds``, e.g. a previously stored canonical shape), then re-applies
-    each member's ghost-feasibility bumps until stable — exactly the shape
-    the compiled-step tier merge converges to after seeing every member, so
-    pre-sizing a tier with this value makes the tier growth-free.
-    """
-    members = [tuple(int(c) for c in m) for m in members]
-    if not members and not seeds:
-        raise ValueError("canonical_targets needs at least one member or seed")
-    targets = (0, 0, 0, 0)
-    for m in members:
-        bucketed = tuple(bucket_size(c) for c in m)
-        targets = tuple(max(a, b) for a, b in zip(targets, bucketed))
-    for s in seeds:
-        targets = tuple(max(a, int(b)) for a, b in zip(targets, s))
-    return _feasible_fixpoint(members, targets)
-
-
 def _feasible_fixpoint(
     members: Sequence[tuple[int, int, int, int]], targets: tuple[int, int, int, int]
 ) -> tuple[int, int, int, int]:
@@ -522,6 +485,96 @@ def _feasible_fixpoint(
         if merged == targets:
             return targets
         targets = merged
+
+
+def _tier_key(num_structs: int, labeled: bool, counts: tuple[int, int, int, int]) -> tuple:
+    return (num_structs + 1, labeled, workload_tier(counts))
+
+
+class TierShapes:
+    """The tier-padding policy: the one owner of every streamed batch's shape.
+
+    Batches of ``num_structs`` structures, with or without labels, whose
+    workload proxy falls in one geometric tier (:func:`workload_tier`) are
+    padded to that tier's canonical shape: the running elementwise maximum
+    of its members' bucketed counts, made ghost-feasible.  The compiled-step
+    managers pad through :meth:`pad`, the serving engine prices a group by
+    :meth:`target` — the shape :meth:`pad` would give it now — and pre-sizes
+    tiers with :meth:`seed`.  A :class:`repro.tensor.compile.SharedProgramCache`
+    holds one, so every sharer pads a tier to the same shape.
+
+    Serial-basis programs hard-code per-sample offsets, so no two batches
+    share one: ``tiered=False`` pads to the bucketed counts alone and
+    neither reads nor writes the table.
+    """
+
+    def __init__(self) -> None:
+        # _tier_key(...) -> the tier's (atoms, edges, short, angles)
+        self._shapes: dict[tuple, tuple[int, int, int, int]] = {}
+
+    def target(
+        self, num_structs: int, labeled: bool, counts: tuple[int, int, int, int]
+    ) -> tuple[int, int, int, int]:
+        """The (atoms, edges, short, angles) :meth:`pad` gives a batch with
+        these real counts now; ``counts`` itself when every count sits on
+        its bucket boundary.  Reads the table, never writes it."""
+        if num_structs < 1:
+            raise ValueError(f"a batch holds at least one structure, got {num_structs}")
+        return self._target(counts, _tier_key(num_structs, labeled, counts))
+
+    def _target(self, counts: tuple, key: tuple | None) -> tuple[int, int, int, int]:
+        bucketed = tuple(map(bucket_size, counts))
+        if bucketed == counts:
+            return counts  # served unpadded, whatever the tier holds
+        stored = self._shapes.get(key)
+        if stored is not None:
+            # The tier's shape can pad a dimension this batch's own buckets
+            # left alone (e.g. angles), so the ghost bumps apply after it.
+            bucketed = tuple(map(max, bucketed, stored))
+        return feasible_targets_for_counts(counts, bucketed)
+
+    def pad(self, batch: GraphBatch, tiered: bool) -> GraphBatch:
+        """``batch`` padded to its :meth:`target`, which becomes its tier's
+        shape; ``batch`` itself when already padded or on every boundary."""
+        if batch.pad_info is not None:
+            return batch
+        counts = (batch.num_atoms, batch.num_edges, batch.num_short_edges, batch.num_angles)
+        key = _tier_key(batch.num_structs, batch.energy_per_atom is not None, counts)
+        shape = self._target(counts, key if tiered else None)
+        if shape == counts:
+            return batch
+        if tiered:
+            self._shapes[key] = shape
+        padded = pad_batch(batch, *shape)
+        assert padded is not None
+        return padded
+
+    def seed(self, entries: Iterable[tuple[int, bool, tuple]], tiered: bool) -> int:
+        """Pre-size tiers for known batches; returns the number of tiers seeded.
+
+        ``entries`` are ``(num_structs, labeled, counts)`` of raw batches to
+        come.  Each tier's shape becomes the fixpoint of its stored shape
+        and its members' bucketed counts under their ghost-feasibility bumps
+        — the shape :meth:`pad` converges to after seeing every member — so
+        a seeded tier never grows.  Members on every boundary never pad and
+        seed nothing; neither does ``tiered=False``.
+        """
+        if not tiered:
+            return 0
+        tiers: dict[tuple, list[tuple]] = {}
+        for num_structs, labeled, counts in entries:
+            if tuple(map(bucket_size, counts)) != counts:
+                tiers.setdefault(_tier_key(num_structs, labeled, counts), []).append(counts)
+        for key, members in tiers.items():
+            shape = self._shapes.get(key, (0, 0, 0, 0))
+            for m in members:
+                shape = tuple(map(max, shape, map(bucket_size, m)))
+            self._shapes[key] = _feasible_fixpoint(members, shape)
+        return len(tiers)
+
+    def clear(self) -> None:
+        """Forget every tier's shape."""
+        self._shapes.clear()
 
 
 #: Programs a :class:`repro.tensor.compile.SharedProgramCache` holds by
@@ -602,68 +655,6 @@ def plan_shapes(
         j = i - 1
     shapes.reverse()
     return [shape_of[m] for m in members], shapes
-
-
-def group_padded_targets(
-    members: Iterable[tuple[int, int, int, int]],
-    seeds: Sequence[tuple[int, int, int, int]] = (),
-) -> tuple[int, int, int, int]:
-    """Padded (atoms, edges, short, angles) a collated group would receive.
-
-    ``members`` are per-structure graph dims.  The group collates into one
-    batch carrying the elementwise *sum* of those counts, which is then
-    rounded up to bucket boundaries and made ghost-feasible exactly as the
-    compiled-step managers pad a batch.  ``seeds`` merge previously planned
-    shapes into the targets (e.g. a shared canonical tier entry), letting
-    callers price the padding a batch will *really* get — the serving
-    engine's adaptive tier merging uses this to bound merge overhead.
-    Returns the summed counts unchanged when no padding would be applied.
-    """
-    members = [tuple(int(c) for c in m) for m in members]
-    if not members:
-        raise ValueError("group_padded_targets needs at least one member")
-    summed = tuple(map(sum, zip(*members)))
-    targets = tuple(bucket_size(c) for c in summed)
-    if targets == summed:
-        # Mirrors the compiled-step managers' early return: a batch already
-        # on every bucket boundary is served unpadded, canonical tier entry
-        # or not, so seeds must not inflate its price.
-        return summed
-    for s in seeds:
-        targets = tuple(max(a, int(b)) for a, b in zip(targets, s))
-    return feasible_targets_for_counts(summed, targets)
-
-
-def padding_overhead(
-    members: Iterable[tuple[int, int, int, int]],
-    seeds: Sequence[tuple[int, int, int, int]] = (),
-) -> float:
-    """Relative extra workload padding adds to a collated group.
-
-    ``workload_cost(padded) / sum(workload_cost(member)) - 1``: ``0.0``
-    means the group is served at exactly its raw cost, ``0.25`` means a
-    quarter of the padded batch's work is ghost rows.  ``members``/``seeds``
-    as in :func:`group_padded_targets`.
-    """
-    members = [tuple(int(c) for c in m) for m in members]
-    raw = sum(workload_cost(*m) for m in members)
-    padded = workload_cost(*group_padded_targets(members, seeds=seeds))
-    return padded / max(raw, 1) - 1.0
-
-
-def bucket_targets(batch: GraphBatch) -> tuple[int, int, int, int]:
-    """Bucketed (atoms, edges, short, angles) targets for ``batch``.
-
-    Counts are rounded up with :func:`bucket_size` and then made feasible
-    via :func:`feasible_targets`.  Returns the raw counts unchanged when no
-    padding is needed.
-    """
-    n, e = batch.num_atoms, batch.num_edges
-    ns, na = batch.num_short_edges, batch.num_angles
-    targets = (bucket_size(n), bucket_size(e), bucket_size(ns), bucket_size(na))
-    if targets == (n, e, ns, na):
-        return targets
-    return feasible_targets(batch, targets)
 
 
 # Padded variants kept per source batch: a batch meets at most a handful of

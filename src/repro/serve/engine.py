@@ -39,8 +39,6 @@ import numpy as np
 from repro.graph.batching import (
     GraphBatch,
     collate,
-    group_padded_targets,
-    padding_overhead,
     workload_cost,
     workload_tier,
 )
@@ -842,28 +840,24 @@ class InferenceEngine:
         return worker is not None and self.fleet[worker].free <= now
 
     # ------------------------------------------------------- adaptive merging
-    def _canonical_seeds(self, dims_list: list[tuple]) -> tuple:
-        """Seed shapes for pricing a group's padding (estimate).
+    def _padded_cost(self, dims_list: list[tuple]) -> int:
+        """Workload cost of the batch ``dims_list`` collates into, as padded.
 
-        The shared canonical tier entry the compilers have grown so far for
-        the group's prospective batch tier, so the price reflects the shape
-        the batch will actually be padded to (up to canonical growth caused
-        by the batch itself).
+        Priced at the cache's :class:`~repro.graph.batching.TierShapes`
+        target, the shape a compiler pads the batch to, since it pads
+        through the same table; the raw cost when eager (never padded).
         """
-        if self.cache is None:
-            return ()
         summed = tuple(map(sum, zip(*dims_list)))
-        stored = self.cache.canonical.get(
-            (len(dims_list) + 1, False, workload_tier(summed))
-        )
-        return () if stored is None else (stored,)
+        if self.cache is None:
+            return workload_cost(*summed)
+        return workload_cost(*self.cache.tiers.target(len(dims_list), False, summed))
 
     def _affordable(self, dims_list: list[tuple]) -> bool:
         """The planner's price test: padding overhead within :data:`MERGE_OVERHEAD_CAP`."""
         if self.cache is None:
             return True  # eager batches are never padded
-        overhead = padding_overhead(dims_list, seeds=self._canonical_seeds(dims_list))
-        return overhead <= MERGE_OVERHEAD_CAP
+        raw = sum(workload_cost(*dims) for dims in dims_list)
+        return self._padded_cost(dims_list) / max(raw, 1) - 1.0 <= MERGE_OVERHEAD_CAP
 
     def _fits(self, members: list[_Pending]) -> bool:
         """:meth:`_affordable` on live requests."""
@@ -942,9 +936,10 @@ class InferenceEngine:
 
         Absorption prices padding against the canonical shapes this very
         seeding creates, so with ``merge`` the plan-and-seed loop runs to a
-        fixpoint (canonical entries only grow; one extra pass usually
-        settles it).  A stream that is still moving after four passes is
-        served anyway — later captures just re-grow shapes live — and
+        fixpoint: seeding a plan twice changes nothing, so the shapes have
+        settled once a re-plan reproduces the plan just seeded (one extra
+        pass usually).  A stream whose plan still moves after four seeds
+        is served anyway — later captures just re-grow shapes live — and
         counted in ``stats.warm_unsettled``.
         """
         tiers: dict[int, list[tuple[int, int, int, int]]] = {}
@@ -952,25 +947,20 @@ class InferenceEngine:
             dims = (g.num_atoms, g.num_edges, g.num_short_edges, g.num_angles)
             tiers.setdefault(workload_tier(dims), []).append(dims)
         fits = self._affordable if merge else None
+        tiered = self.model.config.batched_basis
+        seeded = planned = None
         for _ in range(4):
             entries = [
-                self._group_entry([dims for _, dims in group])
+                (len(group), False, tuple(map(sum, zip(*(dims for _, dims in group)))))
                 for group in plan_groups(tiers, self.max_batch_structs, fits)
             ]
-            before = dict(self.cache.canonical)
-            # The canonical dict is shared through the cache: seeding one
-            # compiler seeds them all.
-            seeded = self.fleet[0].compiler.warm_start(entries)
-            if not merge or self.cache.canonical == before:
+            if entries == planned:
+                return seeded
+            planned, seeded = entries, self.cache.tiers.seed(entries, tiered)
+            if not merge:
                 return seeded
         self.stats.warm_unsettled += 1
         return seeded
-
-    @staticmethod
-    def _group_entry(
-        dims: list[tuple[int, int, int, int]]
-    ) -> tuple[int, bool, tuple[int, int, int, int]]:
-        return (len(dims), False, tuple(map(sum, zip(*dims))))
 
     # -------------------------------------------------------------- dispatch
     def _collate_group(self, graphs: list[CrystalGraph]) -> GraphBatch:
@@ -1165,13 +1155,7 @@ class InferenceEngine:
             self.stats.cache_misses += self.cache.misses - before[1]
         dims_list = [p.dims for p in group]
         raw = sum(p.cost for p in group)
-        padded = (
-            workload_cost(
-                *group_padded_targets(dims_list, seeds=self._canonical_seeds(dims_list))
-            )
-            if self.cache is not None
-            else raw
-        )
+        padded = self._padded_cost(dims_list)
         self.stats.raw_cost += raw
         self.stats.padded_cost += padded
         if len({workload_tier(d) for d in dims_list}) > 1:

@@ -25,7 +25,7 @@ Start-time fair queuing (:class:`FairScheduler`)
 Load-driven elasticity (:class:`Autoscaler`)
     The engine's latency model is fully deterministic (measured service
     times on virtual worker clocks), which makes the scale-out signal
-    honest: when the modeled p95 of the watched request class breaches
+    honest: when the modeled p95 of the interactive class breaches
     the SLA for ``breach_scans`` consecutive drain scans, one worker is
     added — a fresh replica on the :class:`~repro.tensor.compile.
     SharedProgramCache` (zero recaptures, the PR-8 in-place replacement
@@ -177,10 +177,9 @@ class AutoscaleConfig:
     Parameters
     ----------
     sla_p95:
-        Target modeled p95 latency (virtual seconds) for ``watch_class``.
-    watch_class:
-        Request class whose p95 drives scale-out (default: interactive —
-        bulk traffic is throughput-bound and does not page anyone).
+        Target modeled p95 latency (virtual seconds) of the interactive
+        class, whose p95 drives scale-out (bulk traffic is throughput-bound
+        and does not page anyone).
     breach_scans:
         Consecutive drain scans with p95 over the SLA before one worker
         is added (hysteresis against a single slow batch).
@@ -199,7 +198,6 @@ class AutoscaleConfig:
     """
 
     sla_p95: float
-    watch_class: str = "interactive"
     breach_scans: int = 3
     idle_scans: int = 16
     max_workers: int = 8
@@ -228,7 +226,7 @@ class AutoscaleConfig:
 
 
 class Autoscaler:
-    """Drives engine fleet size off the modeled SLA of one request class.
+    """Drives engine fleet size off the modeled SLA of the interactive class.
 
     The engine calls :meth:`record` for every completed request and
     :meth:`scan` once per drain scan; the autoscaler decides out/in and
@@ -244,7 +242,7 @@ class Autoscaler:
 
     def record(self, request_class: str, latency: float) -> None:
         """Feed one completed request's modeled latency into the window."""
-        if request_class == self.config.watch_class:
+        if request_class == "interactive":  # see tenants.standard_classes
             self._latencies.append(latency)
 
     def watched_p95(self) -> float:

@@ -44,7 +44,10 @@ Managers
     batch-shape signature.  Batches are padded (ghost structure, masked
     losses) to one canonical shape per geometric **workload tier**, so a
     shuffled long-tail loader converges to a handful of shared programs
-    instead of compiling every step.  Every replay is guarded: a
+    instead of compiling every step.  The tier shapes are
+    :class:`~repro.graph.batching.TierShapes`, held by the program cache:
+    a compiler pads through it, and the serving engine prices a batch by
+    the very shape it will be padded to.  Every replay is guarded: a
     shape/dtype rebinding mismatch or a changed model/loss configuration
     evicts the program and falls back to eager.  Programs live in a
     :class:`SharedProgramCache` that several compilers may share (one per
@@ -66,20 +69,11 @@ import types
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.graph.batching import (
-    MAX_PROGRAMS,
-    GraphBatch,
-    bucket_size,
-    bucket_targets,
-    canonical_targets,
-    feasible_targets,
-    pad_batch,
-    workload_tier,
-)
+from repro.graph.batching import MAX_PROGRAMS, GraphBatch, TierShapes
 from repro.runtime.kernels import profiling_active, record_kernel
 from repro.runtime.memory import record_tape_alloc, record_tape_free
 from repro.tensor.engine import Tensor, no_grad, pop_tracer, push_tracer
@@ -992,8 +986,7 @@ class SharedProgramCache:
     and never capture.  :meth:`store` grows the slab and re-attaches every
     program; eviction never shrinks it; :meth:`release` drops it.
 
-    A compiler constructed without an explicit cache owns a private instance,
-    which reproduces the old per-instance behavior exactly.
+    A compiler constructed without an explicit cache owns a private instance.
     """
 
     def __init__(self, max_programs: int = MAX_PROGRAMS) -> None:
@@ -1002,11 +995,9 @@ class SharedProgramCache:
         self.max_programs = max_programs
         self.programs: OrderedDict[tuple, CompiledStep] = OrderedDict()
         self.unsupported: set[tuple] = set()
-        # canonical shape per workload tier: (num_structs, has_labels, tier)
-        # -> running max (atoms, edges, short, angles); shared so every
-        # sharer pads a tier to the same shape (else programs would be
-        # per-sharer again); see _CompilerBase._pad / warm_start.
-        self.canonical: dict[tuple, tuple] = {}
+        #: Every workload tier's padded shape; shared so every sharer pads a
+        #: tier to the same shape (else programs would be per-sharer again).
+        self.tiers = TierShapes()
         self.hits = 0
         self.misses = 0
         #: Bumped by every :meth:`store`: a copy of the cache taken at an
@@ -1061,7 +1052,7 @@ class SharedProgramCache:
     def release(self) -> None:
         """Drop every cached program, the slab and the tier shapes."""
         self.programs.clear()
-        self.canonical.clear()
+        self.tiers.clear()
         record_tape_free(self._slab.nbytes)
         self._slab = _new_slab(0)
 
@@ -1132,10 +1123,6 @@ class _CompilerBase:
     def _unsupported(self) -> set[tuple]:
         return self.cache.unsupported
 
-    @property
-    def _canonical(self) -> dict[tuple, tuple]:
-        return self.cache.canonical
-
     def _guard_token(self) -> tuple:
         return (self.model.config, len(self.params))
 
@@ -1155,78 +1142,20 @@ class _CompilerBase:
 
         Independent per-dimension buckets rarely coincide jointly — a
         shuffled long-tail loader would compile a fresh program nearly every
-        step.  Batches are therefore grouped into geometric **workload
-        tiers** (``graph.batching.TIER_GROWTH`` in the workload proxy);
-        each tier keeps one canonical shape, the running elementwise max of
-        its members' bucketed counts.  Shapes grow monotonically and
-        converge after one pass over the data, after which every batch of a
-        tier replays the same program.
+        step.  The cache's :class:`~repro.graph.batching.TierShapes`
+        therefore pads every batch of a geometric **workload tier** to one
+        shape that grows monotonically and converges after one pass over
+        the data, after which every batch of a tier replays the same
+        program.  Serial (Algorithm 1) programs hard-code per-sample
+        offsets, so cross-batch sharing is impossible there: they are
+        bucketed, never tiered.  A loader that pads to shapes planned from
+        its fixed blocks arrives padded and passes through
+        (docs/architecture.md, "Padding: tiers for streams, plans for fixed
+        blocks").
         """
-        if not self.bucket or batch.pad_info is not None:
+        if not self.bucket:
             return batch
-        dims = (
-            batch.num_atoms,
-            batch.num_edges,
-            batch.num_short_edges,
-            batch.num_angles,
-        )
-        targets = bucket_targets(batch)
-        if targets == dims:
-            return batch  # already on every boundary; nothing to pad
-        if self.model.config.batched_basis:
-            # Serial (Algorithm 1) programs hard-code per-sample offsets, so
-            # cross-batch sharing is impossible there — tier only here.
-            key = (
-                batch.num_structs + 1,
-                batch.energy_per_atom is not None,
-                workload_tier(dims),
-            )
-            stored = self._canonical.get(key)
-            if stored is not None:
-                # Merging with the tier's canonical shape can re-introduce
-                # padding in a dimension this batch's own targets left alone
-                # (e.g. angles), so the ghost-feasibility bumps must be
-                # re-applied to the merged targets.
-                merged = tuple(max(a, b) for a, b in zip(stored, targets))
-                targets = feasible_targets(batch, merged)
-            self._canonical[key] = targets
-        padded = pad_batch(batch, *targets)
-        assert padded is not None
-        return padded
-
-    def warm_start(
-        self, entries: Iterable[tuple[int, bool, tuple[int, int, int, int]]]
-    ) -> int:
-        """Pre-size canonical tier shapes from dataset statistics.
-
-        ``entries`` describe the raw batches this compiler will see:
-        ``(num_structs, has_labels, (atoms, edges, short, angles))`` each.
-        Tier shapes normally grow as bigger batches arrive, recompiling once
-        per growth; seeding every tier with the fixpoint canonical shape of
-        its members (:func:`repro.graph.batching.canonical_targets`) makes
-        the first epoch replay-only after a single capture per tier.
-        Returns the number of tiers seeded.
-
-        Only for batches this compiler pads itself.  A loader that pads to
-        shapes planned from its fixed blocks needs no tiers at all — its
-        trainer captures the largest planned shape directly and the rest
-        arrive already padded (docs/architecture.md, "Padding: tiers for
-        streams, plans for fixed blocks").
-        """
-        if not self.bucket or not self.model.config.batched_basis:
-            return 0
-        groups: dict[tuple, list[tuple[int, int, int, int]]] = {}
-        for num_structs, has_labels, dims in entries:
-            dims = tuple(int(d) for d in dims)
-            if tuple(bucket_size(d) for d in dims) == dims:
-                continue  # already on every boundary; never enters the merge
-            key = (num_structs + 1, bool(has_labels), workload_tier(dims))
-            groups.setdefault(key, []).append(dims)
-        for key, members in groups.items():
-            stored = self._canonical.get(key)
-            seeds = (stored,) if stored is not None else ()
-            self._canonical[key] = canonical_targets(members, seeds=seeds)
-        return len(groups)
+        return self.cache.tiers.pad(batch, self.model.config.batched_basis)
 
     # ------------------------------------------------------- shared step flow
     def _execute(self, batch: GraphBatch):

@@ -53,7 +53,7 @@ identical pipeline), and replicas stay bitwise in sync either way.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -135,7 +135,6 @@ class DistributedConfig:
     epochs: int = 1
     scale_lr: bool = True  # Eq. 14 on the *global* batch size
     learning_rate: float | None = None
-    loss_weights: LossWeights = field(default_factory=LossWeights)
     huber_delta: float = 0.1
     seed: int = 0
     compile: bool = False
@@ -288,7 +287,7 @@ class DistributedTrainer:
         for rep in self.replicas[1:]:
             rep.load_state_dict(state)
         self.comm = SimCommunicator(cfg.world_size, fault_plan, trace_ring=cfg.trace_ring)
-        self.loss_fn = CompositeLoss(cfg.loss_weights, cfg.huber_delta)
+        self.loss_fn = CompositeLoss(LossWeights(), cfg.huber_delta)
         lr = cfg.resolve_lr()
         self._params = [rep.parameters() for rep in self.replicas]
         self.optimizers = [Adam(params, lr=lr) for params in self._params]

@@ -12,9 +12,10 @@ of something ``src/`` does fast, kept so the fast path has an oracle:
   against the preallocating single-pass :func:`repro.graph.batching.collate`;
 * :func:`neighbor_list_bruteforce` — the triple-loop periodic neighbor
   search behind the property tests of :func:`repro.structures.neighbor_list`;
-* :func:`pad_to_bucket` — pads a batch to the canonical bucket sizes of
-  :func:`repro.graph.batching.bucket_targets`, the shape a compiled step
-  would pick, so eager and replayed steps can be compared on one batch.
+* :func:`pad_to_bucket` — pads a batch to its canonical bucket sizes, the
+  shape an empty :class:`repro.graph.batching.TierShapes` gives it (what a
+  compiled step picks before any tier grows), so eager and replayed steps
+  can be compared on one batch.
 
 Imported by tests as ``from oracles import ...`` (``tests/`` is on the path,
 as for ``serve_harness``).
@@ -26,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.graph.batching import GraphBatch, Labels, bucket_targets, pad_batch
+from repro.graph.batching import GraphBatch, Labels, TierShapes
 from repro.graph.crystal_graph import CrystalGraph
 from repro.structures.crystal import Crystal
 from repro.structures.neighbors import NeighborList, _empty_pairs
@@ -230,16 +231,4 @@ def pad_to_bucket(batch: GraphBatch) -> GraphBatch:
     may reorder float reductions, so padded totals match unpadded ones to
     rounding, not bit-for-bit.
     """
-    if batch.pad_info is not None:
-        return batch
-    targets = bucket_targets(batch)
-    if targets == (
-        batch.num_atoms,
-        batch.num_edges,
-        batch.num_short_edges,
-        batch.num_angles,
-    ):
-        return batch
-    padded = pad_batch(batch, *targets)
-    assert padded is not None
-    return padded
+    return TierShapes().pad(batch, tiered=False)

@@ -13,7 +13,12 @@ import pytest
 
 from repro.data.dataset import StructureDataset
 from repro.data.mptrj import generate_mptrj
-from repro.graph.batching import PadInfo, bucket_size
+from repro.graph.batching import (
+    PadInfo,
+    TierShapes,
+    bucket_size,
+    feasible_targets_for_counts,
+)
 from repro.model import CHGNetConfig, CHGNetModel, OptLevel
 from repro.structures import cscl
 from repro.md import ModelCalculator
@@ -42,6 +47,17 @@ def dataset():
 
 def _model(level: OptLevel) -> CHGNetModel:
     return CHGNetModel(CFG.with_level(level), np.random.default_rng(1))
+
+
+def _counts(batch) -> tuple[int, int, int, int]:
+    return (batch.num_atoms, batch.num_edges, batch.num_short_edges, batch.num_angles)
+
+
+def _bucket_targets(batch) -> tuple[int, int, int, int]:
+    """``batch``'s shape under an empty tier table: its own bucketed counts,
+    ghost-feasible (its raw counts when every one is on its boundary)."""
+    labeled = batch.energy_per_atom is not None
+    return TierShapes().target(batch.num_structs, labeled, _counts(batch))
 
 
 def _eager_step(model, loss_fn, batch):
@@ -172,7 +188,7 @@ class TestTierSharing:
         """A program captured on one batch must replay bit-identically on a
         batch with *different real counts* padded to the same canonical
         shapes (the masked-loss denominators must rebind, not freeze)."""
-        from repro.graph.batching import bucket_targets, feasible_targets, pad_batch
+        from repro.graph.batching import pad_batch
 
         model = _model(OptLevel.DECOMPOSE_FS)
         loss_fn = CompositeLoss()
@@ -181,9 +197,11 @@ class TestTierSharing:
         # Shared canonical shape: elementwise max of both batches' targets,
         # made feasible for each (mirrors the compiler's tier merge).
         union = tuple(
-            max(a, b) for a, b in zip(bucket_targets(first), bucket_targets(second))
+            max(a, b) for a, b in zip(_bucket_targets(first), _bucket_targets(second))
         )
-        union = feasible_targets(second, feasible_targets(first, union))
+        union = feasible_targets_for_counts(
+            _counts(second), feasible_targets_for_counts(_counts(first), union)
+        )
         pad_first = pad_batch(first, *union)
         pad_second = pad_batch(second, *union)
         assert pad_first is not None and pad_second is not None
@@ -212,7 +230,7 @@ class TestTierSharing:
 
         tier = workload_tier(dims)
         key = (batch.num_structs + 1, True, tier)
-        comp._canonical[key] = (dims[0] + 1, dims[1], dims[2], dims[3] + 4)
+        comp.cache.tiers._shapes[key] = (dims[0] + 1, dims[1], dims[2], dims[3] + 4)
         padded = comp._pad(batch)
         assert padded.pad_info is not None
         assert padded.num_short_edges >= dims[2] + 2
@@ -376,10 +394,10 @@ class TestPadding:
 
 class TestPadCache:
     def test_same_targets_hit_same_object(self, dataset):
-        from repro.graph.batching import bucket_targets, pad_batch
+        from repro.graph.batching import pad_batch
 
         batch = dataset.batch([0, 1, 2])
-        targets = bucket_targets(batch)
+        targets = _bucket_targets(batch)
         a = pad_batch(batch, *targets)
         b = pad_batch(batch, *targets)
         assert a is not None and a is b
@@ -387,11 +405,11 @@ class TestPadCache:
         assert pad_to_bucket(dataset.batch([0, 1, 2])) is not None
 
     def test_distinct_targets_distinct_objects(self, dataset):
-        from repro.graph.batching import bucket_targets, feasible_targets, pad_batch
+        from repro.graph.batching import pad_batch
 
         batch = dataset.batch([0, 1, 2])
-        t1 = bucket_targets(batch)
-        t2 = feasible_targets(batch, tuple(t + 16 for t in t1))
+        t1 = _bucket_targets(batch)
+        t2 = feasible_targets_for_counts(_counts(batch), tuple(t + 16 for t in t1))
         a = pad_batch(batch, *t1)
         b = pad_batch(batch, *t2)
         assert a is not b
@@ -400,11 +418,11 @@ class TestPadCache:
     def test_label_attachment_invalidates(self, dataset):
         """Padding before labels are attached must not serve the labelless
         pad afterwards (collate assigns labels post-construction)."""
-        from repro.graph.batching import bucket_targets, collate, pad_batch
+        from repro.graph.batching import collate, pad_batch
 
         graphs = [dataset.graphs[0], dataset.graphs[1]]
         batch = collate(graphs)  # no labels
-        targets = bucket_targets(batch)
+        targets = _bucket_targets(batch)
         unlabeled = pad_batch(batch, *targets)
         assert unlabeled.energy_per_atom is None
         labeled_src = dataset.batch([0, 1])
@@ -424,20 +442,21 @@ class TestPadCache:
         assert not batch._pad_cache
 
     def test_lru_cap_bounds_cache(self, dataset):
-        from repro.graph.batching import _PAD_CACHE_CAP, feasible_targets, pad_batch
+        from repro.graph.batching import _PAD_CACHE_CAP, pad_batch
 
         batch = dataset.batch([0, 1])
-        base = (batch.num_atoms, batch.num_edges, batch.num_short_edges, batch.num_angles)
+        base = _counts(batch)
         for k in range(_PAD_CACHE_CAP + 3):
-            targets = feasible_targets(batch, tuple(c + 8 * (k + 1) for c in base))
+            targets = feasible_targets_for_counts(base, tuple(c + 8 * (k + 1) for c in base))
             assert pad_batch(batch, *targets) is not None
         assert len(batch._pad_cache) == _PAD_CACHE_CAP
 
 
 class TestWarmStart:
     def test_warm_started_tiers_capture_once_and_never_grow(self, dataset):
-        """Seeding _canonical from dataset stats makes the first pass over
-        shuffled batches one capture per tier, replay afterwards."""
+        """Seeding the cache's tier shapes from dataset stats makes the
+        first pass over shuffled batches one capture per tier, replay
+        afterwards."""
         model = _model(OptLevel.DECOMPOSE_FS)
         index_sets = ([0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 3, 5])
         entries = []
@@ -451,9 +470,9 @@ class TestWarmStart:
                 )
             )
         comp = StepCompiler(model, CompositeLoss(), validate=True)
-        n_tiers = comp.warm_start(entries)
+        n_tiers = comp.cache.tiers.seed(entries, model.config.batched_basis)
         assert n_tiers >= 1
-        canonical_before = dict(comp._canonical)
+        canonical_before = dict(comp.cache.tiers._shapes)
         for _ in range(2):
             for idx in index_sets:
                 comp.step(dataset.batch(idx))
@@ -461,16 +480,21 @@ class TestWarmStart:
         assert comp.stats.eager_fallbacks == 0
         # warm-started shapes were exact: nothing grew
         for key, val in canonical_before.items():
-            assert comp._canonical[key] == val
+            assert comp.cache.tiers._shapes[key] == val
 
     def test_warm_start_noop_for_serial_or_unbucketed(self, dataset):
         entry = [(4, True, (40, 400, 60, 200))]
         serial = StepCompiler(_model(OptLevel.BASELINE), CompositeLoss())
-        assert serial.warm_start(entry) == 0
+        assert serial.cache.tiers.seed(entry, serial.model.config.batched_basis) == 0
+        assert not serial.cache.tiers._shapes
+        # An unbucketed compiler never pads, so seeded tiers cannot reach it.
         unbucketed = StepCompiler(
             _model(OptLevel.DECOMPOSE_FS), CompositeLoss(), bucket=False
         )
-        assert unbucketed.warm_start(entry) == 0
+        batch = dataset.batch([0, 1, 2, 3])
+        seeded = [(batch.num_structs, True, _counts(batch))]
+        assert unbucketed.cache.tiers.seed(seeded, True) == 1
+        assert unbucketed._pad(batch) is batch
 
 
 class TestCompiledInference:

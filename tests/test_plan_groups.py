@@ -21,7 +21,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.graph.batching import padding_overhead, workload_tier  # noqa: E402
+from repro.graph.batching import TierShapes, workload_cost, workload_tier  # noqa: E402
 from repro.model import OptLevel  # noqa: E402
 from repro.serve import InferenceEngine  # noqa: E402
 from repro.serve.scheduler import plan_groups  # noqa: E402
@@ -77,6 +77,14 @@ def _queues(stream):
     for i, dims in enumerate(stream):
         queues.setdefault(workload_tier(dims), []).append((dims, i))
     return queues
+
+
+def padding_overhead(dims_list):
+    """Relative ghost workload of the batch ``dims_list`` collates into, as
+    an empty tier table pads it (each group priced at its own buckets)."""
+    summed = tuple(map(sum, zip(*dims_list)))
+    padded = TierShapes().target(len(dims_list), False, summed)
+    return workload_cost(*padded) / max(sum(workload_cost(*d) for d in dims_list), 1) - 1.0
 
 
 def _fits(price_cap):

@@ -23,7 +23,7 @@ from repro.graph.batching import (  # noqa: E402
     MAX_PROGRAMS,
     GraphBatch,
     _feasible_fixpoint,
-    canonical_targets,
+    bucket_size,
     pad_batch,
     plan_shapes,
     workload_cost,
@@ -154,6 +154,13 @@ def _sampler(n, world, per_rank, seed):
     return BucketBatchSampler(features, gbs, world, seed=seed, dims=table), table
 
 
+def _tier_shape(members):
+    """The shape the replaced rule padded a tier to: its members' bucketed
+    counts, maxed and closed under their ghost-feasibility bumps."""
+    bucketed = tuple(max(bucket_size(c) for c in column) for column in zip(*members))
+    return _feasible_fixpoint(members, bucketed)
+
+
 def _parent_tiers(sampler, table):
     """The rule this planner replaced: one geometric tier per block (the
     heaviest rank's), a tier's shape the bucketed fixpoint of its shards."""
@@ -180,7 +187,7 @@ class TestSamplerPlans:
         sampler, table = _sampler(n, world, per_rank, seed)
         groups = _parent_tiers(sampler, table)
         parent = sum(
-            len(members) * workload_cost(*canonical_targets(members))
+            len(members) * workload_cost(*_tier_shape(members))
             for members in groups.values()
         )
         # shape for shape: as many exact shapes per class as there were tiers

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.data.mptrj import generate_mptrj
-from repro.graph.batching import group_padded_targets, padding_overhead
+from repro.graph.batching import TierShapes, workload_cost, workload_tier
 from repro.graph.crystal_graph import build_graph
 from repro.model import CHGNetConfig, CHGNetModel, OptLevel
 from repro.serve import InferenceEngine
@@ -388,15 +388,17 @@ class TestAdaptiveTierMerging:
 
     def test_pricing_helpers(self):
         # one 10-atom-ish member: padding to buckets costs something
-        single = [(10, 40, 20, 60)]
-        targets = group_padded_targets(single)
-        assert all(t >= d for t, d in zip(targets, single[0]))
-        assert padding_overhead(single) >= 0.0
-        # seeds merge into the targets (canonical tier shapes)
-        seeded = group_padded_targets(single, seeds=[(64, 64, 64, 64)])
+        tiers = TierShapes()
+        single = (10, 40, 20, 60)
+        targets = tiers.target(1, False, single)
+        assert all(t >= d for t, d in zip(targets, single))
+        assert workload_cost(*targets) / workload_cost(*single) - 1.0 >= 0.0
+        # the tier's stored shape merges into the targets
+        tiers._shapes[(2, False, workload_tier(single))] = (64, 64, 64, 64)
+        seeded = tiers.target(1, False, single)
         assert all(s >= t for s, t in zip(seeded, targets))
         with pytest.raises(ValueError):
-            group_padded_targets([])
+            tiers.target(0, False, (0, 0, 0, 0))
 
 
 class TestCollateMemoization:
