@@ -16,6 +16,12 @@ arena buffers, so both sides launch the same kernels in the same order into
 the same buffers.  Both sides also time every ``CompiledStep.replay`` call.
 The ledger compares two processes, and its calibration slice moves with
 process layout (docs/perf/pr34_ledger.md); this harness has no such term.
+
+It runs only on the trees it was written for (the straight-line replay
+commit 9f639e8 and its successors up to dac1c0c): it reads the compiler's
+kernel tables ``compile._OUT_IMPLS`` and ``compile._OUT_KW``, which later
+trees deleted when every replay began calling the forward the tape
+recorded.  It is kept as the record of that measurement, not ported.
 """
 
 from __future__ import annotations

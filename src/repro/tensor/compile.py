@@ -77,23 +77,6 @@ from repro.graph.batching import MAX_PROGRAMS, GraphBatch, TierShapes
 from repro.runtime.kernels import profiling_active, record_kernel
 from repro.runtime.memory import record_tape_alloc, record_tape_free
 from repro.tensor.engine import Tensor, no_grad, pop_tracer, push_tracer
-from repro.tensor.ops_fused import (
-    _center_np,
-    _envelope_coeffs,
-    _envelope_np,
-    _fourier_np,
-    _gate_np,
-    _gate_vjp2_np,
-    _gate_vjp_np,
-    _pack_gated_np,
-    _rmsnorm_np,
-    _rmsnorm_vjp2_np,
-    _rmsnorm_vjp_gamma_np,
-    _rmsnorm_vjp_np,
-)
-from repro.tensor.ops_linalg import _linear_np, _matmul_np
-from repro.tensor.ops_math import _sigmoid_np, _silu_np, _sum_np
-from repro.tensor.ops_shape import _gather_add_np, _segment_sum_np
 
 
 class TraceUnsupported(RuntimeError):
@@ -106,138 +89,23 @@ class TraceUnsupported(RuntimeError):
 _ALIAS_OPS = frozenset({"reshape", "transpose", "broadcast_to", "slice", "part"})
 
 
-# ------------------------------------------------------------- out= kernels
-def _scale_shift_out(out, x, scale, shift):
-    np.multiply(x, scale, out=out)
-    np.add(out, shift, out=out)
-    return out
+def _takes_out(fn: Callable) -> bool:
+    """Whether the recorded forward ``fn`` writes into an ``out=`` buffer.
 
-
-def _scatter_slice_out(out, x, shape, index):
-    out.fill(0)
-    out[index] = x
-    return out
-
-
-def _fused_srbf_out(out, r, freqs, rcut, p):
-    # Same expressions as the eager forward (np.outer == the column-times-row
-    # broadcast below for 1-D operands), so the result is bit-identical.
-    np.multiply(r.reshape(-1, 1), freqs, out=out)
-    np.sin(out, out=out)
-    u = _envelope_np(r / rcut, p)
-    np.multiply((np.sqrt(2.0 / rcut) * u / r)[:, None], out, out=out)
-    return out
-
-
-def _fused_envelope_out(out, xi, p):
-    # Horner ladder of _envelope_np evaluated in place: out carries
-    # (a - xi*(b - c*xi)), then 1 - xi**p * out — identical expressions,
-    # bit-identical result.
-    a, b, c = _envelope_coeffs(p)
-    np.multiply(xi, c, out=out)
-    np.subtract(b, out, out=out)
-    np.multiply(xi, out, out=out)
-    np.subtract(a, out, out=out)
-    np.multiply(xi**p, out, out=out)
-    np.subtract(1.0, out, out=out)
-    return out
-
-
-#: Kernels called as ``fn(*args, out=out, **kwargs)``: the NumPy ufuncs, and
-#: the eager forwards that take ``out=`` and *are* the compiled kernel — one
-#: body, so replay cannot drift from eager (docs/architecture.md, "Row-stable
-#: kernels").
-_OUT_KW: dict[str, Callable] = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.divide,
-    "maximum": np.maximum,
-    "minimum": np.minimum,
-    "ge_mask": np.greater_equal,
-    "le_mask": np.less_equal,
-    "neg": np.negative,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "sin": np.sin,
-    "cos": np.cos,
-    "arccos": np.arccos,
-    "tanh": np.tanh,
-    "abs": np.abs,
-    "sign": np.sign,
-    "sigmoid": _sigmoid_np,
-    "silu": _silu_np,
-    "matmul": _matmul_np,
-    "linear": _linear_np,
-    # A program launches hundreds of sums, most of them small: the generated
-    # replay calls _sum_np itself, with no adapter frame in between.
-    "sum": _sum_np,
-    "gather_add": _gather_add_np,
-    "segment_sum": _segment_sum_np,
-    "fused_fourier": _fourier_np,
-    "center": _center_np,
-    "fused_pack_gated": _pack_gated_np,
-    "fused_rmsnorm": _rmsnorm_np,
-    "fused_rmsnorm_vjp": _rmsnorm_vjp_np,
-    "fused_rmsnorm_vjp_gamma": _rmsnorm_vjp_gamma_np,
-    "fused_rmsnorm_vjp2": _rmsnorm_vjp2_np,
-    "fused_gate": _gate_np,
-    "fused_gate_vjp": _gate_vjp_np,
-    "fused_gate_vjp2": _gate_vjp2_np,
-}
-
-
-def _out_first(fn):
-    return lambda out, *args, **kwargs: fn(*args, out=out, **kwargs)
-
-
-# name -> callable(out_buffer, *input_arrays, **kwargs) writing the result
-# into the buffer: the kernel table.  Every impl computes bit-identically to
-# the eager forward.
-_OUT_IMPLS: dict[str, Callable] = {
-    **{name: _out_first(fn) for name, fn in _OUT_KW.items()},
-    "power": lambda out, a, p: np.power(a, p, out=out),
-    "clip": lambda out, a, lo, hi: np.clip(a, lo, hi, out=out),
-    "le_mask_c": lambda out, a, threshold: np.less_equal(a, threshold, out=out),
-    "fused_scale_shift": _scale_shift_out,
-    "concat": lambda out, *xs, axis=0: np.concatenate(xs, axis=axis, out=out),
-    "stack": lambda out, *xs, axis=0: np.stack(xs, axis=axis, out=out),
-    # mode="clip" writes straight into out (the default "raise" buffers it);
-    # CompiledStep.bind range-checks every bound index array instead.
-    "gather": lambda out, x, idx, plan: np.take(x, idx, axis=0, out=out, mode="clip"),
-    "scatter_slice": _scatter_slice_out,
-    "fused_srbf": _fused_srbf_out,
-    # Reads xi several times, so it must never consume a chain carry: kept
-    # out of _ELEMENTWISE deliberately (arena-backed standalone launch only).
-    "fused_envelope": _fused_envelope_out,
-}
+    A NumPy ufunc does, and so does every module-level ``_<op>_np(...,
+    out=None)`` forward of :mod:`repro.tensor`: the compiled kernel is that
+    very function called with an arena buffer, so replay cannot drift from
+    eager (docs/architecture.md, "Row-stable kernels").
+    """
+    if isinstance(fn, np.ufunc):
+        return True
+    code = fn.__code__
+    return "out" in code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
 
 
 def _call(fn: str, args: list[str], kwargs: dict[str, str]) -> str:
     return f"{fn}({', '.join([*args, *(f'{k}={v}' for k, v in kwargs.items())])})"
 
-
-# Emission rules: the source of one arena launch of kernel ``n`` writing the
-# output expression ``o`` from argument and keyword expressions ``a`` / ``kw``
-# (docs/architecture.md, "Straight-line replay").  A kernel without a rule
-# calls its _OUT_IMPLS entry, bound in every replay namespace as ``o_<n>``.
-_RULES: dict[str, Callable[[str, str, list[str], dict[str, str]], str]] = {
-    **dict.fromkeys(_OUT_KW, lambda n, o, a, kw: _call(n, a, {**kw, "out": o})),
-    "gather": lambda n, o, a, kw: f'{a[0]}.take({kw["idx"]}, axis=0, out={o}, mode="clip")',
-}
-
-
-def _other_rule(n: str, o: str, a: list[str], kw: dict[str, str]) -> str:
-    return _call(f"o_{n}", [o, *a], kw)
-
-
-#: What every generated replay function sees besides its own constants.
-_REPLAY_GLOBALS = {
-    **_OUT_KW,
-    **{f"o_{name}": impl for name, impl in _OUT_IMPLS.items()},
-    "pc": time.perf_counter,
-}
 
 # Chainable elementwise kernels: same-shape outputs, out= capable, safe to
 # compute in place on the chain buffer.
@@ -364,7 +232,7 @@ class Instr:
         self.kw_ext = kw_ext  # ((key, ext_slot), ...) read from the slots at replay
         self.alias = name in _ALIAS_OPS
         self.buf = -1  # arena buffer id (-1: plain allocation)
-        self.chain = None  # fused chain: [(kernel name, argspec, kwargs), ...]
+        self.chain = None  # fused chain: [(kernel name, fn, argspec, kwargs), ...]
         self.shape = out.shape
         self.dtype = out.dtype
         self.nbytes = out.nbytes
@@ -518,11 +386,13 @@ def _replay_source(instrs: list[Instr], timed: bool) -> tuple[str, list]:
     One statement per instruction — one per step of a fused chain — indexes
     the slot list ``S`` for every array: arena outputs were placed there by
     :meth:`CompiledStep.attach`, bound externals by :meth:`CompiledStep.bind`,
-    and plain-allocating instructions store into it.  Keyword values and
-    plain kernels are read from the names ``k0``, ``k1``, ... bound to the
-    returned constants, so programs of one model that differ only in shapes
-    generate the same text.  ``timed`` adds ``T[t] = pc() - t0`` after
-    instruction ``t``.
+    and plain-allocating instructions store into it.  Every kernel is the
+    forward the tape recorded (an arena launch calls it with ``out=``; a
+    ``gather`` is a clipped ``take`` into its buffer).  Kernels and keyword
+    values are read from the names ``k0``, ``k1``, ... bound to the returned
+    constants, so programs of one model that differ only in shapes generate
+    the same text.  ``timed`` adds ``T[t] = pc() - t0`` after instruction
+    ``t``.
     """
     consts: list = []
 
@@ -533,15 +403,17 @@ def _replay_source(instrs: list[Instr], timed: bool) -> tuple[str, list]:
     lines = ["def replay(S, T):", " t0 = pc()"] if timed else ["def replay(S):"]
     for t, ins in enumerate(instrs):
         o = f"S[{ins.out_slot}]"
-        steps = ins.chain or [(ins.name, ins.in_slots, ins.kwargs)]
-        for name, argspec, kwargs in steps:
+        steps = ins.chain or [(ins.name, ins.fn, ins.in_slots, ins.kwargs)]
+        for name, fn, argspec, kwargs in steps:
             args = [o if s == _CARRY else f"S[{s}]" for s in argspec]
             kw = {k: const(v) for k, v in kwargs.items()}
             kw.update((k, f"S[{s}]") for k, s in ins.kw_ext)
             if ins.buf < 0:
-                lines.append(f" {o} = {_call(const(ins.fn), args, kw)}")
+                lines.append(f" {o} = {_call(const(fn), args, kw)}")
+            elif name == "gather":
+                lines.append(f' {args[0]}.take({kw["idx"]}, axis=0, out={o}, mode="clip")')
             else:
-                lines.append(" " + _RULES.get(name, _other_rule)(name, o, args, kw))
+                lines.append(f" {_call(const(fn), args, {**kw, 'out': o})}")
         if timed:
             lines.append(f" T[{t}] = pc() - t0")
     return "\n".join(lines) + "\n", consts
@@ -564,7 +436,7 @@ def _replay_function(instrs: list[Instr], timed: bool) -> Callable:
     _CODE[source] = code
     if len(_CODE) > _CODE_CAPACITY:
         _CODE.popitem(last=False)
-    namespace = dict(_REPLAY_GLOBALS)
+    namespace = {"pc": time.perf_counter}
     namespace.update((f"k{i}", value) for i, value in enumerate(consts))
     return types.FunctionType(code, namespace, "replay")
 
@@ -703,7 +575,7 @@ class CompiledStep:
                 and not prev.kw_ext
             ):
                 if prev.chain is None:
-                    first = (prev.name, prev.in_slots, prev.kwargs)
+                    first = (prev.name, prev.fn, prev.in_slots, prev.kwargs)
                     prev.name = "fused_chain"
                     prev.fn = None
                     prev.kwargs = {}
@@ -711,7 +583,7 @@ class CompiledStep:
                 argspec = tuple(
                     _CARRY if s == prev.out_slot else s for s in ins.in_slots
                 )
-                prev.chain.append((ins.name, argspec, ins.kwargs))
+                prev.chain.append((ins.name, ins.fn, argspec, ins.kwargs))
                 prev.in_slots = prev.in_slots + tuple(
                     s for s in ins.in_slots if s != prev.out_slot
                 )
@@ -758,7 +630,7 @@ class CompiledStep:
         for t, ins in enumerate(self.instrs):
             if ins.alias:
                 continue
-            if ins.chain is None and ins.name not in _OUT_IMPLS:
+            if ins.chain is None and not _takes_out(ins.fn):
                 continue
             root = find(ins.out_slot)
             until = len(self.instrs) if root in group_pinned else group_last.get(root, t)

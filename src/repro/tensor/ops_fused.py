@@ -49,21 +49,25 @@ def _envelope_coeffs(p: float) -> tuple[float, float, float]:
     return a, b, c
 
 
-def _envelope_np(xi: np.ndarray, p: float) -> np.ndarray:
+def _envelope_np(xi: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``1 - xi**p * (a - xi*(b - c*xi))``, the factored Horner form of
+    Eq. 13 (one pow instead of three), evaluated in place in ``out``.
+
+    Reads ``xi`` after writing ``out``, so ``out`` must not be ``xi``: the
+    op is kept out of the compiler's in-place chains.
+    """
     a, b, c = _envelope_coeffs(p)
-    # Factored Horner form (Eq. 13): one pow instead of three.
-    return 1.0 - xi**p * (a - xi * (b - c * xi))
+    out = np.multiply(xi, c, out=out)
+    np.subtract(b, out, out=out)
+    np.multiply(xi, out, out=out)
+    np.subtract(a, out, out=out)
+    np.multiply(xi**p, out, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
 def fused_envelope(xi: Tensor, p: float) -> Tensor:
     """Polynomial cutoff envelope ``u(xi)`` in one kernel (Eq. 13)."""
-    return apply_op(
-        "fused_envelope",
-        lambda x, p: _envelope_np(x, p),
-        _fused_envelope_vjp,
-        (xi,),
-        {"p": float(p)},
-    )
+    return apply_op("fused_envelope", _envelope_np, _fused_envelope_vjp, (xi,), {"p": float(p)})
 
 
 def _fused_envelope_vjp(g, out, inputs, needs, p):
@@ -85,16 +89,20 @@ def fused_srbf(r: Tensor, freqs: Tensor, rcut: float, p: float) -> Tensor:
     reference path composes ~13 kernels per call (per *sample* under
     Algorithm 1); this is FastCHGNet's "Fused-sRBF" module.
     """
-
-    def fwd(r, freqs, rcut, p):
-        u = _envelope_np(r / rcut, p)
-        s = np.sin(np.outer(r, freqs))
-        c = np.sqrt(2.0 / rcut)
-        return (c * u / r)[:, None] * s
-
     return apply_op(
-        "fused_srbf", fwd, _fused_srbf_vjp, (r, freqs), {"rcut": float(rcut), "p": float(p)}
+        "fused_srbf", _srbf_np, _fused_srbf_vjp, (r, freqs), {"rcut": float(rcut), "p": float(p)}
     )
+
+
+def _srbf_np(
+    r: np.ndarray, freqs: np.ndarray, rcut: float, p: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Forward and compiled kernel of :func:`fused_srbf`: the sines are
+    computed in ``out`` and scaled there by ``sqrt(2/rcut) * u / r``."""
+    out = np.multiply(r.reshape(-1, 1), freqs, out=out)
+    np.sin(out, out=out)
+    u = _envelope_np(r / rcut, p)
+    return np.multiply((np.sqrt(2.0 / rcut) * u / r)[:, None], out, out=out)
 
 
 def _fused_srbf_vjp(g, out, inputs, needs, rcut, p):
@@ -774,15 +782,18 @@ def _fused_gate_vjp2(h, out, inputs, needs, shape, offset):
     return (None, cg, cz, None)
 
 
+def _scale_shift_np(
+    x: np.ndarray, scale: float, shift: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    out = np.multiply(x, scale, out=out)
+    return np.add(out, shift, out=out)
+
+
 def fused_scale_shift(x: Tensor, scale: float, shift: float) -> Tensor:
     """``x * scale + shift`` in one kernel (used by output normalization)."""
-
-    def fwd(x, scale, shift):
-        return x * scale + shift
-
     return apply_op(
         "fused_scale_shift",
-        fwd,
+        _scale_shift_np,
         _fused_scale_shift_vjp,
         (x,),
         {"scale": float(scale), "shift": float(shift)},

@@ -236,9 +236,13 @@ def _neg_vjp(g, out, inputs, needs):
     return (neg(g) if needs[0] else None,)
 
 
+def _power_np(x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    return np.power(x, p, out=out)
+
+
 def power(a: Tensor, p: float) -> Tensor:
     """Raise to a constant scalar power."""
-    return apply_op("power", lambda x, p: np.power(x, p), _power_vjp, (astensor(a),), {"p": float(p)})
+    return apply_op("power", _power_np, _power_vjp, (astensor(a),), {"p": float(p)})
 
 
 def _power_vjp(g, out, inputs, needs, p):
@@ -402,20 +406,30 @@ def _zero_vjp2(g, out, inputs, needs, **kwargs):
     return (None, None)
 
 
+def _ge_mask_np(x: np.ndarray, y, out: np.ndarray | None = None) -> np.ndarray:
+    """``x >= y`` as 0/1 in ``x``'s dtype, written by the comparison itself."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(x.shape, np.shape(y)), dtype=x.dtype)
+    return np.greater_equal(x, y, out=out)
+
+
+def _le_mask_np(x: np.ndarray, y, out: np.ndarray | None = None) -> np.ndarray:
+    """``x <= y`` as 0/1 in ``x``'s dtype (``y`` an array or a threshold)."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(x.shape, np.shape(y)), dtype=x.dtype)
+    return np.less_equal(x, y, out=out)
+
+
 def ge_mask(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Float mask ``(a >= b)`` with broadcasting; zero gradient."""
     a, b = astensor(a), astensor(b)
-    return apply_op(
-        "ge_mask", lambda x, y: np.greater_equal(x, y).astype(x.dtype), _zero_vjp2, (a, b)
-    )
+    return apply_op("ge_mask", _ge_mask_np, _zero_vjp2, (a, b))
 
 
 def le_mask(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Float mask ``(a <= b)`` with broadcasting; zero gradient."""
     a, b = astensor(a), astensor(b)
-    return apply_op(
-        "le_mask", lambda x, y: np.less_equal(x, y).astype(x.dtype), _zero_vjp2, (a, b)
-    )
+    return apply_op("le_mask", _le_mask_np, _zero_vjp2, (a, b))
 
 
 def interval_mask(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -455,14 +469,14 @@ def _minimum_vjp(g, out, inputs, needs):
     return (ga, gb)
 
 
+def _clip_np(x: np.ndarray, lo: float, hi: float, out: np.ndarray | None = None) -> np.ndarray:
+    return np.clip(x, lo, hi, out=out)
+
+
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to ``[lo, hi]``; gradient is zero outside the interval."""
     return apply_op(
-        "clip",
-        lambda x, lo, hi: np.clip(x, lo, hi),
-        _clip_vjp,
-        (astensor(a),),
-        {"lo": float(lo), "hi": float(hi)},
+        "clip", _clip_np, _clip_vjp, (astensor(a),), {"lo": float(lo), "hi": float(hi)}
     )
 
 
@@ -494,13 +508,7 @@ def _where_le_vjp(g, out, inputs, needs, threshold):
     a, x, y = inputs
     gx = gy = None
     if needs[1] or needs[2]:
-        mask = apply_op(
-            "le_mask_c",
-            lambda a, threshold: np.less_equal(a, threshold).astype(a.dtype),
-            _zero_vjp1,
-            (a,),
-            {"threshold": threshold},
-        )
+        mask = apply_op("le_mask_c", _le_mask_np, _zero_vjp1, (a,), {"y": threshold})
         if needs[1]:
             gx = _unbroadcast(mul(g, mask), x.shape)
         if needs[2]:

@@ -42,18 +42,16 @@ def swap_last(a: Tensor) -> Tensor:
     return transpose(a, axes)
 
 
+def _concat_np(*xs: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    return np.concatenate(xs, axis=axis, out=out)
+
+
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate along ``axis``; one kernel regardless of operand count."""
     tensors = [astensor(t) for t in tensors]
     if not tensors:
         raise ValueError("concat requires at least one tensor")
-    return apply_op(
-        "concat",
-        lambda *xs, axis: np.concatenate(xs, axis=axis),
-        _concat_vjp,
-        tuple(tensors),
-        {"axis": axis},
-    )
+    return apply_op("concat", _concat_np, _concat_vjp, tuple(tensors), {"axis": axis})
 
 
 def _concat_vjp(g, out, inputs, needs, axis):
@@ -74,18 +72,16 @@ def _concat_vjp(g, out, inputs, needs, axis):
 builtin_slice = slice  # keep the builtin reachable under a distinct name
 
 
+def _stack_np(*xs: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    return np.stack(xs, axis=axis, out=out)
+
+
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack along a new dimension; one kernel."""
     tensors = [astensor(t) for t in tensors]
     if not tensors:
         raise ValueError("stack requires at least one tensor")
-    return apply_op(
-        "stack",
-        lambda *xs, axis: np.stack(xs, axis=axis),
-        _stack_vjp,
-        tuple(tensors),
-        {"axis": axis},
-    )
+    return apply_op("stack", _stack_np, _stack_vjp, tuple(tensors), {"axis": axis})
 
 
 def _stack_vjp(g, out, inputs, needs, axis):
@@ -118,16 +114,25 @@ def _slice_vjp(g, out, inputs, needs, index):
     return (scatter_slice(g, a.shape, index),)
 
 
+def _scatter_slice_np(
+    x: np.ndarray, shape: tuple[int, ...], index, out: np.ndarray | None = None
+) -> np.ndarray:
+    if out is None:
+        out = np.zeros(shape, dtype=x.dtype)
+    else:
+        out.fill(0)
+    out[index] = x
+    return out
+
+
 def scatter_slice(g: Tensor, shape: tuple[int, ...], index) -> Tensor:
     """Place ``g`` into a zero tensor of ``shape`` at ``index``."""
-
-    def fwd(x, shape, index):
-        out = np.zeros(shape, dtype=x.dtype)
-        out[index] = x
-        return out
-
     return apply_op(
-        "scatter_slice", fwd, _scatter_slice_vjp, (g,), {"shape": tuple(shape), "index": index}
+        "scatter_slice",
+        _scatter_slice_np,
+        _scatter_slice_vjp,
+        (g,),
+        {"shape": tuple(shape), "index": index},
     )
 
 
@@ -151,21 +156,33 @@ def split(a: Tensor, sections: int, axis: int = 0) -> list[Tensor]:
     return outs
 
 
+def _row_index(idx: np.ndarray, rows: int, op: str) -> np.ndarray:
+    """``idx`` as int64, every entry checked to lie in ``[0, rows)``: the
+    lookups clip instead of buffering, so a bad index must not reach them."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise IndexError(f"{op} index out of range for {rows} rows")
+    return idx
+
+
+def _gather_np(
+    x: np.ndarray, idx: np.ndarray, plan=None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Forward and compiled kernel of :func:`gather_rows` (``idx`` checked
+    before it gets here)."""
+    return np.take(x, idx, axis=0, out=out, mode="clip")
+
+
 def gather_rows(a: Tensor, idx: np.ndarray, plan: np.ndarray | None = None) -> Tensor:
     """Row lookup ``a[idx]`` with an integer index array (axis 0).
 
     ``plan`` (optional) is ``batch.aux(("segment_plan", field))`` for the
     batch field ``idx`` is: the lookup ignores it, the VJP's
     :func:`segment_sum` reduces by it instead of re-sorting ``idx``.
+    An index outside ``[0, len(a))`` raises :class:`IndexError`.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    return apply_op(
-        "gather",
-        lambda x, idx, plan: x[idx],
-        _gather_vjp,
-        (a,),
-        {"idx": idx, "plan": plan},
-    )
+    idx = _row_index(idx, a.shape[0], "gather_rows")
+    return apply_op("gather", _gather_np, _gather_vjp, (a,), {"idx": idx, "plan": plan})
 
 
 def _gather_vjp(g, out, inputs, needs, idx, plan):
@@ -179,7 +196,7 @@ def _gather_add_np(
     base: np.ndarray, a: np.ndarray, idx: np.ndarray, plan=None, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Forward and compiled kernel of :func:`gather_add` (``idx`` checked
-    before it gets here, so the lookup clips instead of buffering)."""
+    before it gets here)."""
     out = np.take(a, idx, axis=0, out=out, mode="clip")
     return np.add(out, base, out=out)
 
@@ -191,9 +208,7 @@ def gather_add(base: Tensor, a: Tensor, idx: np.ndarray, plan: np.ndarray | None
     ``base``-sized arrays live, not one per lookup.  ``plan`` is
     :func:`gather_rows`'.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError(f"gather_add index out of range for {a.shape[0]} rows")
+    idx = _row_index(idx, a.shape[0], "gather_add")
     return apply_op("gather_add", _gather_add_np, _gather_add_vjp, (base, a), {"idx": idx, "plan": plan})
 
 

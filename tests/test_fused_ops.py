@@ -495,16 +495,25 @@ class TestGatedKernelsCompiled:
     def test_registered_once_and_shared_with_eager(self):
         import inspect
 
+        from repro.data.dataset import StructureDataset
+        from repro.data.mptrj import generate_mptrj
+        from repro.model import OptLevel
         from repro.tensor import compile as tc
+        from repro.tensor.compile import StepCompiler
+        from repro.train.loss import CompositeLoss
 
-        from repro.tensor import ops_fused
-
+        batch = StructureDataset(generate_mptrj(6, seed=3, max_atoms=6)).batch([0, 1, 2, 3])
+        comp = StepCompiler(self._model(OptLevel.FUSED), CompositeLoss())
+        comp.step(batch)
+        (prog,) = comp._programs.values()
         source = inspect.getsource(tc)
-        for name in self.GATED:
-            assert source.count(f'"{name}": ') == 1, name
-            kernel = tc._OUT_KW[name]  # called with out=: the eager forward itself
-            assert getattr(ops_fused, kernel.__name__) is kernel, name
-        assert "fused_layernorm" not in tc._OUT_IMPLS  # a composition, not a kernel
+        kernels = {name: {ins.fn for ins in prog.instrs if ins.name == name} for name in self.GATED}
+        for name, fns in kernels.items():
+            assert f'"{name}"' not in source, name  # no table registers it a second time
+            (kernel,) = fns  # called with out=: the eager forward itself
+            assert getattr(ops_fused, kernel.__name__) is kernel and tc._takes_out(kernel), name
+        assert all(ins.name != "fused_layernorm" for ins in prog.instrs)  # a composition, not a kernel
+        comp.release()
 
     def test_fused_training_replay_is_eager_bit_for_bit(self, monkeypatch):
         from collections import Counter
@@ -577,7 +586,7 @@ class TestGatherPlan:
         assert all(np.array_equal(a, b) for a, b in zip(without, with_plan))
 
     def test_gather_add_is_base_plus_lookup_to_second_order(self, rng):
-        from repro.tensor.compile import _OUT_IMPLS
+        from repro.tensor.ops_shape import _gather_add_np
 
         idx = rng.integers(0, 7, size=40)
         base, a = Tensor(rng.normal(size=(40, 5))), Tensor(rng.normal(size=(7, 5)))
@@ -587,7 +596,7 @@ class TestGatherPlan:
         check_grad(f, [base, a])
         check_second_grad(f, [base, a])
         out = np.full((40, 5), np.nan)
-        assert _OUT_IMPLS["gather_add"](out, base.data, a.data, idx=idx, plan=None) is out
+        assert _gather_add_np(base.data, a.data, idx=idx, plan=None, out=out) is out
         assert np.array_equal(out, base.data + a.data[idx])
         for bad in (7, -1):
             with pytest.raises(IndexError):
@@ -618,39 +627,34 @@ class TestFusedScaleShift:
 
 
 class TestFusedOutKernels:
-    """out= implementations of the fused basis ops (arena replay path).
+    """The fused basis forwards called with ``out=`` (arena replay path).
 
-    Each must write into a caller-provided buffer the exact bits the eager
-    forward produces — these are what compiled replays launch instead of the
-    allocating forwards.
+    Each must write into a caller-provided buffer the exact bits it returns
+    when it allocates — compiled replays launch the forward with ``out=``.
     """
 
     def _out_for(self, eager: np.ndarray) -> np.ndarray:
         return np.full_like(eager, np.nan)  # poisoned: every cell must be written
 
     def test_fused_srbf_out_bit_identical(self, rng):
-        from repro.tensor.compile import _OUT_IMPLS
-
         r = rng.uniform(0.5, 5.5, size=(23,))
         freqs = np.arange(1, 8) * np.pi / 6.0
         eager = fused_srbf(Tensor(r), Tensor(freqs), rcut=6.0, p=8.0).data
         out = self._out_for(eager)
-        res = _OUT_IMPLS["fused_srbf"](out, r, freqs, rcut=6.0, p=8.0)
+        res = ops_fused._srbf_np(r, freqs, rcut=6.0, p=8.0, out=out)
         assert res is out
         assert np.array_equal(out, eager)
 
     def test_fused_envelope_out_bit_identical(self, rng):
-        from repro.tensor.compile import _OUT_IMPLS
-
         xi = rng.uniform(0.02, 0.98, size=(31,))
         eager = fused_envelope(Tensor(xi), 8.0).data
         out = self._out_for(eager)
-        res = _OUT_IMPLS["fused_envelope"](out, xi, p=8.0)
+        res = ops_fused._envelope_np(xi, p=8.0, out=out)
         assert res is out
         assert np.array_equal(out, eager)
 
     def test_fused_envelope_not_chainable(self):
-        """The out= impl reads xi repeatedly, so it must never consume a
+        """The out= body reads xi repeatedly, so it must never consume a
         fused-chain carry buffer (aliasing would corrupt the ladder)."""
         from repro.tensor.compile import _ELEMENTWISE
 
@@ -685,29 +689,25 @@ class TestFusedOutKernels:
         comp.release()
 
     def test_fused_fourier_out_bit_identical(self, rng):
-        from repro.tensor.compile import _OUT_IMPLS
-
         theta = rng.uniform(0.0, np.pi, size=(17,))
         eager = fused_fourier(Tensor(theta), order=5).data
         out = self._out_for(eager)
-        res = _OUT_IMPLS["fused_fourier"](out, theta, order=5)
+        res = ops_fused._fourier_np(theta, order=5, out=out)
         assert res is out
         assert np.array_equal(out, eager)
 
     def test_fused_rmsnorm_and_center_out_bit_identical(self, rng):
-        from repro.tensor.compile import _OUT_IMPLS
-
         x = rng.normal(size=(9, 6))
         gamma = rng.normal(size=(6,))
         beta = rng.normal(size=(6,))
         eager = fused_rmsnorm(Tensor(x), Tensor(gamma), Tensor(beta)).data
         out = self._out_for(eager)
-        res = _OUT_IMPLS["fused_rmsnorm"](out, x, gamma, beta, eps=1e-5)
+        res = ops_fused._rmsnorm_np(x, gamma, beta, eps=1e-5, out=out)
         assert res is out
         assert np.array_equal(out, eager)
         eager = center(Tensor(x)).data
         out = self._out_for(eager)
-        assert _OUT_IMPLS["center"](out, x) is out
+        assert ops_fused._center_np(x, out=out) is out
         assert np.array_equal(out, eager)
 
     def test_fused_basis_instrs_get_arena_buffers(self):

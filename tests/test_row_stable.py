@@ -38,14 +38,15 @@ from repro.model import OptLevel  # noqa: E402
 from repro.serve import InferenceEngine, TenantPolicy  # noqa: E402
 from repro.tensor import Tensor, fused_layernorm, segment_sum, sigmoid, silu  # noqa: E402
 from repro.tensor import ops_fused  # noqa: E402
-from repro.tensor.compile import _OUT_IMPLS, InferenceCompiler, StepCompiler  # noqa: E402
+from repro.tensor.compile import InferenceCompiler, StepCompiler  # noqa: E402
 from repro.tensor.ops_linalg import (  # noqa: E402
     _ROW_STABLE_MAX_N,
     _linear_np,
     _matmul_np,
     matmul_rowstable,
 )
-from repro.tensor.ops_shape import segment_plan, sorted_segment_reduce  # noqa: E402
+from repro.tensor.ops_math import _sigmoid_np, _silu_np  # noqa: E402
+from repro.tensor.ops_shape import _segment_sum_np, segment_plan, sorted_segment_reduce  # noqa: E402
 from repro.train.loss import CompositeLoss  # noqa: E402
 from serve_harness import make_graphs, make_model  # noqa: E402
 
@@ -117,10 +118,10 @@ class TestMatmul:
         w = rng.normal(size=(k, n)).astype(dtype)
         bias = rng.normal(size=n).astype(dtype)
         out = np.full((m, n), np.nan, dtype=dtype)
-        assert _OUT_IMPLS["matmul"](out, a, w) is out
+        assert _matmul_np(a, w, out=out) is out
         assert np.array_equal(out, _matmul_np(a, w))
         out.fill(np.nan)
-        assert _OUT_IMPLS["linear"](out, a, w, bias) is out
+        assert _linear_np(a, w, bias, out=out) is out
         assert np.array_equal(out, _linear_np(a, w, bias))
 
     def test_empty_inner_dimension_gives_zeros(self):
@@ -251,9 +252,9 @@ class TestLayerNorm:
             alone = fused_layernorm(Tensor(x[i:j]), Tensor(gamma), Tensor(beta)).data
             assert np.array_equal(alone, full[i:j]), (i, j)
         centered = np.full_like(x, np.nan)
-        assert _OUT_IMPLS["center"](centered, x) is centered
+        assert ops_fused._center_np(x, out=centered) is centered
         out = np.full_like(full, np.nan)
-        assert _OUT_IMPLS["fused_rmsnorm"](out, centered, gamma, beta, eps=1e-5) is out
+        assert ops_fused._rmsnorm_np(centered, gamma, beta, eps=1e-5, out=out) is out
         assert np.array_equal(out, full)
 
     def test_matches_the_textbook_formula(self):
@@ -365,9 +366,9 @@ class TestSigmoid:
     @settings(max_examples=50, deadline=None)
     def test_eager_equals_out_kernel(self, n, dtype, seed):
         x = (np.random.default_rng(seed).normal(size=(n, 3)) * 50).astype(dtype)
-        for name, op in (("sigmoid", sigmoid), ("silu", silu)):
+        for kernel, op in ((_sigmoid_np, sigmoid), (_silu_np, silu)):
             out = np.full_like(x, np.nan)
-            assert _OUT_IMPLS[name](out, x) is out
+            assert kernel(x, out=out) is out
             assert np.array_equal(out, op(Tensor(x)).data)
 
     def test_silu_survives_being_handed_the_chain_buffer(self):
@@ -375,10 +376,10 @@ class TestSigmoid:
         output buffer; the kernel must still multiply by the original x."""
         x = np.array([0.5, -1.0, 2.0, -30.0])
         buf = x.copy()
-        _OUT_IMPLS["silu"](buf, buf)
+        _silu_np(buf, out=buf)
         assert np.array_equal(buf, silu(Tensor(x)).data)
         buf = x.copy()
-        _OUT_IMPLS["sigmoid"](buf, buf)
+        _sigmoid_np(buf, out=buf)
         assert np.array_equal(buf, sigmoid(Tensor(x)).data)
 
 
@@ -416,10 +417,10 @@ class TestSegmentSum:
         np.testing.assert_allclose(without, reference, rtol=1e-12, atol=1e-12)
         assert np.array_equal(without, with_plan)
         out = np.full_like(without, np.nan)
-        assert _OUT_IMPLS["segment_sum"](out, x, idx, num_segments, plan) is out
+        assert _segment_sum_np(x, idx, num_segments, plan, out=out) is out
         assert np.array_equal(out, without)
         out.fill(np.nan)
-        _OUT_IMPLS["segment_sum"](out, x, idx, num_segments, None)
+        _segment_sum_np(x, idx, num_segments, None, out=out)
         assert np.array_equal(out, without)
 
     @pytest.mark.parametrize("empty", [(), (3,), (0, 5)])

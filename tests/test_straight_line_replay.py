@@ -8,12 +8,15 @@ The contract under test (docs/architecture.md, "Straight-line replay"):
   each with its own constants namespace, and the code cache is bounded;
 * keyword arrays are read from the slots at the call site, so ``bind``
   rebuilds nothing per instruction;
+* every kernel a replay calls is the forward the tape recorded (one body
+  per kernel), a gather being a clipped ``take`` into its buffer;
 * the timed variant ``replay_measured`` runs the same kernels into the same
   buffers: outputs and gradients equal those of ``replay`` bit for bit.
 """
 
 from __future__ import annotations
 
+import ast
 from collections import OrderedDict
 
 import numpy as np
@@ -122,6 +125,38 @@ class TestCallSites:
                 f"S[{ins.in_slots[0]}].take(S[{idx}], axis=0, "
                 f'out=S[{ins.out_slot}], mode="clip")'
             ) in source
+
+
+class TestOneBody:
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_every_callee_is_the_forward_the_tape_recorded(self, trained, graphs, timed):
+        comp, _ = trained
+        progs = [next(iter(comp.cache.programs.values())), _inference_programs(graphs)[0]]
+        launched, foreign = set(), set()
+        for prog in progs:
+            source, consts = tc._replay_source(prog.instrs, timed=timed)
+            (replay,) = ast.parse(source).body
+            body = iter(replay.body[1:] if timed else replay.body)  # past t0 = pc()
+            for ins in prog.instrs:
+                for step in ins.chain or [(ins.name, ins.fn)]:
+                    name, fn = step[:2]  # a chain step: (name, forward, argspec, kwargs)
+                    (call,) = [n for n in ast.walk(next(body)) if isinstance(n, ast.Call)]
+                    callee = ast.unparse(call.func)
+                    if name == "gather" and ins.buf >= 0:
+                        take = isinstance(call.func, ast.Attribute) and call.func.attr == "take"
+                        if not (take and ast.unparse(call.func.value).startswith("S[")):
+                            foreign.add(callee)
+                    elif not (callee[:1] == "k" and consts[int(callee[1:])] is fn):
+                        foreign.add(callee)
+                    if ins.buf >= 0:
+                        launched.add(name)
+                if timed:
+                    (call,) = [n for n in ast.walk(next(body)) if isinstance(n, ast.Call)]
+                    assert ast.unparse(call.func) == "pc"
+            assert next(body, None) is None
+        assert not foreign, sorted(foreign)  # callees other than the recorded forward
+        # the kernels that had a second, hand-kept body in the compiler
+        assert {"fused_srbf", "scatter_slice", "gather", "concat"} <= launched
 
 
 class TestReplayMeasured:

@@ -48,7 +48,6 @@ from repro.tensor import (
     where,
 )
 from repro.tensor import ops_math
-from repro.tensor.compile import _OUT_IMPLS
 from repro.tensor.ops_math import _sum_np
 
 
@@ -227,7 +226,7 @@ class TestShortAxisSum:
         x, axis, keepdims = case
         eager = tsum(Tensor(x), axis=axis, keepdims=keepdims).data
         out = np.empty(eager.shape, dtype=eager.dtype)
-        assert _OUT_IMPLS["sum"](out, x, axis=axis, keepdims=keepdims) is out
+        assert _sum_np(x, axis=axis, keepdims=keepdims, out=out) is out
         _assert_same_bits(out, eager)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -302,6 +301,13 @@ class TestShape:
         x = Tensor(np.arange(12, dtype=float).reshape(4, 3))
         idx = np.array([2, 0, 2])
         assert np.array_equal(gather_rows(x, idx).data, x.data[idx])
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_gather_rows_rejects_an_index_out_of_range(self, bad):
+        """Eager raises where a replay's bind raises: no wrap to the last row."""
+        x = Tensor(np.arange(12, dtype=float).reshape(4, 3))
+        with pytest.raises(IndexError, match="out of range for 4 rows"):
+            gather_rows(x, np.array([0, bad]))
 
     def test_getitem_fancy(self):
         x = Tensor(np.arange(12, dtype=float).reshape(4, 3))
