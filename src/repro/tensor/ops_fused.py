@@ -80,6 +80,17 @@ def _fused_envelope_vjp(g, out, inputs, needs, p):
     return (mul(g, du),)
 
 
+def _srbf_np(
+    r: np.ndarray, freqs: np.ndarray, rcut: float, p: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Forward and compiled kernel of :func:`fused_srbf`: the sines are
+    computed in ``out`` and scaled there by ``sqrt(2/rcut) * u / r``."""
+    out = np.multiply(r.reshape(-1, 1), freqs, out=out)
+    np.sin(out, out=out)
+    u = _envelope_np(r / rcut, p)
+    return np.multiply((np.sqrt(2.0 / rcut) * u / r)[:, None], out, out=out)
+
+
 def fused_srbf(r: Tensor, freqs: Tensor, rcut: float, p: float) -> Tensor:
     """Smooth Radial Bessel basis in a single kernel.
 
@@ -92,17 +103,6 @@ def fused_srbf(r: Tensor, freqs: Tensor, rcut: float, p: float) -> Tensor:
     return apply_op(
         "fused_srbf", _srbf_np, _fused_srbf_vjp, (r, freqs), {"rcut": float(rcut), "p": float(p)}
     )
-
-
-def _srbf_np(
-    r: np.ndarray, freqs: np.ndarray, rcut: float, p: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Forward and compiled kernel of :func:`fused_srbf`: the sines are
-    computed in ``out`` and scaled there by ``sqrt(2/rcut) * u / r``."""
-    out = np.multiply(r.reshape(-1, 1), freqs, out=out)
-    np.sin(out, out=out)
-    u = _envelope_np(r / rcut, p)
-    return np.multiply((np.sqrt(2.0 / rcut) * u / r)[:, None], out, out=out)
 
 
 def _fused_srbf_vjp(g, out, inputs, needs, rcut, p):

@@ -644,6 +644,11 @@ class TestFusedOutKernels:
         res = ops_fused._srbf_np(r, freqs, rcut=6.0, p=8.0, out=out)
         assert res is out
         assert np.array_equal(out, eager)
+        # the bits of the written-out formula, as the allocating forward had it
+        a, b, c = _envelope_coeffs(8.0)
+        xi = r / 6.0
+        u = 1.0 - xi**8.0 * (a - xi * (b - c * xi))
+        assert np.array_equal(eager, (np.sqrt(2.0 / 6.0) * u / r)[:, None] * np.sin(np.outer(r, freqs)))
 
     def test_fused_envelope_out_bit_identical(self, rng):
         xi = rng.uniform(0.02, 0.98, size=(31,))
@@ -652,6 +657,8 @@ class TestFusedOutKernels:
         res = ops_fused._envelope_np(xi, p=8.0, out=out)
         assert res is out
         assert np.array_equal(out, eager)
+        a, b, c = _envelope_coeffs(8.0)
+        assert np.array_equal(eager, 1.0 - xi**8.0 * (a - xi * (b - c * xi)))
 
     def test_fused_envelope_not_chainable(self):
         """The out= body reads xi repeatedly, so it must never consume a

@@ -130,6 +130,8 @@ class TestCallSites:
 class TestOneBody:
     @pytest.mark.parametrize("timed", [False, True])
     def test_every_callee_is_the_forward_the_tape_recorded(self, trained, graphs, timed):
+        """A replay calls ``k<i>`` bound to the instruction's (or chain
+        step's) recorded forward, a gather's ``S[x].take``, or ``pc``."""
         comp, _ = trained
         progs = [next(iter(comp.cache.programs.values())), _inference_programs(graphs)[0]]
         launched, foreign = set(), set()
@@ -143,11 +145,11 @@ class TestOneBody:
                     (call,) = [n for n in ast.walk(next(body)) if isinstance(n, ast.Call)]
                     callee = ast.unparse(call.func)
                     if name == "gather" and ins.buf >= 0:
-                        take = isinstance(call.func, ast.Attribute) and call.func.attr == "take"
-                        if not (take and ast.unparse(call.func.value).startswith("S[")):
-                            foreign.add(callee)
-                    elif not (callee[:1] == "k" and consts[int(callee[1:])] is fn):
-                        foreign.add(callee)
+                        own = callee.startswith("S[") and callee.endswith("].take")
+                    else:
+                        own = callee[:1] == "k" and consts[int(callee[1:])] is fn
+                    if not own:
+                        foreign.add(f"{name}: {callee}")
                     if ins.buf >= 0:
                         launched.add(name)
                 if timed:
