@@ -187,7 +187,7 @@ class StructureDataset:
         )
         self.feature_numbers = np.array([g.feature_number for g in self.graphs])
         # Per-graph (atoms, edges, short edges, angles): the padding planner's
-        # input (BucketBatchSampler dims / compiler warm start).
+        # input (BucketBatchSampler dims).
         self.graph_dims = np.array(
             [
                 [g.num_atoms, g.num_edges, g.num_short_edges, g.num_angles]

@@ -32,7 +32,7 @@ class PlannedPaddingError(RuntimeError):
     The plan is made from the same per-sample dims the shard is collated
     from, so this is a planner bug, never a property of the data.  Yielding
     the shard unpadded instead would hand the compiler a shape nobody
-    planned: it would tier and capture it silently, mid-epoch.
+    planned: it would capture it silently, mid-epoch.
     """
 
     def __init__(self, shard: np.ndarray, batch: GraphBatch, target: tuple) -> None:
@@ -70,8 +70,8 @@ class ShardedLoader:
     are cached on the source batch, so combined with ``memoize`` a repeated
     epoch yields the *identical* padded objects — bind-and-replay with no
     re-collation and no re-concatenation.  A sampler that plans nothing
-    passes shards through unpadded (the compiler then tiers them itself); a
-    planned shape the shard does not fit raises
+    passes shards through unpadded (a compiler replays each at its own
+    shape); a planned shape the shard does not fit raises
     :class:`PlannedPaddingError`.
     """
 

@@ -297,7 +297,7 @@ class BucketBatchSampler(LoadBalanceSampler):
 
         ``None`` when the sampler was built without ``dims`` or the indices
         are not one of its shards: the loaders then pass the shard through
-        unpadded, and a compiler tiers it itself.
+        unpadded.
         """
         return self._shard_targets.get(tuple(int(i) for i in shard_indices))
 

@@ -31,9 +31,10 @@ The padding math lives here too, in two forms (docs/architecture.md,
 "Padding: tiers for streams, plans for fixed blocks").  For streams nobody
 sees in advance, **workload tiers** (:class:`TierShapes`): batches whose
 workload proxy falls in the same geometric tier share one canonical,
-bucket-rounded shape that grows as batches arrive; the compiled-step
-managers (:mod:`repro.tensor.compile`) pad through it and the serving
-engine prices through it.  For batches known up front, a **plan**
+bucket-rounded shape that grows as batches arrive; the serving engine
+and the MD calculator each pad through their own before a compiler
+(:mod:`repro.tensor.compile`) runs the batch, and the engine prices merges
+through it.  For batches known up front, a **plan**
 (:func:`plan_shapes`): the block samplers
 (:class:`repro.data.samplers.BucketBatchSampler`) cut their fixed shards
 into at most :data:`MAX_PROGRAMS` groups and pad each to the exact maximum
@@ -497,11 +498,14 @@ class TierShapes:
     Batches of ``num_structs`` structures, with or without labels, whose
     workload proxy falls in one geometric tier (:func:`workload_tier`) are
     padded to that tier's canonical shape: the running elementwise maximum
-    of its members' bucketed counts, made ghost-feasible.  The compiled-step
-    managers pad through :meth:`pad`, the serving engine prices a group by
+    of its members' bucketed counts, made ghost-feasible.  The callers that
+    stream batches to a compiler own one each and pad through :meth:`pad`
+    before the run: the serving engine (``InferenceEngine.tiers``, shared
+    by all its workers, so a tier has one shape and one program) and the
+    compiled MD calculator.  The engine also prices a group by
     :meth:`target` — the shape :meth:`pad` would give it now — and pre-sizes
-    tiers with :meth:`seed`.  A :class:`repro.tensor.compile.SharedProgramCache`
-    holds one, so every sharer pads a tier to the same shape.
+    tiers with :meth:`seed`.  A compiler knows nothing of tiers: it replays
+    the batch it is given.
 
     Serial-basis programs hard-code per-sample offsets, so no two batches
     share one: ``tiered=False`` pads to the bucketed counts alone and
@@ -571,10 +575,6 @@ class TierShapes:
                 shape = tuple(map(max, shape, map(bucket_size, m)))
             self._shapes[key] = _feasible_fixpoint(members, shape)
         return len(tiers)
-
-    def clear(self) -> None:
-        """Forget every tier's shape."""
-        self._shapes.clear()
 
 
 #: Programs a :class:`repro.tensor.compile.SharedProgramCache` holds by
@@ -667,8 +667,9 @@ def pad_batch(
 ) -> GraphBatch | None:
     """Pad ``batch`` to exact target counts with one ghost structure.
 
-    The compiled-step managers use this to pad a fresh batch up to the
-    shapes of an *already compiled* program so it can replay it.  Returns
+    :class:`TierShapes` and the planned-shape loaders use this to pad a
+    fresh batch up to the shapes of a compiled program so it can replay
+    it.  Returns
     ``None`` when the targets are infeasible (no room for the required ghost
     rows — at least one ghost atom, plus two distinct-direction ghost edges/
     short edges whenever angles or short edges are padded).

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.oracle import OraclePotential
-from repro.graph.batching import collate
+from repro.graph.batching import TierShapes, collate
 from repro.graph.crystal_graph import CrystalGraph, GraphDiffStats, build_graph
 from repro.model.chgnet import CHGNetModel
 from repro.structures.crystal import Crystal
 from repro.structures.neighbors import NeighborCache
-from repro.tensor import no_grad
+from repro.tensor.compile import InferenceCompiler, eager_predict
 
 
 @dataclass
@@ -58,12 +58,14 @@ class ModelCalculator(Calculator):
     seed's step-by-step behavior).
 
     ``compile=True`` evaluates through a compiled tape
-    (:class:`repro.tensor.compile.InferenceCompiler`): single-point batches
-    are padded to shape buckets, so consecutive MD steps — whose graph sizes
-    drift by a few short-edge membership flips — mostly replay one cached
-    program instead of re-taping the model per step.  Replays are
-    bit-identical to eager on the same padded batch; padding itself may
-    reorder float reductions (rounding-level differences vs ``compile=False``).
+    (:class:`repro.tensor.compile.InferenceCompiler`).  The calculator keeps
+    its own :class:`~repro.graph.batching.TierShapes` and pads every
+    single-point batch to its tier's shape before the run, so consecutive MD
+    steps — whose graph sizes drift by a few short-edge membership flips —
+    mostly replay one cached program instead of re-taping the model per
+    step.  Replays are bit-identical to eager on the same padded batch;
+    padding itself may reorder float reductions (rounding-level differences
+    vs ``compile=False``).
     """
 
     def __init__(
@@ -78,11 +80,8 @@ class ModelCalculator(Calculator):
         )
         self._prev_graph: CrystalGraph | None = None
         self.diff_stats = GraphDiffStats()
-        self._compiler = None
-        if compile:
-            from repro.tensor.compile import InferenceCompiler
-
-            self._compiler = InferenceCompiler(model)
+        self._compiler = InferenceCompiler(model) if compile else None
+        self._tiers = TierShapes() if compile else None
 
     def calculate(self, crystal: Crystal) -> CalcResult:
         if self._cache is not None:
@@ -104,25 +103,14 @@ class ModelCalculator(Calculator):
             )
         batch = collate([graph])
         if self._compiler is not None:
-            out = self._compiler.run(batch)
-            energy = float(out["energy"][0]) * crystal.num_atoms
-            return CalcResult(
-                energy=energy,
-                forces=out["forces"].copy(),
-                stress=out["stress"][0].copy(),
-                magmom=out["magmom"].copy(),
-            )
-        if self.model.config.use_heads:
-            with no_grad():
-                out = self.model.forward(batch, training=False)
+            out = self._compiler.run(self._tiers.pad(batch, self.model.config.batched_basis))
         else:
-            out = self.model.forward(batch, training=False)
-        energy = float(out.energy_per_atom.data[0]) * crystal.num_atoms
+            out = eager_predict(self.model, batch)
         return CalcResult(
-            energy=energy,
-            forces=out.forces.data.copy(),
-            stress=out.stress.data[0].copy(),
-            magmom=out.magmom.data.copy(),
+            energy=float(out["energy"][0]) * crystal.num_atoms,
+            forces=out["forces"].copy(),
+            stress=out["stress"][0].copy(),
+            magmom=out["magmom"].copy(),
         )
 
 

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.graph.batching import (
     GraphBatch,
+    TierShapes,
     collate,
     workload_cost,
     workload_tier,
@@ -383,6 +384,10 @@ class InferenceEngine:
         self._tenant_pending: dict[str, int] = {}
         self._closed = False
         self.cache = SharedProgramCache(max_programs) if compile else None
+        #: Every workload tier's padded shape (``None`` when eager, where
+        #: batches are never padded): :meth:`_evaluate` pads each group
+        #: through it, and merges are priced and tiers seeded from it.
+        self.tiers = TierShapes() if compile else None
         self.fleet = Fleet(
             model.config, n_workers, self.cache, self.fault_plan, replace_workers
         )
@@ -840,24 +845,18 @@ class InferenceEngine:
         return worker is not None and self.fleet[worker].free <= now
 
     # ------------------------------------------------------- adaptive merging
-    def _padded_cost(self, dims_list: list[tuple]) -> int:
-        """Workload cost of the batch ``dims_list`` collates into, as padded.
-
-        Priced at the cache's :class:`~repro.graph.batching.TierShapes`
-        target, the shape a compiler pads the batch to, since it pads
-        through the same table; the raw cost when eager (never padded).
-        """
-        summed = tuple(map(sum, zip(*dims_list)))
-        if self.cache is None:
-            return workload_cost(*summed)
-        return workload_cost(*self.cache.tiers.target(len(dims_list), False, summed))
-
     def _affordable(self, dims_list: list[tuple]) -> bool:
-        """The planner's price test: padding overhead within :data:`MERGE_OVERHEAD_CAP`."""
-        if self.cache is None:
+        """The planner's price test: padding overhead within :data:`MERGE_OVERHEAD_CAP`.
+
+        A group is priced at its :attr:`tiers` target, the shape
+        :meth:`_evaluate` would pad it to now.
+        """
+        if self.tiers is None:
             return True  # eager batches are never padded
         raw = sum(workload_cost(*dims) for dims in dims_list)
-        return self._padded_cost(dims_list) / max(raw, 1) - 1.0 <= MERGE_OVERHEAD_CAP
+        summed = tuple(map(sum, zip(*dims_list)))
+        padded = workload_cost(*self.tiers.target(len(dims_list), False, summed))
+        return padded / max(raw, 1) - 1.0 <= MERGE_OVERHEAD_CAP
 
     def _fits(self, members: list[_Pending]) -> bool:
         """:meth:`_affordable` on live requests."""
@@ -882,7 +881,7 @@ class InferenceEngine:
         if self._closed:
             raise EngineClosed("engine is shut down; predict_many rejected")
         graphs = [self._graph_of(item) for item in items]
-        if self.cache is not None:
+        if self.tiers is not None:
             self._warm_start(graphs, merge=True)
         # A synchronous wave arrives after all previously dispatched work
         # finished; rebasing the clock keeps its latencies self-contained.
@@ -920,7 +919,7 @@ class InferenceEngine:
         recompiling as canonical shapes grow.  Returns the number of tier
         groups seeded (0 on an eager engine).
         """
-        if self.cache is None:
+        if self.tiers is None:
             return 0
         return self._warm_start(
             [self._graph_of(item) for item in items], merge=self.merge_tiers
@@ -956,7 +955,7 @@ class InferenceEngine:
             ]
             if entries == planned:
                 return seeded
-            planned, seeded = entries, self.cache.tiers.seed(entries, tiered)
+            planned, seeded = entries, self.tiers.seed(entries, tiered)
             if not merge:
                 return seeded
         self.stats.warm_unsettled += 1
@@ -1114,8 +1113,15 @@ class InferenceEngine:
         dispatch: int,
         now: float,
     ) -> None:
-        """Evaluate a group on ``worker`` (optionally hedged) and record results."""
+        """Evaluate a group on ``worker`` (optionally hedged) and record results.
+
+        A compiled engine pads the collated group once, to its tier's shape
+        (:attr:`tiers`), so every run of it — the hedge's too — replays the
+        same program, and its padded cost is that batch's own.
+        """
         batch = self._collate_group([p.graph for p in group])
+        if self.tiers is not None:
+            batch = self.tiers.pad(batch, self.model.config.batched_basis)
         self._ensure_version(worker, version)
         before = (
             self.cache.hits if self.cache is not None else 0,
@@ -1153,12 +1159,13 @@ class InferenceEngine:
         if self.cache is not None:
             self.stats.cache_hits += self.cache.hits - before[0]
             self.stats.cache_misses += self.cache.misses - before[1]
-        dims_list = [p.dims for p in group]
         raw = sum(p.cost for p in group)
-        padded = self._padded_cost(dims_list)
+        padded = workload_cost(
+            batch.num_atoms, batch.num_edges, batch.num_short_edges, batch.num_angles
+        )
         self.stats.raw_cost += raw
         self.stats.padded_cost += padded
-        if len({workload_tier(d) for d in dims_list}) > 1:
+        if len({workload_tier(p.dims) for p in group}) > 1:
             self.stats.merged_batches += 1
         self.fleet[worker].free = finish
         self.stats.batches += 1

@@ -25,7 +25,6 @@ always names the same slot.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +33,7 @@ from repro.graph.batching import GraphBatch
 from repro.model.chgnet import CHGNetModel
 from repro.model.config import CHGNetConfig
 from repro.serve.faults import WorkerFaultPlan
-from repro.tensor import no_grad
-from repro.tensor.compile import InferenceCompiler, SharedProgramCache
+from repro.tensor.compile import InferenceCompiler, SharedProgramCache, eager_predict
 
 #: Consecutive failures that trip a worker's circuit breaker: one may be a
 #: flake, two in a row drain the worker from the rotation.
@@ -92,14 +90,7 @@ class Worker:
         """Predict ``batch``: replay on a compiled engine, else eager."""
         if self.compiler is not None:
             return self.compiler.run(batch)
-        with no_grad() if self.model.config.use_heads else nullcontext():
-            output = self.model.forward(batch, training=False)
-        return {
-            "energy": output.energy_per_atom.data,
-            "forces": output.forces.data,
-            "stress": output.stress.data,
-            "magmom": output.magmom.data,
-        }
+        return eager_predict(self.model, batch)
 
 
 class Fleet:

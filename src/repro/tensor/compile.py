@@ -41,13 +41,15 @@ Replay
 Managers
     :class:`StepCompiler` (training: forward + loss + backward + grad write)
     and :class:`InferenceCompiler` (MD single-point) cache programs per
-    batch-shape signature.  Batches are padded (ghost structure, masked
-    losses) to one canonical shape per geometric **workload tier**, so a
-    shuffled long-tail loader converges to a handful of shared programs
-    instead of compiling every step.  The tier shapes are
-    :class:`~repro.graph.batching.TierShapes`, held by the program cache:
-    a compiler pads through it, and the serving engine prices a batch by
-    the very shape it will be padded to.  Every replay is guarded: a
+    batch-shape signature and replay the batch they are given.  Padding
+    batches to shared shapes is the job of whoever streams them: the
+    serving engine and the MD calculator pad each batch (ghost structure)
+    to its geometric **workload tier**'s shape through their own
+    :class:`~repro.graph.batching.TierShapes`, and a trainer's loader pads
+    each shard to the shape its sampler planned (docs/architecture.md,
+    "Padding: tiers for streams, plans for fixed blocks"), so a shuffled
+    long-tail stream converges to a handful of shared programs instead of
+    compiling every step.  Every replay is guarded: a
     shape/dtype rebinding mismatch or a changed model/loss configuration
     evicts the program and falls back to eager.  Programs live in a
     :class:`SharedProgramCache` that several compilers may share (one per
@@ -68,12 +70,13 @@ import time
 import types
 import weakref
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.graph.batching import MAX_PROGRAMS, GraphBatch, TierShapes
+from repro.graph.batching import MAX_PROGRAMS, GraphBatch
 from repro.runtime.kernels import profiling_active, record_kernel
 from repro.runtime.memory import record_tape_alloc, record_tape_free
 from repro.tensor.engine import Tensor, no_grad, pop_tracer, push_tracer
@@ -867,9 +870,6 @@ class SharedProgramCache:
         self.max_programs = max_programs
         self.programs: OrderedDict[tuple, CompiledStep] = OrderedDict()
         self.unsupported: set[tuple] = set()
-        #: Every workload tier's padded shape; shared so every sharer pads a
-        #: tier to the same shape (else programs would be per-sharer again).
-        self.tiers = TierShapes()
         self.hits = 0
         self.misses = 0
         #: Bumped by every :meth:`store`: a copy of the cache taken at an
@@ -922,9 +922,8 @@ class SharedProgramCache:
         self.programs.pop(sig, None)
 
     def release(self) -> None:
-        """Drop every cached program, the slab and the tier shapes."""
+        """Drop every cached program and the slab."""
         self.programs.clear()
-        self.tiers.clear()
         record_tape_free(self._slab.nbytes)
         self._slab = _new_slab(0)
 
@@ -950,6 +949,16 @@ def _prediction_arrays(output) -> dict[str, np.ndarray]:
     }
 
 
+def eager_predict(model, batch: GraphBatch) -> dict[str, np.ndarray]:
+    """One eager single-point evaluation's four predicted property arrays.
+
+    The forward runs under ``no_grad`` when the model's heads predict forces
+    and stress directly; the reference model takes them as energy gradients.
+    """
+    with no_grad() if model.config.use_heads else nullcontext():
+        return _prediction_arrays(model.forward(batch, training=False))
+
+
 class _CompilerBase:
     """Program cache + guards shared by the train/inference compilers.
 
@@ -969,13 +978,11 @@ class _CompilerBase:
     def __init__(
         self,
         model,
-        bucket: bool,
-        max_programs: int,
+        max_programs: int = MAX_PROGRAMS,
         cache: SharedProgramCache | None = None,
     ) -> None:
         self.model = model
         self.params = model.parameters()
-        self.bucket = bucket
         self.cache = cache if cache is not None else SharedProgramCache(max_programs)
         #: most recently captured or replayed program (bound state intact).
         self.last_program: CompiledStep | None = None
@@ -987,14 +994,6 @@ class _CompilerBase:
         """LRU capacity of the (possibly shared) program cache."""
         return self.cache.max_programs
 
-    @property
-    def _programs(self) -> OrderedDict[tuple, CompiledStep]:
-        return self.cache.programs
-
-    @property
-    def _unsupported(self) -> set[tuple]:
-        return self.cache.unsupported
-
     def _guard_token(self) -> tuple:
         return (self.model.config, len(self.params))
 
@@ -1005,33 +1004,13 @@ class _CompilerBase:
             # sequence may no longer match — drop everything, recapture.
             self.stats.guard_invalidations += 1
             self.release()
-            self._unsupported.clear()
+            self.cache.unsupported.clear()
             self._guard = token
             self.params = self.model.parameters()
 
-    def _pad(self, batch: GraphBatch) -> GraphBatch:
-        """Pad a batch for program sharing (no-op when ``bucket=False``).
-
-        Independent per-dimension buckets rarely coincide jointly — a
-        shuffled long-tail loader would compile a fresh program nearly every
-        step.  The cache's :class:`~repro.graph.batching.TierShapes`
-        therefore pads every batch of a geometric **workload tier** to one
-        shape that grows monotonically and converges after one pass over
-        the data, after which every batch of a tier replays the same
-        program.  Serial (Algorithm 1) programs hard-code per-sample
-        offsets, so cross-batch sharing is impossible there: they are
-        bucketed, never tiered.  A loader that pads to shapes planned from
-        its fixed blocks arrives padded and passes through
-        (docs/architecture.md, "Padding: tiers for streams, plans for fixed
-        blocks").
-        """
-        if not self.bucket:
-            return batch
-        return self.cache.tiers.pad(batch, self.model.config.batched_basis)
-
     # ------------------------------------------------------- shared step flow
     def _execute(self, batch: GraphBatch):
-        """One step: pad, look up the program, replay — or capture/fall back.
+        """One step: look up the program, replay — or capture/fall back.
 
         The template method both managers run.  Mode-specific behavior lives
         in ``_fallback`` (full eager step), ``_capture`` (trace one eager
@@ -1039,7 +1018,6 @@ class _CompilerBase:
         every guard failure funnels into the eager fallback.
         """
         self._check_guard()
-        batch = self._pad(batch)
         sig = program_signature(batch, not self.model.config.batched_basis, self._mode)
         if sig in self.cache.unsupported:
             self.stats.eager_fallbacks += 1
@@ -1063,12 +1041,8 @@ class _CompilerBase:
 
     def will_replay(self, batch: GraphBatch) -> bool:
         """Whether :meth:`_execute` would replay a cached program on ``batch``
-        (short of :meth:`CompiledStep.bind`'s checks), touching nothing.
-
-        ``False`` for a batch this compiler would have to pad itself: its
-        shape depends on tier state the step may still change.
-        """
-        if (self.bucket and batch.pad_info is None) or self._guard_token() != self._guard:
+        (short of :meth:`CompiledStep.bind`'s checks), touching nothing."""
+        if self._guard_token() != self._guard:
             return False
         sig = program_signature(batch, not self.model.config.batched_basis, self._mode)
         return sig in self.cache.programs
@@ -1116,8 +1090,8 @@ class _CompilerBase:
 class StepCompiler(_CompilerBase):
     """Compile-once manager for full training steps.
 
-    ``step(batch)`` pads the batch to its shape bucket (``bucket=True``),
-    then captures a program on first sight of a signature and replays it
+    ``step(batch)`` captures a program on first sight of the batch's
+    signature (its shape, as the caller padded it) and replays it
     afterwards; gradients land in the parameters' ``.grad`` exactly as an
     eager ``zero_grad + backward`` would leave them (the caller still runs
     the optimizer).  Any guard failure falls back to the eager step.
@@ -1130,14 +1104,13 @@ class StepCompiler(_CompilerBase):
         self,
         model,
         loss_fn,
-        bucket: bool = True,
         max_programs: int = MAX_PROGRAMS,
         validate: bool = False,
         cache: SharedProgramCache | None = None,
     ) -> None:
         self.loss_fn = loss_fn
         self.validate = validate
-        super().__init__(model, bucket, max_programs, cache)
+        super().__init__(model, max_programs, cache)
 
     def _guard_token(self) -> tuple:
         return (
@@ -1223,21 +1196,6 @@ class InferenceCompiler(_CompilerBase):
 
     _mode = "infer"
 
-    def __init__(
-        self,
-        model,
-        bucket: bool = True,
-        max_programs: int = MAX_PROGRAMS,
-        cache: SharedProgramCache | None = None,
-    ) -> None:
-        super().__init__(model, bucket, max_programs, cache)
-
-    def _forward(self, batch: GraphBatch):
-        if self.model.config.use_heads:
-            with no_grad():
-                return self.model.forward(batch, training=False)
-        return self.model.forward(batch, training=False)
-
     def run(self, batch: GraphBatch) -> dict[str, np.ndarray]:
         """One single-point evaluation of ``batch`` (replay when cached).
 
@@ -1250,11 +1208,11 @@ class InferenceCompiler(_CompilerBase):
         return self._execute(batch)
 
     def _fallback(self, batch: GraphBatch):
-        return self._slice_real(_prediction_arrays(self._forward(batch)), batch)
+        return self._slice_real(eager_predict(self.model, batch), batch)
 
     def _capture(self, sig: tuple, batch: GraphBatch):
         def eager():
-            arrays = _prediction_arrays(self._forward(batch))
+            arrays = eager_predict(self.model, batch)
             return self._slice_real(arrays, batch), arrays
 
         return self._trace(sig, batch, eager)

@@ -20,7 +20,10 @@ that write their gradients into the shared optimizer slabs.  Any other
 step (one that captures, an eager trainer's, one under an open kernel
 profile) runs every rank here, one after another.  The flush, Adam, the LR
 schedule, fault injection and checkpoints always run here, so the weights
-are bit-identical either way; the cluster's clocks stay modeled.
+are bit-identical either way; the cluster's clocks stay modeled.  While the
+executors live, this process and each executor run BLAS on one thread, so
+``P`` processes use ``P`` CPUs instead of ``P`` thread pools contending for
+them (docs/architecture.md, "Where ranks run").
 
 ``DistributedConfig(compile=True)`` runs the path the paper's 1.5-hour
 result rests on, end to end:
@@ -298,7 +301,7 @@ class DistributedTrainer:
                 cfg.global_batch_size,
                 cfg.world_size,
                 seed=cfg.seed,
-                dims=getattr(train_dataset, "graph_dims", None),
+                dims=train_dataset.graph_dims,
             )
         else:
             self.sampler = LoadBalanceSampler(

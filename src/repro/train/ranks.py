@@ -23,10 +23,21 @@ the parent re-raises with the same type and the rank named.  A fork leaves
 through :func:`os._exit`, so it runs none of the parent's ``atexit``
 handlers or finalizers, and it leaves when its pipe reaches EOF, so it
 cannot outlive the parent.
+
+While forks are live, every process runs BLAS on one thread: the forks and
+the parent each replay on their own CPU, and a BLAS thread pool per process
+on the same CPUs oversubscribes them.  The parent's count is set to 1 from
+:meth:`RankExecutors.fork` until :meth:`RankExecutors.close` restores it,
+and the forks, made after it is set, inherit it.  The library is the
+OpenBLAS NumPy loaded, found through its thread-count API
+(:func:`blas_threads`); without one, nothing is pinned.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import itertools
 import os
 import sys
 import traceback
@@ -45,6 +56,35 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+@functools.cache
+def blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """``(get, set)`` of the OpenBLAS thread count in this process, or ``None``.
+
+    Found as threadpoolctl finds it: among the shared libraries mapped into
+    the process, one whose file name names OpenBLAS and which exports a
+    ``get_num_threads`` / ``set_num_threads`` pair under one of OpenBLAS's
+    symbol prefixes (``scipy_openblas_*64_`` in NumPy's own wheels).
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+            names = (f"{prefix}_{op}_num_threads{suffix}" for op in ("get", "set"))
+            get, put = (getattr(lib, name, None) for name in names)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
 class _Raised(NamedTuple):
     """What a worker sends back for a rank that raised."""
 
@@ -53,8 +93,9 @@ class _Raised(NamedTuple):
     trace: str
 
 
-def _stop(workers: list[tuple[int, Connection]], owner: int) -> None:
-    """Ask every worker to exit, close its pipe and reap it.
+def _stop(workers: list[tuple[int, Connection]], owner: int, blas_saved: list[int]) -> None:
+    """Ask every worker to exit, close its pipe and reap it, then give
+    BLAS back the thread count ``blas_saved`` holds (if any).
 
     A no-op in any process but ``owner``: a fork inherits its parent's
     executors, and they are not its children.
@@ -72,6 +113,9 @@ def _stop(workers: list[tuple[int, Connection]], owner: int) -> None:
         except ChildProcessError:
             pass
     workers.clear()
+    if blas_saved:
+        _get, put = blas_threads()
+        put(blas_saved.pop())
 
 
 def _serve_forever(conn: Connection, serve: Callable) -> None:
@@ -105,7 +149,8 @@ class RankExecutors:
 
     ``generation`` is the program-cache generation the workers were forked
     at (``None``: no workers).  The workers are stopped by :meth:`close`,
-    before :meth:`fork` starts new ones, and when this object is collected.
+    before :meth:`fork` starts new ones, and when this object is collected;
+    stopping them restores the BLAS thread count :meth:`fork` pinned.
     """
 
     def __init__(self, world_size: int) -> None:
@@ -114,7 +159,9 @@ class RankExecutors:
         self._workers: list[tuple[int, Connection]] = []
         self._owner = os.getpid()
         self._busy: list[tuple[int, Connection]] = []
-        weakref.finalize(self, _stop, self._workers, self._owner)
+        # The parent's BLAS thread count while the workers pin it to 1.
+        self._blas_saved: list[int] = []
+        weakref.finalize(self, _stop, self._workers, self._owner, self._blas_saved)
 
     def fork(self, serve: Callable, generation: int) -> None:
         """Replace the workers with fresh forks of this process, each
@@ -122,6 +169,11 @@ class RankExecutors:
         from multiprocessing.connection import Pipe
 
         self.close()
+        blas = blas_threads()
+        if blas is not None and self.processes > 1:  # the forks inherit the 1
+            get, put = blas
+            self._blas_saved.append(get())
+            put(1)
         for _ in range(1, self.processes):
             parent_end, child_end = Pipe()
             pid = os.fork()
@@ -133,8 +185,8 @@ class RankExecutors:
         self.generation = generation
 
     def close(self) -> None:
-        """Stop and reap every worker."""
-        _stop(self._workers, self._owner)
+        """Stop and reap every worker; BLAS gets its thread count back."""
+        _stop(self._workers, self._owner, self._blas_saved)
         self._busy.clear()
         self.generation = None
 

@@ -35,6 +35,7 @@ from repro.tensor.compile import (
 )
 from repro.train import DistributedConfig, DistributedTrainer
 from repro.train.loss import CompositeLoss
+from oracles import pad_to_bucket
 from serve_harness import TINY_CFG as CFG, make_model
 
 
@@ -96,7 +97,7 @@ class TestBytePlan:
     def test_inference_programs(self, graphs):
         comp = InferenceCompiler(_jittered(OptLevel.DECOMPOSE_FS), max_programs=16)
         for group in (graphs[:1], graphs[:4], graphs[4:12]):
-            comp.run(collate(group))
+            comp.run(pad_to_bucket(collate(group)))
         assert comp.stats.captures == 3
         for prog in comp.cache.programs.values():
             _check_plan(prog)
@@ -104,7 +105,7 @@ class TestBytePlan:
     def test_fused_training_program(self, entries):
         dataset = StructureDataset(entries)
         comp = StepCompiler(_jittered(OptLevel.FUSED), CompositeLoss())
-        comp.step(dataset.batch([0, 1, 2, 3]))
+        comp.step(pad_to_bucket(dataset.batch([0, 1, 2, 3])))
         (prog,) = comp.cache.programs.values()
         assert prog.n_instrs > 1000  # forward + double backward
         _check_plan(prog)
@@ -114,7 +115,7 @@ class TestSlabOwnership:
     def test_growth_reattaches_cached_programs(self, graphs):
         model = _jittered(OptLevel.DECOMPOSE_FS)
         comp = InferenceCompiler(model, max_programs=16)
-        small, large = collate(graphs[:1]), collate(graphs[4:12])
+        small, large = pad_to_bucket(collate(graphs[:1])), pad_to_bucket(collate(graphs[4:12]))
         eager = {k: v.copy() for k, v in comp.run(small).items()}  # capture
         (small_prog,) = comp.cache.programs.values()
         first_slab = comp.cache._slab
@@ -135,9 +136,9 @@ class TestSlabOwnership:
 
     def test_smaller_capture_attaches_without_growing(self, graphs):
         comp = InferenceCompiler(_jittered(OptLevel.DECOMPOSE_FS), max_programs=16)
-        comp.run(collate(graphs[4:12]))
+        comp.run(pad_to_bucket(collate(graphs[4:12])))
         slab = comp.cache._slab
-        comp.run(collate(graphs[:1]))
+        comp.run(pad_to_bucket(collate(graphs[:1])))
         assert comp.cache._slab is slab
 
     def test_two_caches_never_share_a_slab(self, graphs):
@@ -145,7 +146,7 @@ class TestSlabOwnership:
         cache_a, cache_b = SharedProgramCache(), SharedProgramCache()
         comp_a = InferenceCompiler(model, cache=cache_a)
         comp_b = InferenceCompiler(model, cache=cache_b)
-        batch = collate(graphs[:3])
+        batch = pad_to_bucket(collate(graphs[:3]))
         out_a = comp_a.run(batch)
         out_a = comp_a.run(batch)  # replayed: views into cache_a's slab
         kept = {k: v.copy() for k, v in out_a.items()}
@@ -159,12 +160,12 @@ class TestSlabOwnership:
     def test_memory_accounting_follows_the_slab(self, graphs):
         comp = InferenceCompiler(_jittered(OptLevel.DECOMPOSE_FS), max_programs=1)
         with memory_stats() as memory:
-            comp.run(collate(graphs[:1]))
+            comp.run(pad_to_bucket(collate(graphs[:1])))
             small = comp.arena_bytes
-            comp.run(collate(graphs[4:12]))  # grows the slab, evicts the small one
+            comp.run(pad_to_bucket(collate(graphs[4:12])))  # grows the slab, evicts the small one
             assert len(comp.cache.programs) == 1
             assert memory.current_bytes == comp.arena_bytes > small
-            comp.run(collate(graphs[:1]))  # recapture: eviction never shrank it
+            comp.run(pad_to_bucket(collate(graphs[:1])))  # recapture: eviction never shrank it
             assert memory.current_bytes == comp.arena_bytes
             grown = comp.arena_bytes
             comp.release()

@@ -33,6 +33,7 @@ from repro.tensor import compile as compile_mod
 from repro.tensor.compile import InferenceCompiler, StepCompiler, TapeTrace
 from repro.tensor.engine import pop_tracer, push_tracer
 from repro.train.loss import CompositeLoss
+from oracles import pad_to_bucket
 from serve_harness import TINY_CFG as CFG, make_model
 
 pytestmark = pytest.mark.slow
@@ -70,7 +71,7 @@ def _traced_peak(fn) -> int:
 class TestCapturePeak:
     def test_fused_training_capture_within_1p5x_of_eager(self, dataset):
         comp = StepCompiler(make_model(cfg=CFG.with_level(OptLevel.FUSED)), CompositeLoss())
-        padded = comp._pad(dataset.batch(list(range(8))))
+        padded = pad_to_bucket(dataset.batch(list(range(8))))
         comp._eager(padded)  # segment plans and other per-batch caches
         eager = _traced_peak(lambda: comp._eager(padded))
         capture = _traced_peak(lambda: comp.step(padded))
@@ -79,7 +80,7 @@ class TestCapturePeak:
 
     def test_inference_capture_within_1p5x_of_eager(self, graphs):
         comp = InferenceCompiler(make_model(cfg=CFG.with_level(OptLevel.DECOMPOSE_FS)))
-        padded = comp._pad(collate(graphs))
+        padded = pad_to_bucket(collate(graphs))
         comp._fallback(padded)
         eager = _traced_peak(lambda: comp._fallback(padded))
         capture = _traced_peak(lambda: comp.run(padded))
@@ -194,7 +195,7 @@ class TestIdReuse:
     def test_captures_replay_bit_identical(self, dataset, members):
         model = make_model(cfg=CFG.with_level(OptLevel.FUSED))
         comp = StepCompiler(model, CompositeLoss(), validate=True)
-        batch = dataset.batch(members)
+        batch = pad_to_bucket(dataset.batch(members))
         with churned_tracer() as seen:
             comp.step(batch)  # capture, ids recycled under the tracer
         comp.step(batch)  # replay, validated against eager bit for bit
@@ -207,8 +208,8 @@ class TestIdReuse:
     def test_inference_capture_under_no_grad(self, graphs):
         model = make_model(cfg=CFG.with_level(OptLevel.DECOMPOSE_FS))
         comp = InferenceCompiler(model)
-        batch = collate(graphs[:5])
-        eager = {k: v.copy() for k, v in comp._fallback(comp._pad(batch)).items()}
+        batch = pad_to_bucket(collate(graphs[:5]))
+        eager = {k: v.copy() for k, v in comp._fallback(batch).items()}
         with churned_tracer() as seen:
             comp.run(batch)
         replayed = comp.run(batch)
@@ -220,7 +221,7 @@ class TestIdReuse:
 # ----------------------------------------------------------- (d) no new cycles
 def test_capturing_step_leaves_nothing_for_the_cycle_collector(dataset):
     comp = StepCompiler(make_model(cfg=CFG.with_level(OptLevel.FUSED)), CompositeLoss())
-    batch = dataset.batch([0, 1, 2, 3])
+    batch = pad_to_bucket(dataset.batch([0, 1, 2, 3]))
     gc.collect()
     gc.disable()
     try:
@@ -238,7 +239,7 @@ class TestSlabGrowth:
         """A compiler holding one small program, and a probe that runs while
         ``store`` allocates the larger slab."""
         comp = InferenceCompiler(make_model(cfg=CFG.with_level(OptLevel.DECOMPOSE_FS)))
-        small = collate(graphs[:1])
+        small = pad_to_bucket(collate(graphs[:1]))
         comp.run(small)  # capture
         new_slab = compile_mod._new_slab
         probes: list = []
@@ -259,7 +260,7 @@ class TestSlabGrowth:
         old_bytes = comp.cache.arena_bytes
         seen = []
         probes.append(lambda: seen.append((old() is None, list(small_prog.buffers))))
-        comp.run(collate(graphs[4:12]))  # larger capture grows the slab
+        comp.run(pad_to_bucket(collate(graphs[4:12])))  # larger capture grows the slab
         assert seen == [(True, [])]  # old slab already freed, programs detached
         assert comp.cache.arena_bytes > old_bytes
         assert small_prog.buffers and all(
@@ -270,8 +271,8 @@ class TestSlabGrowth:
         comp, small, _ = grown
         held = comp.run(small)  # views of the slab about to be replaced
         kept = {k: v.copy() for k, v in held.items()}
-        comp.run(collate(graphs[4:12]))
-        comp.run(collate(graphs[4:12]))  # a replay on the new slab
+        comp.run(pad_to_bucket(collate(graphs[4:12])))
+        comp.run(pad_to_bucket(collate(graphs[4:12])))  # a replay on the new slab
         assert all(np.array_equal(held[k], kept[k]) for k in kept)
         assert not any(np.shares_memory(v, comp.cache._slab) for v in held.values())
         again = comp.run(small)  # re-attached program, same bits

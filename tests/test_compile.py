@@ -26,7 +26,7 @@ from repro.runtime import device_profile
 from repro.tensor import Tensor, clip, maximum, minimum, mul, sum as tsum, where_le
 from repro.tensor.compile import InferenceCompiler, StepCompiler, program_signature
 from repro.train.loss import CompositeLoss
-from oracles import check_grad, check_second_grad, pad_to_bucket
+from oracles import check_grad, check_second_grad, pad_to_bucket, tier_padder
 
 pytestmark = []
 
@@ -80,7 +80,7 @@ class TestReplayBitIdentical:
         batch_a = dataset.batch([0, 1, 2, 3])
         batch_b = dataset.batch([3, 2, 1, 0])  # same totals, permuted content
 
-        comp.step(batch_a)  # capture
+        comp.step(pad_to_bucket(batch_a))  # capture
         assert comp.stats.captures == 1
 
         # Mutate parameters (as the optimizer would) and replay on both the
@@ -91,7 +91,7 @@ class TestReplayBitIdentical:
             p.data += rng.normal(scale=1e-3, size=p.shape)
         for batch in (batch_a, batch_b):
             padded = pad_to_bucket(batch)
-            replay_bd = comp.step(batch)
+            replay_bd = comp.step(padded)
             replay_grads = [
                 None if p.grad is None else p.grad.data.copy() for p in comp.params
             ]
@@ -116,15 +116,17 @@ class TestReplayBitIdentical:
         """validate=True re-runs eager per replay and asserts bitwise equality."""
         model = _model(level)
         comp = StepCompiler(model, CompositeLoss(), validate=True)
+        pad = tier_padder(model.config.batched_basis)
         for idx in ([0, 1], [2, 3], [0, 1], [4, 5, 6], [2, 3], [0, 1]):
-            comp.step(dataset.batch(idx))
+            comp.step(pad(dataset.batch(idx)))
         assert comp.stats.replays >= 2  # validation raised on any divergence
 
     def test_unbucketed_replay_matches_plain_eager(self, dataset):
-        """bucket=False: programs keyed by exact shapes, no padding at all."""
+        """An unpadded batch: the program is keyed by its exact shape, no
+        padding at all (a compiler replays the batch it is given)."""
         model = _model(OptLevel.DECOMPOSE_FS)
         loss_fn = CompositeLoss()
-        comp = StepCompiler(model, loss_fn, bucket=False)
+        comp = StepCompiler(model, loss_fn)
         batch = dataset.batch([0, 1, 2])
         comp.step(batch)
         replay_bd = comp.step(batch)
@@ -141,9 +143,9 @@ class TestReplayBitIdentical:
         fewer kernels than the eager step on the same padded batch."""
         model = _model(level)
         loss_fn = CompositeLoss()
-        batch = dataset.batch([0, 1, 2, 3])
+        batch = pad_to_bucket(dataset.batch([0, 1, 2, 3]))
         with device_profile() as eager:
-            _eager_step(model, loss_fn, pad_to_bucket(batch))
+            _eager_step(model, loss_fn, batch)
         comp = StepCompiler(model, loss_fn)
         comp.step(batch)  # capture
         with device_profile() as replay:
@@ -162,8 +164,9 @@ class TestOptLevelLadder:
     def _step_kernels(level: OptLevel, batch) -> tuple[int, int]:
         model = _model(level)
         loss_fn = CompositeLoss()
+        batch = pad_to_bucket(batch)
         with device_profile() as eager:
-            _eager_step(model, loss_fn, pad_to_bucket(batch))
+            _eager_step(model, loss_fn, batch)
         comp = StepCompiler(model, loss_fn)
         comp.step(batch)  # capture
         with device_profile() as replay:
@@ -230,12 +233,13 @@ class TestTierSharing:
 
         tier = workload_tier(dims)
         key = (batch.num_structs + 1, True, tier)
-        comp.cache.tiers._shapes[key] = (dims[0] + 1, dims[1], dims[2], dims[3] + 4)
-        padded = comp._pad(batch)
+        tiers = TierShapes()
+        tiers._shapes[key] = (dims[0] + 1, dims[1], dims[2], dims[3] + 4)
+        padded = tiers.pad(batch, True)
         assert padded.pad_info is not None
         assert padded.num_short_edges >= dims[2] + 2
         assert padded.num_edges >= dims[1] + 2
-        comp.step(batch)  # full step still works on the merged shapes
+        comp.step(padded)  # full step still works on the merged shapes
 
 
 class TestGuards:
@@ -243,30 +247,29 @@ class TestGuards:
         model = _model(OptLevel.DECOMPOSE_FS)
         loss_fn = CompositeLoss()
         comp = StepCompiler(model, loss_fn)
-        batch = dataset.batch([0, 1, 2, 3])
-        comp.step(batch)
-        comp.step(batch)
+        padded = pad_to_bucket(dataset.batch([0, 1, 2, 3]))
+        comp.step(padded)
+        comp.step(padded)
         assert comp.stats.replays == 1
         loss_fn.delta = 0.05  # op-sequence-relevant change after capture
-        bd = comp.step(batch)
+        bd = comp.step(padded)
         assert comp.stats.guard_invalidations == 1
         assert comp.stats.captures == 2  # recaptured under the new guard
-        padded = pad_to_bucket(batch)
         eager_bd, _ = _eager_step(model, loss_fn, padded)
         assert float(bd.loss.data) == float(eager_bd.loss.data)
 
     def test_bind_shape_mismatch_falls_back_to_eager(self, dataset):
         model = _model(OptLevel.DECOMPOSE_FS)
         comp = StepCompiler(model, CompositeLoss())
-        batch = dataset.batch([0, 1, 2, 3])
+        batch = pad_to_bucket(dataset.batch([0, 1, 2, 3]))
         comp.step(batch)
-        (prog,) = comp._programs.values()
+        (prog,) = comp.cache.programs.values()
         # Corrupt one recorded external spec: bind must refuse and report.
         slot, kind, ref, shape, dtype = prog.externals[0]
         prog.externals[0] = (slot, kind, ref, (9999,), dtype)
         bd = comp.step(batch)
         assert comp.stats.eager_fallbacks == 1
-        assert not comp._programs  # corrupted program evicted
+        assert not comp.cache.programs  # corrupted program evicted
         assert np.isfinite(float(bd.loss.data))
 
     @pytest.mark.parametrize(
@@ -287,7 +290,7 @@ class TestGuards:
 
         from repro.runtime import kernel_stats
 
-        comp = InferenceCompiler(_model(OptLevel.DECOMPOSE_FS), bucket=False)
+        comp = InferenceCompiler(_model(OptLevel.DECOMPOSE_FS))
         batch = dataset.batch([0, 1, 2])
         comp.run(batch)  # capture
         idx = getattr(batch, field).copy()
@@ -302,7 +305,7 @@ class TestGuards:
     def test_training_program_checks_segment_sum_indices(self, dataset):
         import dataclasses
 
-        comp = StepCompiler(_model(OptLevel.FUSED), CompositeLoss(), bucket=False)
+        comp = StepCompiler(_model(OptLevel.FUSED), CompositeLoss())
         batch = dataset.batch([0, 1, 2])
         comp.step(batch)
         bounds = {spec: rows for _slot, rows, spec in comp.last_program._index_bounds}
@@ -327,7 +330,7 @@ class TestGuards:
 
         model = _model(OptLevel.DECOMPOSE_FS)
         comp = StepCompiler(model, WhereLoss())
-        batch = dataset.batch([0, 1, 2, 3])
+        batch = pad_to_bucket(dataset.batch([0, 1, 2, 3]))
         comp.step(batch)
         assert comp.stats.unsupported == 1
         assert comp.stats.eager_fallbacks == 1
@@ -454,7 +457,7 @@ class TestPadCache:
 
 class TestWarmStart:
     def test_warm_started_tiers_capture_once_and_never_grow(self, dataset):
-        """Seeding the cache's tier shapes from dataset stats makes the
+        """Seeding a caller's tier shapes from dataset stats makes the
         first pass over shuffled batches one capture per tier, replay
         afterwards."""
         model = _model(OptLevel.DECOMPOSE_FS)
@@ -470,31 +473,35 @@ class TestWarmStart:
                 )
             )
         comp = StepCompiler(model, CompositeLoss(), validate=True)
-        n_tiers = comp.cache.tiers.seed(entries, model.config.batched_basis)
+        tiers = TierShapes()
+        n_tiers = tiers.seed(entries, model.config.batched_basis)
         assert n_tiers >= 1
-        canonical_before = dict(comp.cache.tiers._shapes)
+        canonical_before = dict(tiers._shapes)
         for _ in range(2):
             for idx in index_sets:
-                comp.step(dataset.batch(idx))
+                comp.step(tiers.pad(dataset.batch(idx), model.config.batched_basis))
         assert comp.stats.captures <= n_tiers
         assert comp.stats.eager_fallbacks == 0
         # warm-started shapes were exact: nothing grew
         for key, val in canonical_before.items():
-            assert comp.cache.tiers._shapes[key] == val
+            assert tiers._shapes[key] == val
 
     def test_warm_start_noop_for_serial_or_unbucketed(self, dataset):
         entry = [(4, True, (40, 400, 60, 200))]
         serial = StepCompiler(_model(OptLevel.BASELINE), CompositeLoss())
-        assert serial.cache.tiers.seed(entry, serial.model.config.batched_basis) == 0
-        assert not serial.cache.tiers._shapes
-        # An unbucketed compiler never pads, so seeded tiers cannot reach it.
-        unbucketed = StepCompiler(
-            _model(OptLevel.DECOMPOSE_FS), CompositeLoss(), bucket=False
-        )
+        serial_tiers = TierShapes()
+        assert serial_tiers.seed(entry, serial.model.config.batched_basis) == 0
+        assert not serial_tiers._shapes
+        # A compiler never pads, so seeded tiers cannot reach a batch its
+        # caller did not pad: the program is keyed by the raw shape.
+        unbucketed = StepCompiler(_model(OptLevel.DECOMPOSE_FS), CompositeLoss())
         batch = dataset.batch([0, 1, 2, 3])
         seeded = [(batch.num_structs, True, _counts(batch))]
-        assert unbucketed.cache.tiers.seed(seeded, True) == 1
-        assert unbucketed._pad(batch) is batch
+        tiers = TierShapes()
+        assert tiers.seed(seeded, True) == 1
+        unbucketed.step(batch)
+        (sig,) = unbucketed.cache.programs
+        assert sig[2:6] == _counts(batch)
 
 
 class TestCompiledInference:
@@ -525,7 +532,7 @@ class TestCompiledInference:
         graphs = [dataset.graphs[0], dataset.graphs[1]]
         from repro.graph.batching import collate
 
-        batch = collate(graphs)
+        batch = pad_to_bucket(collate(graphs))
         comp.run(batch)  # capture
         out = comp.run(batch)  # replay
         padded = pad_to_bucket(collate(graphs))
@@ -596,3 +603,28 @@ class TestMaskPrimitiveGradients:
         plain.backward()
         assert np.allclose(p.grad.data[:7], p2.grad.data, rtol=1e-12)
         assert np.all(p.grad.data[7:] == 0.0)
+
+
+def test_compile_module_knows_nothing_of_tiers():
+    """``tensor/compile.py`` captures, binds and replays the batch it is
+    given: padding a batch to a shared shape is its callers' job, so the
+    module names no tier table, no padding routine and no ``bucket``
+    parameter."""
+    import ast
+    import inspect
+
+    from repro.tensor import compile as tc
+
+    named = set()
+    for node in ast.walk(ast.parse(inspect.getsource(tc))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            named.add(node.arg)
+        elif isinstance(node, ast.alias):
+            named.update({node.name, node.asname})
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            named.add(node.name)
+    assert not named & {"TierShapes", "tiers", "pad_batch", "_pad", "bucket"}

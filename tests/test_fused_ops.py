@@ -35,7 +35,7 @@ from repro.tensor import (
 from repro.tensor.functional import layernorm_reference, silu_reference
 from repro.tensor.ops_fused import center, fused_pack_gated
 from repro.tensor.ops_math import add, div, mean, sqrt
-from oracles import check_grad, check_second_grad
+from oracles import check_grad, check_second_grad, pad_to_bucket
 from repro.tensor.ops_fused import _block_rows, _envelope_coeffs
 from repro.tensor.ops_shape import segment_plan
 from test_arena import _poison_before_every_replay
@@ -502,10 +502,12 @@ class TestGatedKernelsCompiled:
         from repro.tensor.compile import StepCompiler
         from repro.train.loss import CompositeLoss
 
-        batch = StructureDataset(generate_mptrj(6, seed=3, max_atoms=6)).batch([0, 1, 2, 3])
+        batch = pad_to_bucket(
+            StructureDataset(generate_mptrj(6, seed=3, max_atoms=6)).batch([0, 1, 2, 3])
+        )
         comp = StepCompiler(self._model(OptLevel.FUSED), CompositeLoss())
         comp.step(batch)
-        (prog,) = comp._programs.values()
+        (prog,) = comp.cache.programs.values()
         source = inspect.getsource(tc)
         kernels = {name: {ins.fn for ins in prog.instrs if ins.name == name} for name in self.GATED}
         for name, fns in kernels.items():
@@ -524,10 +526,12 @@ class TestGatedKernelsCompiled:
         from repro.tensor.compile import StepCompiler
         from repro.train.loss import CompositeLoss
 
-        batch = StructureDataset(generate_mptrj(6, seed=3, max_atoms=6)).batch([0, 1, 2, 3])
+        batch = pad_to_bucket(
+            StructureDataset(generate_mptrj(6, seed=3, max_atoms=6)).batch([0, 1, 2, 3])
+        )
         comp = StepCompiler(self._model(OptLevel.FUSED), CompositeLoss(), validate=True)
         comp.step(batch)
-        (prog,) = comp._programs.values()
+        (prog,) = comp.cache.programs.values()
         counts = Counter(ins.name for ins in prog.instrs)
         assert all(counts[name] for name in self.GATED)
         assert all(ins.buf >= 0 for ins in prog.instrs if ins.name in self.GATED)
@@ -549,10 +553,12 @@ class TestGatedKernelsCompiled:
         from repro.model import OptLevel
         from repro.tensor.compile import InferenceCompiler
 
-        batch = StructureDataset(generate_mptrj(6, seed=3, max_atoms=6)).batch([0, 1, 2])
+        batch = pad_to_bucket(
+            StructureDataset(generate_mptrj(6, seed=3, max_atoms=6)).batch([0, 1, 2])
+        )
         comp = InferenceCompiler(self._model(OptLevel.DECOMPOSE_FS))
         eager = {k: v.copy() for k, v in comp.run(batch).items()}  # the capturing step is eager
-        (prog,) = comp._programs.values()
+        (prog,) = comp.cache.programs.values()
         forward = [ins for ins in prog.instrs if ins.name in ("fused_rmsnorm", "fused_gate")]
         assert forward and all(ins.buf >= 0 and not ins.kwargs["save"] for ins in forward)
         assert not any(ins.name.endswith(("_vjp", "_vjp2", "_vjp_gamma")) for ins in prog.instrs)
@@ -688,8 +694,8 @@ class TestFusedOutKernels:
         ds = StructureDataset(generate_mptrj(6, seed=3, max_atoms=6))
         model = CHGNetModel(cfg, np.random.default_rng(1))
         comp = StepCompiler(model, CompositeLoss())
-        comp.step(ds.batch([0, 1, 2, 3]))
-        (prog,) = comp._programs.values()
+        comp.step(pad_to_bucket(ds.batch([0, 1, 2, 3])))
+        (prog,) = comp.cache.programs.values()
         seen = [ins for ins in prog.instrs if ins.name == "fused_envelope"]
         assert seen  # the VJP chain reaches the compiled program
         assert all(ins.buf >= 0 for ins in seen)
@@ -738,8 +744,8 @@ class TestFusedOutKernels:
         ds = StructureDataset(generate_mptrj(6, seed=3, max_atoms=6))
         model = CHGNetModel(cfg, np.random.default_rng(1))
         comp = StepCompiler(model, CompositeLoss())
-        comp.step(ds.batch([0, 1, 2, 3]))
-        (prog,) = comp._programs.values()
+        comp.step(pad_to_bucket(ds.batch([0, 1, 2, 3])))
+        (prog,) = comp.cache.programs.values()
         fused_names = {"fused_srbf", "fused_fourier", "fused_rmsnorm"}
         seen = {
             ins.name: ins for ins in prog.instrs if ins.name in fused_names

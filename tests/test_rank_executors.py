@@ -168,3 +168,26 @@ def test_no_worker_outlives_its_trainer(dataset, two_cpus, tmp_path):
     assert len(result.failures) == 1 and old._ranks.generation is None
     result.trainer.close()
     assert _no_children()
+
+
+def test_blas_runs_one_thread_while_executors_live(two_cpus):
+    """The parent and every executor replay on CPUs of their own, so each
+    runs BLAS on one thread while executors live; closing them gives the
+    parent its thread count back."""
+    blas = ranks.blas_threads()
+    if blas is None:
+        pytest.skip("no BLAS thread-count API found in this process")
+    get, put = blas
+    before = get()
+    put(2)  # a pool to pin, whatever the environment asked for
+    executors = ranks.RankExecutors(world_size=2)
+    try:
+        executors.fork(lambda rank, shard, validate: ranks.blas_threads()[0](), 0)
+        assert get() == 1
+        assert executors.submit([(1, None, False)]) == {1}
+        assert executors.collect() == [(1, 1)]
+        executors.close()
+        assert get() == 2
+    finally:
+        executors.close()
+        put(before)

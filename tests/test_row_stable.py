@@ -48,6 +48,7 @@ from repro.tensor.ops_linalg import (  # noqa: E402
 from repro.tensor.ops_math import _sigmoid_np, _silu_np  # noqa: E402
 from repro.tensor.ops_shape import _segment_sum_np, segment_plan, sorted_segment_reduce  # noqa: E402
 from repro.train.loss import CompositeLoss  # noqa: E402
+from oracles import pad_to_bucket  # noqa: E402
 from serve_harness import make_graphs, make_model  # noqa: E402
 
 pytestmark = pytest.mark.slow
@@ -170,7 +171,7 @@ class TestMatmul:
 
         model = make_model(cfg=small_config)  # widths of 16: nothing is column-padded
         assert model.config.opt_level == OptLevel.DECOMPOSE_FS
-        labeled = StructureDataset(tiny_entries).batch(range(4))
+        labeled = pad_to_bucket(StructureDataset(tiny_entries).batch(range(4)))
         infer = InferenceCompiler(model)
         train = StepCompiler(model, CompositeLoss())
         infer.run(labeled)

@@ -17,6 +17,7 @@ from repro.md.calculator import ModelCalculator
 from repro.model import CHGNetConfig, CHGNetModel, OptLevel
 from repro.serve import InferenceEngine, percentile
 from repro.tensor.compile import InferenceCompiler, SharedProgramCache
+from oracles import pad_to_bucket
 
 CFG = CHGNetConfig(
     atom_fea_dim=8,
@@ -192,7 +193,7 @@ class TestSharedCacheRebinding:
         comp_b = InferenceCompiler(model_b, cache=cache)
         from repro.graph.batching import collate
 
-        batch = collate([graphs[0], graphs[1]])
+        batch = pad_to_bucket(collate([graphs[0], graphs[1]]))
         out_a = {k: v.copy() for k, v in comp_a.run(batch).items()}
         out_b = {k: v.copy() for k, v in comp_b.run(batch).items()}
         assert comp_a.stats.captures == 1 and comp_b.stats.captures == 0

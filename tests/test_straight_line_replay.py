@@ -30,6 +30,7 @@ from repro.model import OptLevel
 from repro.tensor import compile as tc
 from repro.tensor.compile import InferenceCompiler, StepCompiler
 from repro.train.loss import CompositeLoss
+from oracles import pad_to_bucket
 from serve_harness import TINY_CFG as CFG, make_model
 
 #: Locals of the generated functions: ``S``; ``S``, ``T`` and ``t0`` timed.
@@ -52,7 +53,7 @@ def trained(entries):
     """A FUSED training compiler holding two programs of different shapes."""
     dataset = StructureDataset(entries)
     comp = StepCompiler(make_model(cfg=CFG.with_level(OptLevel.FUSED)), CompositeLoss())
-    batches = [dataset.batch([0, 1, 2, 3]), dataset.batch([4, 5, 6, 7, 8, 9])]
+    batches = [pad_to_bucket(dataset.batch(idx)) for idx in ([0, 1, 2, 3], [4, 5, 6, 7, 8, 9])]
     for batch in batches:
         comp.step(batch)
     assert comp.stats.captures == 2
@@ -62,7 +63,7 @@ def trained(entries):
 def _inference_programs(graphs):
     comp = InferenceCompiler(make_model(cfg=CFG.with_level(OptLevel.DECOMPOSE_FS)))
     for group in (graphs[:1], graphs[:4], graphs[4:12]):
-        comp.run(collate(group))
+        comp.run(pad_to_bucket(collate(group)))
     assert comp.stats.captures == 3
     return list(comp.cache.programs.values())
 
@@ -90,9 +91,9 @@ class TestFrame:
         monkeypatch.setattr(tc, "_CODE_CAPACITY", 1)
         for level in (OptLevel.DECOMPOSE_FS, OptLevel.FUSED):
             comp = InferenceCompiler(make_model(cfg=CFG.with_level(level)))
-            eager = {k: v.copy() for k, v in comp.run(collate(graphs[:4])).items()}
+            eager = {k: v.copy() for k, v in comp.run(pad_to_bucket(collate(graphs[:4]))).items()}
             assert len(tc._CODE) == 1
-            replayed = comp.run(collate(graphs[:4]))
+            replayed = comp.run(pad_to_bucket(collate(graphs[:4])))
             assert all(np.array_equal(replayed[k], v) for k, v in eager.items())
 
 

@@ -180,9 +180,10 @@ def pool():
 def test_serial_compiler_pads_but_never_tiers(pool):
     model = make_model(cfg=TINY_CFG.with_level(OptLevel.BASELINE))
     comp = InferenceCompiler(model)
+    tiers = TierShapes()
     batch = collate(pool[:3])
-    comp.run(batch)
-    assert comp.cache.tiers._shapes == {}
+    comp.run(tiers.pad(batch, model.config.batched_basis))
+    assert tiers._shapes == {}
     (sig,) = comp.cache.programs
     assert sig[2:6] == TierShapes().target(3, False, _counts(batch)) != _counts(batch)
 
