@@ -109,7 +109,10 @@ class DistributedConfig:
     * ``bucket_sampler`` — use the size-bucketed sampler (``None``: iff
       compiling; the load-balancing sampler otherwise).  Its shards are
       padded to the shapes it plans, so ``True`` on an eager run yields a
-      pipeline bit-identical to the compiled one;
+      pipeline bit-identical to the compiled one.  ``False`` with
+      ``compile=True`` is rejected: a compiler replays the shard it is
+      given, and without planned shapes every raw shard shape would be a
+      capture;
     * ``memoize_shards`` — reuse collated shard batches across epochs
       (``None``: iff compiling; shards are static under the bucket sampler,
       so with the padded-batch cache repeat epochs bind-and-replay);
@@ -129,8 +132,8 @@ class DistributedConfig:
     2**attempt`` seconds, accumulated in ``backoff_seconds``, never slept).
 
     Construction raises ``ValueError`` for a ``world_size`` or ``n_buckets``
-    below 1, a non-positive ``learning_rate`` and a global batch the ranks
-    cannot split evenly.
+    below 1, a non-positive ``learning_rate``, a global batch the ranks
+    cannot split evenly and ``compile=True`` with ``bucket_sampler=False``.
     """
 
     world_size: int = 4
@@ -159,6 +162,11 @@ class DistributedConfig:
         # GradientBuckets is built at the first step; check the count now.
         if self.n_buckets < 1:
             raise ValueError(f"n_buckets must be >= 1, got {self.n_buckets}")
+        if self.compile and self.bucket_sampler is False:
+            raise ValueError(
+                "compile=True replays the bucket sampler's planned shapes; "
+                "it cannot run with bucket_sampler=False"
+            )
 
     def resolve_lr(self) -> float:
         if self.learning_rate is not None:

@@ -15,11 +15,8 @@ of something ``src/`` does fast, kept so the fast path has an oracle:
 * :func:`pad_to_bucket` — pads a batch to its canonical bucket sizes, the
   shape an empty :class:`repro.graph.batching.TierShapes` gives it (what a
   streaming caller pads to before any tier grows), so eager and replayed
-  steps can be compared on one batch;
-* :func:`tier_padder` — pads a stream of batches through one
-  :class:`~repro.graph.batching.TierShapes`, as the serving engine and the
-  MD calculator do before a compiler runs them (a compiler replays the
-  batch it is given and never pads).
+  steps can be compared on one batch (a compiler replays the batch it is
+  given and never pads).
 
 Imported by tests as ``from oracles import ...`` (``tests/`` is on the path,
 as for ``serve_harness``).
@@ -27,7 +24,6 @@ as for ``serve_harness``).
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -237,13 +233,3 @@ def pad_to_bucket(batch: GraphBatch) -> GraphBatch:
     rounding, not bit-for-bit.
     """
     return TierShapes().pad(batch, tiered=False)
-
-
-def tier_padder(tiered: bool = True) -> Callable[[GraphBatch], GraphBatch]:
-    """``pad(batch)`` through one :class:`TierShapes` of the caller's own.
-
-    What a caller streaming batches to a compiler does first: batches of one
-    workload tier meet one shape.  ``tiered=False`` (a serial-basis model)
-    pads each batch to its own bucketed counts, as :func:`pad_to_bucket`.
-    """
-    return functools.partial(TierShapes().pad, tiered=tiered)

@@ -26,7 +26,7 @@ from repro.runtime import device_profile
 from repro.tensor import Tensor, clip, maximum, minimum, mul, sum as tsum, where_le
 from repro.tensor.compile import InferenceCompiler, StepCompiler, program_signature
 from repro.train.loss import CompositeLoss
-from oracles import check_grad, check_second_grad, pad_to_bucket, tier_padder
+from oracles import check_grad, check_second_grad, pad_to_bucket
 
 pytestmark = []
 
@@ -116,9 +116,9 @@ class TestReplayBitIdentical:
         """validate=True re-runs eager per replay and asserts bitwise equality."""
         model = _model(level)
         comp = StepCompiler(model, CompositeLoss(), validate=True)
-        pad = tier_padder(model.config.batched_basis)
+        tiers = TierShapes()
         for idx in ([0, 1], [2, 3], [0, 1], [4, 5, 6], [2, 3], [0, 1]):
-            comp.step(pad(dataset.batch(idx)))
+            comp.step(tiers.pad(dataset.batch(idx), model.config.batched_basis))
         assert comp.stats.replays >= 2  # validation raised on any divergence
 
     def test_unbucketed_replay_matches_plain_eager(self, dataset):
@@ -524,6 +524,27 @@ class TestCompiledInference:
         r0 = eager_calc.calculate(crystal)
         assert r2.energy == pytest.approx(r0.energy, rel=1e-10, abs=1e-12)
         assert np.allclose(r2.forces, r0.forces, rtol=1e-9, atol=1e-12)
+
+    def test_calculator_pads_drifting_steps_to_its_tier_shape(self):
+        """The compiled calculator pads every single point through its own
+        tier table before the run, so steps whose short-edge and angle
+        counts drift replay the tier's program instead of capturing each
+        raw shape."""
+        from repro.graph.crystal_graph import build_graph
+
+        model = _model(OptLevel.DECOMPOSE_FS)
+        calc = ModelCalculator(model, compile=True)
+        base = cscl(11, 17).supercell((2, 2, 2))
+        raw = set()
+        for k in range(6):
+            crystal = base.perturbed(np.random.default_rng(k), 0.1)
+            raw.add(_counts(build_graph(crystal, CFG.cutoff_atom, CFG.cutoff_bond)))
+            calc.calculate(crystal)
+        stats = calc._compiler.stats
+        assert len(raw) == 6 and stats.captures + stats.replays == 6
+        assert stats.captures <= 2 and stats.eager_fallbacks == 0
+        (shape,) = calc._tiers._shapes.values()
+        assert shape in {sig[2:6] for sig in calc._compiler.cache.programs}
 
     def test_inference_replay_matches_eager_on_padded_batch(self, dataset):
         """Strict bit-identity: replay vs eager forward on the same padded batch."""

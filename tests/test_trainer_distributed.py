@@ -117,6 +117,7 @@ class TestDistributed:
             (dict(world_size=0), "world_size must be >= 1, got 0"),
             (dict(world_size=3, global_batch_size=8), "must be divisible by world_size 3"),
             (dict(n_buckets=0), "n_buckets must be >= 1, got 0"),
+            (dict(compile=True, bucket_sampler=False), "cannot run with bucket_sampler=False"),
         ],
     )
     def test_config_rejects_bad_values_on_construction(self, kwargs, message):
