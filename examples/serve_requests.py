@@ -12,7 +12,7 @@ in-flight requests.
 Equivalent CLI::
 
     python -m repro.cli serve --requests 64 --workers 2 --compile \
-        --baseline --repeat 2 --merge-tiers --memoize 32
+        --baseline --merge-tiers --memoize 32
 
 Run with ``PYTHONPATH=src python examples/serve_requests.py``.
 """

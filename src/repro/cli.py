@@ -254,13 +254,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     _corpus_flags(p, structures=16, max_atoms=10)
     _engine_flags(p)
     p.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="serve the stream this many times (pass 2+ runs against a warm "
-        "program cache; each pass is timed separately)",
-    )
-    p.add_argument(
         "--publish-every",
         type=int,
         default=0,
@@ -615,6 +608,11 @@ def cmd_farm(args: argparse.Namespace) -> int:
                 "--resume cannot take --baseline (the baseline replays a fresh "
                 "run from the flags, not the restored trajectories)"
             )
+        if args.max_waves and args.baseline:
+            raise ValueError(
+                "--max-waves cannot take --baseline (the baseline runs every "
+                "trajectory to completion, not K waves)"
+            )
         if args.checkpoint_every < 1:
             raise ValueError(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}")
         model = _build_model(args.variant, args.seed, args.checkpoint)
@@ -782,7 +780,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     def _drive_queue(stream):
         dt = engine.max_wait / 4  # a handful of arrivals per deadline window
         engine.warm_start(stream)  # the stream is known up front: seed tiers
-        start = max(engine._now, engine.makespan())
         ids = []
         for i, graph in enumerate(stream):
             if args.publish_every and i and i % args.publish_every == 0:
@@ -794,7 +791,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 ids.append(
                     engine.submit(
                         graph,
-                        now=start + i * dt,
+                        now=i * dt,
                         deadline=args.deadline or None,
                         tenant=tenant_names[i % len(tenant_names)],
                         request_class=_request_class(i),
@@ -815,37 +812,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 out.append(None)
         return out
 
-    best_wall = float("inf")
-    captures_cold = None
-    for rep in range(max(1, args.repeat)):
-        t0 = time.perf_counter()
-        preds = _drive_queue(stream) if use_queue else engine.predict_many(stream)
-        wall = time.perf_counter() - t0
-        best_wall = min(best_wall, wall)
-        served = sum(p is not None for p in preds)
-        label = "cold" if rep == 0 else "warm"
-        print(
-            f"pass {rep + 1} ({label}): {served}/{len(preds)} requests in "
-            f"{wall:.3f}s ({served / wall:.1f} structs/s)"
-        )
-        if rep == 0 and args.compile:
-            captures_cold = engine.snapshot()["captures"]
+    t0 = time.perf_counter()
+    preds = _drive_queue(stream) if use_queue else engine.predict_many(stream)
+    wall = time.perf_counter() - t0
+    served = sum(p is not None for p in preds)
+    print(f"{served}/{len(preds)} requests in {wall:.3f}s ({served / wall:.1f} structs/s)")
     snap = engine.snapshot()
     print(
         f"served over {args.workers} workers, "
         f"{snap['batches']} batches total"
     )
     if args.publish_every:
-        line = f"published {snap['publishes'] - 1} new weight versions mid-stream"
-        if captures_cold is not None and args.repeat > 1:
-            # Warm passes republish on the same schedule; any recapture
-            # would show up as capture growth past the cold pass.
-            line += (
-                f" ({snap['captures'] - captures_cold} captures across "
-                f"{args.repeat - 1} warm publishing passes: publishes rebind, "
-                "never recapture)"
-            )
-        print(line)
+        print(f"published {snap['publishes'] - 1} new weight versions mid-stream")
     if args.merge_tiers:
         print(
             f"adaptive merging absorbed {snap['merges']} requests across tiers "
@@ -909,9 +887,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             if a is not None  # shed requests have no bits to compare
         )
         print(
-            f"eager per-request baseline: {len(base) / base_wall:.1f} structs/s "
-            f"-> best-pass speedup {base_wall / best_wall:.2f}x"
-            f"{' (cold pass only; use --repeat for warm-cache numbers)' if args.repeat <= 1 and args.compile else ''}, "
+            f"eager per-request baseline: {len(base) / base_wall:.1f} structs/s, "
             f"{'bit-identical' if identical else 'DIVERGED'}"
         )
     return 0

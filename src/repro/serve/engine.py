@@ -248,6 +248,9 @@ class InferenceEngine:
     max_wait:
         Deadline (seconds, on the caller-supplied ``now`` clock) after
         which a partial tier queue is flushed by :meth:`poll`/:meth:`submit`.
+        It scales the two request classes
+        (:func:`~repro.serve.tenants.standard_classes`): ``interactive``
+        flushes after a fifth of it, the default ``bulk`` after all of it.
     max_programs:
         LRU capacity of the worker-shared program cache.  The default
         leaves room for a trajectory farm's shrinking waves, which visit
@@ -298,12 +301,6 @@ class InferenceEngine:
         tenant and one class that order *is* FIFO, bit-for-bit.  ``None``
         leaves the world open (any label auto-registers at weight 1) and
         the queues FIFO.
-    classes:
-        Request-class policies (``name -> ClassPolicy``); ``None``
-        installs the stock ``interactive``/``bulk`` pair
-        (:func:`~repro.serve.tenants.standard_classes`).  The default
-        class (``bulk``) always behaves exactly like the pre-tenancy
-        engine: global ``max_wait``, no default deadline.
     paced:
         Hold queued work until a worker's virtual clock is actually free
         (discrete-event dispatch, global weighted-fair order) instead of
@@ -335,7 +332,6 @@ class InferenceEngine:
         hedge: bool = False,
         replace_workers: bool = False,
         tenants: list[TenantPolicy] | dict[str, TenantPolicy] | None = None,
-        classes: dict[str, ClassPolicy] | None = None,
         paced: bool = False,
         autoscale: AutoscaleConfig | None = None,
     ) -> None:
@@ -372,10 +368,7 @@ class InferenceEngine:
         # Declared tenants: a closed tenant world and weighted-fair order.
         self.fair = tenant_policies is not None
         self.tenants: dict[str, TenantPolicy] = tenant_policies or {}
-        self.classes: dict[str, ClassPolicy] = (
-            standard_classes(self.max_wait) if classes is None else dict(classes)
-        )
-        self.classes.setdefault(DEFAULT_CLASS, ClassPolicy(DEFAULT_CLASS))
+        self.classes = standard_classes(self.max_wait)
         self.paced = bool(paced)
         self.scheduler = FairScheduler(
             {name: p.weight for name, p in self.tenants.items()}
@@ -552,12 +545,11 @@ class InferenceEngine:
         ``tenant`` names the submitting tenant: the request is stamped
         with the tenant's weighted-fair start tag and counted against its
         pending quota and :class:`~repro.serve.tenants.TenantStats` block.
-        ``request_class`` picks the latency class (``interactive`` /
-        ``bulk`` by default); a class may carry a shorter flush wait and
-        a default deadline.
+        ``request_class`` picks the latency class (``interactive`` or the
+        default ``bulk``); ``interactive`` carries a shorter flush wait.
 
         ``deadline`` is a relative budget in virtual seconds (default:
-        the class's): a request still *queued* when ``now`` passes
+        none): a request still *queued* when ``now`` passes
         ``submit-time + deadline`` is shed (counted in
         ``stats.deadline_misses``) and its :meth:`poll` raises
         :class:`~repro.serve.faults.DeadlineExceeded` — nobody is
@@ -607,9 +599,7 @@ class InferenceEngine:
                 f"tenant {policy.name!r} quota full "
                 f"({tenant_pending}/{policy.max_pending}); request shed"
             )
-        if deadline is None:
-            deadline = cls.deadline
-        elif deadline < 0:
+        if deadline is not None and deadline < 0:
             raise ValueError(f"deadline must be non-negative, got {deadline}")
         now = self._advance(now)
         if version is None:

@@ -26,11 +26,11 @@ Load-driven elasticity (:class:`Autoscaler`)
     The engine's latency model is fully deterministic (measured service
     times on virtual worker clocks), which makes the scale-out signal
     honest: when the modeled p95 of the interactive class breaches
-    the SLA for ``breach_scans`` consecutive drain scans, one worker is
+    the SLA for :data:`BREACH_SCANS` consecutive drain scans, one worker is
     added — a fresh replica on the :class:`~repro.tensor.compile.
     SharedProgramCache` (zero recaptures, the PR-8 in-place replacement
     machinery).  When the queue stays empty and the whole fleet idle for
-    ``idle_scans`` scans, the highest-index worker is drained and
+    :data:`IDLE_SCANS` scans, the highest-index worker is drained and
     retired.  Retired slots are reactivated before new replicas are
     built, so repeated load swings don't grow the fleet without bound.
 
@@ -51,6 +51,18 @@ from typing import TypeVar
 from repro.serve.tenants import percentile
 
 T = TypeVar("T")
+
+#: Consecutive drain scans with the watched p95 over the SLA before one
+#: worker is added (hysteresis against a single slow batch).
+BREACH_SCANS = 3
+#: Consecutive drain scans with an empty queue and a fully idle fleet before
+#: one worker is drained and retired.
+IDLE_SCANS = 16
+#: Recent watched-class latencies the p95 is modeled over.
+WINDOW = 64
+#: Completions required in the window before a breach can be declared (a
+#: p95 over two requests is noise).
+MIN_SAMPLES = 8
 
 
 def plan_groups(
@@ -170,7 +182,10 @@ class FairScheduler:
 
 @dataclass(frozen=True)
 class AutoscaleConfig:
-    """Policy for load-driven worker scale-out/in.
+    """Policy for load-driven worker scale-out/in: the SLA and the fleet
+    bounds.  The hysteresis and the latency window are the module constants
+    :data:`BREACH_SCANS`, :data:`IDLE_SCANS`, :data:`WINDOW` and
+    :data:`MIN_SAMPLES`.
 
     A non-sensical value raises ``ValueError`` at construction.
 
@@ -180,38 +195,18 @@ class AutoscaleConfig:
         Target modeled p95 latency (virtual seconds) of the interactive
         class, whose p95 drives scale-out (bulk traffic is throughput-bound
         and does not page anyone).
-    breach_scans:
-        Consecutive drain scans with p95 over the SLA before one worker
-        is added (hysteresis against a single slow batch).
-    idle_scans:
-        Consecutive drain scans with an empty queue and a fully idle
-        fleet before one worker is drained and retired.
     max_workers / min_workers:
         Fleet bounds; scale-out stops at ``max_workers`` even while
         breaching, scale-in never goes below ``min_workers``.
-    window:
-        Sliding window of recent watched-class latencies the p95 is
-        modeled over.
-    min_samples:
-        Completions required in the window before a breach can be
-        declared (a p95 over two requests is noise).
     """
 
     sla_p95: float
-    breach_scans: int = 3
-    idle_scans: int = 16
     max_workers: int = 8
     min_workers: int = 1
-    window: int = 64
-    min_samples: int = 8
 
     def __post_init__(self) -> None:
         if self.sla_p95 <= 0:
             raise ValueError(f"sla_p95 must be > 0, got {self.sla_p95}")
-        if self.breach_scans < 1:
-            raise ValueError(f"breach_scans must be >= 1, got {self.breach_scans}")
-        if self.idle_scans < 1:
-            raise ValueError(f"idle_scans must be >= 1, got {self.idle_scans}")
         if self.min_workers < 1:
             raise ValueError(f"min_workers must be >= 1, got {self.min_workers}")
         if self.max_workers < self.min_workers:
@@ -219,10 +214,6 @@ class AutoscaleConfig:
                 f"max_workers ({self.max_workers}) must be >= "
                 f"min_workers ({self.min_workers})"
             )
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {self.min_samples}")
 
 
 class Autoscaler:
@@ -236,7 +227,7 @@ class Autoscaler:
 
     def __init__(self, config: AutoscaleConfig) -> None:
         self.config = config
-        self._latencies: deque = deque(maxlen=config.window)
+        self._latencies: deque = deque(maxlen=WINDOW)
         self._breaches = 0
         self._idle = 0
 
@@ -252,17 +243,17 @@ class Autoscaler:
     def scan(self, engine, now: float) -> str | None:
         """One drain-scan evaluation; returns ``"out"``/``"in"``/``None``.
 
-        Scale-out: ``breach_scans`` consecutive scans with enough samples
-        and watched p95 over the SLA add one worker and clear the window
-        (the new capacity deserves a fresh verdict).  Scale-in:
-        ``idle_scans`` consecutive scans with nothing queued and every
+        Scale-out: :data:`BREACH_SCANS` consecutive scans with at least
+        :data:`MIN_SAMPLES` in the window and watched p95 over the SLA add one
+        worker and clear the window (the new capacity deserves a fresh
+        verdict).  Scale-in: :data:`IDLE_SCANS` consecutive scans with nothing queued and every
         active worker's virtual clock at or behind ``now`` retire one.
         """
         cfg = self.config
         action = None
-        if len(self._latencies) >= cfg.min_samples and self.watched_p95() > cfg.sla_p95:
+        if len(self._latencies) >= MIN_SAMPLES and self.watched_p95() > cfg.sla_p95:
             self._breaches += 1
-            if self._breaches >= cfg.breach_scans and engine.fleet_size < cfg.max_workers:
+            if self._breaches >= BREACH_SCANS and engine.fleet_size < cfg.max_workers:
                 engine.add_worker(now)
                 self._breaches = 0
                 self._latencies.clear()
@@ -271,7 +262,7 @@ class Autoscaler:
             self._breaches = 0
         if engine.pending == 0 and engine.fleet.idle(now):
             self._idle += 1
-            if self._idle >= cfg.idle_scans and engine.fleet_size > cfg.min_workers:
+            if self._idle >= IDLE_SCANS and engine.fleet_size > cfg.min_workers:
                 if engine.retire_worker() is not None:
                     action = action or "in"
                 self._idle = 0

@@ -6,16 +6,16 @@ users, screening pipelines) issuing two very different kinds of traffic
 against the same fleet:
 
 * **interactive** — a human (or an MD driver) is waiting: small bursts,
-  latency-sensitive, happy with partial batches.  Short flush wait, tight
-  default deadline.
+  latency-sensitive, happy with partial batches.  Short flush wait.
 * **bulk** — screening sweeps, trajectory farms, fine-tuning data
   generation: huge backlogs, throughput-sensitive, nobody cares about any
-  single request's latency.  Long flush wait (fill the batch), no default
-  deadline.
+  single request's latency.  Long flush wait (fill the batch).
 
-:class:`ClassPolicy` declares a request class (per-class flush wait and
-default deadline); :class:`TenantPolicy` declares a tenant (fair-share
-weight for the scheduler, bounded pending quota for admission control);
+:class:`ClassPolicy` declares a request class (its flush wait) and
+:func:`standard_classes` the two every engine serves; a deadline is set per
+request (``submit(..., deadline=...)``).  :class:`TenantPolicy` declares a
+tenant (fair-share weight for the scheduler, bounded pending quota for
+admission control);
 :class:`TenantStats` is the per-tenant accounting block the engine keeps
 alongside the global :class:`~repro.serve.engine.EngineStats` — the
 conservation invariant (every submitted request is exactly one of
@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 #: Class name used when ``submit`` is called without ``request_class`` —
-#: behaves exactly like the pre-tenancy engine (engine-wide ``max_wait``,
-#: no default deadline), so unlabeled traffic is bit-for-bit unchanged.
+#: behaves exactly like the pre-tenancy engine (engine-wide ``max_wait``),
+#: so unlabeled traffic is bit-for-bit unchanged.
 DEFAULT_CLASS = "bulk"
 
 #: Tenant name used when ``submit`` is called without ``tenant``.
@@ -79,23 +79,16 @@ class ClassPolicy:
         Interactive classes set this small — a partial batch is better
         than a waiting user; bulk classes set it large — a full batch is
         better than a fragmented one.
-    deadline:
-        Default relative deadline applied when ``submit`` passes none
-        (``None`` = no default).  An explicit ``submit(..., deadline=...)``
-        always wins.
     """
 
     name: str
     max_wait: float | None = None
-    deadline: float | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("class name must be non-empty")
         if self.max_wait is not None and self.max_wait < 0:
             raise ValueError(f"class {self.name}: max_wait must be >= 0")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError(f"class {self.name}: deadline must be > 0")
 
 
 def standard_classes(max_wait: float) -> dict[str, ClassPolicy]:

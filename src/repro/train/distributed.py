@@ -116,12 +116,11 @@ class DistributedConfig:
     * ``memoize_shards`` — reuse collated shard batches across epochs
       (``None``: iff compiling; shards are static under the bucket sampler,
       so with the padded-batch cache repeat epochs bind-and-replay);
-    * ``n_buckets`` — gradient-flush buckets for the overlapped allreduce;
-    * ``trace_ring`` — route the per-bucket flush messages through
-      the explicit ring allreduce and record per-collective transfer
-      traces (see :class:`repro.comm.communicator.SimCommunicator`), so
-      the modeled per-bucket bytes can be checked against actual traced
-      messages.
+    * ``n_buckets`` — gradient-flush buckets for the overlapped allreduce.
+
+    Setting ``trainer.comm.trace_ring`` before training routes the flush
+    through the explicit, traced ring
+    (:class:`~repro.comm.communicator.SimCommunicator`).
 
     All ranks' compilers share one
     :class:`~repro.tensor.compile.SharedProgramCache`: a program depends on
@@ -147,7 +146,6 @@ class DistributedConfig:
     n_buckets: int = 8
     bucket_sampler: bool | None = None
     memoize_shards: bool | None = None
-    trace_ring: bool = False
 
     def __post_init__(self) -> None:
         if self.world_size < 1:
@@ -297,7 +295,7 @@ class DistributedTrainer:
         state = self.replicas[0].state_dict()
         for rep in self.replicas[1:]:
             rep.load_state_dict(state)
-        self.comm = SimCommunicator(cfg.world_size, fault_plan, trace_ring=cfg.trace_ring)
+        self.comm = SimCommunicator(cfg.world_size, fault_plan)
         self.loss_fn = CompositeLoss(LossWeights(), cfg.huber_delta)
         lr = cfg.resolve_lr()
         self._params = [rep.parameters() for rep in self.replicas]

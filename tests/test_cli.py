@@ -235,7 +235,7 @@ _SMALL_POOL = ["--structures", "6", "--max-atoms", "6"]
     "argv",
     [
         pytest.param(
-            ["serve", "--compile", "--baseline", "--repeat", "2", "--requests", "16"],
+            ["serve", "--compile", "--baseline", "--requests", "16"],
             id="serve-synchronous",
         ),
         pytest.param(
@@ -324,6 +324,12 @@ _BAD_FLAGS = [
     ("farm --workers 0", "farm: n_workers must be >= 1, got 0", True),
     ("farm --fmax 0", "farm: fmax must be positive, got 0.0", True),
     ("farm --temperature -5 --md-fraction 1", "farm: temperature must be non-negative, got -5.0", False),
+    (
+        "farm --baseline --max-waves 2",
+        "farm: --max-waves cannot take --baseline (the baseline runs every "
+        "trajectory to completion, not K waves)",
+        True,
+    ),
     ("md --steps 0", "md: --steps must be >= 1, got 0", True),
     ("md --steps -2", "md: --steps must be >= 1, got -2", True),
     ("md --timestep 0", "md: timestep must be positive, got 0.0", True),

@@ -572,9 +572,8 @@ class TestStragglersAndRetries:
 class TestRingTracedFlush:
     def test_traces_recorded_and_ranks_agree(self, small_config, dataset):
         factory = make_factory(small_config)
-        trainer = DistributedTrainer(
-            factory, dataset, dist_config(epochs=1, trace_ring=True)
-        )
+        trainer = DistributedTrainer(factory, dataset, dist_config(epochs=1))
+        trainer.comm.trace_ring = True
         trainer.train()
         assert trainer.replicas_in_sync()
         traces = trainer.comm.ring_traces
@@ -588,9 +587,9 @@ class TestRingTracedFlush:
         the same result within a path."""
         factory = make_factory(small_config)
         ringed = DistributedTrainer(
-            factory, dataset, dist_config(epochs=1, world_size=4,
-                                          global_batch_size=8, trace_ring=True)
+            factory, dataset, dist_config(epochs=1, world_size=4, global_batch_size=8)
         )
+        ringed.comm.trace_ring = True
         ringed.train()
         assert ringed.replicas_in_sync()
 

@@ -31,6 +31,7 @@ from repro.serve import (
     percentile,
 )
 from repro.serve import engine as engine_module
+from repro.serve import scheduler as scheduler_module
 from repro.serve.faults import WorkerFaultPlan
 from serve_harness import (
     Arrival,
@@ -82,8 +83,6 @@ class TestPolicies:
             ClassPolicy("", max_wait=1.0)
         with pytest.raises(ValueError):
             ClassPolicy("x", max_wait=-1.0)
-        with pytest.raises(ValueError):
-            ClassPolicy("x", deadline=0.0)
 
     def test_tenant_spec_parsing(self):
         assert TenantPolicy.parse("alice") == TenantPolicy("alice")
@@ -99,10 +98,8 @@ class TestPolicies:
         AutoscaleConfig(sla_p95=1.0)
         for bad in (
             dict(sla_p95=0.0),
-            dict(sla_p95=1.0, breach_scans=0),
             dict(sla_p95=1.0, min_workers=0),
             dict(sla_p95=1.0, min_workers=4, max_workers=2),
-            dict(sla_p95=1.0, min_samples=0),
         ):
             with pytest.raises(ValueError):
                 AutoscaleConfig(**bad)
@@ -293,26 +290,20 @@ class TestMultiTenant:
         assert engine.poll(bulk, now=0.3) is None
         assert engine.poll(bulk, now=1.1) is not None
 
-    def test_class_default_deadline_applies(self, model, graphs):
-        classes = {
-            "interactive": ClassPolicy("interactive", max_wait=5.0, deadline=0.5)
-        }
+    def test_explicit_deadline_applies(self, model, graphs):
         engine = InferenceEngine(
-            model,
-            n_workers=1,
-            compile=False,
-            max_batch_structs=8,
-            max_wait=10.0,
-            classes=classes,
+            model, n_workers=1, compile=False, max_batch_structs=8, max_wait=10.0
         )
-        rid = engine.submit(graphs[0], now=0.0, request_class="interactive")
+        # still queued (the interactive flush wait is 2s) when 0.5s pass
+        rid = engine.submit(
+            graphs[0], now=0.0, request_class="interactive", deadline=0.5
+        )
         from repro.serve.faults import DeadlineExceeded
 
         with pytest.raises(DeadlineExceeded):
             engine.poll(rid, now=1.0)
         assert engine.stats.tenant("default").expired == 1
-        # an explicit deadline always wins over the class default: polling
-        # 10s after submit (far past the 0.5s class default) still serves
+        # a deadline far past the flush wait: polling 10s after submit serves
         rid = engine.submit(
             graphs[0], now=10.0, request_class="interactive", deadline=100.0
         )
@@ -320,16 +311,16 @@ class TestMultiTenant:
 
 
 class TestAutoscale:
-    def test_scales_out_on_sla_breach(self, model, graphs):
+    def test_scales_out_on_sla_breach(self, model, graphs, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "BREACH_SCANS", 2)
+        monkeypatch.setattr(scheduler_module, "MIN_SAMPLES", 2)
         engine = InferenceEngine(
             model,
             n_workers=1,
             compile=False,
             max_batch_structs=2,
             max_wait=0.01,
-            autoscale=AutoscaleConfig(
-                sla_p95=1e-9, breach_scans=2, min_samples=2, max_workers=3
-            ),
+            autoscale=AutoscaleConfig(sla_p95=1e-9, max_workers=3),
         )
         ids = [
             engine.submit(g, now=0.001 * i, request_class="interactive")
@@ -342,13 +333,16 @@ class TestAutoscale:
         assert engine.stats.scale_outs >= 1
         assert engine.snapshot()["scale_outs"] == engine.stats.scale_outs
 
-    def test_scales_in_when_idle_and_reuses_retired_slots(self, model, graphs):
+    def test_scales_in_when_idle_and_reuses_retired_slots(
+        self, model, graphs, monkeypatch
+    ):
+        monkeypatch.setattr(scheduler_module, "IDLE_SCANS", 2)
         engine = InferenceEngine(
             model,
             n_workers=2,
             compile=False,
             max_batch_structs=4,
-            autoscale=AutoscaleConfig(sla_p95=100.0, idle_scans=2),
+            autoscale=AutoscaleConfig(sla_p95=100.0),
         )
         rid = engine.submit(graphs[0], now=0.0)
         engine.flush(now=0.0)
@@ -519,7 +513,7 @@ class TestSnapshotDriftGate:
 
 
 class TestFairBeatsFifo:
-    def test_paced_fair_beats_fifo_on_interactive_p95(self, model, graphs):
+    def test_paced_fair_beats_fifo_on_interactive_p95(self, model, graphs, monkeypatch):
         """A screening tenant's bulk burst at t=0 plus an analyst's
         interactive trickle, two eager workers on both engines: FIFO queues
         the trickle behind the whole backlog, paced weighted-fair dispatch
@@ -537,15 +531,18 @@ class TestFairBeatsFifo:
         ]
         common = dict(compile=False, max_batch_structs=4, max_wait=tick / 2)
         tenants = [TenantPolicy("screening", 1.0), TenantPolicy("analyst", 4.0)]
-        fifo = InferenceEngine(
-            model,
-            n_workers=2,
-            classes={
+        monkeypatch.setattr(scheduler_module, "BREACH_SCANS", 2)
+        monkeypatch.setattr(scheduler_module, "MIN_SAMPLES", 4)
+        # FIFO baseline: one flush wait for both classes
+        with mock.patch.object(
+            engine_module,
+            "standard_classes",
+            lambda max_wait: {
                 "interactive": ClassPolicy("interactive"),
                 "bulk": ClassPolicy("bulk"),
             },
-            **common,
-        )
+        ):
+            fifo = InferenceEngine(model, n_workers=2, **common)
         fair = InferenceEngine(
             model, n_workers=2, tenants=tenants, paced=True, **common
         )
@@ -554,9 +551,7 @@ class TestFairBeatsFifo:
             n_workers=1,
             tenants=tenants,
             paced=True,
-            autoscale=AutoscaleConfig(
-                sla_p95=tick / 2, breach_scans=2, min_samples=4, max_workers=3
-            ),
+            autoscale=AutoscaleConfig(sla_p95=tick / 2, max_workers=3),
             **common,
         )
         baseline = {id(g): p for g, p in zip(graphs, _eager_baseline(model, graphs))}

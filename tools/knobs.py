@@ -40,11 +40,18 @@ def keywords(cls: type) -> list[str]:
     return [p.name for p in params if p.default is not inspect.Parameter.empty]
 
 
+def knob_names() -> dict[type, list[str]]:
+    """Class -> the names of its independently settable values, in print
+    order: every dataclass field of a config object, every defaulted
+    constructor keyword of a configurable class."""
+    names = {cls: [f.name for f in dataclasses.fields(cls)] for cls in CONFIGS}
+    names.update({cls: keywords(cls) for cls in CONSTRUCTORS})
+    return names
+
+
 def knob_counts() -> dict[str, int]:
     """Class name -> independently settable values, in print order."""
-    counts = {cls.__name__: len(dataclasses.fields(cls)) for cls in CONFIGS}
-    counts.update({cls.__name__: len(keywords(cls)) for cls in CONSTRUCTORS})
-    return counts
+    return {cls.__name__: len(names) for cls, names in knob_names().items()}
 
 
 def main() -> int:
