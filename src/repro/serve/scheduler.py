@@ -244,10 +244,11 @@ class Autoscaler:
         """One drain-scan evaluation; returns ``"out"``/``"in"``/``None``.
 
         Scale-out: :data:`BREACH_SCANS` consecutive scans with at least
-        :data:`MIN_SAMPLES` in the window and watched p95 over the SLA add one
-        worker and clear the window (the new capacity deserves a fresh
-        verdict).  Scale-in: :data:`IDLE_SCANS` consecutive scans with nothing queued and every
-        active worker's virtual clock at or behind ``now`` retire one.
+        :data:`MIN_SAMPLES` in the window and watched p95 over the SLA add
+        one worker and clear the window (the new capacity deserves a fresh
+        verdict).  Scale-in: :data:`IDLE_SCANS` consecutive scans with
+        nothing queued and every active worker's virtual clock at or behind
+        ``now`` retire one.
         """
         cfg = self.config
         action = None

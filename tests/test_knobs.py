@@ -133,7 +133,7 @@ def unset(files: dict[str, str], knobs: dict[str, tuple[inspect.Signature, list[
     ``knobs`` maps a class name to its constructor signature (without
     ``self``) and the names of its knobs.
     """
-    set_ = set()
+    given = set()
     for source in files.values():
         for name, args, keywords in class_calls(source, set(knobs)):
             params = knobs[name][0].parameters
@@ -145,12 +145,12 @@ def unset(files: dict[str, str], knobs: dict[str, tuple[inspect.Signature, list[
             passed += [(kw.arg, kw.value) for kw in keywords if kw.arg in params]
             for param, value in passed:
                 if _sets(value, params[param].default):
-                    set_.add(f"{name}.{param}")
+                    given.add(f"{name}.{param}")
     return sorted(
         f"{name}.{knob}"
         for name, (_, names) in knobs.items()
         for knob in names
-        if f"{name}.{knob}" not in set_
+        if f"{name}.{knob}" not in given
     )
 
 
