@@ -27,6 +27,14 @@
 PYTEST = PYTHONPATH=src python -m pytest -x -q
 LEDGER = python3 benchmarks/perf/run.py
 
+# make exports command-line variables into every recipe's environment, both
+# as variables and inside MAKEFLAGS, and the ledger's children read their
+# environment (its size shifts their heap layout, and with it the
+# calibration slice): keep them out of it.  `$(A)` and the rest still
+# expand in the recipes; no recipe here runs a sub-make.
+unexport A B W SEED PAIRS OUT SET LABEL PATHS
+MAKEOVERRIDES =
+
 .PHONY: test quicktest perf perf-compare perf-trajectory perf-pairs sloc knobs
 
 test:

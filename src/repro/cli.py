@@ -11,6 +11,11 @@ Commands
              adaptive tier merging, versioned weight hot-swap)
 ``profile``  profile one training iteration per optimization level
 ``dataset``  generate a corpus and print its statistics
+
+Each command builds its objects from the flags, runs them, and returns one
+summary read from their own records; :func:`main` prints it as ``key:
+value`` lines (docs/cli.md, "Output") and exits 1 on a diverged
+``--baseline`` or an unconverged relaxation.
 """
 
 from __future__ import annotations
@@ -77,7 +82,8 @@ def _engine_flags(p: argparse.ArgumentParser) -> None:
         "--baseline",
         action="store_true",
         help="also run eager unbatched inference (per request, or per "
-        "trajectory step) and report the speedup plus a bitwise equality check",
+        "trajectory step) and report its rate plus a bitwise equality check "
+        "(farm: and the speedup); a DIVERGED check exits 1",
     )
 
 
@@ -398,6 +404,28 @@ def _setup(command: str):
         raise SystemExit(f"{command}: {exc}") from None
 
 
+def _lines(summary: dict, prefix: str = ""):
+    """``key: value`` lines of ``summary``, nested dicts as dotted keys.
+
+    A zero, ``None``, an empty string or an empty list is left out, so a
+    feature the run did not use adds no line; a boolean always shows.
+    Lists are comma-joined and floats keep 4 significant digits.
+    """
+    for key, value in summary.items():
+        name = f"{prefix}{key}"
+        if isinstance(value, dict):
+            yield from _lines(value, f"{name}.")
+        elif isinstance(value, bool) or value not in (None, 0, "", [], ()):
+            items = value if isinstance(value, (list, tuple)) else [value]
+            text = ", ".join(f"{v:.4g}" if isinstance(v, float) else str(v) for v in items)
+            yield f"{name}: {text}"
+
+
+def _report(summary: dict) -> None:
+    """Print a command's summary: one ``key: value`` line per record."""
+    print("\n".join(_lines(summary)), flush=True)
+
+
 def _build_model(variant: str, seed: int, weights: str = ""):
     """A freshly initialized ``variant`` model, with ``weights`` loaded if given."""
     from repro.model import CHGNet, FastCHGNet
@@ -424,7 +452,7 @@ def _print_epoch(epoch: int, record) -> None:
     print(msg, flush=True)
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> dict:
     from repro.comm import FaultPlan
     from repro.data import generate_mptrj, split_dataset
     from repro.train import DistributedConfig, DistributedTrainer, evaluate, run_elastic
@@ -454,11 +482,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         if args.resume:
             build = partial(DistributedTrainer.resume, args.resume)
         trainer = build(model_factory, splits.train, config, plan, val_dataset=splits.val)
-    print(f"{args.variant}: {trainer.model.num_parameters():,} parameters")
+    summary = {"variant": args.variant, "parameters": trainer.model.num_parameters()}
     if args.resume:
-        print(
-            f"resumed from {args.resume}: epoch {trainer._epoch}, "
-            f"global step {trainer.global_step}"
+        summary["resumed from"] = (
+            f"{args.resume}: epoch {trainer._epoch}, global step {trainer.global_step}"
         )
     trainer.add_epoch_hook(_print_epoch)
     if plan is None:
@@ -472,33 +499,25 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
         trainer = elastic.trainer
         for f in elastic.failures:
-            print(
-                f"rank {f.rank} failed at step {f.step}: world "
-                f"{f.world_before} -> {f.world_after}, {f.steps_lost} steps "
+            summary[f"rank {f.rank} failed at step {f.step}"] = (
+                f"world {f.world_before} -> {f.world_after}, {f.steps_lost} steps "
                 f"redone, resume {f.resume_seconds * 1e3:.1f} ms"
             )
-        if trainer.flush_retries:
-            print(
-                f"flush retries: {trainer.flush_retries} "
-                f"(backoff {trainer.backoff_seconds * 1e3:.1f} ms)"
-            )
-    print(f"{trainer.global_step} global steps x {trainer.config.world_size} ranks")
-    if args.state:
-        print(f"training state checkpointed to {args.state}")
-    print(f"replicas in sync: {trainer.replicas_in_sync()}")
-    stats = trainer.compile_stats()
-    if stats is not None:
-        print(
-            f"compiled rank steps: {stats['replays']} replays / "
-            f"{stats['captures']} captures / {stats['eager_fallbacks']} eager fallbacks"
-        )
     result, _ = evaluate(trainer.model, splits.test)
-    print("| model | E (meV/atom) | F (meV/A) | S | M (m-muB) |")
-    print(result.row(args.variant))
     if args.checkpoint:
         trainer.model.save(args.checkpoint)
-        print(f"saved {args.checkpoint}")
-    return 0
+    return {
+        **summary,
+        "flush retries": trainer.flush_retries,
+        "flush backoff ms": trainer.backoff_seconds * 1e3,
+        "global steps": trainer.global_step,
+        "ranks": trainer.config.world_size,
+        "replicas in sync": trainer.replicas_in_sync(),
+        "compiled": trainer.compile_stats(),
+        "state": args.state,
+        "weights": args.checkpoint,
+        "test (E meV/atom, F meV/A, S GPa, M m-muB)": result.row(args.variant),
+    }
 
 
 def _model_calculator(args: argparse.Namespace):
@@ -506,16 +525,45 @@ def _model_calculator(args: argparse.Namespace):
     from repro.md import ModelCalculator, OracleCalculator
 
     if args.calculator == "oracle":
-        if args.skin:
-            print("warning: --skin only applies to model calculators; ignored")
-        if args.compile:
-            print("warning: --compile only applies to model calculators; ignored")
+        for flag, value in (("--skin", args.skin), ("--compile", args.compile)):
+            if value:
+                raise ValueError(
+                    f"{flag} only applies to model calculators, not --calculator oracle"
+                )
         return OracleCalculator()
     model = _build_model(args.calculator, 0, args.checkpoint)
     return ModelCalculator(model, skin=args.skin, compile=args.compile)
 
 
-def cmd_md(args: argparse.Namespace) -> int:
+def _run_trajectory(name: str, trajectory, calc, every: int, describe) -> dict:
+    """Run one MD or relaxation trajectory of structure ``name`` to the end,
+    printing a ``step`` line with ``describe(state)`` and the step's wall
+    time every ``every`` steps and at the last; returns the run's summary."""
+    crystal = trajectory.spec.crystal
+    trajectory.start(calc.calculate(crystal))
+    step_ms = []
+    while not trajectory.done:
+        t0 = time.perf_counter()
+        trajectory.advance(calc)
+        step_ms.append((time.perf_counter() - t0) * 1e3)
+        if trajectory.steps % every == 0 or trajectory.done:
+            print(
+                f"  step {trajectory.steps:4d}  {describe(trajectory.state)}  "
+                f"{step_ms[-1]:7.1f} ms/step"
+            )
+    result = trajectory.result()
+    return {
+        "structure": name,
+        "atoms": crystal.num_atoms,
+        "steps": result.steps,
+        "energy eV": result.energy,
+        "fmax eV/A": result.fmax,
+        "mean ms/step": float(np.mean(step_ms)) if step_ms else None,
+        "converged": result.converged if trajectory.kind == "relax" else None,
+    }
+
+
+def cmd_md(args: argparse.Namespace) -> dict:
     from repro.md import MDSpec, Trajectory, instantaneous_temperature
     from repro.structures import named_structures
 
@@ -528,24 +576,15 @@ def cmd_md(args: argparse.Namespace) -> int:
             crystal, args.steps, timestep_fs=args.timestep, temperature_k=args.temperature
         )
         trajectory = Trajectory(0, spec, record=False)
-    trajectory.start(calc.calculate(crystal))
-    print(f"{args.structure}: {crystal.num_atoms} atoms, {args.steps} steps")
-    step_ms = []
-    while not trajectory.done:
-        t0 = time.perf_counter()
-        trajectory.advance(calc)
-        step_ms.append((time.perf_counter() - t0) * 1e3)
-        state = trajectory.state
+
+    def describe(state) -> str:
         temperature = instantaneous_temperature(state.crystal, state.velocities)
-        print(
-            f"  step {trajectory.steps - 1:3d}  E_pot {state.potential_energy:10.4f} eV  "
-            f"T {temperature:7.1f} K  {step_ms[-1]:7.1f} ms/step"
-        )
-    print(f"mean step time: {np.mean(step_ms):.1f} ms")
-    return 0
+        return f"E_pot {state.potential_energy:10.4f} eV  T {temperature:7.1f} K"
+
+    return _run_trajectory(args.structure, trajectory, calc, 1, describe)
 
 
-def cmd_relax(args: argparse.Namespace) -> int:
+def cmd_relax(args: argparse.Namespace) -> dict:
     from repro.md import FIREConfig, RelaxSpec, Trajectory
     from repro.structures import named_structures
 
@@ -561,32 +600,19 @@ def cmd_relax(args: argparse.Namespace) -> int:
             timestep_fs=args.timestep,
         )
         trajectory = Trajectory(0, RelaxSpec(crystal, config), record=False)
-    trajectory.start(calc.calculate(crystal))
-    states = [trajectory.state]
-    while not trajectory.done:
-        trajectory.advance(calc)
-        states.append(trajectory.state)
-    result = trajectory.result()
-    print(
-        f"{args.structure}: {crystal.num_atoms} atoms, "
-        f"perturbed {args.perturb:.3f} A, fmax tolerance {args.fmax} eV/A"
-    )
-    stride = max(1, len(states) // 10)
-    for state in states:
-        if state.n_steps % stride == 0 or state.n_steps == result.steps:
-            print(
-                f"  step {state.n_steps:4d}  E {state.potential_energy:10.4f} eV  "
-                f"fmax {state.fmax:8.4f} eV/A  dt {state.dt:5.3f} fs"
-            )
-    status = "converged" if result.converged else "NOT converged"
-    print(
-        f"{status} in {result.steps} steps: E {result.energy:.4f} eV, "
-        f"fmax {result.fmax:.4f} eV/A"
-    )
-    return 0 if result.converged else 1
+
+    def describe(state) -> str:
+        return (
+            f"E {state.potential_energy:10.4f} eV  fmax {state.fmax:8.4f} eV/A  "
+            f"dt {state.dt:5.3f} fs"
+        )
+
+    every = max(1, args.max_steps // 10)
+    summary = _run_trajectory(args.structure, trajectory, calc, every, describe)
+    return {**summary, "perturb A": args.perturb, "fmax tolerance eV/A": args.fmax}
 
 
-def cmd_farm(args: argparse.Namespace) -> int:
+def cmd_farm(args: argparse.Namespace) -> dict:
     from repro.data import generate_mptrj
     from repro.md import (
         FIREConfig,
@@ -640,8 +666,9 @@ def cmd_farm(args: argparse.Namespace) -> int:
                     farm.add(make_md(crystal, seed=args.seed + i))
                 else:
                     farm.add(RelaxSpec(crystal, fire))
+    state = f"checkpointed to {args.state} (RCKPT1, resumable)" if args.state else None
     if args.resume:
-        print(f"resumed {len(farm)} trajectories from {args.state}")
+        state = f"resumed {len(farm)} trajectories from {args.state}"
     t0 = time.perf_counter()
     result = farm.run(
         max_waves=args.max_waves or None,
@@ -658,29 +685,14 @@ def cmd_farm(args: argparse.Namespace) -> int:
     fmax = relax[0].config.fmax if relax else args.fmax
     converged = sum(1 for r in result.results if r.kind == "relax" and r.converged)
     rate = stats.structure_steps / wall if wall > 0 else float("inf")
-    print(
-        f"{len(result.results)} trajectories ({len(md)} MD x {steps} steps, "
-        f"{len(relax)} relax @ fmax {fmax}): {stats.structure_steps} "
-        f"structure-steps in {wall:.3f}s ({rate:.1f} steps/s)"
-    )
-    print(
-        f"  {stats.waves} waves (sizes {stats.wave_sizes[0]} -> {stats.wave_sizes[-1]}), "
-        f"{stats.evaluations} evaluations, {converged}/{len(relax)} relaxations converged"
-    )
-    if args.state:
-        print(f"  farm state checkpointed to {args.state} (RCKPT1, resumable)")
-    print(
-        f"  neighbor cache: {stats.neighbor_builds} builds / "
-        f"{stats.neighbor_reuses} reuses; angle arrays: "
-        f"{stats.diff.angle_reuses} reused / {stats.diff.angle_diffs} diffed / "
-        f"{stats.diff.angle_rebuilds} rebuilt"
-    )
-    if args.compile:
-        snap = engine.snapshot()
-        print(
-            f"  program cache: {snap['replays']} replays / {snap['captures']} captures "
-            f"(hit rate {snap['hit_rate'] * 100:.1f}%)"
-        )
+    summary = {
+        "state": state,
+        "run": f"{len(result.results)} trajectories ({len(md)} MD x {steps} steps, "
+        f"{len(relax)} relax @ fmax {fmax}) in {wall:.3f}s ({rate:.1f} steps/s)",
+        "relax": f"{converged}/{len(relax)} relaxations converged",
+        "farm": stats.as_dict(),
+        "compiled": engine.compile_stats(),
+    }
     if args.baseline:
         calc = ModelCalculator(model)
         t0 = time.perf_counter()
@@ -697,18 +709,13 @@ def cmd_farm(args: argparse.Namespace) -> int:
             )
             for f, b in zip(result.results, base)
         )
-        base_rate = stats.structure_steps / base_wall if base_wall > 0 else float("inf")
-        print(
-            f"  sequential eager baseline: {base_rate:.1f} steps/s -> "
-            f"speedup {base_wall / wall:.2f}x, "
-            f"{'bit-identical' if identical else 'DIVERGED'}"
-        )
-        if not identical:
-            return 1
-    return 0
+        summary["baseline"] = "bit-identical" if identical else "DIVERGED"
+        summary["baseline steps/s"] = stats.structure_steps / base_wall
+        summary["speedup"] = base_wall / wall
+    return summary
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
+def cmd_serve(args: argparse.Namespace) -> dict:
     from repro.data import generate_mptrj
     from repro.graph.crystal_graph import build_graph
     from repro.serve import (
@@ -816,63 +823,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     preds = _drive_queue(stream) if use_queue else engine.predict_many(stream)
     wall = time.perf_counter() - t0
     served = sum(p is not None for p in preds)
-    print(f"{served}/{len(preds)} requests in {wall:.3f}s ({served / wall:.1f} structs/s)")
-    snap = engine.snapshot()
-    print(
-        f"served over {args.workers} workers, "
-        f"{snap['batches']} batches total"
-    )
-    if args.publish_every:
-        print(f"published {snap['publishes'] - 1} new weight versions mid-stream")
-    if args.merge_tiers:
-        print(
-            f"adaptive merging absorbed {snap['merges']} requests across tiers "
-            f"({snap['merged_batches']} mixed-tier batches, "
-            f"padding overhead {snap['padding_overhead'] * 100:.1f}%)"
-        )
-    if args.memoize:
-        print(
-            f"collate memoization: {snap['collate_hits']} hits / "
-            f"{snap['collate_misses']} misses"
-        )
-    if args.inject_worker_fault or args.hedge or args.deadline:
-        print(
-            f"fault tolerance: {snap['worker_failures']} worker failures, "
-            f"{snap['retries']} retries, {snap['worker_replacements']} "
-            f"replacements, {snap['hedges']} hedges ({snap['hedge_wins']} "
-            f"won), {snap['deadline_misses']} deadline misses"
-        )
-        if fault_plan.unfired():
-            print(f"  warning: planned faults never fired: {fault_plan.unfired()}")
-    if tenants is not None or args.request_class != "bulk":
-        for name in sorted(snap["tenants"]):
-            block = snap["tenants"][name]
-            print(
-                f"tenant {name} (weight {engine.tenants[name].weight:g}): "
-                f"{block['served']} served, {block['shed']} shed, "
-                f"{block['expired']} expired, "
-                f"p95 {block['latency_p95'] * 1e3:.1f} ms"
-            )
-        for cls in sorted(snap["class_latency_p95"]):
-            print(
-                f"class {cls}: modeled p95 "
-                f"{snap['class_latency_p95'][cls] * 1e3:.1f} ms"
-            )
-    if autoscale is not None:
-        print(
-            f"autoscale: +{snap['scale_outs']} scale-outs / "
-            f"-{snap['scale_ins']} scale-ins, final fleet size {engine.fleet_size}"
-        )
-    print(
-        f"modeled latency p50 {snap['latency_p50'] * 1e3:.1f} ms, "
-        f"p95 {snap['latency_p95'] * 1e3:.1f} ms"
-    )
-    if args.compile:
-        print(
-            f"program cache: {snap['replays']} replays / {snap['captures']} captures "
-            f"/ {snap['eager_fallbacks']} eager fallbacks "
-            f"(hit rate {snap['hit_rate'] * 100:.1f}%)"
-        )
+    summary = {
+        "run": f"{served}/{len(preds)} requests in {wall:.3f}s ({served / wall:.1f} structs/s)",
+        "fleet size": engine.fleet_size,
+        "engine": engine.snapshot(),
+        "unfired faults": fault_plan.unfired(),
+    }
     if args.baseline:
         eager = InferenceEngine(model, n_workers=1, compile=False, max_batch_structs=1)
         t0 = time.perf_counter()
@@ -886,14 +842,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             for a, b in zip(preds, base)
             if a is not None  # shed requests have no bits to compare
         )
-        print(
-            f"eager per-request baseline: {len(base) / base_wall:.1f} structs/s, "
-            f"{'bit-identical' if identical else 'DIVERGED'}"
-        )
-    return 0
+        summary["baseline"] = "bit-identical" if identical else "DIVERGED"
+        summary["baseline structs/s"] = len(base) / base_wall
+    return summary
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
+def cmd_profile(args: argparse.Namespace) -> dict:
     from repro.data import generate_mptrj, split_dataset
     from repro.model import CHGNetConfig, CHGNetModel, OptLevel
     from repro.runtime import device_profile
@@ -903,7 +857,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         entries = generate_mptrj(args.structures, seed=2, max_atoms=10)
         splits = split_dataset(entries, seed=0, fractions=(0.8, 0.1, 0.1))
         batch = splits.train.batch(np.arange(min(args.batch_size, len(splits.train))))
-    print(f"{'level':16s} {'time (s)':>9s} {'kernels':>8s} {'tape MiB':>9s}")
+    summary = {}
     for level in OptLevel:
         model = CHGNetModel(CHGNetConfig(opt_level=level), np.random.default_rng(1))
         loss_fn = CompositeLoss()
@@ -918,27 +872,25 @@ def cmd_profile(args: argparse.Namespace) -> int:
         step()
         with device_profile() as prof:
             step()
-        print(
-            f"{level.name:16s} {prof.wall_time:9.3f} {prof.kernels.count:8d} "
-            f"{prof.memory.peak_mib:9.1f}"
-        )
+        kernels, peak = prof.kernels.count, prof.memory.peak_mib
+        summary[level.name] = {"time s": prof.wall_time, "kernels": kernels, "tape MiB": peak}
         del model
-    return 0
+    return summary
 
 
-def cmd_dataset(args: argparse.Namespace) -> int:
+#: The per-quantity statistics ``dataset`` reports.
+_STATS = {"min": np.min, "median": np.median, "mean": np.mean, "max": np.max}
+
+
+def cmd_dataset(args: argparse.Namespace) -> dict:
     from repro.data import dataset_statistics, generate_mptrj
 
     with _setup("dataset"):
         entries = generate_mptrj(args.structures, seed=args.seed, max_atoms=args.max_atoms)
-    stats = dataset_statistics(entries)
-    print(f"{args.structures} structures (max {args.max_atoms} atoms):")
-    for name, arr in stats.items():
-        print(
-            f"  {name:7s} min {arr.min():6d}  median {int(np.median(arr)):6d}  "
-            f"mean {arr.mean():8.1f}  max {arr.max():6d}"
-        )
-    return 0
+    summary = {"structures": args.structures, "max atoms": args.max_atoms}
+    for name, arr in dataset_statistics(entries).items():
+        summary[name] = {key: float(stat(arr)) for key, stat in _STATS.items()}
+    return summary
 
 
 COMMANDS = {
@@ -954,7 +906,10 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    summary = COMMANDS[args.command](args)
+    _report(summary)
+    # A diverged --baseline or an unconverged relaxation fails the run.
+    return int(summary.get("baseline") == "DIVERGED" or summary.get("converged") is False)
 
 
 if __name__ == "__main__":

@@ -44,16 +44,6 @@ class GraphDiffStats:
     angles_copied: int = 0
     angles_recomputed: int = 0
 
-    def as_dict(self) -> dict:
-        """Flat counter dict (for farm stats / bench reports)."""
-        return {
-            "angle_reuses": self.angle_reuses,
-            "angle_diffs": self.angle_diffs,
-            "angle_rebuilds": self.angle_rebuilds,
-            "angles_copied": self.angles_copied,
-            "angles_recomputed": self.angles_recomputed,
-        }
-
 
 @dataclass
 class CrystalGraph:

@@ -50,6 +50,7 @@ from repro.md.integrator import (
     rescale_to_temperature,
 )
 from repro.md.relax import FIRE, FIREConfig, FIREState, max_force_norm
+from repro.serve.tenants import counters
 from repro.structures.crystal import Crystal
 from repro.structures.lattice import Lattice
 from repro.structures.neighbors import NeighborCache
@@ -132,18 +133,9 @@ class FarmStats:
     diff: GraphDiffStats = field(default_factory=GraphDiffStats)
 
     def as_dict(self) -> dict:
-        """Flat counter dict (for benches/CLI)."""
-        out = {
-            "waves": self.waves,
-            "structure_steps": self.structure_steps,
-            "evaluations": self.evaluations,
-            "retired": self.retired,
-            "wave_sizes": list(self.wave_sizes),
-            "neighbor_builds": self.neighbor_builds,
-            "neighbor_reuses": self.neighbor_reuses,
-        }
-        out.update(self.diff.as_dict())
-        return out
+        """Flat dict of every counter field, the wave sizes and the angle
+        diff counters (for the CLI summary)."""
+        return {**counters(self), "wave_sizes": list(self.wave_sizes), **counters(self.diff)}
 
 
 @dataclass

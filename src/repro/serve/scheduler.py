@@ -23,16 +23,20 @@ Start-time fair queuing (:class:`FairScheduler`)
     bit-for-bit the pre-tenancy engine.
 
 Load-driven elasticity (:class:`Autoscaler`)
-    The engine's latency model is fully deterministic (measured service
-    times on virtual worker clocks), which makes the scale-out signal
-    honest: when the modeled p95 of the interactive class breaches
-    the SLA for :data:`BREACH_SCANS` consecutive drain scans, one worker is
-    added — a fresh replica on the :class:`~repro.tensor.compile.
-    SharedProgramCache` (zero recaptures, the PR-8 in-place replacement
-    machinery).  When the queue stays empty and the whole fleet idle for
-    :data:`IDLE_SCANS` scans, the highest-index worker is drained and
-    retired.  Retired slots are reactivated before new replicas are
-    built, so repeated load swings don't grow the fleet without bound.
+    The engine's latency model runs on virtual worker clocks advanced by
+    *measured* service times, so the scale-out signal follows the work
+    actually done, but a run is not repeatable at one seed: paced
+    dispatch, hedging and the autoscaler read those clocks, and a run's
+    timings move them (tests pin ``time.perf_counter`` to a fixed step, as
+    ``tests/test_dispatch_loop.py`` does, to make them repeat).  When the
+    modeled p95 of the interactive class breaches the SLA for
+    :data:`BREACH_SCANS` consecutive drain scans, one worker is added — a
+    fresh replica on the :class:`~repro.tensor.compile.SharedProgramCache`
+    (zero recaptures, the in-place worker replacement machinery).  When
+    the queue stays empty and the whole fleet idle for :data:`IDLE_SCANS`
+    scans, the highest-index worker is drained and retired.  Retired slots
+    are reactivated before new replicas are built, so repeated load swings
+    don't grow the fleet without bound.
 
 Grouping (:func:`plan_groups`)
     Which queued requests share a micro-batch: per-tier chunks of

@@ -230,6 +230,30 @@ def test_train_kill_recover_resume_cycle(tmp_path, capsys):
 # a few structures so each finishes in about a second.
 _SMALL_POOL = ["--structures", "6", "--max-atoms", "6"]
 
+# Every serving feature at once, through the async queue.
+_SERVE_QUEUE = [
+    "serve",
+    "--requests",
+    "24",
+    "--tenants",
+    "a:1,b:4:4",
+    "--class",
+    "mixed",
+    "--autoscale",
+    "4",
+    "--inject-worker-fault",
+    "kill:1:2",
+    "--hedge",
+    "--deadline",
+    "0.5",
+    "--merge-tiers",
+    "--memoize",
+    "8",
+    "--publish-every",
+    "8",
+    "--baseline",
+]
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -238,31 +262,7 @@ _SMALL_POOL = ["--structures", "6", "--max-atoms", "6"]
             ["serve", "--compile", "--baseline", "--requests", "16"],
             id="serve-synchronous",
         ),
-        pytest.param(
-            [
-                "serve",
-                "--requests",
-                "24",
-                "--tenants",
-                "a:1,b:4:4",
-                "--class",
-                "mixed",
-                "--autoscale",
-                "4",
-                "--inject-worker-fault",
-                "kill:1:2",
-                "--hedge",
-                "--deadline",
-                "0.5",
-                "--merge-tiers",
-                "--memoize",
-                "8",
-                "--publish-every",
-                "8",
-                "--baseline",
-            ],
-            id="serve-queue",
-        ),
+        pytest.param(_SERVE_QUEUE, id="serve-queue"),
         pytest.param(
             [
                 "farm",
@@ -293,6 +293,93 @@ def test_command_runs_end_to_end(argv, capsys):
     out = capsys.readouterr().out
     if "--baseline" in argv:
         assert "bit-identical" in out
+
+
+def test_report_prints_dotted_lines_and_drops_unused_values(capsys):
+    """Nested dicts print as dotted keys, lists comma-joined, floats to 4
+    significant digits; zeros, ``None``, empty strings and empty lists are
+    left out, and a boolean always shows."""
+    from repro.cli import _report
+
+    _report(
+        {
+            "run": "4/4 requests",
+            "engine": {"batches": 3, "retries": 0, "tenants": {"a": {"served": 12}}},
+            "latency_p95": 0.0123456,
+            "wave_sizes": [6, 3, 1],
+            "unfired": [],
+            "resumed from": None,
+            "state": "",
+            "rate": 0.0,
+            "replicas in sync": False,
+        }
+    )
+    assert capsys.readouterr().out.splitlines() == [
+        "run: 4/4 requests",
+        "engine.batches: 3",
+        "engine.tenants.a.served: 12",
+        "latency_p95: 0.01235",
+        "wave_sizes: 6, 3, 1",
+        "replicas in sync: False",
+    ]
+
+
+def _scalar_lines(block: dict, prefix: str) -> list[str]:
+    """The line each nonzero scalar of ``block`` should print as."""
+    lines = []
+    for key, value in block.items():
+        if isinstance(value, dict):
+            lines += _scalar_lines(value, f"{prefix}{key}.")
+        elif value:
+            text = f"{value:.4g}" if isinstance(value, float) else str(value)
+            lines.append(f"{prefix}{key}: {text}")
+    return lines
+
+
+def test_serve_summary_prints_every_nonzero_engine_counter(monkeypatch, capsys):
+    """Whatever the flags, every nonzero scalar of the run's
+    ``engine.snapshot()`` prints as its own line."""
+    from repro.cli import main
+    from repro.serve import InferenceEngine
+
+    snapshots = []
+    real = InferenceEngine.snapshot
+
+    def recording(engine):
+        snapshots.append(real(engine))
+        return snapshots[-1]
+
+    monkeypatch.setattr(InferenceEngine, "snapshot", recording)
+    assert main([*_SERVE_QUEUE, *_SMALL_POOL]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (snap,) = snapshots
+    expected = _scalar_lines(snap, "engine.")
+    assert len(expected) > 20
+    assert [line for line in expected if line not in lines] == []
+
+
+def test_serve_baseline_divergence_fails_the_run(monkeypatch, capsys):
+    """A ``serve --baseline`` whose eager predictions differ exits 1, as
+    ``farm --baseline`` does."""
+    import dataclasses
+
+    from repro.cli import main
+    from repro.serve import InferenceEngine
+
+    real = InferenceEngine.predict_many
+    calls = []
+
+    def perturbed(engine, items):
+        preds = real(engine, items)
+        calls.append(engine)
+        if len(calls) == 2:  # the eager per-request baseline
+            preds[0] = dataclasses.replace(preds[0], energy_per_atom=preds[0].energy_per_atom + 1)
+        return preds
+
+    monkeypatch.setattr(InferenceEngine, "predict_many", perturbed)
+    assert main(["serve", "--baseline", "--requests", "4", *_SMALL_POOL]) == 1
+    assert len(calls) == 2
+    assert "baseline: DIVERGED" in capsys.readouterr().out
 
 
 def _spy_on_data(monkeypatch) -> list:
@@ -334,6 +421,12 @@ _BAD_FLAGS = [
     ("md --steps -2", "md: --steps must be >= 1, got -2", True),
     ("md --timestep 0", "md: timestep must be positive, got 0.0", True),
     ("md --calculator fast --skin -1", "md: skin must be non-negative, got -1.0", True),
+    ("md --skin 1", "md: --skin only applies to model calculators, not --calculator oracle", True),
+    (
+        "relax --compile",
+        "relax: --compile only applies to model calculators, not --calculator oracle",
+        True,
+    ),
     ("relax --fmax 0", "relax: fmax must be positive, got 0.0", True),
     ("relax --max-steps -1", "relax: max_steps must be non-negative, got -1", True),
     ("relax --timestep 5", "relax: timestep_fs must lie in (0, 2.0], got 5.0", True),
