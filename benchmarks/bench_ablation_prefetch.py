@@ -32,7 +32,7 @@ def _epoch_seconds(prefetch: bool) -> float:
     sampler = DefaultSampler(splits.train.feature_numbers, 8, world_size=1)
     steps = ShardedLoader(splits.train, sampler).iter_epoch(0)
     if prefetch:
-        steps = PrefetchQueue(steps, depth=1)
+        steps = PrefetchQueue(steps)
     t0 = time.perf_counter()
     for (batch,) in steps:
         model.zero_grad()

@@ -13,6 +13,11 @@ run on the same parameter, gradient and moment arrays (so weights stay
 bit-identical between blocks).  The ledger compares two processes, and its
 calibration slice moves with process layout by more than this change saves
 (docs/perf/pr34_ledger.md); this harness has no such term.
+
+It runs only on the trees up to commit 8e96f18: the old side reads
+``Adam``'s ``beta1``, ``beta2``, ``eps`` and ``weight_decay`` attributes,
+which the next commit replaced with the module constants of
+``repro.train.optimizer`` (and no weight decay).
 """
 
 from __future__ import annotations

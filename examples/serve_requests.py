@@ -116,8 +116,7 @@ trainer = ServingTrainer(
     live,
     config=DistributedConfig(
         world_size=1, global_batch_size=8, epochs=2, scale_lr=False, seed=0
-    ),
-    publish_every=1,  # stream every epoch's checkpoint into the fleet
+    ),  # every epoch's checkpoint streams into the fleet
 )
 trainer.train()
 print(

@@ -760,10 +760,7 @@ def cmd_serve(args: argparse.Namespace) -> dict:
             autoscale=autoscale,
         )
         pool = generate_mptrj(args.structures, seed=args.seed, max_atoms=args.max_atoms)
-    graphs = [
-        build_graph(e.crystal, model.config.cutoff_atom, model.config.cutoff_bond)
-        for e in pool
-    ]
+    graphs = [build_graph(e.crystal) for e in pool]
     stream = [graphs[i % len(graphs)] for i in range(args.requests)]
     tenant_names = [p.name for p in tenants] if tenants else [None]
 

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.mptrj import LabeledStructure
-from repro.graph.batching import Labels, collate
-from repro.graph.crystal_graph import CrystalGraph, GraphDiffStats, build_graph
+from repro.graph.batching import GraphBatch, Labels, collate
+from repro.graph.crystal_graph import CrystalGraph, build_graph
 from repro.structures.elements import MAX_Z
-from repro.structures.neighbors import NeighborCache
 
 
 class CompositionNormalizer:
@@ -80,111 +78,41 @@ class DatasetSplits:
     test: "StructureDataset"
 
 
-def _build_graphs(
-    entries: list[LabeledStructure],
-    cutoff_atom: float,
-    cutoff_bond: float,
-    n_workers: int | None,
-    skin: float = 0.0,
-    cache: NeighborCache | None = None,
-    diff_stats: GraphDiffStats | None = None,
-) -> list[CrystalGraph]:
+def _build_graphs(entries: list[LabeledStructure], n_workers: int | None) -> list[CrystalGraph]:
     """Build one graph per entry, optionally through a worker pool.
 
     ``n_workers`` > 1 fans the per-structure graph construction out to a
     thread pool (the heavy parts — neighbor search, sorting, the vectorized
     angle assembly — run in NumPy's C loops, which release the GIL).  Order
     and results are identical to the serial build.
-
-    ``skin`` > 0 instead builds serially through one Verlet
-    :class:`NeighborCache` (passed as ``cache``) shared across consecutive
-    entries, with the angle arrays diffed against each previous build —
-    the trajectory-dataset case, where consecutive frames of one base
-    structure reuse the pair search.  The cache's own rebuild checks
-    (lattice/species/displacement) keep every graph exact, so arbitrary
-    entry orders are safe, just cache-cold.
     """
-    if skin > 0:
-        graphs: list[CrystalGraph] = []
-        prev: CrystalGraph | None = None
-        for e in entries:
-            graph = build_graph(
-                e.crystal,
-                cutoff_atom,
-                cutoff_bond,
-                nl=cache.query(e.crystal),
-                prev=prev,
-                diff_stats=diff_stats,
-            )
-            graphs.append(graph)
-            prev = graph
-        return graphs
     if not n_workers or n_workers <= 1 or len(entries) < 2:
-        return [build_graph(e.crystal, cutoff_atom, cutoff_bond) for e in entries]
+        return [build_graph(e.crystal) for e in entries]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(
-            pool.map(lambda e: build_graph(e.crystal, cutoff_atom, cutoff_bond), entries)
-        )
+        return list(pool.map(lambda e: build_graph(e.crystal), entries))
 
 
 class StructureDataset:
     """Labeled structures with graphs precomputed once (as reference CHGNet does).
 
-    ``memoize_batches`` turns on collate memoization: repeated :meth:`batch`
-    calls with an identical index tuple return the same assembled
-    :class:`GraphBatch` object instead of re-collating.  This pays off for
-    fixed index sets — eval loaders with ``shuffle=False``, static shards.
-    Passing an ``int`` bounds the cache with that many entries (LRU
-    eviction), which makes memoization safe to leave on under shuffled
-    loaders too; ``True`` keeps the cache unbounded and is off by default.
-    Cached batches are shared; callers must treat them as read-only.
+    Every graph is built at the graph layer's cutoffs
+    (:data:`~repro.graph.crystal_graph.CUTOFF_ATOM` /
+    :data:`~repro.graph.crystal_graph.CUTOFF_BOND`), the ones every model
+    reads through its config, so a model never trains on graphs built at
+    other cutoffs than it serves on.
 
     ``n_workers`` parallelizes the one-time graph construction (see
     :func:`_build_graphs`); the default stays serial.
-
-    ``skin`` > 0 builds graphs through one Verlet neighbor cache shared
-    across consecutive entries (serial; mutually exclusive with
-    ``n_workers`` > 1) — the win for relaxation/MD trajectory datasets
-    whose consecutive frames share a base structure.  Graphs are
-    bit-identical to the default build; :attr:`neighbor_builds` /
-    :attr:`neighbor_reuses` and :attr:`graph_diff_stats` report how much
-    work the cache saved.
     """
 
-    def __init__(
-        self,
-        entries: list[LabeledStructure],
-        cutoff_atom: float = 6.0,
-        cutoff_bond: float = 3.0,
-        memoize_batches: bool | int = False,
-        n_workers: int | None = None,
-        skin: float = 0.0,
-    ) -> None:
+    def __init__(self, entries: list[LabeledStructure], n_workers: int | None = None) -> None:
         if not entries:
             raise ValueError("dataset must contain at least one entry")
-        if skin < 0:
-            raise ValueError(f"skin must be non-negative, got {skin}")
-        if skin > 0 and n_workers and n_workers > 1:
-            raise ValueError("skin-cached graph building is serial; use n_workers=1")
         self.entries = entries
-        self.cutoff_atom = cutoff_atom
-        self.cutoff_bond = cutoff_bond
-        self.memoize_batches = memoize_batches
-        self.skin = skin
-        self._skin_cache = NeighborCache(cutoff_atom, skin) if skin > 0 else None
-        self.graph_diff_stats = GraphDiffStats()
-        self._batch_cache: OrderedDict[tuple[int, ...], object] = OrderedDict()
-        self.graphs: list[CrystalGraph] = _build_graphs(
-            entries,
-            cutoff_atom,
-            cutoff_bond,
-            n_workers,
-            skin=skin,
-            cache=self._skin_cache,
-            diff_stats=self.graph_diff_stats,
-        )
+        self._batch_cache: dict[tuple[int, ...], GraphBatch] = {}
+        self.graphs: list[CrystalGraph] = _build_graphs(entries, n_workers)
         self.feature_numbers = np.array([g.feature_number for g in self.graphs])
         # Per-graph (atoms, edges, short edges, angles): the padding planner's
         # input (BucketBatchSampler dims).
@@ -199,47 +127,27 @@ class StructureDataset:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def neighbor_builds(self) -> int:
-        """Pair searches run during skin-cached graph building (0 otherwise)."""
-        return self._skin_cache.num_builds if self._skin_cache is not None else 0
-
-    @property
-    def neighbor_reuses(self) -> int:
-        """Graph builds that reused the cached pair search (0 otherwise)."""
-        return self._skin_cache.num_reuses if self._skin_cache is not None else 0
-
-    @property
-    def _cache_cap(self) -> int | None:
-        """Max memoized batches (None: unbounded)."""
-        cap = self.memoize_batches
-        return cap if isinstance(cap, int) and not isinstance(cap, bool) else None
-
     def labels(self, i: int) -> Labels:
         return self.entries[i].labels
 
-    def batch(self, indices: list[int] | np.ndarray, memoize: bool | None = None):
+    def batch(self, indices: list[int] | np.ndarray, memoize: bool = False) -> GraphBatch:
         """Collate the given entries into a :class:`GraphBatch`.
 
-        ``memoize`` overrides the dataset-level ``memoize_batches`` default
-        for this call (the dataset-level value still provides the LRU cap).
+        ``memoize`` returns the batch assembled by an earlier memoized call
+        with the identical index tuple instead of re-collating — the win for
+        fixed index sets (static shards), which is what memoizing callers
+        pass.  Cached batches are shared; callers must treat them as
+        read-only.
         """
         key = tuple(int(i) for i in indices)
-        if memoize is None:
-            memoize = bool(self.memoize_batches)
-        if memoize:
-            cached = self._batch_cache.get(key)
-            if cached is not None:
-                self._batch_cache.move_to_end(key)
-                return cached
+        cached = self._batch_cache.get(key) if memoize else None
+        if cached is not None:
+            return cached
         batch = collate(
             [self.graphs[i] for i in key], [self.entries[i].labels for i in key]
         )
         if memoize:
             self._batch_cache[key] = batch
-            cap = self._cache_cap
-            if cap is not None and len(self._batch_cache) > cap:
-                self._batch_cache.popitem(last=False)
         return batch
 
 
@@ -247,12 +155,10 @@ def split_dataset(
     entries: list[LabeledStructure],
     seed: int = 0,
     fractions: tuple[float, float, float] = (0.9, 0.05, 0.05),
-    normalize: bool = True,
-    cutoff_atom: float = 6.0,
-    cutoff_bond: float = 3.0,
     n_workers: int | None = None,
 ) -> DatasetSplits:
-    """Shuffle, split 0.9/0.05/0.05 and (optionally) normalize energies."""
+    """Shuffle, split 0.9/0.05/0.05 and normalize energies by the
+    composition references fitted on the training split."""
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"split fractions must sum to 1, got {fractions}")
     rng = np.random.default_rng(seed)
@@ -268,13 +174,10 @@ def split_dataset(
     train = [entries[i] for i in train_idx]
     val = [entries[i] for i in val_idx]
     test = [entries[i] for i in test_idx]
-    if normalize:
-        normalizer = CompositionNormalizer().fit(train)
-        train = normalizer.transform(train)
-        val = normalizer.transform(val)
-        test = normalizer.transform(test)
+    normalizer = CompositionNormalizer().fit(train)
     return DatasetSplits(
-        train=StructureDataset(train, cutoff_atom, cutoff_bond, n_workers=n_workers),
-        val=StructureDataset(val, cutoff_atom, cutoff_bond, n_workers=n_workers),
-        test=StructureDataset(test, cutoff_atom, cutoff_bond, n_workers=n_workers),
+        *(
+            StructureDataset(normalizer.transform(split), n_workers=n_workers)
+            for split in (train, val, test)
+        )
     )

@@ -7,11 +7,9 @@ in a background worker while the current one trains.
 
 The loader advances its ``epoch`` counter when an iterator is *created*, so
 a consumer that breaks out mid-epoch still sees a fresh shuffle order on
-the next pass.  ``memoize`` is tri-state: ``True`` reuses assembled batches
-for repeated index tuples (fixed shards), ``False`` forces re-collation even
-on a memoizing dataset (shuffled shards rarely repeat a tuple, so caching
-would only grow), and ``None`` (default) defers to the dataset's
-``memoize_batches`` setting; see
+the next pass.  ``memoize`` reuses assembled batches for repeated index
+tuples (fixed shards); it is off by default, because shuffled shards rarely
+repeat a tuple and the cache would only grow; see
 :meth:`repro.data.dataset.StructureDataset.batch`.
 """
 
@@ -79,7 +77,7 @@ class ShardedLoader:
         self,
         dataset: StructureDataset,
         sampler: BatchSampler,
-        memoize: bool | None = None,
+        memoize: bool = False,
     ) -> None:
         self.dataset = dataset
         self.sampler = sampler

@@ -34,6 +34,9 @@ from repro.structures.prototypes import (
     zincblende,
 )
 
+#: Most snapshots one base structure contributes (its trajectory length).
+FRAMES_PER_STRUCTURE = 3
+
 # Cations: metals & metalloids; anions: the usual compound formers.
 _ANIONS = (7, 8, 9, 16, 17, 34, 35, 53)
 _CATIONS = tuple(z for z in MPTRJ_ELEMENTS if z not in _ANIONS and z != 1)
@@ -108,17 +111,12 @@ def _longtail_supercell(base: Crystal, rng: np.random.Generator, max_atoms: int)
     return base.supercell((reps[0], reps[1], reps[2]))
 
 
-def generate_crystals(
-    n_structures: int,
-    seed: int = 0,
-    max_atoms: int = 48,
-    frames_per_structure: int = 3,
-) -> list[Crystal]:
+def generate_crystals(n_structures: int, seed: int = 0, max_atoms: int = 48) -> list[Crystal]:
     """Generate ``n_structures`` crystal snapshots (no labels).
 
     Deterministic in ``seed``.  Snapshots come in short "trajectories":
-    a base crystal plus perturbed/strained frames of increasing amplitude,
-    mimicking relaxation trajectories.
+    a base crystal plus up to :data:`FRAMES_PER_STRUCTURE` perturbed/strained
+    frames of increasing amplitude, mimicking relaxation trajectories.
     """
     if n_structures <= 0:
         raise ValueError(f"n_structures must be positive, got {n_structures}")
@@ -133,7 +131,7 @@ def generate_crystals(
         if base.num_atoms > max_atoms:
             continue
         base = _longtail_supercell(base, rng, max_atoms)
-        n_frames = int(rng.integers(1, frames_per_structure + 1))
+        n_frames = int(rng.integers(1, FRAMES_PER_STRUCTURE + 1))
         for frame in range(n_frames):
             if len(crystals) >= n_structures:
                 break
@@ -149,17 +147,15 @@ def generate_crystals(
 
 
 def generate_mptrj(
-    n_structures: int,
-    seed: int = 0,
-    max_atoms: int = 48,
-    frames_per_structure: int = 3,
-    oracle: OraclePotential | None = None,
+    n_structures: int, seed: int = 0, max_atoms: int = 48
 ) -> list[LabeledStructure]:
     """Generate ``n_structures`` oracle-labeled snapshots (see
     :func:`generate_crystals` for the sampling scheme)."""
-    oracle = oracle or OraclePotential()
-    crystals = generate_crystals(n_structures, seed, max_atoms, frames_per_structure)
-    return [LabeledStructure(c, oracle.label(c)) for c in crystals]
+    oracle = OraclePotential()
+    return [
+        LabeledStructure(c, oracle.label(c))
+        for c in generate_crystals(n_structures, seed, max_atoms)
+    ]
 
 
 def dataset_statistics(entries: list[LabeledStructure]) -> dict[str, np.ndarray]:

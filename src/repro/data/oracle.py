@@ -41,18 +41,15 @@ from repro.tensor import (
 )
 
 
+#: Pair-term cutoff, angular-term (and magmom first-shell) cutoff, in
+#: angstrom, and the smoothing coefficient of their envelope.
+CUTOFF = 6.0
+ANGLE_CUTOFF = 3.0
+ENVELOPE_P = 6.0
+
+
 class OraclePotential:
     """Deterministic many-body potential with consistent E/F/S/M labels."""
-
-    def __init__(
-        self,
-        cutoff: float = 6.0,
-        angle_cutoff: float = 3.0,
-        envelope_p: float = 6.0,
-    ) -> None:
-        self.cutoff = cutoff
-        self.angle_cutoff = angle_cutoff
-        self.envelope_p = envelope_p
 
     # --------------------------------------------------------- element params
     def pair_params(self, z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -72,7 +69,7 @@ class OraclePotential:
     # ------------------------------------------------------------ energy expr
     def _energy(self, crystal: Crystal, disp: Tensor, strain: Tensor) -> Tensor:
         """Differentiable total energy given displacement/strain tensors."""
-        nl = neighbor_list(crystal, self.cutoff)
+        nl = neighbor_list(crystal, CUTOFF)
         if nl.num_pairs == 0:
             raise ValueError(f"oracle found no pairs in {crystal.formula}")
         lat = matmul(Tensor(crystal.lattice.matrix), add(Tensor(np.eye(3)), strain))
@@ -84,14 +81,14 @@ class OraclePotential:
         d = sqrt(tsum(mul(vec, vec), axis=-1))
 
         depth, width, r0 = self.pair_params(crystal.species[nl.src], crystal.species[nl.dst])
-        env = Tensor(_envelope_np(np.clip(nl.dist / self.cutoff, 0.0, 1.0), self.envelope_p))
+        env = Tensor(_envelope_np(np.clip(nl.dist / CUTOFF, 0.0, 1.0), ENVELOPE_P))
         # Morse: D * ((1 - exp(-a (r - r0)))^2 - 1); each pair appears twice.
         x = exp(neg(mul(Tensor(width), sub(d, Tensor(r0)))))
         pair = mul(Tensor(depth), sub(mul(sub(1.0, x), sub(1.0, x)), 1.0))
         e_pair = mul(tsum(mul(pair, env)), 0.5)
 
         # Angular term over short-bond pairs sharing a center.
-        short = np.flatnonzero(nl.dist <= self.angle_cutoff)
+        short = np.flatnonzero(nl.dist <= ANGLE_CUTOFF)
         e_angle = Tensor(np.zeros(()))
         if short.size:
             s_src = nl.src[short]
@@ -119,7 +116,7 @@ class OraclePotential:
                 )
                 k, cos0 = self.angle_params(center_z)
                 w = Tensor(
-                    _envelope_np(np.clip(nl.dist[short] / self.angle_cutoff, 0, 1), self.envelope_p)
+                    _envelope_np(np.clip(nl.dist[short] / ANGLE_CUTOFF, 0, 1), ENVELOPE_P)
                 )
                 diff = sub(cos_t, Tensor(cos0))
                 e_angle = tsum(mul(mul(Tensor(k), mul(diff, diff)), mul(w[e1], w[e2])))
@@ -133,8 +130,8 @@ class OraclePotential:
         modulates the element's magnetic tendency — a learnable, physically
         plausible stand-in for DFT site moments.
         """
-        nl = neighbor_list(crystal, self.angle_cutoff)
-        w = _envelope_np(np.clip(nl.dist / self.angle_cutoff, 0.0, 1.0), self.envelope_p)
+        nl = neighbor_list(crystal, ANGLE_CUTOFF)
+        w = _envelope_np(np.clip(nl.dist / ANGLE_CUTOFF, 0.0, 1.0), ENVELOPE_P)
         coord = np.zeros(crystal.num_atoms)
         np.add.at(coord, nl.src, w)
         tend = MAGNETIC_TENDENCY[crystal.species]

@@ -40,8 +40,9 @@ def coefficient_of_variation(values: np.ndarray) -> float:
 class BatchSampler:
     """Base sampler: shuffled global batches of indices.
 
-    Subclasses override :meth:`partition` to assign a global batch's samples
-    to ranks.
+    Every global batch is full: an epoch drops the shuffled remainder that
+    cannot fill one (a different random remainder each epoch).  Subclasses
+    override :meth:`partition` to assign a global batch's samples to ranks.
     """
 
     def __init__(
@@ -50,7 +51,6 @@ class BatchSampler:
         global_batch_size: int,
         world_size: int = 1,
         seed: int = 0,
-        drop_last: bool = True,
     ) -> None:
         if global_batch_size < world_size:
             raise ValueError(
@@ -65,29 +65,17 @@ class BatchSampler:
         self.global_batch_size = global_batch_size
         self.world_size = world_size
         self.seed = seed
-        self.drop_last = drop_last
 
     def global_batches(self, epoch: int = 0) -> Iterator[np.ndarray]:
         """Yield shuffled index arrays of size ``global_batch_size``."""
         rng = np.random.default_rng((self.seed, epoch))
         order = rng.permutation(self.n)
-        for lo in range(0, self.n, self.global_batch_size):
-            chunk = order[lo : lo + self.global_batch_size]
-            if len(chunk) < self.global_batch_size:
-                if self.drop_last:
-                    return
-                if len(chunk) < self.world_size:
-                    return
-                chunk = chunk[: len(chunk) - (len(chunk) % self.world_size)]
-            yield chunk
+        for i in range(self.num_batches()):
+            yield order[i * self.global_batch_size : (i + 1) * self.global_batch_size]
 
     def num_batches(self) -> int:
         """Global batches yielded per epoch (matches :meth:`global_batches`)."""
-        full = self.n // self.global_batch_size
-        rem = self.n % self.global_batch_size
-        if not self.drop_last and rem >= self.world_size:
-            return full + 1
-        return full
+        return self.n // self.global_batch_size
 
     def partition(self, batch_indices: np.ndarray) -> list[np.ndarray]:
         """Assign one global batch's indices to ``world_size`` ranks."""
@@ -174,9 +162,9 @@ class BucketBatchSampler(LoadBalanceSampler):
     Because blocks are fixed, dropping the sorted tail would exclude the
     *same largest structures from every epoch* (the other samplers drop a
     different random remainder each time).  The bucket sampler therefore
-    ignores ``drop_last``'s full-batch guarantee in favor of coverage: the
-    tail becomes one short block (rank counts still equal; it takes its
-    shapes from the same program budget), and only the unavoidable
+    gives up the full-batch guarantee in favor of coverage: the tail
+    becomes one short block (rank counts still equal; it takes its shapes
+    from the same program budget), and only the unavoidable
     ``n % world_size`` leftover is excluded — taken from evenly spaced
     interior positions of the size-sorted order, never the extremes.
     """
@@ -187,10 +175,9 @@ class BucketBatchSampler(LoadBalanceSampler):
         global_batch_size: int,
         world_size: int = 1,
         seed: int = 0,
-        drop_last: bool = True,
         dims: np.ndarray | None = None,
     ) -> None:
-        super().__init__(feature_numbers, global_batch_size, world_size, seed, drop_last)
+        super().__init__(feature_numbers, global_batch_size, world_size, seed)
         self._dims = None if dims is None else np.asarray(dims, dtype=np.int64)
         order = np.argsort(self.feature_numbers, kind="stable")
         leftover = self.n % world_size

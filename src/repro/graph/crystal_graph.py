@@ -24,6 +24,12 @@ from repro.segments import offsets, segment_arange
 from repro.structures.crystal import Crystal
 from repro.structures.neighbors import NeighborList, neighbor_list
 
+#: The atom-graph and bond-graph cutoffs (angstrom), CHGNet's published
+#: 6 and 3: every graph the library trains or serves on is built at these,
+#: and :class:`~repro.model.config.CHGNetConfig` reads its cutoffs here.
+CUTOFF_ATOM = 6.0
+CUTOFF_BOND = 3.0
+
 
 @dataclass
 class GraphDiffStats:
@@ -178,8 +184,8 @@ def _angle_diff(
 
 def build_graph(
     crystal: Crystal,
-    cutoff_atom: float = 6.0,
-    cutoff_bond: float = 3.0,
+    cutoff_atom: float = CUTOFF_ATOM,
+    cutoff_bond: float = CUTOFF_BOND,
     nl: NeighborList | None = None,
     prev: CrystalGraph | None = None,
     diff_stats: GraphDiffStats | None = None,

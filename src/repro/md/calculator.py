@@ -88,19 +88,13 @@ class ModelCalculator(Calculator):
             # skin-cached pair search, angle arrays diffed against the last graph
             graph = build_graph(
                 crystal,
-                self.model.config.cutoff_atom,
-                self.model.config.cutoff_bond,
                 nl=self._cache.query(crystal),
                 prev=self._prev_graph,
                 diff_stats=self.diff_stats,
             )
             self._prev_graph = graph
         else:
-            graph = build_graph(
-                crystal,
-                self.model.config.cutoff_atom,
-                self.model.config.cutoff_bond,
-            )
+            graph = build_graph(crystal)
         batch = collate([graph])
         if self._compiler is not None:
             out = self._compiler.run(self._tiers.pad(batch, self.model.config.batched_basis))

@@ -298,8 +298,6 @@ class TrajectoryFarm:
         cache = self._caches[trajectory.index]
         graph = build_graph(
             crystal,
-            self.engine.config.cutoff_atom,
-            self.engine.config.cutoff_bond,
             nl=cache.query(crystal),
             prev=self._prev[trajectory.index],
             diff_stats=self.stats.diff,
@@ -467,7 +465,9 @@ class TrajectoryFarm:
         graphs are rebuilt fresh — they are exact by contract, so only the
         cache/diff telemetry restarts.  Raises
         :class:`~repro.train.checkpoint.CheckpointError` on a corrupted
-        file or one that is not a farm checkpoint.
+        file, one that is not a farm checkpoint, or a trajectory setting
+        this version does not have (a FIRE constant saved as a setting by
+        an older version, say).
         """
         arrays, meta = load_checkpoint(path)
         if meta.get("kind") != "trajectory-farm":
@@ -484,6 +484,13 @@ class TrajectoryFarm:
                 arrays[prefix + "frac"],
                 name=entry["name"],
             )
+            spec_cls = FIREConfig if entry["kind"] == "relax" else MDSpec
+            unknown = sorted(set(entry["spec"]) - {f.name for f in fields(spec_cls)})
+            if unknown:
+                raise CheckpointError(
+                    f"{path!r}: trajectory {i} ({entry['kind']}) carries unknown "
+                    f"setting(s) {', '.join(unknown)}"
+                )
             if entry["kind"] == "relax":
                 spec = RelaxSpec(crystal, FIREConfig(**entry["spec"]))
             else:

@@ -8,7 +8,15 @@ positive) and reset — with the velocity zeroed — the moment it overshoots
 uphill.  Two safeguards make it robust far from the minimum: a per-step
 **trust radius** (``max_step``) uniformly rescales any drift whose largest
 per-atom displacement would exceed it, and the adaptive timestep is
-clamped to ``[min_timestep_fs, max_timestep_fs]``.
+clamped to ``[MIN_TIMESTEP_FS, MAX_TIMESTEP_FS]``.
+
+FIRE's control constants are Bitzek et al.'s published values, module
+constants rather than settings: the timestep bounds
+:data:`MIN_TIMESTEP_FS` / :data:`MAX_TIMESTEP_FS` (0.02 / 2.0 fs), the
+stability window :data:`N_MIN` (5 downhill steps before the timestep
+grows), the timestep growth and shrink factors :data:`F_INC` / :data:`F_DEC`
+(1.1 / 0.5), and the velocity-mixing schedule :data:`ALPHA_START` /
+:data:`F_ALPHA` (0.25, decayed by 0.99).
 
 Convergence is per-structure on the **max per-atom force norm**
 (``max |F_i| <= fmax``), the standard relaxation criterion.  Only atomic
@@ -34,6 +42,14 @@ from repro.md.integrator import ACCEL_CONV
 from repro.structures.crystal import Crystal
 from repro.structures.elements import ATOMIC_MASS
 
+MAX_TIMESTEP_FS = 2.0
+MIN_TIMESTEP_FS = 0.02
+N_MIN = 5
+F_INC = 1.1
+F_DEC = 0.5
+ALPHA_START = 0.25
+F_ALPHA = 0.99
+
 
 def max_force_norm(forces: np.ndarray) -> float:
     """Largest per-atom force magnitude (eV/A) — the convergence measure."""
@@ -44,57 +60,35 @@ def max_force_norm(forces: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FIREConfig:
-    """Knobs of the FIRE driver (defaults follow Bitzek et al.).
+    """Settings of one FIRE relaxation.
 
     ``fmax`` is the convergence tolerance on the max per-atom force norm
     (eV/A); ``max_steps`` bounds the number of force evaluations beyond the
-    initial one; ``max_step`` is the trust radius (A) on the largest
-    per-atom displacement of one drift.  The remaining fields are the FIRE
-    control parameters: initial/extremal timesteps, the ``n_min`` stability
-    window, timestep growth/shrink factors ``f_inc``/``f_dec``, and the
-    mixing schedule ``alpha_start``/``f_alpha``.  An out-of-range value
-    raises ``ValueError`` at construction.
+    initial one; ``timestep_fs`` is the initial timestep, within
+    ``[MIN_TIMESTEP_FS, MAX_TIMESTEP_FS]``; ``max_step`` is the trust radius
+    (A) on the largest per-atom displacement of one drift.  FIRE's control
+    constants (``N_MIN``, ``F_INC``, ``F_DEC``, ``ALPHA_START``,
+    ``F_ALPHA``) are module constants (see the module docstring).  An
+    out-of-range value raises ``ValueError`` at construction.
     """
 
     fmax: float = 0.05
     max_steps: int = 500
     timestep_fs: float = 0.5
-    max_timestep_fs: float = 2.0
-    min_timestep_fs: float = 0.02
     max_step: float = 0.2
-    n_min: int = 5
-    f_inc: float = 1.1
-    f_dec: float = 0.5
-    alpha_start: float = 0.25
-    f_alpha: float = 0.99
 
     def __post_init__(self) -> None:
         if self.fmax <= 0:
             raise ValueError(f"fmax must be positive, got {self.fmax}")
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be non-negative, got {self.max_steps}")
-        if not 0 < self.timestep_fs <= self.max_timestep_fs:
+        if not MIN_TIMESTEP_FS <= self.timestep_fs <= MAX_TIMESTEP_FS:
             raise ValueError(
-                f"timestep_fs must lie in (0, {self.max_timestep_fs}], "
+                f"timestep_fs must lie in [{MIN_TIMESTEP_FS}, {MAX_TIMESTEP_FS}], "
                 f"got {self.timestep_fs}"
-            )
-        if not 0 < self.min_timestep_fs <= self.timestep_fs:
-            raise ValueError(
-                f"min_timestep_fs must lie in (0, {self.timestep_fs}], "
-                f"got {self.min_timestep_fs}"
             )
         if self.max_step <= 0:
             raise ValueError(f"max_step must be positive, got {self.max_step}")
-        if self.n_min < 1:
-            raise ValueError(f"n_min must be >= 1, got {self.n_min}")
-        if self.f_inc <= 1.0:
-            raise ValueError(f"f_inc must exceed 1, got {self.f_inc}")
-        if not 0 < self.f_dec < 1.0:
-            raise ValueError(f"f_dec must lie in (0, 1), got {self.f_dec}")
-        if not 0 < self.alpha_start < 1.0:
-            raise ValueError(f"alpha_start must lie in (0, 1), got {self.alpha_start}")
-        if not 0 < self.f_alpha <= 1.0:
-            raise ValueError(f"f_alpha must lie in (0, 1], got {self.f_alpha}")
 
 
 @dataclass
@@ -130,7 +124,7 @@ class FIRE:
             forces=result.forces,
             potential_energy=result.energy,
             dt=self.config.timestep_fs,
-            alpha=self.config.alpha_start,
+            alpha=ALPHA_START,
         )
 
     def converged(self, state: FIREState) -> bool:
@@ -170,11 +164,10 @@ class FIRE:
         """Second half-kick, then the FIRE velocity mixing and dt adaptation.
 
         While the power ``P = F . v`` stays positive the velocity is mixed
-        toward the force direction and (after ``n_min`` stable steps) the
+        toward the force direction and (after ``N_MIN`` stable steps) the
         timestep grows and the mixing decays; the first uphill step zeroes
         the velocity, shrinks the timestep and resets the mixing.
         """
-        cfg = self.config
         masses = ATOMIC_MASS[crystal.species][:, None]
         accel_new = result.forces / masses * ACCEL_CONV
         v_new = v_half + 0.5 * state.dt * accel_new
@@ -182,17 +175,17 @@ class FIRE:
         dt, alpha, n_pos = state.dt, state.alpha, state.n_pos
         if power > 0.0:
             n_pos += 1
-            if n_pos > cfg.n_min:
-                dt = min(dt * cfg.f_inc, cfg.max_timestep_fs)
-                alpha *= cfg.f_alpha
+            if n_pos > N_MIN:
+                dt = min(dt * F_INC, MAX_TIMESTEP_FS)
+                alpha *= F_ALPHA
             f_norm = float(np.sqrt((result.forces * result.forces).sum()))
             if f_norm > 0.0:
                 v_norm = float(np.sqrt((v_new * v_new).sum()))
                 v_new = (1.0 - alpha) * v_new + alpha * (v_norm / f_norm) * result.forces
         else:
             v_new = np.zeros_like(v_new)
-            dt = max(dt * cfg.f_dec, cfg.min_timestep_fs)
-            alpha = cfg.alpha_start
+            dt = max(dt * F_DEC, MIN_TIMESTEP_FS)
+            alpha = ALPHA_START
             n_pos = 0
         return FIREState(
             crystal=crystal,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.model.config import CHGNetConfig
+from repro.model.config import ENVELOPE_P, CHGNetConfig
 from repro.tensor import (
     Tensor,
     concat,
@@ -92,7 +92,7 @@ class FourierExpansion(Module):
 
 def make_bases(config: CHGNetConfig) -> tuple[RadialBessel, RadialBessel, FourierExpansion]:
     """The three basis modules: atom-graph RBF, bond-graph RBF, angle Fourier."""
-    rbf_atom = RadialBessel(config.num_radial, config.cutoff_atom, config.envelope_p, config.fused)
-    rbf_bond = RadialBessel(config.num_radial, config.cutoff_bond, config.envelope_p, config.fused)
+    rbf_atom = RadialBessel(config.num_radial, config.cutoff_atom, ENVELOPE_P, config.fused)
+    rbf_bond = RadialBessel(config.num_radial, config.cutoff_bond, ENVELOPE_P, config.fused)
     fourier = FourierExpansion(config.angular_order, config.fused)
     return rbf_atom, rbf_bond, fourier

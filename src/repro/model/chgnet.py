@@ -16,7 +16,7 @@ import numpy as np
 from repro.graph.batching import GraphBatch
 from repro.model.basis import FourierExpansion, RadialBessel, make_bases
 from repro.model.blocks import InteractionBlock
-from repro.model.config import CHGNetConfig, OptLevel
+from repro.model.config import NUM_ELEMENTS, CHGNetConfig, OptLevel
 from repro.model.geometry import Geometry, compute_geometry, gather_field
 from repro.model.heads import EnergyHead, ForceHead, MagmomHead, StressHead
 from repro.model.layers import packed_linear_forward
@@ -59,7 +59,7 @@ class CHGNetModel(Module):
         self.fourier: FourierExpansion = fourier
 
         self.atom_embedding = Parameter(
-            rng.normal(scale=1.0 / np.sqrt(dim), size=(config.num_elements, dim))
+            rng.normal(scale=1.0 / np.sqrt(dim), size=(NUM_ELEMENTS, dim))
         )
         self.bond_e0 = Linear(config.num_radial, dim, rng, fused=config.fused)
         self.bond_ea = Linear(config.num_radial, dim, rng, fused=config.fused)

@@ -5,7 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
+from repro.graph.crystal_graph import CUTOFF_ATOM, CUTOFF_BOND
 from repro.structures.elements import MAX_Z
+
+#: Smoothing coefficient p of the radial envelope (Eq. 12).
+ENVELOPE_P = 8.0
+#: Embedding rows, indexed directly by atomic number Z.
+NUM_ELEMENTS = MAX_Z + 1
 
 
 class OptLevel(IntEnum):
@@ -35,19 +41,32 @@ class OptLevel(IntEnum):
 
 @dataclass(frozen=True)
 class CHGNetConfig:
-    """Hyperparameters of CHGNet/FastCHGNet (paper Section IV defaults)."""
+    """Hyperparameters of CHGNet/FastCHGNet (paper Section IV defaults).
+
+    The cutoffs are not fields: every graph is built at the graph layer's
+    :data:`~repro.graph.crystal_graph.CUTOFF_ATOM` /
+    :data:`~repro.graph.crystal_graph.CUTOFF_BOND`, and the read-only
+    :attr:`cutoff_atom` / :attr:`cutoff_bond` return them, so a model's basis
+    and the graphs it trains or serves on cannot disagree.
+    """
 
     atom_fea_dim: int = 64
     bond_fea_dim: int = 64
     angle_fea_dim: int = 64
     num_radial: int = 31  # "radial and angular basis number is set to 31"
     angular_order: int = 15  # 2*15 + 1 = 31 Fourier features
-    cutoff_atom: float = 6.0
-    cutoff_bond: float = 3.0
-    envelope_p: float = 8.0  # smoothing coefficient p
     hidden_dim: int = 64
-    num_elements: int = MAX_Z + 1  # embedding rows indexed directly by Z
     opt_level: OptLevel = OptLevel.DECOMPOSE_FS
+
+    @property
+    def cutoff_atom(self) -> float:
+        """Atom-graph cutoff (angstrom)."""
+        return CUTOFF_ATOM
+
+    @property
+    def cutoff_bond(self) -> float:
+        """Bond-graph cutoff (angstrom)."""
+        return CUTOFF_BOND
 
     # ------------------------------------------------------- derived switches
     @property

@@ -15,33 +15,38 @@ from typing import Any, Iterable, Iterator
 
 _SENTINEL = object()
 
+#: Batches in flight: the paper's prefetch is double buffering, one ahead.
+DEPTH = 1
+
 
 class PrefetchQueue:
     """Double-buffered iterator: produces item ``i+1`` while ``i`` is consumed.
 
     Wraps any iterable whose items are expensive to build (graph batching,
-    basis precomputation).  ``depth`` controls how many batches may be in
-    flight; the paper's prefetch is ``depth=1`` double buffering.
+    basis precomputation); at most :data:`DEPTH` items wait in flight.  A
+    consumer that abandons the iteration (``close()``, a ``break``, an
+    exception) stops the producer: closing waits for the item being built,
+    then the worker exits and lets go of the source.
 
     Example
     -------
-    >>> for batch in PrefetchQueue(loader, depth=1):
+    >>> for batch in PrefetchQueue(loader):
     ...     trainer.train_step(batch)
     """
 
-    def __init__(self, source: Iterable[Any], depth: int = 1) -> None:
-        if depth < 1:
-            raise ValueError(f"prefetch depth must be >= 1, got {depth}")
+    def __init__(self, source: Iterable[Any]) -> None:
         self._source = source
-        self._depth = depth
 
     def __iter__(self) -> Iterator[Any]:
-        q: "queue.Queue[Any]" = queue.Queue(maxsize=self._depth)
+        q: "queue.Queue[Any]" = queue.Queue(maxsize=DEPTH)
         error: list[BaseException] = []
+        stop = threading.Event()
 
         def produce() -> None:
             try:
                 for item in self._source:
+                    if stop.is_set():
+                        break
                     q.put(item)
             except BaseException as exc:
                 error.append(exc)
@@ -50,11 +55,16 @@ class PrefetchQueue:
 
         worker = threading.Thread(target=produce, daemon=True)
         worker.start()
-        while True:
-            item = q.get()
-            if item is _SENTINEL:
-                break
-            yield item
-        worker.join(timeout=10)
+        try:
+            while (item := q.get()) is not _SENTINEL:
+                yield item
+        finally:
+            # Unblock a producer waiting in ``put`` until it sees ``stop``.
+            stop.set()
+            while worker.is_alive():
+                try:
+                    q.get(timeout=0.01)
+                except queue.Empty:
+                    pass
         if error:
             raise RuntimeError("prefetch worker failed") from error[0]

@@ -59,7 +59,7 @@ from repro.serve.tenants import (
     standard_classes,
 )
 from repro.structures.crystal import Crystal
-from repro.tensor.compile import SharedProgramCache
+from repro.tensor.compile import SharedProgramCache, total_stats
 
 #: Largest priced padding overhead a partial group may reach by absorbing
 #: other tiers: a merge trades at most half a group of ghost rows for the
@@ -488,7 +488,7 @@ class InferenceEngine:
             if entry is not None and entry[0] is item:
                 self._graph_cache.move_to_end(id(item))
                 return entry[1]
-        graph = build_graph(item, self.config.cutoff_atom, self.config.cutoff_bond)
+        graph = build_graph(item)
         if self.memoize:
             self._graph_cache[id(item)] = (item, graph)
             if len(self._graph_cache) > self.memoize * self.max_batch_structs:
@@ -1198,11 +1198,7 @@ class InferenceEngine:
         """Aggregated per-worker compiler counters (``None`` when eager)."""
         if self.cache is None:
             return None
-        totals: dict[str, int] = {}
-        for worker in self.fleet:
-            for key, value in worker.compiler.stats.as_dict().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        return total_stats(worker.compiler for worker in self.fleet)
 
     def snapshot(self) -> dict:
         """One flat dict of serving + compiler counters (for benches/CLI)."""

@@ -309,15 +309,15 @@ class NeighborCache:
 
     ``skin`` is in angstroms; larger skins rebuild less often but carry more
     cached pairs per query.  ``skin=0`` degenerates to rebuilding every
-    query.
+    query.  Each build searches with :func:`neighbor_list`'s ``"auto"``
+    choice of algorithm.
     """
 
-    def __init__(self, cutoff: float, skin: float = 1.0, algorithm: str = "auto") -> None:
+    def __init__(self, cutoff: float, skin: float = 1.0) -> None:
         _check_length("cutoff", cutoff)
         _check_length("skin", skin, allow_zero=True)
         self.cutoff = cutoff
         self.skin = skin
-        self.algorithm = algorithm
         self.num_builds = 0
         self.num_reuses = 0
         self._full: NeighborList | None = None
@@ -345,7 +345,7 @@ class NeighborCache:
         return float((disp * disp).sum(axis=1).max()) > (0.5 * self.skin) ** 2
 
     def _rebuild(self, crystal: Crystal) -> None:
-        self._full = neighbor_list(crystal, self.cutoff + self.skin, self.algorithm)
+        self._full = neighbor_list(crystal, self.cutoff + self.skin)
         self._ref_frac = crystal.frac_coords.copy()
         self._ref_lattice = crystal.lattice.matrix.copy()
         self._ref_species = crystal.species.copy()

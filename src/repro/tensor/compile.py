@@ -71,7 +71,7 @@ import types
 import weakref
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable
 
 import numpy as np
@@ -801,14 +801,14 @@ class CompileStats:
     unsupported: int = 0
     guard_invalidations: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "captures": self.captures,
-            "replays": self.replays,
-            "eager_fallbacks": self.eager_fallbacks,
-            "unsupported": self.unsupported,
-            "guard_invalidations": self.guard_invalidations,
-        }
+
+def total_stats(compilers) -> dict[str, int]:
+    """Every :class:`CompileStats` counter summed over ``compilers``."""
+    compilers = list(compilers)
+    return {
+        f.name: sum(getattr(c.stats, f.name) for c in compilers)
+        for f in fields(CompileStats)
+    }
 
 
 def program_signature(batch: GraphBatch, serial: bool, mode: str) -> tuple:
@@ -969,21 +969,17 @@ class _CompilerBase:
 
     ``cache`` accepts a :class:`SharedProgramCache` shared with sibling
     compilers (other ranks/workers over the same model configuration); when
-    omitted the compiler owns a private cache.
+    omitted the compiler owns a private cache of the default capacity
+    (pass ``cache=SharedProgramCache(n)`` for another).
     """
 
     #: program_signature mode tag; subclasses override.
     _mode = "train"
 
-    def __init__(
-        self,
-        model,
-        max_programs: int = MAX_PROGRAMS,
-        cache: SharedProgramCache | None = None,
-    ) -> None:
+    def __init__(self, model, cache: SharedProgramCache | None = None) -> None:
         self.model = model
         self.params = model.parameters()
-        self.cache = cache if cache is not None else SharedProgramCache(max_programs)
+        self.cache = cache if cache is not None else SharedProgramCache()
         #: most recently captured or replayed program (bound state intact).
         self.last_program: CompiledStep | None = None
         self.stats = CompileStats()
@@ -1096,27 +1092,20 @@ class StepCompiler(_CompilerBase):
     eager ``zero_grad + backward`` would leave them (the caller still runs
     the optimizer).  Any guard failure falls back to the eager step.
 
-    ``validate=True`` re-runs every replayed step eagerly and asserts the
-    loss and all parameter gradients are bit-identical (test harness).
+    Setting :attr:`validate` re-runs every replayed step eagerly and asserts
+    the loss and all parameter gradients are bit-identical (test harness).
     """
 
-    def __init__(
-        self,
-        model,
-        loss_fn,
-        max_programs: int = MAX_PROGRAMS,
-        validate: bool = False,
-        cache: SharedProgramCache | None = None,
-    ) -> None:
+    def __init__(self, model, loss_fn, cache: SharedProgramCache | None = None) -> None:
         self.loss_fn = loss_fn
-        self.validate = validate
-        super().__init__(model, max_programs, cache)
+        #: Re-run every replay eagerly and assert bit-identity.
+        self.validate = False
+        super().__init__(model, cache)
 
     def _guard_token(self) -> tuple:
         return (
             self.model.config,
             len(self.params),
-            self.loss_fn.weights,
             self.loss_fn.delta,
         )
 

@@ -20,7 +20,7 @@ from repro.train.elastic import (
     largest_feasible_world,
     run_elastic,
 )
-from repro.train.loss import CompositeLoss, LossBreakdown, LossWeights
+from repro.train.loss import CompositeLoss, LossBreakdown
 from repro.train.metrics import EvalResult, ParityData, evaluate, mae, r_squared
 from repro.train.optimizer import Adam, Optimizer
 from repro.train.schedule import (
@@ -46,7 +46,6 @@ __all__ = [
     "run_elastic",
     "CompositeLoss",
     "LossBreakdown",
-    "LossWeights",
     "EvalResult",
     "ParityData",
     "evaluate",

@@ -77,7 +77,7 @@ from repro.train.checkpoint import (
     restore_training_state,
     save_checkpoint,
 )
-from repro.train.loss import CompositeLoss, LossWeights
+from repro.train.loss import CompositeLoss
 from repro.train.metrics import EvalResult, evaluate
 from repro.train.optimizer import Adam
 from repro.train.ranks import RankExecutors
@@ -176,10 +176,8 @@ class DistributedConfig:
     def use_bucket_sampler(self) -> bool:
         return self.compile if self.bucket_sampler is None else self.bucket_sampler
 
-    def resolve_memoize(self) -> bool | None:
-        if self.memoize_shards is None:
-            return True if self.compile else None
-        return self.memoize_shards
+    def resolve_memoize(self) -> bool:
+        return self.compile if self.memoize_shards is None else self.memoize_shards
 
 
 @dataclass
@@ -296,7 +294,7 @@ class DistributedTrainer:
         for rep in self.replicas[1:]:
             rep.load_state_dict(state)
         self.comm = SimCommunicator(cfg.world_size, fault_plan)
-        self.loss_fn = CompositeLoss(LossWeights(), cfg.huber_delta)
+        self.loss_fn = CompositeLoss(cfg.huber_delta)
         lr = cfg.resolve_lr()
         self._params = [rep.parameters() for rep in self.replicas]
         self.optimizers = [Adam(params, lr=lr) for params in self._params]
@@ -631,11 +629,9 @@ class DistributedTrainer:
         """Aggregated per-rank compiler counters (``None`` when eager)."""
         if self.compilers is None:
             return None
-        totals: dict[str, int] = {}
-        for compiler in self.compilers:
-            for key, value in compiler.stats.as_dict().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        from repro.tensor.compile import total_stats
+
+        return total_stats(self.compilers)
 
     # ----------------------------------------------------- checkpoint/resume
     def training_state(self) -> tuple[dict[str, np.ndarray], dict]:

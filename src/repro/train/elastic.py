@@ -34,6 +34,9 @@ from dataclasses import dataclass, field, replace
 from repro.comm.faults import RankFailure
 from repro.train.distributed import DistributedTrainer
 
+#: Kills one elastic run recovers from before the next one is fatal.
+MAX_FAILURES = 8
+
 
 @dataclass
 class FailureEvent:
@@ -78,7 +81,6 @@ def run_elastic(
     checkpoint_path: str,
     checkpoint_every: int = 1,
     shrink: bool = True,
-    max_failures: int = 8,
 ) -> ElasticResult:
     """Train ``trainer`` to completion, recovering from each injected kill.
 
@@ -87,7 +89,7 @@ def run_elastic(
     the dead rank and re-shards for the surviving world; ``shrink=False``
     replaces it (same world size — the mode whose final weights are
     bit-identical to an uninterrupted run).  Recovery is attempted at most
-    ``max_failures`` times; the fatal ``RankFailure`` propagates beyond
+    :data:`MAX_FAILURES` times; the fatal ``RankFailure`` propagates beyond
     that, or when no feasible world remains.
     """
     plan = trainer.comm.fault_plan
@@ -98,7 +100,7 @@ def run_elastic(
             trainer.train(checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every)
             return ElasticResult(trainer=trainer, failures=failures)
         except RankFailure as failure:
-            if len(failures) >= max_failures:
+            if len(failures) >= MAX_FAILURES:
                 raise
             cfg = trainer.config
             world_before = cfg.world_size

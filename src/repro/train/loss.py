@@ -1,7 +1,8 @@
 """Composite Huber training loss (paper Section IV).
 
 The four properties are weighted with the paper's prefactors
-(energy 2, force 1.5, stress 0.1, magmom 0.1).  On the reference model the
+(:data:`ENERGY_WEIGHT` 2, :data:`FORCE_WEIGHT` 1.5, :data:`STRESS_WEIGHT` 0.1,
+:data:`MAGMOM_WEIGHT` 0.1).  On the reference model the
 force/stress terms differentiate *through* energy gradients, which is what
 makes the weight update second-order.
 
@@ -21,15 +22,11 @@ from repro.graph.batching import GraphBatch
 from repro.model.chgnet import ModelOutput
 from repro.tensor import Tensor, add, huber_loss, mul
 
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Prefactors of the composite loss (paper defaults)."""
-
-    energy: float = 2.0
-    force: float = 1.5
-    stress: float = 0.1
-    magmom: float = 0.1
+#: Prefactors of the composite loss (paper Section IV).
+ENERGY_WEIGHT = 2.0
+FORCE_WEIGHT = 1.5
+STRESS_WEIGHT = 0.1
+MAGMOM_WEIGHT = 0.1
 
 
 @dataclass
@@ -88,14 +85,12 @@ def batch_metrics(
 class CompositeLoss:
     """Weighted Huber loss over energy/forces/stress/magmom."""
 
-    def __init__(self, weights: LossWeights | None = None, delta: float = 0.1) -> None:
-        self.weights = weights or LossWeights()
+    def __init__(self, delta: float = 0.1) -> None:
         self.delta = delta
 
     def __call__(self, output: ModelOutput, batch: GraphBatch) -> LossBreakdown:
         if batch.energy_per_atom is None:
             raise ValueError("batch has no labels; collate with labels for training")
-        w = self.weights
         if batch.pad_info is None:
             le = huber_loss(output.energy_per_atom, Tensor(batch.energy_per_atom), self.delta)
             lf = huber_loss(output.forces, Tensor(batch.forces), self.delta)
@@ -138,8 +133,8 @@ class CompositeLoss:
                 count=Tensor(batch.aux(("pad_count", "magmom"))),
             )
         loss = add(
-            add(mul(le, w.energy), mul(lf, w.force)),
-            add(mul(ls, w.stress), mul(lm, w.magmom)),
+            add(mul(le, ENERGY_WEIGHT), mul(lf, FORCE_WEIGHT)),
+            add(mul(ls, STRESS_WEIGHT), mul(lm, MAGMOM_WEIGHT)),
         )
         e_mae, f_mae, s_mae, m_mae = batch_metrics(
             output.energy_per_atom.data,

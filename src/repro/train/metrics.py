@@ -10,6 +10,9 @@ from repro.data.dataset import StructureDataset
 from repro.model.chgnet import CHGNetModel
 from repro.tensor import no_grad
 
+#: Structures per evaluation batch.
+EVAL_BATCH_SIZE = 16
+
 
 def mae(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean absolute error."""
@@ -59,7 +62,6 @@ class ParityData:
 def evaluate(
     model: CHGNetModel,
     dataset: StructureDataset,
-    batch_size: int = 16,
     collect_parity: bool = False,
 ) -> tuple[EvalResult, ParityData | None]:
     """Run the model over a dataset and aggregate Table I metrics.
@@ -71,8 +73,8 @@ def evaluate(
     f_pred, f_true = [], []
     s_err, m_err = [], []
     indices = np.arange(len(dataset))
-    for lo in range(0, len(indices), batch_size):
-        chunk = indices[lo : lo + batch_size]
+    for lo in range(0, len(indices), EVAL_BATCH_SIZE):
+        chunk = indices[lo : lo + EVAL_BATCH_SIZE]
         batch = dataset.batch(chunk)
         if model.config.use_heads:
             with no_grad():

@@ -17,6 +17,12 @@ from repro.runtime.kernels import record_kernel
 from repro.tensor.engine import Tensor
 from repro.tensor.module import Parameter
 
+#: Adam's moment decay rates and denominator epsilon (Kingma & Ba's
+#: defaults, which the paper keeps).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Optimizer:
     """Base optimizer over a list of :class:`Parameter`."""
@@ -38,7 +44,8 @@ class Optimizer:
 
 
 class Adam(Optimizer):
-    """Adam with bias correction (the paper's optimizer).
+    """Adam with bias correction (the paper's optimizer), at
+    :data:`BETA1`, :data:`BETA2` and :data:`EPS`, without weight decay.
 
     The constructor moves every parameter into one page-aligned slab of
     flat float64 vectors — ``flat_params``, ``flat_grads``, the two moments
@@ -63,20 +70,10 @@ class Adam(Optimizer):
     updates.
     """
 
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 3e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def __init__(self, params: list[Parameter], lr: float = 3e-4) -> None:
         super().__init__(params, lr)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ValueError("a parameter is listed twice; it can own one slab slot only")
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         # Slab slot of each parameter, last parameter first.
         self.spans: list[slice] = [slice(0, 0)] * len(self.params)
@@ -149,22 +146,17 @@ class Adam(Optimizer):
         if missing:
             runs = self.slices(i for i in range(len(self.params)) if i not in missing)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for run in runs:
             # The per-parameter Adam expression, one ufunc at a time in the
             # same order (so the same bits), into scratch:
-            #   g = grad + wd * p
             #   m = b1 * m + (1 - b1) * g;  v = b2 * v + ((1 - b2) * g) * g
             #   p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
             p, g = self.flat_params[run], self.flat_grads[run]
             m, v = self._flat_m[run], self._flat_v[run]
             s1, s2 = self._scratch[0][run], self._scratch[1][run]
-            if self.weight_decay:
-                np.multiply(p, self.weight_decay, out=s1)
-                np.add(g, s1, out=s1)
-                g = s1
             m *= b1
             np.multiply(g, 1.0 - b1, out=s2)
             m += s2
@@ -174,7 +166,7 @@ class Adam(Optimizer):
             v += s2
             np.divide(v, bc2, out=s1)
             np.sqrt(s1, out=s1)
-            s1 += self.eps
+            s1 += EPS
             np.divide(m, bc1, out=s2)
             s2 *= self.lr
             s2 /= s1

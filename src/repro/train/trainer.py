@@ -1,7 +1,7 @@
 """Train while serving: :class:`ServingTrainer`.
 
 A :class:`~repro.train.distributed.DistributedTrainer` that, at the end of
-every ``publish_every``-th epoch, publishes the trained weights into a live
+every :data:`PUBLISH_EVERY`-th epoch, publishes the trained weights into a live
 :class:`repro.serve.InferenceEngine` as a new served version, so a fleet
 keeps answering requests (in-flight ones pinned to the version they entered
 with) while the trainer fine-tunes.  The publish is an epoch hook
@@ -20,12 +20,15 @@ from repro.data.dataset import StructureDataset
 from repro.model.chgnet import CHGNetModel
 from repro.train.distributed import DistributedConfig, DistributedTrainer, EpochRecord
 
+#: Epochs between publishes: every epoch's weights reach the fleet.
+PUBLISH_EVERY = 1
+
 
 class ServingTrainer(DistributedTrainer):
     """A trainer that streams checkpoints into a live serving engine.
 
     The train-while-serving loop of iterative fine-tuning: at the end of
-    every ``publish_every``-th epoch rank 0's weights are published into
+    every :data:`PUBLISH_EVERY`-th epoch rank 0's weights are published into
     ``engine`` (:meth:`repro.serve.InferenceEngine.publish_weights`) as a
     new served version and become the default for new requests.  Requests
     already queued in the engine stay pinned to the version they were
@@ -46,19 +49,14 @@ class ServingTrainer(DistributedTrainer):
         train_dataset: StructureDataset,
         engine: "InferenceEngine",
         config: DistributedConfig | None = None,
-        val_dataset: StructureDataset | None = None,
-        publish_every: int = 1,
     ) -> None:
-        if publish_every < 1:
-            raise ValueError(f"publish_every must be >= 1, got {publish_every}")
-        super().__init__(model_factory, train_dataset, config, val_dataset=val_dataset)
+        super().__init__(model_factory, train_dataset, config)
         self.engine = engine
-        self.publish_every = publish_every
         self.published_versions: list[int] = []
         self.add_epoch_hook(self._publish)
 
     def _publish(self, epoch: int, record: EpochRecord) -> None:
-        if (epoch + 1) % self.publish_every:
+        if (epoch + 1) % PUBLISH_EVERY:
             return
         state = None if self.engine.model is self.model else self.model.state_dict()
         self.published_versions.append(self.engine.publish_weights(state=state))

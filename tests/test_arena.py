@@ -95,7 +95,7 @@ def _check_plan(prog: CompiledStep) -> None:
 
 class TestBytePlan:
     def test_inference_programs(self, graphs):
-        comp = InferenceCompiler(_jittered(OptLevel.DECOMPOSE_FS), max_programs=16)
+        comp = InferenceCompiler(_jittered(OptLevel.DECOMPOSE_FS), cache=SharedProgramCache(16))
         for group in (graphs[:1], graphs[:4], graphs[4:12]):
             comp.run(pad_to_bucket(collate(group)))
         assert comp.stats.captures == 3
@@ -114,7 +114,7 @@ class TestBytePlan:
 class TestSlabOwnership:
     def test_growth_reattaches_cached_programs(self, graphs):
         model = _jittered(OptLevel.DECOMPOSE_FS)
-        comp = InferenceCompiler(model, max_programs=16)
+        comp = InferenceCompiler(model, cache=SharedProgramCache(16))
         small, large = pad_to_bucket(collate(graphs[:1])), pad_to_bucket(collate(graphs[4:12]))
         eager = {k: v.copy() for k, v in comp.run(small).items()}  # capture
         (small_prog,) = comp.cache.programs.values()
@@ -135,7 +135,7 @@ class TestSlabOwnership:
         assert all(np.array_equal(replayed[k], eager[k]) for k in eager)
 
     def test_smaller_capture_attaches_without_growing(self, graphs):
-        comp = InferenceCompiler(_jittered(OptLevel.DECOMPOSE_FS), max_programs=16)
+        comp = InferenceCompiler(_jittered(OptLevel.DECOMPOSE_FS), cache=SharedProgramCache(16))
         comp.run(pad_to_bucket(collate(graphs[4:12])))
         slab = comp.cache._slab
         comp.run(pad_to_bucket(collate(graphs[:1])))
@@ -158,7 +158,7 @@ class TestSlabOwnership:
         assert all(np.array_equal(out_a[k], kept[k]) for k in kept)
 
     def test_memory_accounting_follows_the_slab(self, graphs):
-        comp = InferenceCompiler(_jittered(OptLevel.DECOMPOSE_FS), max_programs=1)
+        comp = InferenceCompiler(_jittered(OptLevel.DECOMPOSE_FS), cache=SharedProgramCache(1))
         with memory_stats() as memory:
             comp.run(pad_to_bucket(collate(graphs[:1])))
             small = comp.arena_bytes

@@ -194,7 +194,8 @@ class TestIdReuse:
     @given(members=st.lists(st.integers(0, 13), min_size=1, max_size=4, unique=True))
     def test_captures_replay_bit_identical(self, dataset, members):
         model = make_model(cfg=CFG.with_level(OptLevel.FUSED))
-        comp = StepCompiler(model, CompositeLoss(), validate=True)
+        comp = StepCompiler(model, CompositeLoss())
+        comp.validate = True
         batch = pad_to_bucket(dataset.batch(members))
         with churned_tracer() as seen:
             comp.step(batch)  # capture, ids recycled under the tracer

@@ -429,7 +429,7 @@ _BAD_FLAGS = [
     ),
     ("relax --fmax 0", "relax: fmax must be positive, got 0.0", True),
     ("relax --max-steps -1", "relax: max_steps must be non-negative, got -1", True),
-    ("relax --timestep 5", "relax: timestep_fs must lie in (0, 2.0], got 5.0", True),
+    ("relax --timestep 5", "relax: timestep_fs must lie in [0.02, 2.0], got 5.0", True),
     ("train --batch-size 0" + _AFTER_DATA, "train: global batch 0 smaller than world size 1", False),
     ("train --lr -1", "train: learning rate must be positive, got -1.0", True),
     ("train --lr -1" + _AFTER_DATA, "train: learning rate must be positive, got -1.0", True),

@@ -113,9 +113,10 @@ class TestReplayBitIdentical:
 
     @pytest.mark.parametrize("level", list(OptLevel))
     def test_validating_compiler_accepts_many_buckets(self, level, dataset):
-        """validate=True re-runs eager per replay and asserts bitwise equality."""
+        """``validate`` re-runs eager per replay and asserts bitwise equality."""
         model = _model(level)
-        comp = StepCompiler(model, CompositeLoss(), validate=True)
+        comp = StepCompiler(model, CompositeLoss())
+        comp.validate = True
         tiers = TierShapes()
         for idx in ([0, 1], [2, 3], [0, 1], [4, 5, 6], [2, 3], [0, 1]):
             comp.step(tiers.pad(dataset.batch(idx), model.config.batched_basis))
@@ -209,7 +210,8 @@ class TestTierSharing:
         pad_second = pad_batch(second, *union)
         assert pad_first is not None and pad_second is not None
         assert pad_first.pad_info != pad_second.pad_info  # different real counts
-        comp = StepCompiler(model, loss_fn, validate=True)
+        comp = StepCompiler(model, loss_fn)
+        comp.validate = True
         comp.step(pad_first)  # capture
         comp.step(pad_second)  # replay with rebound pad counts, validated
         assert comp.stats.captures == 1 and comp.stats.replays == 1
@@ -472,7 +474,8 @@ class TestWarmStart:
                     (b.num_atoms, b.num_edges, b.num_short_edges, b.num_angles),
                 )
             )
-        comp = StepCompiler(model, CompositeLoss(), validate=True)
+        comp = StepCompiler(model, CompositeLoss())
+        comp.validate = True
         tiers = TierShapes()
         n_tiers = tiers.seed(entries, model.config.batched_basis)
         assert n_tiers >= 1

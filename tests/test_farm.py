@@ -7,9 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.dataset import StructureDataset
-from repro.data.mptrj import LabeledStructure
-from repro.data.oracle import OraclePotential
 from repro.graph.crystal_graph import GraphDiffStats, build_graph
 from repro.md import (
     FIREConfig,
@@ -255,6 +252,25 @@ class TestCrashResume:
         with pytest.raises(CheckpointError, match="not a trajectory-farm"):
             TrajectoryFarm.resume(path, _engine(model))
 
+    def test_resume_names_a_setting_this_version_lacks(self, model, tmp_path):
+        """A relax spec saved with FIRE's constants as settings (what older
+        checkpoints carry) is a CheckpointError naming them, not a bare
+        TypeError from the config constructor."""
+        from repro.train.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+
+        path = str(tmp_path / "old.rckpt")
+        farm = TrajectoryFarm(_engine(model))
+        farm.add(RelaxSpec(cscl(11, 17).perturbed(np.random.default_rng(3), 0.05)))
+        farm.run(max_waves=1, checkpoint_path=path)
+        arrays, meta = load_checkpoint(path)
+        old = {"max_timestep_fs": 2.0, "min_timestep_fs": 0.02, "n_min": 5, "f_inc": 1.1,
+               "f_dec": 0.5, "alpha_start": 0.25, "f_alpha": 0.99}
+        meta["trajectories"][0]["spec"].update(old)
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(CheckpointError) as err:
+            TrajectoryFarm.resume(path, _engine(model))
+        assert all(key in str(err.value) for key in old)
+
     def test_resume_rejects_corruption(self, model, tmp_path):
         from repro.train.checkpoint import CheckpointError
 
@@ -321,43 +337,3 @@ class TestIncrementalAngles:
         assert np.array_equal(got.angle_e2, want.angle_e2)
         assert np.array_equal(got.angle_center, want.angle_center)
         assert stats.angle_diffs + stats.angle_reuses >= 1
-
-
-class TestDatasetSkin:
-    @staticmethod
-    def _trajectory_entries(n: int = 8):
-        """Same-lattice drifting frames (what an MD/relax dump looks like)."""
-        oracle = OraclePotential()
-        crystal = cscl(11, 17)
-        rng = np.random.default_rng(11)
-        entries = []
-        for _ in range(n):
-            entries.append(LabeledStructure(crystal, oracle.label(crystal)))
-            crystal = crystal.perturbed(rng, 0.01)
-        return entries
-
-    def test_skin_graphs_bit_identical(self):
-        entries = self._trajectory_entries()
-        plain = StructureDataset(entries, cutoff_atom=5.0, cutoff_bond=3.0)
-        skinned = StructureDataset(entries, cutoff_atom=5.0, cutoff_bond=3.0, skin=0.8)
-        for a, b in zip(plain.graphs, skinned.graphs):
-            assert np.array_equal(a.edge_src, b.edge_src)
-            assert np.array_equal(a.edge_dst, b.edge_dst)
-            assert np.array_equal(a.edge_image, b.edge_image)
-            assert np.array_equal(a.short_idx, b.short_idx)
-            assert np.array_equal(a.angle_e1, b.angle_e1)
-            assert np.array_equal(a.angle_e2, b.angle_e2)
-            assert np.array_equal(a.angle_center, b.angle_center)
-        # one pair search served the whole trajectory
-        assert skinned.neighbor_builds == 1
-        assert skinned.neighbor_reuses == len(entries) - 1
-        stats = skinned.graph_diff_stats
-        assert stats.angle_reuses + stats.angle_diffs == len(entries) - 1
-        assert plain.neighbor_builds == plain.neighbor_reuses == 0
-
-    def test_skin_validation(self):
-        entries = self._trajectory_entries(2)
-        with pytest.raises(ValueError):
-            StructureDataset(entries, skin=-0.5)
-        with pytest.raises(ValueError):
-            StructureDataset(entries, skin=0.5, n_workers=2)

@@ -24,7 +24,7 @@ from repro.train import (
 
 @pytest.fixture(scope="module")
 def dataset(tiny_entries):
-    return StructureDataset(tiny_entries, memoize_batches=True)
+    return StructureDataset(tiny_entries)
 
 
 def make_factory(small_config, seed=5):

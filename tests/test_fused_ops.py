@@ -529,7 +529,8 @@ class TestGatedKernelsCompiled:
         batch = pad_to_bucket(
             StructureDataset(generate_mptrj(6, seed=3, max_atoms=6)).batch([0, 1, 2, 3])
         )
-        comp = StepCompiler(self._model(OptLevel.FUSED), CompositeLoss(), validate=True)
+        comp = StepCompiler(self._model(OptLevel.FUSED), CompositeLoss())
+        comp.validate = True
         comp.step(batch)
         (prog,) = comp.cache.programs.values()
         counts = Counter(ins.name for ins in prog.instrs)

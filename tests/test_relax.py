@@ -14,6 +14,7 @@ from repro.md import (
     Trajectory,
     max_force_norm,
 )
+from repro.md import relax
 from repro.md.calculator import CalcResult
 from repro.model import CHGNetConfig, CHGNetModel, OptLevel
 from repro.structures import cscl, named_structures, rocksalt
@@ -44,16 +45,7 @@ class TestConfigValidation:
             {"fmax": -0.1},
             {"max_steps": -1},
             {"timestep_fs": 0.0},
-            {"timestep_fs": 3.0},  # above max_timestep_fs
-            {"min_timestep_fs": 0.0},
-            {"min_timestep_fs": 1.0},  # above timestep_fs
-            {"f_inc": 1.0},
-            {"f_dec": 0.0},
-            {"f_dec": 1.0},
-            {"alpha_start": 0.0},
-            {"alpha_start": 1.0},
-            {"f_alpha": 0.0},
-            {"f_alpha": 1.5},
+            {"timestep_fs": 3.0},  # above MAX_TIMESTEP_FS
         ],
     )
     def test_bad_values_raise(self, kwargs):
@@ -133,8 +125,8 @@ class TestTrustRadius:
             state, moved, v_half, CalcResult(1.0, -v_half, np.zeros((3, 3)))
         )
         assert np.array_equal(new.velocities, np.zeros_like(v_half))
-        assert new.dt == pytest.approx(cfg.timestep_fs * cfg.f_dec)
-        assert new.alpha == cfg.alpha_start
+        assert new.dt == pytest.approx(cfg.timestep_fs * relax.F_DEC)
+        assert new.alpha == relax.ALPHA_START
         assert new.n_pos == 0
 
 

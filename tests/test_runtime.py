@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from repro.runtime import (
     record_tape_alloc,
     record_tape_free,
 )
+from repro.runtime import stream
 from repro.runtime.kernels import KernelStats, profiling_active
 
 
@@ -113,8 +116,9 @@ class TestPrefetchQueue:
     def test_yields_all_items_in_order(self):
         assert list(PrefetchQueue(range(10))) == list(range(10))
 
-    def test_depth_validation(self):
-        with pytest.raises(ValueError):
+    def test_depth_is_fixed_double_buffering(self):
+        assert stream.DEPTH == 1
+        with pytest.raises(TypeError):
             PrefetchQueue([1], depth=0)
 
     def test_overlaps_production_with_consumption(self):
@@ -133,7 +137,7 @@ class TestPrefetchQueue:
             yield 1
             yield 2
 
-        for item in PrefetchQueue(source(), depth=1):
+        for item in PrefetchQueue(source()):
             if item == 0:
                 held.append(produced_next.wait(timeout=10.0))
         assert held == [True]
@@ -145,3 +149,22 @@ class TestPrefetchQueue:
 
         with pytest.raises(RuntimeError):
             list(PrefetchQueue(bad()))
+
+    def test_abandoned_iteration_stops_the_producer(self):
+        """Closing the consumer mid-stream ends the worker thread and lets
+        go of the source, instead of leaving it blocked in ``put``."""
+
+        def source():
+            yield from range(100)
+
+        items = source()
+        ref = weakref.ref(items)
+        it = iter(PrefetchQueue(items))
+        assert next(it) == 0
+        producers = [t for t in threading.enumerate() if "produce" in t.name]
+        assert producers
+        it.close()
+        del items, it
+        gc.collect()
+        assert not any(t.is_alive() for t in producers)
+        assert ref() is None

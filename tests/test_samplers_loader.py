@@ -284,7 +284,7 @@ class TestBucketBatchSampler:
 
 
 class TestPaddedShardedLoader:
-    def _loader(self, tiny_entries, memoize=None):
+    def _loader(self, tiny_entries, memoize=False):
         ds = StructureDataset(tiny_entries)
         sampler = BucketBatchSampler(
             ds.feature_numbers, 8, 2, seed=0, dims=ds.graph_dims
@@ -340,7 +340,7 @@ class TestPaddedShardedLoader:
         assert steps and all(b.pad_info is None for step in steps for b in step)
 
 
-def one_device(ds, batch_size, seed=0, memoize=None) -> ShardedLoader:
+def one_device(ds, batch_size, seed=0, memoize=False) -> ShardedLoader:
     """The single-device loader: one shard per step, the whole batch."""
     return ShardedLoader(ds, DefaultSampler(ds.feature_numbers, batch_size, seed=seed), memoize)
 
@@ -363,7 +363,7 @@ class TestOneDeviceLoader:
     def test_prefetch_yields_same_batches(self, tiny_entries):
         ds = StructureDataset(tiny_entries)
         plain = [b.feature_number for (b,) in one_device(ds, 6, seed=3).iter_epoch(0)]
-        queued = PrefetchQueue(one_device(ds, 6, seed=3).iter_epoch(0), depth=1)
+        queued = PrefetchQueue(one_device(ds, 6, seed=3).iter_epoch(0))
         assert plain == [b.feature_number for (b,) in queued]
 
     def test_epoch_advances_order(self, tiny_entries):
@@ -414,9 +414,9 @@ class TestEpochAccounting:
 
 class TestMemoizedCollate:
     def test_same_indices_return_same_object(self, tiny_entries):
-        ds = StructureDataset(tiny_entries, memoize_batches=True)
-        assert ds.batch([0, 2, 4]) is ds.batch([0, 2, 4])
-        assert ds.batch([0, 2, 4]) is not ds.batch([4, 2, 0])
+        ds = StructureDataset(tiny_entries)
+        assert ds.batch([0, 2, 4], memoize=True) is ds.batch([0, 2, 4], memoize=True)
+        assert ds.batch([0, 2, 4], memoize=True) is not ds.batch([4, 2, 0], memoize=True)
 
     def test_memoization_off_by_default(self, tiny_entries):
         ds = StructureDataset(tiny_entries)
@@ -427,17 +427,17 @@ class TestMemoizedCollate:
         assert ds.batch([1, 3], memoize=True) is ds.batch([1, 3], memoize=True)
 
     def test_memoized_batch_matches_fresh(self, tiny_entries):
-        ds = StructureDataset(tiny_entries, memoize_batches=True)
-        cached = ds.batch([0, 1, 2])
+        ds = StructureDataset(tiny_entries)
+        cached = ds.batch([0, 1, 2], memoize=True)
         fresh = StructureDataset(tiny_entries).batch([0, 1, 2])
         assert np.array_equal(cached.species, fresh.species)
         assert np.array_equal(cached.forces, fresh.forces)
 
-    def test_loader_memoize_false_overrides_dataset(self, tiny_entries):
-        """Tri-state: an explicit memoize=False forces re-collation even on
-        a memoizing dataset (so shuffled loaders don't grow its cache)."""
-        ds = StructureDataset(tiny_entries, memoize_batches=True)
-        loader = one_device(ds, 6, memoize=False)
+    def test_unmemoized_loader_recollates(self, tiny_entries):
+        """A loader built without ``memoize`` re-collates every step and
+        leaves the dataset's cache empty (so shuffled loaders don't grow it)."""
+        ds = StructureDataset(tiny_entries)
+        loader = one_device(ds, 6)
         first = list(loader.iter_epoch(0))
         second = list(loader.iter_epoch(0))
         assert all(a is not b for (a,), (b,) in zip(first, second))

@@ -37,31 +37,11 @@ class TestParallelGraphBuilding:
         assert len(ds.graphs) == len(entries)
 
 
-class TestBoundedMemoization:
-    def test_lru_cap_bounds_cache(self, entries):
-        ds = StructureDataset(entries, memoize_batches=2)
-        b0 = ds.batch([0, 1])
-        ds.batch([2, 3])
-        assert len(ds._batch_cache) == 2
-        ds.batch([4, 5])  # evicts the oldest ([0, 1])
-        assert len(ds._batch_cache) == 2
-        assert (0, 1) not in ds._batch_cache
-        # a re-request rebuilds (a fresh object), then caches again
-        assert ds.batch([0, 1]) is not b0
-        assert ds.batch([0, 1]) is ds.batch([0, 1])
-
-    def test_lru_recency_order(self, entries):
-        ds = StructureDataset(entries, memoize_batches=2)
-        a = ds.batch([0, 1])
-        ds.batch([2, 3])
-        assert ds.batch([0, 1]) is a  # touch: [0,1] becomes most recent
-        ds.batch([4, 5])  # evicts [2,3], not [0,1]
-        assert (0, 1) in ds._batch_cache and (2, 3) not in ds._batch_cache
-
-    def test_true_keeps_unbounded_cache(self, entries):
-        ds = StructureDataset(entries, memoize_batches=True)
+class TestMemoizedBatches:
+    def test_memoize_keeps_every_batch(self, entries):
+        ds = StructureDataset(entries)
         for lo in range(0, 10, 2):
-            ds.batch([lo, lo + 1])
+            ds.batch([lo, lo + 1], memoize=True)
         assert len(ds._batch_cache) == 5
 
 
@@ -100,7 +80,7 @@ class TestBlockModeLoader:
     """Size-sorted blocks on one device: the bucket sampler at ``world_size=1``."""
 
     def _dataset(self, entries):
-        return StructureDataset(entries, memoize_batches=True)
+        return StructureDataset(entries)
 
     def _trainer(self, ds, seed=0, **overrides) -> DistributedTrainer:
         model = FastCHGNet(np.random.default_rng(seed), config=_small_config())

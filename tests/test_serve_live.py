@@ -21,6 +21,7 @@ from repro.serve import InferenceEngine
 from repro.serve import engine as engine_module
 from repro.serve.engine import MAX_VERSIONS
 from repro.train import DistributedConfig, ServingTrainer
+from repro.train import trainer as trainer_module
 from repro.data.dataset import StructureDataset
 
 CFG = CHGNetConfig(
@@ -212,14 +213,12 @@ def _one_rank(epochs: int) -> DistributedConfig:
 class TestServingTrainer:
     def test_epoch_end_checkpoints_stream_into_engine(self):
         entries = generate_mptrj(10, seed=21, max_atoms=8)
-        dataset = StructureDataset(entries, CFG.cutoff_atom, CFG.cutoff_bond)
+        dataset = StructureDataset(entries)
         model = _fresh_model(seed=8, jitter=800)
         engine = InferenceEngine(model, compile=True, max_batch_structs=4)
         crystals = [e.crystal for e in entries[:4]]
         stale = engine.predict_many(crystals)
-        trainer = ServingTrainer(
-            lambda: model, dataset, engine, config=_one_rank(2), publish_every=1
-        )
+        trainer = ServingTrainer(lambda: model, dataset, engine, config=_one_rank(2))
         trainer.train()
         assert len(trainer.published_versions) == 2
         assert engine.current_version == trainer.published_versions[-1]
@@ -229,25 +228,22 @@ class TestServingTrainer:
         # training really changed the weights (the stale pass differs)
         assert any(not _equal(a, b) for a, b in zip(stale, served))
 
-    def test_publish_every_and_validation(self):
+    def test_publish_every(self, monkeypatch):
+        monkeypatch.setattr(trainer_module, "PUBLISH_EVERY", 2)
         entries = generate_mptrj(8, seed=22, max_atoms=8)
-        dataset = StructureDataset(entries, CFG.cutoff_atom, CFG.cutoff_bond)
+        dataset = StructureDataset(entries)
         model = _fresh_model(seed=9, jitter=900)
         engine = InferenceEngine(model, compile=False)
-        trainer = ServingTrainer(
-            lambda: model, dataset, engine, config=_one_rank(3), publish_every=2
-        )
+        trainer = ServingTrainer(lambda: model, dataset, engine, config=_one_rank(3))
         trainer.train()
         assert len(trainer.published_versions) == 1  # only epoch 2 published
-        with pytest.raises(ValueError):
-            ServingTrainer(lambda: model, dataset, engine, publish_every=0)
 
     def test_two_ranks_publish_rank_zeros_weights(self):
         """On two ranks the engine serves a model of its own, so each publish
         hands over rank 0's state dict; the served predictions then equal
         solo eager inference on rank 0's replica."""
         entries = generate_mptrj(10, seed=23, max_atoms=8)
-        dataset = StructureDataset(entries, CFG.cutoff_atom, CFG.cutoff_bond)
+        dataset = StructureDataset(entries)
         engine = InferenceEngine(_fresh_model(seed=10, jitter=1000), compile=False)
         trainer = ServingTrainer(
             lambda: _fresh_model(seed=10, jitter=1000),

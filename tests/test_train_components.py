@@ -17,11 +17,11 @@ from repro.train import (
     CosineAnnealingLR,
     DistributedConfig,
     DistributedTrainer,
-    LossWeights,
     mae,
     r_squared,
     scaled_learning_rate,
 )
+from repro.train import loss as loss_module
 from repro.train.optimizer import Optimizer
 
 
@@ -95,9 +95,11 @@ class TestCompositeLoss:
         assert set(d) == {"loss", "energy_mae", "force_mae", "stress_mae", "magmom_mae"}
         assert all(np.isfinite(v) for v in d.values())
 
-    def test_weights_scale_loss(self, rng):
+    def test_weights_scale_loss(self, rng, monkeypatch):
         output, batch = self._fake(rng)
-        small = CompositeLoss(LossWeights(energy=0.0, force=0.0, stress=0.0, magmom=0.0))
+        for name in ("ENERGY_WEIGHT", "FORCE_WEIGHT", "STRESS_WEIGHT", "MAGMOM_WEIGHT"):
+            monkeypatch.setattr(loss_module, name, 0.0)
+        small = CompositeLoss()
         assert small(output, batch).loss.item() == 0.0
 
     def test_unlabeled_batch_raises(self, rng):
@@ -107,8 +109,9 @@ class TestCompositeLoss:
             CompositeLoss()(output, batch)
 
     def test_paper_prefactors_default(self):
-        w = LossWeights()
-        assert (w.energy, w.force, w.stress, w.magmom) == (2.0, 1.5, 0.1, 0.1)
+        m = loss_module
+        w = (m.ENERGY_WEIGHT, m.FORCE_WEIGHT, m.STRESS_WEIGHT, m.MAGMOM_WEIGHT)
+        assert w == (2.0, 1.5, 0.1, 0.1)
 
 
 class TestAdam:
@@ -189,20 +192,12 @@ class TestAdam:
         second.step()
         assert np.array_equal(second.flat_params, p.data)
 
-    def test_weight_decay_pulls_to_zero(self):
-        p = Parameter(np.array([1.0]))
-        opt = Adam([p], lr=0.05, weight_decay=1.0)
-        for _ in range(200):
-            p.grad = Tensor(np.zeros(1))
-            opt.step()
-        assert abs(p.data[0]) < 0.1
-
 #: Mixed parameter shapes: 16-element rows (most of a CHGNet's parameters),
 #: a matrix of them, odd sizes, a 0-d scalar and a 3-D block.
 SHAPES = [(16,), (3, 16), (5,), (), (16,), (2, 3, 4), (1,)]
 
 
-def _reference_adam(params, grads, moments, t, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+def _reference_adam(params, grads, moments, t, lr, betas=(0.9, 0.999), eps=1e-8):
     """Adam as one update per parameter: the loop the flat update reproduces."""
     b1, b2 = betas
     bc1 = 1.0 - b1**t
@@ -210,8 +205,6 @@ def _reference_adam(params, grads, moments, t, lr, weight_decay, betas=(0.9, 0.9
     for p, g, (m, v) in zip(params, grads, moments):
         if g is None:
             continue
-        if weight_decay:
-            g = g + weight_decay * p
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -220,8 +213,7 @@ def _reference_adam(params, grads, moments, t, lr, weight_decay, betas=(0.9, 0.9
 
 
 class TestFlatAdam:
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_equals_per_parameter_reference(self, weight_decay):
+    def test_equals_per_parameter_reference(self):
         """Five steps, bit for bit: fresh gradient arrays (steps 1-3), a
         parameter without a gradient (step 3), gradients wrapping the caller's
         arrays (step 4) and
@@ -229,7 +221,7 @@ class TestFlatAdam:
         rng = np.random.default_rng(7)
         init = [np.asarray(rng.normal(size=s)) for s in SHAPES]
         params = [Parameter(a.copy()) for a in init]
-        opt = Adam(params, lr=0.05, weight_decay=weight_decay)
+        opt = Adam(params, lr=0.05)
         ref = [a.copy() for a in init]
         moments = [(np.zeros_like(a), np.zeros_like(a)) for a in init]
         for step in range(1, 6):
@@ -246,7 +238,7 @@ class TestFlatAdam:
                 for p, g in zip(params, grads):
                     p.grad = None if g is None else Tensor(g.copy())
             opt.step()
-            _reference_adam(ref, grads, moments, step, 0.05, weight_decay)
+            _reference_adam(ref, grads, moments, step, 0.05)
             for i, p in enumerate(params):
                 assert np.array_equal(p.data, ref[i]), (step, i)
                 assert np.array_equal(opt._m[i], moments[i][0]), (step, i)
@@ -358,7 +350,7 @@ class TestFlatFlushWithGradlessParameter:
             for i in range(len(params)):
                 if grads[0][i] is not None:
                     comm.allreduce_mean_inplace([grads[r][i] for r in range(2)])
-            _reference_adam(ref, grads[0], moments, t, lr, 0.0)
+            _reference_adam(ref, grads[0], moments, t, lr)
             for rank in range(2):
                 for i, p in enumerate(dt._params[rank]):
                     assert np.array_equal(p.data, ref[i]), (t, rank, i)
