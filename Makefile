@@ -21,8 +21,8 @@
 # for `src` by default.
 #
 # `make knobs` prints the independently settable values of the public
-# configuration surface (config dataclass fields, constructor keywords with a
-# default) per class and in total.
+# configuration surface (config dataclass fields, constructor keywords and
+# function parameters with a default) per class or function and in total.
 
 PYTEST = PYTHONPATH=src python -m pytest -x -q
 LEDGER = python3 benchmarks/perf/run.py
