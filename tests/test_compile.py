@@ -8,6 +8,8 @@ OptLevels, and every guard failure falls back to eager.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,13 @@ from repro.structures import cscl
 from repro.md import ModelCalculator
 from repro.runtime import device_profile
 from repro.tensor import Tensor, clip, maximum, minimum, mul, sum as tsum, where_le
-from repro.tensor.compile import InferenceCompiler, StepCompiler, program_signature
+from repro.tensor.compile import (
+    CompileStats,
+    InferenceCompiler,
+    StepCompiler,
+    program_signature,
+    total_stats,
+)
 from repro.train.loss import CompositeLoss
 from oracles import check_grad, check_second_grad, pad_to_bucket
 
@@ -652,3 +660,31 @@ def test_compile_module_knows_nothing_of_tiers():
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             named.add(node.name)
     assert not named & {"TierShapes", "tiers", "pad_batch", "_pad", "bucket"}
+
+
+def test_total_stats_sums_every_counter_by_field():
+    """One helper totals compiler counters for the engine and the trainer:
+    its keys are :class:`CompileStats`' fields, each summed over the
+    compilers (an empty fleet totals zero)."""
+    from types import SimpleNamespace
+
+    names = [f.name for f in dataclasses.fields(CompileStats)]
+    compilers = [
+        SimpleNamespace(stats=CompileStats(*range(k, k + len(names)))) for k in (1, 10)
+    ]
+    assert total_stats(compilers) == {
+        name: (1 + i) + (10 + i) for i, name in enumerate(names)
+    }
+    assert total_stats(iter(compilers)) == total_stats(compilers)
+    assert total_stats([]) == dict.fromkeys(names, 0)
+
+
+def test_engine_compile_stats_keys_are_the_counter_fields(dataset):
+    from repro.serve import InferenceEngine
+
+    engine = InferenceEngine(_model(OptLevel.DECOMPOSE_FS), compile=True)
+    engine.predict_many([e.crystal for e in dataset.entries[:2]])
+    stats = engine.compile_stats()
+    assert list(stats) == [f.name for f in dataclasses.fields(CompileStats)]
+    assert stats["captures"] >= 1
+    assert all(engine.snapshot()[name] == value for name, value in stats.items())

@@ -45,12 +45,38 @@ class TestConfigValidation:
             {"fmax": -0.1},
             {"max_steps": -1},
             {"timestep_fs": 0.0},
+            {"timestep_fs": 0.01},  # below MIN_TIMESTEP_FS
             {"timestep_fs": 3.0},  # above MAX_TIMESTEP_FS
+            {"max_step": 0.0},
+            {"max_step": -0.2},
         ],
     )
     def test_bad_values_raise(self, kwargs):
         with pytest.raises(ValueError):
             FIREConfig(**kwargs)
+
+    @pytest.mark.parametrize("timestep_fs", [relax.MIN_TIMESTEP_FS, relax.MAX_TIMESTEP_FS])
+    def test_timestep_bounds_are_inclusive(self, timestep_fs):
+        assert FIREConfig(timestep_fs=timestep_fs).timestep_fs == timestep_fs
+
+    @pytest.mark.parametrize(
+        "holds",
+        [
+            lambda m: 0.0 < m.MIN_TIMESTEP_FS <= FIREConfig().timestep_fs <= m.MAX_TIMESTEP_FS,
+            lambda m: m.N_MIN >= 1,
+            lambda m: m.F_INC > 1.0,
+            lambda m: 0.0 < m.F_DEC < 1.0,
+            lambda m: 0.0 < m.ALPHA_START < 1.0,
+            lambda m: 0.0 < m.F_ALPHA < 1.0,
+        ],
+        ids=["timestep_window", "n_min", "f_inc", "f_dec", "alpha_start", "f_alpha"],
+    )
+    def test_control_constants_in_range(self, holds):
+        """The ranges construction used to enforce on FIRE's control
+        settings hold for the module constants that replaced them: the
+        timestep grows on ``F_INC``, shrinks on ``F_DEC`` and the mixing
+        coefficient decays from ``ALPHA_START`` toward zero."""
+        assert holds(relax)
 
     def test_driver_validates_on_construction(self):
         with pytest.raises(ValueError):

@@ -168,3 +168,28 @@ class TestPrefetchQueue:
         gc.collect()
         assert not any(t.is_alive() for t in producers)
         assert ref() is None
+
+    @pytest.mark.parametrize("how", ["break", "raise"])
+    def test_break_or_error_in_consumer_stops_the_producer(self, how):
+        """A ``for`` loop left by ``break`` or by an exception closes the
+        generator, which stops the worker like an explicit ``close()``."""
+
+        class Stop(Exception):
+            pass
+
+        before = set(threading.enumerate())
+        try:
+            for item in PrefetchQueue(iter(range(100))):
+                if item == 1:
+                    if how == "raise":
+                        raise Stop
+                    break
+        except Stop:
+            pass
+        gc.collect()
+        assert not [t for t in set(threading.enumerate()) - before if t.is_alive()]
+
+    def test_exhausted_iteration_ends_the_worker(self):
+        before = set(threading.enumerate())
+        assert list(PrefetchQueue(iter(range(5)))) == list(range(5))
+        assert not [t for t in set(threading.enumerate()) - before if t.is_alive()]
