@@ -66,6 +66,7 @@ Managers
 
 from __future__ import annotations
 
+import math
 import time
 import types
 import weakref
@@ -80,6 +81,7 @@ from repro.graph.batching import MAX_PROGRAMS, GraphBatch
 from repro.runtime.kernels import profiling_active, record_kernel
 from repro.runtime.memory import record_tape_alloc, record_tape_free
 from repro.tensor.engine import Tensor, no_grad, pop_tracer, push_tracer
+from repro.tensor.ops_fused import _FLAT_KERNELS
 
 
 class TraceUnsupported(RuntimeError):
@@ -234,7 +236,7 @@ class Instr:
         self.kwargs = kwargs  # ndarray-free (static) kwargs
         self.kw_ext = kw_ext  # ((key, ext_slot), ...) read from the slots at replay
         self.alias = name in _ALIAS_OPS
-        self.buf = -1  # arena buffer id (-1: plain allocation)
+        self.buf = -1  # arena buffer id (-1: plain allocation or view)
         self.chain = None  # fused chain: [(kernel name, fn, argspec, kwargs), ...]
         self.shape = out.shape
         self.dtype = out.dtype
@@ -472,12 +474,14 @@ class CompiledStep:
         self._live: list[tuple[int, int]] = []
         #: views of the attached slab, one per spec (see :meth:`attach`)
         self.buffers: list[np.ndarray] = []
+        #: flat slot of a split multi-output kernel -> its buffer ids, in order
+        self._split: dict[int, list[int]] = {}
         self.arena_bytes = 0
         self.n_instrs_captured = len(self.instrs)
         self._eliminate_dead()
         self._index_bounds = self._plan_index_bounds()
         self._fuse_elementwise_chains()
-        self._assign_arena()
+        self._assign_arena(self._split_flats())
         self._static: list[Instr] = []  # slab-dependent slots, program order
         self._removed_alias: dict[int, int] = {}  # prefilled view -> base slot
         self._split_static()
@@ -595,31 +599,85 @@ class CompiledStep:
             fused.append(ins)
         self.instrs = fused
 
-    def _assign_arena(self) -> None:
+    def _split_flats(self) -> dict[int, list[tuple[int, list[Instr]]]]:
+        """The pieces of every multi-output kernel output its parts tile.
+
+        A ``_FLAT_KERNELS`` kernel writes its results back to back into one
+        flat output.  When only ``part`` views read that flat and the parts
+        do not overlap, :meth:`_assign_arena` gives each part its own buffer
+        and the kernel is launched with ``out=`` the tuple of them, so a part
+        is live only until its own last reader.  Returns ``flat slot ->
+        [(elements, parts)]`` in output order, ``parts`` being every ``part``
+        instruction over that piece, or empty for bytes no part covers (a
+        scratch buffer live only at the launch).  A flat that is pinned, read
+        directly or through another view, or whose parts overlap is left out:
+        it stays one buffer.
+        """
+        parts: dict[int, list[Instr]] = {}
+        other = self._pinned_slots()
+        for ins in self.instrs:
+            if ins.name == "part":
+                parts.setdefault(ins.in_slots[0], []).append(ins)
+            else:
+                other.update(ins.reads)
+                other.update(slot for _, slot in ins.kw_ext)
+        split: dict[int, list[tuple[int, list[Instr]]]] = {}
+        for ins in self.instrs:
+            if ins.fn not in _FLAT_KERNELS or ins.out_slot in other or ins.out_slot not in parts:
+                continue
+            spans: dict[tuple, list[Instr]] = {}
+            for part in parts[ins.out_slot]:
+                spans.setdefault((part.kwargs["offset"], part.shape), []).append(part)
+            pieces: list[tuple[int, list[Instr]]] = []
+            at = 0
+            for (lo, shape), group in sorted(spans.items()):
+                size = math.prod(shape)
+                if lo < at or not size:
+                    break  # overlapping or empty parts: one buffer
+                if lo > at:
+                    pieces.append((lo - at, []))
+                pieces.append((size, group))
+                at = lo + size
+            else:
+                if at < ins.nbytes // ins.dtype.itemsize:
+                    pieces.append((ins.nbytes // ins.dtype.itemsize - at, []))
+                if len(pieces) > 1:
+                    split[ins.out_slot] = pieces
+        return split
+
+    def _assign_arena(self, split: dict[int, list[tuple[int, list[Instr]]]]) -> None:
         """Plan a byte offset for the result of every out=-capable kernel.
 
         Each result lives from its producing instruction to the last read of
         its alias group — view-producing (alias) ops extend the lifetime of
         their base, pinned slots (program outputs, gradient sources) live to
-        the end of the program.  :func:`_plan_offsets` packs those intervals
-        into byte offsets, so bytes are reused regardless of shape or dtype.
-        Nothing is allocated here: the plan is ``_specs`` + ``arena_bytes``,
-        turned into views of a backing slab by :meth:`attach`
-        (docs/architecture.md, "Arena").
+        the end of the program.  A kernel output in ``split``
+        (:meth:`_split_flats`) is planned as one buffer per piece instead,
+        each part heading its own alias group.  :func:`_plan_offsets` packs
+        those intervals into byte offsets, so bytes are reused regardless of
+        shape or dtype.  Nothing is allocated here: the plan is ``_specs`` +
+        ``arena_bytes``, turned into views of a backing slab by
+        :meth:`attach` (docs/architecture.md, "Arena").
         """
         last, _ = self._slot_uses()
         pinned = self._pinned_slots()
 
-        # Union alias groups: view output shares its input's lifetime/base.
+        # Union alias groups: view output shares its input's lifetime/base;
+        # the parts of a split output over one piece share the first's.
         base: dict[int, int] = {}
+        split_parts: set[int] = set()
 
         def find(s: int) -> int:
             while s in base:
                 s = base[s]
             return s
 
+        for pieces in split.values():
+            for _size, group in pieces:
+                split_parts.update(part.out_slot for part in group)
+                base.update((part.out_slot, group[0].out_slot) for part in group[1:])
         for ins in self.instrs:
-            if ins.alias:
+            if ins.alias and ins.out_slot not in split_parts:
                 base[ins.out_slot] = find(ins.in_slots[0])
         group_last: dict[int, int] = {}
         group_pinned: set[int] = set()
@@ -629,23 +687,39 @@ class CompiledStep:
         for s in pinned:
             group_pinned.add(find(s))
 
-        planned: list[Instr] = []
+        planned: list[tuple[int, tuple, np.dtype]] = []
+
+        def plan(t: int, slot: int | None, nbytes: int, shape: tuple, dtype) -> int:
+            """A buffer written at ``t`` and read through ``slot`` (None: by no one)."""
+            root = None if slot is None else find(slot)
+            until = len(self.instrs) if root in group_pinned else group_last.get(root, t)
+            planned.append((nbytes, shape, dtype))
+            self._live.append((t, until))
+            return len(planned) - 1
+
         for t, ins in enumerate(self.instrs):
             if ins.alias:
                 continue
             if ins.chain is None and not _takes_out(ins.fn):
                 continue
-            root = find(ins.out_slot)
-            until = len(self.instrs) if root in group_pinned else group_last.get(root, t)
-            ins.buf = len(planned)
-            planned.append(ins)
-            self._live.append((t, until))
+            if ins.out_slot not in split:
+                ins.buf = plan(t, ins.out_slot, ins.nbytes, ins.shape, ins.dtype)
+                continue
+            bufs = []
+            for size, group in split[ins.out_slot]:
+                nbytes = size * ins.dtype.itemsize
+                if not group:
+                    bufs.append(plan(t, None, nbytes, (size,), ins.dtype))
+                    continue
+                bufs.append(plan(t, group[0].out_slot, nbytes, group[0].shape, ins.dtype))
+                for part in group:
+                    part.buf = bufs[-1]
+            ins.buf = bufs[0]
+            self._split[ins.out_slot] = bufs
         offsets, self.arena_bytes = _plan_offsets(
-            self._live, [-(-ins.nbytes // _ALIGN) * _ALIGN for ins in planned]
+            self._live, [-(-nbytes // _ALIGN) * _ALIGN for nbytes, _shape, _dtype in planned]
         )
-        self._specs = [
-            (off, ins.nbytes, ins.shape, ins.dtype) for off, ins in zip(offsets, planned)
-        ]
+        self._specs = [(off, *spec) for off, spec in zip(offsets, planned)]
 
     def _split_static(self) -> None:
         """Take replay-invariant view instructions out of the replay list.
@@ -664,7 +738,7 @@ class CompiledStep:
                 static.add(slot)
         kept: list[Instr] = []
         for ins in self.instrs:
-            if ins.buf >= 0:
+            if ins.buf >= 0 and not ins.alias:
                 static.add(ins.out_slot)
                 self._static.append(ins)
                 kept.append(ins)
@@ -680,8 +754,10 @@ class CompiledStep:
         """Point the program at ``slab``: rebuild ``buffers`` and static slots.
 
         ``slab`` is an ``_ALIGN``-aligned ``uint8`` array of at least
-        ``arena_bytes``.  Bound externals are untouched, so a program may be
-        re-attached (to a larger slab) between replays.
+        ``arena_bytes``.  A split multi-output kernel's slot holds the tuple
+        of its parts' buffers, and each part's slot its own buffer
+        (:meth:`_split_flats`).  Bound externals are untouched, so a program
+        may be re-attached (to a larger slab) between replays.
         """
         self.buffers = [
             np.ndarray(shape, dtype, buffer=slab, offset=off)
@@ -689,7 +765,9 @@ class CompiledStep:
         ]
         slots = self._slots
         for ins in self._static:
-            if ins.buf >= 0:
+            if ins.out_slot in self._split:
+                slots[ins.out_slot] = tuple(self.buffers[b] for b in self._split[ins.out_slot])
+            elif ins.buf >= 0:
                 slots[ins.out_slot] = self.buffers[ins.buf]
             else:
                 slots[ins.out_slot] = ins.fn(slots[ins.in_slots[0]], **ins.kwargs)

@@ -235,19 +235,25 @@ def _third_order(name: str):
     return vjp
 
 
-def _flat_parts(flat: np.ndarray | None, shapes: Sequence[tuple[int, ...]], dtype) -> list[np.ndarray]:
-    """``[flat, *parts]``: a kernel's flat output buffer and its segments.
+def _flat_parts(flat: np.ndarray | tuple | None, shapes: Sequence[tuple[int, ...]], dtype) -> list:
+    """``[flat, *parts]``: a kernel's output buffer and its segments.
 
     An op has one output array, so a kernel with several results (or values
-    saved for its derivative kernels) writes them back to back.
+    saved for its derivative kernels) writes them back to back.  A compiled
+    replay may pass a tuple of buffers instead, which tile the segments in
+    order, each covering one or more whole segments: each part then has its
+    own arena lifetime (docs/architecture.md, "Arena").
     """
     if flat is None:
         flat = np.empty(sum(math.prod(shape) for shape in shapes), dtype=dtype)
-    parts, lo = [flat], 0
+    pieces = iter(flat if isinstance(flat, tuple) else (flat,))
+    parts, piece, lo = [flat], next(pieces).reshape(-1), 0
     for shape in shapes:
-        hi = lo + math.prod(shape)
-        parts.append(flat[lo:hi].reshape(shape))
-        lo = hi
+        size = math.prod(shape)
+        if size and lo == piece.size:
+            piece, lo = next(pieces).reshape(-1), 0
+        parts.append(piece[lo : lo + size].reshape(shape))
+        lo += size
     return parts
 
 
@@ -780,6 +786,12 @@ def _fused_gate_vjp2(h, out, inputs, needs, shape, offset):
     flat = _kernel("fused_gate_vjp2", _gate_vjp2_np, (h, g, saved))
     cg, cz = _parts(flat, (g.shape, z.shape), _third_order("fused_gate"), (h, g, z))
     return (None, cg, cz, None)
+
+
+#: The kernels whose output is :func:`_flat_parts` segments, all read
+#: through ``part`` views: a compiled replay may launch them with ``out=`` a
+#: tuple of buffers, one per part (docs/architecture.md, "Arena").
+_FLAT_KERNELS = frozenset({_pack_gated_np, _rmsnorm_np, _rmsnorm_vjp2_np, _gate_np, _gate_vjp2_np})
 
 
 def _scale_shift_np(

@@ -3,8 +3,12 @@
 The contract under test (ISSUE 16, docs/architecture.md "Arena"):
 
 * the plan — buffers whose live ranges intersect never share a byte, every
-  offset is 64-byte aligned, and the plan stays within 1.25x of the peak of
-  simultaneously live bytes;
+  offset is 64-byte aligned, each planned range covers the buffer's last
+  reader as the instruction list itself has it, and the plan stays within
+  1.25x of the peak of bytes those readers keep live at once;
+* parts — each part of a multi-output kernel has its own buffer, which
+  lowers a FUSED training program's arena, and a gradient that leaves its
+  kernel through a part still maps to the launch that writes it;
 * the slab — every program of a :class:`SharedProgramCache` is a set of
   views of the cache's one slab; a larger capture grows it and re-attaches
   the programs already cached; two caches never share one;
@@ -16,6 +20,8 @@ The contract under test (ISSUE 16, docs/architecture.md "Arena"):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +32,7 @@ from repro.graph.crystal_graph import build_graph
 from repro.model import CHGNetModel, OptLevel
 from repro.runtime import memory_stats
 from repro.serve import InferenceEngine
+from repro.tensor import compile as compile_module
 from repro.tensor.compile import (
     _ALIGN,
     CompiledStep,
@@ -66,8 +73,77 @@ def _padded(nbytes: int) -> int:
     return -(-nbytes // _ALIGN) * _ALIGN
 
 
-def _check_plan(prog: CompiledStep) -> None:
-    """No byte shared while live, aligned offsets, plan <= 1.25x peak-live."""
+@pytest.fixture
+def planned(monkeypatch) -> dict:
+    """Each program built meanwhile -> its instruction list as the arena
+    planner saw it (the static split later drops views from it)."""
+    seen = {}
+    assign = CompiledStep._assign_arena
+
+    def recording(prog, split):
+        seen[prog] = list(prog.instrs)
+        assign(prog, split)
+
+    monkeypatch.setattr(CompiledStep, "_assign_arena", recording)
+    return seen
+
+
+def _derived_ranges(prog: CompiledStep, instrs: list) -> dict[int, tuple[int, int]]:
+    """``buffer id -> (producer, last reader)`` from the instruction list alone.
+
+    A slot lies in the buffers of its producing launch (every piece of a
+    split multi-output kernel), or of its base when it is a view; a ``part``
+    of a split kernel lies in the piece its element offset falls on.  A
+    kernel reads its inputs and keyword arrays; a view reads nothing.
+    Program outputs and gradient sources are read at the end.
+    """
+    held: dict[int, tuple[int, ...]] = {}
+    ranges: dict[int, list[int]] = {}
+    for t, ins in enumerate(instrs):
+        if ins.alias:
+            base = ins.in_slots[0]
+            if ins.name == "part" and base in prog._split:
+                pieces = prog._split[base]
+                starts = np.cumsum([0] + [prog.buffers[b].size for b in pieces])
+                (piece,) = [b for b, lo in zip(pieces, starts) if lo == ins.kwargs["offset"]]
+                assert ins.buf == piece and prog.buffers[piece].shape == ins.shape
+                held[ins.out_slot] = (piece,)
+            else:
+                held[ins.out_slot] = held.get(base, ())
+            continue
+        for slot in (*ins.in_slots, *(slot for _, slot in ins.kw_ext)):
+            for b in held.get(slot, ()):
+                ranges[b][1] = t
+        if ins.out_slot in prog._split:
+            held[ins.out_slot] = tuple(prog._split[ins.out_slot])
+        else:
+            held[ins.out_slot] = (ins.buf,) if ins.buf >= 0 else ()
+        for b in held[ins.out_slot]:
+            assert b not in ranges, "an arena buffer written by two launches"
+            ranges[b] = [t, t]
+    for slot in (*prog.outputs.values(), *(slot for _, slot in prog.grad_writes)):
+        for b in held.get(slot, ()):
+            ranges[b][1] = len(instrs)
+    return {b: tuple(r) for b, r in ranges.items()}
+
+
+def _peak_live(ranges) -> int:
+    """Largest sum of bytes live at one instruction over ``(first, last, nbytes)``."""
+    ranges = list(ranges)
+    events = sorted(
+        [(first, nbytes) for first, _last, nbytes in ranges]
+        + [(last + 1, -nbytes) for _first, last, nbytes in ranges]
+    )
+    live = peak = 0
+    for _t, delta in events:
+        live += delta
+        peak = max(peak, live)
+    return peak
+
+
+def _check_plan(prog: CompiledStep, instrs: list) -> None:
+    """No byte shared while live, aligned offsets, every planned range covers
+    its derived one, plan <= 1.25x the derived peak-live bytes."""
     spans = [
         (first, last, off, off + _padded(nbytes))
         for (first, last), (off, nbytes, _shape, _dtype) in zip(prog._live, prog._specs)
@@ -82,33 +158,88 @@ def _check_plan(prog: CompiledStep) -> None:
         for f1, l1, lo1, hi1 in spans[i + 1 :]:
             if f0 <= l1 and f1 <= l0:  # live ranges intersect
                 assert hi0 <= lo1 or hi1 <= lo0, "live buffers share bytes"
-    events = sorted(
-        [(first, hi - lo) for first, _last, lo, hi in spans]
-        + [(last + 1, lo - hi) for _first, last, lo, hi in spans]
+    derived = _derived_ranges(prog, instrs)
+    assert sorted(derived) == list(range(len(prog._specs)))
+    for b, (first, last) in derived.items():
+        planned_first, planned_last = prog._live[b]
+        assert planned_first == first and planned_last >= last, (b, prog._live[b], (first, last))
+    peak = _peak_live(
+        (first, last, _padded(prog._specs[b][1])) for b, (first, last) in derived.items()
     )
-    live = peak = 0
-    for _t, delta in events:
-        live += delta
-        peak = max(peak, live)
-    assert peak <= prog.arena_bytes <= 1.25 * peak
+    assert _peak_live((f, l, hi - lo) for f, l, lo, hi in spans) <= prog.arena_bytes
+    assert prog.arena_bytes <= 1.25 * peak
 
 
 class TestBytePlan:
-    def test_inference_programs(self, graphs):
+    def test_inference_programs(self, graphs, planned):
         comp = InferenceCompiler(_jittered(OptLevel.DECOMPOSE_FS), cache=SharedProgramCache(16))
         for group in (graphs[:1], graphs[:4], graphs[4:12]):
             comp.run(pad_to_bucket(collate(group)))
         assert comp.stats.captures == 3
         for prog in comp.cache.programs.values():
-            _check_plan(prog)
+            _check_plan(prog, planned[prog])
 
-    def test_fused_training_program(self, entries):
+    def test_fused_training_program(self, entries, planned):
         dataset = StructureDataset(entries)
         comp = StepCompiler(_jittered(OptLevel.FUSED), CompositeLoss())
         comp.step(pad_to_bucket(dataset.batch([0, 1, 2, 3])))
         (prog,) = comp.cache.programs.values()
         assert prog.n_instrs > 1000  # forward + double backward
-        _check_plan(prog)
+        assert prog._split  # the multi-output kernels' parts have their own buffers
+        _check_plan(prog, planned[prog])
+
+
+class TestPartBuffers:
+    """Each part of a multi-output kernel has its own arena buffer."""
+
+    @staticmethod
+    def _capture(entries) -> CompiledStep:
+        comp = StepCompiler(_jittered(OptLevel.FUSED), CompositeLoss())
+        comp.step(pad_to_bucket(StructureDataset(entries).batch([0, 1, 2, 3])))
+        (prog,) = comp.cache.programs.values()
+        return prog
+
+    def test_split_lowers_the_training_arena(self, entries, monkeypatch):
+        split = self._capture(entries)
+        monkeypatch.setattr(compile_module, "_FLAT_KERNELS", frozenset())
+        whole = self._capture(entries)  # the same program, each flat one buffer
+        assert not whole._split and split._split
+        assert [ins.name for ins in split.instrs] == [ins.name for ins in whole.instrs]
+        assert len(split._specs) > len(whole._specs)
+        assert split.arena_bytes < 0.9 * whole.arena_bytes
+        # every part is a whole buffer of the launch's tuple, in output order
+        for flat, bufs in split._split.items():
+            parts = split._slots[flat]
+            assert isinstance(parts, tuple) and len(parts) == len(bufs) >= 2
+            assert all(part is split.buffers[b] for part, b in zip(parts, bufs))
+
+    def test_gradients_map_to_the_launch_writing_them(self, entries):
+        """Every gradient source resolves to the launch whose output holds
+        it, never to -1; so does every part, the way a gradient leaving its
+        kernel through a part (or a view of one) would."""
+        prog = self._capture(entries)
+        prog.replay()
+        parts = [ins.out_slot for ins in prog._static if ins.name == "part"]
+        assert any(prog._removed_alias[slot] in prog._split for slot in parts)
+        for slot in [slot for _pid, slot in prog.grad_writes] + parts:
+            t = prog.grad_instr_index(slot)
+            assert t >= 0, slot
+            out = prog._slots[prog.instrs[t].out_slot]
+            bufs = out if isinstance(out, tuple) else (out,)
+            assert any(np.shares_memory(prog._slots[slot], buf) for buf in bufs)
+
+    def test_measured_ready_fractions_per_bucket(self, entries):
+        trainer = DistributedTrainer(
+            lambda: CHGNetModel(CFG.with_level(OptLevel.FUSED), np.random.default_rng(1)),
+            StructureDataset(entries[:8]),
+            DistributedConfig(world_size=2, global_batch_size=4, epochs=1, compile=True, seed=0),
+        )
+        for shards in trainer.loader.iter_epoch(0):
+            trainer.train_step(shards)
+        fractions = trainer.measured_ready_fractions()
+        trainer.close()
+        assert len(fractions) == trainer._buckets.n_buckets
+        assert all(0.0 < f <= 1.0 for f in fractions)
 
 
 class TestSlabOwnership:

@@ -571,6 +571,65 @@ class TestGatedKernelsCompiled:
         comp.release()
 
 
+class TestPartBuffers:
+    """Each multi-output kernel launched with ``out=`` a tuple of buffers, one
+    per part as a compiled replay hands it when every part has its own arena
+    lifetime, writes bit for bit what it writes into one flat.  A 1-D buffer
+    stands in for parts the program dropped (its scratch)."""
+
+    N = 3 * _block_rows(4 * 8) - 5  # (N, 4, 8) rows: three row blocks
+
+    @staticmethod
+    def _check(kernel, args, pieces, **kwargs):
+        flat = kernel(*args, **kwargs)
+        bufs = tuple(np.full(shape, np.nan) for shape in pieces)  # poisoned
+        assert kernel(*args, **kwargs, out=bufs) is bufs
+        assert sum(b.size for b in bufs) == flat.size
+        assert np.concatenate([b.reshape(-1) for b in bufs]).tobytes() == flat.tobytes()
+
+    def test_pack_gated(self, rng):
+        weights = [rng.normal(size=(5, 8)) for _ in range(4)]
+        vectors = [rng.normal(size=(8,)) for _ in range(12)]
+        # [w | b gamma (one scratch) | beta]
+        self._check(
+            ops_fused._pack_gated_np, (*weights, *vectors), [(5, 4, 8), (64,), (4, 8)], branches=4
+        )
+
+    def test_rmsnorm(self, rng):
+        n = self.N
+        x, gamma, beta = rng.normal(size=(n, 4, 8)), rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
+        # [y | xhat (scratch) | rstd]
+        self._check(
+            ops_fused._rmsnorm_np,
+            (x, gamma, beta, 1e-5),
+            [(n, 4, 8), (n * 32,), (n, 4, 1)],
+            save=True,
+        )
+
+    def test_rmsnorm_vjp2(self, rng):
+        n = self.N
+        a, g, xhat = (rng.normal(size=(n, 4, 8)) for _ in range(3))
+        rstd, gamma = rng.uniform(0.5, 2.0, size=(n, 4, 1)), rng.normal(size=(4, 8))
+        # [cg (scratch) | cx | cgamma]
+        self._check(
+            ops_fused._rmsnorm_vjp2_np, (a, g, xhat, rstd, gamma), [(n * 32,), (n, 4, 8), (4, 8)]
+        )
+
+    def test_gate(self, rng):
+        n = self.N
+        # [phi | v s t (scratch)]
+        self._check(
+            ops_fused._gate_np, (rng.normal(size=(n, 4, 8)),), [(2, n, 8), (3 * 2 * n * 8,)], save=True
+        )
+
+    def test_gate_vjp2(self, rng):
+        n = self.N
+        h, g = rng.normal(size=(n, 4, 8)), rng.normal(size=(2, n, 8))
+        saved = np.stack([rng.normal(size=(2, n, 8)), *rng.uniform(0.05, 0.95, size=(2, 2, n, 8))])
+        # [cg | cz (scratch)]
+        self._check(ops_fused._gate_vjp2_np, (h, g, saved), [(2, n, 8), (n * 32,)])
+
+
 class TestGatherPlan:
     def test_vjp_with_and_without_plan_same_bits(self, rng):
         idx = rng.integers(0, 7, size=40)
