@@ -714,7 +714,7 @@ class CompiledStep:
                 bufs.append(plan(t, group[0].out_slot, nbytes, group[0].shape, ins.dtype))
                 for part in group:
                     part.buf = bufs[-1]
-            ins.buf = bufs[0]
+            ins.buf = bufs[0]  # an arena launch; attach binds the whole tuple
             self._split[ins.out_slot] = bufs
         offsets, self.arena_bytes = _plan_offsets(
             self._live, [-(-nbytes // _ALIGN) * _ALIGN for nbytes, _shape, _dtype in planned]
