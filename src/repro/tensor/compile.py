@@ -639,8 +639,9 @@ class CompiledStep:
                 pieces.append((size, group))
                 at = lo + size
             else:
-                if at < ins.nbytes // ins.dtype.itemsize:
-                    pieces.append((ins.nbytes // ins.dtype.itemsize - at, []))
+                rest = ins.nbytes // ins.dtype.itemsize - at
+                if rest:
+                    pieces.append((rest, []))
                 if len(pieces) > 1:
                     split[ins.out_slot] = pieces
         return split
@@ -707,11 +708,8 @@ class CompiledStep:
                 continue
             bufs = []
             for size, group in split[ins.out_slot]:
-                nbytes = size * ins.dtype.itemsize
-                if not group:
-                    bufs.append(plan(t, None, nbytes, (size,), ins.dtype))
-                    continue
-                bufs.append(plan(t, group[0].out_slot, nbytes, group[0].shape, ins.dtype))
+                slot, shape = (group[0].out_slot, group[0].shape) if group else (None, (size,))
+                bufs.append(plan(t, slot, size * ins.dtype.itemsize, shape, ins.dtype))
                 for part in group:
                     part.buf = bufs[-1]
             ins.buf = bufs[0]  # an arena launch; attach binds the whole tuple
