@@ -236,7 +236,7 @@ class Instr:
         self.kwargs = kwargs  # ndarray-free (static) kwargs
         self.kw_ext = kw_ext  # ((key, ext_slot), ...) read from the slots at replay
         self.alias = name in _ALIAS_OPS
-        self.buf = -1  # arena buffer id (-1: plain allocation or view)
+        self.buf = -1  # arena buffer id (-1: plain allocation, or a view of its base)
         self.chain = None  # fused chain: [(kernel name, fn, argspec, kwargs), ...]
         self.shape = out.shape
         self.dtype = out.dtype
