@@ -66,12 +66,16 @@ Managers
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import os
+import sys
 import time
 import types
 import weakref
-from collections import OrderedDict
-from contextlib import nullcontext
+from collections import Counter, OrderedDict
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from typing import Any, Callable
 
@@ -194,11 +198,43 @@ def _new_slab(nbytes: int) -> np.ndarray:
     raw = np.empty(nbytes + _ALIGN - 1, dtype=np.uint8)
     start = -raw.ctypes.data % _ALIGN
     slab = raw[start : start + nbytes]
-    # Touch every page now: np.empty defers physical allocation, which would
-    # otherwise surface as a slow first *replay* (page faults inside the hot
-    # kernels).
-    slab[::4096] = 0
+    _touch(slab)
     return slab
+
+
+def _touch(slab: np.ndarray) -> None:
+    """Make every page of ``slab`` resident: np.empty defers physical
+    allocation (and a released slab has none), which would otherwise surface
+    as a slow first *replay* (page faults inside the hot kernels)."""
+    slab[::4096] = 0
+
+
+#: ``madvise`` advice that drops a private mapping's pages (same value on
+#: Linux, macOS and the BSDs; Linux refills them with zeros on next touch).
+_MADV_DONTNEED = 4
+
+
+@functools.cache
+def _libc() -> tuple[Callable | None, Callable | None]:
+    """``(madvise, malloc_trim)`` of the C library, each ``None`` where it
+    has none (``malloc_trim`` is glibc's).
+
+    Resolved on the first training capture, not at import, as
+    :func:`repro.train.ranks.blas_threads` finds OpenBLAS.
+    """
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(None)
+    except (OSError, TypeError):  # TypeError: no process-wide handle (Windows)
+        return None, None
+    madvise, trim = (getattr(lib, name, None) for name in ("madvise", "malloc_trim"))
+    if madvise is not None:
+        madvise.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+        madvise.restype = ctypes.c_int
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return madvise, trim
 
 
 def _out_of_range(idx: np.ndarray, rows: int) -> bool:
@@ -474,6 +510,7 @@ class CompiledStep:
         self._live: list[tuple[int, int]] = []
         #: views of the attached slab, one per spec (see :meth:`attach`)
         self.buffers: list[np.ndarray] = []
+        self._held: tuple[int, dict[int, int]] | None = None  # see _slab_views
         #: flat slot of a split multi-output kernel -> its buffer ids, in order
         self._split: dict[int, list[int]] = {}
         self.arena_bytes = 0
@@ -769,12 +806,33 @@ class CompiledStep:
                 slots[ins.out_slot] = self.buffers[ins.buf]
             else:
                 slots[ins.out_slot] = ins.fn(slots[ins.in_slots[0]], **ins.kwargs)
+        self._held = None
 
     def detach(self) -> None:
         """Drop every view of the slab (undoes :meth:`attach`)."""
         self.buffers = []
         for ins in self._static:
             self._slots[ins.out_slot] = None
+        self._held = None
+
+    def _slab_views(self, raw: np.ndarray) -> tuple[int, dict[int, int]]:
+        """``(views, outputs)``: how many distinct arrays viewing ``raw``
+        (the allocation under the attached slab) this program holds in
+        ``buffers`` and its replay-invariant slots, and for each output slot
+        holding one of them, how many places hold it.  Computed once per
+        :meth:`attach` (read by :meth:`SharedProgramCache._viewed_outside`)."""
+        if self._held is None:
+            slots = self._slots
+            entries = itertools.chain(self.buffers, (slots[ins.out_slot] for ins in self._static))
+            uses = Counter(
+                id(arr)
+                for entry in entries
+                for arr in (entry if isinstance(entry, tuple) else (entry,))
+                if isinstance(arr, np.ndarray) and arr.base is raw
+            )
+            outputs = {s: uses[id(slots[s])] for s in self.outputs.values() if id(slots[s]) in uses}
+            self._held = (len(uses), outputs)
+        return self._held
 
     # ------------------------------------------------------------------ bind
     def bind(self, batch: GraphBatch, params: list) -> str | None:
@@ -935,7 +993,10 @@ class SharedProgramCache:
     "Arena").  A trainer's rank executors (:mod:`repro.train.ranks`)
     replay forked copies of the cache, each on its own copy of the slab,
     and never capture.  :meth:`store` grows the slab and re-attaches every
-    program; eviction never shrinks it; :meth:`release` drops it.
+    program; eviction never shrinks it; :meth:`release` drops it.  While a
+    training capture's eager step runs (:meth:`released`) the slab holds
+    no resident page, and :meth:`store` hands the freed heap back to the
+    system before it touches the slab again ("Capture memory").
 
     A compiler constructed without an explicit cache owns a private instance.
     """
@@ -956,6 +1017,9 @@ class SharedProgramCache:
         # cache never replay concurrently and consumers copy results out
         # before the next replay.
         self._slab = _new_slab(0)
+        # Bytes of slab :meth:`released` gave up (its pages dropped in
+        # place, or the slab let go); 0 once the slab is resident again.
+        self._cold = 0
 
     def lookup(self, sig: tuple) -> CompiledStep | None:
         """The cached program for ``sig`` (LRU-touched), counting hit/miss."""
@@ -970,10 +1034,7 @@ class SharedProgramCache:
     def store(self, sig: tuple, prog: CompiledStep) -> None:
         """Insert a program under ``sig`` and attach it to the shared slab.
 
-        A program larger than the slab grows it and every cached program is
-        re-attached: the programs let go of the old slab *before* the new
-        one is allocated, so growth peaks at max(old, new) bytes, not their
-        sum (arrays a caller still holds keep the old slab readable).  LRU
+        A program larger than the slab grows it (:meth:`_reslab`).  LRU
         eviction beyond ``max_programs`` drops programs but never shrinks
         the slab.
         """
@@ -981,17 +1042,95 @@ class SharedProgramCache:
         self.programs[sig] = prog
         if len(self.programs) > self.max_programs:
             self.programs.popitem(last=False)
-        if prog.arena_bytes > self._slab.nbytes:
-            record_tape_free(self._slab.nbytes)
-            for cached in self.programs.values():
-                cached.detach()
-            self._slab = None  # freed here, not after the allocation below
-            self._slab = _new_slab(prog.arena_bytes)
-            record_tape_alloc(self._slab.nbytes)
+        self._warm(prog)
+
+    def _reslab(self, nbytes: int) -> None:
+        """Replace the slab by one of ``nbytes`` and attach every cached
+        program to it (none when ``nbytes`` is 0).
+
+        The programs let go of the old slab *before* the new one is
+        allocated, so this peaks at max(old, new) bytes, not their sum
+        (arrays a caller still holds keep the old slab readable).
+        """
+        record_tape_free(self._slab.nbytes)
+        for cached in self.programs.values():
+            cached.detach()
+        self._slab = None  # freed here, not after the allocation below
+        self._slab = _new_slab(nbytes)
+        record_tape_alloc(nbytes)
+        if nbytes:
             for cached in self.programs.values():
                 cached.attach(self._slab)
+
+    @contextmanager
+    def released(self):
+        """Hold no resident slab page while the body runs (a training capture).
+
+        When no array outside the cached programs views the slab, its
+        page-aligned interior is dropped in place (``madvise``): the
+        programs keep their views, and a replay writes every byte before it
+        reads it.  Otherwise the slab is let go as growth lets it go, so a
+        caller's held results stay readable.  The next :meth:`store` (or
+        the end of the body, if it stored nothing) returns glibc's freed
+        heap with ``malloc_trim`` and only then makes the slab resident
+        again.  Where the C library lacks ``madvise`` this does nothing.
+        """
+        madvise = _libc()[0]
+        slab = self._slab
+        if madvise is not None and slab.nbytes:
+            self._cold = slab.nbytes
+            if self._viewed_outside():
+                self._reslab(0)
+            else:
+                page = os.sysconf("SC_PAGE_SIZE")
+                start = -slab.ctypes.data % page
+                length = (slab.nbytes - start) // page * page
+                if length > 0:
+                    madvise(slab.ctypes.data + start, length, _MADV_DONTNEED)
+        del slab  # not held across the body: a slab let go must be freeable
+        try:
+            yield
+        finally:
+            self._warm(None)
+
+    def _viewed_outside(self) -> bool:
+        """Whether an array outside the cached programs views the slab.
+
+        Every view of the slab, however derived, references the allocation
+        under it (NumPy collapses ``base`` chains), so a view the programs
+        do not hold raises that allocation's reference count; an output the
+        programs hold (``output_arrays`` hands out slot entries themselves)
+        raises its own.  Each of those arrays, and a probe only this method
+        holds, is read the same way: unless something else holds one, all
+        show the same count over the holders :meth:`CompiledStep._slab_views`
+        found.
+        """
+        raw = self._slab.base
+        counted = [(prog, *prog._slab_views(raw)) for prog in self.programs.values()]
+        arrays = [raw, np.empty(0)]  # the allocation, and the probe
+        holders = [1 + sum(views for _, views, _ in counted), 0]  # 1: the slab's ``base``
+        del raw
+        for prog, _, outputs in counted:
+            arrays.extend(prog._slots[s] for s in outputs)
+            holders.extend(outputs.values())
+        return len({sys.getrefcount(arr) - n for arr, n in zip(arrays, holders)}) > 1
+
+    def _warm(self, prog: CompiledStep | None) -> None:
+        """Attach ``prog`` (if any), first making the slab resident at
+        least at its size, and at the size :meth:`released` gave up."""
+        if self._cold:
+            trim = _libc()[1]
+            if trim is not None:
+                trim(0)
+        nbytes = max(prog.arena_bytes if prog is not None else 0, self._cold)
+        if nbytes > self._slab.nbytes:
+            self._reslab(nbytes)
         else:
-            prog.attach(self._slab)
+            if self._cold:
+                _touch(self._slab)
+            if prog is not None:
+                prog.attach(self._slab)
+        self._cold = 0
 
     def evict(self, sig: tuple) -> None:
         """Drop the program for ``sig`` (if cached); the slab keeps its size."""
@@ -1000,8 +1139,7 @@ class SharedProgramCache:
     def release(self) -> None:
         """Drop every cached program and the slab."""
         self.programs.clear()
-        record_tape_free(self._slab.nbytes)
-        self._slab = _new_slab(0)
+        self._reslab(0)
 
     @property
     def hit_rate(self) -> float:
@@ -1204,7 +1342,12 @@ class StepCompiler(_CompilerBase):
             breakdown, output = self._eager(batch)
             return breakdown, {"loss": breakdown.loss.data, **_prediction_arrays(output)}
 
-        breakdown = self._trace(sig, batch, eager)
+        # The eager step's tape, not the slab, sets a training capture's
+        # peak: run it with no slab page resident, and return the heap it
+        # freed before the slab comes back (an inference capture frees op by
+        # op under ``no_grad``; docs/architecture.md, "Capture memory").
+        with self.cache.released():
+            breakdown = self._trace(sig, batch, eager)
         # ``last_program`` promises bound state, and the trainer's
         # instrumented replay (``measured_ready_fractions``) may read it
         # before any rank replays this program.

@@ -8,9 +8,12 @@ Usage::
 Runs ``python3 benchmarks/perf/run.py --workload W --seed N --seconds S
 --trace 0`` (``S`` from the parent's ``BENCHMARK.json``) inside each
 checkout, ``--pairs`` times per side, alternating which side goes first, and
-prints for every end-to-end metric — and for the uncalibrated
-``bench.raw_*`` timings the same runs print, which the calibration slice
-cannot move — the per-pair table, each side's median and quartiles, the
+prints for every end-to-end metric — and for the per-layer timings the same
+runs print beside them (:data:`SIDE_METRICS`: the uncalibrated
+``bench.raw_*`` timings, which the calibration slice cannot move, the
+slice's own median ``bench.calib_ms`` and ``bench.warmup_s``), so a
+calibrated verdict that disagrees with the raw one shows its cause in the
+same table — the per-pair table, each side's median and quartiles, the
 pairs the change won and the verdict by the rule of the choosing-metrics
 guide: a **gain** needs the change to win at least nine tenths of the pairs
 (ties count for neither side) *and* the medians to differ by more than the
@@ -30,13 +33,32 @@ import sys
 from pathlib import Path
 
 
-#: Per-layer timings `run.py --trace 0` prints beside the end-to-end metrics.
+#: Per-layer metrics `run.py --trace 0` prints that are judged beside the
+#: end-to-end ones: the uncalibrated timings, by prefix, and the calibration
+#: slice's median and the warm-up time, by name.
 RAW_PREFIX = "bench.raw_"
+SIDE_METRICS = ("bench.calib_ms", "bench.warmup_s")
+
+
+def is_side_metric(name: str) -> bool:
+    """Whether ``name`` is a per-layer metric judged beside the end-to-end ones."""
+    return name.startswith(RAW_PREFIX) or name in SIDE_METRICS
+
+
+def side_values(stdout: str) -> dict[str, float]:
+    """The side metrics of a run's printed table (``name value unit ...``
+    lines) by name."""
+    values = {}
+    for line in stdout.splitlines():
+        fields = line.split()
+        if len(fields) >= 2 and is_side_metric(fields[0]):
+            values[fields[0]] = float(fields[1])
+    return values
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """One driver-form run in ``checkout``: its end-to-end metrics and
-    ``bench.raw_*`` timings by name."""
+    """One driver-form run in ``checkout``: its end-to-end and side metrics
+    by name."""
     done = subprocess.run(
         [
             sys.executable,
@@ -56,11 +78,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[s
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"run in {checkout} is invalid: {result['failed']} failed ops")
     values = {name: entry["value"] for name, entry in result["metrics"].items()}
-    for line in done.stdout.splitlines():
-        fields = line.split()
-        if len(fields) >= 2 and fields[0].startswith(RAW_PREFIX):
-            values[fields[0]] = float(fields[1])
-    return values
+    return {**values, **side_values(done.stdout)}
 
 
 def judge(parent: list[float], change: list[float], better: str) -> dict:
@@ -104,7 +122,7 @@ def main() -> int:
         contract = json.load(fh)
     seconds = contract["run_seconds"]
     metrics = contract["end_to_end"] + [
-        m for m in contract["per_layer"] if m["name"].startswith(RAW_PREFIX)
+        m for m in contract["per_layer"] if is_side_metric(m["name"])
     ]
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
