@@ -1106,13 +1106,13 @@ class SharedProgramCache:
         found.
         """
         raw = self._slab.base
-        counted = [(prog, *prog._slab_views(raw)) for prog in self.programs.values()]
-        arrays = [raw, np.empty(0)]  # the allocation, and the probe
-        holders = [1 + sum(views for _, views, _ in counted), 0]  # 1: the slab's ``base``
-        del raw
-        for prog, _, outputs in counted:
+        arrays, holders = [raw, np.empty(0)], [1, 0]  # the allocation (the slab's base), the probe
+        for prog in self.programs.values():
+            views, outputs = prog._slab_views(raw)
+            holders[0] += views
             arrays.extend(prog._slots[s] for s in outputs)
             holders.extend(outputs.values())
+        del raw
         return len({sys.getrefcount(arr) - n for arr, n in zip(arrays, holders)}) > 1
 
     def _warm(self, prog: CompiledStep | None) -> None:
