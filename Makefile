@@ -12,9 +12,10 @@
 # appends (or replaces) that set's line in docs/perf/trajectory.jsonl;
 # `make perf-pairs A=<parent checkout> B=<change checkout> W=<workload>
 # SEED=<n> [PAIRS=10] [OUT=pairs.json]` runs the driver form on both
-# checkouts in alternating order and prints, per end-to-end metric and per
-# uncalibrated `bench.raw_*` timing, the pairs, medians, quartiles, wins and
-# the gain / worse / no-claim verdict.
+# checkouts in alternating order and prints, per end-to-end metric, per
+# uncalibrated `bench.raw_*` timing, for the calibration slice's median
+# `bench.calib_ms` and for `bench.warmup_s`, the pairs, medians, quartiles,
+# wins and the gain / worse / no-claim verdict.
 #
 # `make sloc [PATHS="src/repro/serve src/repro/comm/faults.py"]` prints the
 # code lines (no blanks, comments or docstrings) per file and in total,

@@ -485,7 +485,7 @@ def cmd_train(args: argparse.Namespace) -> dict:
     summary = {"variant": args.variant, "parameters": trainer.model.num_parameters()}
     if args.resume:
         summary["resumed from"] = (
-            f"{args.resume}: epoch {trainer._epoch}, global step {trainer.global_step}"
+            f"{args.resume}: epoch {trainer.epoch}, global step {trainer.global_step}"
         )
     trainer.add_epoch_hook(_print_epoch)
     if plan is None:

@@ -62,8 +62,8 @@ class ShardedLoader:
     (:meth:`repro.data.samplers.BucketBatchSampler.padding_targets`) is
     padded to it before being yielded, so a run meets only the planned
     shapes — the ranks of a step may carry different ones — and compiled
-    per-rank steps replay one program per planned shape, the largest
-    captured up front (:meth:`largest_planned_batch`; docs/architecture.md,
+    per-rank steps replay one program per planned shape, every one of them
+    prepared up front (:meth:`planned_batches`; docs/architecture.md,
     "Padding: tiers for streams, plans for fixed blocks").  Padded results
     are cached on the source batch, so combined with ``memoize`` a repeated
     epoch yields the *identical* padded objects — bind-and-replay with no
@@ -111,16 +111,16 @@ class ShardedLoader:
                 for s in shards
             ]
 
-    def largest_planned_batch(self) -> GraphBatch | None:
-        """A padded shard of the costliest planned shape.
+    def planned_batches(self) -> list[GraphBatch]:
+        """A padded shard of every planned shape, cheapest first.
 
-        What compiled trainers capture on before their first step; ``None``
-        unless the sampler plans shapes.
+        What compiled trainers prepare their programs on before their first
+        step; none unless the sampler plans shapes.
         """
-        shard = self.sampler.largest_planned_shard()
-        if shard is None:
-            return None
-        return _pad_planned(self.sampler, self.dataset.batch(shard, memoize=self.memoize), shard)
+        return [
+            _pad_planned(self.sampler, self.dataset.batch(shard, memoize=self.memoize), shard)
+            for shard in self.sampler.planned_shards()
+        ]
 
     def __len__(self) -> int:
         return self.sampler.num_batches()

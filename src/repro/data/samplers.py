@@ -98,9 +98,9 @@ class BatchSampler:
         """Planned padded shape for a shard (``None``: nothing planned)."""
         return None
 
-    def largest_planned_shard(self) -> np.ndarray | None:
-        """A shard of the costliest planned shape (``None``: nothing planned)."""
-        return None
+    def planned_shards(self) -> list[np.ndarray]:
+        """One shard of every planned shape (none: nothing planned)."""
+        return []
 
 
 class DefaultSampler(BatchSampler):
@@ -154,7 +154,8 @@ class BucketBatchSampler(LoadBalanceSampler):
     :data:`~repro.graph.batching.MAX_PROGRAMS` groups in total and pads each
     group to the exact maximum of its members — no geometric tier, no bucket
     rounding.  ``tier_targets`` is the table of those shapes (one compiled
-    program each); :meth:`largest_planned_shard` names the one to capture first.
+    program each); :meth:`planned_shards` names one shard of each, which a
+    trainer prepares its programs on before the first step.
     The ranks of a step need not share a shape; they replay different
     programs of one shared cache.  docs/architecture.md, "Padding: tiers
     for streams, plans for fixed blocks", has the objective and the reasons.
@@ -288,20 +289,17 @@ class BucketBatchSampler(LoadBalanceSampler):
         """
         return self._shard_targets.get(tuple(int(i) for i in shard_indices))
 
-    def largest_planned_shard(self) -> np.ndarray | None:
-        """A shard of the costliest planned shape (``None`` without a plan).
-
-        What a trainer captures before its first step: the largest program
-        sizes the cache's arena slab, so capturing it first allocates the
-        slab once, at its final size.
+    def planned_shards(self) -> list[np.ndarray]:
+        """One shard of every planned shape, cheapest first (none without a
+        plan): what a trainer prepares its programs on before its first step.
         """
-        if not self._shard_targets:
-            return None
-        shard_key = max(
-            self._shard_targets,
-            key=lambda key: workload_cost(*self._shard_targets[key]),
-        )
-        return np.array(shard_key, dtype=np.int64)
+        first: dict[tuple, tuple[int, ...]] = {}
+        for shard_key, target in self._shard_targets.items():
+            first.setdefault((len(shard_key), target), shard_key)
+        return [
+            np.array(first[key], dtype=np.int64)
+            for key in sorted(first, key=lambda key: workload_cost(*key[1]))
+        ]
 
 
 def imbalance_study(

@@ -49,7 +49,11 @@ Managers
     each shard to the shape its sampler planned (docs/architecture.md,
     "Padding: tiers for streams, plans for fixed blocks"), so a shuffled
     long-tail stream converges to a handful of shared programs instead of
-    compiling every step.  Every replay is guarded: a
+    compiling every step.  A trainer knows its shapes before its first step
+    and has :meth:`StepCompiler.prepare` cache them all: a few are captured
+    eagerly, cheapest first, and the others derived from those captures'
+    trace templates (:mod:`repro.tensor.derive`; docs/architecture.md,
+    "Derived programs").  Every replay is guarded: a
     shape/dtype rebinding mismatch or a changed model/loss configuration
     evicts the program and falls back to eager.  Programs live in a
     :class:`SharedProgramCache` that several compilers may share (one per
@@ -81,7 +85,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.graph.batching import MAX_PROGRAMS, GraphBatch
+from repro.graph.batching import MAX_PROGRAMS, GraphBatch, workload_cost
 from repro.runtime.kernels import profiling_active, record_kernel
 from repro.runtime.memory import record_tape_alloc, record_tape_free
 from repro.tensor.engine import Tensor, no_grad, pop_tracer, push_tracer
@@ -237,6 +241,14 @@ def _libc() -> tuple[Callable | None, Callable | None]:
     return madvise, trim
 
 
+def _trim_heap() -> None:
+    """Hand glibc's freed heap back to the system (``malloc_trim(0)``);
+    nothing where the C library has no ``malloc_trim``."""
+    trim = _libc()[1]
+    if trim is not None:
+        trim(0)
+
+
 def _out_of_range(idx: np.ndarray, rows: int) -> bool:
     """Whether an index of the int64 ``idx`` falls outside ``[0, rows)``.
 
@@ -264,7 +276,7 @@ class Instr:
         "nbytes",
     )
 
-    def __init__(self, name, fn, in_slots, out_slot, kwargs, kw_ext, out):
+    def __init__(self, name, fn, in_slots, out_slot, kwargs, kw_ext, shape, dtype):
         self.name = name
         self.fn = fn
         self.in_slots = in_slots
@@ -274,9 +286,9 @@ class Instr:
         self.alias = name in _ALIAS_OPS
         self.buf = -1  # arena buffer id (-1: plain allocation, or a view of its base)
         self.chain = None  # fused chain: [(kernel name, fn, argspec, kwargs), ...]
-        self.shape = out.shape
-        self.dtype = out.dtype
-        self.nbytes = out.nbytes
+        self.shape = shape
+        self.dtype = dtype
+        self.nbytes = math.prod(shape) * dtype.itemsize
 
     @property
     def reads(self) -> tuple[int, ...]:
@@ -388,7 +400,7 @@ class TapeTrace:
             }
         out_slot = self._new_slot(out)
         self.instrs.append(
-            Instr(name, fn, in_slots, out_slot, static_kwargs, kw_ext, out)
+            Instr(name, fn, in_slots, out_slot, static_kwargs, kw_ext, out.shape, out.dtype)
         )
 
     def record_leaf_grad(self, leaf: Tensor, grad: Tensor) -> None:
@@ -927,7 +939,8 @@ class CompiledStep:
 
 @dataclass
 class CompileStats:
-    """Counters describing how a compiler handled its steps so far."""
+    """Counters describing how a compiler handled its steps so far
+    (``captures``: every program stored)."""
 
     captures: int = 0
     replays: int = 0
@@ -936,13 +949,22 @@ class CompileStats:
     guard_invalidations: int = 0
 
 
+@dataclass
+class StepCompileStats(CompileStats):
+    """A :class:`StepCompiler`'s counters: also the programs
+    :meth:`StepCompiler.prepare` derived instead of traced, and the
+    structures whose samples differed in more than integers."""
+
+    derived: int = 0
+    never_derive: int = 0
+
+
 def total_stats(compilers) -> dict[str, int]:
-    """Every :class:`CompileStats` counter summed over ``compilers``."""
+    """Every counter of the compilers' stats summed over ``compilers`` (all
+    of one kind)."""
     compilers = list(compilers)
-    return {
-        f.name: sum(getattr(c.stats, f.name) for c in compilers)
-        for f in fields(CompileStats)
-    }
+    kind = type(compilers[0].stats) if compilers else CompileStats
+    return {f.name: sum(getattr(c.stats, f.name) for c in compilers) for f in fields(kind)}
 
 
 def program_signature(batch: GraphBatch, serial: bool, mode: str) -> tuple:
@@ -1119,9 +1141,7 @@ class SharedProgramCache:
         """Attach ``prog`` (if any), first making the slab resident at
         least at its size, and at the size :meth:`released` gave up."""
         if self._cold:
-            trim = _libc()[1]
-            if trim is not None:
-                trim(0)
+            _trim_heap()
         nbytes = max(prog.arena_bytes if prog is not None else 0, self._cold)
         if nbytes > self._slab.nbytes:
             self._reslab(nbytes)
@@ -1189,6 +1209,8 @@ class _CompilerBase:
 
     #: program_signature mode tag; subclasses override.
     _mode = "train"
+    #: counters kept in ``stats``; subclasses may extend them.
+    _stats = CompileStats
 
     def __init__(self, model, cache: SharedProgramCache | None = None) -> None:
         self.model = model
@@ -1196,7 +1218,7 @@ class _CompilerBase:
         self.cache = cache if cache is not None else SharedProgramCache()
         #: most recently captured or replayed program (bound state intact).
         self.last_program: CompiledStep | None = None
-        self.stats = CompileStats()
+        self.stats = self._stats()
         self._guard = self._guard_token()
 
     @property
@@ -1266,7 +1288,7 @@ class _CompilerBase:
     def _replay(self, prog: CompiledStep, batch: GraphBatch):
         raise NotImplementedError
 
-    def _trace(self, sig: tuple, batch: GraphBatch, eager: Callable[[], tuple]):
+    def _trace(self, sig: tuple, batch: GraphBatch, eager: Callable[[], tuple], templates=None):
         """Capture ``eager()`` as the program for ``sig``; returns its result.
 
         ``eager`` runs one eager step and returns ``(result, outputs)`` with
@@ -1274,17 +1296,23 @@ class _CompilerBase:
         holds arrays weakly, so the step's intermediates die when eager
         drops them and the capture peaks where the eager step does
         (docs/architecture.md, "Capture memory"); the program is built
-        (planning only, no allocation) after the step has returned.
+        (planning only, no allocation) after the step has returned, and
+        after ``templates`` (a :class:`~repro.tensor.derive.TraceTemplates`)
+        has sampled the raw trace.
         """
         trace = TapeTrace(batch, self.params)
         with _traced(trace):
             result, outputs = eager()
         slots = {name: trace.slot_of(arr) for name, arr in outputs.items()}
-        prog = CompiledStep(trace, slots, len(self.params))
+        if templates is not None:
+            templates.add(sig, trace, slots)
+        self._store(sig, CompiledStep(trace, slots, len(self.params)))
+        return result
+
+    def _store(self, sig: tuple, prog: CompiledStep) -> None:
         self.cache.store(sig, prog)
         self.last_program = prog
         self.stats.captures += 1
-        return result
 
     def release(self) -> None:
         """Drop every cached program (returning arena bytes)."""
@@ -1310,6 +1338,8 @@ class StepCompiler(_CompilerBase):
     the loss and all parameter gradients are bit-identical (test harness).
     """
 
+    _stats = StepCompileStats
+
     def __init__(self, model, loss_fn, cache: SharedProgramCache | None = None) -> None:
         self.loss_fn = loss_fn
         #: Re-run every replay eagerly and assert bit-identity.
@@ -1334,10 +1364,51 @@ class StepCompiler(_CompilerBase):
         """One forward/loss/backward; returns the LossBreakdown."""
         return self._execute(batch)
 
+    def prepare(self, batches: list[GraphBatch]) -> None:
+        """Cache a program for the shape of each of ``batches`` now.
+
+        What a trainer runs before its first step, on one padded batch of
+        every shape its sampler planned.  Shapes are taken cheapest first
+        and captured eagerly, each capture one more sample of its
+        structure's template (:mod:`repro.tensor.derive`), until the
+        templates resolve every shape left; those are derived, largest
+        first, and built by the same passes.  So the largest eager tape is
+        never built, every replay source is compiled before the slab grows
+        to its final size, and it grows once, at the first derived program
+        (docs/architecture.md, "Derived programs").  The templates are
+        dropped and the freed heap handed back before this returns.
+        """
+        from repro.tensor.derive import TraceTemplates
+
+        self._check_guard()
+        serial = not self.model.config.batched_basis
+        todo: dict[tuple, GraphBatch] = {}
+        for batch in batches:
+            sig = program_signature(batch, serial, self._mode)
+            if sig not in self.cache.programs and sig not in self.cache.unsupported:
+                todo.setdefault(sig, batch)
+        todo = dict(sorted(todo.items(), key=lambda item: workload_cost(*item[0][2:6])))
+        templates = TraceTemplates()
+        while (sig := next((s for s in todo if templates.predict(s) is None), None)) is not None:
+            try:
+                self._capture(sig, todo.pop(sig), templates)
+            except TraceUnsupported:
+                self.cache.unsupported.add(sig)
+                self.stats.unsupported += 1
+        for sig, batch in reversed(todo.items()):
+            raw = templates.derive(sig)
+            self._store(sig, CompiledStep(raw, raw.outputs, len(self.params)))
+            self.stats.derived += 1
+        if todo:
+            self.last_program.bind(batch, self.params)  # as a capture leaves it
+        self.stats.never_derive += len(templates.never)
+        templates = raw = None  # the samples go before the heap is handed back
+        _trim_heap()
+
     def _fallback(self, batch: GraphBatch):
         return self._eager(batch)[0]
 
-    def _capture(self, sig: tuple, batch: GraphBatch):
+    def _capture(self, sig: tuple, batch: GraphBatch, templates=None):
         def eager():
             breakdown, output = self._eager(batch)
             return breakdown, {"loss": breakdown.loss.data, **_prediction_arrays(output)}
@@ -1347,7 +1418,7 @@ class StepCompiler(_CompilerBase):
         # freed before the slab comes back (an inference capture frees op by
         # op under ``no_grad``; docs/architecture.md, "Capture memory").
         with self.cache.released():
-            breakdown = self._trace(sig, batch, eager)
+            breakdown = self._trace(sig, batch, eager, templates)
         # ``last_program`` promises bound state, and the trainer's
         # instrumented replay (``measured_ready_fractions``) may read it
         # before any rank replays this program.

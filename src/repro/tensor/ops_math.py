@@ -38,15 +38,13 @@ def _normalize_axis(axis: int | Sequence[int] | None, ndim: int) -> tuple[int, .
 # every elementwise vjp) needs them.
 
 
+def _reshape_np(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return np.reshape(x, shape)
+
+
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     """View ``a`` with a new shape."""
-    return apply_op(
-        "reshape",
-        lambda x, shape: np.reshape(x, shape),
-        _reshape_vjp,
-        (a,),
-        {"shape": tuple(shape)},
-    )
+    return apply_op("reshape", _reshape_np, _reshape_vjp, (a,), {"shape": tuple(shape)})
 
 
 def _reshape_vjp(g, out, inputs, needs, shape):
@@ -54,14 +52,14 @@ def _reshape_vjp(g, out, inputs, needs, shape):
     return (reshape(g, a.shape) if needs[0] else None,)
 
 
+def _broadcast_to_np(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return np.broadcast_to(x, shape)  # read-only view, zero copy
+
+
 def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Broadcast ``a`` to ``shape`` (materialized, one kernel)."""
     return apply_op(
-        "broadcast_to",
-        lambda x, shape: np.broadcast_to(x, shape),  # read-only view, zero copy
-        _broadcast_vjp,
-        (a,),
-        {"shape": tuple(shape)},
+        "broadcast_to", _broadcast_to_np, _broadcast_vjp, (a,), {"shape": tuple(shape)}
     )
 
 
@@ -432,11 +430,15 @@ def le_mask(a: ArrayLike, b: ArrayLike) -> Tensor:
     return apply_op("le_mask", _le_mask_np, _zero_vjp2, (a, b))
 
 
+def _interval_mask_np(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    return ((x >= lo) & (x <= hi)).astype(x.dtype)
+
+
 def interval_mask(a: Tensor, lo: float, hi: float) -> Tensor:
     """Float mask ``lo <= a <= hi`` (the clip pass-through region)."""
     return apply_op(
         "interval_mask",
-        lambda x, lo, hi: ((x >= lo) & (x <= hi)).astype(x.dtype),
+        _interval_mask_np,
         _zero_vjp1,
         (astensor(a),),
         {"lo": float(lo), "hi": float(hi)},
@@ -487,6 +489,10 @@ def _clip_vjp(g, out, inputs, needs, lo, hi):
     return (mul(g, interval_mask(a, lo, hi)),)
 
 
+def _where_le_np(a: np.ndarray, x: np.ndarray, y: np.ndarray, threshold: float) -> np.ndarray:
+    return np.where(a <= threshold, x, y)
+
+
 def where_le(a: Tensor, x: ArrayLike, y: ArrayLike, threshold: float) -> Tensor:
     """Select ``x`` where ``a <= threshold`` else ``y``.
 
@@ -496,11 +502,7 @@ def where_le(a: Tensor, x: ArrayLike, y: ArrayLike, threshold: float) -> Tensor:
     """
     a, x, y = astensor(a), astensor(x), astensor(y)
     return apply_op(
-        "where_le",
-        lambda a, x, y, threshold: np.where(a <= threshold, x, y),
-        _where_le_vjp,
-        (a, x, y),
-        {"threshold": float(threshold)},
+        "where_le", _where_le_np, _where_le_vjp, (a, x, y), {"threshold": float(threshold)}
     )
 
 
@@ -516,17 +518,15 @@ def _where_le_vjp(g, out, inputs, needs, threshold):
     return (None, gx, gy)
 
 
+def _where_np(x: np.ndarray, y: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    return np.where(cond, x, y)
+
+
 def where(cond: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
     """Select from ``a`` where ``cond`` else ``b``; ``cond`` is constant."""
     a, b = astensor(a), astensor(b)
     cond = np.asarray(cond, dtype=bool)
-    return apply_op(
-        "where",
-        lambda x, y, cond: np.where(cond, x, y),
-        _where_vjp,
-        (a, b),
-        {"cond": cond},
-    )
+    return apply_op("where", _where_np, _where_vjp, (a, b), {"cond": cond})
 
 
 def _where_vjp(g, out, inputs, needs, cond):

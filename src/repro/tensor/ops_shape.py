@@ -16,17 +16,15 @@ from repro.tensor.engine import Tensor, apply_op
 from repro.tensor.ops_math import astensor
 
 
+def _transpose_np(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    return np.transpose(x, axes)  # view; BLAS consumers handle strides
+
+
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     """Permute dimensions (reversed when ``axes`` is ``None``)."""
     if axes is None:
         axes = tuple(range(a.ndim - 1, -1, -1))
-    return apply_op(
-        "transpose",
-        lambda x, axes: np.transpose(x, axes),  # view; BLAS consumers handle strides
-        _transpose_vjp,
-        (a,),
-        {"axes": tuple(axes)},
-    )
+    return apply_op("transpose", _transpose_np, _transpose_vjp, (a,), {"axes": tuple(axes)})
 
 
 def _transpose_vjp(g, out, inputs, needs, axes):
@@ -96,15 +94,13 @@ def _stack_vjp(g, out, inputs, needs, axis):
     return tuple(grads)
 
 
+def _slice_np(x: np.ndarray, index) -> np.ndarray:
+    return x[index]  # view for basic indexing
+
+
 def slice_(a: Tensor, index) -> Tensor:
     """Basic indexing ``a[index]`` (ints and slices only)."""
-    return apply_op(
-        "slice",
-        lambda x, index: x[index],  # view for basic indexing
-        _slice_vjp,
-        (a,),
-        {"index": index},
-    )
+    return apply_op("slice", _slice_np, _slice_vjp, (a,), {"index": index})
 
 
 def _slice_vjp(g, out, inputs, needs, index):

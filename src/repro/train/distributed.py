@@ -36,9 +36,9 @@ result rests on, end to end:
   shape the sampler planned for it (cached on the source batch); the ranks
   of a step may carry different shapes;
 * each rank owns a :class:`~repro.tensor.compile.StepCompiler` over one
-  shared program cache; rank 0 captures the largest planned shape when the
-  trainer is built (it sizes the cache's slab), the others are captured as
-  the first epoch meets them, and every later step replays;
+  shared program cache; rank 0 prepares a program for every planned shape
+  when the trainer is built (a few captured eagerly, the rest derived from
+  them, the slab sized once), and every step replays;
 * the backward's gradients are flushed through **liveness-ordered buckets**
   (:class:`GradientBuckets`): each rank's :class:`~repro.train.optimizer.Adam`
   keeps its gradients in one flat slab in bucket order, so a bucket is one
@@ -334,15 +334,10 @@ class DistributedTrainer:
                 StepCompiler(rep, self.loss_fn, cache=shared) for rep in self.replicas
             ]
             # The loader pads every shard to a shape the sampler planned, so
-            # the largest program this run needs is known now: capture it
-            # first and the slab is allocated once, at its final size
-            # (docs/architecture.md, "Padding: tiers for streams, plans for
-            # fixed blocks").  A capture only writes ``.grad``; the other
-            # shapes are captured as epoch 1 meets them, where the capturing
-            # step is a training step anyway.
-            largest = self.loader.largest_planned_batch()
-            if largest is not None:
-                self.compilers[0].step(largest)
+            # every program this run needs is known now: prepare them all,
+            # and every step replays (docs/architecture.md, "Derived
+            # programs").  An eager capture only writes ``.grad``.
+            self.compilers[0].prepare(self.loader.planned_batches())
 
         total_steps = max(1, len(self.loader) * cfg.epochs)
         self.schedulers = [
@@ -373,6 +368,12 @@ class DistributedTrainer:
         # Forked processes that run ranks of replay-only steps alongside
         # this one (repro.train.ranks); forked at the first such step.
         self._ranks = RankExecutors(cfg.world_size)
+
+    @property
+    def epoch(self) -> int:
+        """The epoch :meth:`train` runs next; on a resumed trainer, the one
+        it re-enters at its checkpointed step."""
+        return self._epoch
 
     def train_step(self, shards: list[GraphBatch]) -> StepStats:
         """One synchronized step: local grads, bucketed allreduce, updates."""

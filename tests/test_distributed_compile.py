@@ -4,8 +4,8 @@ The contract under test (ISSUE 3): ``DistributedConfig(compile=True)`` runs
 bucket-sampled, plan-padded, compiled per-rank steps that are bit-identical
 to the eager distributed path on the same padded pipeline; gradients flush
 through liveness-ordered buckets via the in-place collective; the planned
-shapes are captured once each (ISSUE 24: the largest up front, the rest in
-the first epoch) and every later epoch is replay-only.
+shapes are cached once each before the first step (a few captured eagerly,
+the rest derived from them) and every epoch is replay-only.
 """
 
 from __future__ import annotations
@@ -143,15 +143,15 @@ class TestCompiledEquivalence:
 
 
 class TestPlannedCapture:
-    """A padded run captures exactly its planned shapes, the largest before
-    its first step (docs/architecture.md, "Padding: tiers for streams, plans
-    for fixed blocks")."""
+    """A padded run caches exactly its planned shapes before its first step
+    — a few captured eagerly, the rest derived from them — and every step
+    replays (docs/architecture.md, "Derived programs")."""
 
     def test_captures_are_the_planned_shapes_largest_first(self, dataset, monkeypatch):
         from repro.graph.batching import workload_cost
         from repro.tensor.compile import SharedProgramCache
 
-        stored = []  # (padded dims, slab bytes once stored), in capture order
+        stored = []  # (padded dims, slab bytes once stored), in store order
         real_store = SharedProgramCache.store
 
         def store(cache, sig, prog):
@@ -162,28 +162,35 @@ class TestPlannedCapture:
         dt = DistributedTrainer(factory, dataset, _cfg(compile=True, epochs=3))
         planned = list(dt.sampler.tier_targets.values())
         assert 1 < len(planned) <= dt.compilers[0].max_programs
-        # before any step: the costliest planned shape, and only that
-        assert dt.compile_stats()["captures"] == 1
-        assert workload_cost(*stored[0][0]) == max(workload_cost(*p) for p in planned)
-
         cache = dt.compilers[0].cache
-        _epoch(dt)
-        # the first epoch captured the rest: one program per planned shape,
-        # and the slab the first capture allocated never had to grow
-        assert dt.compile_stats()["captures"] == len(planned)
+        # before any step: one program per planned shape, eager or derived
+        stats = dt.compile_stats()
+        assert stats["captures"] == len(planned)
+        assert 0 < stats["derived"] < len(planned)
         assert sorted(dims for dims, _ in stored) == sorted(planned)
-        assert {nbytes for _, nbytes in stored} == {stored[0][1]}
+        assert sorted(sig[2:6] for sig in cache.programs) == sorted(planned)
+        # eager captures cheapest first, then derived programs largest first:
+        # the slab has its final size from the first derived store on
+        eager = len(planned) - stats["derived"]
+        costs = [workload_cost(*dims) for dims, _ in stored]
+        assert costs[:eager] == sorted(costs[:eager])
+        assert costs[eager:] == sorted(costs[eager:], reverse=True)
+        slab = cache.arena_bytes
+        assert slab == max(prog.arena_bytes for prog in cache.programs.values())
+        assert {nbytes for _, nbytes in stored[eager:]} == {slab}
+
         programs = list(cache.programs)
         _epoch(dt)
         _epoch(dt)
+        _epoch(dt)
         stats = dt.compile_stats()
-        assert stats["captures"] == len(planned)  # none in any later epoch
+        assert stats["captures"] == len(planned)  # no epoch captured anything
         assert stats["eager_fallbacks"] == 0
-        steps = 3 * len(dt.loader) * dt.config.world_size
-        assert stats["replays"] == steps - (len(planned) - 1)
+        # every rank-step replayed a prepared program
+        assert stats["replays"] == 3 * len(dt.loader) * dt.config.world_size
         assert sorted(cache.programs) == sorted(programs)  # none evicted
-        assert cache.misses == len(planned)
-        assert cache.arena_bytes == stored[0][1]
+        assert cache.misses == 0
+        assert cache.arena_bytes == slab
         assert dt.replicas_in_sync()
 
     def test_single_device_blocks_capture_the_plan_too(self, dataset):
@@ -193,10 +200,12 @@ class TestPlannedCapture:
         (compiler,) = trainer.compilers
         planned = trainer.sampler.tier_targets
         assert len(planned) > 1
-        assert compiler.stats.captures == 1
+        assert compiler.stats.captures == len(planned)
+        assert compiler.stats.derived > 0
         slab = compiler.arena_bytes
         trainer.train()
         assert compiler.stats.captures == len(planned)
+        assert compiler.stats.replays == len(trainer.steps)
         assert compiler.stats.eager_fallbacks == 0
         assert compiler.arena_bytes == slab
 
@@ -424,14 +433,17 @@ class TestMeasuredReadyTimes:
         assert fractions[-1] >= max(fractions) - 1e-9
 
     def test_a_captured_program_is_measurable_before_any_replay(self, dataset):
-        """``last_program`` is bound by the capture itself.  Under per-rank
-        tier equality the next rank's replay of the same program bound it;
-        with planned shapes no other rank may ever meet it, and the
-        instrumented replay of a never-bound program crashed."""
+        """``last_program`` — the last program the build prepared, a derived
+        one — is bound by the build itself.  Under per-rank tier equality the
+        next rank's replay of the same program bound it; with planned shapes
+        no other rank may ever meet it, and the instrumented replay of a
+        never-bound program crashed."""
         dt = DistributedTrainer(factory, dataset, _cfg(compile=True, epochs=1))
         stats = dt.compile_stats()
-        assert stats["captures"] == 1 and stats["replays"] == 0
+        assert stats["captures"] == len(dt.sampler.tier_targets)
+        assert stats["derived"] > 0 and stats["replays"] == 0
         prog = dt.compilers[0].last_program
+        assert prog is list(dt.compilers[0].cache.programs.values())[-1]
         assert prog.replay_measured().size > 0
 
     def test_modeled_overlap_measured_vs_byteshare(self, dataset):

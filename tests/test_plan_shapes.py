@@ -219,9 +219,14 @@ class TestSamplerPlans:
         lengths = {len(s) for shards in sampler.epoch_partitions(0) for s in shards}
         assert {length for length, _ in sampler.tier_targets} == lengths
         assert len(sampler.tier_targets) <= MAX_PROGRAMS
-        # what a trainer captures first: a shard of the costliest shape
-        first = sampler.padding_targets(sampler.largest_planned_shard())
-        assert workload_cost(*first) == max(
+        # what a trainer prepares on: one shard of each planned shape, the
+        # costliest last
+        shards = sampler.planned_shards()
+        assert {(len(s), sampler.padding_targets(s)) for s in shards} == {
+            (length, shape) for (length, _), shape in sampler.tier_targets.items()
+        }
+        last = sampler.padding_targets(shards[-1])
+        assert workload_cost(*last) == max(
             workload_cost(*shape) for shape in sampler.tier_targets.values()
         )
 

@@ -280,7 +280,7 @@ class TestBucketBatchSampler:
         sampler = BucketBatchSampler(features, 8, 2, seed=0)
         shards = next(sampler.epoch_partitions(0))
         assert sampler.padding_targets(shards[0]) is None
-        assert sampler.largest_planned_shard() is None
+        assert sampler.planned_shards() == []
 
 
 class TestPaddedShardedLoader:
@@ -335,7 +335,7 @@ class TestPaddedShardedLoader:
         ds = StructureDataset(tiny_entries)
         sampler = BucketBatchSampler(ds.feature_numbers, 8, 2, seed=0)
         loader = ShardedLoader(ds, sampler)
-        assert loader.largest_planned_batch() is None
+        assert loader.planned_batches() == []
         steps = list(loader)
         assert steps and all(b.pad_info is None for step in steps for b in step)
 
