@@ -112,7 +112,7 @@ class ShardedLoader:
             ]
 
     def planned_batches(self) -> list[GraphBatch]:
-        """A padded shard of every planned shape, cheapest first.
+        """A padded shard of every planned shape.
 
         What compiled trainers prepare their programs on before their first
         step; none unless the sampler plans shapes.

@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.graph.batching import MAX_PROGRAMS, plan_shapes, workload_cost
+from repro.graph.batching import MAX_PROGRAMS, plan_shapes
 
 
 def coefficient_of_variation(values: np.ndarray) -> float:
@@ -290,16 +290,12 @@ class BucketBatchSampler(LoadBalanceSampler):
         return self._shard_targets.get(tuple(int(i) for i in shard_indices))
 
     def planned_shards(self) -> list[np.ndarray]:
-        """One shard of every planned shape, cheapest first (none without a
-        plan): what a trainer prepares its programs on before its first step.
-        """
+        """One shard of every planned shape (none without a plan): what a
+        trainer prepares its programs on before its first step."""
         first: dict[tuple, tuple[int, ...]] = {}
         for shard_key, target in self._shard_targets.items():
             first.setdefault((len(shard_key), target), shard_key)
-        return [
-            np.array(first[key], dtype=np.int64)
-            for key in sorted(first, key=lambda key: workload_cost(*key[1]))
-        ]
+        return [np.array(shard_key, dtype=np.int64) for shard_key in first.values()]
 
 
 def imbalance_study(
