@@ -39,16 +39,8 @@ def structure_key(sig: tuple) -> tuple | None:
     return (sig[0], sig[1], tuple(c == 0 for c in sig[_COUNTS]), sig[6], sig[7])
 
 
-class _Int:
-    """What stands in a skeleton where its trace held an integer."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "<int>"
-
-
-_I = _Int()
+#: What stands in a skeleton where its trace held an integer.
+_I = object()
 
 
 def _split(value, ints: list[int]):
