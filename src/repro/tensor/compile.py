@@ -1289,7 +1289,8 @@ class _CompilerBase:
         raise NotImplementedError
 
     def _trace(self, sig: tuple, batch: GraphBatch, eager: Callable[[], tuple], templates=None):
-        """Capture ``eager()`` as the program for ``sig``; returns its result.
+        """Capture ``eager()`` as a program for ``sig``: ``(its result, the
+        program)``, which the caller stores.
 
         ``eager`` runs one eager step and returns ``(result, outputs)`` with
         ``outputs`` the named arrays to mark as program outputs.  The trace
@@ -1306,8 +1307,7 @@ class _CompilerBase:
         slots = {name: trace.slot_of(arr) for name, arr in outputs.items()}
         if templates is not None:
             templates.add(sig, trace, slots)
-        self._store(sig, CompiledStep(trace, slots, len(self.params)))
-        return result
+        return result, CompiledStep(trace, slots, len(self.params))
 
     def _store(self, sig: tuple, prog: CompiledStep) -> None:
         self.cache.store(sig, prog)
@@ -1372,11 +1372,12 @@ class StepCompiler(_CompilerBase):
         and captured eagerly, each capture one more sample of its
         structure's template (:mod:`repro.tensor.derive`), until the
         templates resolve every shape left; those are derived, largest
-        first, and built by the same passes.  So the largest eager tape is
-        never built, every replay source is compiled before the slab grows
-        to its final size, and it grows once, at the first derived program
-        (docs/architecture.md, "Derived programs").  The templates are
-        dropped and the freed heap handed back before this returns.
+        first, and built by the same passes.  The templates are then
+        dropped and the freed heap handed back, and only then is any
+        program stored, the largest plan first.  So the largest eager tape
+        is never built, every eager capture runs and every replay source is
+        compiled before the slab exists, and the slab is allocated once,
+        at its final size (docs/architecture.md, "Derived programs").
         """
         from repro.tensor.derive import TraceTemplates
 
@@ -1389,40 +1390,49 @@ class StepCompiler(_CompilerBase):
                 todo.setdefault(sig, batch)
         todo = dict(sorted(todo.items(), key=lambda item: workload_cost(*item[0][2:6])))
         templates = TraceTemplates()
+        built: list[tuple[tuple, GraphBatch, CompiledStep]] = []
         while (sig := next((s for s in todo if templates.predict(s) is None), None)) is not None:
+            batch = todo.pop(sig)
+            step = functools.partial(self._traced_step, batch)
             try:
-                self._capture(sig, todo.pop(sig), templates)
+                with self.cache.released():  # a no-op while the cache has no slab
+                    built.append((sig, batch, self._trace(sig, batch, step, templates)[1]))
             except TraceUnsupported:
                 self.cache.unsupported.add(sig)
                 self.stats.unsupported += 1
         for sig, batch in reversed(todo.items()):
             raw = templates.derive(sig)
-            self._store(sig, CompiledStep(raw, raw.outputs, len(self.params)))
+            built.append((sig, batch, CompiledStep(raw, raw.outputs, len(self.params))))
             self.stats.derived += 1
-        if todo:
-            self.last_program.bind(batch, self.params)  # as a capture leaves it
         self.stats.never_derive += len(templates.never)
         templates = raw = None  # the samples go before the heap is handed back
         _trim_heap()
+        # Largest plan first: the slab is allocated once, at its final size.
+        for sig, batch, prog in sorted(built, key=lambda item: -item[2].arena_bytes):
+            self._store(sig, prog)
+        if built:
+            prog.bind(batch, self.params)  # ``last_program``, as a capture leaves it
 
     def _fallback(self, batch: GraphBatch):
         return self._eager(batch)[0]
 
-    def _capture(self, sig: tuple, batch: GraphBatch, templates=None):
-        def eager():
-            breakdown, output = self._eager(batch)
-            return breakdown, {"loss": breakdown.loss.data, **_prediction_arrays(output)}
+    def _traced_step(self, batch: GraphBatch):
+        """The eager step a capture traces: ``(breakdown, outputs to mark)``."""
+        breakdown, output = self._eager(batch)
+        return breakdown, {"loss": breakdown.loss.data, **_prediction_arrays(output)}
 
+    def _capture(self, sig: tuple, batch: GraphBatch):
         # The eager step's tape, not the slab, sets a training capture's
         # peak: run it with no slab page resident, and return the heap it
         # freed before the slab comes back (an inference capture frees op by
         # op under ``no_grad``; docs/architecture.md, "Capture memory").
         with self.cache.released():
-            breakdown = self._trace(sig, batch, eager, templates)
+            breakdown, prog = self._trace(sig, batch, functools.partial(self._traced_step, batch))
+            self._store(sig, prog)
         # ``last_program`` promises bound state, and the trainer's
         # instrumented replay (``measured_ready_fractions``) may read it
         # before any rank replays this program.
-        self.last_program.bind(batch, self.params)
+        prog.bind(batch, self.params)
         return breakdown
 
     def _replay(self, prog: CompiledStep, batch: GraphBatch):
@@ -1494,7 +1504,9 @@ class InferenceCompiler(_CompilerBase):
             arrays = eager_predict(self.model, batch)
             return self._slice_real(arrays, batch), arrays
 
-        return self._trace(sig, batch, eager)
+        result, prog = self._trace(sig, batch, eager)
+        self._store(sig, prog)
+        return result
 
     def _replay(self, prog: CompiledStep, batch: GraphBatch):
         prog.replay()

@@ -70,7 +70,8 @@ class _Record:
 def _fresh(model, batch) -> RawTrace:
     """The raw trace of an eager capture of ``batch`` on a fresh compiler."""
     comp, record = StepCompiler(model, CompositeLoss()), _Record()
-    comp._capture(program_signature(batch, False, "train"), batch, record)
+    step = functools.partial(comp._traced_step, batch)
+    comp._trace(program_signature(batch, False, "train"), batch, step, record)
     return record.raw
 
 

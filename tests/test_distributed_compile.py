@@ -149,16 +149,29 @@ class TestPlannedCapture:
 
     def test_captures_are_the_planned_shapes_largest_first(self, dataset, monkeypatch):
         from repro.graph.batching import workload_cost
-        from repro.tensor.compile import SharedProgramCache
+        from repro.tensor.compile import SharedProgramCache, StepCompiler
 
         stored = []  # (padded dims, slab bytes once stored), in store order
-        real_store = SharedProgramCache.store
+        traced = []  # padded dims of every eager capture, in capture order
+        slabs = []  # bytes of every slab allocated
+        real_store, real_trace = SharedProgramCache.store, StepCompiler._trace
+        real_reslab = SharedProgramCache._reslab
 
         def store(cache, sig, prog):
             real_store(cache, sig, prog)
             stored.append((sig[2:6], cache.arena_bytes))
 
+        def trace(comp, sig, *args):
+            traced.append(sig[2:6])
+            return real_trace(comp, sig, *args)
+
+        def reslab(cache, nbytes):
+            slabs.extend([nbytes] if nbytes else [])
+            real_reslab(cache, nbytes)
+
         monkeypatch.setattr(SharedProgramCache, "store", store)
+        monkeypatch.setattr(StepCompiler, "_trace", trace)
+        monkeypatch.setattr(SharedProgramCache, "_reslab", reslab)
         dt = DistributedTrainer(factory, dataset, _cfg(compile=True, epochs=3))
         planned = list(dt.sampler.tier_targets.values())
         assert 1 < len(planned) <= dt.compilers[0].max_programs
@@ -169,15 +182,16 @@ class TestPlannedCapture:
         assert 0 < stats["derived"] < len(planned)
         assert sorted(dims for dims, _ in stored) == sorted(planned)
         assert sorted(sig[2:6] for sig in cache.programs) == sorted(planned)
-        # eager captures cheapest first, then derived programs largest first:
-        # the slab has its final size from the first derived store on
-        eager = len(planned) - stats["derived"]
-        costs = [workload_cost(*dims) for dims, _ in stored]
-        assert costs[:eager] == sorted(costs[:eager])
-        assert costs[eager:] == sorted(costs[eager:], reverse=True)
+        # the eager captures, cheapest first, ran before any slab existed;
+        # the largest plan was stored first, so the slab was allocated once,
+        # at its final size
+        assert len(traced) == len(planned) - stats["derived"]
+        costs = [workload_cost(*dims) for dims in traced]
+        assert costs == sorted(costs)
         slab = cache.arena_bytes
         assert slab == max(prog.arena_bytes for prog in cache.programs.values())
-        assert {nbytes for _, nbytes in stored[eager:]} == {slab}
+        assert slabs == [slab]
+        assert {nbytes for _, nbytes in stored} == {slab}
 
         programs = list(cache.programs)
         _epoch(dt)
@@ -185,12 +199,13 @@ class TestPlannedCapture:
         _epoch(dt)
         stats = dt.compile_stats()
         assert stats["captures"] == len(planned)  # no epoch captured anything
+        assert len(traced) == len(planned) - stats["derived"]
         assert stats["eager_fallbacks"] == 0
         # every rank-step replayed a prepared program
         assert stats["replays"] == 3 * len(dt.loader) * dt.config.world_size
         assert sorted(cache.programs) == sorted(programs)  # none evicted
         assert cache.misses == 0
-        assert cache.arena_bytes == slab
+        assert slabs == [slab]
         assert dt.replicas_in_sync()
 
     def test_single_device_blocks_capture_the_plan_too(self, dataset):
@@ -433,8 +448,8 @@ class TestMeasuredReadyTimes:
         assert fractions[-1] >= max(fractions) - 1e-9
 
     def test_a_captured_program_is_measurable_before_any_replay(self, dataset):
-        """``last_program`` — the last program the build prepared, a derived
-        one — is bound by the build itself.  Under per-rank tier equality the
+        """``last_program`` — the last program the build stored — is bound
+        by the build itself.  Under per-rank tier equality the
         next rank's replay of the same program bound it; with planned shapes
         no other rank may ever meet it, and the instrumented replay of a
         never-bound program crashed."""
