@@ -24,6 +24,11 @@
 # `make knobs` prints the independently settable values of the public
 # configuration surface (config dataclass fields, constructor keywords and
 # function parameters with a default) per class or function and in total.
+#
+# `make rss W=<workload> SEED=<n> [SCALE=full|smoke]` prints the process's
+# VmRSS and VmHWM after import, inputs, every eager capture, heap trim and
+# slab (re)allocation, warm-up and a few steady cycles of one ledger
+# workload (tools/rss_phases.py).
 
 PYTEST = PYTHONPATH=src python -m pytest -x -q
 LEDGER = python3 benchmarks/perf/run.py
@@ -33,10 +38,10 @@ LEDGER = python3 benchmarks/perf/run.py
 # environment (its size shifts their heap layout, and with it the
 # calibration slice): keep them out of it.  `$(A)` and the rest still
 # expand in the recipes; no recipe here runs a sub-make.
-unexport A B W SEED PAIRS OUT SET LABEL PATHS
+unexport A B W SEED PAIRS OUT SET LABEL PATHS SCALE
 MAKEOVERRIDES =
 
-.PHONY: test quicktest perf perf-compare perf-trajectory perf-pairs sloc knobs
+.PHONY: test quicktest perf perf-compare perf-trajectory perf-pairs rss sloc knobs
 
 test:
 	$(PYTEST)
@@ -56,6 +61,9 @@ perf-trajectory:
 perf-pairs:
 	python3 tools/perf_pairs.py $(A) $(B) --workload $(W) --seed $(SEED) \
 		$(if $(PAIRS),--pairs $(PAIRS)) $(if $(OUT),--out $(OUT))
+
+rss:
+	python3 tools/rss_phases.py $(W) --seed $(SEED) $(if $(SCALE),--scale $(SCALE))
 
 sloc:
 	python3 tools/sloc.py $(or $(PATHS),src)

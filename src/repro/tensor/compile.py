@@ -20,11 +20,14 @@ Capture
 
 Replay
     :class:`CompiledStep` re-executes the instruction list on rebound batch
-    arrays and live parameter values.  Each program runs as one Python
-    function generated when it is built: one statement per kernel launch,
-    every array read from the slot list, no interpreter loop
+    arrays and live parameter values.  :func:`run_passes` turns a raw trace
+    into the replay list and its arena plan; each program then runs as one
+    Python function generated when it is built: one statement per kernel
+    launch, every array read from the slot list, no interpreter loop
     (docs/architecture.md, "Straight-line replay", has the emission rules
-    and the code cache).  Elementwise chains whose intermediate
+    and the code cache).  A built program keeps that function, the plan
+    and what binding, attaching and profiling read, and no instruction
+    ("What a built program holds").  Elementwise chains whose intermediate
     has a single consumer are fused into one in-place kernel (the compiled
     analogue of :mod:`repro.tensor.ops_fused`); all other out-capable kernels
     write into the **arena** — byte offsets planned from liveness analysis
@@ -70,6 +73,7 @@ Managers
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -81,7 +85,7 @@ import weakref
 from collections import Counter, OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -169,32 +173,30 @@ def _plan_offsets(
     packs tighter than walking a free list in program order (measured
     1.06-1.13x the peak of simultaneously live bytes on the inference
     programs against 1.30-1.44x) and needs no tuning constant.
+
+    The placed buffers are kept in offset order, so a new one walks them
+    from offset 0, carrying the end of those whose live range meets its
+    own, and stops at the first buffer starting past a gap it fits: none
+    further on starts lower.
     """
-    n = len(sizes)
-    first = np.array([t for t, _ in live], dtype=np.int64)
-    last = np.array([t for _, t in live], dtype=np.int64)
-    size = np.array(sizes, dtype=np.int64)
-    offset = np.zeros(n, dtype=np.int64)
-    placed = np.zeros(n, dtype=bool)
+    offsets = [0] * len(sizes)
+    placed: list[tuple[int, int, int, int]] = []  # (offset, end, first, last)
     total = 0
-    for i in sorted(range(n), key=lambda i: (-sizes[i], live[i][0])):
-        if not sizes[i]:
+    for i in sorted(range(len(sizes)), key=lambda i: (-sizes[i], live[i][0])):
+        size = sizes[i]
+        if not size:
             continue
-        busy = np.flatnonzero(placed & (first <= last[i]) & (last >= first[i]))
+        first, last = live[i]
         at = 0
-        if busy.size:
-            busy = busy[np.argsort(offset[busy], kind="stable")]
-            lo = offset[busy]
-            # end[j]: where the first j+1 busy buffers stop; the candidate
-            # before buffer j is end[j-1] (0 before the first).
-            end = np.maximum.accumulate(lo + size[busy])
-            start = np.concatenate(([0], end[:-1]))
-            gaps = np.flatnonzero(start + sizes[i] <= lo)
-            at = int(start[gaps[0]] if gaps.size else end[-1])
-        offset[i] = at
-        placed[i] = True
-        total = max(total, at + sizes[i])
-    return offset.tolist(), total
+        for lo, hi, f, l in placed:
+            if lo >= at + size:
+                break
+            if f <= last and l >= first and hi > at:
+                at = hi
+        offsets[i] = at
+        bisect.insort(placed, (at, at + size, first, last))
+        total = max(total, at + size)
+    return offsets, total
 
 
 def _new_slab(nbytes: int) -> np.ndarray:
@@ -433,8 +435,9 @@ class _traced:
         pop_tracer(self.tracer)
 
 
-def _replay_source(instrs: list[Instr], timed: bool) -> tuple[str, list]:
-    """A program as the source of one straight-line function, plus its constants.
+def _replay_source(instrs: list[Instr]) -> tuple[str, list, list[int]]:
+    """A program as the source of one straight-line function, its constants,
+    and the statements each instruction takes.
 
     One statement per instruction — one per step of a fused chain — indexes
     the slot list ``S`` for every array: arena outputs were placed there by
@@ -444,8 +447,7 @@ def _replay_source(instrs: list[Instr], timed: bool) -> tuple[str, list]:
     ``gather`` is a clipped ``take`` into its buffer).  Kernels and keyword
     values are read from the names ``k0``, ``k1``, ... bound to the returned
     constants, so programs of one model that differ only in shapes generate
-    the same text.  ``timed`` adds ``T[t] = pc() - t0`` after instruction
-    ``t``.
+    the same text.
     """
     consts: list = []
 
@@ -453,8 +455,9 @@ def _replay_source(instrs: list[Instr], timed: bool) -> tuple[str, list]:
         consts.append(value)
         return f"k{len(consts) - 1}"
 
-    lines = ["def replay(S, T):", " t0 = pc()"] if timed else ["def replay(S):"]
-    for t, ins in enumerate(instrs):
+    lines = ["def replay(S):"]
+    counts = []
+    for ins in instrs:
         o = f"S[{ins.out_slot}]"
         steps = ins.chain or [(ins.name, ins.fn, ins.in_slots, ins.kwargs)]
         for name, fn, argspec, kwargs in steps:
@@ -467,37 +470,367 @@ def _replay_source(instrs: list[Instr], timed: bool) -> tuple[str, list]:
                 lines.append(f' {args[0]}.take({kw["idx"]}, axis=0, out={o}, mode="clip")')
             else:
                 lines.append(f" {_call(const(fn), args, {**kw, 'out': o})}")
-        if timed:
-            lines.append(f" T[{t}] = pc() - t0")
-    return "\n".join(lines) + "\n", consts
+        counts.append(len(steps))
+    return "\n".join(lines) + "\n", consts, counts
 
 
-#: Compiled replay code by source text, least recently used first.  Every
-#: tier of one model generates the same source, so its programs share one
-#: code object and differ only in their constants namespace.
-_CODE: OrderedDict[str, types.CodeType] = OrderedDict()
+#: Compiled replay code by source text, least recently used first, each as
+#: ``(source, code)``.  Every tier of one model generates the same source,
+#: so its programs share one code object and one source string, and differ
+#: only in their constants namespace.
+_CODE: OrderedDict[str, tuple[str, types.CodeType]] = OrderedDict()
 _CODE_CAPACITY = 16
+#: The constant names ``k0``, ``k1``, ... every namespace is keyed by.
+_K_NAMES: list[str] = []
 
 
-def _replay_function(instrs: list[Instr], timed: bool) -> Callable:
-    """The generated replay function of ``instrs`` (see :func:`_replay_source`)."""
-    source, consts = _replay_source(instrs, timed)
-    code = _CODE.pop(source, None)
-    if code is None:
+def _replay_function(source: str, namespace: dict) -> Callable:
+    """The function ``replay`` that ``source`` defines, over ``namespace``;
+    it keeps the source text ``_CODE`` holds as ``.source``."""
+    entry = _CODE.pop(source, None)
+    if entry is None:
         module = compile(source, "<compiled replay>", "exec")
-        code = next(c for c in module.co_consts if isinstance(c, types.CodeType))
-    _CODE[source] = code
+        entry = source, next(c for c in module.co_consts if isinstance(c, types.CodeType))
+    _CODE[entry[0]] = entry
     if len(_CODE) > _CODE_CAPACITY:
         _CODE.popitem(last=False)
-    namespace = {"pc": time.perf_counter}
-    namespace.update((f"k{i}", value) for i, value in enumerate(consts))
-    return types.FunctionType(code, namespace, "replay")
+    fn = types.FunctionType(entry[1], namespace, "replay")
+    fn.source = entry[0]
+    return fn
+
+
+def _timed_variant(run: Callable, counts: np.ndarray) -> Callable:
+    """The timed variant of the replay function ``run``, over its namespace:
+    its statements with ``T[t] = pc() - t0`` after the ``counts[t]`` of
+    instruction ``t``."""
+    body = iter(run.source.splitlines()[1:])
+    lines = ["def replay(S, T):", " t0 = pc()"]
+    for t, n in enumerate(counts.tolist()):
+        lines.extend(itertools.islice(body, n))
+        lines.append(f" T[{t}] = pc() - t0")
+    return _replay_function("\n".join(lines) + "\n", run.__globals__)
+
+
+# ----------------------------------------------------------------- the passes
+class Lowered(NamedTuple):
+    """What :func:`run_passes` makes of a raw trace."""
+
+    #: every kept instruction, program order, as the arena planner saw it
+    instrs: list[Instr]
+    #: the launches a replay runs: ``instrs`` less the prefilled views
+    replay: list[Instr]
+    #: what :meth:`CompiledStep.attach` prefills, program order: ``(slot,
+    #: buffer id or ids)`` or ``(slot, view kernel, base slot, kwargs)``
+    static: list[tuple]
+    #: ``(byte offset, shape, dtype)`` per buffer id
+    plan: list[tuple[int, tuple, np.dtype]]
+    #: ``(first, last)`` instruction index each buffer is live over
+    live: list[tuple[int, int]]
+    #: flat slot of a split multi-output kernel -> its buffer ids, in order
+    split: dict[int, list[int]]
+    #: prefilled view -> its base slot
+    removed_alias: dict[int, int]
+    #: ``(slot, rows, spec)`` per index array :meth:`CompiledStep.bind` checks
+    index_bounds: list[tuple[int, int, tuple]]
+    arena_bytes: int
+
+
+def run_passes(trace, outputs: dict[str, int]) -> Lowered:
+    """Dead-code elimination, index bounds, elementwise fusion, part
+    buffers, the arena plan and the static split, in that order, over a raw
+    trace (a :class:`TapeTrace` or a derived
+    :class:`~repro.tensor.derive.RawTrace`, whose instructions it mutates)
+    with ``outputs`` its marked output slots."""
+    pinned = {*outputs.values(), *(slot for _, slot in trace.grad_writes)}
+    instrs = _eliminate_dead(trace.instrs, pinned)
+    index_bounds = _plan_index_bounds(instrs, trace.externals)
+    instrs = _fuse_elementwise_chains(instrs, pinned)
+    split = _split_flats(instrs, pinned)
+    plan, live, arena_bytes, split = _assign_arena(instrs, pinned, split)
+    replay, static, removed_alias = _split_static(instrs, trace.externals, split)
+    return Lowered(
+        instrs, replay, static, plan, live, split, removed_alias, index_bounds, arena_bytes
+    )
+
+
+def _slot_uses(instrs: list[Instr]) -> tuple[dict[int, int], dict[int, int]]:
+    """(last instr index reading each slot, read count per slot).
+
+    Kwarg-bound arrays count as reads too — today those are always
+    externals (never fused or arena-pooled), but liveness must not rely
+    on that staying true.
+    """
+    last: dict[int, int] = {}
+    count: dict[int, int] = {}
+    for t, ins in enumerate(instrs):
+        for s in ins.reads:
+            last[s] = t
+            count[s] = count.get(s, 0) + 1
+        for _, s in ins.kw_ext:
+            last[s] = t
+            count[s] = count.get(s, 0) + 1
+    return last, count
+
+
+def _eliminate_dead(instrs: list[Instr], pinned: set[int]) -> list[Instr]:
+    """Drop instructions whose results never reach an output or gradient.
+
+    The eager tape can't avoid this work — e.g. the outer backward pass
+    computes loss cotangents for the displacement/strain scratch leaves
+    that nobody reads — but the compiled program sees the whole step and
+    prunes those chains transitively.  All kept kernels still execute
+    bit-identically.
+    """
+    live = set(pinned)
+    kept: list[Instr] = []
+    for ins in reversed(instrs):
+        if ins.out_slot in live:
+            kept.append(ins)
+            live.update(ins.reads)
+            live.update(slot for _, slot in ins.kw_ext)
+    kept.reverse()
+    return kept
+
+
+def _plan_index_bounds(instrs: list[Instr], externals: list[tuple]) -> list[tuple[int, int, tuple]]:
+    """``(slot, rows, spec)`` for every index array a bind rebinds.
+
+    ``rows`` is the fewest rows any gather reads or any segment sum
+    writes through that array: what :meth:`CompiledStep.bind` checks it
+    against, once per bind, because replayed gathers take their rows
+    unchecked.
+    """
+    shapes = {slot: shape for slot, _kind, _ref, shape, _dtype in externals}
+    shapes.update((ins.out_slot, ins.shape) for ins in instrs)
+    bounds: dict[int, int] = {}
+    for ins in instrs:
+        if ins.name in ("gather", "gather_add"):
+            rows = shapes[ins.in_slots[-1]][0]  # the table looked up
+        elif ins.name == "segment_sum":
+            rows = ins.kwargs["num_segments"]
+        else:
+            continue
+        slot = dict(ins.kw_ext)["idx"]
+        bounds[slot] = min(rows, bounds.get(slot, rows))
+    specs = {slot: ref for slot, _kind, ref, _shape, _dtype in externals}
+    return [(slot, rows, specs[slot]) for slot, rows in sorted(bounds.items())]
+
+
+def _fuse_elementwise_chains(instrs: list[Instr], pinned: set[int]) -> list[Instr]:
+    """Collapse single-consumer elementwise chains into one in-place kernel.
+
+    The compiled analogue of the ``ops_fused`` kernels: the chain's
+    intermediate results never materialize outside the chain buffer, and
+    the whole chain is accounted as one launch.  Only adjacent
+    instructions with equal output shape/dtype are merged, so replay
+    executes the identical ufunc sequence (bit-identical results).
+    """
+    _last, count = _slot_uses(instrs)
+    fused: list[Instr] = []
+    for ins in instrs:
+        prev = fused[-1] if fused else None
+        if (
+            prev is not None
+            and ins.name in _ELEMENTWISE
+            and (prev.chain is not None or prev.name in _ELEMENTWISE)
+            and prev.out_slot not in pinned
+            and count.get(prev.out_slot) == 1
+            and ins.in_slots.count(prev.out_slot) == 1
+            and prev.shape == ins.shape
+            and prev.dtype == ins.dtype
+            and not ins.kw_ext
+            and not prev.kw_ext
+        ):
+            if prev.chain is None:
+                first = (prev.name, prev.fn, prev.in_slots, prev.kwargs)
+                prev.name = "fused_chain"
+                prev.fn = None
+                prev.kwargs = {}
+                prev.chain = [first]
+            argspec = tuple(_CARRY if s == prev.out_slot else s for s in ins.in_slots)
+            prev.chain.append((ins.name, ins.fn, argspec, ins.kwargs))
+            prev.in_slots = prev.in_slots + tuple(s for s in ins.in_slots if s != prev.out_slot)
+            prev.out_slot = ins.out_slot
+            continue
+        fused.append(ins)
+    return fused
+
+
+def _split_flats(instrs: list[Instr], pinned: set[int]) -> dict[int, list[tuple[int, list[Instr]]]]:
+    """The pieces of every multi-output kernel output its parts tile.
+
+    A ``_FLAT_KERNELS`` kernel writes its results back to back into one
+    flat output.  When only ``part`` views read that flat and the parts
+    do not overlap, :func:`_assign_arena` gives each part its own buffer
+    and the kernel is launched with ``out=`` the tuple of them, so a part
+    is live only until its own last reader.  Returns ``flat slot ->
+    [(elements, parts)]`` in output order, ``parts`` being every ``part``
+    instruction over that piece, or empty for bytes no part covers (a
+    scratch buffer live only at the launch).  A flat that is pinned, read
+    directly or through another view, or whose parts overlap is left out:
+    it stays one buffer.
+    """
+    parts: dict[int, list[Instr]] = {}
+    other = set(pinned)
+    for ins in instrs:
+        if ins.name == "part":
+            parts.setdefault(ins.in_slots[0], []).append(ins)
+        else:
+            other.update(ins.reads)
+            other.update(slot for _, slot in ins.kw_ext)
+    split: dict[int, list[tuple[int, list[Instr]]]] = {}
+    for ins in instrs:
+        if ins.fn not in _FLAT_KERNELS or ins.out_slot in other or ins.out_slot not in parts:
+            continue
+        spans: dict[tuple, list[Instr]] = {}
+        for part in parts[ins.out_slot]:
+            spans.setdefault((part.kwargs["offset"], part.shape), []).append(part)
+        pieces: list[tuple[int, list[Instr]]] = []
+        at = 0
+        for (lo, shape), group in sorted(spans.items()):
+            size = math.prod(shape)
+            if lo < at or not size:
+                break  # overlapping or empty parts: one buffer
+            if lo > at:
+                pieces.append((lo - at, []))
+            pieces.append((size, group))
+            at = lo + size
+        else:
+            rest = ins.nbytes // ins.dtype.itemsize - at
+            if rest:
+                pieces.append((rest, []))
+            if len(pieces) > 1:
+                split[ins.out_slot] = pieces
+    return split
+
+
+def _assign_arena(instrs: list[Instr], pinned: set[int], split: dict) -> tuple:
+    """Plan a byte offset for the result of every out=-capable kernel.
+
+    Each result lives from its producing instruction to the last read of
+    its alias group — view-producing (alias) ops extend the lifetime of
+    their base, pinned slots (program outputs, gradient sources) live to
+    the end of the program.  A kernel output in ``split``
+    (:func:`_split_flats`) is planned as one buffer per piece instead,
+    each part heading its own alias group.  :func:`_plan_offsets` packs
+    those intervals into byte offsets, so bytes are reused regardless of
+    shape or dtype.  Sets every planned instruction's ``buf`` and returns
+    ``(plan, live, arena_bytes, split)`` as :class:`Lowered` holds them;
+    nothing is allocated: :meth:`CompiledStep.attach` turns the plan into
+    views of a backing slab (docs/architecture.md, "Arena").
+    """
+    last, _ = _slot_uses(instrs)
+
+    # Union alias groups: view output shares its input's lifetime/base;
+    # the parts of a split output over one piece share the first's.
+    base: dict[int, int] = {}
+    split_parts: set[int] = set()
+
+    def find(s: int) -> int:
+        while s in base:
+            s = base[s]
+        return s
+
+    for pieces in split.values():
+        for _size, group in pieces:
+            split_parts.update(part.out_slot for part in group)
+            base.update((part.out_slot, group[0].out_slot) for part in group[1:])
+    for ins in instrs:
+        if ins.alias and ins.out_slot not in split_parts:
+            base[ins.out_slot] = find(ins.in_slots[0])
+    group_last: dict[int, int] = {}
+    for s, t in last.items():
+        r = find(s)
+        group_last[r] = max(group_last.get(r, -1), t)
+    group_pinned = {find(s) for s in pinned}
+
+    planned: list[tuple[int, tuple, np.dtype]] = []
+    live: list[tuple[int, int]] = []
+
+    def plan(t: int, slot: int | None, nbytes: int, shape: tuple, dtype) -> int:
+        """A buffer written at ``t`` and read through ``slot`` (None: by no one)."""
+        root = None if slot is None else find(slot)
+        until = len(instrs) if root in group_pinned else group_last.get(root, t)
+        planned.append((nbytes, shape, dtype))
+        live.append((t, until))
+        return len(planned) - 1
+
+    split_bufs: dict[int, list[int]] = {}
+    for t, ins in enumerate(instrs):
+        if ins.alias:
+            continue
+        if ins.chain is None and not _takes_out(ins.fn):
+            continue
+        if ins.out_slot not in split:
+            ins.buf = plan(t, ins.out_slot, ins.nbytes, ins.shape, ins.dtype)
+            continue
+        bufs = []
+        for size, group in split[ins.out_slot]:
+            slot, shape = (group[0].out_slot, group[0].shape) if group else (None, (size,))
+            bufs.append(plan(t, slot, size * ins.dtype.itemsize, shape, ins.dtype))
+            for part in group:
+                part.buf = bufs[-1]
+        ins.buf = bufs[0]  # an arena launch; attach binds the whole tuple
+        split_bufs[ins.out_slot] = bufs
+    offsets, arena_bytes = _plan_offsets(
+        live, [-(-nbytes // _ALIGN) * _ALIGN for nbytes, _shape, _dtype in planned]
+    )
+    plan = [(off, shape, dtype) for off, (_nbytes, shape, dtype) in zip(offsets, planned)]
+    return plan, live, arena_bytes, split_bufs
+
+
+def _split_static(instrs: list[Instr], externals: list[tuple], split: dict[int, list[int]]) -> tuple:
+    """Take replay-invariant view instructions out of the replay list.
+
+    Arena-backed outputs always live at the same slab offset, so their
+    slot entry only changes when the slab does; views
+    (reshape/transpose/...) whose transitive base is an arena buffer or
+    a frozen constant are likewise fixed per slab.  Both kinds get a
+    static-attach record for :meth:`CompiledStep.attach` to materialize;
+    the views leave the replay list entirely.  Returns ``(replay,
+    static, removed_alias)`` as :class:`Lowered` holds them.
+    """
+    static = {slot for slot, kind, _ref, _shape, _dtype in externals if kind == "const"}
+    replay: list[Instr] = []
+    records: list[tuple] = []
+    removed_alias: dict[int, int] = {}
+    for ins in instrs:
+        slot = ins.out_slot
+        if ins.buf >= 0 and not ins.alias:
+            static.add(slot)
+            records.append((slot, tuple(split[slot]) if slot in split else ins.buf))
+            replay.append(ins)
+        elif ins.alias and ins.in_slots[0] in static:
+            static.add(slot)
+            removed_alias[slot] = ins.in_slots[0]
+            records.append(
+                (slot, ins.buf) if ins.buf >= 0 else (slot, ins.fn, ins.in_slots[0], ins.kwargs)
+            )
+        else:
+            replay.append(ins)
+    return replay, records, removed_alias
+
+
+def _launch_index(lowered: Lowered, slots) -> dict[int, int]:
+    """Index of the replay launch that completes each of ``slots`` (-1:
+    none), a prefilled view resolved through its base."""
+    launch = {ins.out_slot: t for t, ins in enumerate(lowered.replay)}
+    index = {}
+    for slot in slots:
+        base = slot
+        while base in lowered.removed_alias:
+            base = lowered.removed_alias[base]
+        index[slot] = launch.get(base, -1)
+    return index
 
 
 class CompiledStep:
-    """A captured tape: flat kernel program + arena plan + gradient writes.
+    """A captured tape: a generated replay function + arena plan + gradient
+    writes.
 
-    Building a program allocates nothing: it cannot replay until the
+    Building a program runs :func:`run_passes` over the trace and keeps
+    only what replay, binding and attaching read (docs/architecture.md,
+    "Arena"); it allocates nothing: it cannot replay until the
     :class:`SharedProgramCache` it is stored in has :meth:`attach`-ed it to
     the cache's slab.
     """
@@ -509,322 +842,70 @@ class CompiledStep:
         n_params: int,
     ) -> None:
         self.externals = trace.externals
-        self.instrs = trace.instrs
         self.n_slots = trace.n_slots
         self.grad_writes = trace.grad_writes
         self.outputs = outputs
         written = {pid for pid, _ in trace.grad_writes}
         self.nograd_params = [i for i in range(n_params) if i not in written]
         self._slots: list = [None] * self.n_slots
-        #: arena plan: ``(byte offset, nbytes, shape, dtype)`` per buffer id
-        self._specs: list[tuple[int, int, tuple, np.dtype]] = []
-        #: plan-time ``(first, last)`` instruction index each buffer is live
-        self._live: list[tuple[int, int]] = []
-        #: views of the attached slab, one per spec (see :meth:`attach`)
-        self.buffers: list[np.ndarray] = []
-        self._held: tuple[int, dict[int, int]] | None = None  # see _slab_views
-        #: flat slot of a split multi-output kernel -> its buffer ids, in order
-        self._split: dict[int, list[int]] = {}
-        self.arena_bytes = 0
-        self.n_instrs_captured = len(self.instrs)
-        self._eliminate_dead()
-        self._index_bounds = self._plan_index_bounds()
-        self._fuse_elementwise_chains()
-        self._assign_arena(self._split_flats())
-        self._static: list[Instr] = []  # slab-dependent slots, program order
-        self._removed_alias: dict[int, int] = {}  # prefilled view -> base slot
-        self._split_static()
-        self.n_instrs = len(self.instrs)
-        self._slot_instr = {ins.out_slot: t for t, ins in enumerate(self.instrs)}
-        self._run = _replay_function(self.instrs, timed=False)
-        self._timed: Callable | None = None  # built by the first replay_measured
-
-    # ----------------------------------------------------------- compilation
-    def _slot_uses(self) -> tuple[dict[int, int], dict[int, int]]:
-        """(last instr index reading each slot, read count per slot).
-
-        Kwarg-bound arrays count as reads too — today those are always
-        externals (never fused or arena-pooled), but liveness must not rely
-        on that staying true.
-        """
-        last: dict[int, int] = {}
-        count: dict[int, int] = {}
-        for t, ins in enumerate(self.instrs):
-            for s in ins.reads:
-                last[s] = t
-                count[s] = count.get(s, 0) + 1
-            for _, s in ins.kw_ext:
-                last[s] = t
-                count[s] = count.get(s, 0) + 1
-        return last, count
-
-    def _pinned_slots(self) -> set[int]:
-        pinned = set(self.outputs.values())
-        pinned.update(slot for _, slot in self.grad_writes)
-        return pinned
-
-    def _eliminate_dead(self) -> None:
-        """Drop instructions whose results never reach an output or gradient.
-
-        The eager tape can't avoid this work — e.g. the outer backward pass
-        computes loss cotangents for the displacement/strain scratch leaves
-        that nobody reads — but the compiled program sees the whole step and
-        prunes those chains transitively.  All kept kernels still execute
-        bit-identically.
-        """
-        live = self._pinned_slots()
-        kept: list[Instr] = []
-        for ins in reversed(self.instrs):
-            if ins.out_slot in live:
-                kept.append(ins)
-                live.update(ins.reads)
-                live.update(slot for _, slot in ins.kw_ext)
-        kept.reverse()
-        self.instrs = kept
-
-    def _plan_index_bounds(self) -> list[tuple[int, int, tuple]]:
-        """``(slot, rows, spec)`` for every index array a bind rebinds.
-
-        ``rows`` is the fewest rows any gather reads or any segment sum
-        writes through that array: what :meth:`bind` checks it against, once
-        per bind, because replayed gathers take their rows unchecked.
-        """
-        shapes = {slot: shape for slot, _kind, _ref, shape, _dtype in self.externals}
-        shapes.update((ins.out_slot, ins.shape) for ins in self.instrs)
-        bounds: dict[int, int] = {}
-        for ins in self.instrs:
-            if ins.name in ("gather", "gather_add"):
-                rows = shapes[ins.in_slots[-1]][0]  # the table looked up
-            elif ins.name == "segment_sum":
-                rows = ins.kwargs["num_segments"]
-            else:
-                continue
-            slot = dict(ins.kw_ext)["idx"]
-            bounds[slot] = min(rows, bounds.get(slot, rows))
-        specs = {slot: ref for slot, _kind, ref, _shape, _dtype in self.externals}
-        return [(slot, rows, specs[slot]) for slot, rows in sorted(bounds.items())]
-
-    def _fuse_elementwise_chains(self) -> None:
-        """Collapse single-consumer elementwise chains into one in-place kernel.
-
-        The compiled analogue of the ``ops_fused`` kernels: the chain's
-        intermediate results never materialize outside the chain buffer, and
-        the whole chain is accounted as one launch.  Only adjacent
-        instructions with equal output shape/dtype are merged, so replay
-        executes the identical ufunc sequence (bit-identical results).
-        """
-        last, count = self._slot_uses()
-        pinned = self._pinned_slots()
-        fused: list[Instr] = []
-        for ins in self.instrs:
-            prev = fused[-1] if fused else None
-            if (
-                prev is not None
-                and ins.name in _ELEMENTWISE
-                and (prev.chain is not None or prev.name in _ELEMENTWISE)
-                and prev.out_slot not in pinned
-                and count.get(prev.out_slot) == 1
-                and ins.in_slots.count(prev.out_slot) == 1
-                and prev.shape == ins.shape
-                and prev.dtype == ins.dtype
-                and not ins.kw_ext
-                and not prev.kw_ext
-            ):
-                if prev.chain is None:
-                    first = (prev.name, prev.fn, prev.in_slots, prev.kwargs)
-                    prev.name = "fused_chain"
-                    prev.fn = None
-                    prev.kwargs = {}
-                    prev.chain = [first]
-                argspec = tuple(
-                    _CARRY if s == prev.out_slot else s for s in ins.in_slots
-                )
-                prev.chain.append((ins.name, ins.fn, argspec, ins.kwargs))
-                prev.in_slots = prev.in_slots + tuple(
-                    s for s in ins.in_slots if s != prev.out_slot
-                )
-                prev.out_slot = ins.out_slot
-                continue
-            fused.append(ins)
-        self.instrs = fused
-
-    def _split_flats(self) -> dict[int, list[tuple[int, list[Instr]]]]:
-        """The pieces of every multi-output kernel output its parts tile.
-
-        A ``_FLAT_KERNELS`` kernel writes its results back to back into one
-        flat output.  When only ``part`` views read that flat and the parts
-        do not overlap, :meth:`_assign_arena` gives each part its own buffer
-        and the kernel is launched with ``out=`` the tuple of them, so a part
-        is live only until its own last reader.  Returns ``flat slot ->
-        [(elements, parts)]`` in output order, ``parts`` being every ``part``
-        instruction over that piece, or empty for bytes no part covers (a
-        scratch buffer live only at the launch).  A flat that is pinned, read
-        directly or through another view, or whose parts overlap is left out:
-        it stays one buffer.
-        """
-        parts: dict[int, list[Instr]] = {}
-        other = self._pinned_slots()
-        for ins in self.instrs:
-            if ins.name == "part":
-                parts.setdefault(ins.in_slots[0], []).append(ins)
-            else:
-                other.update(ins.reads)
-                other.update(slot for _, slot in ins.kw_ext)
-        split: dict[int, list[tuple[int, list[Instr]]]] = {}
-        for ins in self.instrs:
-            if ins.fn not in _FLAT_KERNELS or ins.out_slot in other or ins.out_slot not in parts:
-                continue
-            spans: dict[tuple, list[Instr]] = {}
-            for part in parts[ins.out_slot]:
-                spans.setdefault((part.kwargs["offset"], part.shape), []).append(part)
-            pieces: list[tuple[int, list[Instr]]] = []
-            at = 0
-            for (lo, shape), group in sorted(spans.items()):
-                size = math.prod(shape)
-                if lo < at or not size:
-                    break  # overlapping or empty parts: one buffer
-                if lo > at:
-                    pieces.append((lo - at, []))
-                pieces.append((size, group))
-                at = lo + size
-            else:
-                rest = ins.nbytes // ins.dtype.itemsize - at
-                if rest:
-                    pieces.append((rest, []))
-                if len(pieces) > 1:
-                    split[ins.out_slot] = pieces
-        return split
-
-    def _assign_arena(self, split: dict[int, list[tuple[int, list[Instr]]]]) -> None:
-        """Plan a byte offset for the result of every out=-capable kernel.
-
-        Each result lives from its producing instruction to the last read of
-        its alias group — view-producing (alias) ops extend the lifetime of
-        their base, pinned slots (program outputs, gradient sources) live to
-        the end of the program.  A kernel output in ``split``
-        (:meth:`_split_flats`) is planned as one buffer per piece instead,
-        each part heading its own alias group.  :func:`_plan_offsets` packs
-        those intervals into byte offsets, so bytes are reused regardless of
-        shape or dtype.  Nothing is allocated here: the plan is ``_specs`` +
-        ``arena_bytes``, turned into views of a backing slab by
-        :meth:`attach` (docs/architecture.md, "Arena").
-        """
-        last, _ = self._slot_uses()
-        pinned = self._pinned_slots()
-
-        # Union alias groups: view output shares its input's lifetime/base;
-        # the parts of a split output over one piece share the first's.
-        base: dict[int, int] = {}
-        split_parts: set[int] = set()
-
-        def find(s: int) -> int:
-            while s in base:
-                s = base[s]
-            return s
-
-        for pieces in split.values():
-            for _size, group in pieces:
-                split_parts.update(part.out_slot for part in group)
-                base.update((part.out_slot, group[0].out_slot) for part in group[1:])
-        for ins in self.instrs:
-            if ins.alias and ins.out_slot not in split_parts:
-                base[ins.out_slot] = find(ins.in_slots[0])
-        group_last: dict[int, int] = {}
-        group_pinned: set[int] = set()
-        for s, t in last.items():
-            r = find(s)
-            group_last[r] = max(group_last.get(r, -1), t)
-        for s in pinned:
-            group_pinned.add(find(s))
-
-        planned: list[tuple[int, tuple, np.dtype]] = []
-
-        def plan(t: int, slot: int | None, nbytes: int, shape: tuple, dtype) -> int:
-            """A buffer written at ``t`` and read through ``slot`` (None: by no one)."""
-            root = None if slot is None else find(slot)
-            until = len(self.instrs) if root in group_pinned else group_last.get(root, t)
-            planned.append((nbytes, shape, dtype))
-            self._live.append((t, until))
-            return len(planned) - 1
-
-        for t, ins in enumerate(self.instrs):
-            if ins.alias:
-                continue
-            if ins.chain is None and not _takes_out(ins.fn):
-                continue
-            if ins.out_slot not in split:
-                ins.buf = plan(t, ins.out_slot, ins.nbytes, ins.shape, ins.dtype)
-                continue
-            bufs = []
-            for size, group in split[ins.out_slot]:
-                slot, shape = (group[0].out_slot, group[0].shape) if group else (None, (size,))
-                bufs.append(plan(t, slot, size * ins.dtype.itemsize, shape, ins.dtype))
-                for part in group:
-                    part.buf = bufs[-1]
-            ins.buf = bufs[0]  # an arena launch; attach binds the whole tuple
-            self._split[ins.out_slot] = bufs
-        offsets, self.arena_bytes = _plan_offsets(
-            self._live, [-(-nbytes // _ALIGN) * _ALIGN for nbytes, _shape, _dtype in planned]
-        )
-        self._specs = [(off, *spec) for off, spec in zip(offsets, planned)]
-
-    def _split_static(self) -> None:
-        """Take replay-invariant view instructions out of the replay list.
-
-        Arena-backed outputs always live at the same slab offset, so their
-        slot entry only changes when the slab does; views
-        (reshape/transpose/...) whose transitive base is an arena buffer or
-        a frozen constant are likewise fixed per slab.  Both kinds are
-        listed in ``_static`` for :meth:`attach` to materialize; the views
-        leave the replay list entirely.
-        """
-        static: set[int] = set()
         for slot, kind, ref, _shape, _dtype in self.externals:
             if kind == "const":
                 self._slots[slot] = ref
-                static.add(slot)
-        kept: list[Instr] = []
-        for ins in self.instrs:
-            if ins.buf >= 0 and not ins.alias:
-                static.add(ins.out_slot)
-                self._static.append(ins)
-                kept.append(ins)
-            elif ins.alias and ins.in_slots[0] in static:
-                static.add(ins.out_slot)
-                self._static.append(ins)
-                self._removed_alias[ins.out_slot] = ins.in_slots[0]
-            else:
-                kept.append(ins)
-        self.instrs = kept
+        self.n_instrs_captured = len(trace.instrs)
+        lowered = run_passes(trace, outputs)
+        #: arena plan: ``(byte offset, shape, dtype)`` per buffer id
+        self._specs = lowered.plan
+        self.arena_bytes = lowered.arena_bytes
+        self._static = lowered.static
+        self._index_bounds = lowered.index_bounds
+        #: views of the attached slab, one per spec (see :meth:`attach`)
+        self.buffers: list[np.ndarray] = []
+        self._held: tuple[int, dict[int, int]] | None = None  # see _slab_views
+        replay = lowered.replay
+        self.n_instrs = len(replay)
+        #: the kernel profile: each launch's name and output bytes
+        self._kernels = tuple(ins.name for ins in replay)
+        self._kernel_bytes = np.array([ins.nbytes for ins in replay], dtype=np.int64)
+        self._grad_launch = _launch_index(lowered, [slot for _, slot in self.grad_writes])
+        source, consts, counts = _replay_source(replay)
+        while len(_K_NAMES) < len(consts):
+            _K_NAMES.append(sys.intern(f"k{len(_K_NAMES)}"))
+        namespace = {"pc": time.perf_counter}
+        namespace.update(zip(_K_NAMES, consts))
+        self._run = _replay_function(source, namespace)
+        self._lines = np.array(counts, dtype=np.int32)  # statements per launch
+        self._timed: Callable | None = None  # built by the first replay_measured
 
     def attach(self, slab: np.ndarray) -> None:
         """Point the program at ``slab``: rebuild ``buffers`` and static slots.
 
         ``slab`` is an ``_ALIGN``-aligned ``uint8`` array of at least
-        ``arena_bytes``.  A split multi-output kernel's slot holds the tuple
-        of its parts' buffers, and each part's slot its own buffer
-        (:meth:`_split_flats`).  Bound externals are untouched, so a program
-        may be re-attached (to a larger slab) between replays.
+        ``arena_bytes``.  The static records (:class:`Lowered`) say what each
+        replay-invariant slot holds: a split multi-output kernel's slot the
+        tuple of its parts' buffers, an arena launch's or a part's slot its
+        buffer, a prefilled view that view of its base.  Bound externals are
+        untouched, so a program may be re-attached (to a larger slab)
+        between replays.
         """
-        self.buffers = [
-            np.ndarray(shape, dtype, buffer=slab, offset=off)
-            for off, _nbytes, shape, dtype in self._specs
+        buffers = self.buffers = [
+            np.ndarray(shape, dtype, buffer=slab, offset=off) for off, shape, dtype in self._specs
         ]
         slots = self._slots
-        for ins in self._static:
-            if ins.out_slot in self._split:
-                slots[ins.out_slot] = tuple(self.buffers[b] for b in self._split[ins.out_slot])
-            elif ins.buf >= 0:
-                slots[ins.out_slot] = self.buffers[ins.buf]
+        for record in self._static:
+            if len(record) == 4:
+                slot, fn, base, kwargs = record
+                slots[slot] = fn(slots[base], **kwargs)
+            elif type(record[1]) is tuple:
+                slots[record[0]] = tuple(buffers[b] for b in record[1])
             else:
-                slots[ins.out_slot] = ins.fn(slots[ins.in_slots[0]], **ins.kwargs)
+                slots[record[0]] = buffers[record[1]]
         self._held = None
 
     def detach(self) -> None:
         """Drop every view of the slab (undoes :meth:`attach`)."""
         self.buffers = []
-        for ins in self._static:
-            self._slots[ins.out_slot] = None
+        for record in self._static:
+            self._slots[record[0]] = None
         self._held = None
 
     def _slab_views(self, raw: np.ndarray) -> tuple[int, dict[int, int]]:
@@ -835,7 +916,7 @@ class CompiledStep:
         :meth:`attach` (read by :meth:`SharedProgramCache._viewed_outside`)."""
         if self._held is None:
             slots = self._slots
-            entries = itertools.chain(self.buffers, (slots[ins.out_slot] for ins in self._static))
+            entries = itertools.chain(self.buffers, (slots[record[0]] for record in self._static))
             uses = Counter(
                 id(arr)
                 for entry in entries
@@ -889,8 +970,8 @@ class CompiledStep:
         """
         self._run(self._slots)
         if profiling_active():
-            for ins in self.instrs:
-                record_kernel(ins.name, ins.nbytes)
+            for name, nbytes in zip(self._kernels, self._kernel_bytes.tolist()):
+                record_kernel(name, nbytes)
 
     def grad_instr_index(self, slot: int) -> int:
         """Index of the replay instruction producing ``slot`` (-1: prefilled).
@@ -898,23 +979,24 @@ class CompiledStep:
         Slots whose producing view instruction was prefilled away resolve
         through their alias base, so every gradient slot maps to the launch
         that completes it — the hook behind measured bucket ready times.
+        Only the slots of ``grad_writes`` are kept (-1 for any other).
         """
-        while slot in self._removed_alias:
-            slot = self._removed_alias[slot]
-        return self._slot_instr.get(slot, -1)
+        return self._grad_launch.get(slot, -1)
 
     def replay_measured(self) -> np.ndarray:
         """Replay on the bound slots, timestamping every instruction.
 
-        Runs the timed variant of the generated replay function.  Returns
+        Runs the timed variant of the generated replay function, derived
+        from its source on the first call (same statements, same constants
+        namespace).  Returns
         cumulative seconds after each launch (same kernels, same order, same
         bits as :meth:`replay`); combined with :meth:`grad_instr_index` this
         yields *measured* per-gradient completion times instead of
         byte-share estimates.
         """
         if self._timed is None:
-            self._timed = _replay_function(self.instrs, timed=True)
-        times = np.zeros(len(self.instrs))
+            self._timed = _timed_variant(self._run, self._lines)
+        times = np.zeros(self.n_instrs)
         self._timed(self._slots, times)
         return times
 

@@ -9,6 +9,7 @@ from repro.data.mptrj import generate_mptrj
 from repro.graph import build_graph, collate
 from repro.model import CHGNetConfig
 from repro.structures import cscl, perovskite, rocksalt
+from oracles import record_lowerings
 
 
 @pytest.fixture
@@ -45,3 +46,10 @@ def tiny_batch(tiny_crystals):
 def tiny_entries():
     """A small labeled corpus (cached for the whole session)."""
     return generate_mptrj(24, seed=3, max_atoms=8)
+
+
+@pytest.fixture
+def lowered(monkeypatch) -> dict:
+    """Each program built during the test -> its :func:`run_passes` output
+    (:func:`oracles.record_lowerings`)."""
+    return record_lowerings(monkeypatch)

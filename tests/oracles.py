@@ -16,7 +16,11 @@ of something ``src/`` does fast, kept so the fast path has an oracle:
   shape an empty :class:`repro.graph.batching.TierShapes` gives it (what a
   streaming caller pads to before any tier grows), so eager and replayed
   steps can be compared on one batch (a compiler replays the batch it is
-  given and never pads).
+  given and never pads);
+* :func:`record_lowerings` — what :func:`repro.tensor.compile.run_passes`
+  returned for each program built meanwhile: the instructions, liveness and
+  buffer plan a built program no longer keeps, for tests that check the
+  program against them.
 
 Imported by tests as ``from oracles import ...`` (``tests/`` is on the path,
 as for ``serve_harness``).
@@ -233,3 +237,27 @@ def pad_to_bucket(batch: GraphBatch) -> GraphBatch:
     rounding, not bit-for-bit.
     """
     return TierShapes().pad(batch, tiered=False)
+
+
+def record_lowerings(monkeypatch) -> dict:
+    """``{program: its Lowered}`` for every program built from now on, as
+    :func:`repro.tensor.compile.run_passes` returned it to the
+    :class:`~repro.tensor.compile.CompiledStep` it built (``monkeypatch`` a
+    ``pytest.MonkeyPatch``)."""
+    from repro.tensor import compile as tc
+
+    seen: dict = {}
+    run_passes, init = tc.run_passes, tc.CompiledStep.__init__
+    pending: list = []
+
+    def recording_passes(trace, outputs):
+        pending.append(run_passes(trace, outputs))
+        return pending[-1]
+
+    def recording_init(prog, *args) -> None:
+        init(prog, *args)
+        seen[prog] = pending.pop()
+
+    monkeypatch.setattr(tc, "run_passes", recording_passes)
+    monkeypatch.setattr(tc.CompiledStep, "__init__", recording_init)
+    return seen

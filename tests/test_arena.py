@@ -73,37 +73,25 @@ def _padded(nbytes: int) -> int:
     return -(-nbytes // _ALIGN) * _ALIGN
 
 
-@pytest.fixture
-def planned(monkeypatch) -> dict:
-    """Each program built meanwhile -> its instruction list as the arena
-    planner saw it (the static split later drops views from it)."""
-    seen = {}
-    assign = CompiledStep._assign_arena
-
-    def recording(prog, split):
-        seen[prog] = list(prog.instrs)
-        assign(prog, split)
-
-    monkeypatch.setattr(CompiledStep, "_assign_arena", recording)
-    return seen
-
-
-def _derived_ranges(prog: CompiledStep, instrs: list) -> dict[int, tuple[int, int]]:
+def _derived_ranges(prog: CompiledStep, low) -> dict[int, tuple[int, int]]:
     """``buffer id -> (producer, last reader)`` from the instruction list alone.
 
-    A slot lies in the buffers of its producing launch (every piece of a
-    split multi-output kernel), or of its base when it is a view; a ``part``
-    of a split kernel lies in the piece its element offset falls on.  A
-    kernel reads its inputs and keyword arrays; a view reads nothing.
-    Program outputs and gradient sources are read at the end.
+    ``low`` is the program's :func:`run_passes` output, whose ``instrs`` is
+    the instruction list as the arena planner saw it (the static split
+    later drops views from the replay).  A slot lies in the buffers of its
+    producing launch (every piece of a split multi-output kernel), or of
+    its base when it is a view; a ``part`` of a split kernel lies in the
+    piece its element offset falls on.  A kernel reads its inputs and
+    keyword arrays; a view reads nothing.  Program outputs and gradient
+    sources are read at the end.
     """
     held: dict[int, tuple[int, ...]] = {}
     ranges: dict[int, list[int]] = {}
-    for t, ins in enumerate(instrs):
+    for t, ins in enumerate(low.instrs):
         if ins.alias:
             base = ins.in_slots[0]
-            if ins.name == "part" and base in prog._split:
-                pieces = prog._split[base]
+            if ins.name == "part" and base in low.split:
+                pieces = low.split[base]
                 starts = np.cumsum([0] + [prog.buffers[b].size for b in pieces])
                 (piece,) = [b for b, lo in zip(pieces, starts) if lo == ins.kwargs["offset"]]
                 assert ins.buf == piece and prog.buffers[piece].shape == ins.shape
@@ -114,8 +102,8 @@ def _derived_ranges(prog: CompiledStep, instrs: list) -> dict[int, tuple[int, in
         for slot in (*ins.in_slots, *(slot for _, slot in ins.kw_ext)):
             for b in held.get(slot, ()):
                 ranges[b][1] = t
-        if ins.out_slot in prog._split:
-            held[ins.out_slot] = tuple(prog._split[ins.out_slot])
+        if ins.out_slot in low.split:
+            held[ins.out_slot] = tuple(low.split[ins.out_slot])
         else:
             held[ins.out_slot] = (ins.buf,) if ins.buf >= 0 else ()
         for b in held[ins.out_slot]:
@@ -123,7 +111,7 @@ def _derived_ranges(prog: CompiledStep, instrs: list) -> dict[int, tuple[int, in
             ranges[b] = [t, t]
     for slot in (*prog.outputs.values(), *(slot for _, slot in prog.grad_writes)):
         for b in held.get(slot, ()):
-            ranges[b][1] = len(instrs)
+            ranges[b][1] = len(low.instrs)
     return {b: tuple(r) for b, r in ranges.items()}
 
 
@@ -141,52 +129,80 @@ def _peak_live(ranges) -> int:
     return peak
 
 
-def _check_plan(prog: CompiledStep, instrs: list) -> None:
-    """No byte shared while live, aligned offsets, every planned range covers
-    its derived one, plan <= 1.25x the derived peak-live bytes."""
+def _check_plan(prog: CompiledStep, low) -> None:
+    """The program attaches the plan the passes made; no byte shared while
+    live, aligned offsets, every planned range covers its derived one, plan
+    <= 1.25x the derived peak-live bytes."""
+    assert prog._specs == low.plan and prog.arena_bytes == low.arena_bytes
+    nbytes = [math.prod(shape) * np.dtype(dtype).itemsize for _off, shape, dtype in low.plan]
     spans = [
-        (first, last, off, off + _padded(nbytes))
-        for (first, last), (off, nbytes, _shape, _dtype) in zip(prog._live, prog._specs)
-        if nbytes
+        (first, last, off, off + _padded(n))
+        for (first, last), (off, _shape, _dtype), n in zip(low.live, low.plan, nbytes)
+        if n
     ]
     assert spans
-    for off, nbytes, shape, dtype in prog._specs:
+    for (off, shape, _dtype), n, buf in zip(low.plan, nbytes, prog.buffers):
         assert off % _ALIGN == 0
-        assert nbytes == int(np.prod(shape)) * np.dtype(dtype).itemsize
-        assert off + nbytes <= prog.arena_bytes
+        assert off + n <= prog.arena_bytes
+        assert buf.shape == shape and buf.nbytes == n
     for i, (f0, l0, lo0, hi0) in enumerate(spans):
         for f1, l1, lo1, hi1 in spans[i + 1 :]:
             if f0 <= l1 and f1 <= l0:  # live ranges intersect
                 assert hi0 <= lo1 or hi1 <= lo0, "live buffers share bytes"
-    derived = _derived_ranges(prog, instrs)
-    assert sorted(derived) == list(range(len(prog._specs)))
+    derived = _derived_ranges(prog, low)
+    assert sorted(derived) == list(range(len(low.plan)))
     for b, (first, last) in derived.items():
-        planned_first, planned_last = prog._live[b]
-        assert planned_first == first and planned_last >= last, (b, prog._live[b], (first, last))
-    peak = _peak_live(
-        (first, last, _padded(prog._specs[b][1])) for b, (first, last) in derived.items()
-    )
+        planned_first, planned_last = low.live[b]
+        assert planned_first == first and planned_last >= last, (b, low.live[b], (first, last))
+    peak = _peak_live((first, last, _padded(nbytes[b])) for b, (first, last) in derived.items())
     assert _peak_live((f, l, hi - lo) for f, l, lo, hi in spans) <= prog.arena_bytes
     assert prog.arena_bytes <= 1.25 * peak
 
 
+def _lowest_free(live, sizes) -> tuple[list[int], int]:
+    """The greedy plan by brute force: largest first (ties: earliest live),
+    each buffer at the lowest offset no placed buffer it is live with
+    overlaps, trying 0 and every such buffer's end."""
+    offsets, placed = [0] * len(sizes), []
+    for i in sorted(range(len(sizes)), key=lambda i: (-sizes[i], live[i][0])):
+        (first, last), size = live[i], sizes[i]
+        if not size:
+            continue
+        busy = [(lo, hi) for lo, hi, f, l in placed if f <= last and l >= first]
+        fits = [c for c in {0, *(hi for _, hi in busy)} if all(hi <= c or lo >= c + size for lo, hi in busy)]
+        offsets[i] = min(fits)
+        placed.append((offsets[i], offsets[i] + size, first, last))
+    return offsets, max((hi for _, hi, _, _ in placed), default=0)
+
+
+class TestPlanOffsets:
+    def test_equals_the_lowest_free_offset_on_random_plans(self):
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            first = rng.integers(0, 40, size=n)
+            live = [(int(f), int(f + rng.integers(0, 12))) for f in first]
+            sizes = [int(s) * _ALIGN for s in rng.choice([0, 1, 2, 3, 8, 64], size=n)]
+            assert compile_module._plan_offsets(live, sizes) == _lowest_free(live, sizes)
+
+
 class TestBytePlan:
-    def test_inference_programs(self, graphs, planned):
+    def test_inference_programs(self, graphs, lowered):
         comp = InferenceCompiler(_jittered(OptLevel.DECOMPOSE_FS), cache=SharedProgramCache(16))
         for group in (graphs[:1], graphs[:4], graphs[4:12]):
             comp.run(pad_to_bucket(collate(group)))
         assert comp.stats.captures == 3
         for prog in comp.cache.programs.values():
-            _check_plan(prog, planned[prog])
+            _check_plan(prog, lowered[prog])
 
-    def test_fused_training_program(self, entries, planned):
+    def test_fused_training_program(self, entries, lowered):
         dataset = StructureDataset(entries)
         comp = StepCompiler(_jittered(OptLevel.FUSED), CompositeLoss())
         comp.step(pad_to_bucket(dataset.batch([0, 1, 2, 3])))
         (prog,) = comp.cache.programs.values()
         assert prog.n_instrs > 1000  # forward + double backward
-        assert prog._split  # the multi-output kernels' parts have their own buffers
-        _check_plan(prog, planned[prog])
+        assert lowered[prog].split  # the multi-output kernels' parts have their own buffers
+        _check_plan(prog, lowered[prog])
 
 
 class TestPartBuffers:
@@ -199,32 +215,38 @@ class TestPartBuffers:
         (prog,) = comp.cache.programs.values()
         return prog
 
-    def test_split_lowers_the_training_arena(self, entries, monkeypatch):
+    def test_split_lowers_the_training_arena(self, entries, monkeypatch, lowered):
         split = self._capture(entries)
         monkeypatch.setattr(compile_module, "_FLAT_KERNELS", frozenset())
         whole = self._capture(entries)  # the same program, each flat one buffer
-        assert not whole._split and split._split
-        assert [ins.name for ins in split.instrs] == [ins.name for ins in whole.instrs]
+        assert not lowered[whole].split and lowered[split].split
+        names = [[ins.name for ins in lowered[prog].replay] for prog in (split, whole)]
+        assert names[0] == names[1] and split._kernels == whole._kernels == tuple(names[0])
         assert len(split._specs) > len(whole._specs)
         assert split.arena_bytes < 0.9 * whole.arena_bytes
         # every part is a whole buffer of the launch's tuple, in output order
-        for flat, bufs in split._split.items():
+        for flat, bufs in lowered[split].split.items():
             parts = split._slots[flat]
             assert isinstance(parts, tuple) and len(parts) == len(bufs) >= 2
             assert all(part is split.buffers[b] for part, b in zip(parts, bufs))
 
-    def test_gradients_map_to_the_launch_writing_them(self, entries):
+    def test_gradients_map_to_the_launch_writing_them(self, entries, lowered):
         """Every gradient source resolves to the launch whose output holds
         it, never to -1; so does every part, the way a gradient leaving its
         kernel through a part (or a view of one) would."""
         prog = self._capture(entries)
         prog.replay()
-        parts = [ins.out_slot for ins in prog._static if ins.name == "part"]
-        assert any(prog._removed_alias[slot] in prog._split for slot in parts)
-        for slot in [slot for _pid, slot in prog.grad_writes] + parts:
-            t = prog.grad_instr_index(slot)
+        low = lowered[prog]
+        parts = [ins.out_slot for ins in low.instrs if ins.name == "part"]
+        parts = [slot for slot in parts if slot in low.removed_alias]  # prefilled
+        assert any(low.removed_alias[slot] in low.split for slot in parts)
+        grads = [slot for _pid, slot in prog.grad_writes]
+        index = compile_module._launch_index(low, parts)
+        index.update((slot, prog.grad_instr_index(slot)) for slot in grads)
+        for slot in grads + parts:
+            t = index[slot]
             assert t >= 0, slot
-            out = prog._slots[prog.instrs[t].out_slot]
+            out = prog._slots[low.replay[t].out_slot]
             bufs = out if isinstance(out, tuple) else (out,)
             assert any(np.shares_memory(prog._slots[slot], buf) for buf in bufs)
 

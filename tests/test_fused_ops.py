@@ -492,7 +492,7 @@ class TestGatedKernelsCompiled:
 
         return make_model(cfg=TINY_CFG.with_level(level))
 
-    def test_registered_once_and_shared_with_eager(self):
+    def test_registered_once_and_shared_with_eager(self, lowered):
         import inspect
 
         from repro.data.dataset import StructureDataset
@@ -509,15 +509,16 @@ class TestGatedKernelsCompiled:
         comp.step(batch)
         (prog,) = comp.cache.programs.values()
         source = inspect.getsource(tc)
-        kernels = {name: {ins.fn for ins in prog.instrs if ins.name == name} for name in self.GATED}
+        instrs = lowered[prog].replay
+        kernels = {name: {ins.fn for ins in instrs if ins.name == name} for name in self.GATED}
         for name, fns in kernels.items():
             assert f'"{name}"' not in source, name  # no table registers it a second time
             (kernel,) = fns  # called with out=: the eager forward itself
             assert getattr(ops_fused, kernel.__name__) is kernel and tc._takes_out(kernel), name
-        assert all(ins.name != "fused_layernorm" for ins in prog.instrs)  # a composition, not a kernel
+        assert all(ins.name != "fused_layernorm" for ins in instrs)  # a composition, not a kernel
         comp.release()
 
-    def test_fused_training_replay_is_eager_bit_for_bit(self, monkeypatch):
+    def test_fused_training_replay_is_eager_bit_for_bit(self, monkeypatch, lowered):
         from collections import Counter
 
         from repro.data.dataset import StructureDataset
@@ -533,9 +534,11 @@ class TestGatedKernelsCompiled:
         comp.validate = True
         comp.step(batch)
         (prog,) = comp.cache.programs.values()
-        counts = Counter(ins.name for ins in prog.instrs)
+        instrs = lowered[prog].replay
+        counts = Counter(ins.name for ins in instrs)
+        assert counts == Counter(prog._kernels)
         assert all(counts[name] for name in self.GATED)
-        assert all(ins.buf >= 0 for ins in prog.instrs if ins.name in self.GATED)
+        assert all(ins.buf >= 0 for ins in instrs if ins.name in self.GATED)
         _poison_before_every_replay(monkeypatch, lambda: [comp.cache])
         for _ in range(2):
             comp.step(batch)  # validate: a diverging replay raises
@@ -548,7 +551,7 @@ class TestGatedKernelsCompiled:
         }
         comp.release()
 
-    def test_decompose_fs_inference_replay_is_eager_bit_for_bit(self, monkeypatch):
+    def test_decompose_fs_inference_replay_is_eager_bit_for_bit(self, monkeypatch, lowered):
         from repro.data.dataset import StructureDataset
         from repro.data.mptrj import generate_mptrj
         from repro.model import OptLevel
@@ -560,9 +563,11 @@ class TestGatedKernelsCompiled:
         comp = InferenceCompiler(self._model(OptLevel.DECOMPOSE_FS))
         eager = {k: v.copy() for k, v in comp.run(batch).items()}  # the capturing step is eager
         (prog,) = comp.cache.programs.values()
-        forward = [ins for ins in prog.instrs if ins.name in ("fused_rmsnorm", "fused_gate")]
+        instrs = lowered[prog].replay
+        assert tuple(ins.name for ins in instrs) == prog._kernels
+        forward = [ins for ins in instrs if ins.name in ("fused_rmsnorm", "fused_gate")]
         assert forward and all(ins.buf >= 0 and not ins.kwargs["save"] for ins in forward)
-        assert not any(ins.name.endswith(("_vjp", "_vjp2", "_vjp_gamma")) for ins in prog.instrs)
+        assert not any(ins.name.endswith(("_vjp", "_vjp2", "_vjp_gamma")) for ins in instrs)
         _poison_before_every_replay(monkeypatch, lambda: [comp.cache])
         for _ in range(2):
             replayed = comp.run(batch)
@@ -733,7 +738,7 @@ class TestFusedOutKernels:
 
         assert "fused_envelope" not in _ELEMENTWISE
 
-    def test_fused_envelope_instr_gets_arena_buffer(self):
+    def test_fused_envelope_instr_gets_arena_buffer(self, lowered):
         """fused_envelope appears in the backward VJP chains of a training
         step (srbf derivative); its replay must write an arena buffer."""
         from repro.data.dataset import StructureDataset
@@ -756,7 +761,7 @@ class TestFusedOutKernels:
         comp = StepCompiler(model, CompositeLoss())
         comp.step(pad_to_bucket(ds.batch([0, 1, 2, 3])))
         (prog,) = comp.cache.programs.values()
-        seen = [ins for ins in prog.instrs if ins.name == "fused_envelope"]
+        seen = [ins for ins in lowered[prog].replay if ins.name == "fused_envelope"]
         assert seen  # the VJP chain reaches the compiled program
         assert all(ins.buf >= 0 for ins in seen)
         comp.release()
@@ -783,7 +788,7 @@ class TestFusedOutKernels:
         assert ops_fused._center_np(x, out=out) is out
         assert np.array_equal(out, eager)
 
-    def test_fused_basis_instrs_get_arena_buffers(self):
+    def test_fused_basis_instrs_get_arena_buffers(self, lowered):
         """In a captured FUSED-level program the fused basis launches write
         into arena buffers instead of allocating internally."""
         from repro.data.dataset import StructureDataset
@@ -808,7 +813,7 @@ class TestFusedOutKernels:
         (prog,) = comp.cache.programs.values()
         fused_names = {"fused_srbf", "fused_fourier", "fused_rmsnorm"}
         seen = {
-            ins.name: ins for ins in prog.instrs if ins.name in fused_names
+            ins.name: ins for ins in lowered[prog].replay if ins.name in fused_names
         }
         assert fused_names <= set(seen)
         assert all(ins.buf >= 0 for ins in seen.values())

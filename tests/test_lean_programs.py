@@ -1,0 +1,191 @@
+"""A built program keeps only its replay state.
+
+The contract under test (docs/architecture.md, "Arena"):
+
+* after a trainer's ``prepare`` and after inference captures, no cached program references an
+  :class:`~repro.tensor.compile.Instr`: not in its attributes, its static
+  records or the namespace of its replay function;
+* the Python bytes a stored program retains — what dropping it frees, under
+  ``tracemalloc`` from before the build, for every program
+  ``SharedProgramCache.store`` received — stay under :data:`RETAINED_BOUND`;
+* ``replay_measured`` returns one stamp per launch and replays bit for bit
+  what ``replay`` does, on every program a trainer prepared;
+* ``grad_instr_index`` equals, for every gradient slot, the launch a
+  reference finds in the pass output's instructions.
+"""
+
+from __future__ import annotations
+
+import functools
+import gc
+import importlib.util
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.graph.batching import collate
+from repro.graph.crystal_graph import build_graph
+from repro.model import CHGNetModel, OptLevel
+from repro.tensor.compile import Instr, InferenceCompiler, SharedProgramCache
+from repro.train import DistributedConfig, DistributedTrainer
+from oracles import pad_to_bucket, record_lowerings
+from serve_harness import TINY_CFG as CFG, make_model
+
+LEDGER = Path(__file__).resolve().parent.parent / "benchmarks" / "perf" / "workloads.py"
+
+#: Bytes one stored smoke-size training program may retain.  Measured by
+#: this test (the largest of a prepared trainer's four programs, Python
+#: 3.11): 1.61 MiB while a program kept its instruction list, liveness and
+#: slot tables past the build, 0.85 MiB with only its replay state (most of
+#: it the slab views, the plan, the static records and the constants).
+RETAINED_BOUND = int(1.1 * 2**20)
+
+
+@functools.cache
+def _workloads():
+    spec = importlib.util.spec_from_file_location("ledger_workloads", LEDGER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _trainer() -> DistributedTrainer:
+    """``train_ddp`` at smoke size, compiled: its constructor prepares every
+    planned shape."""
+    w = _workloads()
+    size = w.SIZES["smoke"]["train_ddp"]
+    workload = w.TrainDDP(1, size)
+    workload.inputs()
+    config = w._config(size["dim"], 7, 3, OptLevel.FUSED)
+    return DistributedTrainer(
+        lambda: CHGNetModel(config, np.random.default_rng(1)),
+        workload.dataset,
+        DistributedConfig(
+            world_size=2, global_batch_size=size["global_batch"], epochs=1, compile=True, seed=1
+        ),
+    )
+
+
+def _inference(graphs) -> InferenceCompiler:
+    comp = InferenceCompiler(make_model(cfg=CFG.with_level(OptLevel.DECOMPOSE_FS)))
+    for group in (graphs[:1], graphs[:4]):
+        comp.run(pad_to_bucket(collate(group)))
+    return comp
+
+
+@pytest.fixture(scope="module")
+def graphs(tiny_entries):
+    return [build_graph(e.crystal, CFG.cutoff_atom, CFG.cutoff_bond) for e in tiny_entries[:6]]
+
+
+def _reaches_instr(prog) -> bool:
+    """Whether an :class:`Instr` is reachable from ``vars(prog)`` through
+    containers and the namespaces of its replay functions."""
+    todo = list(vars(prog).values())
+    todo += [fn.__globals__ for fn in (prog._run, prog._timed) if fn is not None]
+    seen: set[int] = set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Instr):
+            return True
+        if isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            todo.extend(obj)
+    return False
+
+
+def test_no_cached_program_references_an_instr(graphs):
+    trainer = _trainer()
+    try:
+        progs = list(trainer.compilers[0].cache.programs.values())
+        trainer.compilers[0].last_program.replay_measured()  # builds a timed variant too
+    finally:
+        trainer.close()
+    progs += list(_inference(graphs).cache.programs.values())
+    assert len(progs) >= 3
+    assert not [prog for prog in progs if _reaches_instr(prog)]
+
+
+def _retained(build, compilers_of) -> list[int]:
+    """Traced bytes each program :meth:`SharedProgramCache.store` received
+    while ``build()`` ran frees when it is dropped, one program at a time."""
+    stored = []
+    store = SharedProgramCache.store
+
+    def recording(cache, sig, prog):
+        stored.append((cache, sig))
+        store(cache, sig, prog)
+
+    retained = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SharedProgramCache, "store", recording)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            owner = build()
+            for comp in compilers_of(owner):
+                comp.last_program = None
+            for cache, sig in stored:
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                cache.evict(sig)
+                gc.collect()
+                retained.append(before - tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+    getattr(owner, "close", lambda: None)()
+    return retained
+
+
+def test_a_stored_program_retains_little():
+    retained = _retained(_trainer, lambda trainer: trainer.compilers)
+    assert len(retained) >= 2
+    assert max(retained) < RETAINED_BOUND, [round(r / 2**20, 2) for r in retained]
+
+
+def test_timed_replay_of_prepared_programs_is_bit_identical():
+    trainer = _trainer()
+    try:
+        comp = trainer.compilers[0]
+        batches = trainer.loader.planned_batches()
+        for batch in batches:
+            comp.step(batch)  # bind, replay, apply_grads
+            prog = comp.last_program
+            outs = {k: v.copy() for k, v in prog.output_arrays().items()}
+            grads = [None if p.grad is None else p.grad.data.copy() for p in comp.params]
+            comp.cache._slab.fill(0xFF)  # NaN in every float: the timed run must write it all
+            times = prog.replay_measured()
+            prog.apply_grads(comp.params)
+            assert times.shape == (prog.n_instrs,) and np.all(np.diff(times) >= 0.0)
+            for key, arr in prog.output_arrays().items():
+                assert np.array_equal(arr, outs[key]), key
+            for p, g in zip(comp.params, grads):
+                assert (p.grad is None) == (g is None)
+                assert g is None or np.array_equal(p.grad.data, g)
+        assert comp.stats.replays == len(batches) and comp.stats.eager_fallbacks == 0
+    finally:
+        trainer.close()
+
+
+def test_grad_instr_index_equals_the_pass_output(monkeypatch):
+    lowered = record_lowerings(monkeypatch)
+    trainer = _trainer()
+    trainer.close()
+    progs = list(trainer.compilers[0].cache.programs.values())
+    assert progs and all(prog in lowered for prog in progs)
+    for prog in progs:
+        low = lowered[prog]
+        producer = {ins.out_slot: ins for ins in low.instrs}
+        launch = {id(ins): t for t, ins in enumerate(low.replay)}
+        for _pid, slot in prog.grad_writes:
+            ins = producer[slot]
+            while id(ins) not in launch:  # a prefilled view: its base completes it
+                assert ins.alias
+                ins = producer[ins.in_slots[0]]
+            assert prog.grad_instr_index(slot) == launch[id(ins)]
