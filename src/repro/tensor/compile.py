@@ -545,8 +545,8 @@ def run_passes(trace, outputs: dict[str, int]) -> Lowered:
     instrs = _eliminate_dead(trace.instrs, pinned)
     index_bounds = _plan_index_bounds(instrs, trace.externals)
     instrs = _fuse_elementwise_chains(instrs, pinned)
-    split = _split_flats(instrs, pinned)
-    plan, live, arena_bytes, split = _assign_arena(instrs, pinned, split)
+    pieces = _split_flats(instrs, pinned)
+    plan, live, arena_bytes, split = _assign_arena(instrs, pinned, pieces)
     replay, static, removed_alias = _split_static(instrs, trace.externals, split)
     return Lowered(
         instrs, replay, static, plan, live, split, removed_alias, index_bounds, arena_bytes
