@@ -775,11 +775,11 @@ def _assign_arena(instrs: list[Instr], pinned: set[int], split: dict) -> tuple:
     offsets, arena_bytes = _plan_offsets(
         live, [-(-nbytes // _ALIGN) * _ALIGN for nbytes, _shape, _dtype in planned]
     )
-    plan = [(off, shape, dtype) for off, (_nbytes, shape, dtype) in zip(offsets, planned)]
-    return plan, live, arena_bytes, split_bufs
+    specs = [(off, shape, dtype) for off, (_nbytes, shape, dtype) in zip(offsets, planned)]
+    return specs, live, arena_bytes, split_bufs
 
 
-def _split_static(instrs: list[Instr], externals: list[tuple], split: dict[int, list[int]]) -> tuple:
+def _split_static(instrs: list[Instr], externals: list[tuple], split: dict) -> tuple:
     """Take replay-invariant view instructions out of the replay list.
 
     Arena-backed outputs always live at the same slab offset, so their

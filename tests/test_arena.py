@@ -169,7 +169,8 @@ def _lowest_free(live, sizes) -> tuple[list[int], int]:
         if not size:
             continue
         busy = [(lo, hi) for lo, hi, f, l in placed if f <= last and l >= first]
-        fits = [c for c in {0, *(hi for _, hi in busy)} if all(hi <= c or lo >= c + size for lo, hi in busy)]
+        starts = {0, *(hi for _, hi in busy)}
+        fits = [c for c in starts if all(hi <= c or lo >= c + size for lo, hi in busy)]
         offsets[i] = min(fits)
         placed.append((offsets[i], offsets[i] + size, first, last))
     return offsets, max((hi for _, hi, _, _ in placed), default=0)

@@ -12,7 +12,10 @@ inputs, after every eager capture, every heap trim and every slab
 (re)allocation of the compiled programs, after warm-up, and after each of
 ``K`` steady cycles.  ``peak_rss_mb`` in a ledger run is the ``VmHWM`` of
 its child at the end, so the line where ``VmHWM`` last rises is the phase
-that sets it.  Linux only (``/proc``); standard library plus the program.
+that sets it.  Both are the kernel's counters, which it updates lazily:
+a reading can trail the last allocation by a few hundred kB (``VmHWM``
+has been seen to fall by 0.3 MB between two lines).  Linux only
+(``/proc``); standard library plus the program.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     report("import")
     _after(tc._CompilerBase, "_trace", lambda comp, sig, *_: f"eager capture {sig[0]} {sig[1:6]}")
     _after(tc, "_trim_heap", lambda: "heap trim")
-    _after(tc.SharedProgramCache, "_reslab", lambda cache, nbytes: f"slab -> {nbytes / 2**20:.2f} MiB")
+    _after(tc.SharedProgramCache, "_reslab", lambda cache, n: f"slab -> {n / 2**20:.2f} MiB")
     workload = WORKLOADS[args.workload](args.seed, SIZES[args.scale][args.workload])
     workload.inputs()
     report("inputs")
