@@ -8,10 +8,11 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 TOOL = REPO / "tools" / "rss_phases.py"
+CYCLES = 3  # tools/rss_phases.py's fixed count of steady cycles
 
 
 def test_prints_every_phase_of_a_smoke_training_run():
-    args = ["train_ddp", "--seed", "1", "--scale", "smoke", "--cycles", "2"]
+    args = ["train_ddp", "--seed", "1", "--scale", "smoke"]
     out = subprocess.run(
         [sys.executable, str(TOOL), *args],
         capture_output=True, text=True, check=True, cwd=REPO, timeout=300,
@@ -20,8 +21,9 @@ def test_prints_every_phase_of_a_smoke_training_run():
     assert header.split()[-4:] == ["VmRSS", "MB", "VmHWM", "MB"]
     phases = [line[:40].strip() for line in lines]
     assert phases[:2] == ["import", "inputs"]
-    assert phases[-3:] == ["warm-up", "steady cycle 1", "steady cycle 2"]
-    build = phases[2:-3]
+    steady = [f"steady cycle {k + 1}" for k in range(CYCLES)]
+    assert phases[-1 - CYCLES:] == ["warm-up", *steady]
+    build = phases[2:-1 - CYCLES]
     assert build[0].startswith("eager capture train (")
     assert "heap trim" in build and any(p.startswith("slab -> ") for p in build)
     for line in lines:

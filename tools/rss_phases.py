@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 tools/rss_phases.py WORKLOAD --seed N [--scale smoke|full] [--cycles K]
+    python3 tools/rss_phases.py WORKLOAD --seed N [--scale smoke|full]
 
 Builds the workload of ``benchmarks/perf/workloads.py`` (imported, never
 modified) in this process, as the ledger's child does, and prints one line
@@ -10,7 +10,7 @@ per phase with the process's ``VmRSS`` (resident now) and ``VmHWM`` (peak
 resident so far) from ``/proc/self/status``, in MB: after import, after the
 inputs, after every eager capture, every heap trim and every slab
 (re)allocation of the compiled programs, after warm-up, and after each of
-``K`` steady cycles.  ``peak_rss_mb`` in a ledger run is the ``VmHWM`` of
+``CYCLES`` steady cycles.  ``peak_rss_mb`` in a ledger run is the ``VmHWM`` of
 its child at the end, so the line where ``VmHWM`` last rises is the phase
 that sets it.  Both are the kernel's counters, which it updates lazily:
 a reading can trail the last allocation by a few hundred kB (``VmHWM``
@@ -31,6 +31,7 @@ import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 REPO = Path(__file__).resolve().parents[1]
+CYCLES = 3
 
 
 def status_mb() -> tuple[float, float]:
@@ -66,7 +67,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("workload")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--scale", choices=("smoke", "full"), default="full")
-    parser.add_argument("--cycles", type=int, default=3, help="steady cycles after warm-up")
     args = parser.parse_args(argv)
 
     sys.path[:0] = [str(REPO / "src"), str(REPO / "benchmarks" / "perf")]
@@ -85,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     report("inputs")
     workload.warmup()
     report("warm-up")
-    for k in range(args.cycles):
+    for k in range(CYCLES):
         workload.run_cycle()
         report(f"steady cycle {k + 1}")
     trainer = getattr(workload, "trainer", None)
