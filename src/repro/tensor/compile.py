@@ -25,11 +25,15 @@ Replay
     Python function generated when it is built: one statement per kernel
     launch, every array read from the slot list, no interpreter loop
     (docs/architecture.md, "Straight-line replay", has the emission rules
-    and the code cache).  A built program keeps that function, the plan
-    and what binding, attaching and profiling read, and no instruction
-    ("What a built program holds").  Elementwise chains whose intermediate
-    has a single consumer are fused into one in-place kernel (the compiled
-    analogue of :mod:`repro.tensor.ops_fused`); all other out-capable kernels
+    and the code cache).  A built program keeps no instruction, and only
+    what differs with its shapes: its slot list (which also holds the
+    integer constants the source reads), its arena plan as arrays and its
+    externals' shapes; that function, its one namespace, the kernel names,
+    the buffer records and the gradient writes are built once and shared
+    by every program of its structure ("What a built program holds").
+    Elementwise chains whose intermediate has a single consumer are fused
+    into one in-place kernel (the compiled analogue of
+    :mod:`repro.tensor.ops_fused`); all other out-capable kernels
     write into the **arena** — byte offsets planned from liveness analysis
     into one slab that every program of a :class:`SharedProgramCache`
     shares (docs/architecture.md, "Arena", has the plan, the ownership and
@@ -435,25 +439,56 @@ class _traced:
         pop_tracer(self.tracer)
 
 
-def _replay_source(instrs: list[Instr]) -> tuple[str, list, list[int]]:
-    """A program as the source of one straight-line function, its constants,
-    and the statements each instruction takes.
+def _has_int(value) -> bool:
+    """Whether ``value`` carries an ``int`` as a trace's integers do
+    (:func:`repro.tensor.derive._split`): itself, in a tuple or in a slice."""
+    kind = type(value)
+    if kind is int:
+        return True
+    if kind is tuple:
+        return any(_has_int(v) for v in value)
+    if kind is slice:
+        return _has_int(value.start) or _has_int(value.stop) or _has_int(value.step)
+    return False
+
+
+def _const_key(value):
+    """What tells two constants apart: a kernel by identity, a literal by
+    type and text (so ``0.0`` is not ``-0.0`` and ``1`` is not ``True``)."""
+    return value if callable(value) else (type(value), repr(value))
+
+
+def _replay_source(instrs: list[Instr], n_slots: int) -> tuple[str, list, list, list[int]]:
+    """A program as the source of one straight-line function, its shared
+    constants, its integer constants and the statements each instruction
+    takes.
 
     One statement per instruction — one per step of a fused chain — indexes
     the slot list ``S`` for every array: arena outputs were placed there by
     :meth:`CompiledStep.attach`, bound externals by :meth:`CompiledStep.bind`,
     and plain-allocating instructions store into it.  Every kernel is the
     forward the tape recorded (an arena launch calls it with ``out=``; a
-    ``gather`` is a clipped ``take`` into its buffer).  Kernels and keyword
-    values are read from the names ``k0``, ``k1``, ... bound to the returned
-    constants, so programs of one model that differ only in shapes generate
-    the same text.
+    ``gather`` is a clipped ``take`` into its buffer).  A keyword value
+    carrying an integer (a count, a shape, an axis) is read from the slot
+    list past its ``n_slots`` slots, ``S[n_slots + j]`` holding the
+    ``j``-th returned integer constant; kernels and every other keyword
+    value are read from the names ``k0``, ``k1``, ..., one per distinct
+    constant.  So programs of one model that differ only in shapes
+    generate the same text over equal constants.
     """
     consts: list = []
+    ints: list = []
+    names: dict = {}
 
     def const(value) -> str:
-        consts.append(value)
-        return f"k{len(consts) - 1}"
+        if _has_int(value):
+            ints.append(value)
+            return f"S[{n_slots + len(ints) - 1}]"
+        key = _const_key(value)
+        if key not in names:
+            names[key] = f"k{len(consts)}"
+            consts.append(value)
+        return names[key]
 
     lines = ["def replay(S):"]
     counts = []
@@ -471,22 +506,20 @@ def _replay_source(instrs: list[Instr]) -> tuple[str, list, list[int]]:
             else:
                 lines.append(f" {_call(const(fn), args, {**kw, 'out': o})}")
         counts.append(len(steps))
-    return "\n".join(lines) + "\n", consts, counts
+    return "\n".join(lines) + "\n", consts, ints, counts
 
 
 #: Compiled replay code by source text, least recently used first, each as
 #: ``(source, code)``.  Every tier of one model generates the same source,
-#: so its programs share one code object and one source string, and differ
-#: only in their constants namespace.
+#: so its programs share one code object and one source string.
 _CODE: OrderedDict[str, tuple[str, types.CodeType]] = OrderedDict()
 _CODE_CAPACITY = 16
-#: The constant names ``k0``, ``k1``, ... every namespace is keyed by.
-_K_NAMES: list[str] = []
 
 
-def _replay_function(source: str, namespace: dict) -> Callable:
-    """The function ``replay`` that ``source`` defines, over ``namespace``;
-    it keeps the source text ``_CODE`` holds as ``.source``."""
+def _code(source: str) -> tuple[str, types.CodeType]:
+    """``(source, code)`` of the function ``replay`` that ``source``
+    defines, from ``_CODE`` (compiled on a miss): the source is the one
+    string ``_CODE`` holds for that text."""
     entry = _CODE.pop(source, None)
     if entry is None:
         module = compile(source, "<compiled replay>", "exec")
@@ -494,8 +527,15 @@ def _replay_function(source: str, namespace: dict) -> Callable:
     _CODE[entry[0]] = entry
     if len(_CODE) > _CODE_CAPACITY:
         _CODE.popitem(last=False)
-    fn = types.FunctionType(entry[1], namespace, "replay")
-    fn.source = entry[0]
+    return entry
+
+
+def _replay_function(source: str, namespace: dict) -> Callable:
+    """The function ``replay`` that ``source`` defines, over ``namespace``;
+    it keeps the source text ``_CODE`` holds as ``.source``."""
+    source, code = _code(source)
+    fn = types.FunctionType(code, namespace, "replay")
+    fn.source = source
     return fn
 
 
@@ -520,14 +560,15 @@ class Lowered(NamedTuple):
     #: the launches a replay runs: ``instrs`` less the prefilled views
     replay: list[Instr]
     #: what :meth:`CompiledStep.attach` prefills, program order: ``(slot,
-    #: buffer id or ids)`` or ``(slot, view kernel, base slot, kwargs)``
+    #: buffer id or id range)`` or ``(slot, view kernel, base slot, kwargs)``
     static: list[tuple]
     #: ``(byte offset, shape, dtype)`` per buffer id
     plan: list[tuple[int, tuple, np.dtype]]
     #: ``(first, last)`` instruction index each buffer is live over
     live: list[tuple[int, int]]
     #: flat slot of a split multi-output kernel -> its buffer ids, in order
-    split: dict[int, list[int]]
+    #: (consecutive: one per piece)
+    split: dict[int, range]
     #: prefilled view -> its base slot
     removed_alias: dict[int, int]
     #: ``(slot, rows, spec)`` per index array :meth:`CompiledStep.bind` checks
@@ -755,7 +796,7 @@ def _assign_arena(instrs: list[Instr], pinned: set[int], split: dict) -> tuple:
         live.append((t, until))
         return len(planned) - 1
 
-    split_bufs: dict[int, list[int]] = {}
+    split_bufs: dict[int, range] = {}
     for t, ins in enumerate(instrs):
         if ins.alias:
             continue
@@ -764,14 +805,13 @@ def _assign_arena(instrs: list[Instr], pinned: set[int], split: dict) -> tuple:
         if ins.out_slot not in split:
             ins.buf = plan(t, ins.out_slot, ins.nbytes, ins.shape, ins.dtype)
             continue
-        bufs = []
+        ins.buf = len(planned)  # an arena launch; attach binds the whole tuple
         for size, group in split[ins.out_slot]:
             slot, shape = (group[0].out_slot, group[0].shape) if group else (None, (size,))
-            bufs.append(plan(t, slot, size * ins.dtype.itemsize, shape, ins.dtype))
+            buf = plan(t, slot, size * ins.dtype.itemsize, shape, ins.dtype)
             for part in group:
-                part.buf = bufs[-1]
-        ins.buf = bufs[0]  # an arena launch; attach binds the whole tuple
-        split_bufs[ins.out_slot] = bufs
+                part.buf = buf
+        split_bufs[ins.out_slot] = range(ins.buf, len(planned))
     offsets, arena_bytes = _plan_offsets(
         live, [-(-nbytes // _ALIGN) * _ALIGN for nbytes, _shape, _dtype in planned]
     )
@@ -798,7 +838,7 @@ def _split_static(instrs: list[Instr], externals: list[tuple], split: dict) -> t
         slot = ins.out_slot
         if ins.buf >= 0 and not ins.alias:
             static.add(slot)
-            records.append((slot, tuple(split[slot]) if slot in split else ins.buf))
+            records.append((slot, split.get(slot, ins.buf)))
             replay.append(ins)
         elif ins.alias and ins.in_slots[0] in static:
             static.add(slot)
@@ -824,15 +864,91 @@ def _launch_index(lowered: Lowered, slots) -> dict[int, int]:
     return index
 
 
+class _Plan(NamedTuple):
+    """An arena plan as arrays: buffer ``b`` sits at byte ``offsets[b]``
+    with shape ``dims[starts[b]:starts[b + 1]]`` and dtype
+    ``dtypes[codes[b]]``."""
+
+    offsets: np.ndarray
+    starts: np.ndarray
+    dims: np.ndarray
+    codes: np.ndarray
+    dtypes: tuple
+
+
+def _pack_plan(plan: list[tuple[int, tuple, np.dtype]]) -> _Plan:
+    """The ``(byte offset, shape, dtype)`` list :class:`Lowered` holds, as
+    a :class:`_Plan`."""
+    dtypes: dict = {}
+    codes = [dtypes.setdefault(dtype, len(dtypes)) for _off, _shape, dtype in plan]
+    return _Plan(
+        np.array([off for off, _shape, _dtype in plan], dtype=np.int64),
+        np.cumsum([0, *(len(shape) for _off, shape, _dtype in plan)], dtype=np.int64),
+        np.array([n for _off, shape, _dtype in plan for n in shape], dtype=np.int64),
+        np.array(codes, dtype=np.uint8),
+        tuple(dtypes),
+    )
+
+
+def _interned(template: list, values: list) -> list:
+    """``values`` with every entry equal to ``template``'s at its index (by
+    :func:`_const_key`) replaced by ``template``'s object."""
+    if template is values or len(template) != len(values):
+        return values
+    return [t if t is v or _const_key(t) == _const_key(v) else v for t, v in zip(template, values)]
+
+
+class _Shared:
+    """The replay state every program of one :data:`_SHARED` key holds:
+    all but its shapes (docs/architecture.md, "What a built program
+    holds").
+
+    The key is what the state is made of: the replay source, its shared
+    constants, the launch names and statements per launch, the buffer
+    records (bytes of ``(slot, buffer)`` rows and of ``(slot, first,
+    stop)`` rows for a split kernel's buffer range), ``(slot, kind, ref,
+    dtype)`` of every parameter and batch external, the gradient writes,
+    the parameter count, the outputs and the gradient launches.  The
+    arrays view the key's bytes.  ``ints`` and ``views`` are the first
+    program's integer constants and view records: a later program holds
+    these very objects where its own are equal (:func:`_interned`).
+    """
+
+    def __init__(self, key: tuple, consts: list, ints: list, views: list) -> None:
+        (source, _consts, self.kernels, lines, one, many, self.bound, grad_writes, n_params,
+         outputs, launch) = key
+        namespace = {"pc": time.perf_counter}
+        namespace.update((f"k{i}", value) for i, value in enumerate(consts))
+        self.run = _replay_function(source, namespace)
+        self.timed: Callable | None = None  # built by the first replay_measured
+        self.lines = np.frombuffer(lines, dtype=np.int32)  # statements per launch
+        self.one = np.frombuffer(one, dtype=np.int64).reshape(-1, 2)
+        self.many = np.frombuffer(many, dtype=np.int64).reshape(-1, 3)
+        self.grad_writes = grad_writes
+        written = {pid for pid, _ in grad_writes}
+        self.nograd_params = [i for i in range(n_params) if i not in written]
+        self.outputs = dict(outputs)
+        self.grad_launch = dict(launch)  # gradient slot -> launch index
+        self.ints = ints
+        self.views = views
+
+
+#: The shared state of every live program, by its key (see :class:`_Shared`).
+_SHARED: weakref.WeakValueDictionary[tuple, _Shared] = weakref.WeakValueDictionary()
+
+
 class CompiledStep:
     """A captured tape: a generated replay function + arena plan + gradient
     writes.
 
     Building a program runs :func:`run_passes` over the trace and keeps
     only what replay, binding and attaching read (docs/architecture.md,
-    "Arena"); it allocates nothing: it cannot replay until the
-    :class:`SharedProgramCache` it is stored in has :meth:`attach`-ed it to
-    the cache's slab.
+    "What a built program holds"): per program its slot list (bound
+    externals, slab views and integer constants), its plan and its
+    externals, and one :class:`_Shared` with every program of its
+    structure for the rest.  It allocates nothing: it cannot replay until
+    the :class:`SharedProgramCache` it is stored in has :meth:`attach`-ed
+    it to the cache's slab.
     """
 
     def __init__(
@@ -841,40 +957,95 @@ class CompiledStep:
         outputs: dict[str, int],
         n_params: int,
     ) -> None:
-        self.externals = trace.externals
-        self.n_slots = trace.n_slots
-        self.grad_writes = trace.grad_writes
-        self.outputs = outputs
-        written = {pid for pid, _ in trace.grad_writes}
-        self.nograd_params = [i for i in range(n_params) if i not in written]
-        self._slots: list = [None] * self.n_slots
-        for slot, kind, ref, _shape, _dtype in self.externals:
+        self.n_instrs_captured = len(trace.instrs)
+        bound = [ext for ext in trace.externals if ext[1] != "const"]
+        lowered = run_passes(trace, outputs)
+        replay = lowered.replay
+        source, consts, ints, counts = _replay_source(replay, trace.n_slots)
+        records = [r for r in lowered.static if len(r) == 2]
+        one = [r for r in records if type(r[1]) is int]
+        many = [(slot, bufs.start, bufs.stop) for slot, bufs in records if type(bufs) is range]
+        views = [r for r in lowered.static if len(r) == 4]
+        grad_writes = tuple(trace.grad_writes)
+        key = (
+            _code(source)[0],
+            tuple(map(_const_key, consts)),
+            tuple(ins.name for ins in replay),
+            np.array(counts, dtype=np.int32).tobytes(),
+            np.array(one, dtype=np.int64).tobytes(),
+            np.array(many, dtype=np.int64).tobytes(),
+            tuple((slot, kind, ref, dtype) for slot, kind, ref, _shape, dtype in bound),
+            grad_writes,
+            n_params,
+            tuple(outputs.items()),
+            tuple(_launch_index(lowered, [slot for _, slot in grad_writes]).items()),
+        )
+        shared = _SHARED.get(key)
+        if shared is None:
+            shared = _SHARED[key] = _Shared(key, consts, ints, views)
+        self._shared = shared
+        self._slots: list = [None] * trace.n_slots + _interned(shared.ints, ints)
+        for slot, kind, ref, _shape, _dtype in trace.externals:
             if kind == "const":
                 self._slots[slot] = ref
-        self.n_instrs_captured = len(trace.instrs)
-        lowered = run_passes(trace, outputs)
-        #: arena plan: ``(byte offset, shape, dtype)`` per buffer id
-        self._specs = lowered.plan
+        #: the shape of each external :meth:`bind` rebinds (``_Shared.bound``)
+        self._shapes = tuple(shape for _slot, _kind, _ref, shape, _dtype in bound)
+        #: the view records :meth:`attach` prefills: ``(slot, view kernel,
+        #: base slot, kwargs)``
+        self._views = _interned(shared.views, views)
+        self._plan = _pack_plan(lowered.plan)
         self.arena_bytes = lowered.arena_bytes
-        self._static = lowered.static
         self._index_bounds = lowered.index_bounds
-        #: views of the attached slab, one per spec (see :meth:`attach`)
+        #: the kernel profile: each launch's output bytes
+        self._kernel_bytes = np.array([ins.nbytes for ins in replay], dtype=np.int64)
+        #: views of the attached slab, one per buffer id (see :meth:`attach`)
         self.buffers: list[np.ndarray] = []
         self._held: tuple[int, dict[int, int]] | None = None  # see _slab_views
-        replay = lowered.replay
-        self.n_instrs = len(replay)
-        #: the kernel profile: each launch's name and output bytes
-        self._kernels = tuple(ins.name for ins in replay)
-        self._kernel_bytes = np.array([ins.nbytes for ins in replay], dtype=np.int64)
-        self._grad_launch = _launch_index(lowered, [slot for _, slot in self.grad_writes])
-        source, consts, counts = _replay_source(replay)
-        while len(_K_NAMES) < len(consts):
-            _K_NAMES.append(sys.intern(f"k{len(_K_NAMES)}"))
-        namespace = {"pc": time.perf_counter}
-        namespace.update(zip(_K_NAMES, consts))
-        self._run = _replay_function(source, namespace)
-        self._lines = np.array(counts, dtype=np.int32)  # statements per launch
-        self._timed: Callable | None = None  # built by the first replay_measured
+
+    # What every program of its structure shares, read through its _Shared.
+    @property
+    def grad_writes(self) -> tuple[tuple[int, int], ...]:
+        """``(parameter index, slot)`` per final gradient :meth:`apply_grads` writes."""
+        return self._shared.grad_writes
+
+    @property
+    def outputs(self) -> dict[str, int]:
+        """The marked outputs' slots, by name."""
+        return self._shared.outputs
+
+    @property
+    def n_instrs(self) -> int:
+        """Kernel launches per replay."""
+        return len(self._shared.kernels)
+
+    @property
+    def _run(self) -> Callable:
+        return self._shared.run
+
+    @property
+    def _kernels(self) -> tuple[str, ...]:
+        return self._shared.kernels
+
+    @property
+    def _lines(self) -> np.ndarray:
+        return self._shared.lines
+
+    def specs(self) -> list[tuple[int, tuple, np.dtype]]:
+        """The arena plan: ``(byte offset, shape, dtype)`` per buffer id,
+        rebuilt from its arrays."""
+        offsets, starts, dims, codes, dtypes = self._plan
+        dims, starts = dims.tolist(), starts.tolist()
+        return [
+            (off, tuple(dims[lo:hi]), dtypes[code])
+            for off, lo, hi, code in zip(offsets.tolist(), starts, starts[1:], codes.tolist())
+        ]
+
+    def _static_slots(self):
+        """Every slot :meth:`attach` prefills."""
+        shared = self._shared
+        return itertools.chain(
+            shared.one[:, 0].tolist(), shared.many[:, 0].tolist(), (r[0] for r in self._views)
+        )
 
     def attach(self, slab: np.ndarray) -> None:
         """Point the program at ``slab``: rebuild ``buffers`` and static slots.
@@ -883,29 +1054,27 @@ class CompiledStep:
         ``arena_bytes``.  The static records (:class:`Lowered`) say what each
         replay-invariant slot holds: a split multi-output kernel's slot the
         tuple of its parts' buffers, an arena launch's or a part's slot its
-        buffer, a prefilled view that view of its base.  Bound externals are
-        untouched, so a program may be re-attached (to a larger slab)
-        between replays.
+        buffer, a prefilled view that view of its base (filled after every
+        buffer, in program order).  Bound externals are untouched, so a
+        program may be re-attached (to a larger slab) between replays.
         """
         buffers = self.buffers = [
-            np.ndarray(shape, dtype, buffer=slab, offset=off) for off, shape, dtype in self._specs
+            np.ndarray(shape, dtype, buffer=slab, offset=off) for off, shape, dtype in self.specs()
         ]
-        slots = self._slots
-        for record in self._static:
-            if len(record) == 4:
-                slot, fn, base, kwargs = record
-                slots[slot] = fn(slots[base], **kwargs)
-            elif type(record[1]) is tuple:
-                slots[record[0]] = tuple(buffers[b] for b in record[1])
-            else:
-                slots[record[0]] = buffers[record[1]]
+        slots, shared = self._slots, self._shared
+        for slot, buf in shared.one.tolist():
+            slots[slot] = buffers[buf]
+        for slot, first, stop in shared.many.tolist():
+            slots[slot] = tuple(buffers[first:stop])
+        for slot, fn, base, kwargs in self._views:
+            slots[slot] = fn(slots[base], **kwargs)
         self._held = None
 
     def detach(self) -> None:
         """Drop every view of the slab (undoes :meth:`attach`)."""
         self.buffers = []
-        for record in self._static:
-            self._slots[record[0]] = None
+        for slot in self._static_slots():
+            self._slots[slot] = None
         self._held = None
 
     def _slab_views(self, raw: np.ndarray) -> tuple[int, dict[int, int]]:
@@ -916,7 +1085,7 @@ class CompiledStep:
         :meth:`attach` (read by :meth:`SharedProgramCache._viewed_outside`)."""
         if self._held is None:
             slots = self._slots
-            entries = itertools.chain(self.buffers, (slots[record[0]] for record in self._static))
+            entries = itertools.chain(self.buffers, (slots[s] for s in self._static_slots()))
             uses = Counter(
                 id(arr)
                 for entry in entries
@@ -934,22 +1103,20 @@ class CompiledStep:
         ``params`` entries may be :class:`~repro.tensor.engine.Tensor`
         parameters or raw ndarrays (e.g. a serving engine's versioned
         weight snapshots) — values are read fresh on every bind, which is
-        what makes weight hot-swaps recapture-free.  Returns ``None`` on
-        success or a human-readable guard-failure reason (the caller then
-        falls back to eager).
+        what makes weight hot-swaps recapture-free; frozen constants stay
+        in their slots.  Returns ``None`` on success or a human-readable
+        guard-failure reason (the caller then falls back to eager).
         """
         slots = self._slots
-        for slot, kind, ref, shape, dtype in self.externals:
+        for (slot, kind, ref, dtype), shape in zip(self._shared.bound, self._shapes):
             if kind == "param":
                 p = params[ref]
                 arr = p.data if isinstance(p, Tensor) else p
-            elif kind == "batch":
+            else:
                 try:
                     arr = batch.bound_array(ref)
                 except (KeyError, ValueError, IndexError) as exc:
                     return f"batch array {ref!r} unavailable: {exc}"
-            else:
-                arr = ref
             if arr.shape != shape or arr.dtype != dtype:
                 return (
                     f"external {kind}:{ref!r} changed shape/dtype "
@@ -968,9 +1135,9 @@ class CompiledStep:
         While a runtime profile is active every instruction is also reported
         as one kernel launch (name and output bytes), as eager dispatch does.
         """
-        self._run(self._slots)
+        self._shared.run(self._slots)
         if profiling_active():
-            for name, nbytes in zip(self._kernels, self._kernel_bytes.tolist()):
+            for name, nbytes in zip(self._shared.kernels, self._kernel_bytes.tolist()):
                 record_kernel(name, nbytes)
 
     def grad_instr_index(self, slot: int) -> int:
@@ -981,31 +1148,32 @@ class CompiledStep:
         that completes it — the hook behind measured bucket ready times.
         Only the slots of ``grad_writes`` are kept (-1 for any other).
         """
-        return self._grad_launch.get(slot, -1)
+        return self._shared.grad_launch.get(slot, -1)
 
     def replay_measured(self) -> np.ndarray:
         """Replay on the bound slots, timestamping every instruction.
 
         Runs the timed variant of the generated replay function, derived
-        from its source on the first call (same statements, same constants
-        namespace).  Returns
+        from its source on the first call by any program of its structure
+        (same statements, same constants namespace).  Returns
         cumulative seconds after each launch (same kernels, same order, same
         bits as :meth:`replay`); combined with :meth:`grad_instr_index` this
         yields *measured* per-gradient completion times instead of
         byte-share estimates.
         """
-        if self._timed is None:
-            self._timed = _timed_variant(self._run, self._lines)
+        shared = self._shared
+        if shared.timed is None:
+            shared.timed = _timed_variant(shared.run, shared.lines)
         times = np.zeros(self.n_instrs)
-        self._timed(self._slots, times)
+        shared.timed(self._slots, times)
         return times
 
     def apply_grads(self, params: list) -> None:
         """Write final gradients in place into persistent ``.grad`` arrays."""
-        slots = self._slots
-        for i in self.nograd_params:
+        slots, shared = self._slots, self._shared
+        for i in shared.nograd_params:
             params[i].grad = None
-        for pid, slot in self.grad_writes:
+        for pid, slot in shared.grad_writes:
             p = params[pid]
             g = slots[slot]
             if p.grad is None:

@@ -133,7 +133,7 @@ def _check_plan(prog: CompiledStep, low) -> None:
     """The program attaches the plan the passes made; no byte shared while
     live, aligned offsets, every planned range covers its derived one, plan
     <= 1.25x the derived peak-live bytes."""
-    assert prog._specs == low.plan and prog.arena_bytes == low.arena_bytes
+    assert prog.specs() == low.plan and prog.arena_bytes == low.arena_bytes
     nbytes = [math.prod(shape) * np.dtype(dtype).itemsize for _off, shape, dtype in low.plan]
     spans = [
         (first, last, off, off + _padded(n))
@@ -223,7 +223,7 @@ class TestPartBuffers:
         assert not lowered[whole].split and lowered[split].split
         names = [[ins.name for ins in lowered[prog].replay] for prog in (split, whole)]
         assert names[0] == names[1] and split._kernels == whole._kernels == tuple(names[0])
-        assert len(split._specs) > len(whole._specs)
+        assert len(split.specs()) > len(whole.specs())
         assert split.arena_bytes < 0.9 * whole.arena_bytes
         # every part is a whole buffer of the launch's tuple, in output order
         for flat, bufs in lowered[split].split.items():

@@ -274,9 +274,8 @@ class TestGuards:
         batch = pad_to_bucket(dataset.batch([0, 1, 2, 3]))
         comp.step(batch)
         (prog,) = comp.cache.programs.values()
-        # Corrupt one recorded external spec: bind must refuse and report.
-        slot, kind, ref, shape, dtype = prog.externals[0]
-        prog.externals[0] = (slot, kind, ref, (9999,), dtype)
+        # Corrupt one recorded external shape: bind must refuse and report.
+        prog._shapes = ((9999,), *prog._shapes[1:])
         bd = comp.step(batch)
         assert comp.stats.eager_fallbacks == 1
         assert not comp.cache.programs  # corrupted program evicted

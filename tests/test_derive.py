@@ -132,7 +132,7 @@ class TestLedgerShapes:
             _assert_same_trace(derived, fresh)
             built = CompiledStep(fresh, fresh.outputs, len(comp.params))
             replayed = comp.cache.programs[sig]
-            assert replayed._specs == built._specs
+            assert replayed.specs() == built.specs()
             assert replayed.arena_bytes == built.arena_bytes
 
     def test_derived_replays_are_bit_identical_to_eager(self):

@@ -18,7 +18,7 @@ def test_prints_every_phase_of_a_smoke_training_run():
         capture_output=True, text=True, check=True, cwd=REPO, timeout=300,
     ).stdout
     header, *lines = out.splitlines()
-    assert header.split()[-4:] == ["VmRSS", "MB", "VmHWM", "MB"]
+    assert header.split()[-5:] == ["VmRSS", "MB", "VmHWM", "MB", "blocks"]
     phases = [line[:40].strip() for line in lines]
     assert phases[:2] == ["import", "inputs"]
     steady = [f"steady cycle {k + 1}" for k in range(CYCLES)]
@@ -26,9 +26,13 @@ def test_prints_every_phase_of_a_smoke_training_run():
     build = phases[2:-1 - CYCLES]
     assert build[0].startswith("eager capture train (")
     assert "heap trim" in build and any(p.startswith("slab -> ") for p in build)
-    for line in lines:
-        rss, hwm = map(float, line.split()[-2:])
-        assert 0 < rss and 0 < hwm
+    blocks = {}
+    for phase, line in zip(phases, lines):
+        *_, rss, hwm, count = line.split()
+        assert 0 < float(rss) and 0 < float(hwm)
+        blocks[phase] = int(count)  # Python's allocated blocks, an exact count
+    # the build (traces, templates, programs) allocates Python objects
+    assert blocks["warm-up"] > blocks["import"] > 0
 
 
 def test_make_target_runs_the_tool():

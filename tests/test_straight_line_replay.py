@@ -98,8 +98,7 @@ class TestFrame:
             first = progs[0]._run
             assert all(p._run.__code__ is first.__code__ for p in progs)
             assert all(p._run.source is first.source for p in progs)  # one string
-            namespaces = {id(p._run.__globals__) for p in progs}
-            assert len(namespaces) == len(progs)
+            assert all(p._run.__globals__ is first.__globals__ for p in progs)  # one namespace
 
     def test_code_cache_is_bounded(self, graphs, monkeypatch):
         monkeypatch.setattr(tc, "_CODE", OrderedDict())

@@ -7,12 +7,13 @@ Usage::
 Builds the workload of ``benchmarks/perf/workloads.py`` (imported, never
 modified) in this process, as the ledger's child does, and prints one line
 per phase with the process's ``VmRSS`` (resident now) and ``VmHWM`` (peak
-resident so far) from ``/proc/self/status``, in MB: after import, after the
-inputs, after every eager capture, every heap trim and every slab
-(re)allocation of the compiled programs, after warm-up, and after each of
-``CYCLES`` steady cycles.  ``peak_rss_mb`` in a ledger run is the ``VmHWM`` of
-its child at the end, so the line where ``VmHWM`` last rises is the phase
-that sets it.  Both are the kernel's counters, which it updates lazily:
+resident so far) from ``/proc/self/status``, in MB, and the memory blocks
+Python's allocator holds (``sys.getallocatedblocks()``: a phase's growth in
+Python objects): after import, after the inputs, after every eager capture,
+every heap trim and every slab (re)allocation of the compiled programs, after
+warm-up, and after each of ``CYCLES`` steady cycles.  ``peak_rss_mb`` in a
+ledger run is the ``VmHWM`` of its child at the end, so the line where
+``VmHWM`` last rises is the phase that sets it.  Both are the kernel's counters, which it updates lazily:
 a reading can trail the last allocation by a few hundred kB (``VmHWM``
 has been seen to fall by 0.3 MB between two lines).  Linux only
 (``/proc``); standard library plus the program.
@@ -47,7 +48,7 @@ def status_mb() -> tuple[float, float]:
 
 def report(phase: str) -> None:
     rss, hwm = status_mb()
-    print(f"{phase:<40} {rss:9.2f} {hwm:9.2f}", flush=True)
+    print(f"{phase:<40} {rss:9.2f} {hwm:9.2f} {sys.getallocatedblocks():9d}", flush=True)
 
 
 def _after(owner, name: str, phase) -> None:
@@ -75,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.workload not in WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; one of {sorted(WORKLOADS)}")
-    print(f"{'phase':<40} {'VmRSS MB':>9} {'VmHWM MB':>9}")
+    print(f"{'phase':<40} {'VmRSS MB':>9} {'VmHWM MB':>9} {'blocks':>9}")
     report("import")
     _after(tc._CompilerBase, "_trace", lambda comp, sig, *_: f"eager capture {sig[0]} {sig[1:6]}")
     _after(tc, "_trim_heap", lambda: "heap trim")
