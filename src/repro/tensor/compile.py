@@ -944,8 +944,8 @@ class CompiledStep:
     Building a program runs :func:`run_passes` over the trace and keeps
     only what replay, binding and attaching read (docs/architecture.md,
     "What a built program holds"): per program its slot list (bound
-    externals, slab views and integer constants), its plan and its
-    externals, and one :class:`_Shared` with every program of its
+    externals, slab views and integer constants), its plan and the shapes
+    of its externals, and one :class:`_Shared` with every program of its
     structure for the rest.  It allocates nothing: it cannot replay until
     the :class:`SharedProgramCache` it is stored in has :meth:`attach`-ed
     it to the cache's slab.
