@@ -142,11 +142,8 @@ def test_programs_of_one_structure_share_their_replay_state():
             for name in ("_run", "_kernels", "_lines", "grad_writes", "outputs"):
                 assert getattr(prog, name) is getattr(first, name), name
             assert prog._run.__globals__ is first._run.__globals__
-            n_ints = len(prog._shared.ints)
-            pairs = [
-                *zip(prog._views, first._views),
-                *zip(prog._slots[-n_ints:], first._slots[-n_ints:]),
-            ]
+            at = len(prog._slots) - len(prog._shared.ints)  # the integer constants
+            pairs = [*zip(prog._views, first._views), *zip(prog._slots[at:], first._slots[at:])]
             assert any(a is b for a, b in pairs)
             assert all(a is b or a != b for a, b in pairs)  # equal means the same object
     sources = {id(group[0]._run.source) for group in structures.values()}
