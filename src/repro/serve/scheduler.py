@@ -28,7 +28,13 @@ Load-driven elasticity (:class:`Autoscaler`)
     actually done, but a run is not repeatable at one seed: paced
     dispatch, hedging and the autoscaler read those clocks, and a run's
     timings move them (tests pin ``time.perf_counter`` to a fixed step, as
-    ``tests/test_dispatch_loop.py`` does, to make them repeat).  When the
+    ``tests/test_dispatch_loop.py`` does, to make them repeat).  What is
+    deterministic is what is decided from counts and costs alone: the
+    fair tags of a given arrival sequence and the ``(tag, seq)`` order
+    they dispatch in (:class:`FairScheduler`), the groups
+    :func:`plan_groups` forms from given queues, and every prediction
+    (bit-identical on every worker).  Which worker runs a group, the
+    modeled latencies and all that reads them follow measured time.  When the
     modeled p95 of the interactive class breaches the SLA for
     :data:`BREACH_SCANS` consecutive drain scans, one worker is added — a
     fresh replica on the :class:`~repro.tensor.compile.SharedProgramCache`

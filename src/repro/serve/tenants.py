@@ -25,6 +25,7 @@ counters) is what ``tests/serve_harness.py`` checks.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, fields
 
@@ -40,10 +41,25 @@ DEFAULT_TENANT = "default"
 
 
 def percentile(values, q: float) -> float:
-    """Linear-interpolated percentile of a sequence (0 <= q <= 100)."""
+    """Linear-interpolated percentile of a sequence (0 <= q <= 100).
+
+    Bit for bit ``np.percentile(values, q)`` (its default ``linear``
+    rule, including its interpolation from the upper neighbour past the
+    midpoint), computed without it: ``np.percentile`` imports ``numpy.ma``
+    on its first call.
+    """
     if not values:
         return 0.0
-    return float(np.percentile(np.fromiter(values, dtype=np.float64), q))
+    ordered = np.sort(np.fromiter(values, dtype=np.float64)).tolist()
+    n = len(ordered)
+    vi = (n - 1) * (q / 100)
+    # At the top, NumPy takes the last value from index -1, so its weight
+    # is ``vi + 1``: the difference is 0 either way, but not its sign.
+    prev = -1 if vi >= n - 1 else math.floor(vi)
+    lo = ordered[prev]
+    hi = ordered[prev + 1] if prev >= 0 else lo
+    g, d = vi - prev, hi - lo
+    return hi - d * (1 - g) if g >= 0.5 else lo + d * g
 
 
 def counters(stats) -> dict:

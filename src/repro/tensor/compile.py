@@ -191,15 +191,15 @@ def _plan_offsets(
         if not size:
             continue
         first, last = live[i]
-        at = 0
+        at, top = 0, size
         for lo, hi, f, l in placed:
-            if lo >= at + size:
+            if lo >= top:
                 break
-            if f <= last and l >= first and hi > at:
-                at = hi
+            if hi > at and f <= last and l >= first:
+                at, top = hi, hi + size
         offsets[i] = at
-        bisect.insort(placed, (at, at + size, first, last))
-        total = max(total, at + size)
+        bisect.insort(placed, (at, top, first, last))
+        total = max(total, top)
     return offsets, total
 
 
@@ -1001,6 +1001,13 @@ class CompiledStep:
         #: views of the attached slab, one per buffer id (see :meth:`attach`)
         self.buffers: list[np.ndarray] = []
         self._held: tuple[int, dict[int, int]] | None = None  # see _slab_views
+        self._bound = False  # set by bind, cleared by unbind
+
+    def __repr__(self) -> str:
+        return (
+            f"<CompiledStep: {self.n_instrs} launches, {len(self._shapes)} externals, "
+            f"{self.arena_bytes} arena bytes>"
+        )
 
     # What every program of its structure shares, read through its _Shared.
     @property
@@ -1126,7 +1133,21 @@ class CompiledStep:
         for slot, rows, spec in self._index_bounds:
             if _out_of_range(slots[slot], rows):
                 raise IndexError(f"batch index array {spec!r} out of range for {rows} rows")
+        self._bound = True
         return None
+
+    def unbind(self) -> None:
+        """Let go of every bound external (batch arrays and weight
+        snapshots), so the program holds no caller's array between
+        replays; :meth:`bind` must precede the next replay."""
+        slots = self._slots
+        for slot, _kind, _ref, _dtype in self._shared.bound:
+            slots[slot] = None
+        self._bound = False
+
+    def _check_bound(self) -> None:
+        if not self._bound:
+            raise RuntimeError(f"replay of unbound program {self!r}: bind() a batch first")
 
     # ---------------------------------------------------------------- replay
     def replay(self) -> None:
@@ -1135,6 +1156,7 @@ class CompiledStep:
         While a runtime profile is active every instruction is also reported
         as one kernel launch (name and output bytes), as eager dispatch does.
         """
+        self._check_bound()
         self._shared.run(self._slots)
         if profiling_active():
             for name, nbytes in zip(self._shared.kernels, self._kernel_bytes.tolist()):
@@ -1161,6 +1183,7 @@ class CompiledStep:
         yields *measured* per-gradient completion times instead of
         byte-share estimates.
         """
+        self._check_bound()
         shared = self._shared
         if shared.timed is None:
             shared.timed = _timed_variant(shared.run, shared.lines)
@@ -1466,7 +1489,9 @@ class _CompilerBase:
         self.model = model
         self.params = model.parameters()
         self.cache = cache if cache is not None else SharedProgramCache()
-        #: most recently captured or replayed program (bound state intact).
+        #: most recently captured or replayed program; a training program
+        #: keeps its bound state, an inference program is unbound after
+        #: each replay (:meth:`InferenceCompiler._replay`).
         self.last_program: CompiledStep | None = None
         self.stats = self._stats()
         self._guard = self._guard_token()
@@ -1759,9 +1784,16 @@ class InferenceCompiler(_CompilerBase):
         return result
 
     def _replay(self, prog: CompiledStep, batch: GraphBatch):
-        prog.replay()
+        # The outputs are slab views and ``bind`` rebinds every external
+        # before each replay, so the program lets go of the caller's batch
+        # and weights as soon as it has run.
+        try:
+            prog.replay()
+            outs = prog.output_arrays()
+        finally:
+            prog.unbind()
         self.stats.replays += 1
-        return self._slice_real(prog.output_arrays(), batch)
+        return self._slice_real(outs, batch)
 
     @staticmethod
     def _slice_real(arrs: dict[str, np.ndarray], batch: GraphBatch) -> dict[str, np.ndarray]:

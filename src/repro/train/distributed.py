@@ -362,9 +362,9 @@ class DistributedTrainer:
         self._trainable: list[bool] | None = None
         self._buckets: GradientBuckets | None = None
         # Flush plan, built with the buckets: per collective, every rank's
-        # slab slice, and the communicator's reusable work block for it.
+        # slab slice, and its view of the one reusable work block.
         self._flush: list[list[np.ndarray]] = []
-        self._flush_work: list[np.ndarray | None] = []
+        self._flush_work: list[np.ndarray] = []
         # Forked processes that run ranks of replay-only steps alongside
         # this one (repro.train.ranks); forked at the first such step.
         self._ranks = RankExecutors(cfg.world_size)
@@ -542,7 +542,15 @@ class DistributedTrainer:
                 for bucket in self._buckets.buckets
                 for run in self.optimizers[0].slices(bucket)
             ]
-            self._flush_work = [None] * len(self._flush)
+            # One work block, sized to the largest collective; each one
+            # stages in a contiguous (world + 1, n) head of it.
+            rows = self.comm.world_size + 1
+            size = max((views[0].size for views in self._flush), default=0)
+            block = np.empty(rows * size, dtype=self.optimizers[0].flat_grads.dtype)
+            self._flush_work = [
+                block[: rows * views[0].size].reshape(rows, views[0].size)
+                for views in self._flush
+            ]
         for rank, absent in enumerate(missing):
             if any(self._trainable[i] for i in absent):
                 raise RuntimeError(

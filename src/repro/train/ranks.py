@@ -16,7 +16,10 @@ is what the fork binds on its next step.  A fork only replays: the trainer
 sends it ranks only when every rank's program is cached and the cache has
 not changed since the fork, and forks again otherwise.
 
-One message per process and step carries that process's ranks as
+A worker talks to the parent over two :func:`os.pipe` pairs, one each
+way, in length-prefixed :mod:`pickle` frames (:class:`_Pipe`), which
+imports nothing the trainer has not already imported.  One message per
+process and step carries that process's ranks as
 ``(rank, shard, validate)``; the reply holds, per rank, the
 ``serve(rank, shard, validate)`` result or the exception it raised, which
 the parent re-raises with the same type and the rank named.  A fork leaves
@@ -39,13 +42,11 @@ import ctypes
 import functools
 import itertools
 import os
+import pickle
 import sys
 import traceback
 import weakref
-from typing import TYPE_CHECKING, Callable, NamedTuple
-
-if TYPE_CHECKING:  # imported where a fork needs it: ~20 modules, ~1.4 MB
-    from multiprocessing.connection import Connection
+from typing import Callable, NamedTuple
 
 
 def usable_cpus() -> int:
@@ -85,6 +86,40 @@ def blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     return None
 
 
+class _Pipe:
+    """One end of a worker's link: it reads frames from one pipe and
+    writes them to the other.  A frame is an 8-byte little-endian length
+    and that many bytes of pickle; :meth:`recv` raises :class:`EOFError`
+    once the other end has closed, :meth:`send` an :class:`OSError`."""
+
+    def __init__(self, read_fd: int, write_fd: int) -> None:
+        self._read_fd, self._write_fd = read_fd, write_fd
+
+    def send(self, obj: object) -> None:
+        data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        view = memoryview(len(data).to_bytes(8, "little") + data)
+        while view:
+            view = view[os.write(self._write_fd, view) :]
+
+    def recv(self) -> object:
+        return pickle.loads(self._read(int.from_bytes(self._read(8), "little")))
+
+    def _read(self, n: int) -> bytearray:
+        data = bytearray()
+        while len(data) < n:
+            chunk = os.read(self._read_fd, n - len(data))
+            if not chunk:
+                raise EOFError
+            data += chunk
+        return data
+
+    def close(self) -> None:
+        for fd in (self._read_fd, self._write_fd):
+            if fd >= 0:
+                os.close(fd)
+        self._read_fd = self._write_fd = -1
+
+
 class _Raised(NamedTuple):
     """What a worker sends back for a rank that raised."""
 
@@ -93,7 +128,7 @@ class _Raised(NamedTuple):
     trace: str
 
 
-def _stop(workers: list[tuple[int, Connection]], owner: int, blas_saved: list[int]) -> None:
+def _stop(workers: list[tuple[int, _Pipe]], owner: int, blas_saved: list[int]) -> None:
     """Ask every worker to exit, close its pipe and reap it, then give
     BLAS back the thread count ``blas_saved`` holds (if any).
 
@@ -118,7 +153,7 @@ def _stop(workers: list[tuple[int, Connection]], owner: int, blas_saved: list[in
         put(blas_saved.pop())
 
 
-def _serve_forever(conn: Connection, serve: Callable) -> None:
+def _serve_forever(conn: _Pipe, serve: Callable) -> None:
     """A worker's loop: run the ranks of each request until EOF or ``None``."""
     status = 0
     try:
@@ -156,9 +191,9 @@ class RankExecutors:
     def __init__(self, world_size: int) -> None:
         self.processes = min(world_size, usable_cpus())
         self.generation: int | None = None
-        self._workers: list[tuple[int, Connection]] = []
+        self._workers: list[tuple[int, _Pipe]] = []
         self._owner = os.getpid()
-        self._busy: list[tuple[int, Connection]] = []
+        self._busy: list[tuple[int, _Pipe]] = []
         # The parent's BLAS thread count while the workers pin it to 1.
         self._blas_saved: list[int] = []
         weakref.finalize(self, _stop, self._workers, self._owner, self._blas_saved)
@@ -166,8 +201,6 @@ class RankExecutors:
     def fork(self, serve: Callable, generation: int) -> None:
         """Replace the workers with fresh forks of this process, each
         running ``serve(rank, shard, validate)`` for the ranks it is sent."""
-        from multiprocessing.connection import Pipe
-
         self.close()
         blas = blas_threads()
         if blas is not None and self.processes > 1:  # the forks inherit the 1
@@ -175,13 +208,19 @@ class RankExecutors:
             self._blas_saved.append(get())
             put(1)
         for _ in range(1, self.processes):
-            parent_end, child_end = Pipe()
+            (down_r, down_w), (up_r, up_w) = os.pipe(), os.pipe()
             pid = os.fork()
             if pid == 0:
-                parent_end.close()
-                _serve_forever(child_end, serve)
-            child_end.close()
-            self._workers.append((pid, parent_end))
+                # Only the parent may hold a worker's write end, or the
+                # worker never reads EOF when the parent is gone.
+                for _pid, sibling in self._workers:
+                    sibling.close()
+                os.close(down_w)
+                os.close(up_r)
+                _serve_forever(_Pipe(down_r, up_w), serve)
+            os.close(down_r)
+            os.close(up_w)
+            self._workers.append((pid, _Pipe(up_r, down_w)))
         self.generation = generation
 
     def close(self) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import gc
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -191,3 +192,28 @@ def test_blas_runs_one_thread_while_executors_live(two_cpus):
     finally:
         executors.close()
         put(before)
+
+
+def test_a_parallel_step_imports_no_multiprocessing():
+    """The executors talk over plain pipes: a fresh process that trains a
+    parallel step has not imported ``multiprocessing``."""
+    code = (
+        "import sys\n"
+        "import test_rank_executors as t\n"
+        "from repro.train import ranks\n"
+        "ranks.usable_cpus = lambda: 2\n"
+        "dataset = t.StructureDataset(t.generate_mptrj(24, seed=3, max_atoms=4))\n"
+        "trainer = t._trainer(dataset, epochs=1)\n"
+        "trainer.train()\n"
+        "assert trainer._ranks.generation is not None\n"
+        "trainer.close()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n"
+    )
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, here])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]
