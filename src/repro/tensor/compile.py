@@ -1003,12 +1003,6 @@ class CompiledStep:
         self._held: tuple[int, dict[int, int]] | None = None  # see _slab_views
         self._bound = False  # set by bind, cleared by unbind
 
-    def __repr__(self) -> str:
-        return (
-            f"<CompiledStep: {self.n_instrs} launches, {len(self._shapes)} externals, "
-            f"{self.arena_bytes} arena bytes>"
-        )
-
     # What every program of its structure shares, read through its _Shared.
     @property
     def grad_writes(self) -> tuple[tuple[int, int], ...]:
@@ -1147,7 +1141,10 @@ class CompiledStep:
 
     def _check_bound(self) -> None:
         if not self._bound:
-            raise RuntimeError(f"replay of unbound program {self!r}: bind() a batch first")
+            raise RuntimeError(
+                f"replay of unbound program ({self.n_instrs} launches, externals of shapes "
+                f"{self._shapes}): bind() a batch first"
+            )
 
     # ---------------------------------------------------------------- replay
     def replay(self) -> None:
