@@ -97,20 +97,23 @@ class _Pipe:
 
     def send(self, obj: object) -> None:
         data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        view = memoryview(len(data).to_bytes(8, "little") + data)
-        while view:
-            view = view[os.write(self._write_fd, view) :]
+        for frame in (len(data).to_bytes(8, "little"), data):  # no joined copy
+            view = memoryview(frame)
+            while view:
+                view = view[os.write(self._write_fd, view) :]
 
     def recv(self) -> object:
         return pickle.loads(self._read(int.from_bytes(self._read(8), "little")))
 
     def _read(self, n: int) -> bytearray:
-        data = bytearray()
-        while len(data) < n:
-            chunk = os.read(self._read_fd, n - len(data))
-            if not chunk:
+        """Exactly ``n`` bytes, read in place into one buffer."""
+        data = bytearray(n)
+        view, got = memoryview(data), 0
+        while got < n:
+            count = os.readv(self._read_fd, [view[got:]])
+            if not count:
                 raise EOFError
-            data += chunk
+            got += count
         return data
 
     def close(self) -> None:
