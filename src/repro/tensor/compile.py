@@ -81,13 +81,11 @@ import bisect
 import functools
 import itertools
 import math
-import os
-import sys
 import time
 import types
 import weakref
-from collections import Counter, OrderedDict
-from contextlib import contextmanager, nullcontext
+from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple
 
@@ -204,32 +202,25 @@ def _plan_offsets(
 
 
 def _new_slab(nbytes: int) -> np.ndarray:
-    """An ``_ALIGN``-aligned, page-touched byte slab of ``nbytes``."""
+    """An ``_ALIGN``-aligned, page-touched byte slab of ``nbytes``.
+
+    Every page is made resident here: np.empty defers physical allocation,
+    which would otherwise surface as a slow first *replay* (page faults
+    inside the hot kernels).
+    """
     raw = np.empty(nbytes + _ALIGN - 1, dtype=np.uint8)
     start = -raw.ctypes.data % _ALIGN
     slab = raw[start : start + nbytes]
-    _touch(slab)
+    slab[::4096] = 0
     return slab
 
 
-def _touch(slab: np.ndarray) -> None:
-    """Make every page of ``slab`` resident: np.empty defers physical
-    allocation (and a released slab has none), which would otherwise surface
-    as a slow first *replay* (page faults inside the hot kernels)."""
-    slab[::4096] = 0
-
-
-#: ``madvise`` advice that drops a private mapping's pages (same value on
-#: Linux, macOS and the BSDs; Linux refills them with zeros on next touch).
-_MADV_DONTNEED = 4
-
-
 @functools.cache
-def _libc() -> tuple[Callable | None, Callable | None]:
-    """``(madvise, malloc_trim)`` of the C library, each ``None`` where it
-    has none (``malloc_trim`` is glibc's).
+def _libc() -> Callable | None:
+    """The C library's ``malloc_trim``, or ``None`` where it has none
+    (``malloc_trim`` is glibc's).
 
-    Resolved on the first training capture, not at import, as
+    Resolved by the first :meth:`StepCompiler.prepare`, not at import, as
     :func:`repro.train.ranks.blas_threads` finds OpenBLAS.
     """
     import ctypes
@@ -237,20 +228,17 @@ def _libc() -> tuple[Callable | None, Callable | None]:
     try:
         lib = ctypes.CDLL(None)
     except (OSError, TypeError):  # TypeError: no process-wide handle (Windows)
-        return None, None
-    madvise, trim = (getattr(lib, name, None) for name in ("madvise", "malloc_trim"))
-    if madvise is not None:
-        madvise.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
-        madvise.restype = ctypes.c_int
+        return None
+    trim = getattr(lib, "malloc_trim", None)
     if trim is not None:
         trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    return madvise, trim
+    return trim
 
 
 def _trim_heap() -> None:
     """Hand glibc's freed heap back to the system (``malloc_trim(0)``);
     nothing where the C library has no ``malloc_trim``."""
-    trim = _libc()[1]
+    trim = _libc()
     if trim is not None:
         trim(0)
 
@@ -1000,7 +988,6 @@ class CompiledStep:
         self._kernel_bytes = np.array([ins.nbytes for ins in replay], dtype=np.int64)
         #: views of the attached slab, one per buffer id (see :meth:`attach`)
         self.buffers: list[np.ndarray] = []
-        self._held: tuple[int, dict[int, int]] | None = None  # see _slab_views
         self._bound = False  # set by bind, cleared by unbind
 
     # What every program of its structure shares, read through its _Shared.
@@ -1069,33 +1056,12 @@ class CompiledStep:
             slots[slot] = tuple(buffers[first:stop])
         for slot, fn, base, kwargs in self._views:
             slots[slot] = fn(slots[base], **kwargs)
-        self._held = None
 
     def detach(self) -> None:
         """Drop every view of the slab (undoes :meth:`attach`)."""
         self.buffers = []
         for slot in self._static_slots():
             self._slots[slot] = None
-        self._held = None
-
-    def _slab_views(self, raw: np.ndarray) -> tuple[int, dict[int, int]]:
-        """``(views, outputs)``: how many distinct arrays viewing ``raw``
-        (the allocation under the attached slab) this program holds in
-        ``buffers`` and its replay-invariant slots, and for each output slot
-        holding one of them, how many places hold it.  Computed once per
-        :meth:`attach` (read by :meth:`SharedProgramCache._viewed_outside`)."""
-        if self._held is None:
-            slots = self._slots
-            entries = itertools.chain(self.buffers, (slots[s] for s in self._static_slots()))
-            uses = Counter(
-                id(arr)
-                for entry in entries
-                for arr in (entry if isinstance(entry, tuple) else (entry,))
-                if isinstance(arr, np.ndarray) and arr.base is raw
-            )
-            outputs = {s: uses[id(slots[s])] for s in self.outputs.values() if id(slots[s]) in uses}
-            self._held = (len(uses), outputs)
-        return self._held
 
     # ------------------------------------------------------------------ bind
     def bind(self, batch: GraphBatch, params: list) -> str | None:
@@ -1285,10 +1251,9 @@ class SharedProgramCache:
     "Arena").  A trainer's rank executors (:mod:`repro.train.ranks`)
     replay forked copies of the cache, each on its own copy of the slab,
     and never capture.  :meth:`store` grows the slab and re-attaches every
-    program; eviction never shrinks it; :meth:`release` drops it.  While a
-    training capture's eager step runs (:meth:`released`) the slab holds
-    no resident page, and :meth:`store` hands the freed heap back to the
-    system before it touches the slab again ("Capture memory").
+    program; eviction never shrinks it; :meth:`release` drops it.  A
+    trainer runs every eager capture before the first store allocates the
+    slab (:meth:`StepCompiler.prepare`, "Capture memory").
 
     A compiler constructed without an explicit cache owns a private instance.
     """
@@ -1309,9 +1274,6 @@ class SharedProgramCache:
         # cache never replay concurrently and consumers copy results out
         # before the next replay.
         self._slab = _new_slab(0)
-        # Bytes of slab :meth:`released` gave up (its pages dropped in
-        # place, or the slab let go); 0 once the slab is resident again.
-        self._cold = 0
 
     def lookup(self, sig: tuple) -> CompiledStep | None:
         """The cached program for ``sig`` (LRU-touched), counting hit/miss."""
@@ -1334,7 +1296,10 @@ class SharedProgramCache:
         self.programs[sig] = prog
         if len(self.programs) > self.max_programs:
             self.programs.popitem(last=False)
-        self._warm(prog)
+        if prog.arena_bytes > self._slab.nbytes:
+            self._reslab(prog.arena_bytes)
+        else:
+            prog.attach(self._slab)
 
     def _reslab(self, nbytes: int) -> None:
         """Replace the slab by one of ``nbytes`` and attach every cached
@@ -1353,74 +1318,6 @@ class SharedProgramCache:
         if nbytes:
             for cached in self.programs.values():
                 cached.attach(self._slab)
-
-    @contextmanager
-    def released(self):
-        """Hold no resident slab page while the body runs (a training capture).
-
-        When no array outside the cached programs views the slab, its
-        page-aligned interior is dropped in place (``madvise``): the
-        programs keep their views, and a replay writes every byte before it
-        reads it.  Otherwise the slab is let go as growth lets it go, so a
-        caller's held results stay readable.  The next :meth:`store` (or
-        the end of the body, if it stored nothing) returns glibc's freed
-        heap with ``malloc_trim`` and only then makes the slab resident
-        again.  Where the C library lacks ``madvise`` this does nothing.
-        """
-        madvise = _libc()[0]
-        slab = self._slab
-        if madvise is not None and slab.nbytes:
-            self._cold = slab.nbytes
-            if self._viewed_outside():
-                self._reslab(0)
-            else:
-                page = os.sysconf("SC_PAGE_SIZE")
-                start = -slab.ctypes.data % page
-                length = (slab.nbytes - start) // page * page
-                if length > 0:
-                    madvise(slab.ctypes.data + start, length, _MADV_DONTNEED)
-        del slab  # not held across the body: a slab let go must be freeable
-        try:
-            yield
-        finally:
-            self._warm(None)
-
-    def _viewed_outside(self) -> bool:
-        """Whether an array outside the cached programs views the slab.
-
-        Every view of the slab, however derived, references the allocation
-        under it (NumPy collapses ``base`` chains), so a view the programs
-        do not hold raises that allocation's reference count; an output the
-        programs hold (``output_arrays`` hands out slot entries themselves)
-        raises its own.  Each of those arrays, and a probe only this method
-        holds, is read the same way: unless something else holds one, all
-        show the same count over the holders :meth:`CompiledStep._slab_views`
-        found.
-        """
-        raw = self._slab.base
-        arrays, holders = [raw, np.empty(0)], [1, 0]  # the allocation (the slab's base), the probe
-        for prog in self.programs.values():
-            views, outputs = prog._slab_views(raw)
-            holders[0] += views
-            arrays.extend(prog._slots[s] for s in outputs)
-            holders.extend(outputs.values())
-        del raw
-        return len({sys.getrefcount(arr) - n for arr, n in zip(arrays, holders)}) > 1
-
-    def _warm(self, prog: CompiledStep | None) -> None:
-        """Attach ``prog`` (if any), first making the slab resident at
-        least at its size, and at the size :meth:`released` gave up."""
-        if self._cold:
-            _trim_heap()
-        nbytes = max(prog.arena_bytes if prog is not None else 0, self._cold)
-        if nbytes > self._slab.nbytes:
-            self._reslab(nbytes)
-        else:
-            if self._cold:
-                _touch(self._slab)
-            if prog is not None:
-                prog.attach(self._slab)
-        self._cold = 0
 
     def evict(self, sig: tuple) -> None:
         """Drop the program for ``sig`` (if cached); the slab keeps its size."""
@@ -1567,8 +1464,9 @@ class _CompilerBase:
         ``eager`` runs one eager step and returns ``(result, outputs)`` with
         ``outputs`` the named arrays to mark as program outputs.  The trace
         holds arrays weakly, so the step's intermediates die when eager
-        drops them and the capture peaks where the eager step does
-        (docs/architecture.md, "Capture memory"); the program is built
+        drops them and the capture peaks where the eager step does, beside
+        whatever slab the cache holds (none during a trainer's build;
+        docs/architecture.md, "Capture memory"); the program is built
         (planning only, no allocation) after the step has returned, and
         after ``templates`` (a :class:`~repro.tensor.derive.TraceTemplates`)
         has sampled the raw trace.
@@ -1667,8 +1565,7 @@ class StepCompiler(_CompilerBase):
             batch = todo.pop(sig)
             step = functools.partial(self._traced_step, batch)
             try:
-                with self.cache.released():  # a no-op while the cache has no slab
-                    built.append((sig, batch, self._trace(sig, batch, step, templates)[1]))
+                built.append((sig, batch, self._trace(sig, batch, step, templates)[1]))
             except TraceUnsupported:
                 self.cache.unsupported.add(sig)
                 self.stats.unsupported += 1
@@ -1694,13 +1591,12 @@ class StepCompiler(_CompilerBase):
         return breakdown, {"loss": breakdown.loss.data, **_prediction_arrays(output)}
 
     def _capture(self, sig: tuple, batch: GraphBatch):
-        # The eager step's tape, not the slab, sets a training capture's
-        # peak: run it with no slab page resident, and return the heap it
-        # freed before the slab comes back (an inference capture frees op by
-        # op under ``no_grad``; docs/architecture.md, "Capture memory").
-        with self.cache.released():
-            breakdown, prog = self._trace(sig, batch, functools.partial(self._traced_step, batch))
-            self._store(sig, prog)
+        # A trainer's steps only replay: ``prepare`` built every planned
+        # program before the slab existed.  A capture here (a standalone
+        # compiler's) runs its eager tape beside whatever slab the cache
+        # holds (docs/architecture.md, "Capture memory").
+        breakdown, prog = self._trace(sig, batch, functools.partial(self._traced_step, batch))
+        self._store(sig, prog)
         # ``last_program`` promises bound state, and the trainer's
         # instrumented replay (``measured_ready_fractions``) may read it
         # before any rank replays this program.

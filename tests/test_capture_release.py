@@ -1,17 +1,17 @@
-"""A training capture holds no resident slab page and returns its freed heap.
+"""A training capture runs its eager tape before the slab, or beside it.
 
 The contract under test (docs/architecture.md, "Capture memory"):
 
-* in place — a training capture on a cache that already holds a program
-  runs its eager step with none of the slab's pages resident, keeps the
-  slab object, and the next replay is bit-identical to eager;
-* let go — when something outside the cached programs views the slab (an
-  output held across the capture, or a view of one), the slab is let go as
-  growth lets it go: the held arrays read the same bits afterwards, and the
-  cache continues on a new slab of the same size;
-* optional — without ``madvise`` / ``malloc_trim`` in the C library a
-  training capture does nothing extra and still replays bit-identically,
-  and a capture that fails part-way leaves the cache as usable as before;
+* before the slab — a compiled trainer's constructor runs every eager
+  capture on a cache that holds no slab, and the slab is then allocated
+  once, at the largest program's size;
+* beside the slab — a standalone compiler's later training capture on a
+  cache that already holds a slab keeps that slab (same object, same size),
+  resolves nothing from the C library, and the next replay is
+  bit-identical to eager; a capture that fails part-way leaves the cache
+  as usable as before;
+* optional — without ``malloc_trim`` in the C library a trainer's build
+  still replays bit-identically;
 * inference untouched — an inference capture never resolves the C library.
 """
 
@@ -27,9 +27,10 @@ import pytest
 
 from repro.data.dataset import StructureDataset
 from repro.data.mptrj import generate_mptrj
-from repro.model import OptLevel
+from repro.model import CHGNetModel, OptLevel
 from repro.tensor import compile as compile_mod
 from repro.tensor.compile import StepCompiler, TapeTrace, TraceUnsupported
+from repro.train import DistributedConfig, DistributedTrainer
 from repro.train.loss import CompositeLoss
 from oracles import pad_to_bucket
 from serve_harness import TINY_CFG as CFG, make_model
@@ -55,56 +56,10 @@ def primed(dataset):
     return comp, large, small
 
 
-def _resident_pages(arr: np.ndarray) -> tuple[int, int]:
-    """(resident, total) whole pages inside ``arr``'s bytes, read from
-    ``/proc/self/pagemap`` (bit 63 of each page's entry: present in RAM).
-    Per page, unlike ``smaps``, whose counts cover a whole mapping — and the
-    slab may sit inside the heap's."""
-    page = os.sysconf("SC_PAGE_SIZE")
-    first = -(-arr.ctypes.data // page)
-    end = (arr.ctypes.data + arr.nbytes) // page
-    with open("/proc/self/pagemap", "rb") as fh:
-        fh.seek(first * 8)
-        entries = np.frombuffer(fh.read((end - first) * 8), dtype="<u8")
-    return int((entries >> np.uint64(63)).sum()), end - first
-
-
-def _probe_eager(comp: StepCompiler, probe) -> list:
-    """Run ``probe()`` at the start of the compiler's next eager step only."""
-    eager, seen = comp._eager, []
-
-    def probed(batch):
-        if not seen:
-            seen.append(probe())
-        return eager(batch)
-
-    comp._eager = probed
-    return seen
-
-
 def _validated_replay(comp: StepCompiler, batch) -> None:
     before = comp.stats.replays
     comp.step(batch)  # raises if loss, predictions or any gradient differ
     assert comp.stats.replays == before + 1
-
-
-@pytest.mark.skipif(
-    not sys.platform.startswith("linux") or not os.access("/proc/self/pagemap", os.R_OK),
-    reason="reads page residency from /proc/self/pagemap",
-)
-def test_capture_runs_with_no_slab_page_resident(primed):
-    comp, large, small = primed
-    slab = comp.cache._slab
-    resident, pages = _resident_pages(slab)
-    assert pages > 16 and resident == pages  # page-touched when allocated
-    seen = _probe_eager(comp, lambda: _resident_pages(slab))
-    comp.step(small)  # capture
-    assert comp.stats.captures == 2
-    assert seen == [(0, pages)]
-    assert comp.cache._slab is slab  # released in place, kept
-    assert _resident_pages(slab) == (pages, pages)  # touched again by store
-    _validated_replay(comp, small)
-    _validated_replay(comp, large)
 
 
 def test_nothing_held_keeps_the_slab(primed):
@@ -115,39 +70,7 @@ def test_nothing_held_keeps_the_slab(primed):
     _validated_replay(comp, small)
 
 
-@pytest.mark.parametrize("hold", ["outputs", "derived view"])
-def test_held_views_survive_a_capture(primed, hold):
-    comp, large, small = primed
-    (prog,) = comp.cache.programs.values()
-    outs = prog.output_arrays()
-    if hold == "derived view":
-        outs = {"forces": outs["forces"][1:]}
-    assert all(np.shares_memory(v, comp.cache._slab) for v in outs.values())
-    kept = {k: v.copy() for k, v in outs.items()}
-    slab, nbytes = comp.cache._slab, comp.cache.arena_bytes
-    comp.step(small)  # capture: the slab is let go, not released in place
-    assert comp.cache._slab is not slab and comp.cache.arena_bytes == nbytes
-    _validated_replay(comp, large)  # writes the new slab
-    assert all(np.array_equal(outs[k], kept[k]) for k in kept)
-    assert not any(np.shares_memory(v, comp.cache._slab) for v in outs.values())
-    for p in comp.cache.programs.values():
-        assert all(np.shares_memory(b, comp.cache._slab) for b in p.buffers if b.size)
-    _validated_replay(comp, small)
-
-
-def test_without_madvise_or_malloc_trim(primed, monkeypatch):
-    monkeypatch.setattr(compile_mod, "_libc", lambda: (None, None))
-    comp, large, small = primed
-    slab = comp.cache._slab
-    comp.step(small)
-    assert comp.stats.captures == 2 and comp.cache._slab is slab
-    (small_prog,) = [p for p in comp.cache.programs.values() if p is comp.last_program]
-    assert all(np.shares_memory(b, slab) for b in small_prog.buffers if b.size)
-    _validated_replay(comp, small)
-    _validated_replay(comp, large)
-
-
-@pytest.mark.parametrize("hold", [False, True])
+@pytest.mark.parametrize("hold", [False])
 def test_failed_capture_leaves_the_cache_usable(primed, monkeypatch, hold):
     comp, large, small = primed
     held = comp.last_program.output_arrays() if hold else {}
@@ -189,3 +112,58 @@ def test_inference_capture_never_resolves_libc():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0"]
+
+
+def _trainer(entries) -> DistributedTrainer:
+    """A compiled, bucket-sampled two-rank FUSED trainer at smoke size."""
+    cfg = CFG.with_level(OptLevel.FUSED)
+    return DistributedTrainer(
+        lambda: CHGNetModel(cfg, np.random.default_rng(5)),
+        StructureDataset(entries),
+        DistributedConfig(world_size=2, global_batch_size=8, epochs=1, compile=True, seed=0),
+    )
+
+
+def test_trainer_captures_before_the_slab_exists(tiny_entries, monkeypatch):
+    seen, slabs = [], []  # slab bytes at each eager step; every slab allocated
+    eager, new_slab = StepCompiler._eager, compile_mod._new_slab
+
+    def probed(comp, batch):
+        seen.append(comp.cache.arena_bytes)
+        return eager(comp, batch)
+
+    def counted(nbytes):
+        slabs.append(nbytes)
+        return new_slab(nbytes)
+
+    monkeypatch.setattr(StepCompiler, "_eager", probed)
+    monkeypatch.setattr(compile_mod, "_new_slab", counted)
+    dt = _trainer(tiny_entries)
+    cache = dt.compilers[0].cache
+    assert dt.compile_stats()["captures"] == len(cache.programs) > 1
+    assert seen and set(seen) == {0}
+    largest = max(prog.arena_bytes for prog in cache.programs.values())
+    assert [n for n in slabs if n] == [largest] == [cache.arena_bytes]
+
+
+def test_capture_beside_the_slab_resolves_no_libc(primed):
+    comp, large, small = primed
+    compile_mod._libc.cache_clear()
+    comp.step(small)  # capture on a cache that holds the large program's slab
+    assert comp.stats.captures == 2
+    assert compile_mod._libc.cache_info().misses == 0
+    _validated_replay(comp, small)
+    _validated_replay(comp, large)
+
+
+def test_trainer_without_malloc_trim(tiny_entries, monkeypatch):
+    calls = []
+    monkeypatch.setattr(compile_mod, "_libc", lambda: calls.append(1))  # returns None
+    dt = _trainer(tiny_entries)
+    assert calls  # the build's heap trim asked, and found no malloc_trim
+    for compiler in dt.compilers:
+        compiler.validate = True  # each replay re-run eagerly, compared bit for bit
+    dt.train()
+    stats = dt.compile_stats()
+    assert stats["replays"] > 0 and stats["eager_fallbacks"] == 0
+    assert dt.replicas_in_sync()
