@@ -161,9 +161,12 @@ def test_trainer_without_malloc_trim(tiny_entries, monkeypatch):
     monkeypatch.setattr(compile_mod, "_libc", lambda: calls.append(1))  # returns None
     dt = _trainer(tiny_entries)
     assert calls  # the build's heap trim asked, and found no malloc_trim
-    for compiler in dt.compilers:
-        compiler.validate = True  # each replay re-run eagerly, compared bit for bit
-    dt.train()
+    try:
+        for compiler in dt.compilers:
+            compiler.validate = True  # each replay re-run eagerly, compared bit for bit
+        dt.train()
+    finally:
+        dt.close()  # stops the rank executors the first step forked
     stats = dt.compile_stats()
     assert stats["replays"] > 0 and stats["eager_fallbacks"] == 0
     assert dt.replicas_in_sync()
