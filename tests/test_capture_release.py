@@ -8,8 +8,9 @@ The contract under test (docs/architecture.md, "Capture memory"):
 * beside the slab — a standalone compiler's later training capture on a
   cache that already holds a slab keeps that slab (same object, same size),
   resolves nothing from the C library, and the next replay is
-  bit-identical to eager; a capture that fails part-way leaves the cache
-  as usable as before;
+  bit-identical to eager; outputs held across the capture (or a view of
+  one) read the same bits until the next replay; a capture that fails
+  part-way leaves the cache as usable as before;
 * optional — without ``malloc_trim`` in the C library a trainer's build
   still replays bit-identically;
 * inference untouched — an inference capture never resolves the C library.
@@ -70,7 +71,24 @@ def test_nothing_held_keeps_the_slab(primed):
     _validated_replay(comp, small)
 
 
-@pytest.mark.parametrize("hold", [False])
+@pytest.mark.parametrize("hold", ["outputs", "derived view"])
+def test_held_views_survive_a_capture(primed, hold):
+    comp, large, small = primed
+    (prog,) = comp.cache.programs.values()
+    outs = prog.output_arrays()
+    if hold == "derived view":
+        outs = {"forces": outs["forces"][1:]}
+    kept = {k: v.copy() for k, v in outs.items()}
+    slab = comp.cache._slab
+    comp.step(small)  # capture: attaches the new program, writes no slab byte
+    assert comp.stats.captures == 2 and comp.cache._slab is slab
+    assert all(np.shares_memory(v, slab) for v in outs.values())
+    assert all(np.array_equal(outs[k], kept[k]) for k in kept)
+    _validated_replay(comp, small)  # held outputs are valid only until here
+    _validated_replay(comp, large)
+
+
+@pytest.mark.parametrize("hold", [False, True])
 def test_failed_capture_leaves_the_cache_usable(primed, monkeypatch, hold):
     comp, large, small = primed
     held = comp.last_program.output_arrays() if hold else {}
@@ -84,9 +102,9 @@ def test_failed_capture_leaves_the_cache_usable(primed, monkeypatch, hold):
     comp.step(small)  # capture fails, the step falls back to eager
     monkeypatch.undo()
     assert comp.stats.unsupported == 1 and comp.cache.arena_bytes == nbytes
-    assert (comp.cache._slab is slab) is not hold  # let go only while held
+    assert comp.cache._slab is slab
+    assert all(np.array_equal(held[k], kept[k]) for k in kept)  # no replay yet
     _validated_replay(comp, large)
-    assert all(np.array_equal(held[k], kept[k]) for k in kept)
 
 
 def test_inference_capture_never_resolves_libc():
